@@ -14,6 +14,54 @@
 //! * [`kv::KvOp`] / [`kv::KvResult`] — a tiny self-describing binary
 //!   encoding for operations and results, so that requests are plain byte
 //!   strings on the wire exactly as the protocol expects.
+//!
+//! # The key-value store's state digest
+//!
+//! Checkpoint announcers call [`StateMachine::state_digest`] on the commit
+//! path, so [`KvStore`] keeps its digest incrementally, as the root of a
+//! Merkle tree over hash buckets:
+//!
+//! * A key lives in bucket `FNV-1a(key) mod 2^14`. The 16 384 bucket ids are
+//!   fixed — replicas can only compare digests over one tree shape — but only
+//!   non-empty buckets are stored, 64 ids to a group with an occupancy mask,
+//!   each with its entries in key order and the SHA-256 of those entries.
+//! * Above the buckets is a dense tree of fan-out 16 (1024, 64, 4 nodes and
+//!   the root; 35 KB). A node hashes the occupancy mask and the hashes of its
+//!   non-empty children; a node with none has the fixed all-zero hash, so an
+//!   empty store needs no hashing to be consistent and an emptied region
+//!   hashes like one never written. The digest is the root bound to the key
+//!   count. With the group table and the dirty bits, a store's fixed cost is
+//!   about 45 KB; the rest follows the buckets it fills.
+//! * `Put`, `Delete`, `Append` and `restore` set their bucket's dirty bit and
+//!   hash nothing. `state_digest` re-hashes the dirty buckets and the nodes
+//!   above them and remembers the result until the next write.
+//!   [`KvStore::digest_stats`] counts that work. On 40 000 keys of 128 B a
+//!   digest after 360 scattered writes hashes 0.39 MB where a full pass
+//!   hashes 5.9 MB; the first digest of a store, or the one after a restore,
+//!   is the full pass.
+//!
+//! **Why a Merkle tree and not a sum.** An incremental digest can also be had
+//! by adding or XOR-ing one hash per entry. At 256 bits that is not collision
+//! resistant: Wagner's generalized-birthday attack finds a set of entries
+//! whose hashes sum to a chosen value in roughly 2^(256 / (1 + log2 k)) work
+//! for `k` lists, far below 2^128. The digest is what lets a replica accept a
+//! snapshot from an untrusted peer because `m + 1` checkpoints vouch for its
+//! hash, so a Byzantine proxy must not be able to fit a fabricated state to
+//! an honest digest. Every step here is SHA-256 over an injective encoding,
+//! at a fixed position in the tree.
+//!
+//! **What it costs elsewhere.** Placement by hash gives up key order: the
+//! snapshot, which stays in key order byte for byte, sorts its entries, and a
+//! lookup follows two more pointers than a walk down one ordered map whose
+//! hot keys are neighbours. Keys crafted to share a bucket make that bucket's
+//! operations and re-hashes linear in its size — never more than the full
+//! pass every digest used to be.
+//!
+//! **Compatibility.** The digest *value* differs from builds that hashed the
+//! whole map in key order, so the replicas of one cluster must run one build.
+//! Stores written by earlier builds stay readable: the snapshot format is
+//! unchanged, and a durable checkpoint's digest is carried as recorded, not
+//! re-derived from its snapshot on load.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -22,6 +70,6 @@ pub mod kv;
 pub mod noop;
 pub mod state_machine;
 
-pub use kv::{KvOp, KvResult, KvStore};
+pub use kv::{DigestStats, KvOp, KvResult, KvStore};
 pub use noop::NoopApp;
 pub use state_machine::StateMachine;

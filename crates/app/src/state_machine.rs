@@ -36,6 +36,30 @@ pub trait StateMachine: Send {
 
     /// A digest of the current state, used in `CHECKPOINT` messages so that
     /// replicas can compare snapshots without shipping them.
+    ///
+    /// What the replicas rely on:
+    ///
+    /// * **It is called on the commit path.** Every checkpoint announcer —
+    ///   the trusted primary in Lion and Dog, every proxy in Peacock, every
+    ///   replica of the baselines — calls it once every `checkpoint_period`
+    ///   slots, between executing the slot and handling the next message. An
+    ///   implementation should cost in proportion to what changed since the
+    ///   previous call, not to the size of the state, or every checkpoint is
+    ///   a stall in the commit latency's tail.
+    /// * **It is a function of the content only.** Peacock and the BFT
+    ///   baseline need `m + 1` / `2f + 1` *matching* digests from replicas
+    ///   that reached the state differently: by executing the history, by
+    ///   restoring a snapshot during state transfer or recovery, in a
+    ///   different order within the bounds of determinism. Equal state must
+    ///   give equal digests whatever the route, and it must be infeasible to
+    ///   construct a different state with the same digest, or a Byzantine
+    ///   replica could pass a fabricated snapshot off under an honest
+    ///   checkpoint.
+    /// * **Reads do not move it** (see
+    ///   [`execute_read`](StateMachine::execute_read)).
+    ///
+    /// The value is opaque to the protocol and may differ between builds of
+    /// an implementation; the replicas of one cluster run one build.
     fn state_digest(&self) -> Digest;
 
     /// Serializes the full state for state transfer to a lagging replica.

@@ -8,7 +8,7 @@
 //! timed rounds.
 
 use seemore_app::{KvOp, KvStore, StateMachine};
-use seemore_bench::{header, time_op};
+use seemore_bench::{header, quick_mode, time_op};
 use seemore_core::log::Instance;
 use seemore_crypto::{hmac_sha256, sha256, Digest, KeyStore, VerifyCache};
 use seemore_telemetry::{EventKind, NullRecorder, Recorder, RingRecorder, TraceEvent};
@@ -134,6 +134,60 @@ fn main() {
         store.state_digest();
     });
     println!("kvstore/state_digest_1k   : {ns:>9.0} ns/op");
+
+    // The checkpoint stall: what `state_digest` costs on the commit path,
+    // when every bucket is dirty (the first digest of a store, or the one
+    // after a restore) and after the 256 writes of two checkpoint periods'
+    // worth of small batches, as the state grows. Only the digest is timed.
+    let sizes: &[usize] = if quick_mode() {
+        &[1_000, 40_000]
+    } else {
+        &[1_000, 40_000, 1_000_000]
+    };
+    for &keys in sizes {
+        let put = |store: &mut KvStore, index: usize, fill: u8| {
+            store.apply(KvOp::Put {
+                key: format!("key{index:08}").into_bytes(),
+                value: vec![fill; 128],
+            });
+        };
+        let median_ns = |mut samples: Vec<f64>| {
+            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            samples[samples.len() / 2]
+        };
+        let timed_digest = |store: &KvStore| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(store.state_digest());
+            start.elapsed().as_nanos() as f64
+        };
+        let mut store = KvStore::new();
+        let full = median_ns(
+            (0..3u8)
+                .map(|round| {
+                    for index in 0..keys {
+                        put(&mut store, index, round);
+                    }
+                    timed_digest(&store)
+                })
+                .collect(),
+        );
+        let stride = keys / 256;
+        let after_writes = median_ns(
+            (0..7u8)
+                .map(|round| {
+                    for write in 0..256 {
+                        put(&mut store, write * stride + usize::from(round), 0xEE);
+                    }
+                    timed_digest(&store)
+                })
+                .collect(),
+        );
+        println!("kv_state_digest/full rebuild  {keys:>7} keys: {full:>12.0} ns/digest");
+        println!(
+            "kv_state_digest/256 writes    {keys:>7} keys: {after_writes:>12.0} ns/digest ({:.0}x)",
+            full / after_writes.max(1.0)
+        );
+    }
 
     let digest = Digest::of_bytes(b"proposal");
     let ns = time_op("instance/record_100_votes", || {

@@ -23,6 +23,7 @@ use seemore_crypto::Digest;
 use seemore_types::{Mode, SeqNum, View};
 use seemore_wire::codec;
 use seemore_wire::Message;
+use std::io::Read;
 
 /// Frame tag for [`WalRecord::Vote`].
 const TAG_VOTE: u8 = 1;
@@ -119,6 +120,27 @@ pub fn decode_wal(bytes: &[u8]) -> DecodedWal {
     out
 }
 
+/// Reads the next frame of a WAL stream into `frame` (header and payload,
+/// exactly as stored) and decodes its record. `None` at the end of the
+/// stream and at the first frame [`decode_wal`] would discard, so a loop over
+/// it sees the same clean prefix in the memory of one frame.
+pub fn read_record(reader: &mut impl Read, frame: &mut Vec<u8>) -> Option<WalRecord> {
+    frame.resize(8, 0);
+    reader.read_exact(frame).ok()?;
+    let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+    if len > MAX_PAYLOAD {
+        return None;
+    }
+    if reader.by_ref().take(len as u64).read_to_end(frame).ok()? != len {
+        return None;
+    }
+    if crc32(&frame[8..]) != crc {
+        return None;
+    }
+    decode_payload(&frame[8..])
+}
+
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     let (&tag, body) = payload.split_first()?;
     match tag {
@@ -210,6 +232,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<DurableCheckpoint> {
 
 /// Assembles a [`RecoveredState`] from a raw checkpoint blob and the WAL
 /// byte streams of every segment in order (shared by both store backends).
+/// Records the checkpoint covers are left out: they are still in the WAL
+/// after a crash between persisting a checkpoint and compacting below it, and
+/// in a [`FileStore`](crate::FileStore) until its next compaction.
 pub fn assemble(checkpoint: Option<&[u8]>, segments: &[Vec<u8>]) -> RecoveredState {
     let checkpoint = checkpoint.and_then(decode_checkpoint);
     let mut wal = Vec::new();
@@ -224,6 +249,9 @@ pub fn assemble(checkpoint: Option<&[u8]>, segments: &[Vec<u8>]) -> RecoveredSta
             let _ = index;
             break;
         }
+    }
+    if let Some(covered) = checkpoint.as_ref().map(|checkpoint| checkpoint.seq) {
+        wal.retain(|record| record.slot().is_none_or(|slot| slot > covered));
     }
     RecoveredState {
         checkpoint,
@@ -292,6 +320,41 @@ mod tests {
             assert_eq!(decoded.records.len(), whole, "cut at {cut}");
             assert_eq!(decoded.records[..], records[..whole]);
             assert_eq!(decoded.torn_tail, cut != boundaries[whole]);
+        }
+    }
+
+    #[test]
+    fn read_record_sees_what_decode_wal_keeps() {
+        let records = vec![
+            vote(1),
+            WalRecord::ViewEntered {
+                view: View(7),
+                mode: Mode::Dog,
+            },
+            vote(3),
+        ];
+        let mut bytes = Vec::new();
+        for record in &records {
+            encode_record(record, &mut bytes);
+        }
+        let mut corrupt = bytes.clone();
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0xFF;
+        let streams = (0..=bytes.len())
+            .map(|cut| &bytes[..cut])
+            .chain([&corrupt[..]]);
+        for stream in streams {
+            let mut reader = stream;
+            let mut frame = Vec::new();
+            let mut read = Vec::new();
+            let mut framed = Vec::new();
+            while let Some(record) = read_record(&mut reader, &mut frame) {
+                read.push(record);
+                framed.extend_from_slice(&frame);
+            }
+            let decoded = decode_wal(stream);
+            assert_eq!(read, decoded.records);
+            assert_eq!(framed, stream[..decoded.clean_len]);
         }
     }
 

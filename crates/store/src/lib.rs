@@ -31,6 +31,13 @@
 //! checkpoint snapshot plus one checkpoint period of votes, and recovery
 //! time stays flat no matter how long the replica has been running.
 //!
+//! [`FileStore`] amortises that rewrite: a compaction costs a file creation,
+//! a data sync, two directory syncs and an unlink however little survives,
+//! all on the commit path, so it runs only once the WAL has spilled into a
+//! second segment ([`StoreConfig::segment_bytes`]) and otherwise leaves the
+//! covered records on disk for [`Durability::recover`] to drop. Its bound is
+//! one segment more; what recovery returns is the same.
+//!
 //! # Fsync policy
 //!
 //! [`FsyncPolicy`] trades durability for append latency:
@@ -147,8 +154,8 @@ pub struct DurableCheckpoint {
 pub struct RecoveredState {
     /// The last durable checkpoint, if one was ever persisted.
     pub checkpoint: Option<DurableCheckpoint>,
-    /// The WAL suffix, in append order. Compaction guarantees every surviving
-    /// slot-bearing record is above the checkpoint.
+    /// The WAL suffix, in append order. Every slot-bearing record in it is
+    /// above the checkpoint.
     pub wal: Vec<WalRecord>,
     /// Whether a torn tail (partial or corrupt final frames) was discarded
     /// while reading the WAL.
@@ -182,7 +189,10 @@ pub trait Durability: Send + Sync {
     /// Drops every WAL record about a slot at or below `seq` (slot-less
     /// records survive). Called after
     /// [`persist_checkpoint`](Durability::persist_checkpoint) so the dropped
-    /// records are covered by the snapshot.
+    /// records are covered by the snapshot. A store may put the rewrite off
+    /// (it is called on the commit path) as long as
+    /// [`recover`](Durability::recover) never returns a record the durable
+    /// checkpoint covers.
     fn compact_below(&self, seq: SeqNum);
 
     /// Reads the durable state back: the last checkpoint plus the WAL

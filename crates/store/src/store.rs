@@ -5,7 +5,7 @@ use crate::frame;
 use crate::{Durability, DurableCheckpoint, FsyncPolicy, RecoveredState, WalRecord};
 use seemore_types::SeqNum;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -199,6 +199,8 @@ struct FileInner {
     active_index: u64,
     active_len: usize,
     unsynced: u32,
+    /// Segment files on disk, the active one included.
+    segments: usize,
 }
 
 /// A file-backed store: WAL segments `wal-NNNNNN.log` plus an atomically
@@ -221,9 +223,8 @@ impl FileStore {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let repaired = Self::repair(&dir)?;
-        let next = Self::segment_indices(&dir)?
-            .last()
-            .map_or(1, |last| last + 1);
+        let existing = Self::segment_indices(&dir)?;
+        let next = existing.last().map_or(1, |last| last + 1);
         let active = Self::create_segment(&dir, next)?;
         Ok(FileStore {
             dir,
@@ -234,6 +235,7 @@ impl FileStore {
                 active_index: next,
                 active_len: 0,
                 unsynced: 0,
+                segments: existing.len() + 1,
             }),
         })
     }
@@ -323,6 +325,7 @@ impl Durability for FileStore {
                 Self::create_segment(&self.dir, inner.active_index).expect("wal segment create");
             inner.active_len = 0;
             inner.unsynced = 0;
+            inner.segments += 1;
             self.sync_dir();
         }
         inner.active.write_all(&bytes).expect("wal append");
@@ -348,19 +351,44 @@ impl Durability for FileStore {
 
     fn compact_below(&self, seq: SeqNum) {
         let mut inner = self.inner.lock().expect("store lock");
+        // A rewrite costs a file creation, a data sync, two directory syncs
+        // and an unlink however little it keeps: milliseconds on the commit
+        // path at every stable checkpoint, which is where a synced WAL's
+        // latency tail came from. So it waits until the WAL has spilled into
+        // a second segment; until then the records the checkpoint covers stay
+        // on disk and `recover` drops them.
+        if inner.segments == 1 {
+            return;
+        }
         let old_indices = Self::segment_indices(&self.dir).expect("wal list");
-        let segments = self.read_segments().expect("wal read");
-        let compacted = compacted_bytes(&segments, seq);
         let new_index = old_indices.last().map_or(1, |last| last + 1);
-        let mut file = Self::create_segment(&self.dir, new_index).expect("wal segment create");
-        file.write_all(&compacted).expect("wal rewrite");
+        let file = Self::create_segment(&self.dir, new_index).expect("wal segment create");
+        // One frame in memory at a time: the WAL is a segment or more by now.
+        let mut out = BufWriter::new(&file);
+        let mut kept = 0;
+        let mut frame = Vec::new();
+        for &index in &old_indices {
+            let segment = File::open(self.dir.join(segment_name(index))).expect("wal read");
+            let mut reader = BufReader::new(segment);
+            // `open` repaired any torn tail and every append since was whole,
+            // so each segment reads clean to its end.
+            while let Some(record) = frame::read_record(&mut reader, &mut frame) {
+                if record.slot().is_none_or(|slot| slot > seq) {
+                    out.write_all(&frame).expect("wal rewrite");
+                    kept += frame.len();
+                }
+            }
+        }
+        out.flush().expect("wal rewrite");
+        drop(out);
         if self.config.fsync != FsyncPolicy::Never {
             file.sync_data().expect("wal rewrite sync");
         }
         inner.active = file;
         inner.active_index = new_index;
-        inner.active_len = compacted.len();
+        inner.active_len = kept;
         inner.unsynced = 0;
+        inner.segments = 1;
         self.sync_dir();
         for index in old_indices {
             let _ = fs::remove_file(self.dir.join(segment_name(index)));
@@ -531,6 +559,75 @@ mod tests {
         let state = store.recover().expect("recovers");
         assert_eq!(state.checkpoint, Some(checkpoint(16)));
         assert!(!dir.join(CHECKPOINT_TMP).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_compaction_waits_for_a_second_segment() {
+        let dir = temp_dir("lazy");
+        let view = WalRecord::ViewEntered {
+            view: View(2),
+            mode: seemore_types::Mode::Lion,
+        };
+        let frame_len = {
+            let mut bytes = Vec::new();
+            frame::encode_record(&vote(1), &mut bytes);
+            bytes.len()
+        };
+        let store = FileStore::open(
+            &dir,
+            StoreConfig {
+                fsync: FsyncPolicy::Always,
+                segment_bytes: 20 * frame_len,
+            },
+        )
+        .expect("open");
+        let wal_len = |index: u64| fs::metadata(dir.join(segment_name(index))).map(|m| m.len());
+
+        // One segment: the checkpoint is persisted, nothing is rewritten, and
+        // recovery hides what the checkpoint covers.
+        for seq in 1..=12 {
+            store.append(&vote(seq));
+        }
+        store.append(&view);
+        store.persist_checkpoint(&checkpoint(8));
+        store.compact_below(SeqNum(8));
+        assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![1]);
+        let before = wal_len(1).expect("segment 1");
+        assert!(before > 12 * frame_len as u64);
+        let state = store.recover().expect("recovers");
+        assert_eq!(state.checkpoint, Some(checkpoint(8)));
+        let mut expected: Vec<WalRecord> = (9..=12).map(vote).collect();
+        expected.push(view.clone());
+        assert_eq!(state.wal, expected);
+
+        // Spill into a second segment: the next compaction rewrites the
+        // survivors of both into one and deletes them.
+        for seq in 13..=24 {
+            store.append(&vote(seq));
+            expected.push(vote(seq));
+        }
+        assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![1, 2]);
+        store.persist_checkpoint(&checkpoint(16));
+        store.compact_below(SeqNum(16));
+        assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![3]);
+        expected.retain(|record| record.slot().is_none_or(|slot| slot > SeqNum(16)));
+        let bytes = fs::read(dir.join(segment_name(3))).expect("segment 3");
+        assert_eq!(frame::decode_wal(&bytes).records, expected);
+        assert_eq!(store.recover().expect("recovers").wal, expected);
+
+        // Back to one segment: appends land behind the survivors, and the
+        // next checkpoint leaves the file alone again.
+        store.append(&vote(25));
+        expected.push(vote(25));
+        store.persist_checkpoint(&checkpoint(24));
+        store.compact_below(SeqNum(24));
+        assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![3]);
+        assert_eq!(
+            wal_len(3).expect("segment 3"),
+            (bytes.len() + frame_len) as u64
+        );
+        assert_eq!(store.recover().expect("recovers").wal, vec![view, vote(25)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

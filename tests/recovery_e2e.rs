@@ -13,20 +13,25 @@
 //! * a kill-9 torn WAL tail (the store's fault-injection hook) is repaired
 //!   at recovery and the replica still rejoins without a safety violation.
 
-use seemore::app::NoopApp;
+use seemore::app::{KvOp, KvStore, NoopApp};
+use seemore::core::actions::{Action, Timer};
 use seemore::core::client::ClientCore;
 use seemore::core::config::ProtocolConfig;
 use seemore::core::exec::ExecutedEntry;
 use seemore::core::replica::SeeMoReReplica;
 use seemore::core::testkit::SyncCluster;
+use seemore::core::{ReplicaMetrics, ReplicaProtocol};
 use seemore::crypto::{Digest, KeyStore};
 use seemore::net::{CpuModel, LatencyModel};
 use seemore::runtime::scenario::{CrashRecover, DurabilityKind};
 use seemore::runtime::{ProtocolKind, RuntimeKind, Scenario};
 use seemore::store::{MemStore, StoreConfig};
-use seemore::types::{ClientId, ClusterConfig, Duration, Instant, Mode, ReplicaId, SeqNum};
+use seemore::types::{
+    ClientId, ClusterConfig, Duration, Instant, Mode, NodeId, ReplicaId, SeqNum, View,
+};
+use seemore::wire::{Checkpoint, Message};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-slot view of a history: sequence number → ordered request digests.
 fn slot_map(history: &[ExecutedEntry]) -> BTreeMap<SeqNum, Vec<Digest>> {
@@ -330,6 +335,189 @@ fn torn_wal_tail_is_repaired_and_the_replica_still_rejoins() {
         Some(max_slot),
         "the recovered replica must execute the post-recovery slots"
     );
+}
+
+/// A replica core whose outgoing `CHECKPOINT` announcements are copied into a
+/// shared list.
+struct CheckpointTap {
+    inner: SeeMoReReplica,
+    announced: Arc<Mutex<Vec<Checkpoint>>>,
+}
+
+impl CheckpointTap {
+    fn tap(&self, actions: Vec<Action>) -> Vec<Action> {
+        for action in &actions {
+            if let Action::Send { message, .. } | Action::Broadcast { message, .. } = action {
+                if let Message::Checkpoint(checkpoint) = message {
+                    let mut announced = self.announced.lock().expect("tap lock");
+                    if !announced.contains(checkpoint) {
+                        announced.push(checkpoint.clone());
+                    }
+                }
+            }
+        }
+        actions
+    }
+}
+
+impl ReplicaProtocol for CheckpointTap {
+    fn id(&self) -> ReplicaId {
+        self.inner.id()
+    }
+    fn on_start(&mut self, now: Instant) -> Vec<Action> {
+        let actions = self.inner.on_start(now);
+        self.tap(actions)
+    }
+    fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
+        let actions = self.inner.on_message(from, message, now);
+        self.tap(actions)
+    }
+    fn on_timer(&mut self, timer: Timer, now: Instant) -> Vec<Action> {
+        let actions = self.inner.on_timer(timer, now);
+        self.tap(actions)
+    }
+    fn view(&self) -> View {
+        self.inner.view()
+    }
+    fn mode(&self) -> Mode {
+        self.inner.mode()
+    }
+    fn executed(&self) -> &[ExecutedEntry] {
+        self.inner.executed()
+    }
+    fn metrics(&self) -> &ReplicaMetrics {
+        self.inner.metrics()
+    }
+}
+
+#[test]
+fn peacock_proxy_restored_by_state_transfer_announces_the_executors_digest() {
+    // Peacock's checkpoints become stable on m+1 *matching* digests from
+    // proxies, so a proxy that got its state from a snapshot must digest it
+    // to the same 32 bytes as the proxies that executed every write.
+    let cluster_config = ClusterConfig::minimal(1, 1).expect("valid cluster");
+    let keystore = KeyStore::generate(0xD16E, cluster_config.total_size(), 1);
+    let pconfig = ProtocolConfig::with_checkpoint_period(4);
+    let announced = Arc::new(Mutex::new(Vec::new()));
+    let mut cluster = SyncCluster::new();
+    let mut stores: BTreeMap<ReplicaId, Arc<MemStore>> = BTreeMap::new();
+    for replica in cluster_config.replicas() {
+        let store = Arc::new(MemStore::new(StoreConfig::default()));
+        let mut core = SeeMoReReplica::new(
+            replica,
+            cluster_config,
+            pconfig,
+            keystore.clone(),
+            Mode::Peacock,
+            Box::new(KvStore::new()),
+        );
+        core.set_store(store.clone());
+        stores.insert(replica, store);
+        cluster.add_replica(Box::new(CheckpointTap {
+            inner: core,
+            announced: announced.clone(),
+        }));
+    }
+    cluster.add_client(ClientCore::new(
+        ClientId(0),
+        cluster_config,
+        keystore.clone(),
+        Mode::Peacock,
+        pconfig.client_timeout,
+    ));
+    let mut writes = 0u32;
+    let mut write = |cluster: &mut SyncCluster, count: u32| {
+        for _ in 0..count {
+            // Overwrites, new keys, appends and deletes, so the snapshot the
+            // victim installs differs from a replay of any prefix.
+            let op = match writes % 4 {
+                0 | 1 => KvOp::Put {
+                    key: format!("key-{}", writes % 7).into_bytes(),
+                    value: vec![writes as u8; 40],
+                },
+                2 => KvOp::Append {
+                    key: format!("key-{}", writes % 5).into_bytes(),
+                    suffix: vec![0xAB; 9],
+                },
+                _ => KvOp::Delete {
+                    key: format!("key-{}", writes % 3).into_bytes(),
+                },
+            };
+            writes += 1;
+            cluster.submit(ClientId(0), op.encode());
+            cluster.run_to_quiescence(100_000);
+        }
+    };
+
+    // The highest-numbered replica is a view-0 proxy but not the primary.
+    let victim = ReplicaId(cluster_config.total_size() - 1);
+    write(&mut cluster, 6);
+    cluster.isolate(victim);
+    write(&mut cluster, 9);
+    let missed: Vec<SeqNum> = (7..=15).map(SeqNum).collect();
+
+    let recovered = SeeMoReReplica::recover(
+        victim,
+        cluster_config,
+        pconfig,
+        keystore.clone(),
+        Mode::Peacock,
+        Box::new(KvStore::new()),
+        stores.get(&victim).expect("victim store").clone(),
+    );
+    cluster.restart(
+        victim,
+        Box::new(CheckpointTap {
+            inner: recovered,
+            announced: announced.clone(),
+        }),
+    );
+    cluster.run_to_quiescence(100_000);
+    write(&mut cluster, 10);
+
+    // The victim skipped the slots it missed: its state came from a snapshot.
+    let victim_history = cluster.replica(victim).executed();
+    assert!(
+        missed
+            .iter()
+            .any(|seq| victim_history.iter().all(|entry| entry.seq != *seq)),
+        "the victim must have been restored by state transfer, not by replay"
+    );
+    assert_eq!(
+        victim_history.iter().map(|entry| entry.seq).max(),
+        Some(SeqNum(25)),
+        "the victim must have rejoined and executed the later slots"
+    );
+
+    // Every checkpoint it announced after rejoining carries the digest the
+    // executing proxies announced for the same sequence number.
+    let announced = announced.lock().expect("tap lock");
+    let after_rejoin: Vec<&Checkpoint> = announced
+        .iter()
+        .filter(|checkpoint| checkpoint.replica == victim && checkpoint.seq > SeqNum(15))
+        .collect();
+    assert!(
+        !after_rejoin.is_empty(),
+        "the rejoined proxy announced no checkpoint"
+    );
+    for checkpoint in after_rejoin {
+        let others: Vec<&Checkpoint> = announced
+            .iter()
+            .filter(|other| other.seq == checkpoint.seq && other.replica != victim)
+            .collect();
+        assert!(
+            others.len() >= 2,
+            "{}: expected the other proxies to announce too",
+            checkpoint.seq
+        );
+        for other in others {
+            assert_eq!(
+                other.state_digest, checkpoint.state_digest,
+                "{}: {} digests its executed state differently from the restored {victim}",
+                checkpoint.seq, other.replica
+            );
+        }
+    }
 }
 
 #[test]
