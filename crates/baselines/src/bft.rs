@@ -688,6 +688,9 @@ impl BftReplica {
         // The primary's pre-prepare counts as its prepare vote.
         instance.record_pbft_prepare(self.id, digest);
         self.broadcast(actions, Message::PrePrepare(preprepare));
+        // A one-replica cluster (`f = 0`) is its own quorum: no vote will
+        // ever arrive, so the slot prepares and commits here.
+        self.try_prepare(actions, seq, digest);
     }
 
     fn on_pre_prepare(&mut self, from: NodeId, preprepare: PrePrepare) -> Vec<Action> {

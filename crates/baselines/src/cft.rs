@@ -26,7 +26,7 @@ use seemore_core::log::{MessageLog, Proposal};
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ParkedReads;
-use seemore_crypto::Signature;
+use seemore_crypto::{Digest, Signature};
 use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
 use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
 use seemore_types::{Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View};
@@ -587,6 +587,9 @@ impl CftReplica {
             primary_signature: Signature::INVALID,
         });
         self.broadcast(actions, Message::Prepare(prepare));
+        // A one-replica cluster (`f = 0`) is its own quorum: no `ACCEPT`
+        // will ever arrive, so the slot commits here.
+        self.commit_if_accepted(actions, seq, digest, now);
     }
 
     fn on_prepare(&mut self, from: NodeId, prepare: Prepare) -> Vec<Action> {
@@ -638,48 +641,57 @@ impl CftReplica {
         if !self.is_primary() || accept.view != self.view || self.in_view_change {
             return actions;
         }
-        let threshold = self.config.quorum.saturating_sub(1) as usize;
         let instance = self.log.instance_mut(accept.seq);
         if !instance.proposal_matches(accept.view, &accept.digest) {
             return actions;
         }
         instance.record_accept(sender, accept.digest);
-        let votes = instance.matching_accepts(&accept.digest);
+        self.commit_if_accepted(&mut actions, accept.seq, accept.digest, now);
+        actions
+    }
+
+    /// Commits the leader's proposal for `seq` once `quorum - 1` matching
+    /// `ACCEPT`s stand beside its own vote: broadcasts the `COMMIT`, extends
+    /// the read lease and executes. Idempotent per slot.
+    fn commit_if_accepted(
+        &mut self,
+        actions: &mut Vec<Action>,
+        seq: SeqNum,
+        digest: Digest,
+        now: Instant,
+    ) {
+        let threshold = self.config.quorum.saturating_sub(1) as usize;
+        let instance = self.log.instance_mut(seq);
+        let votes = instance.matching_accepts(&digest);
         if instance.commit_sent || votes < threshold {
-            return actions;
+            return;
         }
         instance.commit_sent = true;
         instance.committed = true;
         let batch = instance.proposal.as_ref().map(|p| p.batch.clone());
-        self.trace(
-            EventKind::QuorumReached,
-            Some(accept.seq),
-            None,
-            votes as u64,
-        );
-        self.trace(EventKind::Committed, Some(accept.seq), None, 0);
+        self.trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
+        self.trace(EventKind::Committed, Some(seq), None, 0);
         // An accept quorum just followed this leader: extend the read
         // lease, anchored at the slot's propose time.
-        if let Some(anchor) = self.proposed_at.remove(&accept.seq) {
+        if let Some(anchor) = self.proposed_at.remove(&seq) {
             self.read_lease_until = self
                 .read_lease_until
                 .max(anchor + self.pconfig.request_timeout);
         }
         let commit = Commit {
             view: self.view,
-            seq: accept.seq,
-            digest: accept.digest,
+            seq,
+            digest,
             replica: self.id,
             batch: batch.clone(),
             signature: Signature::INVALID,
         };
-        self.broadcast(&mut actions, Message::Commit(commit));
+        self.broadcast(actions, Message::Commit(commit));
         if let Some(batch) = batch {
             self.metrics.committed += 1;
-            self.exec.add_committed(accept.seq, batch);
-            self.execute_ready(&mut actions, now);
+            self.exec.add_committed(seq, batch);
+            self.execute_ready(actions, now);
         }
-        actions
     }
 
     fn on_commit(&mut self, from: NodeId, commit: Commit, now: Instant) -> Vec<Action> {

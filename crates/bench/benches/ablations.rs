@@ -422,12 +422,12 @@ struct SocketRow {
 }
 
 /// Ablation 10: re-runs the socket-vs-threaded sweep of ablation 7 after
-/// the hot-path work (encode-once broadcast, coalesced writes, sign/verify
-/// scratch + memo), with each optimisation *individually toggleable*, and
-/// hard-asserts the acceptance bar against PR 2's recorded quick-mode
-/// baseline. The reactor rows run the identical workload over the epoll
-/// event-loop transport — plain, and with every client multiplexed through
-/// the hub. Returns the rows for `BENCH_socket.json`.
+/// the hot-path work (encode-once broadcast, direct and vectored writes,
+/// sign/verify scratch + memo) and hard-asserts the acceptance bar against
+/// PR 2's recorded quick-mode baseline. The socket rows run the workload
+/// with private client endpoints, with the verify memo off, and with every
+/// client multiplexed through the hub. Returns the rows for
+/// `BENCH_socket.json`.
 fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
     header("Ablation 10: socket hot path (encode-once, vectored writes, sign memo)");
     // PR 2's quick-mode measurements, recorded before this optimisation
@@ -446,7 +446,6 @@ fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
     // scheduler's mood.
     let run = |protocol: ProtocolKind,
                runtime: RuntimeKind,
-               encode_once: bool,
                verify_memo: bool,
                client_mux: bool|
      -> RunReport {
@@ -456,7 +455,6 @@ fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
                 .with_duration(window, Duration::from_millis(20))
                 .with_batching(8, Duration::from_micros(200))
                 .with_runtime(runtime)
-                .with_encode_once(encode_once)
                 .with_verify_memo(verify_memo)
                 .with_client_mux(client_mux)
                 .run()
@@ -472,19 +470,17 @@ fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
 
     let mut rows: Vec<SocketRow> = Vec::new();
     for protocol in [ProtocolKind::SeeMoReLion, ProtocolKind::Bft] {
-        for (runtime, encode_once, verify_memo, client_mux, config) in [
-            (RuntimeKind::Threaded, true, true, false, "full"),
-            (RuntimeKind::Socket, true, true, false, "full"),
-            (RuntimeKind::Socket, false, true, false, "no-encode-once"),
-            (RuntimeKind::Socket, true, false, false, "no-memo"),
-            (RuntimeKind::Reactor, true, true, false, "full"),
-            (RuntimeKind::Reactor, true, true, true, "client-mux"),
+        for (runtime, verify_memo, client_mux, config) in [
+            (RuntimeKind::Threaded, true, false, "full"),
+            (RuntimeKind::Socket, true, false, "full"),
+            (RuntimeKind::Socket, false, false, "no-memo"),
+            (RuntimeKind::Socket, true, true, "client-mux"),
         ] {
             rows.push(SocketRow {
                 protocol: protocol.name(),
                 runtime: runtime.name(),
                 config,
-                report: run(protocol, runtime, encode_once, verify_memo, client_mux),
+                report: run(protocol, runtime, verify_memo, client_mux),
             });
         }
     }
@@ -526,36 +522,29 @@ fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
             .expect("row measured above")
     };
     let lion_threaded = find("Lion", "threaded", "full").throughput_kreqs;
-    let lion_socket = find("Lion", "socket", "full").throughput_kreqs;
     let bft_socket = find("BFT", "socket", "full").throughput_kreqs;
-    let lion_reactor = rows
-        .iter()
-        .filter(|r| r.protocol == "Lion" && r.runtime == "reactor")
-        .map(|r| r.report.throughput_kreqs)
-        .fold(0.0, f64::max);
+    // The better of the two client topologies (wall-clock noise headroom).
+    let lion_socket = find("Lion", "socket", "full")
+        .throughput_kreqs
+        .max(find("Lion", "socket", "client-mux").throughput_kreqs);
     let lion_ratio = lion_socket / lion_threaded.max(1e-9);
-    let reactor_ratio = lion_reactor / lion_threaded.max(1e-9);
     println!();
     println!(
         "Lion socket/threaded ratio : {lion_ratio:.3} (PR 2 baseline {PR2_LION_SOCKET_RATIO:.3})"
     );
-    println!("Lion reactor/threaded ratio: {reactor_ratio:.3}");
     println!(
         "BFT socket throughput      : {bft_socket:.3} kreq/s (PR 2 baseline {PR2_BFT_SOCKET_KREQS} kreq/s)"
     );
     println!(
-        "# Shape check: the socket rows' `coalesced` and `enc saved` columns are the\n\
-         # syscalls and serializations the hot path no longer pays; the no-encode-once\n\
-         # and no-memo rows isolate each optimisation's contribution; the reactor\n\
-         # rows' `vectored` column counts gather-write backlog drains."
+        "# Shape check: the socket rows' `enc saved` column is the serializations the\n\
+         # hot path no longer pays and `direct` the frames written without an event-loop\n\
+         # hop; the no-memo row isolates the verify memo's contribution; the client-mux\n\
+         # row's `vectored` column counts gather-write backlog drains."
     );
 
     // Acceptance bar (quick-mode calibrated; the longer full-mode windows
-    // only help): BFT socket throughput at least 2x PR 2's 1.3 kreq/s, the
-    // Lion socket/threaded ratio better than PR 2's 0.497, and the reactor
-    // at least at parity with the tuned thread-per-peer mesh on the same
-    // workload (its better row must reach the socket ratio less wall-clock
-    // noise headroom).
+    // only help): BFT socket throughput at least 2x PR 2's 1.3 kreq/s and
+    // the Lion socket/threaded ratio better than PR 2's 0.497.
     assert!(
         bft_socket >= 2.0 * PR2_BFT_SOCKET_KREQS,
         "acceptance: BFT on sockets must reach 2x the PR 2 baseline \
@@ -567,11 +556,6 @@ fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
         lion_ratio > PR2_LION_SOCKET_RATIO,
         "acceptance: Lion's socket/threaded ratio must improve on PR 2's \
          {PR2_LION_SOCKET_RATIO:.3} (measured {lion_ratio:.3})"
-    );
-    assert!(
-        reactor_ratio > PR2_LION_SOCKET_RATIO,
-        "acceptance: Lion's reactor/threaded ratio must improve on PR 2's \
-         thread-per-peer {PR2_LION_SOCKET_RATIO:.3} (measured {reactor_ratio:.3})"
     );
     rows
 }
@@ -590,12 +574,10 @@ struct ConnectionPoint {
 /// echo workload from a handful of active clients while an increasing number
 /// of idle client connections are held open against it. The reactor must
 /// sustain the full sweep (>= 5000 concurrent connections, hard-asserted from
-/// its own live-connection counter); the thread-per-peer baseline — two OS
-/// threads per connection — is swept only to a small cap and recorded
-/// honestly, since its cost model is exactly what the reactor replaces.
+/// its own live-connection counter).
 fn ablation_eleven_connection_scaling() -> Vec<ConnectionPoint> {
     use seemore_net::reactor::{client_preamble, ReactorMesh};
-    use seemore_net::tcp::{TcpMesh, Transport};
+    use seemore_net::Transport;
     use seemore_types::{ClientId, NodeId, ReplicaId, SeqNum};
     use seemore_wire::{Message, StateRequest};
     use std::io::Write as _;
@@ -604,13 +586,10 @@ fn ablation_eleven_connection_scaling() -> Vec<ConnectionPoint> {
     use std::sync::Arc;
     use std::time::{Duration as StdDuration, Instant};
 
-    header("Ablation 11: connections vs throughput (reactor vs thread-per-peer)");
+    header("Ablation 11: connections vs throughput (reactor)");
     const ACTIVE: u64 = 4;
     /// The floor the reactor must sustain (the acceptance bar).
     const REACTOR_FLOOR: u64 = 5000;
-    /// Where the thread-per-peer sweep is capped: beyond this, two threads
-    /// per connection is the cost model, not a measurement worth waiting on.
-    const BASELINE_CAP: u64 = 512;
     let window = if quick_mode() {
         StdDuration::from_millis(150)
     } else {
@@ -729,75 +708,6 @@ fn ablation_eleven_connection_scaling() -> Vec<ConnectionPoint> {
         mesh.shutdown();
     }
 
-    // Thread-per-peer baseline: the identical workload, swept only to the
-    // cap — each held connection costs a dedicated OS reader thread.
-    for &target in &[0u64, BASELINE_CAP] {
-        let nodes: Vec<NodeId> = std::iter::once(node)
-            .chain(active_ids.iter().map(|&c| NodeId::Client(c)))
-            .collect();
-        let mesh = TcpMesh::new(&nodes).expect("bind tcp mesh");
-        let server = mesh.take_endpoint(node).expect("server endpoint");
-        let addr = mesh.address(node).expect("replica address");
-        let stop = Arc::new(AtomicBool::new(false));
-        let echo_stop = Arc::clone(&stop);
-        let server_handle = server.handle();
-        let server_incoming = server.incoming().clone();
-        let echo_handle = std::thread::spawn(move || {
-            while !echo_stop.load(Ordering::Relaxed) {
-                if let Ok((from, message)) =
-                    server_incoming.recv_timeout(StdDuration::from_millis(50))
-                {
-                    let _ = server_handle.send(from, &message);
-                }
-            }
-        });
-
-        let mut idle = Vec::with_capacity(target as usize);
-        let mut refused = false;
-        while (idle.len() as u64) < target {
-            match TcpStream::connect_timeout(&addr, StdDuration::from_millis(500)) {
-                Ok(mut stream) => {
-                    if stream
-                        .write_all(&client_preamble(ClientId(100_000 + idle.len() as u64)))
-                        .is_err()
-                    {
-                        refused = true;
-                        break;
-                    }
-                    idle.push(stream);
-                }
-                Err(_) => {
-                    refused = true;
-                    break;
-                }
-            }
-        }
-
-        let ports: Vec<_> = active_ids
-            .iter()
-            .map(|&c| {
-                mesh.take_endpoint(NodeId::Client(c))
-                    .expect("client endpoint")
-            })
-            .collect();
-        let kround = drive(ports, &echo, node, window);
-        points.push(ConnectionPoint {
-            transport: "thread-per-peer",
-            held: idle.len() as u64,
-            kround_trips_s: kround,
-            note: if refused {
-                "connection refused before target"
-            } else if target == BASELINE_CAP {
-                "swept only to cap: 2 OS threads per connection"
-            } else {
-                "active clients on private endpoints"
-            },
-        });
-        stop.store(true, Ordering::Relaxed);
-        echo_handle.join().unwrap();
-        mesh.shutdown();
-    }
-
     println!(
         "{:<16} {:>12} {:>18} note",
         "transport", "connections", "k round-trips/s"
@@ -810,8 +720,7 @@ fn ablation_eleven_connection_scaling() -> Vec<ConnectionPoint> {
     }
     println!(
         "# The reactor's event-loop pool is fixed-size: holding {REACTOR_FLOOR}\n\
-         # connections adds file descriptors, not threads. The thread-per-peer rows\n\
-         # stop at {BASELINE_CAP} held connections by design.\n"
+         # connections adds file descriptors, not threads.\n"
     );
     points
 }

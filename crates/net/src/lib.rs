@@ -15,51 +15,47 @@
 //! * [`LinkFaults`] — message drop/duplication probabilities and explicit
 //!   partitions for fault-injection experiments.
 //!
-//! Alongside the simulator models, two *real* transports serve actual
+//! Alongside the simulator models, one *real* transport serves actual
 //! sockets behind the narrow [`Transport`] trait — the seam between the
 //! cluster runtimes and the network substrate, kept deliberately narrow so
-//! further substrates (an async runtime, TLS) can slot in without touching
-//! the protocol cores:
+//! a wrapper (fault injection, TLS) or another substrate can slot in without
+//! touching the protocol cores:
 //!
-//! * [`tcp`] — a thread-per-peer `std::net` TCP mesh ([`TcpMesh`]): one
-//!   reader thread per inbound connection, one writer thread per dialed
-//!   peer, blocking I/O throughout.
 //! * [`reactor`] — an event-loop mesh ([`ReactorMesh`]): a small fixed pool
 //!   of reactor threads drives *every* connection of the node through
 //!   nonblocking sockets and an `epoll` shim ([`poll`]), with gather
-//!   (`writev`) backlog drains and many logical clients multiplexed over
-//!   one physical connection per peer.
+//!   (`writev`) backlog drains and, optionally, many logical clients
+//!   multiplexed over one physical connection per peer.
+//! * [`transport`] — the [`Transport`] trait itself, [`TransportError`] and
+//!   the [`TransportStats`] counters the mesh reports into.
 //!
 //! # Which transport when
 //!
-//! * **[`ReactorMesh`] (event loops)** — the default for anything beyond a
-//!   handful of connections. Thread count is fixed (a few event loops per
-//!   node) regardless of peer or client count, so one node sustains
-//!   thousands of concurrent client connections, and hundreds of logical
-//!   clients can share one socket per replica via the client hub. Same
-//!   FIFO-per-connection, reconnect-with-backoff, encode-once semantics as
-//!   the thread-per-peer mesh — the `socket_e2e` suite drives both to
-//!   identical histories.
-//! * **[`TcpMesh`] (thread-per-peer)** — the baseline the reactor races
-//!   against, and the simplest possible substrate when debugging protocol
-//!   issues: every connection's I/O is a plain blocking loop you can read
-//!   top to bottom. Costs two OS threads per connection, which caps a node
-//!   at small meshes and a handful of clients.
+//! * **[`ReactorMesh`]** — whenever bytes must cross real sockets. Thread
+//!   count is fixed (a few event loops per mesh) regardless of peer or
+//!   client count, so one node sustains thousands of concurrent client
+//!   connections. Delivery is FIFO per connection, at-least-once across
+//!   reconnects (lazy dialing, exponential backoff, frames queued while a
+//!   peer is down survive until it returns), and broadcasts encode once.
+//!   Clients either own a private endpoint each (a listener plus one dialed
+//!   connection per replica) or share one socket per replica through the
+//!   [`ClientHub`]; the `socket_e2e` suite drives both topologies to the
+//!   histories the threaded runtime produces.
 //! * **Threaded / simulated runtimes** (`seemore-runtime`) — no sockets at
 //!   all; see that crate's docs for when in-process channels or the
 //!   discrete-event simulator are the right tool.
 //!
 //! # Hot path
 //!
-//! Both socket transports pay their dominant costs once instead of
+//! The transport pays its dominant costs once instead of
 //! per-message/per-peer: [`Transport::broadcast`] serializes a message a
 //! single time and shares the encoded frame across every destination
 //! (encode-once), established connections are written from the *sending*
-//! thread (the reactor drains congested backlogs with `writev` gather
-//! writes instead of a coalescing copy), and receive buffers are reused
-//! across frames with hysteresis-bounded capacity. See the [`tcp`] and
-//! [`reactor`] module docs for the designs and [`TransportStats`] for the
-//! counters quantifying each saving.
+//! thread, congested backlogs drain with `writev` gather writes straight
+//! from the queued frames' shared buffers, and receive buffers are reused
+//! across frames with hysteresis-bounded capacity. See the [`reactor`]
+//! module docs for the design and [`TransportStats`] for the counters
+//! quantifying each saving.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -70,11 +66,11 @@ pub mod latency;
 pub mod placement;
 pub mod poll;
 pub mod reactor;
-pub mod tcp;
+pub mod transport;
 
 pub use cpu::CpuModel;
 pub use faults::{LinkDecision, LinkFaults};
 pub use latency::LatencyModel;
 pub use placement::{Placement, Zone};
 pub use reactor::{ClientHub, HubPort, ReactorEndpoint, ReactorHandle, ReactorMesh};
-pub use tcp::{TcpEndpoint, TcpHandle, TcpMesh, Transport, TransportError, TransportStats};
+pub use transport::{Transport, TransportError, TransportStats};

@@ -1,14 +1,15 @@
 //! An event-loop (reactor) TCP transport: thousands of connections per
 //! node on a fixed handful of threads.
 //!
-//! This is the scale-out counterpart of [`tcp`](crate::tcp)'s
-//! thread-per-peer mesh (see the crate docs for *which transport when*).
-//! The protocol-facing surface is identical — the narrow
-//! [`Transport`] trait, FIFO per connection, lazy dialing with exponential
-//! backoff, encode-once broadcasts — but the machinery underneath inverts:
-//! instead of two blocking threads per connection, a small fixed pool of
-//! **event-loop threads** drives every socket of the mesh through
-//! nonblocking I/O and an `epoll` shim ([`crate::poll`]).
+//! This is the substrate under `seemore-runtime`'s `SocketCluster`: every
+//! node (replica or client) owns a [`ReactorEndpoint`] with a loopback
+//! listener, and a [`ReactorMesh`] wires a full set of endpoints together so
+//! that any node can reach any other by [`NodeId`]. Messages serialize
+//! through the real codec (`seemore_wire::codec`), so the bytes counted by
+//! [`TransportStats`] are the bytes that actually crossed a TCP connection.
+//! A small fixed pool of **event-loop threads** drives every socket of the
+//! mesh through nonblocking I/O and an `epoll` shim ([`crate::poll`]); the
+//! protocol-facing surface is the narrow [`Transport`] trait.
 //!
 //! # Topology and threads
 //!
@@ -16,19 +17,30 @@
 //!   registered with one of the pool's pollers; connections are spread
 //!   round-robin across loops. Thread count is **constant in the number of
 //!   connections** — the property that lets one node hold thousands of
-//!   concurrent clients where thread-per-peer runs out of scheduler.
-//! * Connections stay unidirectional and lazily dialed, exactly like the
-//!   thread-per-peer mesh: the first send to a peer queues a dial on the
-//!   peer's event loop; reconnects back off exponentially from
-//!   [`INITIAL_BACKOFF`] to
-//!   [`MAX_BACKOFF`] using deadlines folded into
-//!   the loop's `epoll_wait` timeout (no sleeping thread per peer).
-//!   Dialing itself is a bounded blocking `connect` from the loop thread —
-//!   on the loopback deployments this transport targets, connects complete
-//!   (or refuse) immediately.
+//!   concurrent clients, where a pair of blocking threads per connection
+//!   would run out of scheduler.
+//! * Connections are unidirectional and lazily dialed: the first send to a
+//!   peer queues a dial on the peer's event loop, which connects, writes a
+//!   16-byte identity preamble and drains whatever queued up meanwhile.
+//!   Failed dials back off exponentially from [`INITIAL_BACKOFF`] to
+//!   [`MAX_BACKOFF`] using deadlines folded into the loop's `epoll_wait`
+//!   timeout (no sleeping thread per peer). Dialing itself is a bounded
+//!   blocking `connect` from the loop thread — on the loopback deployments
+//!   this transport targets, connects complete (or refuse) immediately.
+//! * The receiving loop learns the peer's identity from the preamble, then
+//!   reassembles frames in a per-connection [`StreamBuf`] and forwards every
+//!   decoded message (tagged with the sender) into the owning endpoint's
+//!   incoming queue. A malformed preamble or a poisoned frame stream drops
+//!   the connection — never the process.
 //!
 //! # Hot path
 //!
+//! * **Encode-once broadcast** — [`ReactorHandle::broadcast`] serializes a
+//!   message a single time into a shared [`Frame`] (`Arc<[u8]>`, built
+//!   through a thread-local scratch buffer) and enqueues the same bytes on
+//!   every destination's outbox; the per-peer cost is a reference-count
+//!   bump. [`TransportStats::encodes_saved`] counts the serializations
+//!   avoided.
 //! * **Zero-hop direct writes** — while a connection is up and its outbox
 //!   empty, the *sending* thread writes the frame itself under the outbox
 //!   lock: one syscall, no event-loop handoff
@@ -36,11 +48,16 @@
 //! * **Vectored backlog drains** — when the outbox holds several frames
 //!   (dial in progress, kernel send buffer full), the drain gathers them
 //!   with `writev` ([`Write::write_vectored`]) straight from the queued
-//!   frames' `Arc` buffers — no 256 KiB coalescing copy, one syscall per
-//!   burst ([`TransportStats::vectored_writes`]). A partially accepted
-//!   write ([`TransportStats::partial_writes`]) leaves the remainder at the
-//!   head of the queue and arms `EPOLLOUT`; the loop resumes the drain when
-//!   the socket opens up — that is backpressure, not an error.
+//!   frames' `Arc` buffers — no coalescing copy, one syscall per burst
+//!   ([`TransportStats::vectored_writes`],
+//!   [`TransportStats::frames_coalesced`]). A partially accepted write
+//!   ([`TransportStats::partial_writes`]) leaves the remainder at the head
+//!   of the queue and arms `EPOLLOUT`; the loop resumes the drain when the
+//!   socket opens up — that is backpressure, not an error.
+//! * **Buffer reuse on receive** — each loop owns one read chunk and each
+//!   connection one reassembly buffer, reused across frames and
+//!   capacity-bounded, so steady-state receive performs no allocations
+//!   beyond the decoded messages themselves.
 //! * **Client multiplexing** — a [`ClientHub`] gives *logical* clients
 //!   ([`HubPort`]s) a shared set of physical connections: one socket per
 //!   replica carries every client's requests (each frame prefixed with an
@@ -51,17 +68,18 @@
 //!
 //! # Delivery semantics
 //!
-//! Identical to the thread-per-peer mesh, verified by the same e2e suite:
-//! FIFO per connection, at-least-once across reconnects (a frame the
-//! kernel had partially delivered when a connection died is retransmitted
-//! whole; the protocol cores tolerate duplication by design), and frames
-//! queued while a peer is down survive until it returns. The trust model is
-//! also unchanged — the preamble *asserts* identity, authentication is the
-//! environment's job (see [`tcp`](crate::tcp)'s docs).
+//! FIFO per connection, and frames queued while a peer is down survive
+//! until it returns. Across a reconnect delivery is at-least-once: a frame
+//! the kernel had partially delivered when a connection died is
+//! retransmitted whole, and frames still buffered on the old connection may
+//! interleave with the new connection's at the receiver — the protocol cores
+//! tolerate duplication and reordering by design, exactly as they must on a
+//! real network. The preamble *asserts* identity; authentication is the
+//! environment's job (see the [`transport`](crate::transport) module docs
+//! for the trust model).
 
 use crate::poll::{Event, Interest, Poller};
-use crate::tcp::{Transport, TransportError, TransportStats};
-use crate::tcp::{INITIAL_BACKOFF, MAX_BACKOFF};
+use crate::transport::{Transport, TransportError, TransportStats, INITIAL_BACKOFF, MAX_BACKOFF};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use seemore_types::{ClientId, NodeId, ReplicaId};
 use seemore_wire::codec::{frame_len, Frame, StreamBuf, CODEC_VERSION, MAGIC};
@@ -75,8 +93,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Length of the per-connection identity preamble (same layout as the
-/// thread-per-peer mesh, plus a multiplexing flag byte).
+/// Length of the per-connection identity preamble: magic, codec version, a
+/// replica/client/hub tag, a multiplexing flag byte, a reserved byte, and
+/// the 8-byte id.
 const PREAMBLE_LEN: usize = 16;
 
 /// Preamble tag byte: the dialer is a replica.
@@ -111,7 +130,10 @@ const MAX_SLICES: usize = 64;
 const MAX_BURST: usize = 256 * 1024;
 
 thread_local! {
-    /// Per-thread encode scratch, exactly as in the thread-per-peer mesh.
+    /// Per-thread scratch for encoding outgoing messages: `send` and
+    /// `broadcast` build each [`Frame`] through this buffer, so a replica
+    /// thread's steady-state encode cost is one `Arc` allocation per
+    /// *message* (not per destination, and with no intermediate `Vec`).
     static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -418,10 +440,10 @@ impl ReactorShared {
 /// A full mesh of reactor-driven endpoints on loopback, optionally with a
 /// [`ClientHub`] multiplexing logical clients over shared sockets.
 ///
-/// Like [`TcpMesh`](crate::tcp::TcpMesh): every address is bound up front,
-/// endpoints are handed out once via [`take_endpoint`](Self::take_endpoint),
-/// and dropping the mesh (or calling [`shutdown`](Self::shutdown)) stops
-/// the event-loop pool.
+/// Every address is bound up front (so all of them are known before any
+/// traffic flows), endpoints are handed out once via
+/// [`take_endpoint`](Self::take_endpoint), and dropping the mesh (or calling
+/// [`shutdown`](Self::shutdown)) stops the event-loop pool.
 #[derive(Debug)]
 pub struct ReactorMesh {
     shared: Arc<ReactorShared>,
@@ -650,8 +672,7 @@ fn attach_endpoint(
 }
 
 /// One node's attachment to a [`ReactorMesh`]: a cloneable sending
-/// [`ReactorHandle`] plus the queue of decoded inbound messages. The
-/// reactor twin of [`TcpEndpoint`](crate::tcp::TcpEndpoint).
+/// [`ReactorHandle`] plus the queue of decoded inbound messages.
 #[derive(Debug)]
 pub struct ReactorEndpoint {
     handle: ReactorHandle,
@@ -709,8 +730,10 @@ impl ReactorHandle {
     }
 
     /// Encodes `message` (through the thread's reusable scratch) and queues
-    /// it for `to`, dialing lazily — semantics identical to
-    /// [`TcpHandle::send`](crate::tcp::TcpHandle::send).
+    /// it for `to`, dialing the peer on first use. Order is FIFO while a
+    /// connection lasts; a reconnect re-sends the unfinished head frame
+    /// first but may interleave with frames the receiver still holds from
+    /// the old connection.
     pub fn send(&self, to: NodeId, message: &Message) -> Result<(), TransportError> {
         self.send_frame(to, encode_frame(message))
     }
@@ -834,8 +857,8 @@ fn arm_writable(outbound: &Outbound, state: &mut OutState) {
     }
 }
 
-/// Encodes through the thread-local scratch (shared with the tcp module's
-/// discipline: one `Arc` allocation per message).
+/// Encodes through the thread-local scratch: one `Arc` allocation per
+/// message, no intermediate `Vec`.
 fn encode_frame(message: &Message) -> Frame {
     ENCODE_SCRATCH.with(|scratch| Frame::encode_with(&mut scratch.borrow_mut(), message))
 }
@@ -1354,7 +1377,7 @@ fn handle_out_event(
 
 /// Closes a dead connection and, if frames are queued, schedules an
 /// immediate redial (backoff applies to *failed* dials, not the first
-/// attempt after a drop — mirroring the thread-per-peer writer).
+/// attempt after a drop).
 fn teardown_for_redial(state: &mut OutState, outbound: &Arc<Outbound>, loop_state: &mut LoopState) {
     state.stream = None;
     state.head_written = 0;
@@ -1459,11 +1482,35 @@ fn attempt_dial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seemore_types::SeqNum;
-    use seemore_wire::StateRequest;
+    use seemore_types::{SeqNum, Timestamp};
+    use seemore_wire::{ClientRequest, StateRequest, WireSize};
 
     fn replica(r: u32) -> NodeId {
         NodeId::Replica(ReplicaId(r))
+    }
+
+    /// Polls `settled` until it holds. Counters advance just *after* the
+    /// syscall they count, so a receiver can see a frame a moment before
+    /// the sender's loop thread has accounted for it.
+    fn wait_until(what: &str, settled: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !settled() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Rebinds a stopped node's reserved address (the port may linger for a
+    /// moment after its listener closed).
+    fn rebind(addr: SocketAddr) -> TcpListener {
+        (0..100)
+            .find_map(|_| {
+                TcpListener::bind(addr).ok().or_else(|| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    None
+                })
+            })
+            .expect("rebind the stopped node's address")
     }
 
     fn state_request(seq: u64) -> Message {
@@ -1568,6 +1615,120 @@ mod tests {
             a.send(replica(1), &state_request(0)),
             Err(TransportError::Closed)
         );
+    }
+
+    #[test]
+    fn bytes_on_wire_match_the_size_contract() {
+        let client = NodeId::Client(ClientId(7));
+        let mesh = ReactorMesh::new(&[replica(0), client]).unwrap();
+        let sender = mesh.take_endpoint(client).unwrap();
+        let receiver = mesh.take_endpoint(replica(0)).unwrap();
+
+        let message = Message::Request(ClientRequest {
+            client: ClientId(7),
+            timestamp: Timestamp(1),
+            operation: vec![0xEE; 500],
+            signature: seemore_crypto::Signature::INVALID,
+        });
+        sender.send(replica(0), &message).unwrap();
+        let (from, received) = receiver.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, client);
+        assert_eq!(received, message);
+
+        let stats = mesh.stats();
+        wait_until("the send to be accounted", || stats.messages_sent() == 1);
+        assert_eq!(stats.messages_received(), 1);
+        // Wire bytes = one preamble + exactly wire_size() frame bytes.
+        assert_eq!(
+            stats.bytes_sent(),
+            (PREAMBLE_LEN + message.wire_size()) as u64
+        );
+        // Raw reads saw everything that was written; the decoded-frame
+        // counter excludes the preamble, matching the size contract exactly.
+        assert_eq!(stats.bytes_read(), stats.bytes_sent());
+        assert_eq!(stats.bytes_received(), message.wire_size() as u64);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn broadcast_reports_unknown_peers_but_still_reaches_the_rest() {
+        let mesh = ReactorMesh::new(&[replica(0), replica(1)]).unwrap();
+        let a = mesh.take_endpoint(replica(0)).unwrap();
+        let b = mesh.take_endpoint(replica(1)).unwrap();
+        let ghost = replica(42);
+        assert_eq!(
+            a.broadcast(&[ghost, replica(1)], &state_request(7)),
+            Err(TransportError::UnknownPeer(ghost))
+        );
+        let (_, message) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(message, state_request(7), "known peers still served");
+        mesh.shutdown();
+    }
+
+    /// A broadcast's shared frame must reach every listed peer exactly once
+    /// even when one peer has never been reachable: the frames queued while
+    /// its dial backs off (`ECONNREFUSED`) survive until the peer comes up,
+    /// and meanwhile the live peer is served from the sending thread. Both
+    /// write paths are forced here, so the write accounting is exact.
+    #[test]
+    fn broadcast_survives_a_peer_mid_reconnect() {
+        let (a, b, c) = (replica(0), replica(1), replica(2));
+        let mesh = ReactorMesh::new(&[a, b, c]).unwrap();
+        let sender = mesh.take_endpoint(a).unwrap();
+        let live = mesh.take_endpoint(c).unwrap();
+        let b_addr = mesh.address(b).unwrap();
+        // Take b down before any traffic and wait until its port refuses
+        // connections, so a's dial can only fail until b is restarted.
+        drop(mesh.take_endpoint(b));
+        mesh.stop_endpoint(b);
+        wait_until("b's listener to close", || {
+            TcpStream::connect(b_addr).is_err()
+        });
+        // Establish a -> c, so the broadcasts below find it up and idle.
+        sender.send(c, &state_request(u64::MAX)).unwrap();
+        live.recv_timeout(Duration::from_secs(5)).unwrap();
+
+        const FRAMES: u64 = 16;
+        for seq in 0..FRAMES {
+            sender.broadcast(&[b, c], &state_request(seq)).unwrap();
+        }
+        // The live peer drains immediately, proving the shared frames are
+        // not held hostage by the unreachable one.
+        for seq in 0..FRAMES {
+            let (_, message) = live.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(message, state_request(seq));
+        }
+
+        // Now bring b up on its reserved address; the redial connects and
+        // delivers the whole queue.
+        let late = mesh.start_endpoint(b, rebind(b_addr)).unwrap();
+        for seq in 0..FRAMES {
+            let (from, message) = late.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(from, a);
+            assert_eq!(message, state_request(seq), "exactly once, in order");
+        }
+        assert!(
+            late.recv_timeout(Duration::from_millis(100)).is_err(),
+            "no frame delivered twice after the reconnect"
+        );
+
+        // Every frame is completed by exactly one write: it either had that
+        // write to itself or rode along in a gather write (coalesced). The
+        // only other writes are the two connections' preambles.
+        let stats = mesh.stats();
+        wait_until("the sends to be accounted", || {
+            stats.messages_sent() == 1 + 2 * FRAMES
+        });
+        assert_eq!(stats.partial_writes(), 0);
+        assert_eq!(stats.reconnects(), 2, "one dial each for b and c");
+        assert_eq!(
+            stats.messages_sent(),
+            (stats.write_syscalls() - stats.reconnects()) + stats.frames_coalesced()
+        );
+        assert_eq!(stats.direct_writes(), FRAMES, "c served by the sender");
+        assert_eq!(stats.vectored_writes(), 1, "b's backlog in one writev");
+        assert_eq!(stats.frames_coalesced(), FRAMES - 1);
+        mesh.shutdown();
     }
 
     #[test]
@@ -1708,15 +1869,7 @@ mod tests {
 
             // Bring b back on its reserved address; the redial backoff
             // reconnects and the queued batch arrives exactly once, FIFO.
-            let listener = (0..100)
-                .find_map(|_| {
-                    TcpListener::bind(b_addr).ok().or_else(|| {
-                        std::thread::sleep(Duration::from_millis(10));
-                        None
-                    })
-                })
-                .expect("rebind b's address");
-            let endpoint = mesh.start_endpoint(b, listener).unwrap();
+            let endpoint = mesh.start_endpoint(b, rebind(b_addr)).unwrap();
             let mut round: Vec<u64> = Vec::new();
             let deadline = Instant::now() + Duration::from_secs(10);
             while round.iter().filter(|s| tracked.contains(s)).count() < tracked.len() {

@@ -26,27 +26,27 @@
 //!   framing, socket back-pressure, bytes-on-wire — this is the deployable
 //!   shape of the system.
 //!
-//! # Which socket transport when
+//! # The socket transport, and how clients attach
 //!
-//! The socket runtime itself runs on either of `seemore-net`'s two real
-//! transports, selected by [`SocketTransport`] (or, through scenarios, by
-//! [`RuntimeKind::Socket`] vs [`RuntimeKind::Reactor`]):
+//! There is one: `seemore-net`'s reactor mesh. A fixed pool of epoll event
+//! loops drives every connection, so thread count stays flat as replicas
+//! and clients grow. The one deployment choice left is how clients attach
+//! ([`SocketOptions::client_mux`], or [`Scenario::with_client_mux`] through
+//! scenarios):
 //!
-//! * **Reactor** ([`RuntimeKind::Reactor`]) — a fixed pool of epoll event
-//!   loops drives every connection; thread count stays flat as replicas and
-//!   clients grow, and [`Scenario::with_client_mux`] additionally collapses
-//!   all clients onto one shared connection per replica. Use it for client
-//!   scaling questions (hundreds to thousands of concurrent clients) and as
-//!   the deployable default.
-//! * **Thread-per-peer** ([`RuntimeKind::Socket`]) — two blocking threads
-//!   per connection. The measured baseline of the transport ablation and
-//!   the easiest substrate to debug, but thread count grows with the
-//!   cluster: prefer it only for small deployments or when stepping through
-//!   a connection's blocking I/O beats event-loop indirection.
+//! * **Private endpoints** (the default) — each client owns a listener and
+//!   dials one connection per replica; replicas dial it back for replies.
+//!   The shape of independent client machines, and what `BENCHMARK.json`
+//!   measures.
+//! * **Hub-multiplexed** — all clients share one connection per replica in
+//!   each direction, frames tagged with the logical client id. Use it for
+//!   client-scaling questions (hundreds to thousands of concurrent clients
+//!   in one process), where a listener and a mesh of sockets per client is
+//!   the cost that dominates.
 //!
-//! Both are driven to identical per-slot histories by the loopback
-//! end-to-end suite (`tests/socket_e2e.rs`), so switching transports is a
-//! performance decision, not a correctness one.
+//! Both are driven to the threaded runtime's per-slot histories by the
+//! loopback end-to-end suite (`tests/socket_e2e.rs`), so the choice is a
+//! topology decision, not a correctness one.
 //!
 //! Supporting modules:
 //!
@@ -174,6 +174,6 @@ pub use report::{
 pub use scenario::{CrashRecover, DurabilityKind, ProtocolKind, RuntimeKind, Scenario};
 pub use shard::{ShardOverride, ShardedCluster};
 pub use sim::{SimConfig, Simulation};
-pub use socket::{SocketCluster, SocketOptions, SocketTransport};
+pub use socket::{SocketCluster, SocketOptions};
 pub use threaded::ThreadedCluster;
 pub use workload::Workload;

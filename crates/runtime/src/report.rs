@@ -64,7 +64,7 @@ impl BatchReport {
 }
 
 /// What the socket transport's hot path actually did during a run: syscalls
-/// issued vs frames sent (write coalescing) and per-destination encodes
+/// issued vs frames sent (gather writes) and per-destination encodes
 /// avoided (encode-once broadcast). `None` on the runtimes that move plain
 /// Rust values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,18 +73,18 @@ pub struct TransportReport {
     pub messages_sent: u64,
     /// Bytes written to sockets (preambles included).
     pub bytes_sent: u64,
-    /// `write(2)` calls issued — with coalescing, `messages_sent -
-    /// write_syscalls` frames rode along in a burst for free.
+    /// `write(2)`/`writev(2)` calls issued (preambles included).
     pub write_syscalls: u64,
-    /// Frames appended to an already-pending burst (syscalls saved).
+    /// Frames completed by a write that had already completed another
+    /// frame (syscalls the gather write saved).
     pub frames_coalesced: u64,
     /// Serializations avoided by encode-once broadcasts (encodes saved).
     pub encodes_saved: u64,
     /// Frames written in full by the *sending* thread (zero-hop direct
-    /// writes; the rest went through a writer thread or event loop).
+    /// writes; the rest were drained by an event loop).
     pub direct_writes: u64,
     /// Gather (`writev`) calls that carried more than one slice — backlog
-    /// drains that would each have been a copy plus a `write(2)` otherwise.
+    /// drains that would otherwise have cost one `write(2)` per frame.
     pub vectored_writes: u64,
     /// Writes the kernel accepted only partially (socket-buffer pressure;
     /// the remainder stayed queued).
@@ -93,7 +93,7 @@ pub struct TransportReport {
     pub bytes_read: u64,
     /// Outbound connections established across the mesh (initial dials
     /// included): `peers` on a clean run, anything above that is a rebuild
-    /// after a failed write — the flakiness signal the health rollup tracks.
+    /// after a dead connection — the flakiness signal the health rollup tracks.
     pub reconnects: u64,
 }
 

@@ -165,14 +165,11 @@ pub enum RuntimeKind {
     /// serialization).
     Threaded,
     /// Thread-per-replica over real loopback TCP through the wire codec
-    /// (wall-clock time; reported bytes really crossed sockets), carried by
-    /// the thread-per-peer mesh — the transport baseline.
-    Socket,
-    /// Like [`Socket`](Self::Socket), but carried by the reactor transport:
-    /// a fixed pool of epoll event loops drives every connection, and (with
+    /// (wall-clock time; reported bytes really crossed sockets): a fixed
+    /// pool of epoll event loops drives every connection, and (with
     /// [`Scenario::with_client_mux`]) clients multiplex over shared
     /// per-replica connections instead of private listeners.
-    Reactor,
+    Socket,
 }
 
 impl RuntimeKind {
@@ -182,7 +179,6 @@ impl RuntimeKind {
             RuntimeKind::Simulated => "simulated",
             RuntimeKind::Threaded => "threaded",
             RuntimeKind::Socket => "socket",
-            RuntimeKind::Reactor => "reactor",
         }
     }
 }
@@ -246,12 +242,7 @@ pub struct Scenario {
     /// (true, the default) or are downgraded to the ordered path (the
     /// ordered-everything baseline arm of the read ablation).
     pub read_fast_path: bool,
-    /// Whether socket-runtime broadcasts use the transport's encode-once
-    /// shared-frame fast path (true, the default). Disabling re-encodes the
-    /// message per destination — the ablation's "PR 2 behaviour" arm. No
-    /// effect on the other runtimes (they never serialize).
-    pub encode_once: bool,
-    /// On the reactor runtime, multiplex every client over the hub's shared
+    /// On the socket runtime, multiplex every client over the hub's shared
     /// per-replica connections instead of one listener per client (false,
     /// the default). No effect on the other runtimes.
     pub client_mux: bool,
@@ -316,7 +307,6 @@ impl Scenario {
             mode_switch: None,
             workload: None,
             read_fast_path: true,
-            encode_once: true,
             client_mux: false,
             verify_memo: true,
             byzantine_replicas: 0,
@@ -461,14 +451,7 @@ impl Scenario {
         self
     }
 
-    /// Enables or disables the socket runtime's encode-once broadcast
-    /// (enabled by default; the hot-path ablation's toggle).
-    pub fn with_encode_once(mut self, enabled: bool) -> Self {
-        self.encode_once = enabled;
-        self
-    }
-
-    /// Enables or disables client multiplexing on the reactor runtime
+    /// Enables or disables client multiplexing on the socket runtime
     /// (disabled by default): with it, every client shares the hub's one
     /// connection per replica instead of owning a listener and a mesh of
     /// private sockets.
@@ -905,16 +888,11 @@ impl Scenario {
             RuntimeKind::Threaded => {
                 AnyCluster::Threaded(ThreadedCluster::spawn(cores.replicas, &client_ids))
             }
-            RuntimeKind::Socket | RuntimeKind::Reactor => AnyCluster::Socket(
+            RuntimeKind::Socket => AnyCluster::Socket(
                 SocketCluster::spawn_with(
                     cores.replicas,
                     &client_ids,
                     crate::socket::SocketOptions {
-                        encode_once: self.encode_once,
-                        transport: match kind {
-                            RuntimeKind::Reactor => crate::socket::SocketTransport::Reactor,
-                            _ => crate::socket::SocketTransport::ThreadPerPeer,
-                        },
                         client_mux: self.client_mux,
                     },
                 )
@@ -1297,23 +1275,23 @@ mod tests {
 
     #[test]
     fn concurrent_runtimes_produce_reports_with_traffic() {
-        for kind in [
-            RuntimeKind::Threaded,
-            RuntimeKind::Socket,
-            RuntimeKind::Reactor,
+        for (kind, mux) in [
+            (RuntimeKind::Threaded, false),
+            (RuntimeKind::Socket, false),
+            (RuntimeKind::Socket, true),
         ] {
             let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
                 .with_clients(2)
                 .with_duration(Duration::from_millis(150), Duration::from_millis(10))
                 .with_runtime(kind)
-                .with_client_mux(kind == RuntimeKind::Reactor)
+                .with_client_mux(mux)
                 .run();
-            assert!(report.completed > 0, "{}: no progress", kind.name());
-            assert!(report.messages_delivered > 0, "{}", kind.name());
+            let name = kind.name();
+            assert!(report.completed > 0, "{name} (mux {mux}): no progress");
+            assert!(report.messages_delivered > 0, "{name} (mux {mux})");
             assert!(
                 report.bytes_delivered > 0,
-                "{}: no bytes on the wire",
-                kind.name()
+                "{name} (mux {mux}): no bytes on the wire"
             );
         }
     }

@@ -32,7 +32,7 @@
 use crate::driver::to_instant;
 use crate::report::{RunReport, ShardReport, TransportReport};
 use crate::scenario::{AnyCluster, ProtocolKind, RuntimeKind, Scenario};
-use crate::socket::{SocketCluster, SocketOptions, SocketTransport};
+use crate::socket::{SocketCluster, SocketOptions};
 use crate::threaded::ThreadedCluster;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -233,17 +233,11 @@ impl ShardedCluster {
                     RuntimeKind::Threaded => {
                         AnyCluster::Threaded(ThreadedCluster::spawn(replicas, &client_ids))
                     }
-                    RuntimeKind::Socket | RuntimeKind::Reactor => AnyCluster::Socket(
+                    RuntimeKind::Socket => AnyCluster::Socket(
                         SocketCluster::spawn_with(
                             replicas,
                             &client_ids,
                             SocketOptions {
-                                encode_once: scenario.encode_once,
-                                transport: if kind == RuntimeKind::Reactor {
-                                    SocketTransport::Reactor
-                                } else {
-                                    SocketTransport::ThreadPerPeer
-                                },
                                 client_mux: scenario.client_mux,
                             },
                         )

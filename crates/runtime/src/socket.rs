@@ -4,10 +4,10 @@
 //! API — same spawn / crash / `run_client` / shutdown surface, same sans-IO
 //! [`ReplicaProtocol`] and [`ClientProtocol`] cores — but every message is
 //! encoded through the wire codec (`seemore_wire::codec`), crosses an actual
-//! `std::net` TCP connection of a [`TcpMesh`], and is decoded by a streaming
-//! frame reader on the receiving side. It is the closest this workspace gets
-//! to the paper's deployed system: the bytes it reports really were written
-//! to and read from sockets.
+//! `std::net` TCP connection of a [`ReactorMesh`], and is decoded by a
+//! streaming frame reader on the receiving side. It is the closest this
+//! workspace gets to the paper's deployed system: the bytes it reports
+//! really were written to and read from sockets.
 //!
 //! The replica event loop and the closed-loop client driver are shared with
 //! the threaded runtime through `crate::driver`; this module only adds the
@@ -21,8 +21,7 @@ use crate::driver::{self, ReplicaCommand};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
-use seemore_net::tcp::{TcpMesh, Transport, TransportError, TransportStats};
-use seemore_net::{HubPort, ReactorMesh};
+use seemore_net::{HubPort, ReactorHandle, ReactorMesh, Transport, TransportStats};
 use seemore_types::{ClientId, Duration, Mode, NodeId, OpClass, ReplicaId};
 use seemore_wire::Message;
 use std::collections::HashMap;
@@ -31,73 +30,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
 
-/// Which socket substrate carries the cluster's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SocketTransport {
-    /// The reactor mesh ([`ReactorMesh`]): a fixed pool of event-loop
-    /// threads drives every connection through nonblocking sockets and
-    /// epoll. The default — thread count stays flat as peers and clients
-    /// grow. See the `seemore-net` crate docs for the full trade-off.
-    #[default]
-    Reactor,
-    /// The thread-per-peer mesh ([`TcpMesh`]): one blocking reader thread
-    /// per inbound connection, one writer thread per dialed peer. The
-    /// baseline the reactor is measured against.
-    ThreadPerPeer,
-}
-
-/// The underlying socket mesh, behind one face so the replica loops,
-/// client driver and report plumbing are transport-agnostic.
-enum AnyMesh {
-    ThreadPerPeer(TcpMesh),
-    Reactor(ReactorMesh),
-}
-
-impl AnyMesh {
-    fn stats(&self) -> Arc<TransportStats> {
-        match self {
-            AnyMesh::ThreadPerPeer(mesh) => mesh.stats(),
-            AnyMesh::Reactor(mesh) => mesh.stats(),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            AnyMesh::ThreadPerPeer(mesh) => mesh.shutdown(),
-            AnyMesh::Reactor(mesh) => mesh.shutdown(),
-        }
-    }
-}
-
-/// A sending handle of either mesh (replica side and non-muxed clients).
-#[derive(Clone)]
-enum AnyHandle {
-    Tcp(seemore_net::TcpHandle),
-    Reactor(seemore_net::ReactorHandle),
-}
-
-impl AnyHandle {
-    fn send(&self, to: NodeId, message: &Message) -> Result<(), TransportError> {
-        match self {
-            AnyHandle::Tcp(handle) => handle.send(to, message),
-            AnyHandle::Reactor(handle) => handle.send(to, message),
-        }
-    }
-
-    fn broadcast(&self, to: &[NodeId], message: &Message) -> Result<(), TransportError> {
-        match self {
-            AnyHandle::Tcp(handle) => handle.broadcast(to, message),
-            AnyHandle::Reactor(handle) => handle.broadcast(to, message),
-        }
-    }
-}
-
 /// A client's attachment to the mesh: either a private endpoint (its own
 /// listener plus dialed connections) or a multiplexed port through the
-/// reactor's client hub (shared connections, demuxed replies).
+/// mesh's client hub (shared connections, demuxed replies).
 enum ClientPort {
     Endpoint {
-        handle: AnyHandle,
+        handle: ReactorHandle,
         incoming: Receiver<(NodeId, Message)>,
     },
     Hub(HubPort),
@@ -122,44 +60,25 @@ impl ClientPort {
     }
 }
 
-/// Tunables of the socket substrate (the perf-ablation toggles).
-#[derive(Debug, Clone, Copy)]
+/// The one deployment choice of the socket substrate.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SocketOptions {
-    /// Whether replica broadcasts use the transport's encode-once
-    /// shared-frame fast path (`TcpHandle::broadcast`). When disabled, every
-    /// destination re-encodes the message — PR 2's behaviour, kept
-    /// selectable so the ablation can measure the saving.
-    pub encode_once: bool,
-    /// Which mesh carries the traffic (reactor event loops by default).
-    pub transport: SocketTransport,
-    /// On the reactor, multiplex every client over the hub's shared
-    /// per-replica connections instead of giving each client its own
-    /// listener and mesh of sockets. Ignored (private endpoints are the
-    /// only option) on the thread-per-peer transport.
+    /// Multiplex every client over the hub's shared per-replica connections
+    /// instead of giving each client its own listener and mesh of sockets
+    /// (the default).
     pub client_mux: bool,
-}
-
-impl Default for SocketOptions {
-    fn default() -> Self {
-        SocketOptions {
-            encode_once: true,
-            transport: SocketTransport::default(),
-            client_mux: false,
-        }
-    }
 }
 
 /// The socket runtime's [`driver::ReplicaSink`]: single sends encode
 /// through the transport's thread-local scratch; broadcasts hand the whole
 /// destination set to the transport's `broadcast`, which encodes once and
-/// enqueues the same shared frame to every peer's writer.
+/// enqueues the same shared frame on every peer's outbox.
 ///
 /// Connection failures surface as reconnect attempts inside the transport;
 /// a send can only fail here on shutdown, which the replica loop is about
 /// to observe anyway, so errors are dropped.
 struct TcpSink {
-    handle: AnyHandle,
-    encode_once: bool,
+    handle: ReactorHandle,
 }
 
 impl driver::ReplicaSink for TcpSink {
@@ -168,13 +87,7 @@ impl driver::ReplicaSink for TcpSink {
     }
 
     fn broadcast(&mut self, to: Vec<NodeId>, message: Message) {
-        if self.encode_once {
-            let _ = self.handle.broadcast(&to, &message);
-        } else {
-            for peer in to {
-                let _ = self.handle.send(peer, &message);
-            }
-        }
+        let _ = self.handle.broadcast(&to, &message);
     }
 }
 
@@ -183,7 +96,7 @@ impl driver::ReplicaSink for TcpSink {
 /// The handle is `Sync`: multiple client threads may call
 /// [`run_client`](Self::run_client) concurrently (one call per client id).
 pub struct SocketCluster {
-    mesh: AnyMesh,
+    mesh: ReactorMesh,
     replica_senders: HashMap<ReplicaId, Sender<ReplicaCommand>>,
     replicas: Vec<JoinHandle<Box<dyn ReplicaProtocol>>>,
     clients: HashMap<ClientId, ClientPort>,
@@ -206,65 +119,35 @@ impl SocketCluster {
         Self::spawn_with(replicas, client_ids, SocketOptions::default())
     }
 
-    /// [`spawn`](Self::spawn) with explicit [`SocketOptions`] (the perf
-    /// ablation's entry point).
+    /// [`spawn`](Self::spawn) with explicit [`SocketOptions`].
     pub fn spawn_with(
         replicas: Vec<Box<dyn ReplicaProtocol>>,
         client_ids: &[ClientId],
         options: SocketOptions,
     ) -> io::Result<Self> {
         let replica_nodes: Vec<NodeId> = replicas.iter().map(|r| NodeId::Replica(r.id())).collect();
-        let client_nodes: Vec<NodeId> = client_ids.iter().map(|c| NodeId::Client(*c)).collect();
-        let mux = options.client_mux && options.transport == SocketTransport::Reactor;
-        let mesh = match options.transport {
-            SocketTransport::ThreadPerPeer => {
-                let nodes: Vec<NodeId> = replica_nodes
-                    .iter()
-                    .chain(client_nodes.iter())
-                    .copied()
-                    .collect();
-                AnyMesh::ThreadPerPeer(TcpMesh::new(&nodes)?)
-            }
-            SocketTransport::Reactor if mux => {
-                // Clients get no listeners of their own: they are logical
-                // clients behind the hub, sharing one connection per replica.
-                AnyMesh::Reactor(ReactorMesh::with_hub(&replica_nodes, client_ids)?)
-            }
-            SocketTransport::Reactor => {
-                let nodes: Vec<NodeId> = replica_nodes
-                    .iter()
-                    .chain(client_nodes.iter())
-                    .copied()
-                    .collect();
-                AnyMesh::Reactor(ReactorMesh::new(&nodes)?)
-            }
+        let mesh = if options.client_mux {
+            // Clients get no listeners of their own: they are logical
+            // clients behind the hub, sharing one connection per replica.
+            ReactorMesh::with_hub(&replica_nodes, client_ids)?
+        } else {
+            let nodes: Vec<NodeId> = replica_nodes
+                .iter()
+                .copied()
+                .chain(client_ids.iter().map(|c| NodeId::Client(*c)))
+                .collect();
+            ReactorMesh::new(&nodes)?
         };
         let stats = mesh.stats();
         // The clock epoch starts after the mesh is bound, so listener setup
         // is not charged to the protocol's timers or measurement windows.
         let start = StdInstant::now();
 
-        let take = |node: NodeId| -> (AnyHandle, Receiver<(NodeId, Message)>) {
-            match &mesh {
-                AnyMesh::ThreadPerPeer(mesh) => {
-                    let endpoint = mesh
-                        .take_endpoint(node)
-                        .expect("endpoint exists for every spawned node");
-                    (
-                        AnyHandle::Tcp(endpoint.handle()),
-                        endpoint.incoming().clone(),
-                    )
-                }
-                AnyMesh::Reactor(mesh) => {
-                    let endpoint = mesh
-                        .take_endpoint(node)
-                        .expect("endpoint exists for every spawned node");
-                    (
-                        AnyHandle::Reactor(endpoint.handle()),
-                        endpoint.incoming().clone(),
-                    )
-                }
-            }
+        let take = |node: NodeId| -> (ReactorHandle, Receiver<(NodeId, Message)>) {
+            let endpoint = mesh
+                .take_endpoint(node)
+                .expect("endpoint exists for every spawned node");
+            (endpoint.handle(), endpoint.incoming().clone())
         };
 
         let mut replica_senders = HashMap::new();
@@ -286,10 +169,7 @@ impl SocketCluster {
                         &rx,
                         Some(&incoming),
                         start,
-                        TcpSink {
-                            handle,
-                            encode_once: options.encode_once,
-                        },
+                        TcpSink { handle },
                     )
                 })
                 .expect("spawn replica thread");
@@ -298,10 +178,7 @@ impl SocketCluster {
 
         let mut clients = HashMap::new();
         for client in client_ids {
-            let port = if mux {
-                let AnyMesh::Reactor(mesh) = &mesh else {
-                    unreachable!("mux implies the reactor mesh");
-                };
+            let port = if options.client_mux {
                 ClientPort::Hub(
                     mesh.hub_port(*client)
                         .expect("hub port exists for every registered client"),

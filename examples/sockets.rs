@@ -8,10 +8,7 @@
 //! the wire — by the codec's size contract, the same number the simulator's
 //! `WireSize` model charges for.
 //!
-//! Run with: `cargo run --example sockets`. Pass `--reactor` to carry the
-//! same workload over the reactor transport — a fixed pool of epoll event
-//! loops instead of two threads per connection, with the client multiplexed
-//! through the hub — and compare the transport counters it prints.
+//! Run with: `cargo run --example sockets`.
 
 use seemore::app::{KvOp, KvResult, KvStore};
 use seemore::core::batching::BatchConfig;
@@ -20,11 +17,10 @@ use seemore::core::config::ProtocolConfig;
 use seemore::core::protocol::ReplicaProtocol;
 use seemore::core::replica::SeeMoReReplica;
 use seemore::crypto::KeyStore;
-use seemore::runtime::socket::{SocketCluster, SocketOptions, SocketTransport};
+use seemore::runtime::socket::SocketCluster;
 use seemore::types::{ClientId, ClusterConfig, Duration, Mode};
 
 fn main() {
-    let reactor = std::env::args().any(|arg| arg == "--reactor");
     // 1. The smallest hybrid cloud of the paper's evaluation: 2 trusted +
     //    4 untrusted replicas (N = 3m + 2c + 1 = 6), Lion mode.
     let cluster = ClusterConfig::minimal(1, 1).expect("valid cluster");
@@ -50,30 +46,15 @@ fn main() {
         })
         .collect();
 
-    // 3. Spawn the socket runtime: one loopback TCP listener per replica,
-    //    one protocol thread per replica, lazy dialing with reconnect +
-    //    backoff. `--reactor` swaps the transport underneath — epoll event
-    //    loops and hub-multiplexed clients instead of thread-per-peer.
+    // 3. Spawn the socket runtime: one loopback TCP listener per replica
+    //    and per client, one protocol thread per replica, a fixed pool of
+    //    epoll event loops driving every connection, lazy dialing with
+    //    reconnect + backoff.
     let client_id = ClientId(0);
-    let options = SocketOptions {
-        transport: if reactor {
-            SocketTransport::Reactor
-        } else {
-            SocketTransport::ThreadPerPeer
-        },
-        client_mux: reactor,
-        ..SocketOptions::default()
-    };
-    let sockets =
-        SocketCluster::spawn_with(replicas, &[client_id], options).expect("bind loopback sockets");
+    let sockets = SocketCluster::spawn(replicas, &[client_id]).expect("bind loopback sockets");
     println!(
-        "SocketCluster up: {} replicas + 1 client, {} on 127.0.0.1",
-        cluster.total_size(),
-        if reactor {
-            "reactor event loops (client via hub)"
-        } else {
-            "full thread-per-peer TCP mesh"
-        }
+        "SocketCluster up: {} replicas + 1 client, reactor TCP mesh on 127.0.0.1",
+        cluster.total_size()
     );
 
     // 4. Drive a closed-loop client through the replicated store.

@@ -12,8 +12,8 @@
 //!   ([`wire::Batch`]), and the real binary codec ([`wire::codec`]) whose
 //!   encoded lengths the [`wire::WireSize`] model is contractually equal to.
 //! * [`net`] — the network substrate: latency/CPU/fault models for the
-//!   simulator, plus a real loopback TCP transport ([`net::tcp`]) behind the
-//!   [`net::Transport`] seam.
+//!   simulator, plus a real loopback TCP transport ([`net::reactor`]) behind
+//!   the [`net::Transport`] seam.
 //! * [`app`] — the replicated application layer (state machine trait and a
 //!   key-value store).
 //! * [`store`] — durable replica state: a segmented, CRC-framed write-ahead

@@ -17,15 +17,23 @@ use seemore::types::{ClientId, ClusterConfig, Duration, Instant, Mode, PlannerIn
 const LIMIT: u64 = 500_000;
 
 /// Every protocol the evaluation compares makes progress on the simulator
-/// and reports sensible statistics.
+/// and reports sensible statistics — at the paper's smallest deployment,
+/// and for the baselines also at `f = 0`, where every quorum is the lone
+/// primary itself and no vote will ever arrive to trigger the commit.
 #[test]
 fn all_protocols_make_progress_in_simulation() {
-    for protocol in ProtocolKind::ALL {
-        let report = Scenario::new(protocol, 1, 1)
+    let fault_free = [ProtocolKind::Cft, ProtocolKind::Bft, ProtocolKind::SUpright];
+    let cases = ProtocolKind::ALL
+        .into_iter()
+        .map(|protocol| (protocol, 1))
+        .chain(fault_free.into_iter().map(|protocol| (protocol, 0)));
+    for (protocol, faults) in cases {
+        let name = protocol.name();
+        let report = Scenario::new(protocol, faults, faults)
             .with_clients(4)
             .with_duration(Duration::from_millis(80), Duration::from_millis(20))
             .run();
-        assert!(report.completed > 0, "{}", protocol.name());
+        assert!(report.completed > 0, "{name} at c = m = {faults}");
         assert!(report.throughput_kreqs > 0.0);
         assert!(report.avg_latency_ms > 0.0);
         assert!(report.p50_latency_ms <= report.p99_latency_ms);

@@ -182,17 +182,17 @@ fn simulated_crash_recover_matches_a_no_crash_control() {
 
 #[test]
 fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
-    for kind in [
-        RuntimeKind::Threaded,
-        RuntimeKind::Socket,
-        RuntimeKind::Reactor,
+    for (kind, mux) in [
+        (RuntimeKind::Threaded, false),
+        (RuntimeKind::Socket, false),
+        (RuntimeKind::Socket, true),
     ] {
         let victim = ReplicaId(ProtocolKind::SeeMoReLion.network_size(1, 1) - 1);
         let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
             .with_clients(2)
             .with_duration(Duration::from_millis(500), Duration::from_millis(10))
             .with_runtime(kind)
-            .with_client_mux(kind == RuntimeKind::Reactor)
+            .with_client_mux(mux)
             .with_tracing(true)
             .with_crash_recover(CrashRecover::replica(
                 victim,
@@ -200,7 +200,8 @@ fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
                 Instant::from_nanos(200_000_000),
             ))
             .run();
-        assert!(report.completed > 0, "{}: no progress", kind.name());
+        let name = kind.name();
+        assert!(report.completed > 0, "{name} (mux {mux}): no progress");
         let health = report
             .health
             .iter()
@@ -208,8 +209,7 @@ fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
             .expect("victim health rollup");
         assert!(
             health.recoveries >= 1,
-            "{}: the victim never completed its rejoin",
-            kind.name()
+            "{name} (mux {mux}): the victim never completed its rejoin"
         );
     }
 }

@@ -23,7 +23,7 @@ use seemore::core::protocol::ReplicaProtocol;
 use seemore::core::replica::SeeMoReReplica;
 use seemore::core::{route_operation, RoutedClient, ShardGuard, ShardRouter};
 use seemore::crypto::{Digest, KeyStore};
-use seemore::runtime::{SocketCluster, SocketOptions, SocketTransport, ThreadedCluster};
+use seemore::runtime::{SocketCluster, SocketOptions, ThreadedCluster};
 use seemore::types::OpClass;
 use seemore::types::{
     ClientId, ClusterConfig, Duration, GroupId, Mode, NodeId, Partitioning, ReplicaId, SeqNum,
@@ -166,13 +166,14 @@ fn deploy(case: Case, client_count: u64) -> Deployment {
 }
 
 /// The concurrent runtime flavors under comparison: in-memory channels,
-/// thread-per-peer sockets, and the reactor transport with every client
+/// sockets with a private endpoint per client (the configuration
+/// `BENCHMARK.json` runs), and sockets with every client
 /// multiplexed through the hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flavor {
     Threaded,
     Socket,
-    Reactor,
+    SocketMux,
 }
 
 impl Flavor {
@@ -180,18 +181,13 @@ impl Flavor {
         match self {
             Flavor::Threaded => "threaded",
             Flavor::Socket => "socket",
-            Flavor::Reactor => "reactor",
+            Flavor::SocketMux => "socket-mux",
         }
     }
 
     fn options(self) -> SocketOptions {
         SocketOptions {
-            transport: match self {
-                Flavor::Reactor => SocketTransport::Reactor,
-                _ => SocketTransport::ThreadPerPeer,
-            },
-            client_mux: self == Flavor::Reactor,
-            ..SocketOptions::default()
+            client_mux: self == Flavor::SocketMux,
         }
     }
 }
@@ -335,9 +331,9 @@ fn canonical(histories: &[(ReplicaId, Vec<ExecutedEntry>)]) -> Vec<ExecutedEntry
 }
 
 /// Acceptance: all three SeeMoRe modes plus both baselines complete the
-/// loopback e2e over real TCP sockets — on the thread-per-peer mesh *and*
-/// on the reactor transport (clients multiplexed through the hub) — and
-/// their per-slot histories match the threaded runtime's.
+/// loopback e2e over real TCP sockets — with private client endpoints *and*
+/// with clients multiplexed through the hub — and their per-slot histories
+/// match the threaded runtime's.
 #[test]
 fn socket_histories_match_threaded_histories() {
     for case in ALL_CASES {
@@ -345,7 +341,7 @@ fn socket_histories_match_threaded_histories() {
         assert_internal_agreement(case, &threaded);
         let threaded_canon = canonical(&threaded);
 
-        for flavor in [Flavor::Socket, Flavor::Reactor] {
+        for flavor in [Flavor::Socket, Flavor::SocketMux] {
             let histories = run_deterministic(case, flavor);
             assert_internal_agreement(case, &histories);
             let canon = canonical(&histories);
@@ -378,9 +374,9 @@ fn concurrent_clients_over_sockets_stay_safe_under_a_crash() {
         (Case::Lion, Flavor::Socket),
         (Case::Dog, Flavor::Socket),
         (Case::Bft, Flavor::Socket),
-        (Case::Lion, Flavor::Reactor),
-        (Case::Dog, Flavor::Reactor),
-        (Case::Bft, Flavor::Reactor),
+        (Case::Lion, Flavor::SocketMux),
+        (Case::Dog, Flavor::SocketMux),
+        (Case::Bft, Flavor::SocketMux),
     ] {
         const CLIENTS: u64 = 4;
         const PER_CLIENT: usize = 4;
