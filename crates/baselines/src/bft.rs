@@ -19,25 +19,24 @@
 use crate::config::BaselineConfig;
 use seemore_app::StateMachine;
 use seemore_core::actions::{Action, Timer};
-use seemore_core::batching::AdaptiveBatcher;
-use seemore_core::checkpoint::{CheckpointManager, StabilityRule};
+use seemore_core::chassis::{Inbound, ReplicaChassis, SigningContext};
+use seemore_core::checkpoint::StabilityRule;
 use seemore_core::config::ProtocolConfig;
-use seemore_core::exec::{ExecutedEntry, ExecutionEngine};
-use seemore_core::log::{MessageLog, Proposal};
+use seemore_core::exec::ExecutedEntry;
+use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ParkedReads;
-use seemore_crypto::VerifyCache;
-use seemore_crypto::{Digest, KeyStore, Signature, Signer};
-use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
-use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
+use seemore_crypto::{Digest, KeyStore, Signature};
+use seemore_store::{Durability, WalRecord};
+use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{
     ClientId, Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View,
 };
 use seemore_wire::{
-    Batch, Checkpoint, ClientReply, ClientRequest, Commit, Message, MessageKind, NewView,
-    PbftPrepare, PrePrepare, PrepareCert, ReadReply, ReadRequest, Recovery, SignedPayload,
-    SigningScratch, StateRequest, StateResponse, ViewChange, WireSize,
+    Batch, Checkpoint, ClientReply, ClientRequest, Commit, Message, NewView, PbftPrepare,
+    PrePrepare, PrepareCert, ReadReply, ReadRequest, Recovery, StateRequest, StateResponse,
+    ViewChange,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -47,20 +46,13 @@ const NOOP_CLIENT: ClientId = ClientId(u64::MAX);
 
 /// A PBFT-style replica, parameterized by a [`BaselineConfig`].
 pub struct BftReplica {
-    id: ReplicaId,
+    /// The protocol-independent half shared with the SeeMoRe replica and
+    /// the CFT baseline (see [`seemore_core::chassis`]); trace events carry
+    /// [`Mode::Peacock`], the closest SeeMoRe analogue.
+    chassis: ReplicaChassis,
+    /// This replica's signing identity and allocation-free verify path.
+    signing: SigningContext,
     config: BaselineConfig,
-    pconfig: ProtocolConfig,
-    keystore: KeyStore,
-    signer: Signer,
-    view: View,
-    log: MessageLog,
-    exec: ExecutionEngine,
-    checkpoints: CheckpointManager,
-    next_seq: SeqNum,
-    assigned: HashMap<RequestId, SeqNum>,
-    /// Pending requests accumulating into the next batch (primary only),
-    /// plus the shared controller deciding when to cut them.
-    batcher: AdaptiveBatcher,
     in_view_change: bool,
     target_view: View,
     view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
@@ -79,38 +71,14 @@ pub struct BftReplica {
     highest_prepared: SeqNum,
     /// Fast-path reads parked until the prepared frontier is executed.
     parked_reads: ParkedReads,
-    /// Reusable buffer for canonical signing bytes (allocation-free
-    /// sign/verify, shared seam with the SeeMoRe cores).
-    scratch: SigningScratch,
-    /// Bounded memo of already-verified signatures (`None` when disabled by
-    /// [`ProtocolConfig::verify_memo`]).
-    verify_memo: Option<VerifyCache>,
-    metrics: ReplicaMetrics,
-    crashed: bool,
-    /// Durable vote/checkpoint store ([`NullStore`] unless the deployment
-    /// opts into persistence).
-    store: Arc<dyn Durability>,
-    /// True between a durable restart and the rejoin quorum's completion.
-    recovering: bool,
-    /// WAL records replayed at the last restart (telemetry detail).
-    wal_replayed: u64,
-    /// Protocol traffic parked while rejoining, re-delivered afterwards.
-    recovery_buffer: std::collections::VecDeque<(NodeId, Message)>,
-    /// `STATE-RESPONSE`s collected while rejoining; the snapshot is adopted
-    /// only once `f + 1` distinct replicas vouch for the same checkpoint
-    /// digest, so at least one honest replica stands behind it.
+    /// `STATE-RESPONSE`s collected while rejoining or catching up; the
+    /// snapshot is adopted only once `f + 1` distinct replicas vouch for the
+    /// same checkpoint digest, so at least one honest replica stands behind
+    /// it.
     recovery_responses: Vec<(ReplicaId, StateResponse)>,
     /// True while a checkpoint-triggered catch-up (outside recovery) awaits
     /// its `f + 1` matching `STATE-RESPONSE`s.
     catching_up: bool,
-    /// Highest checkpoint written to the durable store (skip re-persisting).
-    persisted_checkpoint: SeqNum,
-    /// Structured-event sink (a no-op [`NullRecorder`] unless the runtime
-    /// attaches a real one).
-    recorder: Arc<dyn Recorder>,
-    /// Timestamp of the protocol input currently being processed; stamps
-    /// every event emitted while handling it.
-    trace_at: Instant,
 }
 
 impl BftReplica {
@@ -128,25 +96,17 @@ impl BftReplica {
         app: Box<dyn StateMachine>,
     ) -> Self {
         assert!(config.contains(id), "replica {id} outside the BFT group");
-        let signer = keystore
-            .signer_for(NodeId::Replica(id))
-            .expect("key store must contain a signer for this replica");
         BftReplica {
-            id,
-            config,
-            pconfig,
-            keystore,
-            signer,
-            view: View::ZERO,
-            log: MessageLog::new(),
-            exec: ExecutionEngine::new(app),
-            checkpoints: CheckpointManager::new(
-                pconfig.checkpoint_period,
+            chassis: ReplicaChassis::new(
+                id,
+                config.network_size,
+                pconfig,
+                Mode::Peacock,
                 StabilityRule::Quorum(config.reply_quorum as usize),
+                app,
             ),
-            next_seq: SeqNum(0),
-            assigned: HashMap::new(),
-            batcher: AdaptiveBatcher::new(pconfig.batch),
+            signing: SigningContext::new(id, keystore, pconfig.verify_memo),
+            config,
             in_view_change: false,
             target_view: View::ZERO,
             view_changes: BTreeMap::new(),
@@ -155,25 +115,14 @@ impl BftReplica {
             forwarded_armed: HashMap::new(),
             highest_prepared: SeqNum(0),
             parked_reads: ParkedReads::new(),
-            scratch: SigningScratch::new(),
-            verify_memo: pconfig.verify_memo.then(VerifyCache::default),
-            metrics: ReplicaMetrics::default(),
-            crashed: false,
-            store: Arc::new(NullStore),
-            recovering: false,
-            wal_replayed: 0,
-            recovery_buffer: std::collections::VecDeque::new(),
             recovery_responses: Vec::new(),
             catching_up: false,
-            persisted_checkpoint: SeqNum(0),
-            recorder: Arc::new(NullRecorder),
-            trace_at: Instant::ZERO,
         }
     }
 
-    /// Attaches a durability store (see the SeeMoRe core's `set_store`).
+    /// Attaches a durability store (see [`ReplicaChassis::set_store`]).
     pub fn set_store(&mut self, store: Arc<dyn Durability>) {
-        self.store = store;
+        self.chassis.set_store(store);
     }
 
     /// Rebuilds a PBFT replica from the durable state in `store` and leaves
@@ -189,21 +138,9 @@ impl BftReplica {
         store: Arc<dyn Durability>,
     ) -> Self {
         let mut replica = Self::new(id, config, pconfig, keystore, app);
-        let state = store.recover().unwrap_or_default();
-        replica.store = store;
-        if let Some(cp) = &state.checkpoint {
-            replica.exec.restore(&cp.snapshot);
-            replica
-                .checkpoints
-                .make_stable(cp.seq, cp.state_digest, cp.proof.clone());
-            replica.log.garbage_collect(cp.seq);
-            replica.persisted_checkpoint = cp.seq;
-        }
-        replica.wal_replayed = state.wal.len() as u64;
-        for record in state.wal {
+        for record in replica.chassis.restore(store) {
             replica.replay_record(record);
         }
-        replica.recovering = true;
         replica
     }
 
@@ -212,18 +149,18 @@ impl BftReplica {
     /// ever contradicting a persisted vote (no-un-vote), and the vote paths'
     /// existing idempotency guards make double-replay harmless.
     fn replay_record(&mut self, record: WalRecord) {
-        let low_mark = self.log.low_mark();
-        let my_id = self.id;
+        let low_mark = self.chassis.log.low_mark();
+        let my_id = self.chassis.id;
         match record {
             WalRecord::ViewEntered { view, .. } => {
-                if view >= self.view {
-                    self.view = view;
+                if view >= self.chassis.view {
+                    self.chassis.view = view;
                 }
             }
             WalRecord::Vote(Message::PrePrepare(p)) if p.seq > low_mark => {
-                self.next_seq = self.next_seq.max(p.seq);
+                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
                 let digest = p.digest;
-                let instance = self.log.instance_mut(p.seq);
+                let instance = self.chassis.log.instance_mut(p.seq);
                 if instance.proposal.is_none() {
                     instance.proposal = Some(Proposal {
                         view: p.view,
@@ -235,156 +172,47 @@ impl BftReplica {
                 instance.record_pbft_prepare(my_id, digest);
             }
             WalRecord::Vote(Message::PbftPrepare(v)) if v.seq > low_mark => {
-                self.log
+                self.chassis
+                    .log
                     .instance_mut(v.seq)
                     .record_pbft_prepare(v.replica, v.digest);
             }
             WalRecord::Vote(Message::Commit(c)) if c.seq > low_mark => {
-                let instance = self.log.instance_mut(c.seq);
+                let instance = self.chassis.log.instance_mut(c.seq);
                 instance.prepared = true;
                 instance.record_commit(c.replica, c.digest);
                 self.highest_prepared = self.highest_prepared.max(c.seq);
             }
             WalRecord::Vote(Message::Checkpoint(cp)) => {
-                if self.checkpoints.record(cp, false) {
-                    self.log.garbage_collect(self.checkpoints.stable_seq());
+                if self.chassis.checkpoints.record(cp, false) {
+                    self.chassis
+                        .log
+                        .garbage_collect(self.chassis.checkpoints.stable_seq());
                 }
             }
             WalRecord::Vote(_) => {}
         }
     }
 
-    /// Appends safety-critical outgoing messages to the WAL before they are
-    /// queued (no-un-vote).
-    #[inline]
-    fn persist_outgoing(&self, message: &Message) {
-        if self.store.enabled()
-            && matches!(
-                message.kind(),
-                MessageKind::PrePrepare
-                    | MessageKind::PbftPrepare
-                    | MessageKind::Commit
-                    | MessageKind::Checkpoint
-            )
-        {
-            self.store.append(&WalRecord::Vote(message.clone()));
-        }
-    }
-
-    /// Attaches a structured-event recorder (replacing the no-op default).
+    /// Replaces the structured-event sink (see
+    /// [`ReplicaChassis::set_recorder`]).
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// Records one protocol event, stamped with the input's arrival time.
-    #[inline]
-    fn trace(
-        &self,
-        kind: EventKind,
-        slot: Option<SeqNum>,
-        request: Option<RequestId>,
-        detail: u64,
-    ) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent {
-                seq: 0,
-                at: self.trace_at,
-                node: NodeId::Replica(self.id),
-                view: self.view,
-                mode: Mode::Peacock,
-                slot,
-                request,
-                kind,
-                detail,
-            });
-        }
+        self.chassis.set_recorder(recorder);
     }
 
     fn primary(&self) -> ReplicaId {
-        self.config.primary(self.view)
+        self.config.primary(self.chassis.view)
     }
 
     fn is_primary(&self) -> bool {
-        self.primary() == self.id
-    }
-
-    fn send(&mut self, actions: &mut Vec<Action>, to: NodeId, message: Message) {
-        self.persist_outgoing(&message);
-        self.metrics
-            .record_sent(message.kind(), message.wire_size());
-        actions.push(Action::Send { to, message });
-    }
-
-    fn broadcast(&mut self, actions: &mut Vec<Action>, message: Message) {
-        self.persist_outgoing(&message);
-        let recipients: Vec<NodeId> = self
-            .config
-            .replicas()
-            .filter(|r| *r != self.id)
-            .map(NodeId::Replica)
-            .collect();
-        for _ in &recipients {
-            self.metrics
-                .record_sent(message.kind(), message.wire_size());
-        }
-        seemore_core::actions::broadcast(actions, recipients, message, None);
-    }
-
-    /// Signs `payload`'s canonical bytes through the reusable scratch
-    /// buffer — no allocation per signature.
-    fn sign_payload(&mut self, payload: &impl SignedPayload) -> Signature {
-        self.signer.sign(self.scratch.bytes_of(payload))
-    }
-
-    /// Verifies `signature` over `payload` through the scratch buffer and
-    /// (when enabled) the verified-signature memo, so duplicate deliveries
-    /// and certificate re-checks skip the second HMAC. Used only on paths
-    /// the protocol re-verifies (retransmitted client requests and reads,
-    /// view-change certificate re-checks); quorum votes are verified
-    /// exactly once in healthy runs and take [`verify`](Self::verify)
-    /// instead, where a memo lookup would be pure overhead.
-    fn verify_node(
-        &mut self,
-        node: NodeId,
-        payload: &impl SignedPayload,
-        signature: &Signature,
-    ) -> bool {
-        let Self {
-            scratch,
-            keystore,
-            verify_memo,
-            ..
-        } = self;
-        let bytes = scratch.bytes_of(payload);
-        match verify_memo {
-            Some(memo) => memo.verify(keystore, node, bytes, signature),
-            None => keystore.verify(node, bytes, signature),
-        }
-    }
-
-    /// Plain (memo-free) replica-signature verification through the scratch
-    /// buffer — the vote-path check.
-    fn verify(
-        &mut self,
-        replica: ReplicaId,
-        payload: &impl SignedPayload,
-        signature: &Signature,
-    ) -> bool {
-        let Self {
-            scratch, keystore, ..
-        } = self;
-        keystore.verify(
-            NodeId::Replica(replica),
-            scratch.bytes_of(payload),
-            signature,
-        )
+        self.primary() == self.chassis.id
     }
 
     fn execute_ready(&mut self, actions: &mut Vec<Action>) {
-        let executions = self.exec.execute_ready();
+        let executions = self.chassis.exec.execute_ready();
         for execution in executions {
-            self.metrics.executed += 1;
-            self.trace(
+            self.chassis.metrics.executed += 1;
+            self.chassis.trace(
                 EventKind::Executed,
                 Some(execution.seq),
                 Some(execution.request.id()),
@@ -404,7 +232,7 @@ impl BftReplica {
             });
             self.forwarded_armed.remove(&execution.request.id());
             if execution.request.client != NOOP_CLIENT {
-                self.trace(
+                self.chassis.trace(
                     EventKind::Replied,
                     Some(execution.seq),
                     Some(execution.request.id()),
@@ -413,15 +241,15 @@ impl BftReplica {
                 // In PBFT every replica replies; the client waits for f+1
                 // matching replies.
                 let reply = ClientReply::new_with(
-                    &mut self.scratch,
-                    &self.signer,
+                    &mut self.signing.scratch,
+                    &self.signing.signer,
                     Mode::Peacock,
-                    self.view,
+                    self.chassis.view,
                     execution.request.id(),
-                    self.id,
+                    self.chassis.id,
                     execution.result,
                 );
-                self.send(
+                self.chassis.send(
                     actions,
                     NodeId::Client(execution.request.client),
                     Message::Reply(reply),
@@ -433,43 +261,31 @@ impl BftReplica {
     }
 
     fn maybe_checkpoint(&mut self, actions: &mut Vec<Action>) {
-        let executed = self.exec.last_executed();
-        if !self.checkpoints.should_checkpoint(executed) {
+        let executed = self.chassis.exec.last_executed();
+        if !self.chassis.checkpoints.should_checkpoint(executed) {
             return;
         }
         let mut checkpoint = Checkpoint {
             seq: executed,
-            state_digest: self.exec.state_digest(),
-            replica: self.id,
+            state_digest: self.chassis.exec.state_digest(),
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        checkpoint.signature = self.sign_payload(&checkpoint);
-        if self.checkpoints.record(checkpoint.clone(), false) {
-            self.metrics.stable_checkpoints += 1;
+        checkpoint.signature = self.signing.sign(&checkpoint);
+        if self.chassis.checkpoints.record(checkpoint.clone(), false) {
+            self.chassis.metrics.stable_checkpoints += 1;
             self.after_stable_checkpoint();
         }
-        self.broadcast(actions, Message::Checkpoint(checkpoint));
+        self.chassis
+            .broadcast(actions, Message::Checkpoint(checkpoint));
     }
 
-    /// Truncates in-memory state below the stable checkpoint and, when
-    /// durability is on, snapshots the checkpoint and compacts the WAL.
+    /// Stable-checkpoint housekeeping: the chassis truncates the log,
+    /// snapshots and compacts; the progress-timer map is this protocol's
+    /// own.
     fn after_stable_checkpoint(&mut self) {
-        let stable = self.checkpoints.stable_seq();
-        self.log.garbage_collect(stable);
+        let stable = self.chassis.after_stable_checkpoint();
         self.progress_armed.retain(|seq, _| *seq > stable);
-        self.assigned.retain(|_, seq| *seq > stable);
-        if self.store.enabled() && stable > self.persisted_checkpoint {
-            let checkpoint = DurableCheckpoint {
-                seq: stable,
-                state_digest: self.checkpoints.stable_digest(),
-                snapshot: self.exec.snapshot(),
-                proof: self.checkpoints.stable_proof().to_vec(),
-            };
-            self.store.persist_checkpoint(&checkpoint);
-            self.store.compact_below(stable);
-            self.persisted_checkpoint = stable;
-            self.trace(EventKind::CheckpointPersisted, Some(stable), None, 0);
-        }
     }
 
     // --------------------------------------------------------------
@@ -484,8 +300,11 @@ impl BftReplica {
     /// client to the ordered path.
     fn on_read_request(&mut self, read: ReadRequest, _now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.verify_node(NodeId::Client(read.client), &read, &read.signature) {
-            self.metrics.rejected_messages += 1;
+        if !self
+            .signing
+            .verify(NodeId::Client(read.client), &read, &read.signature)
+        {
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         if self.in_view_change {
@@ -497,7 +316,7 @@ impl BftReplica {
         // could complete a matching-but-stale 2f+1 read quorum against a
         // write that was acknowledged with only f+1 replies.
         let fence = self.highest_prepared;
-        if self.exec.last_executed() >= fence {
+        if self.chassis.exec.last_executed() >= fence {
             self.serve_read(&mut actions, &read);
         } else {
             self.parked_reads.park(fence, read);
@@ -506,22 +325,24 @@ impl BftReplica {
     }
 
     fn serve_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        match self.exec.read(&read.operation) {
+        match self.chassis.exec.read(&read.operation) {
             Some(result) => {
-                self.metrics.reads_served += 1;
-                self.trace(EventKind::Executed, None, Some(read.id()), 0);
-                self.trace(EventKind::Replied, None, Some(read.id()), 0);
+                self.chassis.metrics.reads_served += 1;
+                self.chassis
+                    .trace(EventKind::Executed, None, Some(read.id()), 0);
+                self.chassis
+                    .trace(EventKind::Replied, None, Some(read.id()), 0);
                 let reply = ReadReply::new_with(
-                    &mut self.scratch,
-                    &self.signer,
+                    &mut self.signing.scratch,
+                    &self.signing.signer,
                     Mode::Peacock,
-                    self.view,
+                    self.chassis.view,
                     read.id(),
-                    self.id,
-                    self.exec.last_executed(),
+                    self.chassis.id,
+                    self.chassis.exec.last_executed(),
                     result,
                 );
-                self.send(
+                self.chassis.send(
                     actions,
                     NodeId::Client(read.client),
                     Message::ReadReply(reply),
@@ -532,18 +353,19 @@ impl BftReplica {
     }
 
     fn refuse_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        self.metrics.reads_refused += 1;
-        self.trace(EventKind::ReadRefused, None, Some(read.id()), 0);
+        self.chassis.metrics.reads_refused += 1;
+        self.chassis
+            .trace(EventKind::ReadRefused, None, Some(read.id()), 0);
         let reply = ReadReply::refusal_with(
-            &mut self.scratch,
-            &self.signer,
+            &mut self.signing.scratch,
+            &self.signing.signer,
             Mode::Peacock,
-            self.view,
+            self.chassis.view,
             read.id(),
-            self.id,
-            self.exec.last_executed(),
+            self.chassis.id,
+            self.chassis.exec.last_executed(),
         );
-        self.send(
+        self.chassis.send(
             actions,
             NodeId::Client(read.client),
             Message::ReadReply(reply),
@@ -551,7 +373,10 @@ impl BftReplica {
     }
 
     fn serve_parked_reads(&mut self, actions: &mut Vec<Action>) {
-        for read in self.parked_reads.take_ready(self.exec.last_executed()) {
+        for read in self
+            .parked_reads
+            .take_ready(self.chassis.exec.last_executed())
+        {
             self.serve_read(actions, &read);
         }
     }
@@ -568,25 +393,29 @@ impl BftReplica {
 
     fn on_request(&mut self, request: ClientRequest, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.verify_node(NodeId::Client(request.client), &request, &request.signature) {
-            self.metrics.rejected_messages += 1;
+        if !self
+            .signing
+            .verify(NodeId::Client(request.client), &request, &request.signature)
+        {
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         if let Some(result) = self
+            .chassis
             .exec
             .cached_reply(request.client, request.timestamp)
             .cloned()
         {
             let reply = ClientReply::new_with(
-                &mut self.scratch,
-                &self.signer,
+                &mut self.signing.scratch,
+                &self.signing.signer,
                 Mode::Peacock,
-                self.view,
+                self.chassis.view,
                 request.id(),
-                self.id,
+                self.chassis.id,
                 result,
             );
-            self.send(
+            self.chassis.send(
                 &mut actions,
                 NodeId::Client(request.client),
                 Message::Reply(reply),
@@ -601,7 +430,7 @@ impl BftReplica {
         } else {
             let primary = self.primary();
             let id = request.id();
-            self.send(
+            self.chassis.send(
                 &mut actions,
                 NodeId::Replica(primary),
                 Message::Request(request),
@@ -609,10 +438,10 @@ impl BftReplica {
             // Only the first forwarding of a request arms the suspicion
             // timer; client retransmissions must not keep resetting it.
             if !self.forwarded_armed.contains_key(&id) {
-                self.forwarded_armed.insert(id, self.view);
+                self.forwarded_armed.insert(id, self.chassis.view);
                 actions.push(Action::SetTimer {
                     timer: Timer::ForwardedRequest { request: id },
-                    after: self.pconfig.request_timeout,
+                    after: self.chassis.pconfig.request_timeout,
                 });
             }
         }
@@ -627,67 +456,37 @@ impl BftReplica {
         request: ClientRequest,
         now: Instant,
     ) {
-        let id = request.id();
-        if self.assigned.contains_key(&id) {
-            return;
-        }
-        self.trace(EventKind::RequestAdmitted, None, Some(id), 0);
-        let in_flight = self.slots_in_flight();
-        if let Some(batch) = self
-            .batcher
-            .offer(request, now, in_flight, actions, &mut self.metrics)
-        {
+        if let Some(batch) = self.chassis.admit_request(actions, request, now) {
             self.propose_batch(actions, batch);
         }
-    }
-
-    /// Slots this primary proposed that have not executed yet — the
-    /// occupancy signal the adaptive batching policy grows on.
-    fn slots_in_flight(&self) -> u64 {
-        self.next_seq.0.saturating_sub(self.exec.last_executed().0)
     }
 
     /// Assigns a sequence number to `batch` and broadcasts the signed
     /// `PRE-PREPARE`.
     fn propose_batch(&mut self, actions: &mut Vec<Action>, batch: Batch) {
-        let seq = SeqNum(self.next_seq.0.max(self.exec.last_executed().0) + 1);
-        if !self.log.in_window(seq, self.pconfig.high_water_mark) {
+        let Some(seq) = self.chassis.assign_slot(&batch) else {
             return;
-        }
-        self.next_seq = seq;
-        for id in batch.request_ids() {
-            self.assigned.insert(id, seq);
-        }
-        if self.recorder.enabled() {
-            self.trace(EventKind::BatchCut, Some(seq), None, batch.len() as u64);
-            for id in batch.request_ids() {
-                self.trace(
-                    EventKind::ProposeSent,
-                    Some(seq),
-                    Some(id),
-                    batch.len() as u64,
-                );
-            }
-        }
+        };
         let digest = batch.digest();
         let mut preprepare = PrePrepare {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
             batch: batch.clone(),
             signature: Signature::INVALID,
         };
-        preprepare.signature = self.sign_payload(&preprepare);
-        let instance = self.log.instance_mut(seq);
+        preprepare.signature = self.signing.sign(&preprepare);
+        let instance = self.chassis.log.instance_mut(seq);
         instance.proposal = Some(Proposal {
-            view: self.view,
+            view: self.chassis.view,
             digest,
             batch,
             primary_signature: preprepare.signature,
         });
         // The primary's pre-prepare counts as its prepare vote.
-        instance.record_pbft_prepare(self.id, digest);
-        self.broadcast(actions, Message::PrePrepare(preprepare));
+        instance.record_pbft_prepare(self.chassis.id, digest);
+        self.chassis
+            .broadcast(actions, Message::PrePrepare(preprepare));
         // A one-replica cluster (`f = 0`) is its own quorum: no vote will
         // ever arrive, so the slot prepares and commits here.
         self.try_prepare(actions, seq, digest);
@@ -696,28 +495,33 @@ impl BftReplica {
     fn on_pre_prepare(&mut self, from: NodeId, preprepare: PrePrepare) -> Vec<Action> {
         let mut actions = Vec::new();
         if self.in_view_change
-            || preprepare.view != self.view
+            || preprepare.view != self.chassis.view
             || from.as_replica() != Some(self.primary())
             || preprepare.digest != preprepare.batch.digest()
-            || !self.verify(self.primary(), &preprepare, &preprepare.signature)
+            || !self.signing.verify_once(
+                NodeId::Replica(self.primary()),
+                &preprepare,
+                &preprepare.signature,
+            )
             || !self
+                .chassis
                 .log
-                .in_window(preprepare.seq, self.pconfig.high_water_mark)
+                .in_window(preprepare.seq, self.chassis.pconfig.high_water_mark)
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         let seq = preprepare.seq;
         let digest = preprepare.digest;
         let primary = self.primary();
-        let my_id = self.id;
+        let my_id = self.chassis.id;
         {
-            let instance = self.log.instance_mut(seq);
+            let instance = self.chassis.log.instance_mut(seq);
             if let Some(existing) = &instance.proposal {
                 if existing.view == preprepare.view && existing.digest != digest {
                     // Equivocating primary; ignore (the view change timer
                     // handles liveness).
-                    self.metrics.rejected_messages += 1;
+                    self.chassis.metrics.rejected_messages += 1;
                     return actions;
                 }
             }
@@ -732,18 +536,19 @@ impl BftReplica {
             instance.record_pbft_prepare(my_id, digest);
         }
         let mut vote = PbftPrepare {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        vote.signature = self.sign_payload(&vote);
-        self.broadcast(&mut actions, Message::PbftPrepare(vote));
-        self.progress_armed.insert(seq, self.view);
+        vote.signature = self.signing.sign(&vote);
+        self.chassis
+            .broadcast(&mut actions, Message::PbftPrepare(vote));
+        self.progress_armed.insert(seq, self.chassis.view);
         actions.push(Action::SetTimer {
             timer: Timer::RequestProgress { seq },
-            after: self.pconfig.request_timeout,
+            after: self.chassis.pconfig.request_timeout,
         });
         self.try_prepare(&mut actions, seq, digest);
         actions
@@ -754,15 +559,18 @@ impl BftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if vote.view != self.view
+        if vote.view != self.chassis.view
             || self.in_view_change
             || sender != vote.replica
-            || !self.verify(sender, &vote, &vote.signature)
+            || !self
+                .signing
+                .verify_once(NodeId::Replica(sender), &vote, &vote.signature)
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
-        self.log
+        self.chassis
+            .log
             .instance_mut(vote.seq)
             .record_pbft_prepare(sender, vote.digest);
         self.try_prepare(&mut actions, vote.seq, vote.digest);
@@ -771,9 +579,9 @@ impl BftReplica {
 
     fn try_prepare(&mut self, actions: &mut Vec<Action>, seq: SeqNum, digest: Digest) {
         let quorum = self.config.quorum as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         if instance.prepared
-            || !instance.proposal_matches(self.view, &digest)
+            || !instance.proposal_matches(self.chassis.view, &digest)
             || instance
                 .pbft_prepares
                 .values()
@@ -784,19 +592,19 @@ impl BftReplica {
             return;
         }
         instance.prepared = true;
-        instance.record_commit(self.id, digest);
+        instance.record_commit(self.chassis.id, digest);
         // Advance the prepared frontier fencing this replica's reads.
         self.highest_prepared = self.highest_prepared.max(seq);
         let mut commit = Commit {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
-            replica: self.id,
+            replica: self.chassis.id,
             batch: None,
             signature: Signature::INVALID,
         };
-        commit.signature = self.sign_payload(&commit);
-        self.broadcast(actions, Message::Commit(commit));
+        commit.signature = self.signing.sign(&commit);
+        self.chassis.broadcast(actions, Message::Commit(commit));
         self.try_commit(actions, seq, digest);
     }
 
@@ -805,15 +613,18 @@ impl BftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if commit.view != self.view
+        if commit.view != self.chassis.view
             || self.in_view_change
             || sender != commit.replica
-            || !self.verify(sender, &commit, &commit.signature)
+            || !self
+                .signing
+                .verify_once(NodeId::Replica(sender), &commit, &commit.signature)
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
-        self.log
+        self.chassis
+            .log
             .instance_mut(commit.seq)
             .record_commit(sender, commit.digest);
         self.try_commit(&mut actions, commit.seq, commit.digest);
@@ -822,22 +633,23 @@ impl BftReplica {
 
     fn try_commit(&mut self, actions: &mut Vec<Action>, seq: SeqNum, digest: Digest) {
         let quorum = self.config.quorum as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         let votes = instance.matching_commits(&digest);
         if instance.committed
             || !instance.prepared
-            || !instance.proposal_matches(self.view, &digest)
+            || !instance.proposal_matches(self.chassis.view, &digest)
             || votes < quorum
         {
             return;
         }
         instance.committed = true;
         let batch = instance.proposal.as_ref().map(|p| p.batch.clone());
-        self.trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
-        self.trace(EventKind::Committed, Some(seq), None, 0);
+        self.chassis
+            .trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
+        self.chassis.trace(EventKind::Committed, Some(seq), None, 0);
         if let Some(batch) = batch {
-            self.metrics.committed += 1;
-            self.exec.add_committed(seq, batch);
+            self.chassis.metrics.committed += 1;
+            self.chassis.exec.add_committed(seq, batch);
             self.execute_ready(actions);
         }
         actions.push(Action::CancelTimer {
@@ -850,14 +662,19 @@ impl BftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if sender != checkpoint.replica || !self.verify(sender, &checkpoint, &checkpoint.signature)
+        if sender != checkpoint.replica
+            || !self.signing.verify_once(
+                NodeId::Replica(sender),
+                &checkpoint,
+                &checkpoint.signature,
+            )
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         let seq = checkpoint.seq;
-        if self.checkpoints.record(checkpoint, false) {
-            self.metrics.stable_checkpoints += 1;
+        if self.chassis.checkpoints.record(checkpoint, false) {
+            self.chassis.metrics.stable_checkpoints += 1;
             self.after_stable_checkpoint();
             // Fallen behind the stable checkpoint (e.g. an instance proposed
             // while this replica was down can never be re-learned from the
@@ -865,91 +682,39 @@ impl BftReplica {
             // snapshot once `f + 1` responses agree, exactly as a rejoin
             // does. Without this a permanently missed slot stalls in-order
             // execution forever.
-            if self.exec.last_executed() < seq && !self.catching_up {
+            if self.chassis.exec.last_executed() < seq && !self.catching_up {
                 self.catching_up = true;
                 self.recovery_responses.clear();
                 let request = StateRequest {
-                    from_seq: self.exec.last_executed(),
-                    replica: self.id,
+                    from_seq: self.chassis.exec.last_executed(),
+                    replica: self.chassis.id,
                 };
-                self.broadcast(&mut actions, Message::StateRequest(request));
+                self.chassis
+                    .broadcast(&mut actions, Message::StateRequest(request));
             }
         }
         actions
     }
 
     // --------------------------------------------------------------
-    // Crash recovery
+    // State transfer and crash recovery
     // --------------------------------------------------------------
-
-    /// Broadcasts the signed restart announcement and arms the re-announce
-    /// timer.
-    fn announce_recovery(&mut self, actions: &mut Vec<Action>) {
-        let mut recovery = Recovery {
-            last_executed: self.exec.last_executed(),
-            view: self.view,
-            replica: self.id,
-            signature: Signature::INVALID,
-        };
-        recovery.signature = self.sign_payload(&recovery);
-        self.broadcast(actions, Message::Recovery(recovery));
-        actions.push(Action::SetTimer {
-            timer: Timer::Recovery,
-            after: self.pconfig.request_timeout,
-        });
-    }
 
     /// Answers a verified restart announcement with this replica's
     /// committed suffix above the announcer's durable state.
     fn on_recovery(&mut self, from: NodeId, recovery: Recovery) -> Vec<Action> {
         if from.as_replica() != Some(recovery.replica)
-            || !self.verify(recovery.replica, &recovery, &recovery.signature)
+            || !self.signing.verify_once(
+                NodeId::Replica(recovery.replica),
+                &recovery,
+                &recovery.signature,
+            )
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return Vec::new();
         }
-        self.serve_state(recovery.last_executed, recovery.replica)
-    }
-
-    /// Builds and sends a `STATE-RESPONSE` covering everything committed
-    /// above `from_seq`.
-    fn serve_state(&mut self, from_seq: SeqNum, to: ReplicaId) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let response = StateResponse {
-            checkpoint: self.checkpoints.stable_proof().first().cloned(),
-            snapshot: Some(self.exec.snapshot()),
-            entries: self.exec.committed_after(from_seq),
-            replica: self.id,
-        };
-        self.send(
-            &mut actions,
-            NodeId::Replica(to),
-            Message::StateResponse(response),
-        );
-        actions
-    }
-
-    /// Message handling while rejoining: `STATE-RESPONSE`s accumulate toward
-    /// the `f + 1` rejoin quorum, state-serving traffic is answered,
-    /// everything else is buffered for re-delivery after the rejoin.
-    fn on_message_recovering(
-        &mut self,
-        from: NodeId,
-        message: Message,
-        now: Instant,
-    ) -> Vec<Action> {
-        match message {
-            Message::StateResponse(response) => self.complete_recovery(from, response, now),
-            Message::StateRequest(request) => self.serve_state(request.from_seq, request.replica),
-            Message::Recovery(recovery) => self.on_recovery(from, recovery),
-            other => {
-                if self.recovery_buffer.len() >= seemore_core::replica::RECOVERY_BUFFER_CAP {
-                    self.recovery_buffer.pop_front();
-                }
-                self.recovery_buffer.push_back((from, other));
-                Vec::new()
-            }
-        }
+        self.chassis
+            .serve_state(recovery.last_executed, recovery.replica)
     }
 
     /// Collects a peer's `STATE-RESPONSE` toward the `f + 1` matching
@@ -969,13 +734,16 @@ impl BftReplica {
             return false;
         };
         if sender != response.replica {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return false;
         }
         if let Some(cp) = &response.checkpoint {
             let (replica, signature) = (cp.replica, cp.signature);
-            if !self.verify(replica, cp, &signature) {
-                self.metrics.rejected_messages += 1;
+            if !self
+                .signing
+                .verify_once(NodeId::Replica(replica), cp, &signature)
+            {
+                self.chassis.metrics.rejected_messages += 1;
                 return false;
             }
         }
@@ -1014,22 +782,13 @@ impl BftReplica {
             .iter()
             .max_by_key(|r| r.entries.len())
             .expect("agreement group is non-empty");
-        if let (Some(snapshot), Some(cp)) = (best.snapshot.clone(), best.checkpoint.clone()) {
-            let before = self.exec.last_executed();
-            self.exec.restore(&snapshot);
-            if self.exec.last_executed() > before {
-                self.checkpoints
-                    .make_stable(cp.seq, cp.state_digest, vec![cp]);
+        if let (Some(snapshot), Some(cp)) = (&best.snapshot, &best.checkpoint) {
+            if self.chassis.adopt_snapshot(snapshot, Some(cp)) {
                 self.after_stable_checkpoint();
             }
         }
-        let low_mark = self.log.low_mark();
         for response in &agreed {
-            for (seq, batch) in &response.entries {
-                if self.exec.add_committed(*seq, batch.clone()) && *seq > low_mark {
-                    self.log.instance_mut(*seq).committed = true;
-                }
-            }
+            self.chassis.adopt_entries(response.entries.iter().cloned());
         }
         self.execute_ready(actions);
         self.recovery_responses.clear();
@@ -1049,13 +808,7 @@ impl BftReplica {
         if !self.record_state_response(from, response, &mut actions) {
             return actions;
         }
-        self.recovering = false;
-        actions.push(Action::CancelTimer {
-            timer: Timer::Recovery,
-        });
-        self.trace(EventKind::RecoveryCompleted, None, None, self.wal_replayed);
-        let buffered = std::mem::take(&mut self.recovery_buffer);
-        for (from, message) in buffered {
+        for (from, message) in self.chassis.finish_recovery(&mut actions) {
             actions.extend(self.on_message(from, message, now));
         }
         actions
@@ -1082,13 +835,14 @@ impl BftReplica {
         }
         self.in_view_change = true;
         self.target_view = target;
-        self.metrics.view_changes_started += 1;
-        self.trace(EventKind::ViewChangeStart, None, None, target.0);
+        self.chassis.metrics.view_changes_started += 1;
+        self.chassis
+            .trace(EventKind::ViewChangeStart, None, None, target.0);
         self.refuse_parked_reads(&mut actions);
 
-        let stable = self.checkpoints.stable_seq();
+        let stable = self.chassis.checkpoints.stable_seq();
         let mut prepares = Vec::new();
-        for (seq, instance) in self.log.instances_after(stable) {
+        for (seq, instance) in self.chassis.log.instances_after(stable) {
             // PBFT carries certificates for *prepared* requests; committed
             // ones are re-proposed too so lagging replicas catch up.
             if !(instance.prepared || instance.committed) {
@@ -1109,21 +863,22 @@ impl BftReplica {
             new_view: target,
             mode: Mode::Peacock,
             stable_seq: stable,
-            checkpoint_proof: self.checkpoints.stable_proof().to_vec(),
+            checkpoint_proof: self.chassis.checkpoints.stable_proof().to_vec(),
             prepares,
             commits: Vec::new(),
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        view_change.signature = self.sign_payload(&view_change);
+        view_change.signature = self.signing.sign(&view_change);
         self.view_changes
             .entry(target)
             .or_default()
-            .insert(self.id, view_change.clone());
-        self.broadcast(&mut actions, Message::ViewChange(view_change));
+            .insert(self.chassis.id, view_change.clone());
+        self.chassis
+            .broadcast(&mut actions, Message::ViewChange(view_change));
         actions.push(Action::SetTimer {
             timer: Timer::ViewChange { view: target },
-            after: self.pconfig.view_change_timeout,
+            after: self.chassis.pconfig.view_change_timeout,
         });
         self.try_assemble(&mut actions, target, now);
         actions
@@ -1139,11 +894,15 @@ impl BftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if view_change.new_view <= self.view
+        if view_change.new_view <= self.chassis.view
             || sender != view_change.replica
-            || !self.verify(sender, &view_change, &view_change.signature)
+            || !self.signing.verify_once(
+                NodeId::Replica(sender),
+                &view_change,
+                &view_change.signature,
+            )
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         let target = view_change.new_view;
@@ -1162,9 +921,9 @@ impl BftReplica {
     }
 
     fn try_assemble(&mut self, actions: &mut Vec<Action>, target: View, now: Instant) {
-        if self.config.primary(target) != self.id
+        if self.config.primary(target) != self.chassis.id
             || self.new_view_sent.contains(&target)
-            || target <= self.view
+            || target <= self.chassis.view
         {
             return;
         }
@@ -1172,15 +931,15 @@ impl BftReplica {
         let Some(votes) = self.view_changes.get(&target) else {
             return;
         };
-        let others = votes.keys().filter(|r| **r != self.id).count();
+        let others = votes.keys().filter(|r| **r != self.chassis.id).count();
         if others < threshold {
             return;
         }
         self.new_view_sent.push(target);
         let votes: Vec<ViewChange> = votes.values().cloned().collect();
 
-        let mut low = self.checkpoints.stable_seq();
-        let mut best_checkpoint = self.checkpoints.stable_proof().first().cloned();
+        let mut low = self.chassis.checkpoints.stable_seq();
+        let mut best_checkpoint = self.chassis.checkpoints.stable_proof().first().cloned();
         for vote in &votes {
             if vote.stable_seq > low {
                 low = vote.stable_seq;
@@ -1208,7 +967,7 @@ impl BftReplica {
                             batch.digest() == p.digest
                                 && batch.iter().all(|r| {
                                     r.client == NOOP_CLIENT
-                                        || self.verify_node(
+                                        || self.signing.verify(
                                             NodeId::Client(r.client),
                                             r,
                                             &r.signature,
@@ -1227,7 +986,7 @@ impl BftReplica {
                     signature: Signature::INVALID,
                 });
                 prepares_out.push(PrepareCert {
-                    view: self.view,
+                    view: self.chassis.view,
                     seq,
                     digest: batch.digest(),
                     primary_signature: Signature::INVALID,
@@ -1244,11 +1003,12 @@ impl BftReplica {
             commits: Vec::new(),
             checkpoint: best_checkpoint,
             view_change_proof: votes,
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        new_view.signature = self.sign_payload(&new_view);
-        self.broadcast(actions, Message::NewView(new_view.clone()));
+        new_view.signature = self.signing.sign(&new_view);
+        self.chassis
+            .broadcast(actions, Message::NewView(new_view.clone()));
         self.install_new_view(actions, new_view, now);
     }
 
@@ -1257,12 +1017,14 @@ impl BftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if new_view.view <= self.view
+        if new_view.view <= self.chassis.view
             || sender != self.config.primary(new_view.view)
             || sender != new_view.replica
-            || !self.verify(sender, &new_view, &new_view.signature)
+            || !self
+                .signing
+                .verify_once(NodeId::Replica(sender), &new_view, &new_view.signature)
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         self.install_new_view(&mut actions, new_view, now);
@@ -1275,32 +1037,30 @@ impl BftReplica {
                 view: new_view.view,
             },
         });
-        self.view = new_view.view;
-        // Persist the view boundary before any vote in it: replaying the WAL
-        // must never resurrect a vote under a view this replica left.
-        if self.store.enabled() {
-            self.store.append(&WalRecord::ViewEntered {
-                view: self.view,
-                mode: Mode::Peacock,
-            });
-        }
+        self.chassis.enter_view(new_view.view, Mode::Peacock);
         self.in_view_change = false;
-        self.metrics.view_changes_completed += 1;
-        self.trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
+        self.chassis.metrics.view_changes_completed += 1;
+        self.chassis
+            .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
         self.refuse_parked_reads(actions);
-        self.assigned.clear();
+        self.chassis.assigned.clear();
         self.view_changes.retain(|view, _| *view > new_view.view);
-        self.log.reset_votes_for_new_view();
+        self.chassis.log.reset_votes_for_new_view();
 
         if let Some(cp) = &new_view.checkpoint {
-            if cp.seq > self.checkpoints.stable_seq() {
-                self.checkpoints
+            if cp.seq > self.chassis.checkpoints.stable_seq() {
+                self.chassis
+                    .checkpoints
                     .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
                 self.after_stable_checkpoint();
             }
         }
-        let mut highest = self.checkpoints.stable_seq().max(self.exec.last_executed());
-        let i_am_primary = self.config.primary(new_view.view) == self.id;
+        let mut highest = self
+            .chassis
+            .checkpoints
+            .stable_seq()
+            .max(self.chassis.exec.last_executed());
+        let i_am_primary = self.config.primary(new_view.view) == self.chassis.id;
         for cert in &new_view.prepares {
             highest = highest.max(cert.seq);
             let Some(batch) = cert.batch.clone() else {
@@ -1309,7 +1069,7 @@ impl BftReplica {
             let digest = cert.digest;
             let seq = cert.seq;
             {
-                let instance = self.log.instance_mut(seq);
+                let instance = self.chassis.log.instance_mut(seq);
                 if instance.committed {
                     continue;
                 }
@@ -1320,30 +1080,31 @@ impl BftReplica {
                     primary_signature: cert.primary_signature,
                 });
                 instance.record_pbft_prepare(self.config.primary(new_view.view), digest);
-                instance.record_pbft_prepare(self.id, digest);
+                instance.record_pbft_prepare(self.chassis.id, digest);
             }
             if !i_am_primary {
                 let mut vote = PbftPrepare {
                     view: new_view.view,
                     seq,
                     digest,
-                    replica: self.id,
+                    replica: self.chassis.id,
                     signature: Signature::INVALID,
                 };
-                vote.signature = self.sign_payload(&vote);
-                self.broadcast(actions, Message::PbftPrepare(vote));
+                vote.signature = self.signing.sign(&vote);
+                self.chassis.broadcast(actions, Message::PbftPrepare(vote));
             }
         }
-        self.next_seq = highest;
+        self.chassis.next_seq = highest;
         self.execute_ready(actions);
 
         // Requests buffered for batching under the old view are re-routed:
         // the new primary proposes them, everyone else forwards them (and
         // the armed flush timer, if any, is cancelled with the buffer).
-        let buffered = self.batcher.drain(actions);
+        let buffered = self.chassis.batcher.drain(actions);
         if i_am_primary {
             for request in buffered {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_none()
@@ -1356,11 +1117,13 @@ impl BftReplica {
             let primary = self.config.primary(new_view.view);
             for request in buffered {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_none()
                 {
-                    self.send(actions, NodeId::Replica(primary), Message::Request(request));
+                    self.chassis
+                        .send(actions, NodeId::Replica(primary), Message::Request(request));
                 }
             }
         }
@@ -1368,37 +1131,27 @@ impl BftReplica {
 
     /// Forces out any partially accumulated batch.
     fn flush_buffered(&mut self, actions: &mut Vec<Action>) {
-        if let Some(batch) = self.batcher.flush(actions, &mut self.metrics) {
+        if let Some(batch) = self.chassis.flush_batch(actions) {
             self.propose_batch(actions, batch);
         }
     }
 
     /// The batch flush timer of `generation` fired: propose the buffer
     /// (primary) or re-route it to the current primary (a replica deposed
-    /// while buffering). Stale generations — timers that raced a
-    /// size-trigger cut — are counted and ignored so they can never truncate
-    /// the next buffer's delay.
+    /// while buffering).
     fn on_batch_flush(&mut self, generation: u64) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.batcher.timer_is_current(generation) {
-            self.metrics.batch.stale_timer_fires += 1;
-            return actions;
-        }
-        if self.in_view_change {
+        if !self.chassis.flush_timer_is_current(generation) || self.in_view_change {
             return actions;
         }
         if self.is_primary() {
-            let in_flight = self.slots_in_flight();
-            if let Some(batch) =
-                self.batcher
-                    .on_flush_timer(generation, in_flight, &mut self.metrics)
-            {
+            if let Some(batch) = self.chassis.cut_on_flush_timer(generation) {
                 self.propose_batch(&mut actions, batch);
             }
         } else {
             let primary = self.primary();
-            for request in self.batcher.drain(&mut actions) {
-                self.send(
+            for request in self.chassis.batcher.drain(&mut actions) {
+                self.chassis.send(
                     &mut actions,
                     NodeId::Replica(primary),
                     Message::Request(request),
@@ -1411,29 +1164,19 @@ impl BftReplica {
 
 impl ReplicaProtocol for BftReplica {
     fn id(&self) -> ReplicaId {
-        self.id
+        self.chassis.id
     }
 
     fn on_start(&mut self, now: Instant) -> Vec<Action> {
-        if self.crashed || !self.recovering {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        self.trace(EventKind::RecoveryStarted, None, None, self.wal_replayed);
-        let mut actions = Vec::new();
-        self.announce_recovery(&mut actions);
-        actions
+        self.chassis.on_start(now, Some(&mut self.signing))
     }
 
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        self.metrics.record_received(message.kind());
-        if self.recovering {
-            return self.on_message_recovering(from, message, now);
-        }
+        let message = match self.chassis.receive(from, message, now) {
+            Inbound::Deliver(message) => message,
+            Inbound::Rejoin(response) => return self.complete_recovery(from, response, now),
+            Inbound::Handled(actions) => return actions,
+        };
         let actions = match message {
             Message::Request(request) => self.on_request(request, now),
             Message::ReadRequest(read) => self.on_read_request(read, now),
@@ -1444,51 +1187,46 @@ impl ReplicaProtocol for BftReplica {
             Message::ViewChange(view_change) => self.on_view_change(from, view_change, now),
             Message::NewView(new_view) => self.on_new_view(from, new_view, now),
             Message::Recovery(recovery) => self.on_recovery(from, recovery),
-            Message::StateRequest(request) => self.serve_state(request.from_seq, request.replica),
+            Message::StateRequest(request) => {
+                self.chassis.serve_state(request.from_seq, request.replica)
+            }
             Message::StateResponse(response) => self.on_state_response(from, response),
             _ => Vec::new(),
         };
-        self.metrics.note_log_size(self.log.len());
+        self.chassis.metrics.note_log_size(self.chassis.log.len());
         actions
     }
 
     fn on_timer(&mut self, timer: Timer, now: Instant) -> Vec<Action> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        if self.recovering {
-            if matches!(timer, Timer::Recovery) {
-                let mut actions = Vec::new();
-                self.announce_recovery(&mut actions);
-                return actions;
-            }
-            return Vec::new();
+        if let Some(actions) = self.chassis.timer_gate(timer, now, Some(&mut self.signing)) {
+            return actions;
         }
         match timer {
             Timer::RequestProgress { seq } => {
                 let committed = self
+                    .chassis
                     .log
                     .instance(seq)
                     .map(|i| i.committed)
-                    .unwrap_or(seq <= self.exec.last_executed());
+                    .unwrap_or(seq <= self.chassis.exec.last_executed());
                 if committed || self.in_view_change {
                     return Vec::new();
                 }
                 let armed = self.progress_armed.get(&seq).copied().unwrap_or(View::ZERO);
-                if armed < self.view {
+                if armed < self.chassis.view {
                     // A newer view was installed since this timer was armed;
                     // give the new primary a full timeout first.
-                    self.progress_armed.insert(seq, self.view);
+                    self.progress_armed.insert(seq, self.chassis.view);
                     return vec![Action::SetTimer {
                         timer: Timer::RequestProgress { seq },
-                        after: self.pconfig.request_timeout,
+                        after: self.chassis.pconfig.request_timeout,
                     }];
                 }
-                self.start_view_change(self.view.next(), now)
+                self.start_view_change(self.chassis.view.next(), now)
             }
             Timer::ForwardedRequest { request } => {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_some()
@@ -1501,17 +1239,17 @@ impl ReplicaProtocol for BftReplica {
                     .get(&request)
                     .copied()
                     .unwrap_or(View::ZERO);
-                if armed < self.view {
-                    self.forwarded_armed.insert(request, self.view);
+                if armed < self.chassis.view {
+                    self.forwarded_armed.insert(request, self.chassis.view);
                     return vec![Action::SetTimer {
                         timer: Timer::ForwardedRequest { request },
-                        after: self.pconfig.request_timeout,
+                        after: self.chassis.pconfig.request_timeout,
                     }];
                 }
-                self.start_view_change(self.view.next(), now)
+                self.start_view_change(self.chassis.view.next(), now)
             }
             Timer::ViewChange { view } => {
-                if self.in_view_change && self.view < view {
+                if self.in_view_change && self.chassis.view < view {
                     self.start_view_change(view.next(), now)
                 } else {
                     Vec::new()
@@ -1524,27 +1262,27 @@ impl ReplicaProtocol for BftReplica {
     }
 
     fn view(&self) -> View {
-        self.view
+        self.chassis.view
     }
 
     fn mode(&self) -> Mode {
-        Mode::Peacock
+        self.chassis.mode
     }
 
     fn executed(&self) -> &[ExecutedEntry] {
-        self.exec.history()
+        self.chassis.exec.history()
     }
 
     fn metrics(&self) -> &ReplicaMetrics {
-        &self.metrics
+        &self.chassis.metrics
     }
 
     fn is_crashed(&self) -> bool {
-        self.crashed
+        self.chassis.crashed
     }
 
     fn crash(&mut self) {
-        self.crashed = true;
+        self.chassis.crashed = true;
     }
 }
 

@@ -18,22 +18,22 @@
 use crate::config::BaselineConfig;
 use seemore_app::StateMachine;
 use seemore_core::actions::{Action, Timer};
-use seemore_core::batching::AdaptiveBatcher;
-use seemore_core::checkpoint::{CheckpointManager, StabilityRule};
+use seemore_core::chassis::{Inbound, ReplicaChassis};
+use seemore_core::checkpoint::StabilityRule;
 use seemore_core::config::ProtocolConfig;
-use seemore_core::exec::{ExecutedEntry, ExecutionEngine};
-use seemore_core::log::{MessageLog, Proposal};
+use seemore_core::exec::ExecutedEntry;
+use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ParkedReads;
 use seemore_crypto::{Digest, Signature};
-use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
-use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
+use seemore_store::{Durability, WalRecord};
+use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View};
 use seemore_wire::{
-    Accept, Batch, Checkpoint, ClientReply, ClientRequest, Commit, CommitCert, Message,
-    MessageKind, NewView, Prepare, PrepareCert, ReadReply, ReadRequest, Recovery, StateRequest,
-    StateResponse, ViewChange, WireSize,
+    Accept, Batch, Checkpoint, ClientReply, ClientRequest, Commit, CommitCert, Message, NewView,
+    Prepare, PrepareCert, ReadReply, ReadRequest, Recovery, StateRequest, StateResponse,
+    ViewChange,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -43,18 +43,12 @@ const NOOP_CLIENT: seemore_types::ClientId = seemore_types::ClientId(u64::MAX);
 
 /// A crash fault-tolerant (Paxos-style) replica.
 pub struct CftReplica {
-    id: ReplicaId,
+    /// The protocol-independent half shared with the SeeMoRe replica and
+    /// the BFT baseline (see [`seemore_core::chassis`]). Crash-only
+    /// deployments sign nothing, so there is no signing context beside it;
+    /// trace events carry [`Mode::Lion`], the closest SeeMoRe analogue.
+    chassis: ReplicaChassis,
     config: BaselineConfig,
-    pconfig: ProtocolConfig,
-    view: View,
-    log: MessageLog,
-    exec: ExecutionEngine,
-    checkpoints: CheckpointManager,
-    next_seq: SeqNum,
-    assigned: HashMap<RequestId, SeqNum>,
-    /// Pending requests accumulating into the next batch (leader only),
-    /// plus the shared controller deciding when to cut them.
-    batcher: AdaptiveBatcher,
     in_view_change: bool,
     target_view: View,
     view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
@@ -72,23 +66,6 @@ pub struct CftReplica {
     proposed_at: HashMap<SeqNum, Instant>,
     /// Reads waiting for the commit index to reach their fence.
     parked_reads: ParkedReads,
-    metrics: ReplicaMetrics,
-    crashed: bool,
-    /// Durable store ([`NullStore`] / disabled by default).
-    store: Arc<dyn Durability>,
-    /// Whether this replica restarted from durable state and is still
-    /// waiting for the committed suffix it missed.
-    recovering: bool,
-    /// WAL records replayed at recovery (telemetry detail).
-    wal_replayed: u64,
-    /// Messages buffered while recovering, re-delivered after the rejoin.
-    recovery_buffer: std::collections::VecDeque<(NodeId, Message)>,
-    /// Stable seq of the last checkpoint written to the store.
-    persisted_checkpoint: SeqNum,
-    /// Structured event sink ([`NullRecorder`] unless tracing is on).
-    recorder: Arc<dyn Recorder>,
-    /// Timestamp of the entry point currently executing.
-    trace_at: Instant,
 }
 
 impl CftReplica {
@@ -101,19 +78,15 @@ impl CftReplica {
     ) -> Self {
         assert!(config.contains(id), "replica {id} outside the CFT group");
         CftReplica {
-            id,
-            config,
-            pconfig,
-            view: View::ZERO,
-            log: MessageLog::new(),
-            exec: ExecutionEngine::new(app),
-            checkpoints: CheckpointManager::new(
-                pconfig.checkpoint_period,
+            chassis: ReplicaChassis::new(
+                id,
+                config.network_size,
+                pconfig,
+                Mode::Lion,
                 StabilityRule::TrustedSigner,
+                app,
             ),
-            next_seq: SeqNum(0),
-            assigned: HashMap::new(),
-            batcher: AdaptiveBatcher::new(pconfig.batch),
+            config,
             in_view_change: false,
             target_view: View::ZERO,
             view_changes: BTreeMap::new(),
@@ -122,21 +95,12 @@ impl CftReplica {
             read_lease_until: Instant::ZERO + pconfig.request_timeout,
             proposed_at: HashMap::new(),
             parked_reads: ParkedReads::new(),
-            metrics: ReplicaMetrics::default(),
-            crashed: false,
-            store: Arc::new(NullStore),
-            recovering: false,
-            wal_replayed: 0,
-            recovery_buffer: std::collections::VecDeque::new(),
-            persisted_checkpoint: SeqNum(0),
-            recorder: Arc::new(NullRecorder),
-            trace_at: Instant::ZERO,
         }
     }
 
-    /// Attaches a durability store (see the SeeMoRe core's `set_store`).
+    /// Attaches a durability store (see [`ReplicaChassis::set_store`]).
     pub fn set_store(&mut self, store: Arc<dyn Durability>) {
-        self.store = store;
+        self.chassis.set_store(store);
     }
 
     /// Rebuilds a CFT replica from the durable state in `store` and leaves
@@ -151,37 +115,25 @@ impl CftReplica {
         store: Arc<dyn Durability>,
     ) -> Self {
         let mut replica = Self::new(id, config, pconfig, app);
-        let state = store.recover().unwrap_or_default();
-        replica.store = store;
-        if let Some(cp) = &state.checkpoint {
-            replica.exec.restore(&cp.snapshot);
-            replica
-                .checkpoints
-                .make_stable(cp.seq, cp.state_digest, cp.proof.clone());
-            replica.log.garbage_collect(cp.seq);
-            replica.persisted_checkpoint = cp.seq;
-        }
-        replica.wal_replayed = state.wal.len() as u64;
-        for record in state.wal {
+        for record in replica.chassis.restore(store) {
             replica.replay_record(record);
         }
-        replica.recovering = true;
         replica
     }
 
     /// Replays one WAL record (idempotent; see the core's no-un-vote
     /// argument — the same guards exist in this baseline's vote paths).
     fn replay_record(&mut self, record: WalRecord) {
-        let low_mark = self.log.low_mark();
+        let low_mark = self.chassis.log.low_mark();
         match record {
             WalRecord::ViewEntered { view, .. } => {
-                if view >= self.view {
-                    self.view = view;
+                if view >= self.chassis.view {
+                    self.chassis.view = view;
                 }
             }
             WalRecord::Vote(Message::Prepare(p)) if p.seq > low_mark => {
-                self.next_seq = self.next_seq.max(p.seq);
-                let instance = self.log.instance_mut(p.seq);
+                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
+                let instance = self.chassis.log.instance_mut(p.seq);
                 if instance.proposal.is_none() {
                     instance.proposal = Some(Proposal {
                         view: p.view,
@@ -192,101 +144,39 @@ impl CftReplica {
                 }
             }
             WalRecord::Vote(Message::Accept(a)) if a.seq > low_mark => {
-                self.log
+                self.chassis
+                    .log
                     .instance_mut(a.seq)
                     .record_accept(a.replica, a.digest);
             }
             WalRecord::Vote(Message::Commit(c)) if c.seq > low_mark => {
-                let instance = self.log.instance_mut(c.seq);
+                let instance = self.chassis.log.instance_mut(c.seq);
                 instance.commit_sent = true;
                 instance.committed = true;
             }
             WalRecord::Vote(Message::Checkpoint(cp)) => {
-                if self.checkpoints.record(cp, true) {
-                    self.log.garbage_collect(self.checkpoints.stable_seq());
+                if self.chassis.checkpoints.record(cp, true) {
+                    self.chassis
+                        .log
+                        .garbage_collect(self.chassis.checkpoints.stable_seq());
                 }
             }
             WalRecord::Vote(_) => {}
         }
     }
 
-    /// Appends safety-critical outgoing messages to the WAL before they are
-    /// queued (no-un-vote).
-    #[inline]
-    fn persist_outgoing(&self, message: &Message) {
-        if self.store.enabled()
-            && matches!(
-                message.kind(),
-                MessageKind::Prepare
-                    | MessageKind::Accept
-                    | MessageKind::Commit
-                    | MessageKind::Checkpoint
-            )
-        {
-            self.store.append(&WalRecord::Vote(message.clone()));
-        }
-    }
-
-    /// Replaces the structured-event sink (a shared ring buffer in traced
-    /// runs).
+    /// Replaces the structured-event sink (see
+    /// [`ReplicaChassis::set_recorder`]).
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// Records one structured protocol event; a single branch when tracing
-    /// is disabled. The baseline always reports [`Mode::Lion`] (its closest
-    /// SeeMoRe analogue), matching its `ReplicaProtocol::mode`.
-    #[inline]
-    fn trace(
-        &self,
-        kind: EventKind,
-        slot: Option<SeqNum>,
-        request: Option<RequestId>,
-        detail: u64,
-    ) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent {
-                seq: 0,
-                at: self.trace_at,
-                node: NodeId::Replica(self.id),
-                view: self.view,
-                mode: Mode::Lion,
-                slot,
-                request,
-                kind,
-                detail,
-            });
-        }
+        self.chassis.set_recorder(recorder);
     }
 
     fn primary(&self) -> ReplicaId {
-        self.config.primary(self.view)
+        self.config.primary(self.chassis.view)
     }
 
     fn is_primary(&self) -> bool {
-        self.primary() == self.id
-    }
-
-    fn send(&mut self, actions: &mut Vec<Action>, to: NodeId, message: Message) {
-        self.persist_outgoing(&message);
-        self.metrics
-            .record_sent(message.kind(), message.wire_size());
-        actions.push(Action::Send { to, message });
-    }
-
-    fn broadcast(&mut self, actions: &mut Vec<Action>, message: Message) {
-        self.persist_outgoing(&message);
-        let recipients: Vec<NodeId> = self
-            .config
-            .replicas()
-            .filter(|r| *r != self.id)
-            .map(NodeId::Replica)
-            .collect();
-        for _ in &recipients {
-            self.metrics
-                .record_sent(message.kind(), message.wire_size());
-        }
-        seemore_core::actions::broadcast(actions, recipients, message, None);
+        self.primary() == self.chassis.id
     }
 
     fn make_reply(&self, request: &ClientRequest, result: Vec<u8>) -> ClientReply {
@@ -294,9 +184,9 @@ impl CftReplica {
         // pays no cryptography cost).
         ClientReply {
             mode: Mode::Lion,
-            view: self.view,
+            view: self.chassis.view,
             request: request.id(),
-            replica: self.id,
+            replica: self.chassis.id,
             result,
             signature: Signature::INVALID,
         }
@@ -316,8 +206,13 @@ impl CftReplica {
             self.refuse_read(&mut actions, &read);
             return actions;
         }
-        let fence = SeqNum(self.next_seq.0.max(self.exec.last_executed().0));
-        if self.exec.last_executed() >= fence {
+        let fence = SeqNum(
+            self.chassis
+                .next_seq
+                .0
+                .max(self.chassis.exec.last_executed().0),
+        );
+        if self.chassis.exec.last_executed() >= fence {
             self.serve_read(&mut actions, &read);
         } else {
             self.parked_reads.park(fence, read);
@@ -326,22 +221,24 @@ impl CftReplica {
     }
 
     fn serve_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        match self.exec.read(&read.operation) {
+        match self.chassis.exec.read(&read.operation) {
             Some(result) => {
-                self.metrics.reads_served += 1;
-                self.trace(EventKind::Executed, None, Some(read.id()), 0);
-                self.trace(EventKind::Replied, None, Some(read.id()), 0);
+                self.chassis.metrics.reads_served += 1;
+                self.chassis
+                    .trace(EventKind::Executed, None, Some(read.id()), 0);
+                self.chassis
+                    .trace(EventKind::Replied, None, Some(read.id()), 0);
                 let reply = ReadReply {
                     mode: Mode::Lion,
-                    view: self.view,
+                    view: self.chassis.view,
                     request: read.id(),
-                    replica: self.id,
-                    last_executed: self.exec.last_executed(),
+                    replica: self.chassis.id,
+                    last_executed: self.chassis.exec.last_executed(),
                     refused: false,
                     result,
                     signature: Signature::INVALID,
                 };
-                self.send(
+                self.chassis.send(
                     actions,
                     NodeId::Client(read.client),
                     Message::ReadReply(reply),
@@ -352,19 +249,20 @@ impl CftReplica {
     }
 
     fn refuse_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        self.metrics.reads_refused += 1;
-        self.trace(EventKind::ReadRefused, None, Some(read.id()), 0);
+        self.chassis.metrics.reads_refused += 1;
+        self.chassis
+            .trace(EventKind::ReadRefused, None, Some(read.id()), 0);
         let reply = ReadReply {
             mode: Mode::Lion,
-            view: self.view,
+            view: self.chassis.view,
             request: read.id(),
-            replica: self.id,
-            last_executed: self.exec.last_executed(),
+            replica: self.chassis.id,
+            last_executed: self.chassis.exec.last_executed(),
             refused: true,
             result: Vec::new(),
             signature: Signature::INVALID,
         };
-        self.send(
+        self.chassis.send(
             actions,
             NodeId::Client(read.client),
             Message::ReadReply(reply),
@@ -382,7 +280,10 @@ impl CftReplica {
             self.refuse_parked_reads(actions);
             return;
         }
-        for read in self.parked_reads.take_ready(self.exec.last_executed()) {
+        for read in self
+            .parked_reads
+            .take_ready(self.chassis.exec.last_executed())
+        {
             self.serve_read(actions, &read);
         }
     }
@@ -395,10 +296,10 @@ impl CftReplica {
 
     fn execute_ready(&mut self, actions: &mut Vec<Action>, now: Instant) {
         let should_reply = self.is_primary();
-        let executions = self.exec.execute_ready();
+        let executions = self.chassis.exec.execute_ready();
         for execution in executions {
-            self.metrics.executed += 1;
-            self.trace(
+            self.chassis.metrics.executed += 1;
+            self.chassis.trace(
                 EventKind::Executed,
                 Some(execution.seq),
                 Some(execution.request.id()),
@@ -418,14 +319,14 @@ impl CftReplica {
             });
             self.forwarded_watch.remove(&execution.request.id());
             if should_reply && execution.request.client != NOOP_CLIENT {
-                self.trace(
+                self.chassis.trace(
                     EventKind::Replied,
                     Some(execution.seq),
                     Some(execution.request.id()),
                     0,
                 );
                 let reply = self.make_reply(&execution.request, execution.result);
-                self.send(
+                self.chassis.send(
                     actions,
                     NodeId::Client(execution.request.client),
                     Message::Reply(reply),
@@ -437,42 +338,29 @@ impl CftReplica {
     }
 
     fn maybe_checkpoint(&mut self, actions: &mut Vec<Action>) {
-        let executed = self.exec.last_executed();
-        if !self.checkpoints.should_checkpoint(executed) || !self.is_primary() {
+        let executed = self.chassis.exec.last_executed();
+        if !self.chassis.checkpoints.should_checkpoint(executed) || !self.is_primary() {
             return;
         }
         let checkpoint = Checkpoint {
             seq: executed,
-            state_digest: self.exec.state_digest(),
-            replica: self.id,
+            state_digest: self.chassis.exec.state_digest(),
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        if self.checkpoints.record(checkpoint.clone(), true) {
-            self.metrics.stable_checkpoints += 1;
+        if self.chassis.checkpoints.record(checkpoint.clone(), true) {
+            self.chassis.metrics.stable_checkpoints += 1;
             self.after_stable_checkpoint();
         }
-        self.broadcast(actions, Message::Checkpoint(checkpoint));
+        self.chassis
+            .broadcast(actions, Message::Checkpoint(checkpoint));
     }
 
-    /// Truncates in-memory state below the stable checkpoint and, when
-    /// durability is on, snapshots the checkpoint and compacts the WAL.
+    /// Stable-checkpoint housekeeping: the chassis truncates the log,
+    /// snapshots and compacts; the lease anchors are this protocol's own.
     fn after_stable_checkpoint(&mut self) {
-        let stable = self.checkpoints.stable_seq();
-        self.log.garbage_collect(stable);
+        let stable = self.chassis.after_stable_checkpoint();
         self.proposed_at.retain(|seq, _| *seq > stable);
-        self.assigned.retain(|_, seq| *seq > stable);
-        if self.store.enabled() && stable > self.persisted_checkpoint {
-            let checkpoint = DurableCheckpoint {
-                seq: stable,
-                state_digest: self.checkpoints.stable_digest(),
-                snapshot: self.exec.snapshot(),
-                proof: self.checkpoints.stable_proof().to_vec(),
-            };
-            self.store.persist_checkpoint(&checkpoint);
-            self.store.compact_below(stable);
-            self.persisted_checkpoint = stable;
-            self.trace(EventKind::CheckpointPersisted, Some(stable), None, 0);
-        }
     }
 
     // --------------------------------------------------------------
@@ -482,12 +370,13 @@ impl CftReplica {
     fn on_request(&mut self, request: ClientRequest, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         if let Some(result) = self
+            .chassis
             .exec
             .cached_reply(request.client, request.timestamp)
             .cloned()
         {
             let reply = self.make_reply(&request, result);
-            self.send(
+            self.chassis.send(
                 &mut actions,
                 NodeId::Client(request.client),
                 Message::Reply(reply),
@@ -502,7 +391,7 @@ impl CftReplica {
         } else {
             let primary = self.primary();
             let id = request.id();
-            self.send(
+            self.chassis.send(
                 &mut actions,
                 NodeId::Replica(primary),
                 Message::Request(request),
@@ -510,7 +399,7 @@ impl CftReplica {
             if self.forwarded_watch.insert(id) {
                 actions.push(Action::SetTimer {
                     timer: Timer::ForwardedRequest { request: id },
-                    after: self.pconfig.request_timeout,
+                    after: self.chassis.pconfig.request_timeout,
                 });
             }
         }
@@ -525,68 +414,39 @@ impl CftReplica {
         request: ClientRequest,
         now: Instant,
     ) {
-        let id = request.id();
-        if self.assigned.contains_key(&id) {
-            return;
-        }
-        self.trace(EventKind::RequestAdmitted, None, Some(id), 0);
-        let in_flight = self.slots_in_flight();
-        if let Some(batch) = self
-            .batcher
-            .offer(request, now, in_flight, actions, &mut self.metrics)
-        {
+        if let Some(batch) = self.chassis.admit_request(actions, request, now) {
             self.propose_batch(actions, batch, now);
         }
-    }
-
-    /// Slots this leader proposed that have not executed yet — the occupancy
-    /// signal the adaptive batching policy grows on.
-    fn slots_in_flight(&self) -> u64 {
-        self.next_seq.0.saturating_sub(self.exec.last_executed().0)
     }
 
     /// Assigns a sequence number to `batch` and broadcasts the `PREPARE`;
     /// `now` (the send time) is recorded as the slot's lease anchor.
     fn propose_batch(&mut self, actions: &mut Vec<Action>, batch: Batch, now: Instant) {
-        let seq = SeqNum(self.next_seq.0.max(self.exec.last_executed().0) + 1);
-        if !self.log.in_window(seq, self.pconfig.high_water_mark) {
+        let Some(seq) = self.chassis.assign_slot(&batch) else {
             return;
-        }
-        self.next_seq = seq;
+        };
         // Anchor discounted by the batching delay bound, as in the SeeMoRe
         // core: a member request may have armed a backup's suspicion timer
         // up to `max_delay` before this proposal went out.
-        self.proposed_at
-            .insert(seq, now.saturating_sub(self.pconfig.batch.max_delay()));
-        for id in batch.request_ids() {
-            self.assigned.insert(id, seq);
-        }
-        if self.recorder.enabled() {
-            self.trace(EventKind::BatchCut, Some(seq), None, batch.len() as u64);
-            for id in batch.request_ids() {
-                self.trace(
-                    EventKind::ProposeSent,
-                    Some(seq),
-                    Some(id),
-                    batch.len() as u64,
-                );
-            }
-        }
+        self.proposed_at.insert(
+            seq,
+            now.saturating_sub(self.chassis.pconfig.batch.max_delay()),
+        );
         let digest = batch.digest();
         let prepare = Prepare {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
             batch: batch.clone(),
             signature: Signature::INVALID,
         };
-        self.log.instance_mut(seq).proposal = Some(Proposal {
-            view: self.view,
+        self.chassis.log.instance_mut(seq).proposal = Some(Proposal {
+            view: self.chassis.view,
             digest,
             batch,
             primary_signature: Signature::INVALID,
         });
-        self.broadcast(actions, Message::Prepare(prepare));
+        self.chassis.broadcast(actions, Message::Prepare(prepare));
         // A one-replica cluster (`f = 0`) is its own quorum: no `ACCEPT`
         // will ever arrive, so the slot commits here.
         self.commit_if_accepted(actions, seq, digest, now);
@@ -595,40 +455,41 @@ impl CftReplica {
     fn on_prepare(&mut self, from: NodeId, prepare: Prepare) -> Vec<Action> {
         let mut actions = Vec::new();
         if self.in_view_change
-            || prepare.view != self.view
+            || prepare.view != self.chassis.view
             || from.as_replica() != Some(self.primary())
             || prepare.digest != prepare.batch.digest()
             || !self
+                .chassis
                 .log
-                .in_window(prepare.seq, self.pconfig.high_water_mark)
+                .in_window(prepare.seq, self.chassis.pconfig.high_water_mark)
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         let seq = prepare.seq;
         let digest = prepare.digest;
-        self.log.instance_mut(seq).proposal = Some(Proposal {
+        self.chassis.log.instance_mut(seq).proposal = Some(Proposal {
             view: prepare.view,
             digest,
             batch: prepare.batch,
             primary_signature: Signature::INVALID,
         });
         let accept = Accept {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
-            replica: self.id,
+            replica: self.chassis.id,
             signature: None,
         };
         let primary = self.primary();
-        self.send(
+        self.chassis.send(
             &mut actions,
             NodeId::Replica(primary),
             Message::Accept(accept),
         );
         actions.push(Action::SetTimer {
             timer: Timer::RequestProgress { seq },
-            after: self.pconfig.request_timeout,
+            after: self.chassis.pconfig.request_timeout,
         });
         actions
     }
@@ -638,10 +499,10 @@ impl CftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if !self.is_primary() || accept.view != self.view || self.in_view_change {
+        if !self.is_primary() || accept.view != self.chassis.view || self.in_view_change {
             return actions;
         }
-        let instance = self.log.instance_mut(accept.seq);
+        let instance = self.chassis.log.instance_mut(accept.seq);
         if !instance.proposal_matches(accept.view, &accept.digest) {
             return actions;
         }
@@ -661,7 +522,7 @@ impl CftReplica {
         now: Instant,
     ) {
         let threshold = self.config.quorum.saturating_sub(1) as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         let votes = instance.matching_accepts(&digest);
         if instance.commit_sent || votes < threshold {
             return;
@@ -669,27 +530,28 @@ impl CftReplica {
         instance.commit_sent = true;
         instance.committed = true;
         let batch = instance.proposal.as_ref().map(|p| p.batch.clone());
-        self.trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
-        self.trace(EventKind::Committed, Some(seq), None, 0);
+        self.chassis
+            .trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
+        self.chassis.trace(EventKind::Committed, Some(seq), None, 0);
         // An accept quorum just followed this leader: extend the read
         // lease, anchored at the slot's propose time.
         if let Some(anchor) = self.proposed_at.remove(&seq) {
             self.read_lease_until = self
                 .read_lease_until
-                .max(anchor + self.pconfig.request_timeout);
+                .max(anchor + self.chassis.pconfig.request_timeout);
         }
         let commit = Commit {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
-            replica: self.id,
+            replica: self.chassis.id,
             batch: batch.clone(),
             signature: Signature::INVALID,
         };
-        self.broadcast(actions, Message::Commit(commit));
+        self.chassis.broadcast(actions, Message::Commit(commit));
         if let Some(batch) = batch {
-            self.metrics.committed += 1;
-            self.exec.add_committed(seq, batch);
+            self.chassis.metrics.committed += 1;
+            self.chassis.exec.add_committed(seq, batch);
             self.execute_ready(actions, now);
         }
     }
@@ -697,13 +559,13 @@ impl CftReplica {
     fn on_commit(&mut self, from: NodeId, commit: Commit, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         if from.as_replica() != Some(self.primary())
-            || commit.view != self.view
+            || commit.view != self.chassis.view
             || self.in_view_change
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
-        let instance = self.log.instance_mut(commit.seq);
+        let instance = self.chassis.log.instance_mut(commit.seq);
         if instance.committed {
             return actions;
         }
@@ -711,10 +573,11 @@ impl CftReplica {
         let batch = commit
             .batch
             .or_else(|| instance.proposal.as_ref().map(|p| p.batch.clone()));
-        self.trace(EventKind::Committed, Some(commit.seq), None, 0);
+        self.chassis
+            .trace(EventKind::Committed, Some(commit.seq), None, 0);
         if let Some(batch) = batch {
-            self.metrics.committed += 1;
-            self.exec.add_committed(commit.seq, batch);
+            self.chassis.metrics.committed += 1;
+            self.chassis.exec.add_committed(commit.seq, batch);
             self.execute_ready(&mut actions, now);
         }
         actions
@@ -724,20 +587,20 @@ impl CftReplica {
         let mut actions = Vec::new();
         let seq = checkpoint.seq;
         let announcer = checkpoint.replica;
-        if self.checkpoints.record(checkpoint, true) {
-            self.metrics.stable_checkpoints += 1;
+        if self.chassis.checkpoints.record(checkpoint, true) {
+            self.chassis.metrics.stable_checkpoints += 1;
             self.after_stable_checkpoint();
             // Fallen behind the stable checkpoint (an instance this replica
             // missed for good, e.g. one proposed while it was down, would
             // otherwise stall in-order execution forever): fetch state from
             // the announcer. Crash faults cannot lie, so one response is
             // enough and a stale snapshot is ignored by `restore`.
-            if self.exec.last_executed() < seq && announcer != self.id {
+            if self.chassis.exec.last_executed() < seq && announcer != self.chassis.id {
                 let request = StateRequest {
-                    from_seq: self.exec.last_executed(),
-                    replica: self.id,
+                    from_seq: self.chassis.exec.last_executed(),
+                    replica: self.chassis.id,
                 };
-                self.send(
+                self.chassis.send(
                     &mut actions,
                     NodeId::Replica(announcer),
                     Message::StateRequest(request),
@@ -748,112 +611,32 @@ impl CftReplica {
     }
 
     // --------------------------------------------------------------
-    // Crash recovery
+    // State transfer and crash recovery
     // --------------------------------------------------------------
-
-    /// Broadcasts the restart announcement and arms the re-announce timer.
-    fn announce_recovery(&mut self, actions: &mut Vec<Action>) {
-        let recovery = Recovery {
-            last_executed: self.exec.last_executed(),
-            view: self.view,
-            replica: self.id,
-            signature: Signature::INVALID,
-        };
-        self.broadcast(actions, Message::Recovery(recovery));
-        actions.push(Action::SetTimer {
-            timer: Timer::Recovery,
-            after: self.pconfig.request_timeout,
-        });
-    }
-
-    /// Answers a restarted peer with the committed suffix above its durable
-    /// state (crash faults cannot lie, so no verification is needed).
-    fn on_recovery(&mut self, recovery: Recovery) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let response = StateResponse {
-            checkpoint: self.checkpoints.stable_proof().first().cloned(),
-            snapshot: Some(self.exec.snapshot()),
-            entries: self.exec.committed_after(recovery.last_executed),
-            replica: self.id,
-        };
-        self.send(
-            &mut actions,
-            NodeId::Replica(recovery.replica),
-            Message::StateResponse(response),
-        );
-        actions
-    }
-
-    /// Message handling while rejoining: the first `STATE-RESPONSE`
-    /// completes the rejoin, state-serving traffic is answered, everything
-    /// else is buffered for re-delivery.
-    fn on_message_recovering(
-        &mut self,
-        from: NodeId,
-        message: Message,
-        now: Instant,
-    ) -> Vec<Action> {
-        match message {
-            Message::StateResponse(response) => self.complete_recovery(from, response, now),
-            Message::StateRequest(request) => self.on_recovery(Recovery {
-                last_executed: request.from_seq,
-                view: self.view,
-                replica: request.replica,
-                signature: Signature::INVALID,
-            }),
-            Message::Recovery(recovery) => self.on_recovery(recovery),
-            other => {
-                if self.recovery_buffer.len() >= seemore_core::replica::RECOVERY_BUFFER_CAP {
-                    self.recovery_buffer.pop_front();
-                }
-                self.recovery_buffer.push_back((from, other));
-                Vec::new()
-            }
-        }
-    }
 
     /// Adopts a peer's state response: fast-forwards over the snapshot if it
     /// is ahead of local state and re-enters the carried committed suffix
-    /// into the normal execution path. Safe to apply at any time in the
-    /// crash-only model (a stale snapshot is ignored by `restore`).
+    /// into the normal execution path. Crash faults cannot lie, so the first
+    /// response is believed, whoever sent it.
     fn adopt_state(&mut self, response: StateResponse, now: Instant, actions: &mut Vec<Action>) {
         if let Some(snapshot) = &response.snapshot {
-            let before = self.exec.last_executed();
-            self.exec.restore(snapshot);
-            if self.exec.last_executed() > before {
-                if let Some(cp) = &response.checkpoint {
-                    self.checkpoints
-                        .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                }
+            if self
+                .chassis
+                .adopt_snapshot(snapshot, response.checkpoint.as_ref())
+            {
                 self.after_stable_checkpoint();
             }
         }
-        let low_mark = self.log.low_mark();
-        for (seq, batch) in response.entries {
-            if self.exec.add_committed(seq, batch) && seq > low_mark {
-                self.log.instance_mut(seq).committed = true;
-            }
-        }
+        self.chassis.adopt_entries(response.entries);
         self.execute_ready(actions, now);
     }
 
     /// Adopts a peer's state response and leaves the recovering state,
-    /// re-delivering everything buffered while down.
-    fn complete_recovery(
-        &mut self,
-        _from: NodeId,
-        response: StateResponse,
-        now: Instant,
-    ) -> Vec<Action> {
+    /// re-delivering everything buffered while rejoining.
+    fn complete_recovery(&mut self, response: StateResponse, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         self.adopt_state(response, now, &mut actions);
-        self.recovering = false;
-        actions.push(Action::CancelTimer {
-            timer: Timer::Recovery,
-        });
-        self.trace(EventKind::RecoveryCompleted, None, None, self.wal_replayed);
-        let buffered = std::mem::take(&mut self.recovery_buffer);
-        for (from, message) in buffered {
+        for (from, message) in self.chassis.finish_recovery(&mut actions) {
             actions.extend(self.on_message(from, message, now));
         }
         actions
@@ -870,14 +653,15 @@ impl CftReplica {
         }
         self.in_view_change = true;
         self.target_view = target;
-        self.metrics.view_changes_started += 1;
-        self.trace(EventKind::ViewChangeStart, None, None, target.0);
+        self.chassis.metrics.view_changes_started += 1;
+        self.chassis
+            .trace(EventKind::ViewChangeStart, None, None, target.0);
         self.refuse_parked_reads(&mut actions);
 
-        let stable = self.checkpoints.stable_seq();
+        let stable = self.chassis.checkpoints.stable_seq();
         let mut prepares = Vec::new();
         let mut commits = Vec::new();
-        for (seq, instance) in self.log.instances_after(stable) {
+        for (seq, instance) in self.chassis.log.instances_after(stable) {
             let Some(proposal) = &instance.proposal else {
                 continue;
             };
@@ -904,20 +688,21 @@ impl CftReplica {
             new_view: target,
             mode: Mode::Lion,
             stable_seq: stable,
-            checkpoint_proof: self.checkpoints.stable_proof().to_vec(),
+            checkpoint_proof: self.chassis.checkpoints.stable_proof().to_vec(),
             prepares,
             commits,
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
         self.view_changes
             .entry(target)
             .or_default()
-            .insert(self.id, view_change.clone());
-        self.broadcast(&mut actions, Message::ViewChange(view_change));
+            .insert(self.chassis.id, view_change.clone());
+        self.chassis
+            .broadcast(&mut actions, Message::ViewChange(view_change));
         actions.push(Action::SetTimer {
             timer: Timer::ViewChange { view: target },
-            after: self.pconfig.view_change_timeout,
+            after: self.chassis.pconfig.view_change_timeout,
         });
         self.try_assemble(&mut actions, target, now);
         actions
@@ -933,7 +718,7 @@ impl CftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if view_change.new_view <= self.view {
+        if view_change.new_view <= self.chassis.view {
             return actions;
         }
         let target = view_change.new_view;
@@ -951,9 +736,9 @@ impl CftReplica {
     }
 
     fn try_assemble(&mut self, actions: &mut Vec<Action>, target: View, now: Instant) {
-        if self.config.primary(target) != self.id
+        if self.config.primary(target) != self.chassis.id
             || self.new_view_sent.contains(&target)
-            || target <= self.view
+            || target <= self.chassis.view
         {
             return;
         }
@@ -961,15 +746,15 @@ impl CftReplica {
         let Some(votes) = self.view_changes.get(&target) else {
             return;
         };
-        let others = votes.keys().filter(|r| **r != self.id).count();
+        let others = votes.keys().filter(|r| **r != self.chassis.id).count();
         if others < threshold {
             return;
         }
         self.new_view_sent.push(target);
         let votes: Vec<ViewChange> = votes.values().cloned().collect();
 
-        let mut low = self.checkpoints.stable_seq();
-        let mut best_checkpoint = self.checkpoints.stable_proof().first().cloned();
+        let mut low = self.chassis.checkpoints.stable_seq();
+        let mut best_checkpoint = self.chassis.checkpoints.stable_proof().first().cloned();
         for vote in &votes {
             if vote.stable_seq > low {
                 low = vote.stable_seq;
@@ -1010,7 +795,7 @@ impl CftReplica {
                     signature: Signature::INVALID,
                 });
                 prepares_out.push(PrepareCert {
-                    view: self.view,
+                    view: self.chassis.view,
                     seq,
                     digest: batch.digest(),
                     primary_signature: Signature::INVALID,
@@ -1027,19 +812,20 @@ impl CftReplica {
             commits: commits_out,
             checkpoint: best_checkpoint,
             view_change_proof: Vec::new(),
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        self.broadcast(actions, Message::NewView(new_view.clone()));
+        self.chassis
+            .broadcast(actions, Message::NewView(new_view.clone()));
         self.install_new_view(actions, new_view, now);
     }
 
     fn on_new_view(&mut self, from: NodeId, new_view: NewView, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if new_view.view <= self.view
+        if new_view.view <= self.chassis.view
             || from.as_replica() != Some(self.config.primary(new_view.view))
         {
-            self.metrics.rejected_messages += 1;
+            self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
         self.install_new_view(&mut actions, new_view, now);
@@ -1052,47 +838,46 @@ impl CftReplica {
                 view: new_view.view,
             },
         });
-        self.view = new_view.view;
-        // The installed view must be durable before any vote sent in it.
-        if self.store.enabled() {
-            self.store.append(&WalRecord::ViewEntered {
-                view: self.view,
-                mode: Mode::Lion,
-            });
-        }
+        self.chassis.enter_view(new_view.view, Mode::Lion);
         self.in_view_change = false;
-        self.metrics.view_changes_completed += 1;
-        self.trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
+        self.chassis.metrics.view_changes_completed += 1;
+        self.chassis
+            .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
         self.refuse_parked_reads(actions);
         // The dead view's lease anchors are gone; a new leader earns its
         // lease from its first committed slot.
         self.proposed_at.clear();
-        self.assigned.clear();
+        self.chassis.assigned.clear();
         self.view_changes.retain(|view, _| *view > new_view.view);
-        self.log.reset_votes_for_new_view();
+        self.chassis.log.reset_votes_for_new_view();
 
         if let Some(cp) = &new_view.checkpoint {
-            if cp.seq > self.checkpoints.stable_seq() {
-                self.checkpoints
+            if cp.seq > self.chassis.checkpoints.stable_seq() {
+                self.chassis
+                    .checkpoints
                     .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
                 self.after_stable_checkpoint();
             }
         }
-        let mut highest = self.checkpoints.stable_seq().max(self.exec.last_executed());
+        let mut highest = self
+            .chassis
+            .checkpoints
+            .stable_seq()
+            .max(self.chassis.exec.last_executed());
         for cert in &new_view.commits {
             highest = highest.max(cert.seq);
-            self.log.instance_mut(cert.seq).committed = true;
+            self.chassis.log.instance_mut(cert.seq).committed = true;
             if let Some(batch) = cert.batch.clone() {
-                self.exec.add_committed(cert.seq, batch);
+                self.chassis.exec.add_committed(cert.seq, batch);
             }
         }
-        let i_am_primary = self.config.primary(new_view.view) == self.id;
+        let i_am_primary = self.config.primary(new_view.view) == self.chassis.id;
         for cert in &new_view.prepares {
             highest = highest.max(cert.seq);
             let Some(batch) = cert.batch.clone() else {
                 continue;
             };
-            let instance = self.log.instance_mut(cert.seq);
+            let instance = self.chassis.log.instance_mut(cert.seq);
             if instance.committed {
                 continue;
             }
@@ -1107,23 +892,25 @@ impl CftReplica {
                     view: new_view.view,
                     seq: cert.seq,
                     digest: cert.digest,
-                    replica: self.id,
+                    replica: self.chassis.id,
                     signature: None,
                 };
                 let primary = self.config.primary(new_view.view);
-                self.send(actions, NodeId::Replica(primary), Message::Accept(accept));
+                self.chassis
+                    .send(actions, NodeId::Replica(primary), Message::Accept(accept));
             }
         }
-        self.next_seq = highest;
+        self.chassis.next_seq = highest;
         self.execute_ready(actions, now);
 
         // Requests buffered for batching under the old view are re-routed:
         // the new leader proposes them, everyone else forwards them (and the
         // armed flush timer, if any, is cancelled with the buffer).
-        let buffered = self.batcher.drain(actions);
+        let buffered = self.chassis.batcher.drain(actions);
         if i_am_primary {
             for request in buffered {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_none()
@@ -1136,11 +923,13 @@ impl CftReplica {
             let primary = self.config.primary(new_view.view);
             for request in buffered {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_none()
                 {
-                    self.send(actions, NodeId::Replica(primary), Message::Request(request));
+                    self.chassis
+                        .send(actions, NodeId::Replica(primary), Message::Request(request));
                 }
             }
         }
@@ -1148,37 +937,27 @@ impl CftReplica {
 
     /// Forces out any partially accumulated batch.
     fn flush_buffered(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        if let Some(batch) = self.batcher.flush(actions, &mut self.metrics) {
+        if let Some(batch) = self.chassis.flush_batch(actions) {
             self.propose_batch(actions, batch, now);
         }
     }
 
     /// The batch flush timer of `generation` fired: propose the buffer
     /// (leader) or re-route it to the current leader (a replica deposed
-    /// while buffering). Stale generations — timers that raced a
-    /// size-trigger cut — are counted and ignored so they can never truncate
-    /// the next buffer's delay.
+    /// while buffering).
     fn on_batch_flush(&mut self, generation: u64, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.batcher.timer_is_current(generation) {
-            self.metrics.batch.stale_timer_fires += 1;
-            return actions;
-        }
-        if self.in_view_change {
+        if !self.chassis.flush_timer_is_current(generation) || self.in_view_change {
             return actions;
         }
         if self.is_primary() {
-            let in_flight = self.slots_in_flight();
-            if let Some(batch) =
-                self.batcher
-                    .on_flush_timer(generation, in_flight, &mut self.metrics)
-            {
+            if let Some(batch) = self.chassis.cut_on_flush_timer(generation) {
                 self.propose_batch(&mut actions, batch, now);
             }
         } else {
             let primary = self.primary();
-            for request in self.batcher.drain(&mut actions) {
-                self.send(
+            for request in self.chassis.batcher.drain(&mut actions) {
+                self.chassis.send(
                     &mut actions,
                     NodeId::Replica(primary),
                     Message::Request(request),
@@ -1191,29 +970,19 @@ impl CftReplica {
 
 impl ReplicaProtocol for CftReplica {
     fn id(&self) -> ReplicaId {
-        self.id
+        self.chassis.id
     }
 
     fn on_start(&mut self, now: Instant) -> Vec<Action> {
-        if self.crashed || !self.recovering {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        self.trace(EventKind::RecoveryStarted, None, None, self.wal_replayed);
-        let mut actions = Vec::new();
-        self.announce_recovery(&mut actions);
-        actions
+        self.chassis.on_start(now, None)
     }
 
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        self.metrics.record_received(message.kind());
-        if self.recovering {
-            return self.on_message_recovering(from, message, now);
-        }
+        let message = match self.chassis.receive(from, message, now) {
+            Inbound::Deliver(message) => message,
+            Inbound::Rejoin(response) => return self.complete_recovery(response, now),
+            Inbound::Handled(actions) => return actions,
+        };
         let actions = match message {
             Message::Request(request) => self.on_request(request, now),
             Message::ReadRequest(read) => self.on_read_request(read, now),
@@ -1223,13 +992,17 @@ impl ReplicaProtocol for CftReplica {
             Message::Checkpoint(checkpoint) => self.on_checkpoint(checkpoint),
             Message::ViewChange(view_change) => self.on_view_change(from, view_change, now),
             Message::NewView(new_view) => self.on_new_view(from, new_view, now),
-            Message::Recovery(recovery) => self.on_recovery(recovery),
-            Message::StateRequest(request) => self.on_recovery(Recovery {
-                last_executed: request.from_seq,
-                view: self.view,
-                replica: request.replica,
-                signature: Signature::INVALID,
-            }),
+            // A restarted peer's announcement and a lagging peer's request
+            // get the same answer (crash faults cannot lie, so neither is
+            // verified): the committed suffix above where the peer stands.
+            Message::Recovery(Recovery {
+                last_executed: from_seq,
+                replica,
+                ..
+            })
+            | Message::StateRequest(StateRequest { from_seq, replica }) => {
+                self.chassis.serve_state(from_seq, replica)
+            }
             // Answer to the checkpoint-triggered catch-up above.
             Message::StateResponse(response) => {
                 let mut actions = Vec::new();
@@ -1238,38 +1011,31 @@ impl ReplicaProtocol for CftReplica {
             }
             _ => Vec::new(),
         };
-        self.metrics.note_log_size(self.log.len());
+        self.chassis.metrics.note_log_size(self.chassis.log.len());
         actions
     }
 
     fn on_timer(&mut self, timer: Timer, now: Instant) -> Vec<Action> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        if self.recovering {
-            if matches!(timer, Timer::Recovery) {
-                let mut actions = Vec::new();
-                self.announce_recovery(&mut actions);
-                return actions;
-            }
-            return Vec::new();
+        if let Some(actions) = self.chassis.timer_gate(timer, now, None) {
+            return actions;
         }
         match timer {
             Timer::RequestProgress { seq } => {
                 let committed = self
+                    .chassis
                     .log
                     .instance(seq)
                     .map(|i| i.committed)
-                    .unwrap_or(seq <= self.exec.last_executed());
+                    .unwrap_or(seq <= self.chassis.exec.last_executed());
                 if committed || self.in_view_change {
                     Vec::new()
                 } else {
-                    self.start_view_change(self.view.next(), now)
+                    self.start_view_change(self.chassis.view.next(), now)
                 }
             }
             Timer::ForwardedRequest { request } => {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_some()
@@ -1277,11 +1043,11 @@ impl ReplicaProtocol for CftReplica {
                 {
                     Vec::new()
                 } else {
-                    self.start_view_change(self.view.next(), now)
+                    self.start_view_change(self.chassis.view.next(), now)
                 }
             }
             Timer::ViewChange { view } => {
-                if self.in_view_change && self.view < view {
+                if self.in_view_change && self.chassis.view < view {
                     self.start_view_change(view.next(), now)
                 } else {
                     Vec::new()
@@ -1294,27 +1060,27 @@ impl ReplicaProtocol for CftReplica {
     }
 
     fn view(&self) -> View {
-        self.view
+        self.chassis.view
     }
 
     fn mode(&self) -> Mode {
-        Mode::Lion
+        self.chassis.mode
     }
 
     fn executed(&self) -> &[ExecutedEntry] {
-        self.exec.history()
+        self.chassis.exec.history()
     }
 
     fn metrics(&self) -> &ReplicaMetrics {
-        &self.metrics
+        &self.chassis.metrics
     }
 
     fn is_crashed(&self) -> bool {
-        self.crashed
+        self.chassis.crashed
     }
 
     fn crash(&mut self) {
-        self.crashed = true;
+        self.chassis.crashed = true;
     }
 }
 

@@ -14,6 +14,17 @@
 //!
 //! All three implement [`ReplicaProtocol`](seemore_core::ReplicaProtocol)
 //! and are driven by the same runtimes, workloads and benchmarks as SeeMoRe.
+//!
+//! Both replica structs own a
+//! [`ReplicaChassis`](seemore_core::chassis::ReplicaChassis) — the same one
+//! the SeeMoRe replica owns — for everything around agreement: the outgoing
+//! path and its WAL rule, batch admission, checkpoint persistence, restart
+//! and rejoin. What is written here is what the paper says differs: phases
+//! and quorums, view change, the read rule, and whose state response a
+//! rejoining replica believes (the first under CFT, `f + 1` matching under
+//! BFT / S-UpRight). [`CftReplica`] has no
+//! [`SigningContext`](seemore_core::chassis::SigningContext): the crash-only
+//! line pays no cryptography.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md.
+//! Ablation benchmarks for the design choices called out in the repository's
+//! `README.md` and the crate docs.
 //!
 //! These do not correspond to a single paper figure; they quantify the
 //! individual mechanisms the paper credits for SeeMoRe's advantage:

@@ -1,0 +1,714 @@
+//! The replica chassis: everything *around* agreement that the SeeMoRe
+//! replica and the CFT / BFT baselines share.
+//!
+//! The paper's comparison is only fair if the protocols differ in phases,
+//! quorum sizes and who is trusted — and in nothing else. A
+//! [`ReplicaChassis`] is the part of a replica that does not depend on any
+//! of those: its identity and telemetry stamp, the message log, execution
+//! engine and checkpoint manager, the outgoing path with its vote-before-send
+//! WAL rule, batch admission, durable restart, and the rejoin exchange
+//! (announce, serve state, buffer live traffic, adopt, re-deliver).
+//! [`SigningContext`] is the signing half, owned by the replicas that sign
+//! (SeeMoRe, BFT, S-UpRight) and simply absent from the crash-only baseline.
+//!
+//! Each replica struct owns a chassis as a plain field and calls into it.
+//! What the paper says differs stays with the caller and reaches the shared
+//! code as a value: the agreement handlers and which replayed votes re-arm
+//! which flags, view change, the read admission rule, who replies, whether a
+//! message is signed, the mode label on trace events, which per-slot maps a
+//! stable checkpoint truncates, and whose state response is trusted. The
+//! chassis has no callback, no type parameter and no branch on which
+//! protocol is calling it.
+
+use crate::actions::{broadcast, Action, Timer};
+use crate::batching::AdaptiveBatcher;
+use crate::checkpoint::{CheckpointManager, StabilityRule};
+use crate::config::ProtocolConfig;
+use crate::exec::ExecutionEngine;
+use crate::log::MessageLog;
+use crate::metrics::ReplicaMetrics;
+use seemore_app::StateMachine;
+use seemore_crypto::{KeyStore, Signature, Signer, VerifyCache};
+use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
+use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
+use seemore_types::{Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, View};
+use seemore_wire::{
+    Batch, Checkpoint, ClientRequest, Message, MessageKind, Recovery, SignedPayload,
+    SigningScratch, StateResponse, WireSize,
+};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+/// Most messages a recovering replica will hold before the oldest is
+/// evicted (clients and peers retransmit, so a bounded buffer is safe; each
+/// eviction is counted in [`ReplicaMetrics::recovery_buffer_dropped`]).
+pub const RECOVERY_BUFFER_CAP: usize = 1024;
+
+/// A replica's signing identity and its allocation-free sign/verify path.
+pub struct SigningContext {
+    keystore: KeyStore,
+    /// This replica's signer (borrowed by the signed-reply constructors).
+    pub signer: Signer,
+    /// Reusable buffer for canonical signing bytes, so the sign/verify hot
+    /// path performs no per-message allocation.
+    pub scratch: SigningScratch,
+    /// Bounded memo of already-verified signatures (`None` when disabled by
+    /// [`ProtocolConfig::verify_memo`]): duplicate deliveries and
+    /// certificate re-checks skip the second HMAC.
+    verify_memo: Option<VerifyCache>,
+}
+
+impl SigningContext {
+    /// The signing context of replica `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key store has no signer for `id` — a configuration
+    /// error caught at startup.
+    pub fn new(id: ReplicaId, keystore: KeyStore, verify_memo: bool) -> Self {
+        let signer = keystore
+            .signer_for(NodeId::Replica(id))
+            .expect("key store must contain a signer for this replica");
+        SigningContext {
+            keystore,
+            signer,
+            scratch: SigningScratch::new(),
+            verify_memo: verify_memo.then(VerifyCache::default),
+        }
+    }
+
+    /// Signs `payload`'s canonical bytes through the reusable scratch
+    /// buffer — no allocation per signature.
+    pub fn sign(&mut self, payload: &impl SignedPayload) -> Signature {
+        self.signer.sign(self.scratch.bytes_of(payload))
+    }
+
+    /// Verifies `signature` as `node`'s signature over `payload`, through
+    /// the scratch buffer and (when enabled) the verified-signature memo,
+    /// so a redelivery skips the second HMAC.
+    ///
+    /// Use this only on paths where the protocol actually re-verifies
+    /// identical bytes — client requests (retransmitted, and re-checked
+    /// inside view-change certificates) and reads. Quorum votes are
+    /// verified exactly once per message in healthy runs, so for them the
+    /// memo's digest-keyed lookup is pure overhead: they go through
+    /// [`verify_once`](Self::verify_once) instead.
+    pub fn verify(
+        &mut self,
+        node: NodeId,
+        payload: &impl SignedPayload,
+        signature: &Signature,
+    ) -> bool {
+        let bytes = self.scratch.bytes_of(payload);
+        match &mut self.verify_memo {
+            Some(memo) => memo.verify(&self.keystore, node, bytes, signature),
+            None => self.keystore.verify(node, bytes, signature),
+        }
+    }
+
+    /// Plain (memo-free) verification through the scratch buffer — the
+    /// vote-path variant of [`verify`](Self::verify) for signatures the
+    /// protocol checks exactly once.
+    pub fn verify_once(
+        &mut self,
+        node: NodeId,
+        payload: &impl SignedPayload,
+        signature: &Signature,
+    ) -> bool {
+        self.keystore
+            .verify(node, self.scratch.bytes_of(payload), signature)
+    }
+}
+
+/// What [`ReplicaChassis::receive`] did with an incoming message.
+pub enum Inbound {
+    /// Nothing left for the protocol: the replica is crashed, or it is
+    /// rejoining and the chassis served or buffered the message itself.
+    Handled(Vec<Action>),
+    /// A peer's `STATE-RESPONSE` while rejoining. Whether it is trusted —
+    /// any one, only the private cloud's, `f + 1` matching — is the
+    /// protocol's call; [`ReplicaChassis::finish_recovery`] ends the rejoin.
+    Rejoin(StateResponse),
+    /// A message for the protocol's own handlers.
+    Deliver(Message),
+}
+
+/// The protocol-independent half of a replica (see the module docs).
+pub struct ReplicaChassis {
+    /// This replica's id.
+    pub id: ReplicaId,
+    /// Size of the replica group; peers are `0..group_size`.
+    group_size: u32,
+    /// Timeouts, window and batching policy.
+    pub pconfig: ProtocolConfig,
+    /// The installed view (advanced by the protocol's view change through
+    /// [`enter_view`](Self::enter_view)).
+    pub view: View,
+    /// The mode stamped on trace events: the live mode of a SeeMoRe
+    /// replica, the fixed closest analogue of a baseline.
+    pub mode: Mode,
+    /// Agreement instances above the stable checkpoint.
+    pub log: MessageLog,
+    /// Applies committed batches in order.
+    pub exec: ExecutionEngine,
+    /// Checkpoint votes and the stable checkpoint.
+    pub checkpoints: CheckpointManager,
+    /// Next sequence number to assign (meaningful only while primary).
+    pub next_seq: SeqNum,
+    /// Requests this primary has already assigned a sequence number (the
+    /// sequence number of the batch each request rides in).
+    pub assigned: HashMap<RequestId, SeqNum>,
+    /// Pending requests accumulating into the next batch (primary only),
+    /// plus the controller deciding when to cut them.
+    pub batcher: AdaptiveBatcher,
+    /// Protocol counters.
+    pub metrics: ReplicaMetrics,
+    /// Whether the replica was fail-stopped by its driver.
+    pub crashed: bool,
+    /// Durable store for safety-critical state. [`NullStore`] (disabled) by
+    /// default; every persistence site is guarded by `store.enabled()` so
+    /// the default configuration does no snapshot or encode work.
+    store: Arc<dyn Durability>,
+    /// Whether this replica restarted from durable state and has not yet
+    /// received the committed suffix it missed while down.
+    recovering: bool,
+    /// WAL records replayed at recovery (telemetry detail).
+    wal_replayed: u64,
+    /// Messages received while recovering, re-delivered once the rejoin
+    /// completes so no view change or vote is lost. Bounded by
+    /// [`RECOVERY_BUFFER_CAP`]; the oldest message is evicted (and counted)
+    /// on overflow.
+    recovery_buffer: VecDeque<(NodeId, Message)>,
+    /// Stable sequence number of the last checkpoint written to the store,
+    /// so re-stabilization paths do not rewrite an identical snapshot.
+    persisted_checkpoint: SeqNum,
+    /// Structured event sink. [`NullRecorder`] by default, in which case
+    /// every trace site reduces to one cold branch (see
+    /// `seemore-telemetry`'s zero-allocation contract).
+    recorder: Arc<dyn Recorder>,
+    /// Timestamp of the entry point currently executing, so helpers without
+    /// a `now` parameter can stamp trace events. The input gates
+    /// ([`on_start`](Self::on_start), [`receive`](Self::receive),
+    /// [`timer_gate`](Self::timer_gate)) set it; a driver's direct command
+    /// sets it itself.
+    pub trace_at: Instant,
+}
+
+impl ReplicaChassis {
+    /// A chassis for replica `id` of a `group_size`-replica group, in view
+    /// 0, tracing as `mode`, with checkpoints stabilizing under `rule`.
+    pub fn new(
+        id: ReplicaId,
+        group_size: u32,
+        pconfig: ProtocolConfig,
+        mode: Mode,
+        rule: StabilityRule,
+        app: Box<dyn StateMachine>,
+    ) -> Self {
+        ReplicaChassis {
+            id,
+            group_size,
+            pconfig,
+            view: View::ZERO,
+            mode,
+            log: MessageLog::new(),
+            exec: ExecutionEngine::new(app),
+            checkpoints: CheckpointManager::new(pconfig.checkpoint_period, rule),
+            next_seq: SeqNum(0),
+            assigned: HashMap::new(),
+            batcher: AdaptiveBatcher::new(pconfig.batch),
+            metrics: ReplicaMetrics::default(),
+            crashed: false,
+            store: Arc::new(NullStore),
+            recovering: false,
+            wal_replayed: 0,
+            recovery_buffer: VecDeque::new(),
+            persisted_checkpoint: SeqNum(0),
+            recorder: Arc::new(NullRecorder),
+            trace_at: Instant::ZERO,
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Telemetry
+    // ------------------------------------------------------------------
+
+    /// Replaces the structured-event sink (a shared ring buffer in traced
+    /// runs). Call before the replica starts processing messages.
+    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
+        self.recorder = recorder;
+    }
+
+    /// Records one structured protocol event, stamped with this replica's
+    /// identity, view, mode and the current entry point's timestamp. A
+    /// single branch when tracing is disabled.
+    #[inline]
+    pub fn trace(
+        &self,
+        kind: EventKind,
+        slot: Option<SeqNum>,
+        request: Option<RequestId>,
+        detail: u64,
+    ) {
+        if self.recorder.enabled() {
+            self.recorder.record(TraceEvent {
+                seq: 0,
+                at: self.trace_at,
+                node: NodeId::Replica(self.id),
+                view: self.view,
+                mode: self.mode,
+                slot,
+                request,
+                kind,
+                detail,
+            });
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Outgoing messages
+    // ------------------------------------------------------------------
+
+    /// Appends `message` to the durable WAL if it is a safety-critical vote
+    /// (the *no-un-vote* rule: a claim must be durable before any peer can
+    /// observe it). One cold branch when durability is disabled.
+    #[inline]
+    fn persist_outgoing(&self, message: &Message) {
+        if self.store.enabled()
+            && matches!(
+                message.kind(),
+                MessageKind::Prepare
+                    | MessageKind::PrePrepare
+                    | MessageKind::Accept
+                    | MessageKind::PbftPrepare
+                    | MessageKind::Commit
+                    | MessageKind::Inform
+                    | MessageKind::Checkpoint
+            )
+        {
+            self.store.append(&WalRecord::Vote(message.clone()));
+        }
+    }
+
+    /// Queues a send and records it in the metrics. Safety-critical votes
+    /// hit the WAL before the action is queued.
+    pub fn send(&mut self, actions: &mut Vec<Action>, to: NodeId, message: Message) {
+        self.persist_outgoing(&message);
+        self.metrics
+            .record_sent(message.kind(), message.wire_size());
+        actions.push(Action::Send { to, message });
+    }
+
+    /// Queues a broadcast to `recipients` (excluding this replica) and
+    /// records each copy in the metrics. Safety-critical votes hit the WAL
+    /// once per broadcast, before any copy is queued.
+    pub fn broadcast_to(
+        &mut self,
+        actions: &mut Vec<Action>,
+        recipients: impl IntoIterator<Item = ReplicaId>,
+        message: Message,
+    ) {
+        self.persist_outgoing(&message);
+        let recipients: Vec<NodeId> = recipients
+            .into_iter()
+            .filter(|r| *r != self.id)
+            .map(NodeId::Replica)
+            .collect();
+        for _ in &recipients {
+            self.metrics
+                .record_sent(message.kind(), message.wire_size());
+        }
+        broadcast(actions, recipients, message, None);
+    }
+
+    /// [`broadcast_to`](Self::broadcast_to) every other replica of the group.
+    pub fn broadcast(&mut self, actions: &mut Vec<Action>, message: Message) {
+        self.broadcast_to(actions, (0..self.group_size).map(ReplicaId), message);
+    }
+
+    // ------------------------------------------------------------------
+    // Batch admission (primary)
+    // ------------------------------------------------------------------
+
+    /// Slots this primary proposed that have not executed yet — the
+    /// occupancy signal the adaptive batching policy grows on.
+    pub fn slots_in_flight(&self) -> u64 {
+        self.next_seq.0.saturating_sub(self.exec.last_executed().0)
+    }
+
+    /// Offers `request` to the batching controller and returns the batch to
+    /// propose when the policy cuts one (always, when the effective cap is
+    /// 1). A request that already rides in an assigned slot is a duplicate
+    /// transmission; the commit path will answer its client.
+    pub fn admit_request(
+        &mut self,
+        actions: &mut Vec<Action>,
+        request: ClientRequest,
+        now: Instant,
+    ) -> Option<Batch> {
+        let id = request.id();
+        if self.assigned.contains_key(&id) {
+            return None;
+        }
+        self.trace(EventKind::RequestAdmitted, None, Some(id), 0);
+        let in_flight = self.slots_in_flight();
+        self.batcher
+            .offer(request, now, in_flight, actions, &mut self.metrics)
+    }
+
+    /// Whether `generation` names the armed flush timer. A stale one — a
+    /// timer that raced a size-trigger cut — is counted and must be
+    /// ignored, so it can never truncate the next buffer's delay.
+    pub fn flush_timer_is_current(&mut self, generation: u64) -> bool {
+        let current = self.batcher.timer_is_current(generation);
+        if !current {
+            self.metrics.batch.stale_timer_fires += 1;
+        }
+        current
+    }
+
+    /// The current flush timer fired on the primary: cuts the partial batch.
+    pub fn cut_on_flush_timer(&mut self, generation: u64) -> Option<Batch> {
+        let in_flight = self.slots_in_flight();
+        self.batcher
+            .on_flush_timer(generation, in_flight, &mut self.metrics)
+    }
+
+    /// Forces out any partially accumulated batch (a new view was installed,
+    /// where recovery should not wait out the flush delay).
+    pub fn flush_batch(&mut self, actions: &mut Vec<Action>) -> Option<Batch> {
+        self.batcher.flush(actions, &mut self.metrics)
+    }
+
+    /// Assigns `batch` the next sequence number and remembers its member
+    /// requests as assigned. `None` when the window is full: the batch is
+    /// dropped and the clients retransmit once the backlog drains.
+    pub fn assign_slot(&mut self, batch: &Batch) -> Option<SeqNum> {
+        let seq = SeqNum(self.next_seq.0.max(self.exec.last_executed().0) + 1);
+        if !self.log.in_window(seq, self.pconfig.high_water_mark) {
+            return None;
+        }
+        self.next_seq = seq;
+        for id in batch.request_ids() {
+            self.assigned.insert(id, seq);
+        }
+        if self.recorder.enabled() {
+            self.trace(EventKind::BatchCut, Some(seq), None, batch.len() as u64);
+            for id in batch.request_ids() {
+                self.trace(
+                    EventKind::ProposeSent,
+                    Some(seq),
+                    Some(id),
+                    batch.len() as u64,
+                );
+            }
+        }
+        Some(seq)
+    }
+
+    // ------------------------------------------------------------------
+    // Durability: views, checkpoints, restart
+    // ------------------------------------------------------------------
+
+    /// Attaches a durability store. Call before the replica starts
+    /// processing messages; from then on every safety-critical outgoing
+    /// message is appended to the store's WAL before it is handed to the
+    /// transport, and stable checkpoints are snapshotted durably.
+    pub fn set_store(&mut self, store: Arc<dyn Durability>) {
+        self.store = store;
+    }
+
+    /// Installs `view` (and the mode it runs in). No-un-vote across views:
+    /// the installed view is durable before any vote sent *in* it, otherwise
+    /// a restart could re-vote in an older view and contradict this view's
+    /// certificates.
+    pub fn enter_view(&mut self, view: View, mode: Mode) {
+        self.view = view;
+        self.mode = mode;
+        if self.store.enabled() {
+            self.store.append(&WalRecord::ViewEntered { view, mode });
+        }
+    }
+
+    /// The shared half of the housekeeping after the stable checkpoint
+    /// advanced: truncates the in-memory log and the assigned-request map
+    /// below it and (when durability is enabled) snapshots the checkpoint to
+    /// the store and compacts the WAL below it. Returns the stable sequence
+    /// number, below which the caller truncates its own per-slot maps.
+    /// Keeping the resident log bounded does not depend on durability.
+    pub fn after_stable_checkpoint(&mut self) -> SeqNum {
+        let stable = self.checkpoints.stable_seq();
+        self.log.garbage_collect(stable);
+        self.assigned.retain(|_, seq| *seq > stable);
+        if self.store.enabled() && stable > self.persisted_checkpoint {
+            let checkpoint = DurableCheckpoint {
+                seq: stable,
+                state_digest: self.checkpoints.stable_digest(),
+                snapshot: self.exec.snapshot(),
+                proof: self.checkpoints.stable_proof().to_vec(),
+            };
+            self.store.persist_checkpoint(&checkpoint);
+            self.store.compact_below(stable);
+            self.persisted_checkpoint = stable;
+            self.trace(EventKind::CheckpointPersisted, Some(stable), None, 0);
+        }
+        stable
+    }
+
+    /// Restarts from the durable state in `store`: restores its last
+    /// checkpoint and enters the *recovering* state. Returns the WAL suffix
+    /// for the caller to replay — which votes re-arm which log guards is the
+    /// protocol's knowledge.
+    pub fn restore(&mut self, store: Arc<dyn Durability>) -> Vec<WalRecord> {
+        let state = store.recover().unwrap_or_default();
+        self.store = store;
+        if let Some(cp) = &state.checkpoint {
+            self.exec.restore(&cp.snapshot);
+            self.checkpoints
+                .make_stable(cp.seq, cp.state_digest, cp.proof.clone());
+            self.log.garbage_collect(cp.seq);
+            self.persisted_checkpoint = cp.seq;
+        }
+        self.wal_replayed = state.wal.len() as u64;
+        self.recovering = true;
+        state.wal
+    }
+
+    // ------------------------------------------------------------------
+    // Rejoin after a restart, and serving state to peers that rejoin
+    // ------------------------------------------------------------------
+
+    /// `on_start`: a restarted replica announces itself; a fresh (or
+    /// crashed) one has nothing to do.
+    pub fn on_start(&mut self, now: Instant, signing: Option<&mut SigningContext>) -> Vec<Action> {
+        let mut actions = Vec::new();
+        if self.crashed || !self.recovering {
+            return actions;
+        }
+        self.trace_at = now;
+        self.trace(EventKind::RecoveryStarted, None, None, self.wal_replayed);
+        self.announce_recovery(&mut actions, signing);
+        actions
+    }
+
+    /// Broadcasts the `RECOVERY` announcement — signed when the deployment
+    /// signs, carrying [`Signature::INVALID`] in a crash-only one — and arms
+    /// the re-announce timer.
+    fn announce_recovery(
+        &mut self,
+        actions: &mut Vec<Action>,
+        signing: Option<&mut SigningContext>,
+    ) {
+        let mut recovery = Recovery {
+            last_executed: self.exec.last_executed(),
+            view: self.view,
+            replica: self.id,
+            signature: Signature::INVALID,
+        };
+        if let Some(signing) = signing {
+            recovery.signature = signing.sign(&recovery);
+        }
+        self.broadcast(actions, Message::Recovery(recovery));
+        actions.push(Action::SetTimer {
+            timer: Timer::Recovery,
+            after: self.pconfig.request_timeout,
+        });
+    }
+
+    /// The gate every `on_timer` passes first. `Some` means the chassis
+    /// consumed the expiry: the replica is crashed, or it is rejoining, when
+    /// only the recovery re-announce timer runs.
+    pub fn timer_gate(
+        &mut self,
+        timer: Timer,
+        now: Instant,
+        signing: Option<&mut SigningContext>,
+    ) -> Option<Vec<Action>> {
+        if self.crashed {
+            return Some(Vec::new());
+        }
+        self.trace_at = now;
+        if !self.recovering {
+            return None;
+        }
+        let mut actions = Vec::new();
+        if matches!(timer, Timer::Recovery) {
+            self.announce_recovery(&mut actions, signing);
+        }
+        Some(actions)
+    }
+
+    /// The gate every `on_message` passes first. While rejoining, peers'
+    /// state requests are answered (that only reads restored state), state
+    /// responses and other replicas' restart announcements go to the
+    /// protocol, and everything else is buffered for re-delivery after the
+    /// rejoin, so no vote or view-change message is lost.
+    pub fn receive(&mut self, from: NodeId, message: Message, now: Instant) -> Inbound {
+        if self.crashed {
+            return Inbound::Handled(Vec::new());
+        }
+        self.trace_at = now;
+        self.metrics.record_received(message.kind());
+        if !self.recovering {
+            return Inbound::Deliver(message);
+        }
+        match message {
+            Message::StateResponse(response) => Inbound::Rejoin(response),
+            Message::Recovery(_) => Inbound::Deliver(message),
+            Message::StateRequest(request) => {
+                Inbound::Handled(self.serve_state(request.from_seq, request.replica))
+            }
+            other => {
+                if self.recovery_buffer.len() >= RECOVERY_BUFFER_CAP {
+                    self.recovery_buffer.pop_front();
+                    self.metrics.recovery_buffer_dropped += 1;
+                }
+                self.recovery_buffer.push_back((from, other));
+                Inbound::Handled(Vec::new())
+            }
+        }
+    }
+
+    /// Answers a `STATE-REQUEST` (or a restarted peer's announcement) with
+    /// the snapshot and the committed suffix above `from_seq`.
+    pub fn serve_state(&mut self, from_seq: SeqNum, to: ReplicaId) -> Vec<Action> {
+        let mut actions = Vec::new();
+        let response = StateResponse {
+            checkpoint: self.checkpoints.stable_proof().first().cloned(),
+            snapshot: Some(self.exec.snapshot()),
+            entries: self.exec.committed_after(from_seq),
+            replica: self.id,
+        };
+        self.send(
+            &mut actions,
+            NodeId::Replica(to),
+            Message::StateResponse(response),
+        );
+        actions
+    }
+
+    /// Fast-forwards over a peer's snapshot if it is ahead of local state (a
+    /// stale one is ignored by `restore`), making the checkpoint it was
+    /// taken at stable. Returns whether execution moved, in which case the
+    /// caller runs its stable-checkpoint housekeeping. The caller has
+    /// already decided that the sender is to be believed.
+    pub fn adopt_snapshot(&mut self, snapshot: &[u8], checkpoint: Option<&Checkpoint>) -> bool {
+        let before = self.exec.last_executed();
+        self.exec.restore(snapshot);
+        let advanced = self.exec.last_executed() > before;
+        if advanced {
+            if let Some(cp) = checkpoint {
+                self.checkpoints
+                    .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
+            }
+        }
+        advanced
+    }
+
+    /// Re-enters a peer's committed suffix into the normal execution path
+    /// (harmless from anyone: each entry still executes in order, once).
+    pub fn adopt_entries(&mut self, entries: impl IntoIterator<Item = (SeqNum, Batch)>) {
+        let low_mark = self.log.low_mark();
+        for (seq, batch) in entries {
+            if self.exec.add_committed(seq, batch) && seq > low_mark {
+                self.log.instance_mut(seq).committed = true;
+            }
+        }
+    }
+
+    /// Leaves the recovering state and hands back everything buffered while
+    /// rejoining, oldest first, for the caller to re-deliver to itself.
+    pub fn finish_recovery(&mut self, actions: &mut Vec<Action>) -> VecDeque<(NodeId, Message)> {
+        self.recovering = false;
+        actions.push(Action::CancelTimer {
+            timer: Timer::Recovery,
+        });
+        self.trace(EventKind::RecoveryCompleted, None, None, self.wal_replayed);
+        std::mem::take(&mut self.recovery_buffer)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seemore_app::NoopApp;
+    use seemore_store::{MemStore, StoreConfig};
+    use seemore_wire::StateRequest;
+
+    fn restarted() -> ReplicaChassis {
+        let mut chassis = ReplicaChassis::new(
+            ReplicaId(2),
+            3,
+            ProtocolConfig::default(),
+            Mode::Lion,
+            StabilityRule::TrustedSigner,
+            Box::new(NoopApp::new(0)),
+        );
+        let wal = chassis.restore(Arc::new(MemStore::new(StoreConfig::default())));
+        assert!(wal.is_empty() && chassis.recovering);
+        chassis
+    }
+
+    #[test]
+    fn a_full_recovery_buffer_counts_every_evicted_message_oldest_first() {
+        let mut chassis = restarted();
+        let total = RECOVERY_BUFFER_CAP as u64 + 3;
+        for i in 0..total {
+            // Any message the chassis does not serve itself is buffered; a
+            // checkpoint announcement is the smallest one to tell apart.
+            let message = Message::Checkpoint(Checkpoint {
+                seq: SeqNum(i),
+                state_digest: seemore_crypto::Digest::of_bytes(b"state"),
+                replica: ReplicaId(0),
+                signature: Signature::INVALID,
+            });
+            let inbound = chassis.receive(NodeId::Replica(ReplicaId(0)), message, Instant::ZERO);
+            assert!(matches!(inbound, Inbound::Handled(actions) if actions.is_empty()));
+        }
+        assert_eq!(chassis.metrics.recovery_buffer_dropped, 3);
+
+        let mut actions = Vec::new();
+        let buffered = chassis.finish_recovery(&mut actions);
+        assert!(!chassis.recovering);
+        assert_eq!(buffered.len(), RECOVERY_BUFFER_CAP);
+        let seqs: Vec<u64> = buffered
+            .iter()
+            .map(|(_, message)| match message {
+                Message::Checkpoint(cp) => cp.seq.0,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(seqs, (3..total).collect::<Vec<_>>(), "oldest evicted first");
+    }
+
+    #[test]
+    fn a_recovering_chassis_serves_state_and_hands_rejoin_traffic_to_the_protocol() {
+        let mut chassis = restarted();
+        let peer = NodeId::Replica(ReplicaId(0));
+        let request = Message::StateRequest(StateRequest {
+            from_seq: SeqNum(0),
+            replica: ReplicaId(0),
+        });
+        match chassis.receive(peer, request, Instant::ZERO) {
+            Inbound::Handled(actions) => assert!(matches!(
+                actions.as_slice(),
+                [Action::Send {
+                    message: Message::StateResponse(_),
+                    ..
+                }]
+            )),
+            _ => panic!("a state request is served by the chassis"),
+        }
+        let response = StateResponse {
+            checkpoint: None,
+            snapshot: None,
+            entries: Vec::new(),
+            replica: ReplicaId(0),
+        };
+        assert!(matches!(
+            chassis.receive(peer, Message::StateResponse(response), Instant::ZERO),
+            Inbound::Rejoin(_)
+        ));
+        assert_eq!(chassis.metrics.recovery_buffer_dropped, 0);
+    }
+}

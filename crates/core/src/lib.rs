@@ -7,6 +7,14 @@
 //!   **Dog** and **Peacock** modes (Sections 5.1–5.3), including
 //!   checkpointing, garbage collection, state transfer, per-mode view
 //!   changes and dynamic mode switching (Section 5.4).
+//! * [`chassis::ReplicaChassis`] — the protocol-independent half of a
+//!   replica, owned as a plain field by `SeeMoReReplica` and by the CFT and
+//!   BFT baselines alike: identity and tracing, the log / execution /
+//!   checkpoint state, the outgoing path with its vote-before-send WAL
+//!   rule, batch admission, durable restart and the rejoin exchange — plus
+//!   [`chassis::SigningContext`] for the replicas that sign. What the paper
+//!   says differs between the protocols (phases, quorums, view change,
+//!   reads, whose state is trusted) stays in the replica structs.
 //! * [`client::ClientCore`] — the client side of the protocol: request
 //!   submission, per-mode reply quorums and retransmission.
 //! * [`batching`] — the request-batching controller: primaries order
@@ -101,6 +109,7 @@
 pub mod actions;
 pub mod batching;
 pub mod byzantine;
+pub mod chassis;
 pub mod checkpoint;
 pub mod client;
 pub mod config;
@@ -119,6 +128,7 @@ pub use batching::{
     AdaptiveBatchConfig, AdaptiveBatcher, BatchAccumulator, BatchConfig, FlushCause,
 };
 pub use byzantine::{ByzantineBehavior, ByzantineReplica};
+pub use chassis::{Inbound, ReplicaChassis, SigningContext};
 pub use client::{ClientCore, ClientOutcome, ClientProtocol};
 pub use config::{BatchPolicy, ProtocolConfig};
 pub use exec::ExecutedEntry;

@@ -128,6 +128,10 @@ pub struct ReplicaMetrics {
     /// any point — the witness that checkpoint-driven truncation keeps the
     /// in-memory log bounded (merge takes the maximum, not the sum).
     pub peak_log_instances: u64,
+    /// Messages a rejoining replica evicted from its full recovery buffer
+    /// (oldest first) instead of re-delivering them after the rejoin; their
+    /// senders retransmit, but the loss is never silent.
+    pub recovery_buffer_dropped: u64,
 }
 
 impl ReplicaMetrics {
@@ -205,6 +209,7 @@ impl ReplicaMetrics {
         self.reads_refused += other.reads_refused;
         self.batch.merge(&other.batch);
         self.peak_log_instances = self.peak_log_instances.max(other.peak_log_instances);
+        self.recovery_buffer_dropped += other.recovery_buffer_dropped;
     }
 }
 
@@ -251,12 +256,14 @@ mod tests {
         b.record_received(MessageKind::Prepare);
         b.committed = 2;
         b.rejected_messages = 4;
+        b.recovery_buffer_dropped = 3;
 
         a.merge(&b);
         assert_eq!(a.sent(MessageKind::Commit), 2);
         assert_eq!(a.received(MessageKind::Prepare), 1);
         assert_eq!(a.committed, 5);
         assert_eq!(a.rejected_messages, 4);
+        assert_eq!(a.recovery_buffer_dropped, 3);
         assert_eq!(a.view_changes_completed, 1);
         assert_eq!(a.total_sent_bytes(), 100);
     }

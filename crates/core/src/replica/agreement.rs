@@ -35,38 +35,18 @@ impl SeeMoReReplica {
         request: ClientRequest,
         now: Instant,
     ) {
-        let id = request.id();
-        if self.assigned.contains_key(&id) {
-            // Already ordered (duplicate transmission); the commit path will
-            // answer the client.
-            return;
-        }
-        self.trace(EventKind::RequestAdmitted, None, Some(id), 0);
-        let in_flight = self.slots_in_flight();
-        if let Some(batch) = self
-            .batcher
-            .offer(request, now, in_flight, actions, &mut self.metrics)
-        {
+        if let Some(batch) = self.chassis.admit_request(actions, request, now) {
             self.propose_batch(actions, batch, now);
         }
     }
 
-    /// Slots this primary proposed that have not executed yet — the
-    /// occupancy signal the adaptive batching policy grows on.
-    pub(crate) fn slots_in_flight(&self) -> u64 {
-        self.next_seq.0.saturating_sub(self.exec.last_executed().0)
-    }
-
     /// The batch flush timer of `generation` fired: propose whatever is
-    /// buffered, provided the generation is still current (a stale timer —
-    /// one that raced a size-trigger cut — is counted and ignored, so it can
-    /// never truncate the next buffer's delay). A replica that was deposed
-    /// while buffering re-routes its buffer to the current primary instead,
-    /// so no request is stranded.
+    /// buffered, provided the generation is still current. A replica that
+    /// was deposed while buffering re-routes its buffer to the current
+    /// primary instead, so no request is stranded.
     pub(crate) fn on_batch_flush(&mut self, generation: u64, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.batcher.timer_is_current(generation) {
-            self.metrics.batch.stale_timer_fires += 1;
+        if !self.chassis.flush_timer_is_current(generation) {
             return actions;
         }
         if self.vc.in_view_change {
@@ -75,15 +55,11 @@ impl SeeMoReReplica {
             return actions;
         }
         if self.is_primary() {
-            let in_flight = self.slots_in_flight();
-            if let Some(batch) =
-                self.batcher
-                    .on_flush_timer(generation, in_flight, &mut self.metrics)
-            {
+            if let Some(batch) = self.chassis.cut_on_flush_timer(generation) {
                 self.propose_batch(&mut actions, batch, now);
             }
         } else {
-            for request in self.batcher.drain(&mut actions) {
+            for request in self.chassis.batcher.drain(&mut actions) {
                 self.forward_to_primary(&mut actions, request);
             }
         }
@@ -93,7 +69,7 @@ impl SeeMoReReplica {
     /// Forces out any partially accumulated batch (used when a new view is
     /// installed, where recovery should not wait out the flush delay).
     pub(crate) fn flush_pending_batch(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        if let Some(batch) = self.batcher.flush(actions, &mut self.metrics) {
+        if let Some(batch) = self.chassis.flush_batch(actions) {
             self.propose_batch(actions, batch, now);
         }
     }
@@ -106,79 +82,62 @@ impl SeeMoReReplica {
     /// and the lease derived from this slot must not outlive a deposal that
     /// timer could trigger.
     pub(crate) fn propose_batch(&mut self, actions: &mut Vec<Action>, batch: Batch, now: Instant) {
-        let seq = SeqNum(self.next_seq.0.max(self.exec.last_executed().0) + 1);
-        if !self.log.in_window(seq, self.pconfig.high_water_mark) {
-            // The window is full; the batch is dropped and the clients will
-            // retransmit once the backlog drains.
+        let Some(seq) = self.chassis.assign_slot(&batch) else {
             return;
-        }
-        self.next_seq = seq;
-        if self.mode.has_trusted_primary() {
-            self.proposed_at
-                .insert(seq, now.saturating_sub(self.pconfig.batch.max_delay()));
-        }
-        for id in batch.request_ids() {
-            self.assigned.insert(id, seq);
-        }
-        if self.recorder.enabled() {
-            self.trace(EventKind::BatchCut, Some(seq), None, batch.len() as u64);
-            for id in batch.request_ids() {
-                self.trace(
-                    EventKind::ProposeSent,
-                    Some(seq),
-                    Some(id),
-                    batch.len() as u64,
-                );
-            }
+        };
+        if self.chassis.mode.has_trusted_primary() {
+            self.proposed_at.insert(
+                seq,
+                now.saturating_sub(self.chassis.pconfig.batch.max_delay()),
+            );
         }
         let digest = batch.digest();
 
-        match self.mode {
+        match self.chassis.mode {
             Mode::Lion | Mode::Dog => {
                 let mut prepare = Prepare {
-                    view: self.view,
+                    view: self.chassis.view,
                     seq,
                     digest,
                     batch: batch.clone(),
                     signature: Signature::INVALID,
                 };
-                prepare.signature = self.sign_payload(&prepare);
-                let instance = self.log.instance_mut(seq);
+                prepare.signature = self.signing.sign(&prepare);
+                let instance = self.chassis.log.instance_mut(seq);
                 instance.proposal = Some(Proposal {
-                    view: self.view,
+                    view: self.chassis.view,
                     digest,
                     batch,
                     primary_signature: prepare.signature,
                 });
-                let recipients = self.all_replicas();
-                self.broadcast_to(actions, recipients, Message::Prepare(prepare));
+                self.chassis.broadcast(actions, Message::Prepare(prepare));
             }
             Mode::Peacock => {
                 let mut preprepare = PrePrepare {
-                    view: self.view,
+                    view: self.chassis.view,
                     seq,
                     digest,
                     batch: batch.clone(),
                     signature: Signature::INVALID,
                 };
-                preprepare.signature = self.sign_payload(&preprepare);
-                let instance = self.log.instance_mut(seq);
+                preprepare.signature = self.signing.sign(&preprepare);
+                let instance = self.chassis.log.instance_mut(seq);
                 instance.proposal = Some(Proposal {
-                    view: self.view,
+                    view: self.chassis.view,
                     digest,
                     batch,
                     primary_signature: preprepare.signature,
                 });
                 // The paper: the Peacock primary multicasts the pre-prepare
                 // (with the batch) to *all* nodes, not only the proxies.
-                let recipients = self.all_replicas();
-                self.broadcast_to(actions, recipients, Message::PrePrepare(preprepare));
+                self.chassis
+                    .broadcast(actions, Message::PrePrepare(preprepare));
                 // Arm a progress timer on the primary too, so a stalled
                 // quorum is detected even if backups are slow.
-                self.progress_armed.insert(seq, self.view);
+                self.progress_armed.insert(seq, self.chassis.view);
                 actions.push(Action::SetTimer {
                     timer: Timer::RequestProgress { seq },
-                    after: self.pconfig.request_timeout,
+                    after: self.chassis.pconfig.request_timeout,
                 });
             }
         }
@@ -216,10 +175,10 @@ impl SeeMoReReplica {
         if self.vc.in_view_change {
             return false;
         }
-        if view != self.view {
+        if view != self.chassis.view {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: view,
-                expected: self.view,
+                expected: self.chassis.view,
             }));
             return false;
         }
@@ -230,7 +189,10 @@ impl SeeMoReReplica {
             }));
             return false;
         }
-        if !self.verify_payload_once(NodeId::Replica(sender), payload, &signature) {
+        if !self
+            .signing
+            .verify_once(NodeId::Replica(sender), payload, &signature)
+        {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
@@ -243,15 +205,19 @@ impl SeeMoReReplica {
             actions.push(self.violation(ProtocolViolation::DigestMismatch { seq: Some(seq) }));
             return false;
         }
-        if !self.log.in_window(seq, self.pconfig.high_water_mark) {
+        if !self
+            .chassis
+            .log
+            .in_window(seq, self.chassis.pconfig.high_water_mark)
+        {
             actions.push(self.violation(ProtocolViolation::OutsideWindow {
                 seq,
-                low: self.log.low_mark(),
-                high: SeqNum(self.log.low_mark().0 + self.pconfig.high_water_mark),
+                low: self.chassis.log.low_mark(),
+                high: SeqNum(self.chassis.log.low_mark().0 + self.chassis.pconfig.high_water_mark),
             }));
             return false;
         }
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         if let Some(existing) = &instance.proposal {
             if existing.view == view && existing.digest != digest {
                 // The primary proposed two different batches for the same
@@ -286,8 +252,10 @@ impl SeeMoReReplica {
         now: Instant,
     ) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.mode == Mode::Peacock {
-            actions.push(self.violation(ProtocolViolation::WrongMode { current: self.mode }));
+        if self.chassis.mode == Mode::Peacock {
+            actions.push(self.violation(ProtocolViolation::WrongMode {
+                current: self.chassis.mode,
+            }));
             return actions;
         }
         if !self.accept_proposal(
@@ -305,27 +273,27 @@ impl SeeMoReReplica {
         let seq = prepare.seq;
         let digest = prepare.digest;
 
-        match self.mode {
+        match self.chassis.mode {
             Mode::Lion => {
                 // Every backup votes directly to the trusted primary; the
                 // vote needs no signature because only the primary uses it.
                 let accept = Accept {
-                    view: self.view,
+                    view: self.chassis.view,
                     seq,
                     digest,
-                    replica: self.id,
+                    replica: self.chassis.id,
                     signature: None,
                 };
                 let primary = self.current_primary();
-                self.send(
+                self.chassis.send(
                     &mut actions,
                     NodeId::Replica(primary),
                     Message::Accept(accept),
                 );
-                self.progress_armed.insert(seq, self.view);
+                self.progress_armed.insert(seq, self.chassis.view);
                 actions.push(Action::SetTimer {
                     timer: Timer::RequestProgress { seq },
-                    after: self.pconfig.request_timeout,
+                    after: self.chassis.pconfig.request_timeout,
                 });
             }
             Mode::Dog => {
@@ -333,21 +301,25 @@ impl SeeMoReReplica {
                     // Proxies exchange *signed* accepts with each other; the
                     // signatures double as view-change evidence.
                     let mut accept = Accept {
-                        view: self.view,
+                        view: self.chassis.view,
                         seq,
                         digest,
-                        replica: self.id,
+                        replica: self.chassis.id,
                         signature: None,
                     };
-                    accept.signature = Some(self.sign_payload(&accept));
+                    accept.signature = Some(self.signing.sign(&accept));
                     // Record our own vote before broadcasting.
-                    self.log.instance_mut(seq).record_accept(self.id, digest);
+                    self.chassis
+                        .log
+                        .instance_mut(seq)
+                        .record_accept(self.chassis.id, digest);
                     let proxies = self.current_proxies();
-                    self.broadcast_to(&mut actions, proxies, Message::Accept(accept));
-                    self.progress_armed.insert(seq, self.view);
+                    self.chassis
+                        .broadcast_to(&mut actions, proxies, Message::Accept(accept));
+                    self.progress_armed.insert(seq, self.chassis.view);
                     actions.push(Action::SetTimer {
                         timer: Timer::RequestProgress { seq },
-                        after: self.pconfig.request_timeout,
+                        after: self.chassis.pconfig.request_timeout,
                     });
                     self.try_commit_dog(&mut actions, seq, digest, now);
                 }
@@ -372,8 +344,10 @@ impl SeeMoReReplica {
         now: Instant,
     ) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.mode != Mode::Peacock {
-            actions.push(self.violation(ProtocolViolation::WrongMode { current: self.mode }));
+        if self.chassis.mode != Mode::Peacock {
+            actions.push(self.violation(ProtocolViolation::WrongMode {
+                current: self.chassis.mode,
+            }));
             return actions;
         }
         if !self.accept_proposal(
@@ -393,22 +367,24 @@ impl SeeMoReReplica {
 
         if self.is_proxy() && !self.is_primary() {
             let mut vote = PbftPrepare {
-                view: self.view,
+                view: self.chassis.view,
                 seq,
                 digest,
-                replica: self.id,
+                replica: self.chassis.id,
                 signature: Signature::INVALID,
             };
-            vote.signature = self.sign_payload(&vote);
-            self.log
+            vote.signature = self.signing.sign(&vote);
+            self.chassis
+                .log
                 .instance_mut(seq)
-                .record_pbft_prepare(self.id, digest);
+                .record_pbft_prepare(self.chassis.id, digest);
             let proxies = self.current_proxies();
-            self.broadcast_to(&mut actions, proxies, Message::PbftPrepare(vote));
-            self.progress_armed.insert(seq, self.view);
+            self.chassis
+                .broadcast_to(&mut actions, proxies, Message::PbftPrepare(vote));
+            self.progress_armed.insert(seq, self.chassis.view);
             actions.push(Action::SetTimer {
                 timer: Timer::RequestProgress { seq },
-                after: self.pconfig.request_timeout,
+                after: self.chassis.pconfig.request_timeout,
             });
             self.try_prepare_peacock(&mut actions, seq, digest, now);
         }
@@ -434,21 +410,21 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if accept.view != self.view || self.vc.in_view_change {
+        if accept.view != self.chassis.view || self.vc.in_view_change {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: accept.view,
-                expected: self.view,
+                expected: self.chassis.view,
             }));
             return actions;
         }
 
-        match self.mode {
+        match self.chassis.mode {
             Mode::Lion => {
                 if !self.is_primary() {
                     return actions; // only the primary consumes Lion accepts
                 }
                 self.note_vote_digest(accept.seq, accept.view, &accept.digest);
-                let instance = self.log.instance_mut(accept.seq);
+                let instance = self.chassis.log.instance_mut(accept.seq);
                 if !instance.proposal_matches(accept.view, &accept.digest) {
                     return actions;
                 }
@@ -466,8 +442,10 @@ impl SeeMoReReplica {
                     }));
                     return actions;
                 };
-                if !self.cluster.is_proxy(sender, self.view)
-                    || !self.verify_payload_once(NodeId::Replica(sender), &accept, &signature)
+                if !self.cluster.is_proxy(sender, self.chassis.view)
+                    || !self
+                        .signing
+                        .verify_once(NodeId::Replica(sender), &accept, &signature)
                 {
                     actions.push(self.violation(ProtocolViolation::BadSignature {
                         claimed_signer: NodeId::Replica(sender),
@@ -475,13 +453,16 @@ impl SeeMoReReplica {
                     return actions;
                 }
                 self.note_vote_digest(accept.seq, accept.view, &accept.digest);
-                self.log
+                self.chassis
+                    .log
                     .instance_mut(accept.seq)
                     .record_accept(sender, accept.digest);
                 self.try_commit_dog(&mut actions, accept.seq, accept.digest, now);
             }
             Mode::Peacock => {
-                actions.push(self.violation(ProtocolViolation::WrongMode { current: self.mode }));
+                actions.push(self.violation(ProtocolViolation::WrongMode {
+                    current: self.chassis.mode,
+                }));
             }
         }
         actions
@@ -497,7 +478,7 @@ impl SeeMoReReplica {
         now: Instant,
     ) {
         let threshold = self.cluster.lion_accept_threshold() as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         let votes = instance.matching_accepts(&digest);
         if instance.commit_sent || votes < threshold {
             return;
@@ -507,29 +488,29 @@ impl SeeMoReReplica {
         };
         instance.commit_sent = true;
         instance.committed = true;
-        self.trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
-        self.trace(EventKind::Committed, Some(seq), None, 0);
+        self.chassis
+            .trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
+        self.chassis.trace(EventKind::Committed, Some(seq), None, 0);
         // An accept quorum of the current view followed this primary:
         // extend the read lease, anchored at the slot's *propose* time (not
         // at evidence arrival, which a delayed network could abuse).
         self.extend_read_lease_from_slot(seq);
 
         let mut commit = Commit {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
-            replica: self.id,
+            replica: self.chassis.id,
             // The Lion primary attaches the batch so a replica that missed
             // the PREPARE can still execute.
             batch: Some(proposal.batch.clone()),
             signature: Signature::INVALID,
         };
-        commit.signature = self.sign_payload(&commit);
-        let recipients = self.all_replicas();
-        self.broadcast_to(actions, recipients, Message::Commit(commit));
+        commit.signature = self.signing.sign(&commit);
+        self.chassis.broadcast(actions, Message::Commit(commit));
 
-        self.metrics.committed += 1;
-        self.exec.add_committed(seq, proposal.batch);
+        self.chassis.metrics.committed += 1;
+        self.chassis.exec.add_committed(seq, proposal.batch);
         self.execute_ready(actions, now);
     }
 
@@ -543,16 +524,17 @@ impl SeeMoReReplica {
         now: Instant,
     ) {
         let threshold = self.cluster.proxy_quorum() as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         let votes = instance.matching_accepts(&digest);
         if instance.commit_sent || votes < threshold {
             return;
         }
-        if !instance.proposal_matches(self.view, &digest) {
+        if !instance.proposal_matches(self.chassis.view, &digest) {
             return;
         }
         instance.commit_sent = true;
-        self.trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
+        self.chassis
+            .trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
         self.broadcast_commit_vote(actions, seq, digest);
         self.mark_committed_by_proxy(actions, seq, digest, now);
     }
@@ -569,22 +551,24 @@ impl SeeMoReReplica {
         now: Instant,
     ) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.mode != Mode::Peacock || !self.is_proxy() {
+        if self.chassis.mode != Mode::Peacock || !self.is_proxy() {
             return actions;
         }
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if vote.view != self.view || self.vc.in_view_change {
+        if vote.view != self.chassis.view || self.vc.in_view_change {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: vote.view,
-                expected: self.view,
+                expected: self.chassis.view,
             }));
             return actions;
         }
         if sender != vote.replica
-            || !self.cluster.is_proxy(sender, self.view)
-            || !self.verify_payload_once(NodeId::Replica(sender), &vote, &vote.signature)
+            || !self.cluster.is_proxy(sender, self.chassis.view)
+            || !self
+                .signing
+                .verify_once(NodeId::Replica(sender), &vote, &vote.signature)
         {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(vote.replica),
@@ -592,7 +576,8 @@ impl SeeMoReReplica {
             return actions;
         }
         self.note_vote_digest(vote.seq, vote.view, &vote.digest);
-        self.log
+        self.chassis
+            .log
             .instance_mut(vote.seq)
             .record_pbft_prepare(sender, vote.digest);
         self.try_prepare_peacock(&mut actions, vote.seq, vote.digest, now);
@@ -609,9 +594,9 @@ impl SeeMoReReplica {
         now: Instant,
     ) {
         let threshold = 2 * self.cluster.byzantine_bound() as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         if instance.prepared
-            || !instance.proposal_matches(self.view, &digest)
+            || !instance.proposal_matches(self.chassis.view, &digest)
             || instance
                 .pbft_prepares
                 .values()
@@ -622,7 +607,7 @@ impl SeeMoReReplica {
             return;
         }
         instance.prepared = true;
-        instance.record_commit(self.id, digest);
+        instance.record_commit(self.chassis.id, digest);
         // Advance the prepared frontier that fences this proxy's fast-path
         // reads (see `on_read_request`).
         self.highest_prepared = self.highest_prepared.max(seq);
@@ -638,16 +623,17 @@ impl SeeMoReReplica {
         digest: seemore_crypto::Digest,
     ) {
         let mut commit = Commit {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest,
-            replica: self.id,
+            replica: self.chassis.id,
             batch: None,
             signature: Signature::INVALID,
         };
-        commit.signature = self.sign_payload(&commit);
+        commit.signature = self.signing.sign(&commit);
         let proxies = self.current_proxies();
-        self.broadcast_to(actions, proxies, Message::Commit(commit));
+        self.chassis
+            .broadcast_to(actions, proxies, Message::Commit(commit));
     }
 
     // ------------------------------------------------------------------
@@ -668,21 +654,24 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if commit.view != self.view || self.vc.in_view_change {
+        if commit.view != self.chassis.view || self.vc.in_view_change {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: commit.view,
-                expected: self.view,
+                expected: self.chassis.view,
             }));
             return actions;
         }
-        if !self.verify_payload_once(NodeId::Replica(sender), &commit, &commit.signature) {
+        if !self
+            .signing
+            .verify_once(NodeId::Replica(sender), &commit, &commit.signature)
+        {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
             return actions;
         }
 
-        match self.mode {
+        match self.chassis.mode {
             Mode::Lion => {
                 // Only the trusted primary's commit counts.
                 if sender != self.current_primary() {
@@ -692,7 +681,7 @@ impl SeeMoReReplica {
                     }));
                     return actions;
                 }
-                let instance = self.log.instance_mut(commit.seq);
+                let instance = self.chassis.log.instance_mut(commit.seq);
                 if instance.committed {
                     return actions;
                 }
@@ -704,10 +693,11 @@ impl SeeMoReReplica {
                     .batch
                     .filter(|batch| batch.digest() == commit.digest)
                     .or_else(|| instance.proposal.as_ref().map(|p| p.batch.clone()));
-                self.trace(EventKind::Committed, Some(commit.seq), None, 0);
+                self.chassis
+                    .trace(EventKind::Committed, Some(commit.seq), None, 0);
                 if let Some(batch) = batch {
-                    self.metrics.committed += 1;
-                    self.exec.add_committed(commit.seq, batch);
+                    self.chassis.metrics.committed += 1;
+                    self.chassis.exec.add_committed(commit.seq, batch);
                     self.execute_ready(&mut actions, now);
                 } else {
                     // We cannot execute without the batch; fetch state.
@@ -715,22 +705,23 @@ impl SeeMoReReplica {
                 }
             }
             Mode::Dog | Mode::Peacock => {
-                if !self.is_proxy() || !self.cluster.is_proxy(sender, self.view) {
+                if !self.is_proxy() || !self.cluster.is_proxy(sender, self.chassis.view) {
                     return actions;
                 }
                 self.note_vote_digest(commit.seq, commit.view, &commit.digest);
-                self.log
+                self.chassis
+                    .log
                     .instance_mut(commit.seq)
                     .record_commit(sender, commit.digest);
-                match self.mode {
+                match self.chassis.mode {
                     // A lagging Dog proxy adopts the commit once m+1 proxies
                     // vouch for it (at least one of them is honest).
                     Mode::Dog => {
                         let threshold = self.cluster.byzantine_bound() as usize + 1;
-                        let instance = self.log.instance_mut(commit.seq);
+                        let instance = self.chassis.log.instance_mut(commit.seq);
                         if !instance.committed
                             && instance.matching_commits(&commit.digest) >= threshold
-                            && instance.proposal_matches(self.view, &commit.digest)
+                            && instance.proposal_matches(self.chassis.view, &commit.digest)
                         {
                             self.mark_committed_by_proxy(
                                 &mut actions,
@@ -760,16 +751,17 @@ impl SeeMoReReplica {
         now: Instant,
     ) {
         let threshold = self.cluster.proxy_quorum() as usize;
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         let votes = instance.matching_commits(&digest);
         if instance.committed
             || !instance.prepared
-            || !instance.proposal_matches(self.view, &digest)
+            || !instance.proposal_matches(self.chassis.view, &digest)
             || votes < threshold
         {
             return;
         }
-        self.trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
+        self.chassis
+            .trace(EventKind::QuorumReached, Some(seq), None, votes as u64);
         self.mark_committed_by_proxy(actions, seq, digest, now);
     }
 
@@ -782,7 +774,7 @@ impl SeeMoReReplica {
         digest: seemore_crypto::Digest,
         now: Instant,
     ) {
-        let instance = self.log.instance_mut(seq);
+        let instance = self.chassis.log.instance_mut(seq);
         if instance.committed {
             return;
         }
@@ -790,24 +782,25 @@ impl SeeMoReReplica {
         let batch = instance.proposal.as_ref().map(|p| p.batch.clone());
         let send_inform = !instance.inform_sent;
         instance.inform_sent = true;
-        self.trace(EventKind::Committed, Some(seq), None, 0);
+        self.chassis.trace(EventKind::Committed, Some(seq), None, 0);
 
         if send_inform {
             let mut inform = Inform {
-                view: self.view,
+                view: self.chassis.view,
                 seq,
                 digest,
-                replica: self.id,
+                replica: self.chassis.id,
                 signature: Signature::INVALID,
             };
-            inform.signature = self.sign_payload(&inform);
+            inform.signature = self.signing.sign(&inform);
             let passive = self.passive_replicas();
-            self.broadcast_to(actions, passive, Message::Inform(inform));
+            self.chassis
+                .broadcast_to(actions, passive, Message::Inform(inform));
         }
 
         if let Some(batch) = batch {
-            self.metrics.committed += 1;
-            self.exec.add_committed(seq, batch);
+            self.chassis.metrics.committed += 1;
+            self.chassis.exec.add_committed(seq, batch);
             self.execute_ready(actions, now);
         }
         actions.push(Action::CancelTimer {
@@ -822,30 +815,35 @@ impl SeeMoReReplica {
     /// Handles an `INFORM` notification from a proxy.
     pub(crate) fn on_inform(&mut self, from: NodeId, inform: Inform, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.mode == Mode::Lion {
-            actions.push(self.violation(ProtocolViolation::WrongMode { current: self.mode }));
+        if self.chassis.mode == Mode::Lion {
+            actions.push(self.violation(ProtocolViolation::WrongMode {
+                current: self.chassis.mode,
+            }));
             return actions;
         }
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if inform.view != self.view {
+        if inform.view != self.chassis.view {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: inform.view,
-                expected: self.view,
+                expected: self.chassis.view,
             }));
             return actions;
         }
         if sender != inform.replica
-            || !self.cluster.is_proxy(sender, self.view)
-            || !self.verify_payload_once(NodeId::Replica(sender), &inform, &inform.signature)
+            || !self.cluster.is_proxy(sender, self.chassis.view)
+            || !self
+                .signing
+                .verify_once(NodeId::Replica(sender), &inform, &inform.signature)
         {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(inform.replica),
             }));
             return actions;
         }
-        self.log
+        self.chassis
+            .log
             .instance_mut(inform.seq)
             .record_inform(sender, inform.digest);
         self.try_execute_informed(&mut actions, inform.seq, now);
@@ -863,8 +861,8 @@ impl SeeMoReReplica {
         if self.is_agreement_participant() {
             return;
         }
-        let threshold = self.cluster.inform_threshold(self.mode) as usize;
-        let instance = self.log.instance_mut(seq);
+        let threshold = self.cluster.inform_threshold(self.chassis.mode) as usize;
+        let instance = self.chassis.log.instance_mut(seq);
         if instance.committed {
             return;
         }
@@ -887,15 +885,15 @@ impl SeeMoReReplica {
             return;
         }
         instance.committed = true;
-        self.metrics.committed += 1;
-        self.trace(EventKind::Committed, Some(seq), None, 0);
+        self.chassis.metrics.committed += 1;
+        self.chassis.trace(EventKind::Committed, Some(seq), None, 0);
         // A Dog primary learns through an inform quorum (>= m+1 honest
         // proxies) that the current view is still committing its proposals:
         // extend the read lease, anchored at the slot's propose time.
-        if self.mode == Mode::Dog && self.is_primary() {
+        if self.chassis.mode == Mode::Dog && self.is_primary() {
             self.extend_read_lease_from_slot(seq);
         }
-        self.exec.add_committed(seq, proposal.batch);
+        self.chassis.exec.add_committed(seq, proposal.batch);
         self.execute_ready(actions, now);
     }
 
@@ -911,14 +909,16 @@ impl SeeMoReReplica {
         digest: &seemore_crypto::Digest,
     ) {
         let mismatch = self
+            .chassis
             .log
             .instance_mut(seq)
             .proposal
             .as_ref()
             .is_some_and(|p| p.view == view && p.digest != *digest);
         if mismatch {
-            self.metrics.vote_mismatches += 1;
-            self.trace(EventKind::VoteMismatch, Some(seq), None, 0);
+            self.chassis.metrics.vote_mismatches += 1;
+            self.chassis
+                .trace(EventKind::VoteMismatch, Some(seq), None, 0);
         }
     }
 
@@ -930,10 +930,10 @@ impl SeeMoReReplica {
         }
         self.state_transfer_pending = true;
         let request = seemore_wire::StateRequest {
-            from_seq: self.exec.last_executed(),
-            replica: self.id,
+            from_seq: self.chassis.exec.last_executed(),
+            replica: self.chassis.id,
         };
-        self.send(
+        self.chassis.send(
             actions,
             NodeId::Replica(target),
             Message::StateRequest(request),

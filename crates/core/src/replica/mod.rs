@@ -2,13 +2,13 @@
 //! Peacock modes, their view changes, checkpointing and dynamic mode
 //! switching.
 //!
-//! The replica is organized around [`SeeMoReReplica`], which owns:
-//!
-//! * the message [`log`](crate::log::MessageLog) of agreement instances,
-//! * the [`ExecutionEngine`] applying committed requests in order,
-//! * the [`CheckpointManager`] driving garbage collection and state
-//!   transfer,
-//! * and the view-change bookkeeping.
+//! [`SeeMoReReplica`] owns a [`ReplicaChassis`] — the message log, the
+//! execution engine, the checkpoint manager, the outgoing path, batch
+//! admission, durability and the rejoin exchange, all shared with the CFT
+//! and BFT baselines — plus a [`SigningContext`], and keeps what is
+//! SeeMoRe's own: the three modes' agreement, the read rules, view change,
+//! mode switching, and the rule that state is only adopted from the trusted
+//! tier.
 //!
 //! Message handlers live in the `agreement` submodule (normal case) and
 //! the `view_change` submodule (view change, new view and mode switch).
@@ -21,25 +21,25 @@ pub use view_change::mode_switch_announcer;
 #[cfg(test)]
 mod tests;
 
-use crate::actions::{broadcast, Action, Timer};
-use crate::batching::AdaptiveBatcher;
-use crate::checkpoint::{CheckpointManager, StabilityRule};
+use crate::actions::{Action, Timer};
+use crate::chassis::{Inbound, ReplicaChassis, SigningContext};
+use crate::checkpoint::StabilityRule;
 use crate::config::ProtocolConfig;
-use crate::exec::{ExecutedEntry, ExecutionEngine};
+use crate::exec::ExecutedEntry;
 use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
 use crate::protocol::ReplicaProtocol;
 use crate::reads::ParkedReads;
 use seemore_app::StateMachine;
-use seemore_crypto::{KeyStore, Signature, Signer, VerifyCache};
-use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
-use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
+use seemore_crypto::KeyStore;
+use seemore_store::{Durability, WalRecord};
+use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{
     ClusterConfig, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum, View,
 };
 use seemore_wire::{
-    Checkpoint, ClientReply, ClientRequest, Message, MessageKind, ReadReply, ReadRequest, Recovery,
-    SignedPayload, SigningScratch, StateRequest, StateResponse, ViewChange, WireSize,
+    Checkpoint, ClientReply, ClientRequest, Message, ReadReply, ReadRequest, Recovery,
+    StateRequest, StateResponse, ViewChange,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -60,24 +60,14 @@ pub(crate) struct ViewChangeState {
 
 /// A replica running the SeeMoRe protocol.
 pub struct SeeMoReReplica {
-    pub(crate) id: ReplicaId,
+    /// Everything around agreement that the baselines share: identity and
+    /// tracing, log / execution / checkpoints, the outgoing path, batch
+    /// admission, durability and the rejoin exchange. The live mode is
+    /// `chassis.mode`, the installed view `chassis.view`.
+    pub(crate) chassis: ReplicaChassis,
+    /// This replica's signing identity and allocation-free verify path.
+    pub(crate) signing: SigningContext,
     pub(crate) cluster: ClusterConfig,
-    pub(crate) pconfig: ProtocolConfig,
-    pub(crate) keystore: KeyStore,
-    pub(crate) signer: Signer,
-    pub(crate) mode: Mode,
-    pub(crate) view: View,
-    pub(crate) log: MessageLog,
-    pub(crate) exec: ExecutionEngine,
-    pub(crate) checkpoints: CheckpointManager,
-    /// Next sequence number to assign (meaningful only while primary).
-    pub(crate) next_seq: SeqNum,
-    /// Requests this primary has already assigned a sequence number (the
-    /// sequence number of the batch each request rides in).
-    pub(crate) assigned: HashMap<RequestId, SeqNum>,
-    /// Pending requests accumulating into the next batch (primary only),
-    /// plus the controller deciding when to cut them.
-    pub(crate) batcher: AdaptiveBatcher,
     pub(crate) vc: ViewChangeState,
     /// View in which each outstanding progress timer was armed; a timer that
     /// fires after a newer view was installed is re-armed instead of
@@ -126,49 +116,15 @@ pub struct SeeMoReReplica {
     /// primary while progress is being made — the PBFT practice of
     /// restarting the timer whenever the system moves forward.
     pub(crate) last_progress: Instant,
-    /// Reusable buffer for canonical signing bytes, so the sign/verify hot
-    /// path performs no per-message allocation.
-    pub(crate) scratch: SigningScratch,
-    /// Bounded memo of already-verified signatures (`None` when disabled by
-    /// [`ProtocolConfig::verify_memo`]): duplicate deliveries and
-    /// certificate re-checks skip the second HMAC.
-    pub(crate) verify_memo: Option<VerifyCache>,
-    pub(crate) metrics: ReplicaMetrics,
-    pub(crate) crashed: bool,
-    /// Durable store for safety-critical state. [`NullStore`] (disabled) by
-    /// default; every persistence site is guarded by `store.enabled()` so
-    /// the default configuration does no snapshot or encode work.
-    pub(crate) store: Arc<dyn Durability>,
-    /// Whether this replica restarted from durable state and has not yet
-    /// received the committed suffix it missed while down. While recovering,
-    /// protocol traffic is buffered (see `on_message`).
-    pub(crate) recovering: bool,
-    /// WAL records replayed at recovery (telemetry detail).
-    pub(crate) wal_replayed: u64,
-    /// Messages received while recovering, re-delivered once the rejoin
-    /// completes so no view change or vote is silently dropped. Bounded;
-    /// the oldest message is dropped on overflow.
-    pub(crate) recovery_buffer: std::collections::VecDeque<(NodeId, Message)>,
-    /// Stable sequence number of the last checkpoint written to the store,
-    /// so re-stabilization paths do not rewrite an identical snapshot.
-    pub(crate) persisted_checkpoint: SeqNum,
-    /// Structured event sink. [`NullRecorder`] by default, in which case
-    /// every trace site reduces to one cold branch (see
-    /// `seemore-telemetry`'s zero-allocation contract).
-    pub(crate) recorder: Arc<dyn Recorder>,
-    /// Timestamp of the entry point currently executing (`on_message`,
-    /// `on_timer`, ...), so helpers without a `now` parameter can stamp
-    /// trace events.
-    pub(crate) trace_at: Instant,
 }
 
 impl std::fmt::Debug for SeeMoReReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SeeMoReReplica")
-            .field("id", &self.id)
-            .field("mode", &self.mode)
-            .field("view", &self.view)
-            .field("last_executed", &self.exec.last_executed())
+            .field("id", &self.chassis.id)
+            .field("mode", &self.chassis.mode)
+            .field("view", &self.chassis.view)
+            .field("last_executed", &self.chassis.exec.last_executed())
             .finish_non_exhaustive()
     }
 }
@@ -189,24 +145,11 @@ impl SeeMoReReplica {
         app: Box<dyn StateMachine>,
     ) -> Self {
         assert!(cluster.contains(id), "replica {id} not in cluster");
-        let signer = keystore
-            .signer_for(NodeId::Replica(id))
-            .expect("key store must contain a signer for this replica");
         let rule = Self::stability_rule_for(mode, &cluster);
         SeeMoReReplica {
-            id,
+            chassis: ReplicaChassis::new(id, cluster.total_size(), pconfig, mode, rule, app),
+            signing: SigningContext::new(id, keystore, pconfig.verify_memo),
             cluster,
-            pconfig,
-            keystore,
-            signer,
-            mode,
-            view: View::ZERO,
-            log: MessageLog::new(),
-            exec: ExecutionEngine::new(app),
-            checkpoints: CheckpointManager::new(pconfig.checkpoint_period, rule),
-            next_seq: SeqNum(0),
-            assigned: HashMap::new(),
-            batcher: AdaptiveBatcher::new(pconfig.batch),
             vc: ViewChangeState::default(),
             progress_armed: HashMap::new(),
             forwarded_armed: HashMap::new(),
@@ -221,26 +164,12 @@ impl SeeMoReReplica {
             highest_prepared: SeqNum(0),
             parked_reads: ParkedReads::new(),
             last_progress: Instant::ZERO,
-            scratch: SigningScratch::new(),
-            verify_memo: pconfig.verify_memo.then(VerifyCache::default),
-            metrics: ReplicaMetrics::default(),
-            crashed: false,
-            store: Arc::new(NullStore),
-            recovering: false,
-            wal_replayed: 0,
-            recovery_buffer: std::collections::VecDeque::new(),
-            persisted_checkpoint: SeqNum(0),
-            recorder: Arc::new(NullRecorder),
-            trace_at: Instant::ZERO,
         }
     }
 
-    /// Attaches a durability store. Call before the replica starts
-    /// processing messages; from then on every safety-critical outgoing
-    /// message is appended to the store's WAL before it is handed to the
-    /// transport, and stable checkpoints are snapshotted durably.
+    /// Attaches a durability store (see [`ReplicaChassis::set_store`]).
     pub fn set_store(&mut self, store: Arc<dyn Durability>) {
-        self.store = store;
+        self.chassis.set_store(store);
     }
 
     /// Rebuilds a replica from the durable state in `store` (its last
@@ -262,21 +191,9 @@ impl SeeMoReReplica {
         store: Arc<dyn Durability>,
     ) -> Self {
         let mut replica = Self::new(id, cluster, pconfig, keystore, initial_mode, app);
-        let state = store.recover().unwrap_or_default();
-        replica.store = store;
-        if let Some(cp) = &state.checkpoint {
-            replica.exec.restore(&cp.snapshot);
-            replica
-                .checkpoints
-                .make_stable(cp.seq, cp.state_digest, cp.proof.clone());
-            replica.log.garbage_collect(cp.seq);
-            replica.persisted_checkpoint = cp.seq;
-        }
-        replica.wal_replayed = state.wal.len() as u64;
-        for record in state.wal {
+        for record in replica.chassis.restore(store) {
             replica.replay_record(record);
         }
-        replica.recovering = true;
         replica
     }
 
@@ -287,10 +204,11 @@ impl SeeMoReReplica {
     fn replay_record(&mut self, record: WalRecord) {
         match record {
             WalRecord::ViewEntered { view, mode } => {
-                if view >= self.view {
-                    self.view = view;
-                    self.mode = mode;
-                    self.checkpoints
+                if view >= self.chassis.view {
+                    self.chassis.view = view;
+                    self.chassis.mode = mode;
+                    self.chassis
+                        .checkpoints
                         .set_rule(Self::stability_rule_for(mode, &self.cluster));
                 }
             }
@@ -302,9 +220,9 @@ impl SeeMoReReplica {
         use crate::log::Proposal;
         let in_window = |log: &MessageLog, seq: SeqNum| seq > log.low_mark();
         match message {
-            Message::Prepare(p) if in_window(&self.log, p.seq) => {
-                self.next_seq = self.next_seq.max(p.seq);
-                let instance = self.log.instance_mut(p.seq);
+            Message::Prepare(p) if in_window(&self.chassis.log, p.seq) => {
+                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
+                let instance = self.chassis.log.instance_mut(p.seq);
                 if instance.proposal.is_none() {
                     instance.proposal = Some(Proposal {
                         view: p.view,
@@ -314,9 +232,9 @@ impl SeeMoReReplica {
                     });
                 }
             }
-            Message::PrePrepare(p) if in_window(&self.log, p.seq) => {
-                self.next_seq = self.next_seq.max(p.seq);
-                let instance = self.log.instance_mut(p.seq);
+            Message::PrePrepare(p) if in_window(&self.chassis.log, p.seq) => {
+                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
+                let instance = self.chassis.log.instance_mut(p.seq);
                 if instance.proposal.is_none() {
                     instance.proposal = Some(Proposal {
                         view: p.view,
@@ -326,18 +244,20 @@ impl SeeMoReReplica {
                     });
                 }
             }
-            Message::Accept(a) if in_window(&self.log, a.seq) => {
-                self.log
+            Message::Accept(a) if in_window(&self.chassis.log, a.seq) => {
+                self.chassis
+                    .log
                     .instance_mut(a.seq)
                     .record_accept(a.replica, a.digest);
             }
-            Message::PbftPrepare(v) if in_window(&self.log, v.seq) => {
-                self.log
+            Message::PbftPrepare(v) if in_window(&self.chassis.log, v.seq) => {
+                self.chassis
+                    .log
                     .instance_mut(v.seq)
                     .record_pbft_prepare(v.replica, v.digest);
             }
-            Message::Commit(c) if in_window(&self.log, c.seq) => {
-                let instance = self.log.instance_mut(c.seq);
+            Message::Commit(c) if in_window(&self.chassis.log, c.seq) => {
+                let instance = self.chassis.log.instance_mut(c.seq);
                 instance.record_commit(c.replica, c.digest);
                 // Having sent a commit-phase message is the claim that
                 // must survive the crash: the guards in `try_commit_*`
@@ -346,51 +266,27 @@ impl SeeMoReReplica {
                 instance.commit_sent = true;
                 instance.prepared = true;
             }
-            Message::Inform(i) if in_window(&self.log, i.seq) => {
-                let instance = self.log.instance_mut(i.seq);
+            Message::Inform(i) if in_window(&self.chassis.log, i.seq) => {
+                let instance = self.chassis.log.instance_mut(i.seq);
                 instance.record_inform(i.replica, i.digest);
                 instance.inform_sent = true;
             }
             Message::Checkpoint(cp) => {
                 let trusted = self.cluster.is_trusted(cp.replica);
-                if self.checkpoints.record(cp, trusted) {
-                    self.log.garbage_collect(self.checkpoints.stable_seq());
+                if self.chassis.checkpoints.record(cp, trusted) {
+                    self.chassis
+                        .log
+                        .garbage_collect(self.chassis.checkpoints.stable_seq());
                 }
             }
             _ => {}
         }
     }
 
-    /// Replaces the structured-event sink (a shared ring buffer in traced
-    /// runs). Call before the replica starts processing messages.
+    /// Replaces the structured-event sink (see
+    /// [`ReplicaChassis::set_recorder`]).
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// Records one structured protocol event, stamped with this replica's
-    /// identity, view, mode and the current entry point's timestamp. A
-    /// single branch when tracing is disabled.
-    #[inline]
-    pub(crate) fn trace(
-        &self,
-        kind: EventKind,
-        slot: Option<SeqNum>,
-        request: Option<RequestId>,
-        detail: u64,
-    ) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent {
-                seq: 0,
-                at: self.trace_at,
-                node: NodeId::Replica(self.id),
-                view: self.view,
-                mode: self.mode,
-                slot,
-                request,
-                kind,
-                detail,
-            });
-        }
+        self.chassis.set_recorder(recorder);
     }
 
     /// Checkpoint stability rule for `mode`: a single trusted signature in
@@ -410,24 +306,24 @@ impl SeeMoReReplica {
     /// The primary of the current `(mode, view)`.
     pub fn current_primary(&self) -> ReplicaId {
         self.cluster
-            .primary(self.mode, self.view)
+            .primary(self.chassis.mode, self.chassis.view)
             .expect("cluster validated at construction")
     }
 
     /// Whether this replica is the current primary.
     pub fn is_primary(&self) -> bool {
-        self.current_primary() == self.id
+        self.current_primary() == self.chassis.id
     }
 
     /// Whether this replica is a proxy in the current view (Dog / Peacock).
     pub fn is_proxy(&self) -> bool {
-        self.cluster.is_proxy(self.id, self.view)
+        self.cluster.is_proxy(self.chassis.id, self.chassis.view)
     }
 
     /// Whether this replica participates in the agreement quorum of the
     /// current mode and view.
     pub fn is_agreement_participant(&self) -> bool {
-        match self.mode {
+        match self.chassis.mode {
             Mode::Lion => true,
             Mode::Dog | Mode::Peacock => self.is_proxy(),
         }
@@ -438,143 +334,28 @@ impl SeeMoReReplica {
     pub(crate) fn is_view_change_voter(&self, mode: Mode) -> bool {
         match mode {
             Mode::Lion => true,
-            Mode::Dog | Mode::Peacock => !self.cluster.is_trusted(self.id),
+            Mode::Dog | Mode::Peacock => !self.cluster.is_trusted(self.chassis.id),
         }
     }
 
     /// The sequence number of the last request this replica executed.
     pub fn last_executed(&self) -> SeqNum {
-        self.exec.last_executed()
+        self.chassis.exec.last_executed()
     }
 
     /// The sequence number of the last stable checkpoint.
     pub fn stable_checkpoint(&self) -> SeqNum {
-        self.checkpoints.stable_seq()
+        self.chassis.checkpoints.stable_seq()
     }
 
     /// The application state digest (diagnostics / tests).
     pub fn state_digest(&self) -> seemore_crypto::Digest {
-        self.exec.state_digest()
-    }
-
-    // ------------------------------------------------------------------
-    // Signing and verification (the allocation-free hot path)
-    // ------------------------------------------------------------------
-
-    /// Signs `payload`'s canonical bytes through the reusable scratch
-    /// buffer — no allocation per signature.
-    pub(crate) fn sign_payload(&mut self, payload: &impl SignedPayload) -> Signature {
-        self.signer.sign(self.scratch.bytes_of(payload))
-    }
-
-    /// Verifies `signature` as `node`'s signature over `payload`, through
-    /// the scratch buffer and (when enabled) the verified-signature memo,
-    /// so a redelivery skips the second HMAC.
-    ///
-    /// Use this only on paths where the protocol actually re-verifies
-    /// identical bytes — client requests (retransmitted, and re-checked
-    /// inside view-change certificates) and reads. Quorum votes are
-    /// verified exactly once per message in healthy runs, so for them the
-    /// memo's digest-keyed lookup is pure overhead: they go through
-    /// [`verify_payload_once`](Self::verify_payload_once) instead.
-    pub(crate) fn verify_payload(
-        &mut self,
-        node: NodeId,
-        payload: &impl SignedPayload,
-        signature: &Signature,
-    ) -> bool {
-        let Self {
-            scratch,
-            keystore,
-            verify_memo,
-            ..
-        } = self;
-        let bytes = scratch.bytes_of(payload);
-        match verify_memo {
-            Some(memo) => memo.verify(keystore, node, bytes, signature),
-            None => keystore.verify(node, bytes, signature),
-        }
-    }
-
-    /// Plain (memo-free) verification through the scratch buffer — the
-    /// vote-path variant of [`verify_payload`](Self::verify_payload) for
-    /// signatures the protocol checks exactly once.
-    pub(crate) fn verify_payload_once(
-        &mut self,
-        node: NodeId,
-        payload: &impl SignedPayload,
-        signature: &Signature,
-    ) -> bool {
-        let Self {
-            scratch, keystore, ..
-        } = self;
-        keystore.verify(node, scratch.bytes_of(payload), signature)
-    }
-
-    // ------------------------------------------------------------------
-    // Outgoing-message helpers
-    // ------------------------------------------------------------------
-
-    /// Appends `message` to the durable WAL if it is a safety-critical vote
-    /// (the *no-un-vote* rule: a claim must be durable before any peer can
-    /// observe it). One cold branch when durability is disabled.
-    #[inline]
-    pub(crate) fn persist_outgoing(&self, message: &Message) {
-        if self.store.enabled()
-            && matches!(
-                message.kind(),
-                MessageKind::Prepare
-                    | MessageKind::PrePrepare
-                    | MessageKind::Accept
-                    | MessageKind::PbftPrepare
-                    | MessageKind::Commit
-                    | MessageKind::Inform
-                    | MessageKind::Checkpoint
-            )
-        {
-            self.store.append(&WalRecord::Vote(message.clone()));
-        }
-    }
-
-    /// Queues a send and records it in the metrics. Safety-critical votes
-    /// hit the WAL before the action is queued.
-    pub(crate) fn send(&mut self, actions: &mut Vec<Action>, to: NodeId, message: Message) {
-        self.persist_outgoing(&message);
-        self.metrics
-            .record_sent(message.kind(), message.wire_size());
-        actions.push(Action::Send { to, message });
-    }
-
-    /// Queues a broadcast to `recipients` (excluding this replica) and
-    /// records each copy in the metrics. Safety-critical votes hit the WAL
-    /// once per broadcast, before any copy is queued.
-    pub(crate) fn broadcast_to(
-        &mut self,
-        actions: &mut Vec<Action>,
-        recipients: impl IntoIterator<Item = ReplicaId>,
-        message: Message,
-    ) {
-        self.persist_outgoing(&message);
-        let recipients: Vec<NodeId> = recipients
-            .into_iter()
-            .filter(|r| *r != self.id)
-            .map(NodeId::Replica)
-            .collect();
-        for _ in &recipients {
-            self.metrics
-                .record_sent(message.kind(), message.wire_size());
-        }
-        broadcast(actions, recipients, message, None);
-    }
-
-    /// All replicas in the cluster.
-    pub(crate) fn all_replicas(&self) -> Vec<ReplicaId> {
-        self.cluster.replicas().collect()
+        self.chassis.exec.state_digest()
     }
 
     /// The proxies of the current view.
     pub(crate) fn current_proxies(&self) -> Vec<ReplicaId> {
-        self.cluster.proxies(self.view)
+        self.cluster.proxies(self.chassis.view)
     }
 
     /// The passive replicas of the current view: the private cloud plus the
@@ -582,16 +363,16 @@ impl SeeMoReReplica {
     pub(crate) fn passive_replicas(&self) -> Vec<ReplicaId> {
         self.cluster
             .replicas()
-            .filter(|r| !self.cluster.is_proxy(*r, self.view))
+            .filter(|r| !self.cluster.is_proxy(*r, self.chassis.view))
             .collect()
     }
 
     /// Records a protocol violation (invalid message) and returns the
     /// corresponding action.
     pub(crate) fn violation(&mut self, violation: ProtocolViolation) -> Action {
-        self.metrics.rejected_messages += 1;
+        self.chassis.metrics.rejected_messages += 1;
         if matches!(violation, ProtocolViolation::BadSignature { .. }) {
-            self.trace(EventKind::SigVerifyFail, None, None, 0);
+            self.chassis.trace(EventKind::SigVerifyFail, None, None, 0);
         }
         Action::Violation(violation)
     }
@@ -606,7 +387,10 @@ impl SeeMoReReplica {
         let mut actions = Vec::new();
 
         // Signature check: requests are signed by their client.
-        if !self.verify_payload(NodeId::Client(request.client), &request, &request.signature) {
+        if !self
+            .signing
+            .verify(NodeId::Client(request.client), &request, &request.signature)
+        {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Client(request.client),
             }));
@@ -615,12 +399,13 @@ impl SeeMoReReplica {
 
         // Exactly-once: answer already-executed requests from the reply cache.
         if let Some(result) = self
+            .chassis
             .exec
             .cached_reply(request.client, request.timestamp)
             .cloned()
         {
             let reply = self.make_reply(&request, result);
-            self.send(
+            self.chassis.send(
                 &mut actions,
                 NodeId::Client(request.client),
                 Message::Reply(reply),
@@ -648,19 +433,22 @@ impl SeeMoReReplica {
     pub(crate) fn forward_to_primary(&mut self, actions: &mut Vec<Action>, request: ClientRequest) {
         let primary = self.current_primary();
         let id = request.id();
-        if self.exec.last_timestamp(request.client) < Some(request.timestamp)
-            || self.exec.last_timestamp(request.client).is_none()
+        if self.chassis.exec.last_timestamp(request.client) < Some(request.timestamp)
+            || self.chassis.exec.last_timestamp(request.client).is_none()
         {
             self.forwarded_requests.insert(id, request.clone());
-            self.send(actions, NodeId::Replica(primary), Message::Request(request));
+            self.chassis
+                .send(actions, NodeId::Replica(primary), Message::Request(request));
             // Arm the suspicion timer only for the first time we see this
             // request: client retransmissions must not keep resetting it,
             // otherwise a dead primary is never suspected.
-            if self.is_view_change_voter(self.mode) && !self.forwarded_armed.contains_key(&id) {
-                self.forwarded_armed.insert(id, self.view);
+            if self.is_view_change_voter(self.chassis.mode)
+                && !self.forwarded_armed.contains_key(&id)
+            {
+                self.forwarded_armed.insert(id, self.chassis.view);
                 actions.push(Action::SetTimer {
                     timer: Timer::ForwardedRequest { request: id },
-                    after: self.pconfig.request_timeout,
+                    after: self.chassis.pconfig.request_timeout,
                 });
             }
         }
@@ -670,12 +458,12 @@ impl SeeMoReReplica {
     /// (signing through the reusable scratch buffer).
     pub(crate) fn make_reply(&mut self, request: &ClientRequest, result: Vec<u8>) -> ClientReply {
         ClientReply::new_with(
-            &mut self.scratch,
-            &self.signer,
-            self.mode,
-            self.view,
+            &mut self.signing.scratch,
+            &self.signing.signer,
+            self.chassis.mode,
+            self.chassis.view,
             request.id(),
-            self.id,
+            self.chassis.id,
             result,
         )
     }
@@ -690,10 +478,11 @@ impl SeeMoReReplica {
     /// field docs for why receipt-time anchoring is unsafe under message
     /// delay).
     pub(crate) fn extend_read_lease(&mut self, anchor: Instant) {
-        let extended = anchor + self.pconfig.request_timeout;
+        let extended = anchor + self.chassis.pconfig.request_timeout;
         if extended > self.read_lease_until {
             self.read_lease_until = extended;
-            self.trace(EventKind::LeaseGrant, None, None, extended.as_nanos());
+            self.chassis
+                .trace(EventKind::LeaseGrant, None, None, extended.as_nanos());
         }
     }
 
@@ -717,13 +506,16 @@ impl SeeMoReReplica {
     fn on_read_request(&mut self, read: ReadRequest, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         // Reads are signed by their client, exactly like ordered requests.
-        if !self.verify_payload(NodeId::Client(read.client), &read, &read.signature) {
+        if !self
+            .signing
+            .verify(NodeId::Client(read.client), &read, &read.signature)
+        {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Client(read.client),
             }));
             return actions;
         }
-        match self.mode {
+        match self.chassis.mode {
             // Lion / Dog: only the lease-holding trusted primary serves, and
             // only after its executed state covers everything it had already
             // proposed when the read arrived (the read-index fence). The
@@ -736,14 +528,21 @@ impl SeeMoReReplica {
                         // The primary would have served this read, but its
                         // lease lapsed — the signal that commit evidence (and
                         // thus lease extension) stopped flowing.
-                        self.trace(EventKind::LeaseExpiry, None, Some(read.id()), 0);
+                        self.chassis
+                            .trace(EventKind::LeaseExpiry, None, Some(read.id()), 0);
                     }
                     self.refuse_read(&mut actions, &read);
                     return actions;
                 }
-                self.trace(EventKind::RequestAdmitted, None, Some(read.id()), 0);
-                let fence = SeqNum(self.next_seq.0.max(self.exec.last_executed().0));
-                if self.exec.last_executed() >= fence {
+                self.chassis
+                    .trace(EventKind::RequestAdmitted, None, Some(read.id()), 0);
+                let fence = SeqNum(
+                    self.chassis
+                        .next_seq
+                        .0
+                        .max(self.chassis.exec.last_executed().0),
+                );
+                if self.chassis.exec.last_executed() >= fence {
                     self.serve_read(&mut actions, &read);
                 } else {
                     self.parked_reads.park(fence, read);
@@ -764,9 +563,10 @@ impl SeeMoReReplica {
                     self.refuse_read(&mut actions, &read);
                     return actions;
                 }
-                self.trace(EventKind::RequestAdmitted, None, Some(read.id()), 0);
+                self.chassis
+                    .trace(EventKind::RequestAdmitted, None, Some(read.id()), 0);
                 let fence = self.highest_prepared;
-                if self.exec.last_executed() >= fence {
+                if self.chassis.exec.last_executed() >= fence {
                     self.serve_read(&mut actions, &read);
                 } else {
                     self.parked_reads.park(fence, read);
@@ -780,22 +580,24 @@ impl SeeMoReReplica {
     /// application cannot prove the operation read-only (which also stops a
     /// Byzantine client from sneaking a mutation past ordering).
     fn serve_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        match self.exec.read(&read.operation) {
+        match self.chassis.exec.read(&read.operation) {
             Some(result) => {
-                self.metrics.reads_served += 1;
-                self.trace(EventKind::Executed, None, Some(read.id()), 0);
-                self.trace(EventKind::Replied, None, Some(read.id()), 0);
+                self.chassis.metrics.reads_served += 1;
+                self.chassis
+                    .trace(EventKind::Executed, None, Some(read.id()), 0);
+                self.chassis
+                    .trace(EventKind::Replied, None, Some(read.id()), 0);
                 let reply = ReadReply::new_with(
-                    &mut self.scratch,
-                    &self.signer,
-                    self.mode,
-                    self.view,
+                    &mut self.signing.scratch,
+                    &self.signing.signer,
+                    self.chassis.mode,
+                    self.chassis.view,
                     read.id(),
-                    self.id,
-                    self.exec.last_executed(),
+                    self.chassis.id,
+                    self.chassis.exec.last_executed(),
                     result,
                 );
-                self.send(
+                self.chassis.send(
                     actions,
                     NodeId::Client(read.client),
                     Message::ReadReply(reply),
@@ -807,18 +609,19 @@ impl SeeMoReReplica {
 
     /// Sends a signed refusal redirecting the client to the ordered path.
     fn refuse_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        self.metrics.reads_refused += 1;
-        self.trace(EventKind::ReadRefused, None, Some(read.id()), 0);
+        self.chassis.metrics.reads_refused += 1;
+        self.chassis
+            .trace(EventKind::ReadRefused, None, Some(read.id()), 0);
         let reply = ReadReply::refusal_with(
-            &mut self.scratch,
-            &self.signer,
-            self.mode,
-            self.view,
+            &mut self.signing.scratch,
+            &self.signing.signer,
+            self.chassis.mode,
+            self.chassis.view,
             read.id(),
-            self.id,
-            self.exec.last_executed(),
+            self.chassis.id,
+            self.chassis.exec.last_executed(),
         );
-        self.send(
+        self.chassis.send(
             actions,
             NodeId::Client(read.client),
             Message::ReadReply(reply),
@@ -837,13 +640,16 @@ impl SeeMoReReplica {
         if self.parked_reads.is_empty() {
             return;
         }
-        if self.mode.has_trusted_primary()
+        if self.chassis.mode.has_trusted_primary()
             && (!self.is_primary() || self.vc.in_view_change || !self.read_lease_valid(now))
         {
             self.refuse_parked_reads(actions);
             return;
         }
-        for read in self.parked_reads.take_ready(self.exec.last_executed()) {
+        for read in self
+            .parked_reads
+            .take_ready(self.chassis.exec.last_executed())
+        {
             self.serve_read(actions, &read);
         }
     }
@@ -860,39 +666,24 @@ impl SeeMoReReplica {
     // Checkpointing and state transfer
     // ------------------------------------------------------------------
 
-    /// Housekeeping after the stable checkpoint advanced: truncates the
-    /// in-memory log and the per-slot bookkeeping maps below the stable
-    /// sequence number, and (when durability is enabled) snapshots the
-    /// checkpoint to the store and compacts the WAL below it. Keeping the
-    /// resident log bounded does not depend on durability being on.
+    /// Housekeeping after the stable checkpoint advanced: the chassis
+    /// truncates the log, snapshots the checkpoint and compacts the WAL; the
+    /// per-slot timer and lease maps below the stable sequence number are
+    /// this protocol's own.
     pub(crate) fn after_stable_checkpoint(&mut self) {
-        let stable = self.checkpoints.stable_seq();
-        self.log.garbage_collect(stable);
+        let stable = self.chassis.after_stable_checkpoint();
         self.progress_armed.retain(|seq, _| *seq > stable);
         self.proposed_at.retain(|seq, _| *seq > stable);
-        self.assigned.retain(|_, seq| *seq > stable);
-        if self.store.enabled() && stable > self.persisted_checkpoint {
-            let checkpoint = DurableCheckpoint {
-                seq: stable,
-                state_digest: self.checkpoints.stable_digest(),
-                snapshot: self.exec.snapshot(),
-                proof: self.checkpoints.stable_proof().to_vec(),
-            };
-            self.store.persist_checkpoint(&checkpoint);
-            self.store.compact_below(stable);
-            self.persisted_checkpoint = stable;
-            self.trace(EventKind::CheckpointPersisted, Some(stable), None, 0);
-        }
     }
 
     /// Called after executions; produces checkpoint messages when the
     /// executed sequence number crosses a checkpoint boundary.
     pub(crate) fn maybe_checkpoint(&mut self, actions: &mut Vec<Action>) {
-        let executed = self.exec.last_executed();
-        if !self.checkpoints.should_checkpoint(executed) {
+        let executed = self.chassis.exec.last_executed();
+        if !self.chassis.checkpoints.should_checkpoint(executed) {
             return;
         }
-        let announcer = match self.mode {
+        let announcer = match self.chassis.mode {
             // Only the trusted primary announces checkpoints.
             Mode::Lion | Mode::Dog => self.is_primary(),
             // Every proxy announces; stability needs m+1 matching.
@@ -903,20 +694,20 @@ impl SeeMoReReplica {
         }
         let mut checkpoint = Checkpoint {
             seq: executed,
-            state_digest: self.exec.state_digest(),
-            replica: self.id,
+            state_digest: self.chassis.exec.state_digest(),
+            replica: self.chassis.id,
             signature: seemore_crypto::Signature::INVALID,
         };
-        checkpoint.signature = self.sign_payload(&checkpoint);
+        checkpoint.signature = self.signing.sign(&checkpoint);
         // Record our own message (a trusted primary's own checkpoint is
         // immediately stable; a proxy's own vote counts toward the quorum).
-        let trusted = self.cluster.is_trusted(self.id);
-        if self.checkpoints.record(checkpoint.clone(), trusted) {
-            self.metrics.stable_checkpoints += 1;
+        let trusted = self.cluster.is_trusted(self.chassis.id);
+        if self.chassis.checkpoints.record(checkpoint.clone(), trusted) {
+            self.chassis.metrics.stable_checkpoints += 1;
             self.after_stable_checkpoint();
         }
-        let recipients = self.all_replicas();
-        self.broadcast_to(actions, recipients, Message::Checkpoint(checkpoint));
+        self.chassis
+            .broadcast(actions, Message::Checkpoint(checkpoint));
     }
 
     /// Handles an incoming `CHECKPOINT` message.
@@ -930,7 +721,7 @@ impl SeeMoReReplica {
             return actions;
         };
         if sender != checkpoint.replica
-            || !self.verify_payload_once(
+            || !self.signing.verify_once(
                 NodeId::Replica(checkpoint.replica),
                 &checkpoint,
                 &checkpoint.signature,
@@ -943,8 +734,8 @@ impl SeeMoReReplica {
         }
         let trusted = self.cluster.is_trusted(checkpoint.replica);
         let seq = checkpoint.seq;
-        if self.checkpoints.record(checkpoint, trusted) {
-            self.metrics.stable_checkpoints += 1;
+        if self.chassis.checkpoints.record(checkpoint, trusted) {
+            self.chassis.metrics.stable_checkpoints += 1;
             self.after_stable_checkpoint();
             // If we have fallen behind the stable checkpoint, ask for
             // state. The announcer has the freshest committed suffix, but in
@@ -955,21 +746,21 @@ impl SeeMoReReplica {
             // Without the trusted copies a replica that lost an instance
             // permanently (e.g. one proposed while it was crashed) could
             // never execute past the gap.
-            if self.exec.last_executed() < seq && !self.state_transfer_pending {
+            if self.chassis.exec.last_executed() < seq && !self.state_transfer_pending {
                 self.state_transfer_pending = true;
                 let request = StateRequest {
-                    from_seq: self.exec.last_executed(),
-                    replica: self.id,
+                    from_seq: self.chassis.exec.last_executed(),
+                    replica: self.chassis.id,
                 };
                 let mut recipients: Vec<ReplicaId> = self.cluster.private_replicas().collect();
                 if !recipients.contains(&sender) {
                     recipients.push(sender);
                 }
                 for recipient in recipients {
-                    if recipient == self.id {
+                    if recipient == self.chassis.id {
                         continue;
                     }
-                    self.send(
+                    self.chassis.send(
                         &mut actions,
                         NodeId::Replica(recipient),
                         Message::StateRequest(request.clone()),
@@ -977,24 +768,6 @@ impl SeeMoReReplica {
                 }
             }
         }
-        actions
-    }
-
-    /// Handles a `STATE-REQUEST` by returning our snapshot and pending
-    /// committed entries.
-    fn on_state_request(&mut self, request: StateRequest) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let response = StateResponse {
-            checkpoint: self.checkpoints.stable_proof().first().cloned(),
-            snapshot: Some(self.exec.snapshot()),
-            entries: self.exec.committed_after(request.from_seq),
-            replica: self.id,
-        };
-        self.send(
-            &mut actions,
-            NodeId::Replica(request.replica),
-            Message::StateResponse(response),
-        );
         actions
     }
 
@@ -1016,106 +789,46 @@ impl SeeMoReReplica {
             return actions;
         };
         if let (Some(snapshot), true) = (&response.snapshot, self.cluster.is_trusted(sender)) {
-            let before = self.exec.last_executed();
-            self.exec.restore(snapshot);
-            if self.exec.last_executed() > before {
-                if let Some(cp) = &response.checkpoint {
-                    self.checkpoints
-                        .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                }
+            if self
+                .chassis
+                .adopt_snapshot(snapshot, response.checkpoint.as_ref())
+            {
                 self.after_stable_checkpoint();
             }
         }
-        let low_mark = self.log.low_mark();
-        for (seq, batch) in response.entries {
-            if self.exec.add_committed(seq, batch) && seq > low_mark {
-                self.log.instance_mut(seq).committed = true;
-            }
-        }
+        self.chassis.adopt_entries(response.entries);
         self.execute_ready(&mut actions, now);
         actions
-    }
-
-    // ------------------------------------------------------------------
-    // Crash recovery (rejoin after restarting from durable state)
-    // ------------------------------------------------------------------
-
-    /// Broadcasts a signed `RECOVERY` announcement and arms the re-announce
-    /// timer. Called from `on_start` and from the `Timer::Recovery` handler
-    /// while the rejoin is still incomplete.
-    fn announce_recovery(&mut self, actions: &mut Vec<Action>) {
-        let mut recovery = Recovery {
-            last_executed: self.exec.last_executed(),
-            view: self.view,
-            replica: self.id,
-            signature: Signature::INVALID,
-        };
-        recovery.signature = self.sign_payload(&recovery);
-        let recipients = self.all_replicas();
-        self.broadcast_to(actions, recipients, Message::Recovery(recovery));
-        actions.push(Action::SetTimer {
-            timer: Timer::Recovery,
-            after: self.pconfig.request_timeout,
-        });
     }
 
     /// Handles a `RECOVERY` announcement from a restarted peer by sending
     /// it the committed suffix above its durable state — the same answer a
     /// `STATE-REQUEST` from that sequence number would get.
     fn on_recovery(&mut self, from: NodeId, recovery: Recovery) -> Vec<Action> {
-        let mut actions = Vec::new();
         let Some(sender) = from.as_replica() else {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            return vec![self.violation(ProtocolViolation::UnexpectedSender {
                 sender: ReplicaId(u32::MAX),
                 expected_role: "replica",
-            }));
-            return actions;
+            })];
         };
         if sender != recovery.replica
-            || !self.verify_payload_once(
+            || !self.signing.verify_once(
                 NodeId::Replica(recovery.replica),
                 &recovery,
                 &recovery.signature,
             )
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            return vec![self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(recovery.replica),
-            }));
-            return actions;
+            })];
         }
-        self.on_state_request(StateRequest {
-            from_seq: recovery.last_executed,
-            replica: recovery.replica,
-        })
+        self.chassis
+            .serve_state(recovery.last_executed, recovery.replica)
     }
 
-    /// Message handling while this replica is still rejoining: the first
-    /// `STATE-RESPONSE` completes the rejoin; state-serving traffic is
-    /// answered (it only reads restored state); everything else is buffered
-    /// and re-delivered after the rejoin, so no vote or view-change message
-    /// is silently dropped.
-    fn on_message_recovering(
-        &mut self,
-        from: NodeId,
-        message: Message,
-        now: Instant,
-    ) -> Vec<Action> {
-        match message {
-            Message::StateResponse(response) => self.complete_recovery(from, response, now),
-            Message::StateRequest(request) => self.on_state_request(request),
-            Message::Recovery(recovery) => self.on_recovery(from, recovery),
-            other => {
-                if self.recovery_buffer.len() >= RECOVERY_BUFFER_CAP {
-                    self.recovery_buffer.pop_front();
-                }
-                self.recovery_buffer.push_back((from, other));
-                Vec::new()
-            }
-        }
-    }
-
-    /// Finishes the rejoin: adopts the state response, leaves the
-    /// recovering state and re-delivers everything buffered while down.
+    /// Finishes the rejoin on the first `STATE-RESPONSE`: adopts it under
+    /// the trust rule above, leaves the recovering state and re-delivers
+    /// everything buffered while rejoining.
     fn complete_recovery(
         &mut self,
         from: NodeId,
@@ -1123,13 +836,7 @@ impl SeeMoReReplica {
         now: Instant,
     ) -> Vec<Action> {
         let mut actions = self.on_state_response(from, response, now);
-        self.recovering = false;
-        actions.push(Action::CancelTimer {
-            timer: Timer::Recovery,
-        });
-        self.trace(EventKind::RecoveryCompleted, None, None, self.wal_replayed);
-        let buffered = std::mem::take(&mut self.recovery_buffer);
-        for (from, message) in buffered {
+        for (from, message) in self.chassis.finish_recovery(&mut actions) {
             actions.extend(self.on_message(from, message, now));
         }
         actions
@@ -1139,19 +846,19 @@ impl SeeMoReReplica {
     /// reply per executed request where the current mode requires them, and
     /// triggering checkpoints.
     pub(crate) fn execute_ready(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        let executions = self.exec.execute_ready();
+        let executions = self.chassis.exec.execute_ready();
         if executions.is_empty() {
             return;
         }
-        let should_reply = match self.mode {
+        let should_reply = match self.chassis.mode {
             // Only the trusted primary replies in the Lion mode.
             Mode::Lion => self.is_primary(),
             // Proxies reply in the Dog and Peacock modes.
             Mode::Dog | Mode::Peacock => self.is_proxy(),
         };
         for execution in executions {
-            self.metrics.executed += 1;
-            self.trace(
+            self.chassis.metrics.executed += 1;
+            self.chassis.trace(
                 EventKind::Executed,
                 Some(execution.seq),
                 Some(execution.request.id()),
@@ -1172,14 +879,14 @@ impl SeeMoReReplica {
             self.forwarded_requests.remove(&execution.request.id());
             self.forwarded_armed.remove(&execution.request.id());
             if should_reply && execution.request.client != NOOP_CLIENT {
-                self.trace(
+                self.chassis.trace(
                     EventKind::Replied,
                     Some(execution.seq),
                     Some(execution.request.id()),
                     0,
                 );
                 let reply = self.make_reply(&execution.request, execution.result);
-                self.send(
+                self.chassis.send(
                     actions,
                     NodeId::Client(execution.request.client),
                     Message::Reply(reply),
@@ -1197,35 +904,21 @@ impl SeeMoReReplica {
 /// (the paper's `µ∅`). Replies are never sent to it.
 pub(crate) const NOOP_CLIENT: seemore_types::ClientId = seemore_types::ClientId(u64::MAX);
 
-/// Most messages a recovering replica will hold before the oldest is
-/// dropped (clients and peers retransmit, so a bounded buffer is safe).
-pub const RECOVERY_BUFFER_CAP: usize = 1024;
-
 impl ReplicaProtocol for SeeMoReReplica {
     fn id(&self) -> ReplicaId {
-        self.id
+        self.chassis.id
     }
 
     fn on_start(&mut self, now: Instant) -> Vec<Action> {
-        if self.crashed || !self.recovering {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        self.trace(EventKind::RecoveryStarted, None, None, self.wal_replayed);
-        let mut actions = Vec::new();
-        self.announce_recovery(&mut actions);
-        actions
+        self.chassis.on_start(now, Some(&mut self.signing))
     }
 
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        self.metrics.record_received(message.kind());
-        if self.recovering {
-            return self.on_message_recovering(from, message, now);
-        }
+        let message = match self.chassis.receive(from, message, now) {
+            Inbound::Deliver(message) => message,
+            Inbound::Rejoin(response) => return self.complete_recovery(from, response, now),
+            Inbound::Handled(actions) => return actions,
+        };
         // Observing commit-carrying traffic counts as progress for the
         // suspicion timers (the actual validity checks happen in the
         // handlers; a forged message can at worst delay a view change by one
@@ -1251,30 +944,22 @@ impl ReplicaProtocol for SeeMoReReplica {
             Message::ViewChange(view_change) => self.on_view_change(from, view_change, now),
             Message::NewView(new_view) => self.on_new_view(from, new_view, now),
             Message::ModeChange(mode_change) => self.on_mode_change(from, mode_change, now),
-            Message::StateRequest(request) => self.on_state_request(request),
+            Message::StateRequest(request) => {
+                self.chassis.serve_state(request.from_seq, request.replica)
+            }
             Message::StateResponse(response) => self.on_state_response(from, response, now),
             Message::Recovery(recovery) => self.on_recovery(from, recovery),
             // Replicas never receive replies; redirects are client-bound
             // (and emitted by the sharding guard, not the core).
             Message::Reply(_) | Message::ReadReply(_) | Message::Redirect(_) => Vec::new(),
         };
-        self.metrics.note_log_size(self.log.len());
+        self.chassis.metrics.note_log_size(self.chassis.log.len());
         actions
     }
 
     fn on_timer(&mut self, timer: Timer, now: Instant) -> Vec<Action> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.trace_at = now;
-        if self.recovering {
-            // While rejoining, only the recovery re-announce timer runs.
-            if matches!(timer, Timer::Recovery) {
-                let mut actions = Vec::new();
-                self.announce_recovery(&mut actions);
-                return actions;
-            }
-            return Vec::new();
+        if let Some(actions) = self.chassis.timer_gate(timer, now, Some(&mut self.signing)) {
+            return actions;
         }
         match timer {
             Timer::RequestProgress { seq } => self.on_progress_timeout(seq, now),
@@ -1287,31 +972,31 @@ impl ReplicaProtocol for SeeMoReReplica {
     }
 
     fn view(&self) -> View {
-        self.view
+        self.chassis.view
     }
 
     fn mode(&self) -> Mode {
-        self.mode
+        self.chassis.mode
     }
 
     fn executed(&self) -> &[ExecutedEntry] {
-        self.exec.history()
+        self.chassis.exec.history()
     }
 
     fn metrics(&self) -> &ReplicaMetrics {
-        &self.metrics
+        &self.chassis.metrics
     }
 
     fn request_mode_switch(&mut self, mode: Mode, now: Instant) -> Vec<Action> {
-        self.trace_at = now;
+        self.chassis.trace_at = now;
         self.initiate_mode_switch(mode, now)
     }
 
     fn is_crashed(&self) -> bool {
-        self.crashed
+        self.chassis.crashed
     }
 
     fn crash(&mut self) {
-        self.crashed = true;
+        self.chassis.crashed = true;
     }
 }

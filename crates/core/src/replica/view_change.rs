@@ -45,7 +45,7 @@ impl SeeMoReReplica {
     /// The mode the *next* view will run in (the pending switch target, if
     /// any, otherwise the current mode).
     pub(crate) fn effective_next_mode(&self) -> Mode {
-        self.pending_mode.unwrap_or(self.mode)
+        self.pending_mode.unwrap_or(self.chassis.mode)
     }
 
     /// The replica that collects `VIEW-CHANGE` messages and emits the
@@ -65,10 +65,11 @@ impl SeeMoReReplica {
     /// A request we learned about never committed: suspect the primary.
     pub(crate) fn on_progress_timeout(&mut self, seq: SeqNum, now: Instant) -> Vec<Action> {
         let committed = self
+            .chassis
             .log
             .instance(seq)
             .map(|instance| instance.committed)
-            .unwrap_or(seq <= self.exec.last_executed());
+            .unwrap_or(seq <= self.chassis.exec.last_executed());
         if committed || self.vc.in_view_change {
             return Vec::new();
         }
@@ -76,11 +77,11 @@ impl SeeMoReReplica {
         // system is visibly making progress, give the primary another full
         // timeout before suspecting it.
         let armed_view = self.progress_armed.get(&seq).copied().unwrap_or(View::ZERO);
-        if armed_view < self.view || self.recent_progress(now) {
-            self.progress_armed.insert(seq, self.view);
+        if armed_view < self.chassis.view || self.recent_progress(now) {
+            self.progress_armed.insert(seq, self.chassis.view);
             return vec![Action::SetTimer {
                 timer: Timer::RequestProgress { seq },
-                after: self.pconfig.request_timeout,
+                after: self.chassis.pconfig.request_timeout,
             }];
         }
         self.suspect_primary(now)
@@ -90,13 +91,14 @@ impl SeeMoReReplica {
     /// timeout (used to damp spurious view changes while the primary is
     /// healthy but busy).
     fn recent_progress(&self, now: Instant) -> bool {
-        now.duration_since(self.last_progress) < self.pconfig.request_timeout
+        now.duration_since(self.last_progress) < self.chassis.pconfig.request_timeout
             && self.last_progress > Instant::ZERO
     }
 
     /// A request we forwarded to the primary was never executed.
     pub(crate) fn on_forwarded_timeout(&mut self, request: RequestId, now: Instant) -> Vec<Action> {
         let executed = self
+            .chassis
             .exec
             .cached_reply(request.client, request.timestamp)
             .is_some();
@@ -111,22 +113,22 @@ impl SeeMoReReplica {
             .get(&request)
             .copied()
             .unwrap_or(View::ZERO);
-        if armed_view < self.view || self.recent_progress(now) {
-            self.forwarded_armed.insert(request, self.view);
+        if armed_view < self.chassis.view || self.recent_progress(now) {
+            self.forwarded_armed.insert(request, self.chassis.view);
             let mut actions = Vec::new();
             // Re-forward the buffered request to the *current* primary so it
             // does not depend on the client noticing the view change.
             if let Some(buffered) = self.forwarded_requests.get(&request).cloned() {
                 if !self.is_primary() {
                     let primary = self.current_primary();
-                    self.send(
+                    self.chassis.send(
                         &mut actions,
                         NodeId::Replica(primary),
                         Message::Request(buffered),
                     );
                 } else {
                     actions.extend(self.on_message(
-                        NodeId::Replica(self.id),
+                        NodeId::Replica(self.chassis.id),
                         Message::Request(buffered),
                         now,
                     ));
@@ -134,7 +136,7 @@ impl SeeMoReReplica {
             }
             actions.push(Action::SetTimer {
                 timer: Timer::ForwardedRequest { request },
-                after: self.pconfig.request_timeout,
+                after: self.chassis.pconfig.request_timeout,
             });
             return actions;
         }
@@ -143,7 +145,7 @@ impl SeeMoReReplica {
 
     /// No `NEW-VIEW` arrived for the view we voted for: escalate.
     pub(crate) fn on_view_change_timeout(&mut self, view: View, now: Instant) -> Vec<Action> {
-        if !self.vc.in_view_change || self.view >= view {
+        if !self.vc.in_view_change || self.chassis.view >= view {
             return Vec::new();
         }
         let mode = self.effective_next_mode();
@@ -155,13 +157,13 @@ impl SeeMoReReplica {
         if !self.is_view_change_voter(mode) {
             return Vec::new();
         }
-        self.trace(
+        self.chassis.trace(
             EventKind::SuspicionFired,
             None,
             None,
             u64::from(self.current_primary().0),
         );
-        self.start_view_change(self.view.next(), mode, now)
+        self.start_view_change(self.chassis.view.next(), mode, now)
     }
 
     // ------------------------------------------------------------------
@@ -182,17 +184,18 @@ impl SeeMoReReplica {
         }
         self.vc.in_view_change = true;
         self.vc.target_view = target_view;
-        self.metrics.view_changes_started += 1;
-        self.trace(EventKind::ViewChangeStart, None, None, target_view.0);
+        self.chassis.metrics.view_changes_started += 1;
+        self.chassis
+            .trace(EventKind::ViewChangeStart, None, None, target_view.0);
         // Normal-case processing stops: parked fast-path reads can no longer
         // be served under this view's fence, so their clients must fall back
         // to the ordered path.
         self.refuse_parked_reads(&mut actions);
 
-        let stable_seq = self.checkpoints.stable_seq();
+        let stable_seq = self.chassis.checkpoints.stable_seq();
         let mut prepares = Vec::new();
         let mut commits = Vec::new();
-        for (seq, instance) in self.log.instances_after(stable_seq) {
+        for (seq, instance) in self.chassis.log.instances_after(stable_seq) {
             let Some(proposal) = &instance.proposal else {
                 continue;
             };
@@ -222,25 +225,25 @@ impl SeeMoReReplica {
             new_view: target_view,
             mode: target_mode,
             stable_seq,
-            checkpoint_proof: self.checkpoints.stable_proof().to_vec(),
+            checkpoint_proof: self.chassis.checkpoints.stable_proof().to_vec(),
             prepares,
             commits,
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        view_change.signature = self.sign_payload(&view_change);
+        view_change.signature = self.signing.sign(&view_change);
 
         // Record our own vote so a collector that is also a voter counts it.
         self.vc
             .received
             .entry(target_view)
             .or_default()
-            .insert(self.id, view_change.clone());
+            .insert(self.chassis.id, view_change.clone());
 
         // Recipients depend on the *target* mode (Section 5.2: in the Dog
         // mode only the public cloud and the next primary are involved).
         let recipients: Vec<ReplicaId> = match target_mode {
-            Mode::Lion | Mode::Peacock => self.all_replicas(),
+            Mode::Lion | Mode::Peacock => self.cluster.replicas().collect(),
             Mode::Dog => {
                 let mut set: Vec<ReplicaId> = self.cluster.public_replicas().collect();
                 if let Some(primary) = self.new_view_collector(target_view, target_mode) {
@@ -251,10 +254,11 @@ impl SeeMoReReplica {
                 set
             }
         };
-        self.broadcast_to(&mut actions, recipients, Message::ViewChange(view_change));
+        self.chassis
+            .broadcast_to(&mut actions, recipients, Message::ViewChange(view_change));
         actions.push(Action::SetTimer {
             timer: Timer::ViewChange { view: target_view },
-            after: self.pconfig.view_change_timeout,
+            after: self.chassis.pconfig.view_change_timeout,
         });
 
         // The collector might already hold enough votes (including this one).
@@ -278,7 +282,7 @@ impl SeeMoReReplica {
             return actions;
         };
         if sender != view_change.replica
-            || !self.verify_payload_once(
+            || !self.signing.verify_once(
                 NodeId::Replica(sender),
                 &view_change,
                 &view_change.signature,
@@ -289,10 +293,10 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if view_change.new_view <= self.view {
+        if view_change.new_view <= self.chassis.view {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: view_change.new_view,
-                expected: self.view.next(),
+                expected: self.chassis.view.next(),
             }));
             return actions;
         }
@@ -333,17 +337,17 @@ impl SeeMoReReplica {
         mode: Mode,
         now: Instant,
     ) {
-        if self.new_view_collector(view, mode) != Some(self.id) {
+        if self.new_view_collector(view, mode) != Some(self.chassis.id) {
             return;
         }
-        if self.vc.new_view_sent.contains(&view) || view <= self.view {
+        if self.vc.new_view_sent.contains(&view) || view <= self.chassis.view {
             return;
         }
         let threshold = self.cluster.view_change_threshold(mode) as usize;
         let Some(votes) = self.vc.received.get(&view) else {
             return;
         };
-        let votes_from_others = votes.keys().filter(|r| **r != self.id).count();
+        let votes_from_others = votes.keys().filter(|r| **r != self.chassis.id).count();
         if votes_from_others < threshold {
             return;
         }
@@ -351,8 +355,8 @@ impl SeeMoReReplica {
 
         let votes: Vec<ViewChange> = votes.values().cloned().collect();
         let new_view = self.build_new_view(view, mode, &votes);
-        let recipients = self.all_replicas();
-        self.broadcast_to(actions, recipients, Message::NewView(new_view.clone()));
+        self.chassis
+            .broadcast(actions, Message::NewView(new_view.clone()));
         self.install_new_view(actions, new_view, now);
     }
 
@@ -360,8 +364,8 @@ impl SeeMoReReplica {
     /// evidence, following the three rules of Section 5.1.
     fn build_new_view(&mut self, view: View, mode: Mode, votes: &[ViewChange]) -> NewView {
         // Adopt the most recent stable checkpoint among the votes and our own.
-        let mut best_checkpoint = self.checkpoints.stable_proof().first().cloned();
-        let mut low = self.checkpoints.stable_seq();
+        let mut best_checkpoint = self.chassis.checkpoints.stable_proof().first().cloned();
+        let mut low = self.chassis.checkpoints.stable_seq();
         for vote in votes {
             if vote.stable_seq > low {
                 if let Some(cp) = vote.checkpoint_proof.first() {
@@ -430,10 +434,10 @@ impl SeeMoReReplica {
             commits: commits_out,
             checkpoint: best_checkpoint,
             view_change_proof: Vec::new(),
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        message.signature = self.sign_payload(&message);
+        message.signature = self.signing.sign(&message);
         message
     }
 
@@ -457,7 +461,9 @@ impl SeeMoReReplica {
         }
         batch.iter().all(|request| {
             request.client == NOOP_CLIENT
-                || self.verify_payload(NodeId::Client(request.client), request, &request.signature)
+                || self
+                    .signing
+                    .verify(NodeId::Client(request.client), request, &request.signature)
         })
     }
 
@@ -466,7 +472,7 @@ impl SeeMoReReplica {
     fn noop_cert(&self, seq: SeqNum) -> PrepareCert {
         let batch = Batch::single(noop_request(seq));
         PrepareCert {
-            view: self.view,
+            view: self.chassis.view,
             seq,
             digest: batch.digest(),
             primary_signature: Signature::INVALID,
@@ -490,10 +496,10 @@ impl SeeMoReReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if new_view.view <= self.view {
+        if new_view.view <= self.chassis.view {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: new_view.view,
-                expected: self.view.next(),
+                expected: self.chassis.view.next(),
             }));
             return actions;
         }
@@ -505,7 +511,10 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if !self.verify_payload_once(NodeId::Replica(sender), &new_view, &new_view.signature) {
+        if !self
+            .signing
+            .verify_once(NodeId::Replica(sender), &new_view, &new_view.signature)
+        {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
@@ -518,32 +527,23 @@ impl SeeMoReReplica {
     /// Applies a validated `NEW-VIEW`: adopts the view, mode and checkpoint,
     /// replays the carried certificates, and re-enters the normal case.
     fn install_new_view(&mut self, actions: &mut Vec<Action>, new_view: NewView, now: Instant) {
-        let old_mode = self.mode;
+        let old_mode = self.chassis.mode;
         actions.push(Action::CancelTimer {
             timer: Timer::ViewChange {
                 view: new_view.view,
             },
         });
 
-        self.view = new_view.view;
-        self.mode = new_view.mode;
-        // No-un-vote across views: the installed view must be durable before
-        // any vote sent *in* it, otherwise a restart could re-vote in an
-        // older view and contradict this view's certificates.
-        if self.store.enabled() {
-            self.store.append(&seemore_store::WalRecord::ViewEntered {
-                view: self.view,
-                mode: self.mode,
-            });
-        }
+        self.chassis.enter_view(new_view.view, new_view.mode);
         if self.pending_mode == Some(new_view.mode) {
             self.pending_mode = None;
         }
         if old_mode != new_view.mode {
-            self.metrics.mode_switches += 1;
-            self.checkpoints
+            self.chassis.metrics.mode_switches += 1;
+            self.chassis
+                .checkpoints
                 .set_rule(Self::stability_rule_for(new_view.mode, &self.cluster));
-            self.trace(
+            self.chassis.trace(
                 EventKind::ModeSwitchDone,
                 None,
                 None,
@@ -552,10 +552,11 @@ impl SeeMoReReplica {
         }
         self.vc.in_view_change = false;
         self.vc.received.retain(|view, _| *view > new_view.view);
-        self.metrics.view_changes_completed += 1;
-        self.trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
-        self.assigned.clear();
-        self.log.reset_votes_for_new_view();
+        self.chassis.metrics.view_changes_completed += 1;
+        self.chassis
+            .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
+        self.chassis.assigned.clear();
+        self.chassis.log.reset_votes_for_new_view();
         // Any read still parked from the previous view is refused, and the
         // lease anchors of the dead view are discarded: a freshly installed
         // trusted primary starts with no lease and earns one from its first
@@ -568,22 +569,29 @@ impl SeeMoReReplica {
 
         // Adopt the carried checkpoint if it is ahead of ours.
         if let Some(cp) = &new_view.checkpoint {
-            if cp.seq > self.checkpoints.stable_seq() {
-                self.checkpoints
+            if cp.seq > self.chassis.checkpoints.stable_seq() {
+                self.chassis
+                    .checkpoints
                     .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
                 self.after_stable_checkpoint();
-                if self.exec.last_executed() < cp.seq && self.cluster.is_trusted(new_view.replica) {
+                if self.chassis.exec.last_executed() < cp.seq
+                    && self.cluster.is_trusted(new_view.replica)
+                {
                     self.request_state_transfer(actions, new_view.replica);
                 }
             }
         }
 
-        let mut highest = self.checkpoints.stable_seq().max(self.exec.last_executed());
+        let mut highest = self
+            .chassis
+            .checkpoints
+            .stable_seq()
+            .max(self.chassis.exec.last_executed());
 
         // Committed certificates: mark committed and execute.
         for cert in &new_view.commits {
             highest = highest.max(cert.seq);
-            let instance = self.log.instance_mut(cert.seq);
+            let instance = self.chassis.log.instance_mut(cert.seq);
             instance.committed = true;
             instance.proposal = Some(Proposal {
                 view: new_view.view,
@@ -595,13 +603,13 @@ impl SeeMoReReplica {
                 primary_signature: cert.primary_signature,
             });
             if let Some(batch) = cert.batch.clone() {
-                self.metrics.committed += 1;
-                self.exec.add_committed(cert.seq, batch);
+                self.chassis.metrics.committed += 1;
+                self.chassis.exec.add_committed(cert.seq, batch);
             }
         }
 
         // Prepared certificates: adopt as proposals of the new view and vote.
-        let i_am_primary = self.current_primary() == self.id;
+        let i_am_primary = self.current_primary() == self.chassis.id;
         for cert in &new_view.prepares {
             highest = highest.max(cert.seq);
             let Some(batch) = cert.batch.clone() else {
@@ -610,7 +618,7 @@ impl SeeMoReReplica {
             let digest = cert.digest;
             let seq = cert.seq;
             {
-                let instance = self.log.instance_mut(seq);
+                let instance = self.chassis.log.instance_mut(seq);
                 if instance.committed {
                     continue;
                 }
@@ -621,50 +629,60 @@ impl SeeMoReReplica {
                     primary_signature: cert.primary_signature,
                 });
             }
-            match self.mode {
+            match self.chassis.mode {
                 Mode::Lion => {
                     if !i_am_primary {
                         let accept = Accept {
-                            view: self.view,
+                            view: self.chassis.view,
                             seq,
                             digest,
-                            replica: self.id,
+                            replica: self.chassis.id,
                             signature: None,
                         };
                         let primary = self.current_primary();
-                        self.send(actions, NodeId::Replica(primary), Message::Accept(accept));
+                        self.chassis.send(
+                            actions,
+                            NodeId::Replica(primary),
+                            Message::Accept(accept),
+                        );
                     }
                 }
                 Mode::Dog => {
                     if self.is_proxy() {
                         let mut accept = Accept {
-                            view: self.view,
+                            view: self.chassis.view,
                             seq,
                             digest,
-                            replica: self.id,
+                            replica: self.chassis.id,
                             signature: None,
                         };
-                        accept.signature = Some(self.sign_payload(&accept));
-                        self.log.instance_mut(seq).record_accept(self.id, digest);
+                        accept.signature = Some(self.signing.sign(&accept));
+                        self.chassis
+                            .log
+                            .instance_mut(seq)
+                            .record_accept(self.chassis.id, digest);
                         let proxies = self.current_proxies();
-                        self.broadcast_to(actions, proxies, Message::Accept(accept));
+                        self.chassis
+                            .broadcast_to(actions, proxies, Message::Accept(accept));
                     }
                 }
                 Mode::Peacock => {
                     if self.is_proxy() && !i_am_primary {
                         let mut vote = PbftPrepare {
-                            view: self.view,
+                            view: self.chassis.view,
                             seq,
                             digest,
-                            replica: self.id,
+                            replica: self.chassis.id,
                             signature: Signature::INVALID,
                         };
-                        vote.signature = self.sign_payload(&vote);
-                        self.log
+                        vote.signature = self.signing.sign(&vote);
+                        self.chassis
+                            .log
                             .instance_mut(seq)
-                            .record_pbft_prepare(self.id, digest);
+                            .record_pbft_prepare(self.chassis.id, digest);
                         let proxies = self.current_proxies();
-                        self.broadcast_to(actions, proxies, Message::PbftPrepare(vote));
+                        self.chassis
+                            .broadcast_to(actions, proxies, Message::PbftPrepare(vote));
                     }
                 }
             }
@@ -672,16 +690,16 @@ impl SeeMoReReplica {
 
         // The new primary continues sequence numbering above everything the
         // new view carried over.
-        self.next_seq = highest;
+        self.chassis.next_seq = highest;
         self.execute_ready(actions, now);
 
         // Requests that were sitting in the (old) primary's batch buffer
         // when the view changed must not be stranded: a prepared-but-never-
         // proposed buffer is re-routed through the normal request paths (and
         // its armed flush timer, if any, is cancelled with it).
-        let buffered = self.batcher.drain(actions);
+        let buffered = self.chassis.batcher.drain(actions);
 
-        if self.current_primary() == self.id {
+        if self.current_primary() == self.chassis.id {
             // A newly installed primary immediately proposes the requests
             // that were forwarded to the failed primary (plus its own
             // leftover buffer) but never ordered, so recovery does not wait
@@ -693,10 +711,11 @@ impl SeeMoReReplica {
                 .values()
                 .chain(buffered.iter())
                 .filter(|request| {
-                    self.exec
+                    self.chassis
+                        .exec
                         .cached_reply(request.client, request.timestamp)
                         .is_none()
-                        && !self.assigned.contains_key(&request.id())
+                        && !self.chassis.assigned.contains_key(&request.id())
                 })
                 .cloned()
                 .collect();
@@ -711,6 +730,7 @@ impl SeeMoReReplica {
         } else {
             for request in buffered {
                 if self
+                    .chassis
                     .exec
                     .cached_reply(request.client, request.timestamp)
                     .is_none()
@@ -735,27 +755,23 @@ impl SeeMoReReplica {
     /// announcer.
     pub(crate) fn initiate_mode_switch(&mut self, new_mode: Mode, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if new_mode == self.mode {
+        if new_mode == self.chassis.mode {
             return actions;
         }
-        let target_view = self.view.next();
+        let target_view = self.chassis.view.next();
         let announcer = mode_switch_announcer(&self.cluster, target_view, new_mode);
-        if announcer != Some(self.id) || !self.cluster.is_trusted(self.id) {
+        if announcer != Some(self.chassis.id) || !self.cluster.is_trusted(self.chassis.id) {
             return actions;
         }
         let mut announcement = ModeChange {
             new_view: target_view,
             new_mode,
-            replica: self.id,
+            replica: self.chassis.id,
             signature: Signature::INVALID,
         };
-        announcement.signature = self.sign_payload(&announcement);
-        let recipients = self.all_replicas();
-        self.broadcast_to(
-            &mut actions,
-            recipients,
-            Message::ModeChange(announcement.clone()),
-        );
+        announcement.signature = self.signing.sign(&announcement);
+        self.chassis
+            .broadcast(&mut actions, Message::ModeChange(announcement.clone()));
         actions.extend(self.apply_mode_change(announcement, now));
         actions
     }
@@ -771,10 +787,10 @@ impl SeeMoReReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if mode_change.new_view <= self.view {
+        if mode_change.new_view <= self.chassis.view {
             actions.push(self.violation(ProtocolViolation::WrongView {
                 got: mode_change.new_view,
-                expected: self.view.next(),
+                expected: self.chassis.view.next(),
             }));
             return actions;
         }
@@ -790,7 +806,7 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if !self.verify_payload_once(
+        if !self.signing.verify_once(
             NodeId::Replica(sender),
             &mode_change,
             &mode_change.signature,
@@ -809,7 +825,7 @@ impl SeeMoReReplica {
     fn apply_mode_change(&mut self, mode_change: ModeChange, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         self.pending_mode = Some(mode_change.new_mode);
-        self.trace(
+        self.chassis.trace(
             EventKind::ModeSwitchStart,
             None,
             None,
@@ -827,7 +843,7 @@ impl SeeMoReReplica {
                 timer: Timer::ViewChange {
                     view: mode_change.new_view,
                 },
-                after: self.pconfig.view_change_timeout,
+                after: self.chassis.pconfig.view_change_timeout,
             });
         }
         actions

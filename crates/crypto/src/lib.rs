@@ -24,7 +24,8 @@
 //! public-key signatures, while the shared [`KeyStore`] provides property
 //! (2). The CPU cost of signing/verifying (an HMAC over the message) is also
 //! paid on every code path the paper pays it on, which is what matters for
-//! the performance model. This substitution is documented in `DESIGN.md`.
+//! the performance model. This substitution is also summarised in the
+//! repository's `README.md`.
 //!
 //! ## Hot path
 //!

@@ -34,7 +34,7 @@ use seemore_core::replica::SeeMoReReplica;
 use seemore_crypto::KeyStore;
 use seemore_net::{CpuModel, LatencyModel, LinkFaults, Placement};
 use seemore_store::{Durability, FileStore, MemStore, StoreConfig};
-use seemore_telemetry::RingRecorder;
+use seemore_telemetry::{Recorder, RingRecorder};
 use seemore_types::{ClientId, ClusterConfig, Duration, Instant, Mode, OpClass, ReplicaId};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -659,6 +659,41 @@ impl Scenario {
         (sim, cores.primary, cores.trace)
     }
 
+    /// One replica's wiring, spelled once for the three core types: attaches
+    /// this replica's trace ring and durable store (where the scenario has
+    /// them) to the fresh `core`, and registers the factory that rebuilds
+    /// the replica from that store after a crash — `recovered`, with the
+    /// same ring re-attached.
+    fn wire_core<C: ReplicaProtocol + 'static>(
+        &self,
+        replica: ReplicaId,
+        trace: &mut TraceHandles,
+        recover_factories: &mut BTreeMap<ReplicaId, RecoverFactory>,
+        mut core: C,
+        (set_recorder, set_store): (Attach<C, dyn Recorder>, Attach<C, dyn Durability>),
+        recovered: impl Fn(Box<dyn StateMachine>, Arc<dyn Durability>) -> C + Send + Sync + 'static,
+    ) -> C {
+        let recorder = trace.for_replica(self.tracing, replica);
+        if let Some(recorder) = recorder.clone() {
+            set_recorder(&mut core, recorder);
+        }
+        if let Some(store) = self.make_store(replica) {
+            set_store(&mut core, store.clone());
+            let app = self.app_factory();
+            recover_factories.insert(
+                replica,
+                Arc::new(move || {
+                    let mut core = recovered(app(), store.clone());
+                    if let Some(recorder) = recorder.clone() {
+                        set_recorder(&mut core, recorder);
+                    }
+                    Box::new(core) as Box<dyn ReplicaProtocol>
+                }),
+            );
+        }
+        core
+    }
+
     /// Assembles the replica and client cores for this scenario,
     /// independently of the runtime that will drive them.
     pub(crate) fn build_cores(&self) -> CoreSet {
@@ -678,44 +713,30 @@ impl Scenario {
                 let byzantine_cutoff = cluster.total_size().saturating_sub(self.byzantine_replicas);
                 let mut replicas: Vec<Box<dyn ReplicaProtocol>> = Vec::new();
                 for replica in cluster.replicas() {
-                    let mut core = SeeMoReReplica::new(
+                    let recover_keystore = keystore.clone();
+                    let core = self.wire_core(
                         replica,
-                        cluster,
-                        pconfig,
-                        keystore.clone(),
-                        mode,
-                        self.make_app(),
-                    );
-                    let recorder = trace.for_replica(self.tracing, replica);
-                    if let Some(recorder) = recorder.clone() {
-                        core.set_recorder(recorder);
-                    }
-                    if let Some(store) = self.make_store(replica) {
-                        core.set_store(store.clone());
-                        let app = self.app_factory();
-                        let keystore = keystore.clone();
-                        // A restarted replica always comes back honest: the
-                        // Byzantine wrapper models live misbehaviour, not a
-                        // corrupted store.
-                        recover_factories.insert(
+                        &mut trace,
+                        &mut recover_factories,
+                        SeeMoReReplica::new(
                             replica,
-                            Arc::new(move || {
-                                let mut core = SeeMoReReplica::recover(
-                                    replica,
-                                    cluster,
-                                    pconfig,
-                                    keystore.clone(),
-                                    mode,
-                                    app(),
-                                    store.clone(),
-                                );
-                                if let Some(recorder) = recorder.clone() {
-                                    core.set_recorder(recorder);
-                                }
-                                Box::new(core) as Box<dyn ReplicaProtocol>
-                            }),
-                        );
-                    }
+                            cluster,
+                            pconfig,
+                            keystore.clone(),
+                            mode,
+                            self.make_app(),
+                        ),
+                        (SeeMoReReplica::set_recorder, SeeMoReReplica::set_store),
+                        move |app, store| {
+                            let keystore = recover_keystore.clone();
+                            SeeMoReReplica::recover(
+                                replica, cluster, pconfig, keystore, mode, app, store,
+                            )
+                        },
+                    );
+                    // A restarted replica always comes back honest: the
+                    // Byzantine wrapper models live misbehaviour, not a
+                    // corrupted store.
                     if replica.0 >= byzantine_cutoff && !cluster.is_trusted(replica) {
                         replicas.push(Box::new(ByzantineReplica::new(
                             core,
@@ -774,68 +795,39 @@ impl Scenario {
                 for replica in config.replicas() {
                     match self.protocol {
                         ProtocolKind::Cft => {
-                            let mut core =
-                                CftReplica::new(replica, config, pconfig, self.make_app());
-                            let recorder = trace.for_replica(self.tracing, replica);
-                            if let Some(recorder) = recorder.clone() {
-                                core.set_recorder(recorder);
-                            }
-                            if let Some(store) = self.make_store(replica) {
-                                core.set_store(store.clone());
-                                let app = self.app_factory();
-                                recover_factories.insert(
-                                    replica,
-                                    Arc::new(move || {
-                                        let mut core = CftReplica::recover(
-                                            replica,
-                                            config,
-                                            pconfig,
-                                            app(),
-                                            store.clone(),
-                                        );
-                                        if let Some(recorder) = recorder.clone() {
-                                            core.set_recorder(recorder);
-                                        }
-                                        Box::new(core) as Box<dyn ReplicaProtocol>
-                                    }),
-                                );
-                            }
+                            let core = self.wire_core(
+                                replica,
+                                &mut trace,
+                                &mut recover_factories,
+                                CftReplica::new(replica, config, pconfig, self.make_app()),
+                                (CftReplica::set_recorder, CftReplica::set_store),
+                                move |app, store| {
+                                    CftReplica::recover(replica, config, pconfig, app, store)
+                                },
+                            );
                             replicas.push(Box::new(core));
                         }
                         _ => {
-                            let mut core = BftReplica::new(
+                            let recover_keystore = keystore.clone();
+                            let core = self.wire_core(
                                 replica,
-                                config,
-                                pconfig,
-                                keystore.clone(),
-                                self.make_app(),
-                            );
-                            let recorder = trace.for_replica(self.tracing, replica);
-                            if let Some(recorder) = recorder.clone() {
-                                core.set_recorder(recorder);
-                            }
-                            if let Some(store) = self.make_store(replica) {
-                                core.set_store(store.clone());
-                                let app = self.app_factory();
-                                let keystore = keystore.clone();
-                                recover_factories.insert(
+                                &mut trace,
+                                &mut recover_factories,
+                                BftReplica::new(
                                     replica,
-                                    Arc::new(move || {
-                                        let mut core = BftReplica::recover(
-                                            replica,
-                                            config,
-                                            pconfig,
-                                            keystore.clone(),
-                                            app(),
-                                            store.clone(),
-                                        );
-                                        if let Some(recorder) = recorder.clone() {
-                                            core.set_recorder(recorder);
-                                        }
-                                        Box::new(core) as Box<dyn ReplicaProtocol>
-                                    }),
-                                );
-                            }
+                                    config,
+                                    pconfig,
+                                    keystore.clone(),
+                                    self.make_app(),
+                                ),
+                                (BftReplica::set_recorder, BftReplica::set_store),
+                                move |app, store| {
+                                    let keystore = recover_keystore.clone();
+                                    BftReplica::recover(
+                                        replica, config, pconfig, keystore, app, store,
+                                    )
+                                },
+                            );
                             if replica.0 >= byzantine_cutoff && replica.0 != 0 {
                                 replicas.push(Box::new(ByzantineReplica::new(
                                     core,
@@ -1049,6 +1041,9 @@ impl Scenario {
         report
     }
 }
+
+/// A core type's setter for a shared handle (`set_recorder`, `set_store`).
+type Attach<C, T> = fn(&mut C, Arc<T>);
 
 /// Builds a replacement core for a crashed replica from its durable store
 /// (shared by the simulator's restart events and the concurrent runtimes'

@@ -182,13 +182,19 @@ fn simulated_crash_recover_matches_a_no_crash_control() {
 
 #[test]
 fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
-    for (kind, mux) in [
-        (RuntimeKind::Threaded, false),
-        (RuntimeKind::Socket, false),
-        (RuntimeKind::Socket, true),
-    ] {
-        let victim = ReplicaId(ProtocolKind::SeeMoReLion.network_size(1, 1) - 1);
-        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
+    // Lion on every concurrent runtime shape, and — over real TCP — every
+    // protocol, so the shared rejoin code is driven through all three
+    // state-adoption rules: the first response (CFT), the trusted tier only
+    // (SeeMoRe), `f + 1` matching responses (BFT, S-UpRight).
+    let lion_shapes = [(RuntimeKind::Threaded, false), (RuntimeKind::Socket, true)]
+        .map(|(kind, mux)| (ProtocolKind::SeeMoReLion, kind, mux));
+    let socket_protocols = CASES
+        .into_iter()
+        .chain([ProtocolKind::SUpright])
+        .map(|protocol| (protocol, RuntimeKind::Socket, false));
+    for (protocol, kind, mux) in lion_shapes.into_iter().chain(socket_protocols) {
+        let victim = ReplicaId(protocol.network_size(1, 1) - 1);
+        let report = Scenario::new(protocol, 1, 1)
             .with_clients(2)
             .with_duration(Duration::from_millis(500), Duration::from_millis(10))
             .with_runtime(kind)
@@ -200,8 +206,8 @@ fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
                 Instant::from_nanos(200_000_000),
             ))
             .run();
-        let name = kind.name();
-        assert!(report.completed > 0, "{name} (mux {mux}): no progress");
+        let label = format!("{} on {} (mux {mux})", protocol.name(), kind.name());
+        assert!(report.completed > 0, "{label}: no progress");
         let health = report
             .health
             .iter()
@@ -209,7 +215,7 @@ fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
             .expect("victim health rollup");
         assert!(
             health.recoveries >= 1,
-            "{name} (mux {mux}): the victim never completed its rejoin"
+            "{label}: the victim never completed its rejoin"
         );
     }
 }
