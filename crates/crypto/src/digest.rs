@@ -27,12 +27,11 @@ impl Digest {
     /// unambiguous (no concatenation ambiguity between e.g. `("ab", "c")` and
     /// `("a", "bc")`).
     pub fn of_fields(fields: &[&[u8]]) -> Digest {
-        let mut hasher = Sha256::new();
+        let mut hasher = FieldHasher::new();
         for field in fields {
-            hasher.update(&(field.len() as u64).to_le_bytes());
-            hasher.update(field);
+            hasher.field(field);
         }
-        Digest(hasher.finalize())
+        hasher.finish()
     }
 
     /// Raw digest bytes.
@@ -53,6 +52,30 @@ impl Digest {
     /// Full hexadecimal rendering.
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+}
+
+/// [`Digest::of_fields`] one field at a time, for callers whose fields are
+/// produced as they go and would otherwise be collected first.
+#[derive(Debug, Clone, Default)]
+pub struct FieldHasher(Sha256);
+
+impl FieldHasher {
+    /// A hasher with no fields absorbed.
+    pub fn new() -> FieldHasher {
+        FieldHasher::default()
+    }
+
+    /// Absorbs the next field as `len || bytes`.
+    pub fn field(&mut self, bytes: &[u8]) {
+        self.0.update(&(bytes.len() as u64).to_le_bytes());
+        self.0.update(bytes);
+    }
+
+    /// The digest of the fields absorbed so far, equal to
+    /// [`Digest::of_fields`] over the same sequence.
+    pub fn finish(self) -> Digest {
+        Digest(self.0.finalize())
     }
 }
 

@@ -1,36 +1,69 @@
 //! HMAC-SHA-256 (RFC 2104), validated against the RFC 4231 test vectors.
+//!
+//! `HMAC(K, m) = H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))`: both hashes start with
+//! one block that depends on the key alone. [`HmacKey`] compresses those two
+//! blocks once and keeps the resulting SHA-256 states, so every MAC under
+//! the key starts from a copy of them.
 
-use crate::sha256::{Sha256, BLOCK_LEN, OUTPUT_LEN};
+use crate::sha256::{sha256, Sha256, BLOCK_LEN, OUTPUT_LEN};
+use std::fmt;
 
-/// Computes `HMAC-SHA256(key, message)`.
+/// An HMAC-SHA-256 key with its key schedule done: the SHA-256 states after
+/// the ipad block and after the opad block.
 ///
-/// Keys longer than the 64-byte SHA-256 block are first hashed, as required
-/// by RFC 2104; shorter keys are zero-padded.
+/// The two states are equivalent to the key — whoever holds them can MAC
+/// under it — so `Debug` prints nothing of them and the type is not
+/// serializable.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Runs the key schedule for `key`.
+    ///
+    /// Keys longer than the 64-byte SHA-256 block are first hashed, as
+    /// required by RFC 2104; shorter keys are zero-padded.
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut block_key = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block_key[..OUTPUT_LEN].copy_from_slice(&sha256(key));
+        } else {
+            block_key[..key.len()].copy_from_slice(key);
+        }
+        let keyed_state = |pad: u8| {
+            let mut hasher = Sha256::new();
+            hasher.update(&block_key.map(|byte| byte ^ pad));
+            hasher
+        };
+        HmacKey {
+            inner: keyed_state(0x36),
+            outer: keyed_state(0x5c),
+        }
+    }
+
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; OUTPUT_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print key material, and the midstates are key material.
+        write!(f, "HmacKey(…)")
+    }
+}
+
+/// Computes `HMAC-SHA256(key, message)` for a key used once; callers that
+/// MAC repeatedly under one key hold an [`HmacKey`].
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; OUTPUT_LEN] {
-    let mut block_key = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let hashed = crate::sha256::sha256(key);
-        block_key[..OUTPUT_LEN].copy_from_slice(&hashed);
-    } else {
-        block_key[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0u8; BLOCK_LEN];
-    let mut opad = [0u8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] = block_key[i] ^ 0x36;
-        opad[i] = block_key[i] ^ 0x5c;
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time comparison of two byte strings of equal length.
@@ -57,56 +90,64 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Asserts an RFC 4231 answer through the one-shot function and through
+    /// one [`HmacKey`] used twice with another message in between — the
+    /// second use fails if a MAC disturbs the cached midstates.
+    fn assert_vector(key: &[u8], data: &[u8], expected: &str) {
+        assert_eq!(hex(&hmac_sha256(key, data)), expected, "one-shot");
+        let keyed = HmacKey::new(key);
+        assert_eq!(hex(&keyed.mac(data)), expected, "keyed, first use");
+        assert_ne!(hex(&keyed.mac(b"something else")), expected);
+        assert_eq!(hex(&keyed.mac(data)), expected, "keyed, reused");
+    }
+
     // RFC 4231 test case 1.
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0bu8; 20];
-        let data = b"Hi There";
-        assert_eq!(
-            hex(&hmac_sha256(&key, data)),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        assert_vector(
+            &[0x0bu8; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     // RFC 4231 test case 2: "Jefe" / "what do ya want for nothing?".
     #[test]
     fn rfc4231_case_2() {
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        assert_vector(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     // RFC 4231 test case 3: 0xaa*20 key, 0xdd*50 data.
     #[test]
     fn rfc4231_case_3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        assert_eq!(
-            hex(&hmac_sha256(&key, &data)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        assert_vector(
+            &[0xaau8; 20],
+            &[0xddu8; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     // RFC 4231 test case 6: key longer than the block size.
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaau8; 131];
-        let data = b"Test Using Larger Than Block-Size Key - Hash Key First";
-        assert_eq!(
-            hex(&hmac_sha256(&key, data)),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        assert_vector(
+            &[0xaau8; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
     // RFC 4231 test case 7: long key and long data.
     #[test]
     fn rfc4231_case_7_long_key_and_data() {
-        let key = [0xaau8; 131];
-        let data = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
-        assert_eq!(
-            hex(&hmac_sha256(&key, data)),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        assert_vector(
+            &[0xaau8; 131],
+            b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
         );
     }
 

@@ -13,7 +13,7 @@
 //! node, exactly like the adversary in the paper's model.
 
 use crate::digest::Digest;
-use crate::hmac::{constant_time_eq, hmac_sha256};
+use crate::hmac::{constant_time_eq, HmacKey};
 use seemore_types::{ClientId, NodeId, ReplicaId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -105,13 +105,17 @@ impl Default for Signature {
 #[derive(Clone, Debug)]
 pub struct Signer {
     node: NodeId,
-    key: SecretKey,
+    key: HmacKey,
 }
 
 impl Signer {
-    /// Creates a signer for `node` with the given secret key.
+    /// Creates a signer for `node` with the given secret key. The HMAC key
+    /// schedule runs here, once, not in every [`sign`](Self::sign).
     pub fn new(node: NodeId, key: SecretKey) -> Signer {
-        Signer { node, key }
+        Signer {
+            node,
+            key: HmacKey::new(key.as_bytes()),
+        }
     }
 
     /// The identity this signer signs as.
@@ -121,7 +125,7 @@ impl Signer {
 
     /// Signs an arbitrary byte string.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature(hmac_sha256(self.key.as_bytes(), message))
+        Signature(self.key.mac(message))
     }
 
     /// Signs a digest (the common case for protocol messages: the signed
@@ -133,10 +137,11 @@ impl Signer {
 
 /// The verification half shared by every node in the cluster.
 ///
-/// Cloning a `KeyStore` is cheap (the key table is behind an `Arc`).
+/// Cloning a `KeyStore` is cheap (the key table is behind an `Arc`). The
+/// table holds each node's key with its HMAC key schedule already run.
 #[derive(Clone, Debug)]
 pub struct KeyStore {
-    keys: Arc<BTreeMap<NodeId, SecretKey>>,
+    keys: Arc<BTreeMap<NodeId, HmacKey>>,
     cluster_seed: u64,
 }
 
@@ -144,15 +149,15 @@ impl KeyStore {
     /// Generates a key store for `replica_count` replicas and
     /// `client_count` clients from a single seed.
     pub fn generate(cluster_seed: u64, replica_count: u32, client_count: u64) -> KeyStore {
-        let mut keys = BTreeMap::new();
-        for r in 0..replica_count {
-            let node = NodeId::Replica(ReplicaId(r));
-            keys.insert(node, SecretKey::derive(cluster_seed, node));
-        }
-        for c in 0..client_count {
-            let node = NodeId::Client(ClientId(c));
-            keys.insert(node, SecretKey::derive(cluster_seed, node));
-        }
+        let replicas = (0..replica_count).map(|r| NodeId::Replica(ReplicaId(r)));
+        let clients = (0..client_count).map(|c| NodeId::Client(ClientId(c)));
+        let keys = replicas
+            .chain(clients)
+            .map(|node| {
+                let key = SecretKey::derive(cluster_seed, node);
+                (node, HmacKey::new(key.as_bytes()))
+            })
+            .collect();
         KeyStore {
             keys: Arc::new(keys),
             cluster_seed,
@@ -180,18 +185,16 @@ impl KeyStore {
     /// Byzantine replicas are given the same single signer, never the whole
     /// store's signing capability.
     pub fn signer_for(&self, node: NodeId) -> Option<Signer> {
-        self.keys
-            .get(&node)
-            .map(|key| Signer::new(node, key.clone()))
+        self.keys.get(&node).map(|key| Signer {
+            node,
+            key: key.clone(),
+        })
     }
 
     /// Verifies that `signature` is `node`'s signature over `message`.
     pub fn verify(&self, node: NodeId, message: &[u8], signature: &Signature) -> bool {
         match self.keys.get(&node) {
-            Some(key) => {
-                let expected = hmac_sha256(key.as_bytes(), message);
-                constant_time_eq(&expected, signature.as_bytes())
-            }
+            Some(key) => constant_time_eq(&key.mac(message), signature.as_bytes()),
             None => false,
         }
     }
@@ -289,11 +292,30 @@ mod tests {
         let rendered = format!("{key:?}");
         assert!(!rendered.contains("aa"));
     }
+
+    #[test]
+    fn signer_and_keystore_debug_print_no_key_or_midstate_bytes() {
+        // The whole rendering is pinned, so nothing rides along: not the key
+        // and not the SHA-256 states derived from it, in any base.
+        let node = NodeId::Replica(ReplicaId(1));
+        let signer = Signer::new(node, SecretKey::from_bytes([0xaa; KEY_LEN]));
+        assert_eq!(
+            format!("{signer:?}"),
+            format!("Signer {{ node: {node:?}, key: HmacKey(…) }}")
+        );
+        let ks = KeyStore::generate(42, 1, 0);
+        let only = NodeId::Replica(ReplicaId(0));
+        assert_eq!(
+            format!("{ks:?}"),
+            format!("KeyStore {{ keys: {{{only:?}: HmacKey(…)}}, cluster_seed: 42 }}")
+        );
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::hmac::hmac_sha256;
     use proptest::prelude::*;
 
     proptest! {
@@ -324,6 +346,33 @@ mod proptests {
                 let mut bytes = *sig.as_bytes();
                 bytes[idx % KEY_LEN] ^= tamper;
                 prop_assert!(!ks.verify(node, &msg, &Signature::from_bytes(bytes)));
+            }
+        }
+
+        /// Signing and verifying from the cached midstates is the textbook
+        /// HMAC under the node's secret key — for any key, and for two
+        /// different messages MAC'd back to back with the one cached key (a
+        /// midstate mutated instead of copied gets the second one wrong).
+        #[test]
+        fn cached_key_schedule_agrees_with_one_shot_hmac(
+            key in proptest::collection::vec(any::<u8>(), KEY_LEN..KEY_LEN + 1),
+            seed in any::<u64>(),
+            first in proptest::collection::vec(any::<u8>(), 0..700),
+            second in proptest::collection::vec(any::<u8>(), 0..700),
+        ) {
+            let key: [u8; KEY_LEN] = key.try_into().expect("KEY_LEN bytes");
+            let node = NodeId::Replica(ReplicaId(2));
+            let signer = Signer::new(node, SecretKey::from_bytes(key));
+            for message in [&first, &second, &first] {
+                prop_assert_eq!(signer.sign(message).as_bytes(), &hmac_sha256(&key, message));
+            }
+
+            let ks = KeyStore::generate(seed, 3, 1);
+            let derived = SecretKey::derive(seed, node);
+            for message in [&first, &second, &first] {
+                let tag = Signature::from_bytes(hmac_sha256(derived.as_bytes(), message));
+                prop_assert!(ks.verify(node, message, &tag));
+                prop_assert_eq!(ks.signer_for(node).unwrap().sign(message), tag);
             }
         }
     }

@@ -37,16 +37,62 @@ const CHECKPOINT_MAGIC: u32 = 0x534D_4350;
 /// frame bound so a corrupt length field cannot demand an absurd allocation.
 const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
+/// The reflected IEEE 802.3 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// One byte through the CRC register, a bit at a time: the definition the
+/// lookup tables are built from and checked against.
+const fn crc32_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+        bit += 1;
+    }
+    crc
+}
+
+/// Slicing-by-8 tables: `CRC32_TABLES[k][b]` is the register after byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent lookups.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        tables[0][byte] = crc32_byte(byte as u32);
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the classic WAL checksum,
 /// implemented directly so the offline build needs no external crate.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let low = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        crc = t[7][(low & 0xFF) as usize]
+            ^ t[6][(low >> 8 & 0xFF) as usize]
+            ^ t[5][(low >> 16 & 0xFF) as usize]
+            ^ t[4][(low >> 24) as usize]
+            ^ t[3][usize::from(chunk[4])]
+            ^ t[2][usize::from(chunk[5])]
+            ^ t[1][usize::from(chunk[6])]
+            ^ t[0][usize::from(chunk[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -277,11 +323,35 @@ mod tests {
         }))
     }
 
+    /// The bit-at-a-time CRC-32 the table-driven one replaced, kept as its
+    /// oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in bytes {
+            crc = crc32_byte(crc ^ u32::from(byte));
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        /// Any bytes, from any offset (so the eight-byte strides start at
+        /// every alignment) and of any length (so every remainder occurs).
+        #[test]
+        fn crc32_matches_the_bitwise_oracle(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            skip in 0usize..16,
+        ) {
+            let bytes = &data[skip.min(data.len())..];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::client::ClientRequest;
 use crate::size::WireSize;
-use seemore_crypto::Digest;
+use seemore_crypto::{Digest, FieldHasher};
 use seemore_types::RequestId;
 use serde::{Deserialize, Serialize};
 
@@ -56,13 +56,12 @@ impl Batch {
     /// Built over the per-request digests in batch order, so it is sensitive
     /// to membership, content and order.
     pub fn digest(&self) -> Digest {
-        let per_request: Vec<Digest> = self.requests.iter().map(ClientRequest::digest).collect();
-        let mut fields: Vec<&[u8]> = Vec::with_capacity(per_request.len() + 1);
-        fields.push(b"batch");
-        for digest in &per_request {
-            fields.push(digest.as_bytes());
+        let mut hasher = FieldHasher::new();
+        hasher.field(b"batch");
+        for request in &self.requests {
+            hasher.field(request.digest().as_bytes());
         }
-        Digest::of_fields(&fields)
+        hasher.finish()
     }
 
     /// Number of requests in the batch.
@@ -148,6 +147,16 @@ mod tests {
         let ab = Batch::new(vec![a.clone(), b.clone()]);
         let ba = Batch::new(vec![b, a]);
         assert_ne!(ab.digest(), ba.digest());
+    }
+
+    #[test]
+    fn digest_is_the_field_digest_of_label_and_request_digests() {
+        // The value every build since the wire codec has agreed on.
+        let ks = keystore();
+        let a = request(&ks, 0, 1, b"a");
+        let b = request(&ks, 1, 1, b"b");
+        let expected = Digest::of_fields(&[b"batch", a.digest().as_bytes(), b.digest().as_bytes()]);
+        assert_eq!(Batch::new(vec![a, b]).digest(), expected);
     }
 
     #[test]
