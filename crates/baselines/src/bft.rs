@@ -105,7 +105,7 @@ impl BftReplica {
                 StabilityRule::Quorum(config.reply_quorum as usize),
                 app,
             ),
-            signing: SigningContext::new(id, keystore, pconfig.verify_memo),
+            signing: SigningContext::new(id, keystore),
             config,
             in_view_change: false,
             target_view: View::ZERO,

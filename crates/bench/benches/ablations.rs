@@ -2,7 +2,12 @@
 //! `README.md` and the crate docs.
 //!
 //! These do not correspond to a single paper figure; they quantify the
-//! individual mechanisms the paper credits for SeeMoRe's advantage:
+//! individual mechanisms the paper credits for SeeMoRe's advantage. Every
+//! sweep runs on the deterministic simulator (virtual time, fixed seeds), so
+//! the printed numbers repeat exactly; numbers for the deployed socket path
+//! come from `examples/benchmark/` only. (The numbering has a gap at 7:
+//! `CHANGES.md` and `ROADMAP.md` cite the sweeps by number, so the numbers
+//! stay put.)
 //!
 //! 1. **Trusted primary ⇒ one fewer phase** — Lion (2 phases) vs Peacock
 //!    (3 phases) at identical failure bounds.
@@ -18,80 +23,26 @@
 //! 6. **Request batching** — throughput and latency of every protocol as
 //!    `max_batch` sweeps 1 / 8 / 64 under a closed-loop load, measuring the
 //!    batched-agreement refactor instead of asserting it.
-//! 7. **Socket vs threaded runtime** — the measured cost of the wire codec
-//!    plus kernel sockets on identical cores.
 //! 8. **Static vs adaptive batching** — the adaptive AIMD controller
 //!    against both static extremes: `max_batch = 64` at low load (where the
 //!    static policy makes every never-full batch wait out the flush delay)
 //!    and `max_batch = 1` at high load (where the static policy pays one
 //!    quorum round per request), with the controller's chosen batch sizes
 //!    reported from `RunReport::batching`.
-//! 13. **Sharded scale-out** — aggregate Lion throughput as the keyspace is
-//!     hash-partitioned across 1–8 independent groups under weak scaling
-//!     (fixed load per group), with a hard ≥ 3× acceptance floor at 8
-//!     groups, plus the measured cost of correcting a stale client map
-//!     through signed redirects.
-//! 14. **Recovery time vs log length** — a durable replica is crashed after
-//!     increasingly long runs and restarted from its store; with checkpoint
-//!     compaction the WAL suffix it must replay stays bounded by one
-//!     checkpoint period no matter how long the pre-crash run was, while the
-//!     no-compaction arm replays the whole history.
+//! 9. **Mode-aware read fast path** — the replicated KV store under a
+//!    read-fraction sweep, reads served through the fast path vs ordered
+//!    like writes; hard-asserts Lion at `read_fraction = 0.9` reaching ≥ 2×
+//!    the ordered-everything throughput.
 
-use seemore_bench::json::Json;
-use seemore_bench::{
-    header, peak_throughput, quick_mode, run_window, sweep_protocol, write_bench_artifact,
-};
+use seemore_bench::{header, peak_throughput, quick_mode, run_window, sweep_protocol};
 use seemore_net::{CpuModel, LatencyModel};
-use seemore_runtime::{
-    CrashRecover, DurabilityKind, ProtocolKind, RunReport, RuntimeKind, Scenario, Workload,
-};
-use seemore_telemetry::Phase;
-use seemore_types::{Duration, Instant, ReplicaId};
+use seemore_runtime::{ProtocolKind, Scenario, Workload};
+use seemore_types::Duration;
 
 /// Applies one batching policy to a scenario (ablation 8's rows).
 type PolicyFn = fn(Scenario, Duration) -> Scenario;
 
 fn main() {
-    // `SEEMORE_ABLATION=10` runs only the socket hot-path ablation,
-    // `SEEMORE_ABLATION=11` only the connection-scaling sweep,
-    // `SEEMORE_ABLATION=12` only the tracing-overhead + phase-breakdown
-    // ablation, `SEEMORE_ABLATION=13` only the sharded scale-out sweep and
-    // `SEEMORE_ABLATION=14` only the recovery-vs-log-length sweep (useful
-    // while iterating on one subsystem); anything else runs the full set.
-    let var = std::env::var("SEEMORE_ABLATION").ok();
-    let only = var.as_deref();
-    let run_all = !matches!(
-        only,
-        Some("10") | Some("11") | Some("12") | Some("13") | Some("14")
-    );
-    if run_all {
-        ablations_one_to_nine();
-    }
-    if run_all || only == Some("10") || only == Some("11") {
-        let rows = if only == Some("11") {
-            Vec::new()
-        } else {
-            ablation_ten_socket_hot_path()
-        };
-        let connections = if only == Some("10") {
-            Vec::new()
-        } else {
-            ablation_eleven_connection_scaling()
-        };
-        emit_socket_json(&rows, &connections);
-    }
-    if run_all || only == Some("12") {
-        ablation_twelve_trace_overhead();
-    }
-    if run_all || only == Some("13") {
-        ablation_thirteen_sharded_scale_out();
-    }
-    if run_all || only == Some("14") {
-        ablation_fourteen_recovery();
-    }
-}
-
-fn ablations_one_to_nine() {
     let (duration, warmup) = run_window();
     let clients = if quick_mode() { 8 } else { 24 };
 
@@ -233,47 +184,6 @@ fn ablations_one_to_nine() {
     );
     println!();
 
-    header("Ablation 7: socket vs threaded runtime (wall-clock smoke)");
-    // Same cores, same closed-loop clients, wall-clock time; the only
-    // difference is whether messages cross in-memory channels as Rust values
-    // or loopback TCP connections through the wire codec. The gap is the
-    // real cost of serialization + sockets; the socket row's bytes are
-    // counted from actual reads.
-    let smoke_window = if quick_mode() {
-        Duration::from_millis(200)
-    } else {
-        Duration::from_millis(500)
-    };
-    println!(
-        "{:<10} {:>9} {:>18} {:>13} {:>14}",
-        "protocol", "runtime", "throughput[kreq/s]", "latency[ms]", "wire[KiB]"
-    );
-    for protocol in [ProtocolKind::SeeMoReLion, ProtocolKind::Bft] {
-        for runtime in [RuntimeKind::Threaded, RuntimeKind::Socket] {
-            let report = Scenario::new(protocol, 1, 1)
-                .with_clients(8)
-                .with_duration(smoke_window, Duration::from_millis(20))
-                .with_batching(8, Duration::from_micros(200))
-                .with_runtime(runtime)
-                .run();
-            println!(
-                "{:<10} {:>9} {:>18.3} {:>13.3} {:>14.1}",
-                protocol.name(),
-                runtime.name(),
-                report.throughput_kreqs,
-                report.avg_latency_ms,
-                report.bytes_delivered as f64 / 1024.0
-            );
-        }
-    }
-    println!();
-    println!(
-        "# Shape check: the threaded runtime bounds what the protocol cores can do on\n\
-         # this machine; the socket rows pay codec + kernel socket costs on top, and\n\
-         # their byte counts are real bytes read from loopback TCP connections."
-    );
-    println!();
-
     header("Ablation 8: static vs adaptive batching (chosen sizes reported)");
     // Low load (2 clients): the latency end of the curve, where a static
     // max_batch = 64 is wrong (every batch waits out the flush delay).
@@ -411,808 +321,5 @@ fn ablations_one_to_nine() {
         lion_speedup_at_09 >= 2.0,
         "acceptance: Lion at read_fraction 0.9 must be at least 2x the ordered path \
          (measured {lion_speedup_at_09:.2}x)"
-    );
-}
-
-/// One measured row of ablation 10.
-struct SocketRow {
-    protocol: &'static str,
-    runtime: &'static str,
-    config: &'static str,
-    report: RunReport,
-}
-
-/// Ablation 10: re-runs the socket-vs-threaded sweep of ablation 7 after
-/// the hot-path work (encode-once broadcast, direct and vectored writes,
-/// sign/verify scratch + memo) and hard-asserts the acceptance bar against
-/// PR 2's recorded quick-mode baseline. The socket rows run the workload
-/// with private client endpoints, with the verify memo off, and with every
-/// client multiplexed through the hub. Returns the rows for
-/// `BENCH_socket.json`.
-fn ablation_ten_socket_hot_path() -> Vec<SocketRow> {
-    header("Ablation 10: socket hot path (encode-once, vectored writes, sign memo)");
-    // PR 2's quick-mode measurements, recorded before this optimisation
-    // pass (ablation 7 of that PR): Lion 16.5 -> 8.2 kreq/s, BFT 7.2 -> 1.3
-    // kreq/s when moving from the threaded to the socket runtime.
-    const PR2_BFT_SOCKET_KREQS: f64 = 1.3;
-    const PR2_LION_SOCKET_RATIO: f64 = 8.2 / 16.5;
-    let window = if quick_mode() {
-        Duration::from_millis(200)
-    } else {
-        Duration::from_millis(500)
-    };
-    // Wall-clock runs on a shared machine are noisy; each row is the
-    // better of two runs (standard best-of-N practice for wall-clock
-    // benches), so the assertions below measure the hot path, not the
-    // scheduler's mood.
-    let run = |protocol: ProtocolKind,
-               runtime: RuntimeKind,
-               verify_memo: bool,
-               client_mux: bool|
-     -> RunReport {
-        let one = || {
-            Scenario::new(protocol, 1, 1)
-                .with_clients(8)
-                .with_duration(window, Duration::from_millis(20))
-                .with_batching(8, Duration::from_micros(200))
-                .with_runtime(runtime)
-                .with_verify_memo(verify_memo)
-                .with_client_mux(client_mux)
-                .run()
-        };
-        let first = one();
-        let second = one();
-        if second.throughput_kreqs > first.throughput_kreqs {
-            second
-        } else {
-            first
-        }
-    };
-
-    let mut rows: Vec<SocketRow> = Vec::new();
-    for protocol in [ProtocolKind::SeeMoReLion, ProtocolKind::Bft] {
-        for (runtime, verify_memo, client_mux, config) in [
-            (RuntimeKind::Threaded, true, false, "full"),
-            (RuntimeKind::Socket, true, false, "full"),
-            (RuntimeKind::Socket, false, false, "no-memo"),
-            (RuntimeKind::Socket, true, true, "client-mux"),
-        ] {
-            rows.push(SocketRow {
-                protocol: protocol.name(),
-                runtime: runtime.name(),
-                config,
-                report: run(protocol, runtime, verify_memo, client_mux),
-            });
-        }
-    }
-
-    println!(
-        "{:<10} {:>9} {:<15} {:>13} {:>12} {:>10} {:>10} {:>10} {:>8} {:>9}",
-        "protocol",
-        "runtime",
-        "config",
-        "kreq/s",
-        "latency[ms]",
-        "writes",
-        "coalesced",
-        "enc saved",
-        "direct",
-        "vectored"
-    );
-    for row in &rows {
-        let transport = row.report.transport.unwrap_or_default();
-        println!(
-            "{:<10} {:>9} {:<15} {:>13.3} {:>12.3} {:>10} {:>10} {:>10} {:>8} {:>9}",
-            row.protocol,
-            row.runtime,
-            row.config,
-            row.report.throughput_kreqs,
-            row.report.avg_latency_ms,
-            transport.write_syscalls,
-            transport.frames_coalesced,
-            transport.encodes_saved,
-            transport.direct_writes,
-            transport.vectored_writes,
-        );
-    }
-
-    let find = |protocol: &str, runtime: &str, config: &str| -> &RunReport {
-        rows.iter()
-            .find(|r| r.protocol == protocol && r.runtime == runtime && r.config == config)
-            .map(|r| &r.report)
-            .expect("row measured above")
-    };
-    let lion_threaded = find("Lion", "threaded", "full").throughput_kreqs;
-    let bft_socket = find("BFT", "socket", "full").throughput_kreqs;
-    // The better of the two client topologies (wall-clock noise headroom).
-    let lion_socket = find("Lion", "socket", "full")
-        .throughput_kreqs
-        .max(find("Lion", "socket", "client-mux").throughput_kreqs);
-    let lion_ratio = lion_socket / lion_threaded.max(1e-9);
-    println!();
-    println!(
-        "Lion socket/threaded ratio : {lion_ratio:.3} (PR 2 baseline {PR2_LION_SOCKET_RATIO:.3})"
-    );
-    println!(
-        "BFT socket throughput      : {bft_socket:.3} kreq/s (PR 2 baseline {PR2_BFT_SOCKET_KREQS} kreq/s)"
-    );
-    println!(
-        "# Shape check: the socket rows' `enc saved` column is the serializations the\n\
-         # hot path no longer pays and `direct` the frames written without an event-loop\n\
-         # hop; the no-memo row isolates the verify memo's contribution; the client-mux\n\
-         # row's `vectored` column counts gather-write backlog drains."
-    );
-
-    // Acceptance bar (quick-mode calibrated; the longer full-mode windows
-    // only help): BFT socket throughput at least 2x PR 2's 1.3 kreq/s and
-    // the Lion socket/threaded ratio better than PR 2's 0.497.
-    assert!(
-        bft_socket >= 2.0 * PR2_BFT_SOCKET_KREQS,
-        "acceptance: BFT on sockets must reach 2x the PR 2 baseline \
-         ({:.2} kreq/s measured, {:.2} required)",
-        bft_socket,
-        2.0 * PR2_BFT_SOCKET_KREQS
-    );
-    assert!(
-        lion_ratio > PR2_LION_SOCKET_RATIO,
-        "acceptance: Lion's socket/threaded ratio must improve on PR 2's \
-         {PR2_LION_SOCKET_RATIO:.3} (measured {lion_ratio:.3})"
-    );
-    rows
-}
-
-/// One measured point of the connections-vs-throughput curve (ablation 11).
-struct ConnectionPoint {
-    transport: &'static str,
-    /// Idle connections held open alongside the active workload.
-    held: u64,
-    /// Echo round trips per second across the active clients, in thousands.
-    kround_trips_s: f64,
-    note: &'static str,
-}
-
-/// Ablation 11: connection scaling. One replica node serves a transport-level
-/// echo workload from a handful of active clients while an increasing number
-/// of idle client connections are held open against it. The reactor must
-/// sustain the full sweep (>= 5000 concurrent connections, hard-asserted from
-/// its own live-connection counter).
-fn ablation_eleven_connection_scaling() -> Vec<ConnectionPoint> {
-    use seemore_net::reactor::{client_preamble, ReactorMesh};
-    use seemore_net::Transport;
-    use seemore_types::{ClientId, NodeId, ReplicaId, SeqNum};
-    use seemore_wire::{Message, StateRequest};
-    use std::io::Write as _;
-    use std::net::TcpStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration as StdDuration, Instant};
-
-    header("Ablation 11: connections vs throughput (reactor)");
-    const ACTIVE: u64 = 4;
-    /// The floor the reactor must sustain (the acceptance bar).
-    const REACTOR_FLOOR: u64 = 5000;
-    let window = if quick_mode() {
-        StdDuration::from_millis(150)
-    } else {
-        StdDuration::from_millis(400)
-    };
-    let node = NodeId::Replica(ReplicaId(0));
-    let active_ids: Vec<ClientId> = (0..ACTIVE).map(ClientId).collect();
-    let echo = Message::StateRequest(StateRequest {
-        from_seq: SeqNum(7),
-        replica: ReplicaId(0),
-    });
-
-    /// Closed-loop echo round trips per active client within `window`.
-    fn drive<T: Transport + Send>(
-        ports: Vec<T>,
-        echo: &Message,
-        node: NodeId,
-        window: StdDuration,
-    ) -> f64 {
-        let total: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = ports
-                .into_iter()
-                .map(|port| {
-                    let echo = echo.clone();
-                    scope.spawn(move || {
-                        let deadline = Instant::now() + window;
-                        let mut trips = 0u64;
-                        while Instant::now() < deadline {
-                            if port.send(node, &echo).is_err() {
-                                break;
-                            }
-                            match port.recv_timeout(StdDuration::from_millis(2_000)) {
-                                Ok(_) => trips += 1,
-                                Err(_) => break,
-                            }
-                        }
-                        trips
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        total as f64 / window.as_secs_f64() / 1_000.0
-    }
-
-    let mut points = Vec::new();
-
-    // Reactor: active clients multiplex through the hub; idle connections
-    // dial the replica's listener directly with a client preamble.
-    for &target in &[0u64, 1024, REACTOR_FLOOR] {
-        let mesh = ReactorMesh::with_hub(&[node], &active_ids).expect("bind reactor mesh");
-        let server = mesh.take_endpoint(node).expect("server endpoint");
-        let addr = mesh.address(node).expect("replica address");
-        let stop = Arc::new(AtomicBool::new(false));
-        let echo_stop = Arc::clone(&stop);
-        let echo_handle = {
-            let handle = server.handle();
-            std::thread::spawn(move || {
-                while !echo_stop.load(Ordering::Relaxed) {
-                    if let Ok((from, message)) = server.recv_timeout(StdDuration::from_millis(50)) {
-                        let _ = handle.send(from, &message);
-                    }
-                }
-            })
-        };
-
-        let mut idle = Vec::with_capacity(target as usize);
-        while (idle.len() as u64) < target {
-            let mut stream = TcpStream::connect(addr).expect("idle connect");
-            stream
-                .write_all(&client_preamble(ClientId(100_000 + idle.len() as u64)))
-                .expect("idle preamble");
-            idle.push(stream);
-            // Self-throttle so the dial burst cannot outrun the accept loop
-            // and overflow the listener backlog.
-            if idle.len() % 256 == 0 {
-                let lag_floor = idle.len() as u64 - 128;
-                while mesh.connections().0 < lag_floor {
-                    std::thread::sleep(StdDuration::from_millis(1));
-                }
-            }
-        }
-        // Every held connection must be accepted and live on the server
-        // before the measurement starts.
-        let settle = Instant::now() + StdDuration::from_secs(30);
-        while mesh.connections().0 < target {
-            assert!(
-                Instant::now() < settle,
-                "reactor accepted only {} of {target} connections",
-                mesh.connections().0
-            );
-            std::thread::sleep(StdDuration::from_millis(5));
-        }
-
-        let ports: Vec<_> = active_ids
-            .iter()
-            .map(|&c| mesh.hub_port(c).expect("hub port"))
-            .collect();
-        let kround = drive(ports, &echo, node, window);
-        let (live, _) = mesh.connections();
-        if target == REACTOR_FLOOR {
-            assert!(
-                live >= REACTOR_FLOOR,
-                "acceptance: the reactor must hold >= {REACTOR_FLOOR} live \
-                 connections on one node (held {live})"
-            );
-        }
-        points.push(ConnectionPoint {
-            transport: "reactor",
-            held: live,
-            kround_trips_s: kround,
-            note: "active clients hub-multiplexed",
-        });
-        stop.store(true, Ordering::Relaxed);
-        echo_handle.join().unwrap();
-        mesh.shutdown();
-    }
-
-    println!(
-        "{:<16} {:>12} {:>18} note",
-        "transport", "connections", "k round-trips/s"
-    );
-    for point in &points {
-        println!(
-            "{:<16} {:>12} {:>18.3} {}",
-            point.transport, point.held, point.kround_trips_s, point.note
-        );
-    }
-    println!(
-        "# The reactor's event-loop pool is fixed-size: holding {REACTOR_FLOOR}\n\
-         # connections adds file descriptors, not threads.\n"
-    );
-    points
-}
-
-/// Writes `BENCH_socket.json` (kreq/s per protocol per runtime/config, plus
-/// the connections-vs-throughput curve) at the workspace root so the perf
-/// trajectory is machine-readable across PRs, through the shared
-/// [`seemore_bench::json`] writer so `validate_bench` can parse it back.
-fn emit_socket_json(rows: &[SocketRow], connections: &[ConnectionPoint]) {
-    let results: Vec<Json> = rows
-        .iter()
-        .map(|row| {
-            let transport = row.report.transport.unwrap_or_default();
-            Json::obj([
-                ("protocol", Json::from(row.protocol)),
-                ("runtime", Json::from(row.runtime)),
-                ("config", Json::from(row.config)),
-                ("kreqs", Json::from(row.report.throughput_kreqs)),
-                ("avg_latency_ms", Json::from(row.report.avg_latency_ms)),
-                ("write_syscalls", Json::from(transport.write_syscalls)),
-                ("frames_coalesced", Json::from(transport.frames_coalesced)),
-                ("encodes_saved", Json::from(transport.encodes_saved)),
-                ("direct_writes", Json::from(transport.direct_writes)),
-                ("vectored_writes", Json::from(transport.vectored_writes)),
-                ("partial_writes", Json::from(transport.partial_writes)),
-                ("reconnects", Json::from(transport.reconnects)),
-            ])
-        })
-        .collect();
-    let connections: Vec<Json> = connections
-        .iter()
-        .map(|point| {
-            Json::obj([
-                ("transport", Json::from(point.transport)),
-                ("held", Json::from(point.held)),
-                ("kround_trips_s", Json::from(point.kround_trips_s)),
-                ("note", Json::from(point.note)),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([
-        ("quick_mode", Json::from(quick_mode())),
-        ("results", Json::Arr(results)),
-        ("connections", Json::Arr(connections)),
-    ]);
-    write_bench_artifact("BENCH_socket.json", &doc);
-    println!();
-}
-
-/// Ablation 12: structured-tracing overhead and the per-phase commit-latency
-/// breakdown. Re-runs ablation 10's Lion socket workload with tracing off
-/// and on; the enabled tracer must cost less than 5% throughput (the
-/// acceptance bar, hard-asserted), and the traced run's phase breakdown is
-/// printed and emitted as `BENCH_telemetry.json` through the shared writer.
-fn ablation_twelve_trace_overhead() {
-    header("Ablation 12: structured tracing overhead + phase breakdown (Lion, socket)");
-    const MAX_OVERHEAD: f64 = 0.05;
-    let window = if quick_mode() {
-        Duration::from_millis(200)
-    } else {
-        Duration::from_millis(500)
-    };
-    // Ablation 10's Lion socket workload, verbatim. Wall-clock runs on a
-    // shared machine are noisy, so each arm keeps the better of three runs;
-    // the ratio then compares the two arms' best case against each other.
-    let run = |tracing: bool| -> RunReport {
-        let one = || {
-            Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-                .with_clients(8)
-                .with_duration(window, Duration::from_millis(20))
-                .with_batching(8, Duration::from_micros(200))
-                .with_runtime(RuntimeKind::Socket)
-                .with_tracing(tracing)
-                .run()
-        };
-        (0..3)
-            .map(|_| one())
-            .max_by(|a, b| {
-                a.throughput_kreqs
-                    .partial_cmp(&b.throughput_kreqs)
-                    .expect("finite throughput")
-            })
-            .expect("three runs")
-    };
-    let plain = run(false);
-    let traced = run(true);
-    let overhead = 1.0 - traced.throughput_kreqs / plain.throughput_kreqs.max(1e-9);
-    println!("tracing off : {:.3} kreq/s", plain.throughput_kreqs);
-    println!(
-        "tracing on  : {:.3} kreq/s ({} events recorded)",
-        traced.throughput_kreqs,
-        traced.trace.len()
-    );
-    println!("overhead    : {:.2}%", overhead * 100.0);
-    println!();
-
-    let us = |nanos: u64| nanos as f64 / 1_000.0;
-    println!(
-        "{:<10} {:<6} {:<18} {:>8} {:>12} {:>12} {:>12}",
-        "mode", "class", "phase", "samples", "mean[us]", "p50[us]", "p99[us]"
-    );
-    let mut phase_cells = Vec::new();
-    for cell in &traced.phases.cells {
-        let class = if cell.class.is_read() {
-            "read"
-        } else {
-            "write"
-        };
-        let mut legs = Vec::new();
-        for phase in Phase::ALL {
-            let hist = &cell.phases[phase.index()];
-            if hist.is_empty() {
-                continue;
-            }
-            println!(
-                "{:<10} {:<6} {:<18} {:>8} {:>12.1} {:>12.1} {:>12.1}",
-                format!("{:?}", cell.mode),
-                class,
-                phase.name(),
-                hist.count(),
-                hist.mean() / 1_000.0,
-                us(hist.percentile(50.0)),
-                us(hist.percentile(99.0)),
-            );
-            legs.push(Json::obj([
-                ("phase", Json::from(phase.name())),
-                ("samples", Json::from(hist.count())),
-                ("mean_us", Json::from(hist.mean() / 1_000.0)),
-                ("p50_us", Json::from(us(hist.percentile(50.0)))),
-                ("p99_us", Json::from(us(hist.percentile(99.0)))),
-                ("p999_us", Json::from(us(hist.percentile(99.9)))),
-            ]));
-        }
-        phase_cells.push(Json::obj([
-            ("mode", Json::from(format!("{:?}", cell.mode))),
-            ("class", Json::from(class)),
-            ("requests", Json::from(cell.requests)),
-            ("legs", Json::Arr(legs)),
-        ]));
-    }
-    println!();
-    println!(
-        "# Shape check: agreement dominates the write path (one quorum round over\n\
-         # loopback TCP); batch_wait is bounded by the 200 us flush delay; the enabled\n\
-         # tracer's cost stays under {:.0}% because each event site is one branch plus\n\
-         # a bounded ring append behind a short critical section.",
-        MAX_OVERHEAD * 100.0
-    );
-
-    let health_quiet = traced.health.iter().filter(|h| h.is_quiet()).count();
-    let doc = Json::obj([
-        ("quick_mode", Json::from(quick_mode())),
-        (
-            "trace_overhead",
-            Json::obj([
-                ("plain_kreqs", Json::from(plain.throughput_kreqs)),
-                ("traced_kreqs", Json::from(traced.throughput_kreqs)),
-                ("overhead_pct", Json::from(overhead * 100.0)),
-                ("events", Json::from(traced.trace.len())),
-            ]),
-        ),
-        ("phases", Json::Arr(phase_cells)),
-        (
-            "health",
-            Json::obj([
-                ("replicas", Json::from(traced.health.len())),
-                ("quiet", Json::from(health_quiet)),
-            ]),
-        ),
-    ]);
-    write_bench_artifact("BENCH_telemetry.json", &doc);
-    println!();
-
-    assert!(
-        traced.phases.requests() > 0,
-        "acceptance: the traced run must derive phase spans"
-    );
-    assert!(
-        overhead < MAX_OVERHEAD,
-        "acceptance: enabled tracing must cost < {:.0}% throughput on the \
-         ablation-10 Lion socket workload (measured {:.2}%)",
-        MAX_OVERHEAD * 100.0,
-        overhead * 100.0
-    );
-}
-
-/// Ablation 13: sharded multi-group scale-out.
-///
-/// Weak scaling on the deterministic simulator: the keyspace is
-/// hash-partitioned across 1 / 2 / 4 / 8 independent Lion groups with a
-/// fixed offered load per group (same clients-per-group, same per-group
-/// cluster), so the aggregate throughput of an architecture that scales
-/// *out* should grow linearly with the group count — agreement never
-/// crosses a group boundary. The acceptance bar is a hard ≥ 3× aggregate
-/// at 8 groups over 1 group (measured ≈ 8× when the groups are genuinely
-/// independent); the per-group min/max columns confirm the hash partition
-/// spreads load evenly rather than scaling on a hot group's back.
-///
-/// A second table measures the redirect machinery's price on the threaded
-/// runtime: a 2-group deployment driven once with the authoritative map
-/// and once with every client seeded a stale map, so each client's first
-/// misrouted key costs one signed redirect plus a map adoption. The two
-/// runs bracket the worst-case reconfiguration hiccup (reported, not
-/// asserted: single-machine wall-clock noise dwarfs the one-off cost).
-fn ablation_thirteen_sharded_scale_out() {
-    header("Ablation 13: sharded scale-out (Lion, weak scaling, hash-partitioned keys)");
-    const GROUPS: [u32; 4] = [1, 2, 4, 8];
-    const CLIENTS_PER_GROUP: u32 = 8;
-    const SPEEDUP_FLOOR: f64 = 3.0;
-    let (duration, warmup) = run_window();
-
-    let mut rows = Vec::new();
-    println!(
-        "{:>6} {:>8} {:>12} {:>10} {:>14} {:>14}",
-        "groups", "clients", "kreq/s", "completed", "min-grp kreq/s", "max-grp kreq/s"
-    );
-    for groups in GROUPS {
-        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-            .with_clients(CLIENTS_PER_GROUP * groups)
-            .with_duration(duration, warmup)
-            .with_workload(Workload::kv(4096, 32, 0.0))
-            .with_shards(groups)
-            .run();
-        let per_group: Vec<f64> = if report.shards.is_empty() {
-            vec![report.throughput_kreqs]
-        } else {
-            report
-                .shards
-                .iter()
-                .map(|s| s.report.throughput_kreqs)
-                .collect()
-        };
-        let min = per_group.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = per_group.iter().cloned().fold(0.0, f64::max);
-        println!(
-            "{:>6} {:>8} {:>12.3} {:>10} {:>14.3} {:>14.3}",
-            groups,
-            CLIENTS_PER_GROUP * groups,
-            report.throughput_kreqs,
-            report.completed,
-            min,
-            max
-        );
-        rows.push((groups, report, min, max));
-    }
-    let base = rows[0].1.throughput_kreqs;
-    let top = rows.last().expect("swept at least one point");
-    let speedup = top.1.throughput_kreqs / base.max(1e-9);
-    println!(
-        "\naggregate speedup at {} groups: {speedup:.2}x (floor {SPEEDUP_FLOOR:.1}x)\n",
-        top.0
-    );
-
-    header("Ablation 13b: stale-map redirect cost (Lion, threaded, 2 groups)");
-    let redirect_run = |stale: bool| -> RunReport {
-        Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-            .with_clients(4)
-            .with_duration(Duration::from_millis(250), Duration::from_millis(50))
-            .with_workload(Workload::kv(1024, 32, 0.0))
-            .with_batching(8, Duration::from_micros(200))
-            .with_runtime(RuntimeKind::Threaded)
-            .with_shards(2)
-            .with_stale_client_map(stale)
-            .run()
-    };
-    let fresh = redirect_run(false);
-    let stale = redirect_run(true);
-    println!(
-        "authoritative map : {:>8.3} kreq/s ({} completed)",
-        fresh.throughput_kreqs, fresh.completed
-    );
-    println!(
-        "stale client map  : {:>8.3} kreq/s ({} completed)",
-        stale.throughput_kreqs, stale.completed
-    );
-    println!(
-        "# Every client's first misrouted key pays one signed redirect and adopts\n\
-         # the authoritative map; after that the runs are identical machinery.\n"
-    );
-
-    let scaling: Vec<Json> = rows
-        .iter()
-        .map(|(groups, report, min, max)| {
-            Json::obj([
-                ("groups", Json::from(u64::from(*groups))),
-                ("clients", Json::from(u64::from(CLIENTS_PER_GROUP * groups))),
-                ("kreqs", Json::from(report.throughput_kreqs)),
-                ("completed", Json::from(report.completed)),
-                ("min_group_kreqs", Json::from(*min)),
-                ("max_group_kreqs", Json::from(*max)),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([
-        ("quick_mode", Json::from(quick_mode())),
-        ("protocol", Json::from("Lion")),
-        (
-            "clients_per_group",
-            Json::from(u64::from(CLIENTS_PER_GROUP)),
-        ),
-        ("scaling", Json::Arr(scaling)),
-        ("speedup", Json::from(speedup)),
-        ("speedup_floor", Json::from(SPEEDUP_FLOOR)),
-        (
-            "redirects",
-            Json::obj([
-                ("fresh_kreqs", Json::from(fresh.throughput_kreqs)),
-                ("stale_kreqs", Json::from(stale.throughput_kreqs)),
-                ("fresh_completed", Json::from(fresh.completed)),
-                ("stale_completed", Json::from(stale.completed)),
-            ]),
-        ),
-    ]);
-    write_bench_artifact("BENCH_shards.json", &doc);
-    println!();
-
-    assert!(
-        stale.completed > 0 && fresh.completed > 0,
-        "acceptance: both redirect arms must make progress"
-    );
-    assert!(
-        speedup >= SPEEDUP_FLOOR,
-        "acceptance: {} hash-partitioned groups must deliver >= {SPEEDUP_FLOOR:.1}x the \
-         aggregate Lion throughput of one group (measured {speedup:.2}x)",
-        top.0
-    );
-}
-
-/// One measured row of ablation 14.
-struct RecoveryRow {
-    config: &'static str,
-    crash_ms: u64,
-    completed: u64,
-    wal_replayed: u64,
-    recoveries: u64,
-    rejoin_ms: f64,
-}
-
-/// Ablation 14: recovery time vs log length.
-///
-/// A trusted Lion replica (it votes on every slot, so its write-ahead log
-/// grows with the run; never the view-0 primary, so the crash does not also
-/// force a view change) runs with a durable in-memory store, is crashed
-/// after increasingly long pre-crash windows, and restarts from that store
-/// 20 ms later. The recovery work — the WAL suffix replayed at restart —
-/// is swept against the pre-crash log length in two arms:
-///
-/// * **compacted** — checkpoint period 64: every persisted checkpoint also
-///   truncates the WAL below it, so the replayed suffix is bounded by one
-///   checkpoint period of votes no matter how long the run was;
-/// * **no-compaction** — a checkpoint period longer than the run: nothing
-///   is ever truncated and the restart replays the entire history.
-///
-/// Deterministic simulator, so the replayed-record counts and virtual-time
-/// rejoin latencies are exact. The acceptance bar hard-asserts the flat
-/// line: past one checkpoint period the compacted arm's replay must stay
-/// bounded while the no-compaction arm keeps growing.
-fn ablation_fourteen_recovery() {
-    header("Ablation 14: recovery time vs log length (Lion, durable WAL + checkpoints)");
-    const PERIOD: u64 = 64;
-    // Replica 1 is trusted (it votes, so its WAL grows with the log) but
-    // never the view-0 primary.
-    let victim = ReplicaId(1);
-    let crash_points_ms: &[u64] = if quick_mode() {
-        &[40, 80, 160]
-    } else {
-        &[40, 80, 160, 320]
-    };
-
-    let run = |period: u64, crash_ms: u64| -> (RunReport, u64) {
-        let crash_at = Instant::from_nanos(crash_ms * 1_000_000);
-        let recover_at = Instant::from_nanos((crash_ms + 20) * 1_000_000);
-        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-            .with_clients(8)
-            .with_duration(
-                Duration::from_millis(crash_ms + 80),
-                Duration::from_millis(10),
-            )
-            .with_checkpoint_period(period)
-            .with_durability(DurabilityKind::Memory)
-            .with_crash_recover(CrashRecover::replica(victim, crash_at, recover_at))
-            .with_tracing(true)
-            .run();
-        (report, crash_ms)
-    };
-
-    let mut rows: Vec<RecoveryRow> = Vec::new();
-    for (config, period) in [("compacted", PERIOD), ("no-compaction", u64::MAX / 2)] {
-        for &crash_ms in crash_points_ms {
-            let (report, crash_ms) = run(period, crash_ms);
-            let health = report
-                .health
-                .iter()
-                .find(|h| h.replica == victim)
-                .expect("victim health rollup");
-            rows.push(RecoveryRow {
-                config,
-                crash_ms,
-                completed: report.completed,
-                wal_replayed: health.wal_replayed,
-                recoveries: health.recoveries,
-                rejoin_ms: health
-                    .recovery_mean()
-                    .map_or(0.0, |d| d.as_nanos() as f64 / 1_000_000.0),
-            });
-        }
-    }
-
-    println!(
-        "{:<14} {:>12} {:>11} {:>14} {:>10} {:>12}",
-        "config", "pre-crash[ms]", "completed", "wal replayed", "rejoins", "rejoin[ms]"
-    );
-    for row in &rows {
-        println!(
-            "{:<14} {:>12} {:>11} {:>14} {:>10} {:>12.3}",
-            row.config,
-            row.crash_ms,
-            row.completed,
-            row.wal_replayed,
-            row.recoveries,
-            row.rejoin_ms
-        );
-    }
-    println!();
-    println!(
-        "# Shape check: the no-compaction rows replay the whole history, so their\n\
-         # `wal replayed` column grows with the pre-crash window; the compacted rows\n\
-         # replay only the suffix above the last persisted checkpoint (period {PERIOD}),\n\
-         # so the column stays flat however long the run was — recovery work is\n\
-         # proportional to one checkpoint period, not to uptime."
-    );
-
-    let results: Vec<Json> = rows
-        .iter()
-        .map(|row| {
-            Json::obj([
-                ("config", Json::from(row.config)),
-                ("crash_ms", Json::from(row.crash_ms)),
-                ("completed", Json::from(row.completed)),
-                ("wal_replayed", Json::from(row.wal_replayed)),
-                ("recoveries", Json::from(row.recoveries)),
-                ("rejoin_ms", Json::from(row.rejoin_ms)),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([
-        ("quick_mode", Json::from(quick_mode())),
-        ("protocol", Json::from("Lion")),
-        ("checkpoint_period", Json::from(PERIOD)),
-        ("results", Json::Arr(results)),
-    ]);
-    write_bench_artifact("BENCH_recovery.json", &doc);
-    println!();
-
-    for row in &rows {
-        assert!(
-            row.recoveries >= 1,
-            "acceptance: every {} crash at {} ms must complete its rejoin",
-            row.config,
-            row.crash_ms
-        );
-    }
-    let last = |config: &str| -> &RecoveryRow {
-        rows.iter()
-            .rev()
-            .find(|r| r.config == config)
-            .expect("measured above")
-    };
-    let compacted = last("compacted");
-    let uncompacted = last("no-compaction");
-    // Both arms run far past one checkpoint period before the longest
-    // crash point, so a growing compacted suffix would be visible here.
-    assert!(
-        compacted.completed > 2 * PERIOD,
-        "the longest run must span multiple checkpoint periods (completed {})",
-        compacted.completed
-    );
-    assert!(
-        uncompacted.wal_replayed >= 2 * compacted.wal_replayed.max(1),
-        "acceptance: without compaction the restart must replay at least 2x the \
-         compacted suffix ({} vs {} records)",
-        uncompacted.wal_replayed,
-        compacted.wal_replayed
-    );
-    // The flat line itself: one checkpoint period of slots appends a bounded
-    // handful of vote records per slot; 4x the period is a generous ceiling
-    // that a history-proportional replay blows through immediately.
-    assert!(
-        compacted.wal_replayed <= 4 * PERIOD,
-        "acceptance: compaction must keep the replayed WAL suffix bounded by the \
-         checkpoint period (replayed {} records, period {PERIOD})",
-        compacted.wal_replayed
     );
 }

@@ -1,27 +1,17 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the simulator drivers and component micro-benches.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated bench
-//! target in `benches/`; this library crate holds the formatting and sweep
-//! helpers they share. Run them all with `cargo bench`, or individually with
-//! `cargo bench --bench fig2_fault_scalability`.
+//! target in `benches/` that runs on the deterministic simulator; this
+//! library crate holds the formatting and sweep helpers they share. Run them
+//! all with `cargo bench -p seemore-bench`, or individually with
+//! `--bench fig2_fault_scalability`. Nothing here times the deployed socket
+//! path: those numbers come from `examples/benchmark/` only.
 //!
 //! Set `SEEMORE_BENCH_QUICK=1` to shrink the sweeps (fewer client counts and
 //! shorter simulated runs) for a fast smoke pass.
 
 use seemore_runtime::{ProtocolKind, RunReport, Scenario};
 use seemore_types::Duration;
-
-pub mod json;
-
-/// Writes a bench artifact at the workspace root through the shared JSON
-/// writer and reports where it went (or why it could not be written).
-pub fn write_bench_artifact(file_name: &str, doc: &json::Json) {
-    let path = format!("{}/../../{file_name}", env!("CARGO_MANIFEST_DIR"));
-    match std::fs::write(&path, doc.render()) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(error) => println!("# could not write {path}: {error}"),
-    }
-}
 
 /// Whether the quick (smoke) configuration was requested.
 pub fn quick_mode() -> bool {

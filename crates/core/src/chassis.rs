@@ -52,10 +52,11 @@ pub struct SigningContext {
     /// Reusable buffer for canonical signing bytes, so the sign/verify hot
     /// path performs no per-message allocation.
     pub scratch: SigningScratch,
-    /// Bounded memo of already-verified signatures (`None` when disabled by
-    /// [`ProtocolConfig::verify_memo`]): duplicate deliveries and
-    /// certificate re-checks skip the second HMAC.
-    verify_memo: Option<VerifyCache>,
+    /// Bounded memo of already-verified signatures: duplicate deliveries
+    /// and certificate re-checks skip the second HMAC. Semantically
+    /// invisible (memoized verify ≡ plain verify, property-tested in
+    /// `seemore-crypto`).
+    verify_memo: VerifyCache,
 }
 
 impl SigningContext {
@@ -65,7 +66,7 @@ impl SigningContext {
     ///
     /// Panics if the key store has no signer for `id` — a configuration
     /// error caught at startup.
-    pub fn new(id: ReplicaId, keystore: KeyStore, verify_memo: bool) -> Self {
+    pub fn new(id: ReplicaId, keystore: KeyStore) -> Self {
         let signer = keystore
             .signer_for(NodeId::Replica(id))
             .expect("key store must contain a signer for this replica");
@@ -73,7 +74,7 @@ impl SigningContext {
             keystore,
             signer,
             scratch: SigningScratch::new(),
-            verify_memo: verify_memo.then(VerifyCache::default),
+            verify_memo: VerifyCache::default(),
         }
     }
 
@@ -84,7 +85,7 @@ impl SigningContext {
     }
 
     /// Verifies `signature` as `node`'s signature over `payload`, through
-    /// the scratch buffer and (when enabled) the verified-signature memo,
+    /// the scratch buffer and the verified-signature memo,
     /// so a redelivery skips the second HMAC.
     ///
     /// Use this only on paths where the protocol actually re-verifies
@@ -100,10 +101,8 @@ impl SigningContext {
         signature: &Signature,
     ) -> bool {
         let bytes = self.scratch.bytes_of(payload);
-        match &mut self.verify_memo {
-            Some(memo) => memo.verify(&self.keystore, node, bytes, signature),
-            None => self.keystore.verify(node, bytes, signature),
-        }
+        self.verify_memo
+            .verify(&self.keystore, node, bytes, signature)
     }
 
     /// Plain (memo-free) verification through the scratch buffer — the

@@ -100,13 +100,6 @@ pub struct ProtocolConfig {
     /// `max_batch = 1`), which reproduces unbatched one-request-per-slot
     /// agreement exactly.
     pub batch: BatchPolicy,
-    /// Whether the replica memoizes verified signatures (the bounded
-    /// `seemore_crypto::VerifyCache`), so duplicate deliveries and
-    /// quorum-certificate re-checks skip the second HMAC. Enabled by
-    /// default; semantically invisible (memoized verify ≡ plain verify,
-    /// property-tested in `seemore-crypto`), so the toggle exists for the
-    /// perf ablation, not for correctness.
-    pub verify_memo: bool,
 }
 
 impl Default for ProtocolConfig {
@@ -118,7 +111,6 @@ impl Default for ProtocolConfig {
             view_change_timeout: Duration::from_millis(400),
             client_timeout: Duration::from_millis(500),
             batch: BatchPolicy::disabled(),
-            verify_memo: true,
         }
     }
 }
@@ -154,13 +146,6 @@ impl ProtocolConfig {
     /// adaptive).
     pub fn with_batch_policy(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// The same configuration with the verified-signature memo enabled or
-    /// disabled (enabled by default; the ablation's toggle).
-    pub fn with_verify_memo(mut self, enabled: bool) -> Self {
-        self.verify_memo = enabled;
         self
     }
 }

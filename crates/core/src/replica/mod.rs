@@ -148,7 +148,7 @@ impl SeeMoReReplica {
         let rule = Self::stability_rule_for(mode, &cluster);
         SeeMoReReplica {
             chassis: ReplicaChassis::new(id, cluster.total_size(), pconfig, mode, rule, app),
-            signing: SigningContext::new(id, keystore, pconfig.verify_memo),
+            signing: SigningContext::new(id, keystore),
             cluster,
             vc: ViewChangeState::default(),
             progress_armed: HashMap::new(),

@@ -37,7 +37,7 @@ impl Default for CpuModel {
 
 impl CpuModel {
     /// A model with free cryptography, used to isolate message-count effects
-    /// in ablation benchmarks.
+    /// (`seemore-bench` ablation 3).
     pub fn without_crypto(mut self) -> Self {
         self.per_signature = Duration::ZERO;
         self

@@ -190,8 +190,8 @@ fn decode_preamble(bytes: &[u8; PREAMBLE_LEN]) -> Option<(InboundIdentity, bool)
 }
 
 /// The identity preamble a raw (non-multiplexed) client connection must
-/// write after connecting — exposed for transport-level benchmarks that
-/// drive thousands of connections without building endpoints.
+/// write after connecting — exposed for transport-level tests that hold
+/// many connections open without building endpoints.
 pub fn client_preamble(client: ClientId) -> [u8; PREAMBLE_LEN] {
     encode_preamble(Identity::Node(NodeId::Client(client)), false)
 }
@@ -577,7 +577,7 @@ impl ReactorMesh {
     }
 
     /// The loopback address `node` listens on (or, for hub clients, the
-    /// hub's shared listener). Exposed for transport-level benchmarks.
+    /// hub's shared listener). Exposed for transport-level tests.
     pub fn address(&self, node: NodeId) -> Option<SocketAddr> {
         self.shared.addresses.get(&node).map(|r| r.addr)
     }
@@ -587,8 +587,7 @@ impl ReactorMesh {
         Arc::clone(&self.shared.stats)
     }
 
-    /// `(live, total)` inbound connections across the mesh — the numbers
-    /// the connections-vs-throughput benchmark asserts its floor on.
+    /// `(live, total)` inbound connections across the mesh.
     pub fn connections(&self) -> (u64, u64) {
         (
             self.shared.inbound_live.load(Ordering::Relaxed),
@@ -1802,6 +1801,48 @@ mod tests {
             (2, 2),
             "three logical clients must share one socket pair"
         );
+        mesh.shutdown();
+    }
+
+    /// The event-loop pool is fixed-size: idle connections cost file
+    /// descriptors, not threads, and do not starve the connections that
+    /// carry traffic. 256 raw client connections sit idle on one replica's
+    /// listener while an echo through a hub port still completes.
+    #[test]
+    fn idle_connections_are_held_while_the_hub_still_echoes() {
+        use std::io::Write as _;
+        const IDLE: u64 = 256;
+        let mesh = ReactorMesh::with_hub(&[replica(0)], &[ClientId(0)]).unwrap();
+        let server = mesh.take_endpoint(replica(0)).unwrap();
+        let addr = mesh.address(replica(0)).unwrap();
+        let idle: Vec<TcpStream> = (0..IDLE)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .write_all(&client_preamble(ClientId(1_000 + i)))
+                    .unwrap();
+                stream
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while mesh.connections().0 < IDLE {
+            assert!(
+                Instant::now() < deadline,
+                "accepted only {} of {IDLE} idle connections",
+                mesh.connections().0
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+
+        let port = mesh.hub_port(ClientId(0)).unwrap();
+        port.send(replica(0), &state_request(7)).unwrap();
+        let (from, message) = server.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(from, NodeId::Client(ClientId(0)));
+        server.send(from, &message).unwrap();
+        let (from, message) = port.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((from, message), (replica(0), state_request(7)));
+        assert!(mesh.connections().0 >= IDLE, "idle connections stay open");
+        drop(idle);
         mesh.shutdown();
     }
 

@@ -116,7 +116,7 @@
 //! execution. `Scenario::with_stale_client_map` deliberately seeds clients
 //! with an outdated map to exercise exactly that path. Per-group failure
 //! schedules are expressed with [`shard::ShardOverride`]
-//! ([`Scenario::with_shard_crash`], [`Scenario::with_shard_mode_switch`]),
+//! ([`Scenario::with_shard_crash`], [`Scenario::with_shard_override`]),
 //! and the run's [`report::RunReport`] carries one
 //! [`report::ShardReport`] per group next to the exactly-merged aggregate.
 //! `with_shards(1)` is the identity: single-group runs take the historical

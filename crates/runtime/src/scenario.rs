@@ -240,15 +240,12 @@ pub struct Scenario {
     pub workload: Option<Workload>,
     /// Whether read-classified operations take the mode-aware fast path
     /// (true, the default) or are downgraded to the ordered path (the
-    /// ordered-everything baseline arm of the read ablation).
+    /// ordered-everything arm of `seemore-bench` ablation 9).
     pub read_fast_path: bool,
     /// On the socket runtime, multiplex every client over the hub's shared
     /// per-replica connections instead of one listener per client (false,
     /// the default). No effect on the other runtimes.
     pub client_mux: bool,
-    /// Whether replicas memoize verified signatures (true, the default; see
-    /// [`ProtocolConfig::verify_memo`]). Applies on every runtime.
-    pub verify_memo: bool,
     /// Number of public-cloud replicas wrapped with this Byzantine
     /// behaviour (must stay ≤ `m` for guarantees to hold).
     pub byzantine_replicas: u32,
@@ -308,7 +305,6 @@ impl Scenario {
             workload: None,
             read_fast_path: true,
             client_mux: false,
-            verify_memo: true,
             byzantine_replicas: 0,
             byzantine_behavior: ByzantineBehavior::Honest,
             runtime: RuntimeKind::Simulated,
@@ -339,17 +335,6 @@ impl Scenario {
     /// other groups are untouched).
     pub fn with_shard_crash(self, group: seemore_types::GroupId, at: Instant) -> Self {
         self.with_shard_override(ShardOverride::for_group(group).crash_primary_at(at))
-    }
-
-    /// Announces a mode switch on `group` at `at` (sharded SeeMoRe runs; the
-    /// other groups are untouched).
-    pub fn with_shard_mode_switch(
-        self,
-        group: seemore_types::GroupId,
-        at: Instant,
-        mode: Mode,
-    ) -> Self {
-        self.with_shard_override(ShardOverride::for_group(group).mode_switch(at, mode))
     }
 
     /// Enables the stale-client-map knob (see [`Scenario::stale_client_map`]).
@@ -460,13 +445,6 @@ impl Scenario {
         self
     }
 
-    /// Enables or disables the verified-signature memo on every replica
-    /// (enabled by default; the hot-path ablation's toggle).
-    pub fn with_verify_memo(mut self, enabled: bool) -> Self {
-        self.verify_memo = enabled;
-        self
-    }
-
     /// The effective workload generator for this scenario.
     pub fn workload(&self) -> Workload {
         self.workload.clone().unwrap_or(Workload::Micro {
@@ -526,7 +504,7 @@ impl Scenario {
         self
     }
 
-    /// Uses a custom CPU model (e.g. free crypto for ablations).
+    /// Uses a custom CPU model (e.g. free crypto, `seemore-bench` ablation 3).
     pub fn with_cpu(mut self, cpu: CpuModel) -> Self {
         self.cpu = cpu;
         self
@@ -585,7 +563,6 @@ impl Scenario {
             view_change_timeout: self.request_timeout.mul(2),
             client_timeout: self.request_timeout.mul(2),
             batch: self.batch,
-            verify_memo: self.verify_memo,
         }
     }
 

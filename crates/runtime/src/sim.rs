@@ -135,8 +135,8 @@ pub struct Simulation {
     /// the previous one (closed loop).
     closed_loop: bool,
     /// Whether read-classified operations take the client's fast path
-    /// (true, the default) or are downgraded to the ordered path (used by
-    /// the fast-path-off ablation arm).
+    /// (true, the default) or are downgraded to the ordered path (the
+    /// ordered arm of `seemore-bench` ablation 9).
     read_fast_path: bool,
     replica_timer_gen: HashMap<(ReplicaId, Timer), u64>,
     client_timer_gen: HashMap<ClientId, u64>,
@@ -221,7 +221,7 @@ impl Simulation {
     /// Enables or disables the read fast path: when disabled, reads are
     /// downgraded to the ordered path at submission (every other aspect of
     /// the run — RNG draws, operation bytes — is identical, which is what
-    /// makes fast-vs-ordered ablations apples-to-apples).
+    /// makes ablation 9's fast and ordered columns comparable).
     pub fn set_read_fast_path(&mut self, enabled: bool) {
         self.read_fast_path = enabled;
     }

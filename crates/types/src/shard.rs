@@ -13,10 +13,9 @@
 //!   the protocol cores keep using the plain [`NodeId`]
 //!   because each core lives entirely inside one group.
 //! * [`ShardMap`] — a versioned mapping from operation keys to groups.
-//!   Hash-partitioned to start ([`Partitioning::Hash`]), with a range scheme
-//!   ([`Partitioning::Range`]) for ordered keyspaces. Clients cache a
-//!   `ShardMap` and refresh it when a replica answers with a signed redirect
-//!   carrying a newer version.
+//!   Hash-partitioned ([`Partitioning::Hash`]). Clients cache a `ShardMap`
+//!   and refresh it when a replica answers with a signed redirect carrying
+//!   a newer version.
 
 use crate::NodeId;
 use serde::{Deserialize, Serialize};
@@ -83,14 +82,6 @@ pub enum Partitioning {
         /// Number of groups the hash space is split across (at least 1).
         groups: u32,
     },
-    /// Keys are compared lexicographically against sorted split points;
-    /// group `i` owns keys in `[bounds[i-1], bounds[i])` (group 0 owns
-    /// everything below `bounds[0]`, the last group everything at or above
-    /// the last bound). Preserves key ordering for range scans.
-    Range {
-        /// Sorted split points; `bounds.len() + 1` groups.
-        bounds: Vec<Vec<u8>>,
-    },
 }
 
 /// A versioned mapping from operation keys to agreement groups.
@@ -121,24 +112,13 @@ impl ShardMap {
 
     /// Number of groups this map routes across (always at least 1).
     pub fn groups(&self) -> u32 {
-        match &self.partitioning {
-            Partitioning::Hash { groups } => (*groups).max(1),
-            Partitioning::Range { bounds } => bounds.len() as u32 + 1,
-        }
+        let Partitioning::Hash { groups } = self.partitioning;
+        groups.max(1)
     }
 
     /// The group that owns `key`.
     pub fn group_of(&self, key: &[u8]) -> GroupId {
-        match &self.partitioning {
-            Partitioning::Hash { groups } => {
-                let groups = (*groups).max(1);
-                GroupId((fnv1a(key) % u64::from(groups)) as u32)
-            }
-            Partitioning::Range { bounds } => {
-                let idx = bounds.partition_point(|bound| bound.as_slice() <= key);
-                GroupId(idx as u32)
-            }
-        }
+        GroupId((fnv1a(key) % u64::from(self.groups())) as u32)
     }
 
     /// Whether `other` supersedes this map.
@@ -220,22 +200,6 @@ mod tests {
         let zero = ShardMap::uniform(0);
         assert_eq!(zero.groups(), 1);
         assert_eq!(zero.group_of(b"k"), GroupId(0));
-    }
-
-    #[test]
-    fn range_map_respects_bounds() {
-        let map = ShardMap {
-            version: 2,
-            partitioning: Partitioning::Range {
-                bounds: vec![b"g".to_vec(), b"p".to_vec()],
-            },
-        };
-        assert_eq!(map.groups(), 3);
-        assert_eq!(map.group_of(b"apple"), GroupId(0));
-        assert_eq!(map.group_of(b"g"), GroupId(1)); // inclusive lower bound
-        assert_eq!(map.group_of(b"melon"), GroupId(1));
-        assert_eq!(map.group_of(b"p"), GroupId(2));
-        assert_eq!(map.group_of(b"zebra"), GroupId(2));
     }
 
     #[test]

@@ -650,20 +650,9 @@ fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
 /// Writes a partitioning scheme: a 1-byte kind tag, then the scheme's data
 /// (the layout `Redirect::wire_size` models via `partitioning_wire_size`).
 fn put_partitioning(out: &mut Vec<u8>, partitioning: &Partitioning) {
-    match partitioning {
-        Partitioning::Hash { groups } => {
-            put_u8(out, 0);
-            put_u64(out, u64::from(*groups));
-        }
-        Partitioning::Range { bounds } => {
-            put_u8(out, 1);
-            put_u64(out, bounds.len() as u64);
-            for bound in bounds {
-                put_u64(out, bound.len() as u64);
-                out.extend_from_slice(bound);
-            }
-        }
-    }
+    let Partitioning::Hash { groups } = partitioning;
+    put_u8(out, 0);
+    put_u64(out, u64::from(*groups));
 }
 
 fn read_partitioning(body: &mut Reader) -> Result<Partitioning, DecodeError> {
@@ -673,15 +662,6 @@ fn read_partitioning(body: &mut Reader) -> Result<Partitioning, DecodeError> {
             let groups = u32::try_from(raw)
                 .map_err(|_| DecodeError::Malformed("group count overflows u32"))?;
             Ok(Partitioning::Hash { groups })
-        }
-        1 => {
-            let count = body.count(8)?;
-            let mut bounds = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = body.count(1)?;
-                bounds.push(body.take(len)?.to_vec());
-            }
-            Ok(Partitioning::Range { bounds })
         }
         _ => Err(DecodeError::Malformed("unknown partitioning tag")),
     }

@@ -65,33 +65,17 @@ impl Redirect {
 /// Canonical byte string of a partitioning scheme, used both for signing and
 /// as the codec's body layout vocabulary (tag byte, then the scheme's data).
 fn partitioning_bytes(partitioning: &Partitioning) -> Vec<u8> {
-    let mut out = Vec::new();
-    match partitioning {
-        Partitioning::Hash { groups } => {
-            out.push(0u8);
-            out.extend_from_slice(&u64::from(*groups).to_le_bytes());
-        }
-        Partitioning::Range { bounds } => {
-            out.push(1u8);
-            out.extend_from_slice(&(bounds.len() as u64).to_le_bytes());
-            for bound in bounds {
-                out.extend_from_slice(&(bound.len() as u64).to_le_bytes());
-                out.extend_from_slice(bound);
-            }
-        }
-    }
+    let Partitioning::Hash { groups } = partitioning;
+    let mut out = vec![0u8];
+    out.extend_from_slice(&u64::from(*groups).to_le_bytes());
     out
 }
 
 /// Encoded size of a partitioning scheme (tag byte plus scheme data), shared
 /// between [`WireSize`] and the codec.
 pub(crate) fn partitioning_wire_size(partitioning: &Partitioning) -> usize {
-    match partitioning {
-        Partitioning::Hash { .. } => 1 + INT_LEN,
-        Partitioning::Range { bounds } => {
-            1 + INT_LEN + bounds.iter().map(|b| INT_LEN + b.len()).sum::<usize>()
-        }
-    }
+    let Partitioning::Hash { .. } = partitioning;
+    1 + INT_LEN
 }
 
 impl SignedPayload for Redirect {
@@ -173,11 +157,6 @@ mod tests {
         let (mut redirect, ks) = sample(ShardMap::uniform(4));
         redirect.map.partitioning = Partitioning::Hash { groups: 8 };
         assert!(!verifies(&redirect, &ks));
-
-        // Swapping scheme kinds entirely is also caught.
-        let (mut redirect, ks) = sample(ShardMap::uniform(4));
-        redirect.map.partitioning = Partitioning::Range { bounds: vec![] };
-        assert!(!verifies(&redirect, &ks));
     }
 
     #[test]
@@ -195,42 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn range_maps_sign_their_bounds_unambiguously() {
-        let map = ShardMap {
-            version: 3,
-            partitioning: Partitioning::Range {
-                bounds: vec![b"ab".to_vec(), b"c".to_vec()],
-            },
-        };
-        let shifted = ShardMap {
-            version: 3,
-            partitioning: Partitioning::Range {
-                bounds: vec![b"a".to_vec(), b"bc".to_vec()],
-            },
-        };
-        let (redirect, ks) = sample(map);
-        assert!(verifies(&redirect, &ks));
-        let mut tampered = redirect;
-        tampered.map = shifted;
-        assert!(!verifies(&tampered, &ks));
-    }
-
-    #[test]
     fn wire_size_accounts_for_the_partitioning_payload() {
         let (hash, _) = sample(ShardMap::uniform(4));
-        let (range, _) = sample(ShardMap {
-            version: 2,
-            partitioning: Partitioning::Range {
-                bounds: vec![b"mm".to_vec()],
-            },
-        });
         assert_eq!(
             hash.wire_size(),
             HEADER_LEN + 6 * INT_LEN + 1 + INT_LEN + SIGNATURE_LEN
-        );
-        assert_eq!(
-            range.wire_size(),
-            HEADER_LEN + 6 * INT_LEN + 1 + INT_LEN + (INT_LEN + 2) + SIGNATURE_LEN
         );
     }
 }

@@ -263,20 +263,8 @@ fn arbitrary_message(seed: u64, index: usize) -> Message {
             })
         }
         16 => {
-            let partitioning = if rng.gen_bool(0.5) {
-                Partitioning::Hash {
-                    groups: rng.gen_range(1u64..64) as u32,
-                }
-            } else {
-                Partitioning::Range {
-                    bounds: (0..rng.gen_range(0usize..4))
-                        .map(|_| {
-                            (0..rng.gen_range(0usize..24))
-                                .map(|_| rng.gen_range(0u64..256) as u8)
-                                .collect()
-                        })
-                        .collect(),
-                }
+            let partitioning = Partitioning::Hash {
+                groups: rng.gen_range(1u64..64) as u32,
             };
             Message::Redirect(Redirect {
                 request: RequestId::new(
@@ -437,4 +425,23 @@ fn trailing_bytes_are_rejected() {
     let mut bytes = encode(&Message::Request(request(rng, &ks)));
     bytes.extend_from_slice(b"junk");
     assert_eq!(decode(&bytes).unwrap_err(), DecodeError::TrailingBytes(4));
+}
+
+/// The partitioning tag is the first of a redirect's last nine bytes. Tag 1
+/// was a range scheme in earlier builds; it is refused like any other
+/// unknown tag.
+#[test]
+fn unknown_partitioning_tags_are_rejected() {
+    let bytes = encode(&arbitrary_message(17, 16));
+    assert!(matches!(decode(&bytes), Ok(Message::Redirect(_))));
+    let tag = bytes.len() - 9;
+    assert_eq!(bytes[tag], 0, "hash partitioning keeps tag 0");
+    for unknown in [1u8, 2, 0xFF] {
+        let mut bad = bytes.clone();
+        bad[tag] = unknown;
+        assert_eq!(
+            decode(&bad).unwrap_err(),
+            DecodeError::Malformed("unknown partitioning tag")
+        );
+    }
 }

@@ -554,3 +554,58 @@ fn in_memory_log_stays_bounded_by_the_checkpoint_period() {
         );
     }
 }
+
+#[test]
+fn wal_replay_at_restart_is_bounded_by_the_checkpoint_period() {
+    // Recovery work is proportional to one checkpoint period, not to
+    // uptime: every persisted checkpoint truncates the WAL below it, so a
+    // replica crashed far into a run replays only the suffix above its last
+    // checkpoint. With a period longer than the run nothing is truncated
+    // and the restart replays the whole history. Deterministic simulator,
+    // so the record counts are exact.
+    const PERIOD: u64 = 64;
+    // Trusted (it votes on every slot, so its WAL grows with the log) but
+    // never the view-0 primary, so the crash forces no view change.
+    let victim = ReplicaId(1);
+    let replayed = |period: u64| -> u64 {
+        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
+            .with_clients(8)
+            .with_duration(Duration::from_millis(240), Duration::from_millis(10))
+            .with_checkpoint_period(period)
+            .with_durability(DurabilityKind::Memory)
+            .with_crash_recover(CrashRecover::replica(
+                victim,
+                Instant::from_nanos(160_000_000),
+                Instant::from_nanos(180_000_000),
+            ))
+            .with_tracing(true)
+            .run();
+        assert!(
+            report.completed > 2 * PERIOD,
+            "period {period}: the run must span several checkpoint periods, got {}",
+            report.completed
+        );
+        let health = report
+            .health
+            .iter()
+            .find(|h| h.replica == victim)
+            .expect("victim health rollup");
+        assert!(
+            health.recoveries >= 1,
+            "period {period}: the rejoin did not complete"
+        );
+        health.wal_replayed
+    };
+    let compacted = replayed(PERIOD);
+    let uncompacted = replayed(u64::MAX / 2);
+    assert!(
+        compacted <= 4 * PERIOD,
+        "compaction must keep the replayed suffix within 4x the checkpoint \
+         period ({PERIOD}), replayed {compacted} records"
+    );
+    assert!(
+        uncompacted >= 2 * compacted.max(1),
+        "without compaction the restart must replay at least 2x the compacted \
+         suffix ({uncompacted} vs {compacted} records)"
+    );
+}
