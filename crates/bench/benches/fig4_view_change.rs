@@ -37,8 +37,9 @@ fn main() {
         // view-change messages stay small in that setting because they carry
         // compact per-batch proofs; this reproduction's VIEW-CHANGE carries
         // one certificate per uncheckpointed request, so we bound the
-        // certificate set with a 1 000-request checkpoint period instead
-        // (the substitution is documented in EXPERIMENTS.md).
+        // certificate set with a 1 000-request checkpoint period instead.
+        // This is a substitution of this reproduction, not the paper's
+        // setting.
         let report = Scenario::new(protocol, 1, 1)
             .with_clients(16)
             .with_duration(total, Duration::from_millis(20))

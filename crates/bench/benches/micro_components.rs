@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the building blocks whose costs feed the simulator's
 //! CPU model: hashing, signing, verification, request/batch digests,
-//! key-value execution and quorum bookkeeping.
+//! key-value execution and quorum bookkeeping, plus the socket transport's
+//! per-frame write cost (deliver-now vs queued and flushed once).
 //!
 //! Implemented with the lightweight self-timing harness from `seemore-bench`
 //! (criterion is unavailable in the offline build environment): each
@@ -13,12 +14,14 @@ use seemore_core::log::Instance;
 use seemore_crypto::{
     hmac_sha256, sha256, sha256_portable, Digest, HmacKey, KeyStore, VerifyCache,
 };
+use seemore_net::ReactorMesh;
 use seemore_telemetry::{EventKind, NullRecorder, Recorder, RingRecorder, TraceEvent};
 use seemore_types::{ClientId, Instant, Mode, NodeId, ReplicaId, SeqNum, Timestamp, View};
 use seemore_wire::codec::{decode, encode, Frame};
 use seemore_wire::{
     Batch, ClientRequest, Message, Prepare, SignedPayload, SigningScratch, WireSize,
 };
+use std::time::Duration;
 
 fn main() {
     header("Micro-benchmarks: components behind the CPU cost model");
@@ -360,6 +363,61 @@ fn main() {
             }
         });
         println!("fanout6/encode-once {label:<13}: {ns:>9.0} ns/op");
+    }
+
+    // The per-turn gather write: k frames to one loopback peer as k
+    // deliver-now sends (k write syscalls) against k queued frames and one
+    // flush (one `writev`). Only the sending side of a round is timed; the
+    // receiver takes the round's frames before the next one starts, so the
+    // socket is idle at every send, as on the protocol path.
+    {
+        let (near, far) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
+        let mesh = ReactorMesh::new(&[near, far]).expect("bind a loopback mesh");
+        let sender = mesh.take_endpoint(near).expect("bound above").handle();
+        let receiver = mesh.take_endpoint(far).expect("bound above");
+        let request = Message::Request(ClientRequest::new(
+            ClientId(0),
+            Timestamp(10),
+            Vec::new(),
+            &client_signer,
+        ));
+        let rounds = if quick_mode() { 500 } else { 5_000 };
+        let ns_per_frame = |frames: usize, send: &dyn Fn()| {
+            let mut samples: Vec<f64> = (0..rounds)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    send();
+                    let ns = start.elapsed().as_nanos() as f64;
+                    for _ in 0..frames {
+                        receiver
+                            .incoming()
+                            .recv_timeout(Duration::from_secs(5))
+                            .expect("loopback delivers");
+                    }
+                    ns / frames as f64
+                })
+                .collect();
+            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            samples[samples.len() / 2]
+        };
+        // Dial first, so every timed round finds the connection up.
+        ns_per_frame(1, &|| sender.send(far, &request).expect("mesh is up"));
+        for frames in [1usize, 2, 5] {
+            let ns = ns_per_frame(frames, &|| {
+                for _ in 0..frames {
+                    sender.send(far, &request).expect("mesh is up");
+                }
+            });
+            println!("net/{frames} frames deliver-now   : {ns:>9.0} ns/frame");
+            let ns = ns_per_frame(frames, &|| {
+                for _ in 0..frames {
+                    sender.queue(far, &request).expect("mesh is up");
+                }
+                sender.flush();
+            });
+            println!("net/{frames} frames queue + flush : {ns:>9.0} ns/frame");
+        }
+        mesh.shutdown();
     }
 
     // The structured tracer's per-event cost, as the cores pay it: every

@@ -23,8 +23,8 @@
 //!
 //! * [`reactor`] — an event-loop mesh ([`ReactorMesh`]): a small fixed pool
 //!   of reactor threads drives *every* connection of the node through
-//!   nonblocking sockets and an `epoll` shim ([`poll`]), with gather
-//!   (`writev`) backlog drains and, optionally, many logical clients
+//!   nonblocking sockets and an `epoll` shim ([`poll`]), with per-turn
+//!   gather (`writev`) writes and, optionally, many logical clients
 //!   multiplexed over one physical connection per peer.
 //! * [`transport`] — the [`Transport`] trait itself, [`TransportError`] and
 //!   the [`TransportStats`] counters the mesh reports into.
@@ -50,12 +50,14 @@
 //! The transport pays its dominant costs once instead of
 //! per-message/per-peer: [`Transport::broadcast`] serializes a message a
 //! single time and shares the encoded frame across every destination
-//! (encode-once), established connections are written from the *sending*
-//! thread, congested backlogs drain with `writev` gather writes straight
-//! from the queued frames' shared buffers, and receive buffers are reused
-//! across frames with hysteresis-bounded capacity. See the [`reactor`]
-//! module docs for the design and [`TransportStats`] for the counters
-//! quantifying each saving.
+//! (encode-once); a replica loop queues every frame of one turn and then
+//! flushes, so each peer gets one write per turn from the *sending* thread,
+//! a `writev` gather write straight from the queued frames' shared buffers
+//! when the turn produced several ([`ReactorHandle::flush`]); backlogs left
+//! by a dial or a full socket drain the same way on the event loop; and
+//! receive buffers are reused across frames with hysteresis-bounded
+//! capacity. See the [`reactor`] module docs for the design and
+//! [`TransportStats`] for the counters quantifying each saving.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

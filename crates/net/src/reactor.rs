@@ -41,16 +41,25 @@
 //!   every destination's outbox; the per-peer cost is a reference-count
 //!   bump. [`TransportStats::encodes_saved`] counts the serializations
 //!   avoided.
-//! * **Zero-hop direct writes** — while a connection is up and its outbox
-//!   empty, the *sending* thread writes the frame itself under the outbox
-//!   lock: one syscall, no event-loop handoff
-//!   ([`TransportStats::direct_writes`]).
-//! * **Vectored backlog drains** — when the outbox holds several frames
-//!   (dial in progress, kernel send buffer full), the drain gathers them
-//!   with `writev` ([`Write::write_vectored`]) straight from the queued
-//!   frames' `Arc` buffers — no coalescing copy, one syscall per burst
-//!   ([`TransportStats::vectored_writes`],
-//!   [`TransportStats::frames_coalesced`]). A partially accepted write
+//! * **One gather write per peer per turn** — [`ReactorHandle::queue`] and
+//!   [`ReactorHandle::queue_broadcast`] append frames to each peer's outbox
+//!   without writing and remember which connections got frames; one
+//!   [`ReactorHandle::flush`] then drains each of those connections once,
+//!   from the *sending* thread under the outbox lock, with no event-loop
+//!   handoff. Several frames leave in one `writev`
+//!   ([`Write::write_vectored`]) straight from the queued frames' `Arc`
+//!   buffers (no coalescing copy), a single frame in a plain write. The
+//!   replica loop flushes once per turn, so a primary's Commit for one slot
+//!   and Prepare for the next reach a backup in one syscall
+//!   ([`TransportStats::direct_writes`], [`TransportStats::vectored_writes`],
+//!   [`TransportStats::frames_coalesced`]). The deliver-now calls
+//!   ([`ReactorHandle::send`], [`ReactorHandle::broadcast`],
+//!   [`ReactorHandle::send_frame`], and every client-hub send) are queue
+//!   plus flush.
+//! * **Backlog drains on the loop** — frames queued while a dial is in
+//!   progress or the kernel send buffer is full wait for the event loop,
+//!   which drains them the same way on connect or on `EPOLLOUT`; a flush
+//!   skips such a connection. A partially accepted write
 //!   ([`TransportStats::partial_writes`]) leaves the remainder at the head
 //!   of the queue and arms `EPOLLOUT`; the loop resumes the drain when the
 //!   socket opens up — that is backpressure, not an error.
@@ -219,7 +228,7 @@ impl SendItem {
 }
 
 /// The mutable half of an outbound connection, shared between sender
-/// threads (zero-hop direct writes) and the owning event loop (dial,
+/// threads (queue and flush) and the owning event loop (dial,
 /// redial, `EPOLLOUT` drains). All socket writes happen under this lock, so
 /// frames of concurrent senders never interleave mid-frame and FIFO holds.
 #[derive(Debug, Default)]
@@ -266,7 +275,7 @@ enum DrainOutcome {
 /// Writes as much of the queue as the socket accepts, gathering up to
 /// [`MAX_SLICES`] frames per `writev`. Must be called with the state lock
 /// held and `state.stream` present. `direct` marks writes issued from the
-/// sending thread (for [`TransportStats::direct_writes`]).
+/// sending thread's flush (for [`TransportStats::direct_writes`]).
 fn drain_locked(state: &mut OutState, stats: &TransportStats, direct: bool) -> DrainOutcome {
     loop {
         if state.queue.is_empty() {
@@ -665,6 +674,7 @@ fn attach_endpoint(
             local: node,
             shared: Arc::clone(shared),
             writers: Arc::new(Mutex::new(HashMap::new())),
+            unflushed: Arc::new(Mutex::new(Vec::new())),
         },
         incoming: rx,
     }
@@ -713,6 +723,16 @@ impl Transport for ReactorEndpoint {
 }
 
 /// The sending half of a [`ReactorEndpoint`]; cheap to clone and share.
+///
+/// Two ways to send. The deliver-now calls ([`send`](Self::send),
+/// [`broadcast`](Self::broadcast), [`send_frame`](Self::send_frame)) write
+/// before they return, unless the connection is still dialing or
+/// congested. The queueing calls ([`queue`](Self::queue),
+/// [`queue_broadcast`](Self::queue_broadcast)) only append to the peers'
+/// outboxes; the next [`flush`](Self::flush) writes each connection that
+/// got frames once. A deliver-now call is a queueing call plus a flush, so
+/// it also delivers whatever this handle queued before it, in order. Clones
+/// share one set of queued connections.
 #[derive(Debug, Clone)]
 pub struct ReactorHandle {
     local: NodeId,
@@ -720,6 +740,8 @@ pub struct ReactorHandle {
     /// Outbound connections keyed by destination *address* — every hub
     /// client behind one hub shares one connection.
     writers: Arc<Mutex<HashMap<SocketAddr, Arc<Outbound>>>>,
+    /// Connections that got frames since the last flush, each listed once.
+    unflushed: Arc<Mutex<Vec<Arc<Outbound>>>>,
 }
 
 impl ReactorHandle {
@@ -728,18 +750,41 @@ impl ReactorHandle {
         self.local
     }
 
-    /// Encodes `message` (through the thread's reusable scratch) and queues
-    /// it for `to`, dialing the peer on first use. Order is FIFO while a
-    /// connection lasts; a reconnect re-sends the unfinished head frame
-    /// first but may interleave with frames the receiver still holds from
-    /// the old connection.
+    /// Encodes `message` (through the thread's reusable scratch) and
+    /// delivers it to `to`, dialing the peer on first use. Order is FIFO
+    /// while a connection lasts; a reconnect re-sends the unfinished head
+    /// frame first but may interleave with frames the receiver still holds
+    /// from the old connection.
     pub fn send(&self, to: NodeId, message: &Message) -> Result<(), TransportError> {
         self.send_frame(to, encode_frame(message))
     }
 
     /// Encode-once broadcast: one serialization shared by every peer (see
-    /// [`Transport::broadcast`]).
+    /// [`Transport::broadcast`]), delivered now.
     pub fn broadcast(&self, to: &[NodeId], message: &Message) -> Result<(), TransportError> {
+        let queued = self.queue_broadcast(to, message);
+        self.flush();
+        queued
+    }
+
+    /// Delivers an already-encoded frame to `to` — the encode-once fan-out
+    /// primitive.
+    pub fn send_frame(&self, to: NodeId, frame: Frame) -> Result<(), TransportError> {
+        self.queue_frame(to, frame)?;
+        self.flush();
+        Ok(())
+    }
+
+    /// Like [`send`](Self::send), but writes nothing until the next
+    /// [`flush`](Self::flush).
+    pub fn queue(&self, to: NodeId, message: &Message) -> Result<(), TransportError> {
+        self.queue_frame(to, encode_frame(message))
+    }
+
+    /// Like [`broadcast`](Self::broadcast), but writes nothing until the
+    /// next [`flush`](Self::flush). Every listed peer gets the frame even if
+    /// an earlier one fails; the first error is returned afterwards.
+    pub fn queue_broadcast(&self, to: &[NodeId], message: &Message) -> Result<(), TransportError> {
         let Some((&last, rest)) = to.split_last() else {
             return Ok(());
         };
@@ -750,11 +795,11 @@ impl ReactorHandle {
             .fetch_add(rest.len() as u64, Ordering::Relaxed);
         let mut first_error = None;
         for &peer in rest {
-            if let Err(error) = self.send_frame(peer, frame.clone()) {
+            if let Err(error) = self.queue_frame(peer, frame.clone()) {
                 first_error.get_or_insert(error);
             }
         }
-        if let Err(error) = self.send_frame(last, frame) {
+        if let Err(error) = self.queue_frame(last, frame) {
             first_error.get_or_insert(error);
         }
         match first_error {
@@ -763,9 +808,10 @@ impl ReactorHandle {
         }
     }
 
-    /// Queues (or directly writes) an already-encoded frame for `to` — the
-    /// encode-once fan-out primitive.
-    pub fn send_frame(&self, to: NodeId, frame: Frame) -> Result<(), TransportError> {
+    /// Like [`send_frame`](Self::send_frame), but writes nothing until the
+    /// next [`flush`](Self::flush). A peer that is not connected yet is
+    /// dialed now; its dial drains the queue.
+    fn queue_frame(&self, to: NodeId, frame: Frame) -> Result<(), TransportError> {
         if self.shared.is_shutdown() {
             return Err(TransportError::Closed);
         }
@@ -782,59 +828,98 @@ impl ReactorHandle {
         } else {
             None
         };
-        let outbound = {
-            let mut writers = self.writers.lock().expect("writer map lock");
-            Arc::clone(writers.entry(remote.addr).or_insert_with(|| {
-                Arc::new(Outbound {
-                    identity: Identity::Node(self.local),
-                    addr: remote.addr,
-                    mux: remote.mux,
-                    event_loop: self.shared.pick_loop(),
-                    state: Mutex::new(OutState {
-                        backoff: INITIAL_BACKOFF,
-                        ..OutState::default()
-                    }),
-                })
-            }))
-        };
-        send_item(&self.shared, &outbound, SendItem { tag, frame });
+        let outbound = outbound_for(
+            &self.shared,
+            &self.writers,
+            Identity::Node(self.local),
+            remote,
+        );
+        send_item(&outbound, SendItem { tag, frame });
+        let mut unflushed = self.unflushed.lock().expect("unflushed lock");
+        if !unflushed
+            .iter()
+            .any(|queued| Arc::ptr_eq(queued, &outbound))
+        {
+            unflushed.push(outbound);
+        }
         Ok(())
+    }
+
+    /// Writes every connection that got frames since the last flush, once
+    /// each: one `writev` for several frames, a plain write for one. A
+    /// connection still dialing, or waiting for `EPOLLOUT`, is left to its
+    /// event loop. With nothing queued this makes no syscall.
+    pub fn flush(&self) {
+        let mut unflushed = self.unflushed.lock().expect("unflushed lock");
+        for outbound in unflushed.drain(..) {
+            flush_outbound(&self.shared, &outbound);
+        }
     }
 }
 
-/// Enqueues one frame on `outbound`, taking the zero-hop direct-write path
-/// when the connection is up and idle, arming `EPOLLOUT` on a partial
-/// write, and scheduling a (re)dial on the owning loop when the connection
-/// is down or just died.
-fn send_item(shared: &ReactorShared, outbound: &Arc<Outbound>, item: SendItem) {
+/// The connection to `remote` in `writers`, created (not yet dialed) on
+/// first use.
+fn outbound_for(
+    shared: &ReactorShared,
+    writers: &Mutex<HashMap<SocketAddr, Arc<Outbound>>>,
+    identity: Identity,
+    remote: Remote,
+) -> Arc<Outbound> {
+    let mut writers = writers.lock().expect("writer map lock");
+    Arc::clone(writers.entry(remote.addr).or_insert_with(|| {
+        Arc::new(Outbound {
+            identity,
+            addr: remote.addr,
+            mux: remote.mux,
+            event_loop: shared.pick_loop(),
+            state: Mutex::new(OutState {
+                backoff: INITIAL_BACKOFF,
+                ..OutState::default()
+            }),
+        })
+    }))
+}
+
+/// Appends one frame to `outbound`'s queue and, when the connection is down
+/// with no dial in flight, schedules one on the owning loop. Writes
+/// nothing: [`flush_outbound`] or the loop's dial and `EPOLLOUT` drains do.
+fn send_item(outbound: &Arc<Outbound>, item: SendItem) {
     let mut state = outbound.state.lock().expect("outbound lock");
-    let idle = state.stream.is_some() && state.queue.is_empty() && !state.interest_out;
     state.queue.push_back(item);
-    if idle {
-        match drain_locked(&mut state, &shared.stats, true) {
-            DrainOutcome::Drained => {}
-            DrainOutcome::Blocked => arm_writable(outbound, &mut state),
-            DrainOutcome::Failed => {
-                // Connection died under us: close it, retransmit the whole
-                // head frame after the loop redials (duplication of
-                // partially delivered bytes is tolerated by the cores).
-                state.stream = None;
-                state.head_written = 0;
-                state.interest_out = false;
-                state.connecting = true;
-                outbound
-                    .event_loop
-                    .push(Command::Dial(Arc::clone(outbound)));
-            }
-        }
-    } else if state.stream.is_none() && !state.connecting {
+    if state.stream.is_none() && !state.connecting {
         state.connecting = true;
         outbound
             .event_loop
             .push(Command::Dial(Arc::clone(outbound)));
     }
-    // Otherwise: a dial is in flight or EPOLLOUT is armed — the loop will
-    // pick the frame up in FIFO position.
+}
+
+/// Drains `outbound`'s queue from the calling thread if the connection is
+/// up and not waiting for `EPOLLOUT`, arming `EPOLLOUT` on a partial write
+/// and scheduling a redial if the connection just died. Otherwise a dial is
+/// in flight or `EPOLLOUT` is armed, and the loop will pick the frames up
+/// in FIFO position.
+fn flush_outbound(shared: &ReactorShared, outbound: &Arc<Outbound>) {
+    let mut state = outbound.state.lock().expect("outbound lock");
+    if state.stream.is_none() || state.interest_out {
+        return;
+    }
+    match drain_locked(&mut state, &shared.stats, true) {
+        DrainOutcome::Drained => {}
+        DrainOutcome::Blocked => arm_writable(outbound, &mut state),
+        DrainOutcome::Failed => {
+            // Connection died under us: close it, retransmit the whole head
+            // frame after the loop redials (duplication of partially
+            // delivered bytes is tolerated by the cores).
+            state.stream = None;
+            state.head_written = 0;
+            state.interest_out = false;
+            state.connecting = true;
+            outbound
+                .event_loop
+                .push(Command::Dial(Arc::clone(outbound)));
+        }
+    }
 }
 
 /// Arms `EPOLLOUT` for an established connection (state lock held).
@@ -880,29 +965,23 @@ impl ClientHub {
             .addresses
             .get(&to)
             .ok_or(TransportError::UnknownPeer(to))?;
-        let outbound = {
-            let mut writers = self.writers.lock().expect("hub writer lock");
-            Arc::clone(writers.entry(remote.addr).or_insert_with(|| {
-                Arc::new(Outbound {
-                    identity: Identity::Hub,
-                    addr: remote.addr,
-                    mux: true,
-                    event_loop: self.shared.pick_loop(),
-                    state: Mutex::new(OutState {
-                        backoff: INITIAL_BACKOFF,
-                        ..OutState::default()
-                    }),
-                })
-            }))
-        };
-        send_item(
+        let outbound = outbound_for(
             &self.shared,
+            &self.writers,
+            Identity::Hub,
+            Remote {
+                addr: remote.addr,
+                mux: true,
+            },
+        );
+        send_item(
             &outbound,
             SendItem {
                 tag: Some(client.0.to_le_bytes()),
                 frame,
             },
         );
+        flush_outbound(&self.shared, &outbound);
         Ok(())
     }
 }
@@ -1727,6 +1806,132 @@ mod tests {
         assert_eq!(stats.direct_writes(), FRAMES, "c served by the sender");
         assert_eq!(stats.vectored_writes(), 1, "b's backlog in one writev");
         assert_eq!(stats.frames_coalesced(), FRAMES - 1);
+        mesh.shutdown();
+    }
+
+    /// Receives one frame per message of `expected` on `endpoint` and
+    /// checks they match in order, all from `from`.
+    fn expect_frames(endpoint: &ReactorEndpoint, from: NodeId, expected: &[Message]) {
+        for message in expected {
+            let received = endpoint.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(received, (from, message.clone()), "FIFO");
+        }
+    }
+
+    /// A mesh of `a` plus peers `p` and `q`, with `a`'s connections to both
+    /// already established and accounted for.
+    fn warmed_mesh() -> (
+        ReactorMesh,
+        ReactorEndpoint,
+        ReactorEndpoint,
+        ReactorEndpoint,
+    ) {
+        let (a, p, q) = (replica(0), replica(1), replica(2));
+        let mesh = ReactorMesh::new(&[a, p, q]).unwrap();
+        let sender = mesh.take_endpoint(a).unwrap();
+        let to_p = mesh.take_endpoint(p).unwrap();
+        let to_q = mesh.take_endpoint(q).unwrap();
+        sender.send(p, &state_request(u64::MAX)).unwrap();
+        sender.send(q, &state_request(u64::MAX)).unwrap();
+        expect_frames(&to_p, a, &[state_request(u64::MAX)]);
+        expect_frames(&to_q, a, &[state_request(u64::MAX)]);
+        let stats = mesh.stats();
+        wait_until("the warm-up to be accounted", || stats.messages_sent() == 2);
+        (mesh, sender, to_p, to_q)
+    }
+
+    #[test]
+    fn one_flush_writes_each_queued_peer_once() {
+        let (mesh, sender, to_p, to_q) = warmed_mesh();
+        let (a, p, q) = (replica(0), replica(1), replica(2));
+        let handle = sender.handle();
+        let stats = mesh.stats();
+        let writes = stats.write_syscalls();
+        const K: u64 = 5;
+        let frames: Vec<Message> = (0..K).map(state_request).collect();
+        for message in &frames {
+            handle.queue(p, message).unwrap();
+        }
+        handle.queue(q, &state_request(K)).unwrap();
+        assert_eq!(stats.write_syscalls(), writes, "queueing writes nothing");
+        handle.flush();
+        expect_frames(&to_p, a, &frames);
+        expect_frames(&to_q, a, &[state_request(K)]);
+        wait_until("the flush to be accounted", || {
+            stats.messages_sent() == 2 + K + 1
+        });
+        assert_eq!(stats.write_syscalls() - writes, 2, "one write per peer");
+        assert_eq!(stats.vectored_writes(), 1, "p's frames in one writev");
+        assert_eq!(stats.frames_coalesced(), K - 1);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn flush_skips_a_dialing_peer_and_the_dial_drains_its_queue() {
+        let (a, b) = (replica(0), replica(1));
+        let mesh = ReactorMesh::new(&[a, b]).unwrap();
+        let sender = mesh.take_endpoint(a).unwrap().handle();
+        let b_addr = mesh.address(b).unwrap();
+        // b refuses connections until restarted, so a's dial backs off.
+        drop(mesh.take_endpoint(b));
+        mesh.stop_endpoint(b);
+        wait_until("b's listener to close", || {
+            TcpStream::connect(b_addr).is_err()
+        });
+        const K: u64 = 4;
+        let frames: Vec<Message> = (0..K).map(state_request).collect();
+        for message in &frames {
+            sender.queue(b, message).unwrap();
+        }
+        sender.flush();
+        let stats = mesh.stats();
+        assert_eq!(stats.write_syscalls(), 0, "flush skips the dialing peer");
+
+        let late = mesh.start_endpoint(b, rebind(b_addr)).unwrap();
+        expect_frames(&late, a, &frames);
+        assert!(
+            late.recv_timeout(Duration::from_millis(100)).is_err(),
+            "each frame delivered once"
+        );
+        wait_until("the drain to be accounted", || stats.messages_sent() == K);
+        assert_eq!(stats.write_syscalls(), 2, "the preamble, then one writev");
+        assert_eq!(stats.direct_writes(), 0, "the dial drained the queue");
+        assert_eq!(stats.frames_coalesced(), K - 1);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn flush_with_nothing_queued_makes_no_syscall() {
+        let (mesh, sender, _to_p, _to_q) = warmed_mesh();
+        let stats = mesh.stats();
+        let writes = stats.write_syscalls();
+        sender.handle().flush();
+        sender.handle().flush();
+        assert_eq!(stats.write_syscalls(), writes);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn send_after_queued_frames_keeps_fifo() {
+        let (mesh, sender, to_p, _to_q) = warmed_mesh();
+        let (a, p) = (replica(0), replica(1));
+        let handle = sender.handle();
+        let stats = mesh.stats();
+        let writes = stats.write_syscalls();
+        for seq in 0..3 {
+            handle.queue(p, &state_request(seq)).unwrap();
+        }
+        handle.send(p, &state_request(3)).unwrap();
+        let frames: Vec<Message> = (0..4).map(state_request).collect();
+        expect_frames(&to_p, a, &frames);
+        wait_until("the send to be accounted", || {
+            stats.messages_sent() == 2 + 4
+        });
+        assert_eq!(
+            stats.write_syscalls() - writes,
+            1,
+            "the send carries the queue"
+        );
         mesh.shutdown();
     }
 

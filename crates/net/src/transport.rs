@@ -45,10 +45,10 @@ pub trait Transport: Send {
     /// The node this endpoint speaks as.
     fn local(&self) -> NodeId;
 
-    /// Queues `message` for delivery to `to`. Returns immediately; delivery
-    /// is asynchronous, FIFO per connection, and best-effort ordered across
-    /// reconnects (receivers must tolerate reordering, as protocol cores
-    /// do).
+    /// Hands `message` over for delivery to `to`. Returns without waiting
+    /// for the peer; delivery is asynchronous, FIFO per connection, and
+    /// best-effort ordered across reconnects (receivers must tolerate
+    /// reordering, as protocol cores do).
     fn send(&self, to: NodeId, message: &Message) -> Result<(), TransportError>;
 
     /// Queues `message` for delivery to every peer in `to`, encoding it
@@ -177,18 +177,21 @@ impl TransportStats {
         self.write_syscalls.load(Ordering::Relaxed)
     }
 
-    /// Frames written to the socket by the *sending* thread itself — the
-    /// zero-hop happy path (connection up, outbox empty): no event-loop
-    /// handoff, no context switch. On the Lion happy path nearly every frame
-    /// should land here; a low ratio means sends keep finding the connection
-    /// down or congested.
+    /// Frames written to the socket by the *sending* thread's flush (a
+    /// replica loop's end-of-turn flush, or a deliver-now send): no
+    /// event-loop handoff, no context switch. On the Lion happy path nearly
+    /// every frame should land here; the rest were drained by an event loop
+    /// after a dial or on `EPOLLOUT`, so a low ratio means sends keep
+    /// finding the connection down or congested.
     pub fn direct_writes(&self) -> u64 {
         self.direct_writes.load(Ordering::Relaxed)
     }
 
-    /// Gather writes (`writev(2)` via `write_vectored`) issued when draining
-    /// a multi-frame outbox — each one delivers a whole burst of queued
-    /// frames straight from their shared buffers, without a copy.
+    /// Writes that offered more than one slice (`writev(2)` via
+    /// `write_vectored`): a flush carrying the several frames one replica
+    /// loop turn queued for a peer, or a backlog drained by an event loop.
+    /// Each delivers its frames straight from their shared buffers, without
+    /// a copy. A turn that queues one frame per peer makes none.
     pub fn vectored_writes(&self) -> u64 {
         self.vectored_writes.load(Ordering::Relaxed)
     }
@@ -202,9 +205,11 @@ impl TransportStats {
     }
 
     /// Frames completed by a write that had already completed another frame
-    /// — each one is a syscall the gather write saved. Every frame is
-    /// completed by exactly one write, so `messages_sent - frames_coalesced`
-    /// is the number of writes that completed at least one frame.
+    /// — each one is a syscall the gather write saved. On the protocol path
+    /// these are the frames a replica loop turn queued for a peer beyond the
+    /// first. Every frame is completed by exactly one write, so
+    /// `messages_sent - frames_coalesced` is the number of writes that
+    /// completed at least one frame.
     pub fn frames_coalesced(&self) -> u64 {
         self.frames_coalesced.load(Ordering::Relaxed)
     }

@@ -60,6 +60,9 @@ pub(crate) fn to_instant(start: StdInstant) -> Instant {
 /// serialize the message once and fan the shared frame out
 /// (`Transport::broadcast`); the default implementation delivers one clone
 /// per destination for substrates without a shared-bytes fast path.
+///
+/// A sink may hold `send` and `broadcast` back until [`flush`](Self::flush),
+/// which the loop calls once after each pass over a turn's actions.
 pub(crate) trait ReplicaSink {
     /// Delivers `message` to a single destination.
     fn send(&mut self, to: NodeId, message: Message);
@@ -68,12 +71,22 @@ pub(crate) trait ReplicaSink {
     fn broadcast(&mut self, to: Vec<NodeId>, message: Message) {
         seemore_core::actions::fan_out(to, message, |peer, message| self.send(peer, message));
     }
+
+    /// Releases everything `send` and `broadcast` held back since the last
+    /// call. Sinks that deliver at once keep this no-op.
+    fn flush(&mut self) {}
 }
 
 /// The replica thread body: waits for commands with a deadline derived from
 /// the earliest armed timer, fires due timers, and carries protocol actions
 /// out through `sink`. Returns the core on shutdown so callers can inspect
 /// execution histories and metrics.
+///
+/// A *turn* is the batch of actions produced since the last pass: one
+/// wake-up's inbox drain, its due timers and any control commands. The loop
+/// carries out a turn's actions and then calls [`ReplicaSink::flush`] once,
+/// before it polls commands or blocks, so a queueing sink writes each peer
+/// once per turn. Invariant: no frame stays queued across a blocking wait.
 ///
 /// `inbox`, when present, is a second queue carrying raw `(sender,
 /// message)` traffic — the socket runtime points this directly at its
@@ -114,6 +127,7 @@ pub(crate) fn run_replica_loop(
                 Action::Executed { .. } | Action::Violation(_) => {}
             }
         }
+        sink.flush();
         // Control commands never block: drain whatever is pending.
         let mut shutdown = false;
         while let Ok(command) = commands.try_recv() {

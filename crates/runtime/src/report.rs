@@ -80,11 +80,12 @@ pub struct TransportReport {
     pub frames_coalesced: u64,
     /// Serializations avoided by encode-once broadcasts (encodes saved).
     pub encodes_saved: u64,
-    /// Frames written in full by the *sending* thread (zero-hop direct
-    /// writes; the rest were drained by an event loop).
+    /// Frames written in full by the *sending* thread's flush (the rest
+    /// were drained by an event loop after a dial or on `EPOLLOUT`).
     pub direct_writes: u64,
-    /// Gather (`writev`) calls that carried more than one slice — backlog
-    /// drains that would otherwise have cost one `write(2)` per frame.
+    /// Gather (`writev`) calls that carried more than one slice — a replica
+    /// loop turn's frames to one peer, or a backlog drain, that would
+    /// otherwise have cost one `write(2)` per frame.
     pub vectored_writes: u64,
     /// Writes the kernel accepted only partially (socket-buffer pressure;
     /// the remainder stayed queued).

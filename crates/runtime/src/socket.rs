@@ -69,10 +69,13 @@ pub struct SocketOptions {
     pub client_mux: bool,
 }
 
-/// The socket runtime's [`driver::ReplicaSink`]: single sends encode
-/// through the transport's thread-local scratch; broadcasts hand the whole
-/// destination set to the transport's `broadcast`, which encodes once and
-/// enqueues the same shared frame on every peer's outbox.
+/// The socket runtime's [`driver::ReplicaSink`]: it queues a turn's frames
+/// and writes them at the loop's end-of-turn [`flush`](driver::ReplicaSink::flush),
+/// one write per peer. Single sends encode through the transport's
+/// thread-local scratch; broadcasts hand the whole destination set to the
+/// transport's `queue_broadcast`, which encodes once and queues the same
+/// shared frame on every peer's outbox. Since the loop flushes before it
+/// blocks, no frame stays queued across a blocking wait.
 ///
 /// Connection failures surface as reconnect attempts inside the transport;
 /// a send can only fail here on shutdown, which the replica loop is about
@@ -83,11 +86,15 @@ struct TcpSink {
 
 impl driver::ReplicaSink for TcpSink {
     fn send(&mut self, to: NodeId, message: Message) {
-        let _ = self.handle.send(to, &message);
+        let _ = self.handle.queue(to, &message);
     }
 
     fn broadcast(&mut self, to: Vec<NodeId>, message: Message) {
-        let _ = self.handle.broadcast(&to, &message);
+        let _ = self.handle.queue_broadcast(&to, &message);
+    }
+
+    fn flush(&mut self) {
+        self.handle.flush();
     }
 }
 
@@ -306,9 +313,15 @@ impl SocketCluster {
 
     /// Shuts the cluster down — replicas first, then the TCP mesh — and
     /// returns the replica cores for inspection.
+    ///
+    /// A replica thread blocked on its transport inbox would see the
+    /// command only when its idle wait ends, so each replica's endpoint is
+    /// also stopped: that disconnects the inbox and wakes the thread at
+    /// once.
     pub fn shutdown(mut self) -> Vec<Box<dyn ReplicaProtocol>> {
-        for tx in self.replica_senders.values() {
+        for (&id, tx) in &self.replica_senders {
             let _ = tx.send(ReplicaCommand::Shutdown);
+            self.mesh.stop_endpoint(NodeId::Replica(id));
         }
         let mut cores = Vec::new();
         for handle in self.replicas.drain(..) {
@@ -326,11 +339,164 @@ impl SocketCluster {
 mod tests {
     use super::*;
     use seemore_app::{KvOp, KvResult, KvStore};
+    use seemore_core::actions::{Action, Timer};
     use seemore_core::client::ClientCore;
     use seemore_core::config::ProtocolConfig;
+    use seemore_core::exec::ExecutedEntry;
+    use seemore_core::metrics::ReplicaMetrics;
     use seemore_core::replica::SeeMoReReplica;
     use seemore_crypto::KeyStore;
-    use seemore_types::{ClusterConfig, Mode};
+    use seemore_types::{ClusterConfig, Instant, Mode, SeqNum, View};
+    use seemore_wire::StateRequest;
+
+    /// A scripted core with no timers: it answers every message with three
+    /// copies of it, sent back to the sender.
+    struct Triple {
+        id: ReplicaId,
+        metrics: ReplicaMetrics,
+    }
+
+    impl ReplicaProtocol for Triple {
+        fn id(&self) -> ReplicaId {
+            self.id
+        }
+        fn on_message(&mut self, from: NodeId, message: Message, _now: Instant) -> Vec<Action> {
+            (0..3)
+                .map(|_| Action::Send {
+                    to: from,
+                    message: message.clone(),
+                })
+                .collect()
+        }
+        fn on_timer(&mut self, _timer: Timer, _now: Instant) -> Vec<Action> {
+            Vec::new()
+        }
+        fn view(&self) -> View {
+            View::ZERO
+        }
+        fn mode(&self) -> Mode {
+            Mode::Lion
+        }
+        fn executed(&self) -> &[ExecutedEntry] {
+            &[]
+        }
+        fn metrics(&self) -> &ReplicaMetrics {
+            &self.metrics
+        }
+    }
+
+    fn wait_until(what: &str, settled: impl Fn() -> bool) {
+        let deadline = StdInstant::now() + std::time::Duration::from_secs(5);
+        while !settled() {
+            assert!(StdInstant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// The replica loop over a real mesh: every turn's three sends to one
+    /// peer leave in one `writev`, and they leave before the loop blocks —
+    /// the replies arrive although nothing else ever reaches the loop.
+    #[test]
+    fn replica_loop_writes_each_peer_once_per_turn() {
+        let (looped, peer) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
+        let mesh = ReactorMesh::new(&[looped, peer]).unwrap();
+        let endpoint = mesh.take_endpoint(looped).unwrap();
+        let remote = mesh.take_endpoint(peer).unwrap();
+        let (commands, rx) = unbounded();
+        let (handle, inbox) = (endpoint.handle(), endpoint.incoming().clone());
+        let thread = std::thread::spawn(move || {
+            let core = Box::new(Triple {
+                id: ReplicaId(0),
+                metrics: ReplicaMetrics::default(),
+            });
+            driver::run_replica_loop(
+                core,
+                &rx,
+                Some(&inbox),
+                StdInstant::now(),
+                TcpSink { handle },
+            )
+        });
+        let ping = |seq: u64| {
+            Message::StateRequest(StateRequest {
+                from_seq: SeqNum(seq),
+                replica: ReplicaId(1),
+            })
+        };
+        let turn = |seq: u64| {
+            remote.send(looped, &ping(seq)).unwrap();
+            for _ in 0..3 {
+                let (from, message) = remote
+                    .recv_timeout(std::time::Duration::from_secs(5))
+                    .expect("the turn's frames were flushed before the loop blocked");
+                assert_eq!((from, message), (looped, ping(seq)));
+            }
+        };
+
+        // The first turn dials both connections; count from the second.
+        turn(0);
+        let stats = mesh.stats();
+        wait_until("the first turn to be accounted", || {
+            stats.messages_sent() == 4
+        });
+        let writes = stats.write_syscalls();
+        let vectored = stats.vectored_writes();
+        let coalesced = stats.frames_coalesced();
+        const TURNS: u64 = 20;
+        for seq in 1..=TURNS {
+            turn(seq);
+        }
+        wait_until("the turns to be accounted", || {
+            stats.messages_sent() == 4 * (TURNS + 1)
+        });
+        assert_eq!(
+            stats.write_syscalls() - writes,
+            2 * TURNS,
+            "per turn: one write for the ping, one for the loop's three replies"
+        );
+        assert_eq!(stats.vectored_writes() - vectored, TURNS);
+        assert_eq!(stats.frames_coalesced() - coalesced, 2 * TURNS);
+
+        commands.send(ReplicaCommand::Shutdown).unwrap();
+        mesh.stop_endpoint(looped);
+        thread.join().expect("replica loop exits");
+        mesh.shutdown();
+    }
+
+    /// Shutdown must not wait out the replica loop's 50 ms idle wait: the
+    /// stopped endpoints wake every blocked replica thread at once.
+    #[test]
+    fn idle_cluster_shuts_down_inside_the_idle_wait() {
+        let cluster = ClusterConfig::minimal(1, 1).unwrap();
+        let keystore = KeyStore::generate(43, cluster.total_size(), 0);
+        let replicas: Vec<Box<dyn ReplicaProtocol>> = cluster
+            .replicas()
+            .map(|r| {
+                Box::new(SeeMoReReplica::new(
+                    r,
+                    cluster,
+                    ProtocolConfig::default(),
+                    keystore.clone(),
+                    Mode::Lion,
+                    Box::new(KvStore::new()),
+                )) as Box<dyn ReplicaProtocol>
+            })
+            .collect();
+        assert_eq!(replicas.len(), 6);
+        let sockets = SocketCluster::spawn(replicas, &[]).unwrap();
+        // Time the case that matters: every thread already parked in its
+        // idle wait. A thread that has not parked yet reads the command
+        // before it blocks, and would pass without the wake-up.
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let stopping = StdInstant::now();
+        let cores = sockets.shutdown();
+        let took = stopping.elapsed();
+        assert_eq!(cores.len(), 6);
+        assert!(
+            took < std::time::Duration::from_millis(25),
+            "shutdown took {took:?}"
+        );
+    }
 
     #[test]
     fn socket_cluster_serves_kv_requests_over_tcp() {

@@ -101,7 +101,7 @@ fn main() {
     println!("wire traffic: {messages} messages, {bytes} bytes across loopback TCP");
     let stats = sockets.stats();
     println!(
-        "hot path: {} direct writes, {} vectored drains, {} partial writes, {} encodes saved",
+        "hot path: {} direct writes, {} vectored writes, {} partial writes, {} encodes saved",
         stats.direct_writes(),
         stats.vectored_writes(),
         stats.partial_writes(),

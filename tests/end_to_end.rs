@@ -68,7 +68,7 @@ fn seemore_beats_bft_and_tracks_cft() {
     );
     // The paper reports an 8% peak-throughput gap between Lion and CFT.
     // Without BFT-SMaRt's request batching the simulated gap is larger
-    // (~25%, see EXPERIMENTS.md), so the assertion only pins the shape:
+    // (~25% in this simulator), so the assertion only pins the shape:
     // Lion must stay within a modest constant factor of CFT while CFT stays
     // ahead (it tolerates no Byzantine faults and pays no signatures).
     assert!(
