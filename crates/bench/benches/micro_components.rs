@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the building blocks whose costs feed the simulator's
 //! CPU model: hashing, signing, verification, request/batch digests,
 //! key-value execution and quorum bookkeeping, plus the socket transport's
-//! per-frame write cost (deliver-now vs queued and flushed once).
+//! per-frame write cost (deliver-now vs queued and flushed once) and its
+//! round trip between two inboxes.
 //!
 //! Implemented with the lightweight self-timing harness from `seemore-bench`
 //! (criterion is unavailable in the offline build environment): each
@@ -368,12 +369,14 @@ fn main() {
     // The per-turn gather write: k frames to one loopback peer as k
     // deliver-now sends (k write syscalls) against k queued frames and one
     // flush (one `writev`). Only the sending side of a round is timed; the
-    // receiver takes the round's frames before the next one starts, so the
-    // socket is idle at every send, as on the protocol path.
+    // receiver takes the round's frames through its inbox (read and decoded
+    // on this thread) before the next one starts, so the socket is idle at
+    // every send, as on the protocol path.
     {
         let (near, far) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
         let mesh = ReactorMesh::new(&[near, far]).expect("bind a loopback mesh");
-        let sender = mesh.take_endpoint(near).expect("bound above").handle();
+        let origin = mesh.take_endpoint(near).expect("bound above");
+        let sender = origin.handle();
         let receiver = mesh.take_endpoint(far).expect("bound above");
         let request = Message::Request(ClientRequest::new(
             ClientId(0),
@@ -417,6 +420,33 @@ fn main() {
             });
             println!("net/{frames} frames queue + flush : {ns:>9.0} ns/frame");
         }
+
+        // One frame there and back between two threads, each waiting in its
+        // own inbox and reading its socket itself: the fixed network cost a
+        // replica pays per message it waits for.
+        let patience = Duration::from_secs(5);
+        let warmup = rounds / 10;
+        let mut samples: Vec<f64> = std::thread::scope(|scope| {
+            let echo = &receiver;
+            scope.spawn(move || {
+                for _ in 0..warmup + rounds {
+                    let (from, message) = echo.incoming().recv_timeout(patience).expect("ping");
+                    echo.handle().send(from, &message).expect("mesh is up");
+                }
+            });
+            (0..warmup + rounds)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    sender.send(far, &request).expect("mesh is up");
+                    origin.incoming().recv_timeout(patience).expect("pong");
+                    start.elapsed().as_nanos() as f64
+                })
+                .skip(warmup)
+                .collect()
+        });
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        let ns = samples[samples.len() / 2];
+        println!("net/ping-pong round trip  : {ns:>9.0} ns/op");
         mesh.shutdown();
     }
 

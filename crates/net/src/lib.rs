@@ -21,20 +21,22 @@
 //! a wrapper (fault injection, TLS) or another substrate can slot in without
 //! touching the protocol cores:
 //!
-//! * [`reactor`] — an event-loop mesh ([`ReactorMesh`]): a small fixed pool
-//!   of reactor threads drives *every* connection of the node through
-//!   nonblocking sockets and an `epoll` shim ([`poll`]), with per-turn
-//!   gather (`writev`) writes and, optionally, many logical clients
-//!   multiplexed over one physical connection per peer.
+//! * [`reactor`] — an event-loop mesh ([`ReactorMesh`]) over nonblocking
+//!   sockets and an `epoll` shim ([`poll`]): each node's own thread reads
+//!   its inbound connections through its endpoint's [`Inbox`], a small fixed
+//!   pool of reactor threads accepts, dials and drains congested outboxes,
+//!   senders write per-turn gather (`writev`) writes themselves, and,
+//!   optionally, many logical clients share one physical connection per
+//!   peer.
 //! * [`transport`] — the [`Transport`] trait itself, [`TransportError`] and
 //!   the [`TransportStats`] counters the mesh reports into.
 //!
 //! # Which transport when
 //!
 //! * **[`ReactorMesh`]** — whenever bytes must cross real sockets. Thread
-//!   count is fixed (a few event loops per mesh) regardless of peer or
-//!   client count, so one node sustains thousands of concurrent client
-//!   connections. Delivery is FIFO per connection, at-least-once across
+//!   count is fixed (a few event loops per mesh, plus the threads that own
+//!   the endpoints) regardless of peer or client count, so one node sustains
+//!   thousands of concurrent client connections. Delivery is FIFO per connection, at-least-once across
 //!   reconnects (lazy dialing, exponential backoff, frames queued while a
 //!   peer is down survive until it returns), and broadcasts encode once.
 //!   Clients either own a private endpoint each (a listener plus one dialed
@@ -48,16 +50,21 @@
 //! # Hot path
 //!
 //! The transport pays its dominant costs once instead of
-//! per-message/per-peer: [`Transport::broadcast`] serializes a message a
-//! single time and shares the encoded frame across every destination
-//! (encode-once); a replica loop queues every frame of one turn and then
-//! flushes, so each peer gets one write per turn from the *sending* thread,
-//! a `writev` gather write straight from the queued frames' shared buffers
-//! when the turn produced several ([`ReactorHandle::flush`]); backlogs left
-//! by a dial or a full socket drain the same way on the event loop; and
-//! receive buffers are reused across frames with hysteresis-bounded
-//! capacity. See the [`reactor`] module docs for the design and
-//! [`TransportStats`] for the counters quantifying each saving.
+//! per-message/per-peer, and a frame crosses no thread it does not have to:
+//! [`Transport::broadcast`] serializes a message a single time and shares
+//! the encoded frame across every destination (encode-once); a replica loop
+//! queues every frame of one turn and then flushes, so each peer gets one
+//! write per turn from the *sending* thread, a `writev` gather write
+//! straight from the queued frames' shared buffers when the turn produced
+//! several ([`ReactorHandle::flush`]); backlogs left by a dial or a full
+//! socket drain the same way on the event loop; the *receiving* thread
+//! waits on its own [`Inbox`], reads its ready sockets and decodes their
+//! frames itself, with no reactor hop or channel in between, and stops
+//! reading at a fixed read-ahead so a fast sender meets TCP backpressure
+//! instead of growing the receiver's memory; and receive buffers are reused
+//! across frames with hysteresis-bounded capacity. See the [`reactor`]
+//! module docs for the design and [`TransportStats`] for the counters
+//! quantifying each saving.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -74,5 +81,7 @@ pub use cpu::CpuModel;
 pub use faults::{LinkDecision, LinkFaults};
 pub use latency::LatencyModel;
 pub use placement::{Placement, Zone};
-pub use reactor::{ClientHub, HubPort, ReactorEndpoint, ReactorHandle, ReactorMesh};
+pub use reactor::{
+    ClientHub, HubPort, Inbox, InboxWaker, ReactorEndpoint, ReactorHandle, ReactorMesh,
+};
 pub use transport::{Transport, TransportError, TransportStats};

@@ -15,12 +15,22 @@
 //!
 //! # Level-triggered, and why
 //!
-//! The poller is level-triggered (the epoll default): a readiness bit stays
-//! set as long as the condition holds, so the reactor may do *bounded* work
-//! per event (read one chunk, write one burst) and rely on the next
-//! `wait` to resume where it left off — no starvation bookkeeping, no lost
-//! edge on a short read. The cost (spurious wakeups when a condition
-//! persists) is irrelevant at the reactor's burst sizes.
+//! Registrations are level-triggered by default (the epoll default): a
+//! readiness bit stays set as long as the condition holds, so the reactor
+//! may do *bounded* work per event (read one chunk, write one burst) and rely
+//! on the next `wait` to resume where it left off — no starvation
+//! bookkeeping, no lost edge on a short read. The cost (spurious wakeups when
+//! a condition persists) is irrelevant at the reactor's burst sizes.
+//!
+//! An endpoint's inbox registers its connections edge-triggered
+//! ([`Interest::READ_EDGE`]) instead, for the order of the events: epoll
+//! queues a descriptor at the tail of its ready list when it becomes ready,
+//! and re-queues a level-triggered one right after reporting it, so after a
+//! busy stretch the level-triggered order says little about which
+//! connection's unread bytes are oldest. Edge-triggered descriptors are
+//! queued only by a new arrival, so a wait reports them in the order their
+//! oldest unread bytes arrived. The price is the bookkeeping above: an owner
+//! that does not drain a descriptor must remember it.
 //!
 //! # Thread safety
 //!
@@ -28,7 +38,9 @@
 //! epoll instance — the kernel serializes them. The reactor leans on this:
 //! *sender* threads arm `EPOLLOUT` on a connection (via
 //! [`Poller::modify`]) while the event loop is parked in
-//! [`Poller::wait`], then [`Poller::wake`] kicks the loop awake.
+//! [`Poller::wait`], then [`Poller::wake`] kicks the loop awake; and a
+//! listener's loop registers each accepted connection with the poller of the
+//! inbox it belongs to while that inbox's owner waits on it.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -41,6 +53,9 @@ pub struct Interest {
     pub readable: bool,
     /// Wake when the descriptor accepts more outbound bytes.
     pub writable: bool,
+    /// Report a condition once when it arises (edge-triggered) instead of
+    /// for as long as it holds.
+    pub edge: bool,
 }
 
 impl Interest {
@@ -48,12 +63,22 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
+        edge: false,
     };
 
     /// Readable and writable — a connection with queued outbound bytes.
     pub const READ_WRITE: Interest = Interest {
         readable: true,
         writable: true,
+        edge: false,
+    };
+
+    /// Readable, reported once per arrival: events come out in the order
+    /// the descriptors' oldest unread bytes arrived.
+    pub const READ_EDGE: Interest = Interest {
+        readable: true,
+        writable: false,
+        edge: true,
     };
 }
 
@@ -92,6 +117,7 @@ mod sys {
     const EPOLLERR: u32 = 0x8;
     const EPOLLHUP: u32 = 0x10;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLET: u32 = 1 << 31;
     const EFD_CLOEXEC: i32 = 0x80000;
     const EFD_NONBLOCK: i32 = 0x800;
 
@@ -131,6 +157,9 @@ mod sys {
         }
         if interest.writable {
             events |= EPOLLOUT;
+        }
+        if interest.edge {
+            events |= EPOLLET;
         }
         events
     }
@@ -186,8 +215,11 @@ mod sys {
         ) -> io::Result<()> {
             events.clear();
             let timeout_ms = match timeout {
-                // Round up so a 100µs deadline does not spin at timeout 0.
-                Some(t) => i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX),
+                // Exactly zero polls.
+                Some(t) if t.is_zero() => 0,
+                // Round the rest up to whole milliseconds, so a 100µs
+                // deadline neither spins at timeout 0 nor wakes early.
+                Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
                 None => -1,
             };
             const CAPACITY: usize = 256;
@@ -352,6 +384,8 @@ impl Poller {
     /// Blocks until at least one registered descriptor is ready, the
     /// timeout elapses, or another thread calls [`wake`](Self::wake).
     /// Readiness is level-triggered. `events` is cleared and refilled.
+    /// `Some(Duration::ZERO)` polls without blocking; other timeouts are
+    /// rounded up to whole milliseconds on Linux.
     pub fn wait(
         &self,
         events: &mut Vec<Event>,
@@ -429,6 +463,23 @@ mod tests {
             }
         }
         poller.delete(accepted.as_raw_fd()).unwrap();
+    }
+
+    /// A zero timeout is a poll: it must not round up to a millisecond.
+    #[test]
+    fn zero_timeout_polls_without_sleeping() {
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let mut fastest = Duration::MAX;
+        for _ in 0..5 {
+            let start = Instant::now();
+            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            fastest = fastest.min(start.elapsed());
+        }
+        assert!(
+            fastest < Duration::from_micros(500),
+            "a zero wait on an idle poller took {fastest:?}"
+        );
     }
 
     #[test]

@@ -7,18 +7,32 @@
 //! that any node can reach any other by [`NodeId`]. Messages serialize
 //! through the real codec (`seemore_wire::codec`), so the bytes counted by
 //! [`TransportStats`] are the bytes that actually crossed a TCP connection.
-//! A small fixed pool of **event-loop threads** drives every socket of the
-//! mesh through nonblocking I/O and an `epoll` shim ([`crate::poll`]); the
+//! Each node's own thread reads its inbound connections through its
+//! endpoint's [`Inbox`]; a small fixed pool of **event-loop threads** does
+//! the rest (accepting, dialing, draining congested outboxes) through
+//! nonblocking I/O and an `epoll` shim ([`crate::poll`]). The
 //! protocol-facing surface is the narrow [`Transport`] trait.
 //!
 //! # Topology and threads
 //!
-//! * Each node's listener and every connection (inbound and outbound) is
-//!   registered with one of the pool's pollers; connections are spread
-//!   round-robin across loops. Thread count is **constant in the number of
-//!   connections** — the property that lets one node hold thousands of
-//!   concurrent clients, where a pair of blocking threads per connection
-//!   would run out of scheduler.
+//! Who reads and writes what:
+//!
+//! * **The owner reads.** Every endpoint has an [`Inbox`]: a poller of its
+//!   own, the inbound connections it adopted, and the frames decoded but not
+//!   yet handed out. The thread that receives from the endpoint (a replica
+//!   thread, a client thread) waits on that poller, reads the ready sockets
+//!   and decodes their frames itself, so a delivered message crosses no
+//!   thread and no channel between the socket and the protocol core.
+//! * **The sender writes.** A queued frame leaves from the sending thread's
+//!   flush (see *Hot path*).
+//! * **The pool does the rest.** Every listener is registered with one of
+//!   the pool's pollers. A listener accepts and hands each new connection to
+//!   its node's inbox, which registers it with the inbox's poller. Outbound
+//!   connections are dialed and, when congested, drained by a pool loop. The
+//!   hub's inbound connections (replies to multiplexed clients, see
+//!   [`ClientHub`]) are read by the pool, which demultiplexes them to
+//!   per-client queues. Pool thread count is **constant in the number of
+//!   connections**; an endpoint adds one poller, not a thread.
 //! * Connections are unidirectional and lazily dialed: the first send to a
 //!   peer queues a dial on the peer's event loop, which connects, writes a
 //!   16-byte identity preamble and drains whatever queued up meanwhile.
@@ -27,11 +41,11 @@
 //!   timeout (no sleeping thread per peer). Dialing itself is a bounded
 //!   blocking `connect` from the loop thread — on the loopback deployments
 //!   this transport targets, connects complete (or refuse) immediately.
-//! * The receiving loop learns the peer's identity from the preamble, then
-//!   reassembles frames in a per-connection [`StreamBuf`] and forwards every
-//!   decoded message (tagged with the sender) into the owning endpoint's
-//!   incoming queue. A malformed preamble or a poisoned frame stream drops
-//!   the connection — never the process.
+//! * The reader learns the peer's identity from the preamble, then
+//!   reassembles frames in a per-connection [`StreamBuf`] and decodes each
+//!   one, tagged with its sender. One parser serves the inbox and the hub;
+//!   only where a decoded frame goes differs. A malformed preamble or a
+//!   poisoned frame stream drops that connection — never the process.
 //!
 //! # Hot path
 //!
@@ -52,8 +66,9 @@
 //!   replica loop flushes once per turn, so a primary's Commit for one slot
 //!   and Prepare for the next reach a backup in one syscall
 //!   ([`TransportStats::direct_writes`], [`TransportStats::vectored_writes`],
-//!   [`TransportStats::frames_coalesced`]). The deliver-now calls
-//!   ([`ReactorHandle::send`], [`ReactorHandle::broadcast`],
+//!   [`TransportStats::frames_coalesced`]). A flush writes its connections
+//!   in a fixed order, replicas by id and then clients. The deliver-now
+//!   calls ([`ReactorHandle::send`], [`ReactorHandle::broadcast`],
 //!   [`ReactorHandle::send_frame`], and every client-hub send) are queue
 //!   plus flush.
 //! * **Backlog drains on the loop** — frames queued while a dial is in
@@ -63,10 +78,25 @@
 //!   ([`TransportStats::partial_writes`]) leaves the remainder at the head
 //!   of the queue and arms `EPOLLOUT`; the loop resumes the drain when the
 //!   socket opens up — that is backpressure, not an error.
-//! * **Buffer reuse on receive** — each loop owns one read chunk and each
-//!   connection one reassembly buffer, reused across frames and
-//!   capacity-bounded, so steady-state receive performs no allocations
-//!   beyond the decoded messages themselves.
+//! * **Receive on the owner's thread** — [`Inbox::recv_timeout`] (and the
+//!   replica loop's wait) blocks in the inbox's own `epoll_wait`, then reads
+//!   every ready connection and decodes its frames on the calling thread:
+//!   one wake-up per burst, no reactor hop, no channel, no futex hand-off.
+//!   The order across connections stays close to the order of arrival:
+//!   connections are registered edge-triggered, so a wait lists them by
+//!   the arrival of their oldest unread bytes, and frames read together are
+//!   decoded one per connection per round in that order. (A Peacock passive
+//!   replica that handles a slot's checkpoint before its proposal loses the
+//!   slot; draining connections one after another made that common.)
+//!   Each inbox owns one small read chunk and each connection one
+//!   reassembly buffer, reused across frames and capacity-bounded, so
+//!   steady-state receive performs no allocations beyond the decoded
+//!   messages themselves.
+//! * **Bounded read-ahead** — an owner reads a connection only while fewer
+//!   than [`INBOX_READ_AHEAD`] decoded frames wait in its inbox. Past that,
+//!   bytes stay in the kernel, TCP pushes back, and a fast sender shows up
+//!   as [`TransportStats::partial_writes`] and an `EPOLLOUT` drain instead
+//!   of as memory growth at the receiver.
 //! * **Client multiplexing** — a [`ClientHub`] gives *logical* clients
 //!   ([`HubPort`]s) a shared set of physical connections: one socket per
 //!   replica carries every client's requests (each frame prefixed with an
@@ -89,7 +119,7 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::transport::{Transport, TransportError, TransportStats, INITIAL_BACKOFF, MAX_BACKOFF};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use seemore_types::{ClientId, NodeId, ReplicaId};
 use seemore_wire::codec::{frame_len, Frame, StreamBuf, CODEC_VERSION, MAGIC};
 use seemore_wire::Message;
@@ -125,8 +155,17 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
 /// rechecking shutdown and redial deadlines even with no traffic.
 const TICK: Duration = Duration::from_millis(100);
 
-/// Size of the per-loop read scratch handed to `read(2)`.
+/// Size of the per-loop read scratch handed to `read(2)` for the hub's
+/// connections (allocated on a loop's first hub read).
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Size of each inbox's read scratch: small, because every endpoint has one.
+const INBOX_READ_CHUNK: usize = 8 * 1024;
+
+/// Decoded frames an [`Inbox`] holds before its owner stops reading its
+/// connections. Past this, bytes stay in the kernel and TCP pushes back on
+/// the sender.
+pub const INBOX_READ_AHEAD: usize = 128;
 
 /// Bounded work per readiness event: reads per connection…
 const MAX_READS_PER_EVENT: usize = 8;
@@ -160,12 +199,20 @@ enum InboundIdentity {
     Hub,
 }
 
-/// Which queue an inbound connection's frames are destined for: a node's
-/// endpoint, or the hub's per-client ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Who takes the connections a listener accepts: a node's inbox, or the
+/// pool on behalf of the hub's per-client queues.
 enum Owner {
-    Node(NodeId),
+    Node(Arc<InboxShared>),
     Hub,
+}
+
+impl std::fmt::Debug for Owner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Owner::Node(inbox) => write!(f, "Node({})", inbox.node),
+            Owner::Hub => write!(f, "Hub"),
+        }
+    }
 }
 
 fn encode_preamble(identity: Identity, mux: bool) -> [u8; PREAMBLE_LEN] {
@@ -255,6 +302,9 @@ struct OutState {
 #[derive(Debug)]
 struct Outbound {
     identity: Identity,
+    /// The node it reaches (for a connection to the hub, the logical client
+    /// it was opened for): its place in a flush.
+    peer: NodeId,
     addr: SocketAddr,
     /// Frames on this connection carry logical-client tags.
     mux: bool,
@@ -357,10 +407,11 @@ fn drain_locked(state: &mut OutState, stats: &TransportStats, direct: bool) -> D
 }
 
 /// Commands other threads hand to an event loop (senders queue a dial, the
-/// mesh registers listeners, accepting loops distribute fresh connections).
+/// mesh registers listeners, the hub's listener distributes fresh
+/// connections).
 enum Command {
     AddListener { owner: Owner, listener: TcpListener },
-    AddInbound { owner: Owner, stream: TcpStream },
+    AddHubInbound(TcpStream),
     Dial(Arc<Outbound>),
     StopNode(NodeId),
 }
@@ -377,7 +428,7 @@ impl std::fmt::Debug for Command {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Command::AddListener { owner, .. } => write!(f, "AddListener({owner:?})"),
-            Command::AddInbound { owner, .. } => write!(f, "AddInbound({owner:?})"),
+            Command::AddHubInbound(_) => write!(f, "AddHubInbound"),
             Command::Dial(out) => write!(f, "Dial({:?})", out.addr),
             Command::StopNode(node) => write!(f, "StopNode({node})"),
         }
@@ -404,12 +455,10 @@ struct ReactorShared {
     loops: Vec<Arc<LoopHandle>>,
     next_loop: AtomicUsize,
     next_token: AtomicU64,
-    /// Per-node delivery queues; replaceable so a flapped endpoint can be
-    /// restarted (fault-injection tests).
-    incoming: Mutex<HashMap<NodeId, Sender<(NodeId, Message)>>>,
     /// Per-logical-client delivery queues behind the hub.
     hub_incoming: Mutex<HashMap<u64, Sender<(NodeId, Message)>>>,
-    /// Currently open inbound connections, mesh-wide.
+    /// Currently open inbound connections, mesh-wide (inbox-adopted and
+    /// hub).
     inbound_live: AtomicU64,
     /// Inbound connections ever accepted, mesh-wide.
     accepted_total: AtomicU64,
@@ -427,14 +476,6 @@ impl ReactorShared {
     fn pick_loop(&self) -> Arc<LoopHandle> {
         let i = self.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len();
         Arc::clone(&self.loops[i])
-    }
-
-    fn lookup_incoming(&self, node: NodeId) -> Option<Sender<(NodeId, Message)>> {
-        self.incoming
-            .lock()
-            .expect("incoming lock")
-            .get(&node)
-            .cloned()
     }
 
     fn lookup_hub(&self, client: u64) -> Option<Sender<(NodeId, Message)>> {
@@ -458,6 +499,8 @@ pub struct ReactorMesh {
     shared: Arc<ReactorShared>,
     endpoints: Mutex<HashMap<NodeId, ReactorEndpoint>>,
     hub: Option<Arc<ClientHub>>,
+    /// The event-loop threads, joined by [`shutdown`](Self::shutdown).
+    loop_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ReactorMesh {
@@ -488,7 +531,7 @@ impl ReactorMesh {
                     mux: false,
                 },
             );
-            listeners.push((Owner::Node(node), listener));
+            listeners.push((node, listener));
         }
         let hub_listener = if hub_clients.is_empty() {
             None
@@ -519,25 +562,25 @@ impl ReactorMesh {
             loops,
             next_loop: AtomicUsize::new(0),
             next_token: AtomicU64::new(0),
-            incoming: Mutex::new(HashMap::new()),
             hub_incoming: Mutex::new(HashMap::new()),
             inbound_live: AtomicU64::new(0),
             accepted_total: AtomicU64::new(0),
         });
+
+        // Endpoints first: a failing poller leaves no loop thread behind.
+        let mut endpoints = HashMap::with_capacity(nodes.len());
+        for (node, listener) in listeners {
+            endpoints.insert(node, attach_endpoint(&shared, node, listener)?);
+        }
+        let mut loop_threads = Vec::with_capacity(shared.loops.len());
         for (index, handle) in shared.loops.iter().enumerate() {
             let shared = Arc::clone(&shared);
             let handle = Arc::clone(handle);
-            std::thread::Builder::new()
-                .name(format!("reactor-{index}"))
-                .spawn(move || event_loop(shared, handle))?;
-        }
-
-        let mut endpoints = HashMap::with_capacity(nodes.len());
-        for (owner, listener) in listeners {
-            let Owner::Node(node) = owner else {
-                unreachable!()
-            };
-            endpoints.insert(node, attach_endpoint(&shared, node, listener));
+            loop_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("reactor-{index}"))
+                    .spawn(move || event_loop(shared, handle))?,
+            );
         }
         let hub = hub_listener.map(|listener| {
             shared.pick_loop().push(Command::AddListener {
@@ -553,6 +596,7 @@ impl ReactorMesh {
             shared,
             endpoints: Mutex::new(endpoints),
             hub,
+            loop_threads: Mutex::new(loop_threads),
         })
     }
 
@@ -596,7 +640,8 @@ impl ReactorMesh {
         Arc::clone(&self.shared.stats)
     }
 
-    /// `(live, total)` inbound connections across the mesh.
+    /// `(live, total)` inbound connections across the mesh: those adopted by
+    /// endpoint inboxes plus the hub's.
     pub fn connections(&self) -> (u64, u64) {
         (
             self.shared.inbound_live.load(Ordering::Relaxed),
@@ -608,13 +653,10 @@ impl ReactorMesh {
     /// connection to it, without forgetting its address: peers keep
     /// queueing and redialing with backoff until
     /// [`start_endpoint`](Self::start_endpoint) brings the node back.
-    /// The flap primitive for fault-injection tests.
+    /// The connections close whether or not the node's owner is receiving;
+    /// its inbox hands out the frames it already decoded, then reports
+    /// disconnection. The flap primitive for fault-injection tests.
     pub fn stop_endpoint(&self, node: NodeId) {
-        self.shared
-            .incoming
-            .lock()
-            .expect("incoming lock")
-            .remove(&node);
         for handle in &self.shared.loops {
             handle.push(Command::StopNode(node));
         }
@@ -635,14 +677,22 @@ impl ReactorMesh {
                 format!("{node} is not in the mesh address book"),
             ));
         }
-        Ok(attach_endpoint(&self.shared, node, listener))
+        attach_endpoint(&self.shared, node, listener)
     }
 
-    /// Stops the event-loop pool and closes every connection. Idempotent.
+    /// Stops the event-loop pool, closes the connections it holds and every
+    /// endpoint's inbound connections, and returns once the loops have
+    /// exited. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         for handle in &self.shared.loops {
             handle.poller.wake();
+        }
+        // Wait for the loops to close what they hold, so the teardown is
+        // done when this returns rather than running into what comes next.
+        let threads = std::mem::take(&mut *self.loop_threads.lock().expect("loop threads lock"));
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
@@ -653,39 +703,40 @@ impl Drop for ReactorMesh {
     }
 }
 
-/// Registers `node`'s delivery queue and listener, returning its endpoint.
+/// Creates `node`'s inbox and registers its listener with the pool, which
+/// hands every connection it accepts to that inbox. Returns the endpoint.
 fn attach_endpoint(
     shared: &Arc<ReactorShared>,
     node: NodeId,
     listener: TcpListener,
-) -> ReactorEndpoint {
-    let (tx, rx) = unbounded();
-    shared
-        .incoming
-        .lock()
-        .expect("incoming lock")
-        .insert(node, tx);
+) -> io::Result<ReactorEndpoint> {
+    let inbox = Arc::new(InboxShared {
+        node,
+        poller: Poller::new()?,
+        mesh: Arc::clone(shared),
+        state: Mutex::new(InboxState::default()),
+    });
     shared.pick_loop().push(Command::AddListener {
-        owner: Owner::Node(node),
+        owner: Owner::Node(Arc::clone(&inbox)),
         listener,
     });
-    ReactorEndpoint {
+    Ok(ReactorEndpoint {
         handle: ReactorHandle {
             local: node,
             shared: Arc::clone(shared),
             writers: Arc::new(Mutex::new(HashMap::new())),
             unflushed: Arc::new(Mutex::new(Vec::new())),
         },
-        incoming: rx,
-    }
+        inbox: Inbox { shared: inbox },
+    })
 }
 
 /// One node's attachment to a [`ReactorMesh`]: a cloneable sending
-/// [`ReactorHandle`] plus the queue of decoded inbound messages.
+/// [`ReactorHandle`] plus the [`Inbox`] its owner receives from.
 #[derive(Debug)]
 pub struct ReactorEndpoint {
     handle: ReactorHandle,
-    incoming: Receiver<(NodeId, Message)>,
+    inbox: Inbox,
 }
 
 impl ReactorEndpoint {
@@ -694,9 +745,16 @@ impl ReactorEndpoint {
         self.handle.clone()
     }
 
-    /// The queue of decoded inbound messages, tagged with their sender.
-    pub fn incoming(&self) -> &Receiver<(NodeId, Message)> {
-        &self.incoming
+    /// The node's inbox: its inbound connections, read and decoded by the
+    /// thread that receives from it.
+    pub fn incoming(&self) -> &Inbox {
+        &self.inbox
+    }
+
+    /// Splits the endpoint into its sending handle and its inbox, so the
+    /// thread that receives can own the inbox.
+    pub fn into_parts(self) -> (ReactorHandle, Inbox) {
+        (self.handle, self.inbox)
     }
 }
 
@@ -714,7 +772,7 @@ impl Transport for ReactorEndpoint {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, Message), RecvTimeoutError> {
-        self.incoming.recv_timeout(timeout)
+        self.inbox.recv_timeout(timeout)
     }
 
     fn stats(&self) -> Arc<TransportStats> {
@@ -832,6 +890,7 @@ impl ReactorHandle {
             &self.shared,
             &self.writers,
             Identity::Node(self.local),
+            to,
             remote,
         );
         send_item(&outbound, SendItem { tag, frame });
@@ -849,8 +908,18 @@ impl ReactorHandle {
     /// each: one `writev` for several frames, a plain write for one. A
     /// connection still dialing, or waiting for `EPOLLOUT`, is left to its
     /// event loop. With nothing queued this makes no syscall.
+    ///
+    /// The connections go in a fixed order, replicas by id and then clients,
+    /// whatever order the frames were queued in. Each write can wake its
+    /// peer, and on a busy CPU a woken peer may run, and answer, before this
+    /// thread writes the next connection; a fixed order at least makes the
+    /// peers that see a broadcast first the same ones in every turn. In
+    /// SeeMoRe those are the private cloud's, which take the lowest ids: a
+    /// passive private replica that sees a slot's checkpoint from the proxies
+    /// before the slot's proposal discards the proposal.
     pub fn flush(&self) {
         let mut unflushed = self.unflushed.lock().expect("unflushed lock");
+        unflushed.sort_unstable_by_key(|outbound| outbound.peer);
         for outbound in unflushed.drain(..) {
             flush_outbound(&self.shared, &outbound);
         }
@@ -863,12 +932,14 @@ fn outbound_for(
     shared: &ReactorShared,
     writers: &Mutex<HashMap<SocketAddr, Arc<Outbound>>>,
     identity: Identity,
+    peer: NodeId,
     remote: Remote,
 ) -> Arc<Outbound> {
     let mut writers = writers.lock().expect("writer map lock");
     Arc::clone(writers.entry(remote.addr).or_insert_with(|| {
         Arc::new(Outbound {
             identity,
+            peer,
             addr: remote.addr,
             mux: remote.mux,
             event_loop: shared.pick_loop(),
@@ -969,6 +1040,7 @@ impl ClientHub {
             &self.shared,
             &self.writers,
             Identity::Hub,
+            to,
             Remote {
                 addr: remote.addr,
                 mux: true,
@@ -1055,26 +1127,497 @@ impl Transport for HubPort {
 }
 
 // ---------------------------------------------------------------------------
-// The event loop.
+// Reading inbound connections: one parser, two destinations.
 
-/// One inbound connection: nonblocking stream, reassembly buffer, decoded
-/// peer identity, and cached routes to the delivery queues.
+/// One inbound connection's read side: the nonblocking stream, its
+/// reassembly buffer and the peer identity its preamble announced.
+#[derive(Debug)]
 struct InboundConn {
     stream: TcpStream,
-    owner: Owner,
     peer: Option<(InboundIdentity, bool)>,
     buf: StreamBuf,
-    /// Cached delivery queue for non-hub routing (invalidated on failure so
-    /// a restarted endpoint is picked up).
-    route: Option<Sender<(NodeId, Message)>>,
-    /// Cached per-logical-client queues for hub routing.
-    hub_routes: HashMap<u64, Sender<(NodeId, Message)>>,
+    /// The peer closed or the socket failed: hand out what is buffered,
+    /// then drop the connection.
+    ended: bool,
 }
+
+/// A decoded frame with the preamble identity and the multiplexing tag it
+/// arrived under.
+type Decoded = (InboundIdentity, Option<u64>, Message);
+
+/// A stream that lost framing (bad preamble, bad frame) or broke the
+/// layering its preamble announced; the connection is dropped.
+#[derive(Debug)]
+struct Poisoned;
+
+/// What one read from a socket brought.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chunk {
+    /// A whole chunk: the socket may hold more.
+    Full,
+    /// Less than a chunk: the socket held no more bytes, though the peer's
+    /// close may still be pending.
+    Partial,
+    /// No bytes: the socket would block, or the connection ended.
+    Nothing,
+}
+
+impl InboundConn {
+    fn new(stream: TcpStream) -> InboundConn {
+        InboundConn {
+            stream,
+            peer: None,
+            buf: StreamBuf::new(),
+            ended: false,
+        }
+    }
+
+    /// Appends one chunk from the socket to the buffer. A peer close or a
+    /// failed read marks the connection ended.
+    fn read_chunk(&mut self, stats: &TransportStats, scratch: &mut [u8]) -> Chunk {
+        loop {
+            let result = {
+                let mut stream: &TcpStream = &self.stream;
+                stream.read(scratch)
+            };
+            return match result {
+                Ok(0) => {
+                    self.ended = true;
+                    Chunk::Nothing
+                }
+                Ok(n) => {
+                    stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
+                    self.buf.push(&scratch[..n]);
+                    if n == scratch.len() {
+                        Chunk::Full
+                    } else {
+                        Chunk::Partial
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Chunk::Nothing,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.ended = true;
+                    Chunk::Nothing
+                }
+            };
+        }
+    }
+
+    /// Whether a whole frame (or a poisoned one) is buffered, so the next
+    /// [`next_frame`](Self::next_frame) needs no read.
+    fn has_frame(&self) -> bool {
+        let Some((_, mux)) = self.peer else {
+            return false;
+        };
+        let bytes = self.buf.bytes();
+        let tag_len = if mux { 8 } else { 0 };
+        bytes.len() >= tag_len
+            && match frame_len(&bytes[tag_len..]) {
+                Ok(Some(len)) => bytes.len() >= tag_len + len,
+                Ok(None) => false,
+                Err(_) => true,
+            }
+    }
+
+    /// Decodes the next whole buffered frame; `Ok(None)` when none is
+    /// buffered.
+    fn next_frame(&mut self, stats: &TransportStats) -> Result<Option<Decoded>, Poisoned> {
+        if self.peer.is_none() {
+            if self.buf.buffered() < PREAMBLE_LEN {
+                return Ok(None);
+            }
+            let mut preamble = [0u8; PREAMBLE_LEN];
+            preamble.copy_from_slice(&self.buf.bytes()[..PREAMBLE_LEN]);
+            self.peer = Some(decode_preamble(&preamble).ok_or(Poisoned)?);
+            self.buf.consume(PREAMBLE_LEN);
+        }
+        let (identity, mux) = self.peer.expect("peer decoded above");
+        let bytes = self.buf.bytes();
+        let tag_len = if mux { 8 } else { 0 };
+        if bytes.len() < tag_len {
+            return Ok(None);
+        }
+        let Some(frame_total) = frame_len(&bytes[tag_len..]).map_err(|_| Poisoned)? else {
+            return Ok(None);
+        };
+        if bytes.len() < tag_len + frame_total {
+            return Ok(None);
+        }
+        let tag = mux.then(|| u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")));
+        let message = seemore_wire::codec::decode(&bytes[tag_len..tag_len + frame_total])
+            .map_err(|_| Poisoned)?;
+        self.buf.consume(tag_len + frame_total);
+        stats.messages_received.fetch_add(1, Ordering::Relaxed);
+        stats
+            .bytes_received
+            .fetch_add(frame_total as u64, Ordering::Relaxed);
+        Ok(Some((identity, tag, message)))
+    }
+}
+
+/// The sender of a frame that reached a node's inbox, or `None` if its
+/// layering does not fit a node.
+fn node_frame_sender(identity: InboundIdentity, tag: Option<u64>) -> Option<NodeId> {
+    match (identity, tag) {
+        // Plain connection to a node: the preamble identity is the sender.
+        (InboundIdentity::Node(sender), None) => Some(sender),
+        // Hub-to-node connection: each frame names its source client.
+        (InboundIdentity::Hub, Some(client)) => Some(NodeId::Client(ClientId(client))),
+        _ => None,
+    }
+}
+
+/// A replica-to-hub connection, with its cached per-client queues.
+struct HubConn {
+    conn: InboundConn,
+    routes: HashMap<u64, Sender<(NodeId, Message)>>,
+}
+
+impl HubConn {
+    /// Reads what the socket has and hands every frame to its client's
+    /// queue: each frame names its destination client, and the sender is the
+    /// replica from the preamble. A client without a port (not opened yet,
+    /// or dropped) just loses the frame, as a network may. Returns `false`
+    /// when the connection is finished.
+    fn pump(&mut self, shared: &ReactorShared, scratch: &mut [u8]) -> bool {
+        for _ in 0..MAX_READS_PER_EVENT {
+            let more = self.conn.read_chunk(&shared.stats, scratch) == Chunk::Full;
+            loop {
+                let (identity, tag, message) = match self.conn.next_frame(&shared.stats) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(Poisoned) => return false,
+                };
+                let (InboundIdentity::Node(sender @ NodeId::Replica(_)), Some(client)) =
+                    (identity, tag)
+                else {
+                    return false;
+                };
+                use std::collections::hash_map::Entry as Route;
+                let queue = match self.routes.entry(client) {
+                    Route::Occupied(route) => Some(route.into_mut()),
+                    Route::Vacant(route) => {
+                        shared.lookup_hub(client).map(|queue| route.insert(queue))
+                    }
+                };
+                if queue.is_some_and(|queue| queue.send((sender, message)).is_err()) {
+                    self.routes.remove(&client);
+                }
+            }
+            if !more {
+                break;
+            }
+        }
+        // Budget spent or socket drained; readiness stays level-set, the
+        // loop will be back for the rest.
+        !self.conn.ended
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The inbox: a node's inbound connections, read by the node's own thread.
+
+/// A node's receive side: the inbound connections its listener accepted, a
+/// poller over them, and the frames decoded but not yet handed out.
+///
+/// No thread reads on its behalf. The thread that receives —
+/// [`recv_timeout`](Self::recv_timeout), or [`wait`](Self::wait) then
+/// [`try_recv`](Self::try_recv) — blocks in the inbox's own poller, reads
+/// every ready connection and decodes its frames itself. It reads only while
+/// fewer than [`INBOX_READ_AHEAD`] frames are pending; past that the bytes
+/// stay in the kernel and TCP flow control holds the sender back. Frames of
+/// one connection come out in the order they were sent; frames read together
+/// from several connections come out one per connection per round, so a
+/// burst on one connection does not jump ahead of frames that arrived on
+/// the others at the same time.
+///
+/// The pool's listener adopts new connections while the owner waits, and
+/// [`ReactorMesh::stop_endpoint`] closes them whether or not it waits.
+#[derive(Debug)]
+pub struct Inbox {
+    shared: Arc<InboxShared>,
+}
+
+impl Inbox {
+    /// The oldest decoded frame, tagged with its sender. Reads no socket
+    /// ([`wait`](Self::wait) does). `Disconnected` once the endpoint was
+    /// stopped or its mesh shut down and every decoded frame was handed out.
+    pub fn try_recv(&self) -> Result<(NodeId, Message), TryRecvError> {
+        let mut state = self.shared.lock();
+        match state.pending.pop_front() {
+            Some(frame) => Ok(frame),
+            None if self.shared.is_closed(&state) => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// Reads the ready connections into the pending queue. Returns at once
+    /// if frames are pending already; otherwise blocks up to `timeout` (zero
+    /// polls) until a connection is readable or an [`InboxWaker`] fires.
+    pub fn wait(&self, timeout: Duration) {
+        self.shared.fill(timeout);
+    }
+
+    /// Waits up to `timeout` for the next frame: [`try_recv`](Self::try_recv)
+    /// and [`wait`](Self::wait) until one is pending or the time is up. A
+    /// zero timeout reads once without blocking.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, Message), RecvTimeoutError> {
+        self.wait_for(timeout, || self.try_recv())
+    }
+
+    /// The loop behind [`recv_timeout`](Self::recv_timeout), for an owner
+    /// that also takes work from elsewhere: tries `take`, and between tries
+    /// [`wait`](Self::wait)s, until `take` yields or the time is up. Whoever
+    /// queues that other work wakes the inbox (see [`InboxWaker`]).
+    pub fn wait_for<T>(
+        &self,
+        timeout: Duration,
+        mut take: impl FnMut() -> Result<T, TryRecvError>,
+    ) -> Result<T, RecvTimeoutError> {
+        let deadline = Instant::now().checked_add(timeout);
+        let mut waited = false;
+        loop {
+            match take() {
+                Ok(item) => return Ok(item),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {}
+            }
+            let remaining =
+                deadline.map_or(timeout, |at| at.saturating_duration_since(Instant::now()));
+            if waited && remaining.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            self.wait(remaining);
+            waited = true;
+        }
+    }
+
+    /// Frames decoded but not yet handed out: at most [`INBOX_READ_AHEAD`].
+    #[cfg(test)]
+    fn pending(&self) -> usize {
+        self.shared.lock().pending.len()
+    }
+
+    /// A handle that interrupts this inbox's [`wait`](Self::wait) from any
+    /// thread.
+    pub fn waker(&self) -> InboxWaker {
+        InboxWaker {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+/// Ends an [`Inbox`]'s current or next [`wait`](Inbox::wait) early: a thread
+/// that queues work for the inbox's owner somewhere else (a control command)
+/// wakes it, so the owner does not sit out its timeout first.
+#[derive(Debug, Clone)]
+pub struct InboxWaker {
+    shared: Arc<InboxShared>,
+}
+
+impl InboxWaker {
+    /// Wakes the inbox's owner. Cheap and safe from any thread.
+    pub fn wake(&self) {
+        self.shared.poller.wake();
+    }
+}
+
+/// The state behind an [`Inbox`], shared with the listener that adopts
+/// connections into it and with its wakers. The owner never holds the lock
+/// while it blocks.
+#[derive(Debug)]
+struct InboxShared {
+    node: NodeId,
+    poller: Poller,
+    mesh: Arc<ReactorShared>,
+    state: Mutex<InboxState>,
+}
+
+#[derive(Debug, Default)]
+struct InboxState {
+    /// Adopted connections by poller token.
+    conns: HashMap<u64, InboundConn>,
+    /// Decoded frames not yet handed out, oldest first.
+    pending: VecDeque<(NodeId, Message)>,
+    /// Connections the last read's decoding rounds stopped at, in round
+    /// order: the next read serves them first, since their buffers or
+    /// sockets may hold bytes that no readiness event will report again.
+    /// (Between reads, the decoding rounds' ring; kept for its capacity.)
+    backlog: VecDeque<u64>,
+    /// Readiness events, reused across waits.
+    events: Vec<Event>,
+    /// Read chunk, allocated on the first read.
+    scratch: Vec<u8>,
+    /// Stopped: adopts nothing and reads nothing.
+    closed: bool,
+}
+
+impl InboxShared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState> {
+        self.state.lock().expect("inbox lock")
+    }
+
+    fn is_closed(&self, state: &InboxState) -> bool {
+        state.closed || self.mesh.is_shutdown()
+    }
+
+    /// Registers a connection the node's listener accepted.
+    fn adopt(&self, stream: TcpStream) {
+        let mut state = self.lock();
+        if state.closed {
+            return; // dropping the stream refuses the peer
+        }
+        let token = self.mesh.next_token();
+        // Edge-triggered, so a wait lists connections in the order their
+        // oldest unread bytes arrived; `fill` remembers the ones it leaves
+        // bytes in.
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, Interest::READ_EDGE)
+            .is_ok()
+        {
+            state.conns.insert(token, InboundConn::new(stream));
+            self.mesh.inbound_live.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Closes every adopted connection (peers see a reset and redial) and
+    /// wakes the owner, whose receives report disconnection once the frames
+    /// already decoded are handed out.
+    fn close(&self) {
+        let mut state = self.lock();
+        if !state.closed {
+            state.closed = true;
+            let closed = state.conns.len() as u64;
+            state.conns.clear();
+            state.backlog.clear();
+            self.mesh.inbound_live.fetch_sub(closed, Ordering::Relaxed);
+        }
+        drop(state);
+        self.poller.wake();
+    }
+
+    /// The read pass behind [`Inbox::wait`].
+    fn fill(&self, timeout: Duration) {
+        let (mut events, timeout) = {
+            let mut state = self.lock();
+            if !state.pending.is_empty() || self.is_closed(&state) {
+                return;
+            }
+            // A backlogged connection may hold bytes that no readiness event
+            // reports: poll, do not block.
+            let timeout = if state.backlog.is_empty() {
+                timeout
+            } else {
+                Duration::ZERO
+            };
+            (std::mem::take(&mut state.events), timeout)
+        };
+        // A failed wait reads nothing; the next one retries.
+        if self.poller.wait(&mut events, Some(timeout)).is_err() {
+            events.clear();
+        }
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        // The backlog first (its bytes are the oldest), then the connections
+        // in the order their oldest unread bytes arrived.
+        let mut ring = std::mem::take(&mut state.backlog);
+        let mut closing = Vec::new();
+        for event in &events {
+            if event.hangup {
+                closing.push(event.token);
+            }
+            if !ring.contains(&event.token) {
+                ring.push_back(event.token);
+            }
+        }
+        state.events = events;
+        if state.scratch.is_empty() {
+            state.scratch.resize(INBOX_READ_CHUNK, 0);
+        }
+        // Read every listed connection that has no whole frame buffered (one
+        // that has leaves its bytes in the kernel). Edge-triggered readiness
+        // reports nothing more for bytes left behind, so note the
+        // connections that may still have some: those not read, and those
+        // whose read budget ran out before their socket did.
+        let mut unread = Vec::new();
+        for &token in &ring {
+            let Some(conn) = state.conns.get_mut(&token) else {
+                continue; // closed since the wait
+            };
+            if conn.ended {
+                continue;
+            }
+            if conn.has_frame() {
+                unread.push(token);
+                continue;
+            }
+            let mut reads = 0;
+            loop {
+                match conn.read_chunk(&self.mesh.stats, &mut state.scratch) {
+                    Chunk::Full => {
+                        reads += 1;
+                        if reads == MAX_READS_PER_EVENT {
+                            unread.push(token);
+                            break;
+                        }
+                    }
+                    // A close that came with the last bytes sends no event
+                    // of its own: read on to the end of the stream.
+                    Chunk::Partial if closing.contains(&token) => {}
+                    Chunk::Partial | Chunk::Nothing => break,
+                }
+            }
+        }
+        // Decode one frame per connection per round. Draining connections
+        // one after another would hand out every frame of the first before
+        // any of the second, however much later they arrived; the rounds
+        // keep frames that arrived together in about the order they arrived.
+        // They stop when the read-ahead bound is reached, and when a
+        // connection runs dry that still has bytes in the kernel: its next
+        // frame may be older than the other connections' next ones.
+        while let Some(token) = ring.pop_front() {
+            if state.pending.len() >= INBOX_READ_AHEAD {
+                ring.push_front(token);
+                break;
+            }
+            let Some(conn) = state.conns.get_mut(&token) else {
+                continue;
+            };
+            match conn.next_frame(&self.mesh.stats) {
+                Ok(Some((identity, tag, message))) => {
+                    if let Some(sender) = node_frame_sender(identity, tag) {
+                        state.pending.push_back((sender, message));
+                        ring.push_back(token);
+                        continue;
+                    }
+                }
+                Ok(None) if unread.contains(&token) => {
+                    ring.push_front(token);
+                    break;
+                }
+                // Nothing more until the socket is readable again.
+                Ok(None) if !conn.ended => continue,
+                Ok(None) | Err(Poisoned) => {}
+            }
+            // Finished: closed by the peer, failed, or poisoned.
+            state.conns.remove(&token);
+            self.mesh.inbound_live.fetch_sub(1, Ordering::Relaxed);
+        }
+        // The next read resumes the rounds where they stopped, so no sender
+        // starves the others.
+        state.backlog = ring;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The event loop.
 
 /// What one poller token points at.
 enum Entry {
     Listener { owner: Owner, listener: TcpListener },
-    Inbound(InboundConn),
+    Hub(HubConn),
     Out(Arc<Outbound>),
 }
 
@@ -1089,7 +1632,7 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
     let mut state = LoopState {
         registry: HashMap::new(),
         redials: Vec::new(),
-        scratch: vec![0u8; READ_CHUNK],
+        scratch: Vec::new(),
     };
     let mut events: Vec<Event> = Vec::new();
     while !shared.is_shutdown() {
@@ -1110,7 +1653,7 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
                             .insert(token, Entry::Listener { owner, listener });
                     }
                 }
-                Command::AddInbound { owner, stream } => {
+                Command::AddHubInbound(stream) => {
                     let token = shared.next_token();
                     if handle
                         .poller
@@ -1120,40 +1663,28 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
                         shared.inbound_live.fetch_add(1, Ordering::Relaxed);
                         state.registry.insert(
                             token,
-                            Entry::Inbound(InboundConn {
-                                stream,
-                                owner,
-                                peer: None,
-                                buf: StreamBuf::new(),
-                                route: None,
-                                hub_routes: HashMap::new(),
+                            Entry::Hub(HubConn {
+                                conn: InboundConn::new(stream),
+                                routes: HashMap::new(),
                             }),
                         );
                     }
                 }
                 Command::Dial(outbound) => attempt_dial(&shared, &handle, &mut state, outbound),
                 Command::StopNode(node) => {
-                    // Drop the node's listener and every inbound connection
-                    // to it: new dials are refused, established peers see a
-                    // reset and fall back to queue + redial.
-                    let dead: Vec<u64> = state
-                        .registry
-                        .iter()
-                        .filter_map(|(&token, entry)| match entry {
-                            Entry::Listener { owner, .. }
-                            | Entry::Inbound(InboundConn { owner, .. })
-                                if *owner == Owner::Node(node) =>
-                            {
-                                Some(token)
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    for token in dead {
-                        if let Some(Entry::Inbound(_)) = state.registry.remove(&token) {
-                            shared.inbound_live.fetch_sub(1, Ordering::Relaxed);
+                    // Drop the node's listener and close its inbox: new dials
+                    // are refused, established peers see a reset and fall
+                    // back to queue + redial.
+                    state.registry.retain(|_, entry| match entry {
+                        Entry::Listener {
+                            owner: Owner::Node(inbox),
+                            ..
+                        } if inbox.node == node => {
+                            inbox.close();
+                            false
                         }
-                    }
+                        _ => true,
+                    });
                 }
             }
         }
@@ -1176,13 +1707,38 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
             .unwrap_or(TICK)
             .min(TICK);
         if handle.poller.wait(&mut events, Some(timeout)).is_err() {
-            // A failing poller would spin this loop; bail out and let the
-            // mesh's shutdown path report the breakage via timeouts.
-            return;
+            // A failing poller would spin this loop; stop, and let owners
+            // and senders see the breakage as closed inboxes and timeouts.
+            break;
         }
         for &event in &events {
             handle_event(&shared, &mut state, event);
         }
+    }
+    // The inboxes this loop's listeners feed close with it, so their owners
+    // see the mesh go instead of waiting on connections nobody accepts.
+    let unregistered = handle
+        .take()
+        .into_iter()
+        .filter_map(|command| match command {
+            Command::AddListener {
+                owner: Owner::Node(inbox),
+                ..
+            } => Some(inbox),
+            _ => None,
+        });
+    let registered = state
+        .registry
+        .into_values()
+        .filter_map(|entry| match entry {
+            Entry::Listener {
+                owner: Owner::Node(inbox),
+                ..
+            } => Some(inbox),
+            _ => None,
+        });
+    for inbox in registered.chain(unregistered) {
+        inbox.close();
     }
 }
 
@@ -1202,11 +1758,13 @@ fn handle_event(shared: &Arc<ReactorShared>, state: &mut LoopState, event: Event
                             continue;
                         }
                         shared.accepted_total.fetch_add(1, Ordering::Relaxed);
-                        // Distribute connections round-robin across the
-                        // pool; registration happens on the target loop.
-                        shared
-                            .pick_loop()
-                            .push(Command::AddInbound { owner, stream });
+                        match &owner {
+                            // From here on the node's own thread reads it.
+                            Owner::Node(inbox) => inbox.adopt(stream),
+                            // Hub connections spread round-robin across the
+                            // pool; registration happens on the target loop.
+                            Owner::Hub => shared.pick_loop().push(Command::AddHubInbound(stream)),
+                        }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     // Transient accept failures (ECONNABORTED, EMFILE) must
@@ -1219,9 +1777,12 @@ fn handle_event(shared: &Arc<ReactorShared>, state: &mut LoopState, event: Event
                 .registry
                 .insert(event.token, Entry::Listener { owner, listener });
         }
-        Entry::Inbound(mut conn) => {
-            if read_inbound(shared, &mut conn, &mut state.scratch) {
-                state.registry.insert(event.token, Entry::Inbound(conn));
+        Entry::Hub(mut hub) => {
+            if state.scratch.is_empty() {
+                state.scratch.resize(READ_CHUNK, 0);
+            }
+            if hub.pump(shared, &mut state.scratch) {
+                state.registry.insert(event.token, Entry::Hub(hub));
             } else {
                 shared.inbound_live.fetch_sub(1, Ordering::Relaxed);
             }
@@ -1230,169 +1791,6 @@ fn handle_event(shared: &Arc<ReactorShared>, state: &mut LoopState, event: Event
             if handle_out_event(shared, state, &outbound, event) {
                 state.registry.insert(event.token, Entry::Out(outbound));
             }
-        }
-    }
-}
-
-/// Drains readable bytes (bounded per event; level-triggered readiness
-/// resumes the rest), parses frames, and routes them. Returns `false` when
-/// the connection is finished.
-fn read_inbound(shared: &ReactorShared, conn: &mut InboundConn, scratch: &mut [u8]) -> bool {
-    for _ in 0..MAX_READS_PER_EVENT {
-        let result = {
-            let mut stream: &TcpStream = &conn.stream;
-            stream.read(scratch)
-        };
-        match result {
-            Ok(0) => return false, // peer closed; buffered partials die with it
-            Ok(n) => {
-                shared
-                    .stats
-                    .bytes_read
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                conn.buf.push(&scratch[..n]);
-                if !parse_frames(shared, conn) {
-                    return false;
-                }
-                if n < scratch.len() {
-                    return true; // socket drained
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    true // budget spent; readiness stays level-set, the loop will be back
-}
-
-/// Decodes every complete frame buffered on `conn` and routes it. Returns
-/// `false` on a poisoned stream (bad preamble, bad frame, bogus layering).
-fn parse_frames(shared: &ReactorShared, conn: &mut InboundConn) -> bool {
-    loop {
-        if conn.peer.is_none() {
-            if conn.buf.buffered() < PREAMBLE_LEN {
-                return true;
-            }
-            let mut preamble = [0u8; PREAMBLE_LEN];
-            preamble.copy_from_slice(&conn.buf.bytes()[..PREAMBLE_LEN]);
-            let Some(peer) = decode_preamble(&preamble) else {
-                return false; // not one of ours
-            };
-            conn.buf.consume(PREAMBLE_LEN);
-            conn.peer = Some(peer);
-        }
-        let (identity, mux) = conn.peer.expect("peer decoded above");
-        let bytes = conn.buf.bytes();
-        let tag_len = if mux { 8 } else { 0 };
-        if bytes.len() < tag_len {
-            return true;
-        }
-        let frame_total = match frame_len(&bytes[tag_len..]) {
-            Ok(Some(len)) => len,
-            Ok(None) => return true,
-            Err(_) => return false,
-        };
-        if bytes.len() < tag_len + frame_total {
-            return true;
-        }
-        let tag = mux.then(|| u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")));
-        let message = match seemore_wire::codec::decode(&bytes[tag_len..tag_len + frame_total]) {
-            Ok(message) => message,
-            Err(_) => return false,
-        };
-        conn.buf.consume(tag_len + frame_total);
-        shared
-            .stats
-            .messages_received
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .bytes_received
-            .fetch_add(frame_total as u64, Ordering::Relaxed);
-        if !route_message(shared, conn, identity, tag, message) {
-            return false;
-        }
-    }
-}
-
-/// Delivers one decoded message to its queue. Unroutable *layering* (a
-/// muxed frame on a plain connection, a hub frame at a non-hub listener)
-/// poisons the connection; a missing queue (endpoint flapped, port not yet
-/// opened) just drops the frame — the network is allowed to lose messages.
-fn route_message(
-    shared: &ReactorShared,
-    conn: &mut InboundConn,
-    identity: InboundIdentity,
-    tag: Option<u64>,
-    message: Message,
-) -> bool {
-    match (conn.owner, identity, tag) {
-        // Plain connection to a node: the preamble identity is the sender.
-        (Owner::Node(node), InboundIdentity::Node(sender), None) => {
-            deliver_node(shared, conn, node, sender, message);
-        }
-        // Hub-to-replica connection: each frame names its source client.
-        (Owner::Node(node), InboundIdentity::Hub, Some(client)) => {
-            deliver_node(
-                shared,
-                conn,
-                node,
-                NodeId::Client(ClientId(client)),
-                message,
-            );
-        }
-        // Replica-to-hub connection: each frame names its destination
-        // client; the sender is the replica from the preamble.
-        (Owner::Hub, InboundIdentity::Node(sender @ NodeId::Replica(_)), Some(client)) => {
-            let cached = conn.hub_routes.get(&client);
-            let queue = match cached {
-                Some(queue) => Some(queue.clone()),
-                None => {
-                    let fresh = shared.lookup_hub(client);
-                    if let Some(queue) = fresh.as_ref() {
-                        conn.hub_routes.insert(client, queue.clone());
-                    }
-                    fresh
-                }
-            };
-            if let Some(queue) = queue {
-                if queue.send((sender, message)).is_err() {
-                    conn.hub_routes.remove(&client);
-                }
-            }
-        }
-        _ => return false,
-    }
-    true
-}
-
-/// Node-queue delivery with a one-slot route cache (re-resolved when the
-/// endpoint behind it was replaced by a restart).
-fn deliver_node(
-    shared: &ReactorShared,
-    conn: &mut InboundConn,
-    node: NodeId,
-    sender: NodeId,
-    message: Message,
-) {
-    if let Some(queue) = conn.route.as_ref() {
-        match queue.send((sender, message)) {
-            Ok(()) => return,
-            Err(failed) => {
-                conn.route = None;
-                if let Some(queue) = shared.lookup_incoming(node) {
-                    if queue.send(failed.0).is_ok() {
-                        conn.route = Some(queue);
-                    }
-                }
-                return;
-            }
-        }
-    }
-    if let Some(queue) = shared.lookup_incoming(node) {
-        if queue.send((sender, message)).is_ok() {
-            conn.route = Some(queue);
         }
     }
 }
@@ -2048,6 +2446,167 @@ mod tests {
         assert_eq!((from, message), (replica(0), state_request(7)));
         assert!(mesh.connections().0 >= IDLE, "idle connections stay open");
         drop(idle);
+        mesh.shutdown();
+    }
+
+    /// Stopping a node closes its inbound connections although its owner
+    /// never receives: no other thread reads them, so the close cannot wait
+    /// for one. The owner then sees disconnection, and the peer sees the
+    /// reset and redials the restarted node.
+    #[test]
+    fn stop_endpoint_closes_inbound_connections_of_an_owner_that_is_not_receiving() {
+        let (a, b) = (replica(0), replica(1));
+        let mesh = ReactorMesh::new(&[a, b]).unwrap();
+        let sender = mesh.take_endpoint(a).unwrap();
+        let idle = mesh.take_endpoint(b).unwrap();
+        let b_addr = mesh.address(b).unwrap();
+        sender.send(b, &state_request(0)).unwrap();
+        wait_until("b to adopt a's connection", || mesh.connections().0 == 1);
+
+        mesh.stop_endpoint(b);
+        wait_until("b's connection to close", || mesh.connections().0 == 0);
+        assert_eq!(
+            idle.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Disconnected),
+            "the unread frame closed with its connection"
+        );
+
+        let late = mesh.start_endpoint(b, rebind(b_addr)).unwrap();
+        // Frames written before a noticed the reset die with the old
+        // connection; keep sending until one arrives over the new one.
+        let seq = std::cell::Cell::new(1);
+        wait_until("a to redial the restarted node", || {
+            sender.send(b, &state_request(seq.get())).unwrap();
+            seq.set(seq.get() + 1);
+            late.recv_timeout(Duration::from_millis(10)).is_ok()
+        });
+        assert_eq!(mesh.stats().reconnects(), 2, "a dialed b twice");
+        mesh.shutdown();
+    }
+
+    /// Writes `preamble` and then `frames` on a raw connection to `addr`.
+    fn raw_connection(addr: SocketAddr, preamble: &[u8], frames: &[&[u8]]) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(preamble).unwrap();
+        for frame in frames {
+            stream.write_all(frame).unwrap();
+        }
+        stream
+    }
+
+    /// A hub-to-replica connection lands in the replica's inbox like any
+    /// other, and each frame's tag names its sender.
+    #[test]
+    fn hub_tagged_frames_reach_the_inbox_from_their_client() {
+        let mesh = ReactorMesh::new(&[replica(0)]).unwrap();
+        let server = mesh.take_endpoint(replica(0)).unwrap();
+        let frame = seemore_wire::codec::encode(&state_request(3));
+        let _hub = raw_connection(
+            mesh.address(replica(0)).unwrap(),
+            &encode_preamble(Identity::Hub, true),
+            &[&77u64.to_le_bytes(), &frame, &78u64.to_le_bytes(), &frame],
+        );
+        for client in [77, 78] {
+            assert_eq!(
+                server.recv_timeout(Duration::from_secs(5)),
+                Ok((NodeId::Client(ClientId(client)), state_request(3)))
+            );
+        }
+        mesh.shutdown();
+    }
+
+    /// A connection that opens with garbage is dropped; the node's other
+    /// connections keep delivering.
+    #[test]
+    fn a_garbage_preamble_drops_only_its_own_connection() {
+        let mesh = ReactorMesh::new(&[replica(0)]).unwrap();
+        let server = mesh.take_endpoint(replica(0)).unwrap();
+        let addr = mesh.address(replica(0)).unwrap();
+        let mut garbage = raw_connection(addr, &[b'!'; PREAMBLE_LEN], &[]);
+        let frame = seemore_wire::codec::encode(&state_request(4));
+        let _good = raw_connection(addr, &client_preamble(ClientId(5)), &[&frame]);
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(5)),
+            Ok((NodeId::Client(ClientId(5)), state_request(4)))
+        );
+        wait_until("the garbage connection to be dropped", || {
+            let _ = server.recv_timeout(Duration::from_millis(1));
+            mesh.connections().0 == 1
+        });
+        let mut probe = [0u8; 1];
+        assert!(
+            matches!(garbage.read(&mut probe), Ok(0) | Err(_)),
+            "the garbage connection was closed"
+        );
+        mesh.shutdown();
+    }
+
+    /// Adopted connections count as live from the moment the listener hands
+    /// them over, owner receiving or not, and stop counting once the owner's
+    /// read finds them closed.
+    #[test]
+    fn connections_count_adopted_connections_until_they_close() {
+        let mesh = ReactorMesh::new(&[replica(0)]).unwrap();
+        let server = mesh.take_endpoint(replica(0)).unwrap();
+        let addr = mesh.address(replica(0)).unwrap();
+        let clients: Vec<TcpStream> = (0..3)
+            .map(|c| raw_connection(addr, &client_preamble(ClientId(c)), &[]))
+            .collect();
+        wait_until("three adopted connections", || mesh.connections() == (3, 3));
+        drop(clients);
+        wait_until("the closed connections to be reaped", || {
+            let _ = server.recv_timeout(Duration::from_millis(1));
+            mesh.connections() == (0, 3)
+        });
+        mesh.shutdown();
+    }
+
+    /// Read-ahead is bounded: an endpoint that does not receive has nothing
+    /// read on its behalf, and one that does never holds more than
+    /// [`INBOX_READ_AHEAD`] decoded frames. The rest waits in the kernel and
+    /// the sender's outbox, and all of it arrives once, in order.
+    #[test]
+    fn read_ahead_is_bounded_and_loses_nothing() {
+        let (a, b) = (replica(0), replica(1));
+        let mesh = ReactorMesh::new(&[a, b]).unwrap();
+        let sender = mesh.take_endpoint(a).unwrap().handle();
+        let receiver = mesh.take_endpoint(b).unwrap();
+        let frame = |seq: u64| {
+            Message::Request(ClientRequest {
+                client: ClientId(seq),
+                timestamp: Timestamp(seq),
+                operation: vec![0xAB; 1024],
+                signature: seemore_crypto::Signature::INVALID,
+            })
+        };
+        const FRAMES: u64 = 10_000;
+        for seq in 0..FRAMES {
+            sender.queue(b, &frame(seq)).unwrap();
+            if seq % 64 == 63 {
+                sender.flush();
+            }
+        }
+        sender.flush();
+        let stats = mesh.stats();
+        wait_until("the sender to write", || stats.bytes_sent() > 0);
+        assert_eq!(stats.bytes_read(), 0, "nobody reads for an idle owner");
+        assert_eq!(receiver.incoming().pending(), 0);
+
+        let mut most_pending = 0;
+        for seq in 0..FRAMES {
+            let received = receiver.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(received, (a, frame(seq)), "in order, exactly once");
+            most_pending = most_pending.max(receiver.incoming().pending());
+        }
+        assert!(
+            most_pending < INBOX_READ_AHEAD,
+            "pending reached {most_pending}"
+        );
+        assert!(
+            receiver.recv_timeout(Duration::from_millis(50)).is_err(),
+            "no frame delivered twice"
+        );
+        assert_eq!(stats.messages_received(), FRAMES);
         mesh.shutdown();
     }
 

@@ -6,10 +6,11 @@
 //! replica thread's event loop with its timer wheel, the
 //! [`ReplicaCommand`] control protocol (deliver / crash / shutdown), and the
 //! closed-loop client driver with its retransmission fallback — lives here
-//! once, parameterized over `send`/`recv` closures, so the two runtimes
-//! cannot drift apart behaviourally.
+//! once, parameterized over the [`ReplicaInbox`] and [`ReplicaSink`] seams
+//! and `send`/`recv` closures, so the two runtimes cannot drift apart
+//! behaviourally.
 
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
 use seemore_core::actions::{Action, Timer};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
@@ -47,6 +48,11 @@ pub(crate) enum ReplicaCommand {
     Shutdown,
 }
 
+/// Commands and messages a replica thread handles per wake-up before it
+/// fires timers and flushes: enough to amortize the loop bookkeeping under
+/// load without starving timers.
+const DRAIN_BATCH: usize = 32;
+
 /// Converts elapsed wall-clock time into the protocol's virtual instants.
 pub(crate) fn to_instant(start: StdInstant) -> Instant {
     Instant::from_nanos(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
@@ -77,36 +83,65 @@ pub(crate) trait ReplicaSink {
     fn flush(&mut self) {}
 }
 
-/// The replica thread body: waits for commands with a deadline derived from
-/// the earliest armed timer, fires due timers, and carries protocol actions
-/// out through `sink`. Returns the core on shutdown so callers can inspect
+/// Where a replica thread's control commands and traffic come from: the
+/// seam between the shared event loop and the two runtimes' receive paths.
+///
+/// Both yield one stream of [`ReplicaCommand`]s, traffic as
+/// [`ReplicaCommand::Deliver`]. The threaded runtime's is its command
+/// channel, which the router feeds traffic into. The socket runtime's pairs
+/// a command channel with the replica's own transport inbox and yields
+/// commands first.
+pub(crate) trait ReplicaInbox {
+    /// The next command or message already at hand, without blocking.
+    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError>;
+
+    /// Waits up to `timeout` for the next command or message.
+    fn recv_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> Result<ReplicaCommand, RecvTimeoutError>;
+}
+
+impl ReplicaInbox for Receiver<ReplicaCommand> {
+    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError> {
+        Receiver::try_recv(self)
+    }
+
+    fn recv_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> Result<ReplicaCommand, RecvTimeoutError> {
+        Receiver::recv_timeout(self, timeout)
+    }
+}
+
+/// The replica thread body: waits on `inbox` with a deadline derived from
+/// the earliest armed timer, handles what arrives, fires due timers, and
+/// carries protocol actions out through `sink`. Returns the core on
+/// shutdown (or once the inbox disconnects) so callers can inspect
 /// execution histories and metrics.
 ///
-/// A *turn* is the batch of actions produced since the last pass: one
-/// wake-up's inbox drain, its due timers and any control commands. The loop
-/// carries out a turn's actions and then calls [`ReplicaSink::flush`] once,
-/// before it polls commands or blocks, so a queueing sink writes each peer
-/// once per turn. Invariant: no frame stays queued across a blocking wait.
+/// Each wake-up handles a bounded batch: the command or message that ended
+/// the wait, then up to `DRAIN_BATCH - 1` more that are already at hand
+/// ([`ReplicaInbox::try_recv`]), so the per-wake-up bookkeeping (clock
+/// reads, timer scans) is amortized across messages without starving
+/// timers. On the socket runtime the wait is the replica's own
+/// `epoll_wait`: the thread reads and decodes its sockets itself, so a
+/// delivered message crosses no other thread. A control command queued
+/// before a wake-up is handled before the messages that wake-up read, so a
+/// replica told to crash while idle answers nothing after.
 ///
-/// `inbox`, when present, is a second queue carrying raw `(sender,
-/// message)` traffic — the socket runtime points this directly at its
-/// transport's decoded-message queue, so delivery skips the per-message
-/// pump-thread hop (one context switch fewer per message on the hot path).
-/// Control commands stay on `commands` and are drained with `try_recv`
-/// every iteration; they are rare (crash / mode switch / shutdown), so the
-/// worst case is one poll per message plus one per wait timeout.
+/// A *turn* is the batch of actions produced since the last pass: one
+/// wake-up's batch and its due timers. The loop carries out a turn's
+/// actions and then calls [`ReplicaSink::flush`] once, before it blocks, so
+/// a queueing sink writes each peer once per turn. Invariant: no frame stays
+/// queued across a blocking wait.
 pub(crate) fn run_replica_loop(
     mut replica: Box<dyn ReplicaProtocol>,
-    commands: &Receiver<ReplicaCommand>,
-    inbox: Option<&Receiver<(NodeId, Message)>>,
+    inbox: &impl ReplicaInbox,
     start: StdInstant,
     mut sink: impl ReplicaSink,
 ) -> Box<dyn ReplicaProtocol> {
-    /// Messages handled per wakeup before re-checking timers and control
-    /// commands: enough to amortize the loop bookkeeping under load without
-    /// starving timers.
-    const DRAIN_BATCH: usize = 32;
-
     let mut timers: BTreeMap<Instant, Vec<Timer>> = BTreeMap::new();
     let mut armed: HashMap<Timer, Instant> = HashMap::new();
     let mut actions = replica.on_start(to_instant(start));
@@ -128,12 +163,23 @@ pub(crate) fn run_replica_loop(
             }
         }
         sink.flush();
-        // Control commands never block: drain whatever is pending.
-        let mut shutdown = false;
-        while let Ok(command) = commands.try_recv() {
+        // Wait until the next timer deadline (or a command, or traffic).
+        let now = to_instant(start);
+        let wait = match timers.keys().next().copied() {
+            Some(deadline) if deadline > now => (deadline - now).to_std(),
+            Some(_) => std::time::Duration::ZERO,
+            None => std::time::Duration::from_millis(50),
+        };
+        let mut next = match inbox.recv_timeout(wait) {
+            Ok(command) => Some(command),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return replica,
+        };
+        let now = to_instant(start);
+        let mut handled = 0;
+        while let Some(command) = next {
             match command {
                 ReplicaCommand::Deliver { from, message } => {
-                    let now = to_instant(start);
                     actions.extend(replica.on_message(from, message, now));
                 }
                 ReplicaCommand::Crash => replica.crash(),
@@ -141,72 +187,19 @@ pub(crate) fn run_replica_loop(
                     replica = core;
                     timers.clear();
                     armed.clear();
-                    let now = to_instant(start);
                     actions.extend(replica.on_start(now));
                 }
                 ReplicaCommand::ModeSwitch { mode } => {
-                    let now = to_instant(start);
                     actions.extend(replica.request_mode_switch(mode, now));
                 }
-                ReplicaCommand::Shutdown => shutdown = true,
+                ReplicaCommand::Shutdown => return replica,
             }
-        }
-        if shutdown {
-            return replica;
-        }
-        if !actions.is_empty() {
-            continue;
-        }
-        // Wait until the next timer deadline (or traffic).
-        let now = to_instant(start);
-        let next_deadline = timers.keys().next().copied();
-        let wait = match next_deadline {
-            Some(deadline) if deadline > now => (deadline - now).to_std(),
-            Some(_) => std::time::Duration::from_millis(0),
-            None => std::time::Duration::from_millis(50),
-        };
-        // Block on the message source: the direct inbox when wired, the
-        // command channel otherwise. After a successful receive, greedily
-        // drain a bounded batch so the per-wakeup bookkeeping (instant
-        // reads, timer scans) is amortized across messages.
-        match inbox {
-            Some(inbox) => match inbox.recv_timeout(wait) {
-                Ok((from, message)) => {
-                    let now = to_instant(start);
-                    actions = replica.on_message(from, message, now);
-                    for _ in 1..DRAIN_BATCH {
-                        match inbox.try_recv() {
-                            Ok((from, message)) => {
-                                actions.extend(replica.on_message(from, message, now));
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return replica,
-            },
-            None => match commands.recv_timeout(wait) {
-                Ok(ReplicaCommand::Deliver { from, message }) => {
-                    let now = to_instant(start);
-                    actions = replica.on_message(from, message, now);
-                }
-                Ok(ReplicaCommand::Crash) => replica.crash(),
-                Ok(ReplicaCommand::Recover(core)) => {
-                    replica = core;
-                    timers.clear();
-                    armed.clear();
-                    let now = to_instant(start);
-                    actions = replica.on_start(now);
-                }
-                Ok(ReplicaCommand::ModeSwitch { mode }) => {
-                    let now = to_instant(start);
-                    actions = replica.request_mode_switch(mode, now);
-                }
-                Ok(ReplicaCommand::Shutdown) => return replica,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return replica,
-            },
+            handled += 1;
+            next = if handled < DRAIN_BATCH {
+                inbox.try_recv().ok()
+            } else {
+                None
+            };
         }
         // Fire due timers.
         let now = to_instant(start);
@@ -220,17 +213,6 @@ pub(crate) fn run_replica_loop(
             }
         }
     }
-}
-
-/// [`run_replica_loop`] without a direct inbox — the threaded runtime's
-/// entry point, where all traffic arrives as [`ReplicaCommand::Deliver`].
-pub(crate) fn run_replica(
-    replica: Box<dyn ReplicaProtocol>,
-    commands: &Receiver<ReplicaCommand>,
-    start: StdInstant,
-    sink: impl ReplicaSink,
-) -> Box<dyn ReplicaProtocol> {
-    run_replica_loop(replica, commands, None, start, sink)
 }
 
 /// How [`drive_client`] paces one closed-loop client.

@@ -28,9 +28,11 @@
 //!
 //! # The socket transport, and how clients attach
 //!
-//! There is one: `seemore-net`'s reactor mesh. A fixed pool of epoll event
-//! loops drives every connection, so thread count stays flat as replicas
-//! and clients grow. The one deployment choice left is how clients attach
+//! There is one: `seemore-net`'s reactor mesh. Each replica (and each
+//! client with a private endpoint) reads its own inbound connections on its
+//! own thread; a fixed pool of epoll event loops accepts, dials and drains
+//! congested connections, so thread count stays flat as connections grow.
+//! The one deployment choice left is how clients attach
 //! ([`SocketOptions::client_mux`], or [`Scenario::with_client_mux`] through
 //! scenarios):
 //!

@@ -165,8 +165,9 @@ pub enum RuntimeKind {
     /// serialization).
     Threaded,
     /// Thread-per-replica over real loopback TCP through the wire codec
-    /// (wall-clock time; reported bytes really crossed sockets): a fixed
-    /// pool of epoll event loops drives every connection, and (with
+    /// (wall-clock time; reported bytes really crossed sockets): each
+    /// replica and client thread reads its own inbound connections, a fixed
+    /// pool of epoll event loops accepts, dials and drains, and (with
     /// [`Scenario::with_client_mux`]) clients multiplex over shared
     /// per-replica connections instead of private listeners.
     Socket,

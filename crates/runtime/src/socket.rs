@@ -11,17 +11,22 @@
 //!
 //! The replica event loop and the closed-loop client driver are shared with
 //! the threaded runtime through `crate::driver`; this module only adds the
-//! TCP endpoints. Each replica thread consumes decoded traffic directly
-//! from its transport queue (control commands ride a separate, polled
-//! channel), so a delivered message pays no intermediate thread hop. See
-//! the crate docs for guidance on choosing between the simulator, the
-//! threaded runtime and this one.
+//! TCP endpoints. Each replica thread — and each client thread with a
+//! private endpoint — reads and decodes its own inbound connections through
+//! its endpoint's [`Inbox`]: it blocks in that inbox's `epoll_wait`, so a
+//! delivered message crosses no other thread and no channel. Control
+//! commands ride a separate channel; queueing one wakes the replica's inbox,
+//! and the replica handles it before the traffic that wake-up read. See the
+//! crate docs for guidance on choosing between the simulator, the threaded
+//! runtime and this one.
 
 use crate::driver::{self, ReplicaCommand};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
-use seemore_net::{HubPort, ReactorHandle, ReactorMesh, Transport, TransportStats};
+use seemore_net::{
+    HubPort, Inbox, InboxWaker, ReactorHandle, ReactorMesh, Transport, TransportStats,
+};
 use seemore_types::{ClientId, Duration, Mode, NodeId, OpClass, ReplicaId};
 use seemore_wire::Message;
 use std::collections::HashMap;
@@ -31,13 +36,11 @@ use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
 
 /// A client's attachment to the mesh: either a private endpoint (its own
-/// listener plus dialed connections) or a multiplexed port through the
-/// mesh's client hub (shared connections, demuxed replies).
+/// listener plus dialed connections, read by the client's thread through
+/// the endpoint's inbox) or a multiplexed port through the mesh's client
+/// hub (shared connections, demuxed replies).
 enum ClientPort {
-    Endpoint {
-        handle: ReactorHandle,
-        incoming: Receiver<(NodeId, Message)>,
-    },
+    Endpoint { handle: ReactorHandle, inbox: Inbox },
     Hub(HubPort),
 }
 
@@ -54,9 +57,52 @@ impl ClientPort {
         wait: std::time::Duration,
     ) -> Result<(NodeId, Message), RecvTimeoutError> {
         match self {
-            ClientPort::Endpoint { incoming, .. } => incoming.recv_timeout(wait),
+            ClientPort::Endpoint { inbox, .. } => inbox.recv_timeout(wait),
             ClientPort::Hub(port) => port.incoming().recv_timeout(wait),
         }
+    }
+}
+
+/// A socket replica's [`driver::ReplicaInbox`]: control commands first,
+/// then the frames the replica's own thread reads off its connections.
+/// Whoever queues a command wakes `frames` (see [`ReplicaControl`]), so a
+/// command never waits out an idle wait, and one queued before a wake-up is
+/// handled before anything that wake-up read.
+struct NodeInbox {
+    commands: Receiver<ReplicaCommand>,
+    frames: Inbox,
+}
+
+impl driver::ReplicaInbox for NodeInbox {
+    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError> {
+        if let Ok(command) = self.commands.try_recv() {
+            return Ok(command);
+        }
+        self.frames
+            .try_recv()
+            .map(|(from, message)| ReplicaCommand::Deliver { from, message })
+    }
+
+    fn recv_timeout(
+        &self,
+        timeout: std::time::Duration,
+    ) -> Result<ReplicaCommand, RecvTimeoutError> {
+        self.frames.wait_for(timeout, || self.try_recv())
+    }
+}
+
+/// How the cluster reaches a replica thread: its command channel, plus the
+/// waker of its inbox, which [`send`](Self::send) rings after every command
+/// so an idle replica sees it at once.
+struct ReplicaControl {
+    commands: Sender<ReplicaCommand>,
+    waker: InboxWaker,
+}
+
+impl ReplicaControl {
+    fn send(&self, command: ReplicaCommand) {
+        let _ = self.commands.send(command);
+        self.waker.wake();
     }
 }
 
@@ -104,7 +150,7 @@ impl driver::ReplicaSink for TcpSink {
 /// [`run_client`](Self::run_client) concurrently (one call per client id).
 pub struct SocketCluster {
     mesh: ReactorMesh,
-    replica_senders: HashMap<ReplicaId, Sender<ReplicaCommand>>,
+    replica_controls: HashMap<ReplicaId, ReplicaControl>,
     replicas: Vec<JoinHandle<Box<dyn ReplicaProtocol>>>,
     clients: HashMap<ClientId, ClientPort>,
     stats: Arc<TransportStats>,
@@ -113,8 +159,8 @@ pub struct SocketCluster {
 
 impl SocketCluster {
     /// Binds a loopback TCP mesh over every replica and client, then spawns
-    /// one replica thread (the shared event loop, fed directly from the
-    /// mesh's decoded-message queue) per replica.
+    /// one replica thread (the shared event loop, reading its own inbound
+    /// connections through its endpoint's inbox) per replica.
     ///
     /// `client_ids` lists the clients that will interact with the cluster
     /// through [`run_client`](Self::run_client); each gets its own listener
@@ -150,35 +196,30 @@ impl SocketCluster {
         // is not charged to the protocol's timers or measurement windows.
         let start = StdInstant::now();
 
-        let take = |node: NodeId| -> (ReactorHandle, Receiver<(NodeId, Message)>) {
-            let endpoint = mesh
-                .take_endpoint(node)
-                .expect("endpoint exists for every spawned node");
-            (endpoint.handle(), endpoint.incoming().clone())
+        let take = |node: NodeId| -> (ReactorHandle, Inbox) {
+            mesh.take_endpoint(node)
+                .expect("endpoint exists for every spawned node")
+                .into_parts()
         };
 
-        let mut replica_senders = HashMap::new();
+        let mut replica_controls = HashMap::new();
         let mut replica_handles = Vec::new();
         for replica in replicas {
             let id = replica.id();
-            let (handle, incoming) = take(NodeId::Replica(id));
-            let (tx, rx) = unbounded::<ReplicaCommand>();
-            replica_senders.insert(id, tx.clone());
-            // The replica thread consumes decoded TCP traffic *directly*
-            // from the transport's queue (no per-message pump-thread hop);
-            // rare control commands ride the separate command channel and
-            // are polled every loop iteration.
+            let (handle, frames) = take(NodeId::Replica(id));
+            let (commands, rx) = unbounded::<ReplicaCommand>();
+            let waker = frames.waker();
+            replica_controls.insert(id, ReplicaControl { commands, waker });
+            // The replica thread reads and decodes its own connections (no
+            // reactor-thread hop, no channel); rare control commands ride
+            // the command channel and wake the inbox when queued.
+            let inbox = NodeInbox {
+                commands: rx,
+                frames,
+            };
             let thread = std::thread::Builder::new()
                 .name(format!("replica-{id}"))
-                .spawn(move || {
-                    driver::run_replica_loop(
-                        replica,
-                        &rx,
-                        Some(&incoming),
-                        start,
-                        TcpSink { handle },
-                    )
-                })
+                .spawn(move || driver::run_replica_loop(replica, &inbox, start, TcpSink { handle }))
                 .expect("spawn replica thread");
             replica_handles.push(thread);
         }
@@ -191,15 +232,15 @@ impl SocketCluster {
                         .expect("hub port exists for every registered client"),
                 )
             } else {
-                let (handle, incoming) = take(NodeId::Client(*client));
-                ClientPort::Endpoint { handle, incoming }
+                let (handle, inbox) = take(NodeId::Client(*client));
+                ClientPort::Endpoint { handle, inbox }
             };
             clients.insert(*client, port);
         }
 
         Ok(SocketCluster {
             mesh,
-            replica_senders,
+            replica_controls,
             replicas: replica_handles,
             clients,
             stats,
@@ -208,10 +249,16 @@ impl SocketCluster {
     }
 
     /// Crashes a replica (fail-stop). Its sockets stay up but the core
-    /// produces no further actions, exactly like the threaded runtime.
+    /// produces no further actions, exactly like the threaded runtime. The
+    /// command wakes an idle replica, so nothing that arrives after this
+    /// call gets an answer.
     pub fn crash(&self, replica: ReplicaId) {
-        if let Some(tx) = self.replica_senders.get(&replica) {
-            let _ = tx.send(ReplicaCommand::Crash);
+        self.command(replica, ReplicaCommand::Crash);
+    }
+
+    fn command(&self, replica: ReplicaId, command: ReplicaCommand) {
+        if let Some(control) = self.replica_controls.get(&replica) {
+            control.send(command);
         }
     }
 
@@ -222,18 +269,14 @@ impl SocketCluster {
     /// still-connected mesh.
     pub fn recover(&self, replica: ReplicaId, core: Box<dyn ReplicaProtocol>) {
         assert_eq!(core.id(), replica, "recovery core built for the wrong id");
-        if let Some(tx) = self.replica_senders.get(&replica) {
-            let _ = tx.send(ReplicaCommand::Recover(core));
-        }
+        self.command(replica, ReplicaCommand::Recover(core));
     }
 
     /// Asks `replica` to announce a dynamic mode switch (SeeMoRe only; other
     /// cores ignore the request). This is how `Scenario::with_mode_switch`
     /// is delivered on the concurrent runtimes.
     pub fn request_mode_switch(&self, replica: ReplicaId, mode: Mode) {
-        if let Some(tx) = self.replica_senders.get(&replica) {
-            let _ = tx.send(ReplicaCommand::ModeSwitch { mode });
-        }
+        self.command(replica, ReplicaCommand::ModeSwitch { mode });
     }
 
     /// The wall-clock epoch all protocol instants (timers, client outcome
@@ -312,16 +355,11 @@ impl SocketCluster {
     }
 
     /// Shuts the cluster down — replicas first, then the TCP mesh — and
-    /// returns the replica cores for inspection.
-    ///
-    /// A replica thread blocked on its transport inbox would see the
-    /// command only when its idle wait ends, so each replica's endpoint is
-    /// also stopped: that disconnects the inbox and wakes the thread at
-    /// once.
+    /// returns the replica cores for inspection. The shutdown command wakes
+    /// every idle replica thread at once, like any other command.
     pub fn shutdown(mut self) -> Vec<Box<dyn ReplicaProtocol>> {
-        for (&id, tx) in &self.replica_senders {
-            let _ = tx.send(ReplicaCommand::Shutdown);
-            self.mesh.stop_endpoint(NodeId::Replica(id));
+        for control in self.replica_controls.values() {
+            control.send(ReplicaCommand::Shutdown);
         }
         let mut cores = Vec::new();
         for handle in self.replicas.drain(..) {
@@ -329,7 +367,7 @@ impl SocketCluster {
                 cores.push(core);
             }
         }
-        self.replica_senders.clear();
+        self.replica_controls.clear();
         self.mesh.shutdown();
         cores
     }
@@ -350,10 +388,21 @@ mod tests {
     use seemore_wire::StateRequest;
 
     /// A scripted core with no timers: it answers every message with three
-    /// copies of it, sent back to the sender.
+    /// copies of it, sent back to the sender, until it is crashed.
     struct Triple {
         id: ReplicaId,
         metrics: ReplicaMetrics,
+        crashed: bool,
+    }
+
+    impl Triple {
+        fn new(id: u32) -> Triple {
+            Triple {
+                id: ReplicaId(id),
+                metrics: ReplicaMetrics::default(),
+                crashed: false,
+            }
+        }
     }
 
     impl ReplicaProtocol for Triple {
@@ -361,12 +410,21 @@ mod tests {
             self.id
         }
         fn on_message(&mut self, from: NodeId, message: Message, _now: Instant) -> Vec<Action> {
+            if self.crashed {
+                return Vec::new();
+            }
             (0..3)
                 .map(|_| Action::Send {
                     to: from,
                     message: message.clone(),
                 })
                 .collect()
+        }
+        fn crash(&mut self) {
+            self.crashed = true;
+        }
+        fn is_crashed(&self) -> bool {
+            self.crashed
         }
         fn on_timer(&mut self, _timer: Timer, _now: Instant) -> Vec<Action> {
             Vec::new()
@@ -400,19 +458,21 @@ mod tests {
     fn replica_loop_writes_each_peer_once_per_turn() {
         let (looped, peer) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
         let mesh = ReactorMesh::new(&[looped, peer]).unwrap();
-        let endpoint = mesh.take_endpoint(looped).unwrap();
+        let (handle, frames) = mesh.take_endpoint(looped).unwrap().into_parts();
         let remote = mesh.take_endpoint(peer).unwrap();
         let (commands, rx) = unbounded();
-        let (handle, inbox) = (endpoint.handle(), endpoint.incoming().clone());
+        let control = ReplicaControl {
+            commands,
+            waker: frames.waker(),
+        };
         let thread = std::thread::spawn(move || {
-            let core = Box::new(Triple {
-                id: ReplicaId(0),
-                metrics: ReplicaMetrics::default(),
-            });
+            let inbox = NodeInbox {
+                commands: rx,
+                frames,
+            };
             driver::run_replica_loop(
-                core,
-                &rx,
-                Some(&inbox),
+                Box::new(Triple::new(0)),
+                &inbox,
                 StdInstant::now(),
                 TcpSink { handle },
             )
@@ -457,10 +517,43 @@ mod tests {
         assert_eq!(stats.vectored_writes() - vectored, TURNS);
         assert_eq!(stats.frames_coalesced() - coalesced, 2 * TURNS);
 
-        commands.send(ReplicaCommand::Shutdown).unwrap();
-        mesh.stop_endpoint(looped);
+        control.send(ReplicaCommand::Shutdown);
         thread.join().expect("replica loop exits");
         mesh.shutdown();
+    }
+
+    /// A command reaches an idle replica before the traffic that follows
+    /// it: crashed while parked in its inbox wait, the replica must not
+    /// answer the message sent right after the crash.
+    #[test]
+    fn a_crash_reaches_an_idle_replica_before_its_next_message() {
+        let client = ClientId(0);
+        let looped = NodeId::Replica(ReplicaId(0));
+        let core: Box<dyn ReplicaProtocol> = Box::new(Triple::new(0));
+        let sockets = SocketCluster::spawn(vec![core], &[client]).unwrap();
+        let port = &sockets.clients[&client];
+        let ping = Message::StateRequest(StateRequest {
+            from_seq: SeqNum(1),
+            replica: ReplicaId(0),
+        });
+        // A live replica answers with three copies.
+        port.send(looped, &ping);
+        for _ in 0..3 {
+            let answer = port.recv_timeout(std::time::Duration::from_secs(5));
+            assert_eq!(
+                answer.expect("a live replica answers"),
+                (looped, ping.clone())
+            );
+        }
+        // Let the replica thread park in its idle wait, then crash it and
+        // send at once.
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        sockets.crash(ReplicaId(0));
+        port.send(looped, &ping);
+        let answer = port.recv_timeout(std::time::Duration::from_millis(100));
+        assert!(answer.is_err(), "a crashed replica answered: {answer:?}");
+        let cores = sockets.shutdown();
+        assert!(cores[0].is_crashed());
     }
 
     /// Shutdown must not wait out the replica loop's 50 ms idle wait: the

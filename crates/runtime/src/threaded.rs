@@ -10,8 +10,10 @@
 //!
 //! The replica event loop (timer wheel, `ReplicaCommand` control protocol)
 //! and the closed-loop client driver are shared with the socket runtime
-//! through `crate::driver`; only the byte-moving differs. Timers are
-//! implemented with `recv_timeout` deadlines inside each replica thread.
+//! through `crate::driver`; only the byte-moving differs. Each replica
+//! thread's inbox is its command channel, which the router feeds traffic
+//! into as `Deliver` commands. Timers are implemented with `recv_timeout`
+//! deadlines inside each replica thread.
 //! Delivered traffic is counted with the [`WireSize`] model — the same
 //! number the socket runtime observes as real encoded bytes.
 
@@ -97,7 +99,7 @@ impl ThreadedCluster {
             let handle = std::thread::Builder::new()
                 .name(format!("replica-{id}"))
                 .spawn(move || {
-                    driver::run_replica(
+                    driver::run_replica_loop(
                         replica,
                         &rx,
                         start,

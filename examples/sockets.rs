@@ -47,9 +47,9 @@ fn main() {
         .collect();
 
     // 3. Spawn the socket runtime: one loopback TCP listener per replica
-    //    and per client, one protocol thread per replica, a fixed pool of
-    //    epoll event loops driving every connection, lazy dialing with
-    //    reconnect + backoff.
+    //    and per client, one protocol thread per replica that reads its own
+    //    inbound connections, a fixed pool of epoll event loops accepting,
+    //    dialing and draining, lazy dialing with reconnect + backoff.
     let client_id = ClientId(0);
     let sockets = SocketCluster::spawn(replicas, &[client_id]).expect("bind loopback sockets");
     println!(
