@@ -99,22 +99,6 @@ impl KvOp {
         }
     }
 
-    /// Borrows the key of an encoded operation without copying the value —
-    /// the shard router's hot path: every operation a client submits is
-    /// routed by `key_of` before it touches a wire.
-    ///
-    /// Returns `None` for malformed input; un-keyed byte strings are routed
-    /// by hashing the whole operation instead.
-    pub fn key_of(bytes: &[u8]) -> Option<&[u8]> {
-        let (&tag, rest) = bytes.split_first()?;
-        if !(TAG_PUT..=TAG_APPEND).contains(&tag) {
-            return None;
-        }
-        let len_bytes: [u8; 4] = rest.get(..4)?.try_into().ok()?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        rest.get(4..4 + len)
-    }
-
     /// Encodes the operation into the byte string carried by a `REQUEST`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -755,41 +739,6 @@ impl StateMachine for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn key_of_borrows_the_key_of_every_op_shape() {
-        let ops = [
-            KvOp::Put {
-                key: b"alpha".to_vec(),
-                value: b"v".to_vec(),
-            },
-            KvOp::Get {
-                key: b"alpha".to_vec(),
-            },
-            KvOp::Delete {
-                key: b"alpha".to_vec(),
-            },
-            KvOp::Append {
-                key: b"alpha".to_vec(),
-                suffix: b"s".to_vec(),
-            },
-        ];
-        for op in &ops {
-            let bytes = op.encode();
-            assert_eq!(KvOp::key_of(&bytes), Some(&b"alpha"[..]));
-        }
-        // Empty keys are still keys.
-        let empty = KvOp::Get { key: Vec::new() }.encode();
-        assert_eq!(KvOp::key_of(&empty), Some(&b""[..]));
-    }
-
-    #[test]
-    fn key_of_rejects_malformed_bytes() {
-        assert_eq!(KvOp::key_of(&[]), None);
-        assert_eq!(KvOp::key_of(&[9, 0, 0, 0, 0]), None); // unknown tag
-        assert_eq!(KvOp::key_of(&[TAG_GET, 5, 0, 0, 0, b'k']), None); // short key
-        assert_eq!(KvOp::key_of(&[TAG_PUT, 2, 0]), None); // truncated length
-    }
 
     #[test]
     fn classification_is_conservative() {

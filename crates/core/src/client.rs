@@ -44,23 +44,6 @@ pub trait ClientProtocol: Send {
     fn has_pending(&self) -> bool;
     /// Number of retransmissions performed so far.
     fn retransmissions(&self) -> u64;
-    /// Abandons the outstanding request without completing it, returning
-    /// whether one was pending.
-    ///
-    /// The sharded routing tier uses this when a signed redirect proves the
-    /// request was sent to a group that does not own its key: the attempt is
-    /// withdrawn here and the operation re-submitted to the owner group. The
-    /// default implementation cancels nothing (clients without an abandon
-    /// seam simply let the attempt time out).
-    fn cancel_pending(&mut self) -> bool {
-        false
-    }
-    /// Identity of the outstanding request, if any. The routing tier uses
-    /// this to match a redirect against the attempt it answers (a stale
-    /// redirect for an earlier request must not cancel the current one).
-    fn pending_request(&self) -> Option<RequestId> {
-        None
-    }
 }
 
 impl ClientProtocol for Box<dyn ClientProtocol> {
@@ -90,12 +73,6 @@ impl ClientProtocol for Box<dyn ClientProtocol> {
     }
     fn retransmissions(&self) -> u64 {
         (**self).retransmissions()
-    }
-    fn cancel_pending(&mut self) -> bool {
-        (**self).cancel_pending()
-    }
-    fn pending_request(&self) -> Option<RequestId> {
-        (**self).pending_request()
     }
 }
 
@@ -272,19 +249,6 @@ impl ClientCore {
     /// Number of times this client had to retransmit a request.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
-    }
-
-    /// Abandons the outstanding request without completing it, returning
-    /// whether one was pending. The consumed timestamp is not reused — the
-    /// next submission gets a fresh, strictly larger timestamp, so
-    /// exactly-once bookkeeping at the replicas is unaffected.
-    pub fn cancel_pending(&mut self) -> bool {
-        self.pending.take().is_some()
-    }
-
-    /// Identity of the outstanding request, if any.
-    pub fn pending_request(&self) -> Option<RequestId> {
-        self.pending.as_ref().map(|pending| pending.id)
     }
 
     /// Number of reads that abandoned the fast path and fell back to the
@@ -719,12 +683,6 @@ impl ClientProtocol for ClientCore {
     }
     fn retransmissions(&self) -> u64 {
         ClientCore::retransmissions(self)
-    }
-    fn cancel_pending(&mut self) -> bool {
-        ClientCore::cancel_pending(self)
-    }
-    fn pending_request(&self) -> Option<RequestId> {
-        ClientCore::pending_request(self)
     }
 }
 

@@ -120,7 +120,6 @@ pub mod profile;
 pub mod protocol;
 pub mod reads;
 pub mod replica;
-pub mod shard;
 pub mod testkit;
 
 pub use actions::{Action, Timer};
@@ -137,4 +136,3 @@ pub use profile::ProtocolProfile;
 pub use protocol::ReplicaProtocol;
 pub use reads::{ParkedReads, ReadTally};
 pub use replica::SeeMoReReplica;
-pub use shard::{route_operation, RoutedClient, ShardGuard, ShardRouter};

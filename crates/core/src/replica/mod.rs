@@ -949,9 +949,8 @@ impl ReplicaProtocol for SeeMoReReplica {
             }
             Message::StateResponse(response) => self.on_state_response(from, response, now),
             Message::Recovery(recovery) => self.on_recovery(from, recovery),
-            // Replicas never receive replies; redirects are client-bound
-            // (and emitted by the sharding guard, not the core).
-            Message::Reply(_) | Message::ReadReply(_) | Message::Redirect(_) => Vec::new(),
+            // Replicas never receive replies.
+            Message::Reply(_) | Message::ReadReply(_) => Vec::new(),
         };
         self.chassis.metrics.note_log_size(self.chassis.log.len());
         actions

@@ -1,14 +1,13 @@
 //! Message digests (`D(µ)` in the paper's notation).
 
 use crate::sha256::{sha256, Sha256, OUTPUT_LEN};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 32-byte SHA-256 digest of a message.
 ///
 /// The paper uses digests to protect the integrity of a message and to refer
 /// to a request compactly inside `PREPARE` / `ACCEPT` / `COMMIT` messages.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest([u8; OUTPUT_LEN]);
 
 impl Digest {

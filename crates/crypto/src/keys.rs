@@ -15,7 +15,6 @@
 use crate::digest::Digest;
 use crate::hmac::{constant_time_eq, HmacKey};
 use seemore_types::{ClientId, NodeId, ReplicaId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use std::sync::Arc;
 pub const KEY_LEN: usize = 32;
 
 /// A node's secret signing key.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey([u8; KEY_LEN]);
 
 impl SecretKey {
@@ -70,7 +69,7 @@ impl fmt::Debug for SecretKey {
 }
 
 /// A signature tag over a message, attributable to a single node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature([u8; KEY_LEN]);
 
 impl Signature {

@@ -67,7 +67,6 @@ impl CpuModel {
             Message::ModeChange(_) => 1,
             Message::StateRequest(_) => 0,
             Message::StateResponse(m) => m.entries.len() as u32,
-            Message::Redirect(m) => u32::from(m.signature != Signature::INVALID),
             Message::Recovery(m) => u32::from(m.signature != Signature::INVALID),
         }
     }

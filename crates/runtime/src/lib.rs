@@ -98,35 +98,6 @@
 //! `examples/telemetry.rs` prints the phase-breakdown table and dumps a
 //! JSONL trace for a short socket run.
 //!
-//! # Sharding
-//!
-//! [`Scenario::with_shards`] scales a deployment *out* instead of up: the
-//! keyspace is hash-partitioned by a [`seemore_types::ShardMap`] across `n`
-//! independent SeeMoRe groups, each a complete cluster running the
-//! unmodified single-group protocol with its own primary, view changes and
-//! key material. Agreement never crosses a group boundary, so aggregate
-//! throughput scales with the number of groups while per-group latency
-//! stays flat.
-//!
-//! On the concurrent runtimes ([`shard::ShardedCluster`]) each replica is
-//! wrapped in a [`seemore_core::ShardGuard`] that refuses operations on
-//! keys its group does not own *before* consensus, answering with a signed
-//! redirect that carries the authoritative map. Clients route through a
-//! [`seemore_core::ShardRouter`] holding a cached map; on a verified
-//! redirect the router adopts the newer map and the operation is resubmitted
-//! to the owner — one extra round trip on a stale map, never a wrong-group
-//! execution. `Scenario::with_stale_client_map` deliberately seeds clients
-//! with an outdated map to exercise exactly that path. Per-group failure
-//! schedules are expressed with [`shard::ShardOverride`]
-//! ([`Scenario::with_shard_crash`], [`Scenario::with_shard_override`]),
-//! and the run's [`report::RunReport`] carries one
-//! [`report::ShardReport`] per group next to the exactly-merged aggregate.
-//! `with_shards(1)` is the identity: single-group runs take the historical
-//! path bit for bit.
-//!
-//! `examples/sharding.rs` runs the same workload against one and four Lion
-//! groups and prints the per-group and aggregate reports.
-//!
 //! # Durability
 //!
 //! By default replica state lives only in memory: a crashed replica is gone,
@@ -164,17 +135,13 @@
 mod driver;
 pub mod report;
 pub mod scenario;
-pub mod shard;
 pub mod sim;
 pub mod socket;
 pub mod threaded;
 pub mod workload;
 
-pub use report::{
-    BatchReport, ClassStats, RunReport, ShardReport, TimelineBucket, TransportReport,
-};
+pub use report::{BatchReport, ClassStats, RunReport, TimelineBucket, TransportReport};
 pub use scenario::{CrashRecover, DurabilityKind, ProtocolKind, RuntimeKind, Scenario};
-pub use shard::{ShardOverride, ShardedCluster};
 pub use sim::{SimConfig, Simulation};
 pub use socket::{SocketCluster, SocketOptions};
 pub use threaded::ThreadedCluster;

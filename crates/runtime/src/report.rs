@@ -8,7 +8,7 @@ use seemore_core::metrics::BatchTelemetry;
 use seemore_telemetry::{
     derive_phases, sort_events, LatencyHistogram, PhaseBreakdown, ReplicaHealth, TraceEvent,
 };
-use seemore_types::{Duration, GroupId, Instant, OpClass, ReplicaId};
+use seemore_types::{Duration, Instant, OpClass, ReplicaId};
 
 /// One bucket of the throughput timeline (Figure 4's x-axis).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,11 +145,6 @@ impl ClassStats {
     /// Builds the statistics from a latency histogram (nanosecond samples)
     /// over a window of `secs` seconds.
     ///
-    /// This is the *only* way `ClassStats` are produced — in particular,
-    /// merging two reports re-derives the statistics from the bucket-wise
-    /// merged histograms rather than combining the derived numbers
-    /// (averaging percentiles, or recomputing them from means, is wrong for
-    /// any non-degenerate distribution).
     fn from_histogram(hist: &LatencyHistogram, secs: f64) -> ClassStats {
         let completed = hist.count();
         let ms = |nanos: u64| nanos as f64 / 1_000_000.0;
@@ -167,16 +162,6 @@ impl ClassStats {
             p999_latency_ms: ms(hist.percentile(99.9)),
         }
     }
-}
-
-/// One shard group's contribution to a sharded run.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// The agreement group this sub-report covers.
-    pub group: GroupId,
-    /// The group's own run report (including its per-replica health rollups
-    /// and trace, when tracing ran).
-    pub report: RunReport,
 }
 
 /// Aggregated statistics of one simulated run.
@@ -231,18 +216,6 @@ pub struct RunReport {
     /// The full structured trace, sorted by time, ready for JSONL export.
     /// Empty unless the scenario ran with tracing enabled.
     pub trace: Vec<TraceEvent>,
-    /// Latency histogram of read-classified operations inside the
-    /// measurement window (nanosecond samples). Retained so reports can be
-    /// merged exactly: percentiles of a merged report come from bucket-wise
-    /// merged histograms, never from combining derived statistics.
-    pub read_latency: LatencyHistogram,
-    /// Latency histogram of write-classified operations inside the
-    /// measurement window (nanosecond samples).
-    pub write_latency: LatencyHistogram,
-    /// Per-group sub-reports of a sharded run, in group order. Empty for
-    /// single-group runs; on an aggregate built by [`RunReport::merged`]
-    /// each entry keeps its group's full report (health, trace, transport).
-    pub shards: Vec<ShardReport>,
 }
 
 impl RunReport {
@@ -289,140 +262,8 @@ impl RunReport {
             reads: ClassStats::from_histogram(&reads, secs),
             writes: ClassStats::from_histogram(&writes, secs),
             timeline,
-            read_latency: reads,
-            write_latency: writes,
             ..RunReport::default()
         }
-    }
-
-    /// Merges per-group reports of a sharded run into one aggregate.
-    ///
-    /// Latency statistics are exact: the per-class histograms are merged
-    /// bucket-wise and every percentile (and the mean) is re-derived from
-    /// the merged histograms, so the aggregate is identical to a report
-    /// built from the combined outcome stream. Counters sum; the
-    /// measurement window is the longest of the inputs (shards run
-    /// concurrently, so windows overlap rather than concatenate);
-    /// throughput is re-derived from the merged completion count over that
-    /// window. Timelines add bucket-wise.
-    ///
-    /// Three pieces stay per-shard rather than aggregating: batch medians
-    /// (the merged `p50_size` is the batch-weighted median of the shard
-    /// medians — per-shard batch-size distributions are not retained),
-    /// phase breakdowns, health rollups and traces (group-scoped by
-    /// construction; find them in [`RunReport::shards`]).
-    pub fn merged(shards: Vec<ShardReport>) -> RunReport {
-        let mut reads = LatencyHistogram::new();
-        let mut writes = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for shard in &shards {
-            reads.merge(&shard.report.read_latency);
-            writes.merge(&shard.report.write_latency);
-            all.merge(&shard.report.read_latency);
-            all.merge(&shard.report.write_latency);
-        }
-        let measured_duration = shards
-            .iter()
-            .map(|s| s.report.measured_duration)
-            .max()
-            .unwrap_or(Duration::ZERO);
-        let secs = measured_duration.as_secs_f64();
-        let overall = ClassStats::from_histogram(&all, secs);
-
-        let mut timeline: Vec<TimelineBucket> = Vec::new();
-        for shard in &shards {
-            for (i, bucket) in shard.report.timeline.iter().enumerate() {
-                if i == timeline.len() {
-                    timeline.push(*bucket);
-                } else {
-                    timeline[i].completed += bucket.completed;
-                    timeline[i].throughput_kreqs += bucket.throughput_kreqs;
-                }
-            }
-        }
-
-        let sum = |f: fn(&RunReport) -> u64| shards.iter().map(|s| f(&s.report)).sum::<u64>();
-        let batching = Self::merged_batching(&shards);
-        let transport = Self::merged_transport(&shards);
-
-        RunReport {
-            completed: overall.completed,
-            measured_duration,
-            throughput_kreqs: overall.throughput_kreqs,
-            avg_latency_ms: overall.avg_latency_ms,
-            p50_latency_ms: overall.p50_latency_ms,
-            p95_latency_ms: overall.p95_latency_ms,
-            p99_latency_ms: overall.p99_latency_ms,
-            messages_delivered: sum(|r| r.messages_delivered),
-            bytes_delivered: sum(|r| r.bytes_delivered),
-            view_changes: sum(|r| r.view_changes),
-            mode_switches: sum(|r| r.mode_switches),
-            retransmissions: sum(|r| r.retransmissions),
-            reads: ClassStats::from_histogram(&reads, secs),
-            writes: ClassStats::from_histogram(&writes, secs),
-            batching,
-            transport,
-            timeline,
-            read_latency: reads,
-            write_latency: writes,
-            shards,
-            ..RunReport::default()
-        }
-    }
-
-    fn merged_batching(shards: &[ShardReport]) -> BatchReport {
-        let mut merged = BatchReport::default();
-        let mut weighted_mean = 0.0;
-        for shard in shards {
-            let b = &shard.report.batching;
-            merged.batches += b.batches;
-            weighted_mean += b.mean_size * b.batches as f64;
-            merged.max_size = merged.max_size.max(b.max_size);
-            merged.cut_by_size += b.cut_by_size;
-            merged.cut_by_timer += b.cut_by_timer;
-            merged.cut_forced += b.cut_forced;
-            merged.stale_timer_fires += b.stale_timer_fires;
-        }
-        if merged.batches > 0 {
-            merged.mean_size = weighted_mean / merged.batches as f64;
-        }
-        // Batch-weighted median of the shard medians (the underlying
-        // distributions are not retained).
-        let mut medians: Vec<(usize, u64)> = shards
-            .iter()
-            .map(|s| (s.report.batching.p50_size, s.report.batching.batches))
-            .collect();
-        medians.sort_unstable();
-        let mut below = 0;
-        for (median, weight) in medians {
-            below += weight;
-            if below * 2 >= merged.batches {
-                merged.p50_size = median;
-                break;
-            }
-        }
-        merged
-    }
-
-    fn merged_transport(shards: &[ShardReport]) -> Option<TransportReport> {
-        let mut merged: Option<TransportReport> = None;
-        for shard in shards {
-            let Some(t) = &shard.report.transport else {
-                continue;
-            };
-            let m = merged.get_or_insert_with(TransportReport::default);
-            m.messages_sent += t.messages_sent;
-            m.bytes_sent += t.bytes_sent;
-            m.write_syscalls += t.write_syscalls;
-            m.frames_coalesced += t.frames_coalesced;
-            m.encodes_saved += t.encodes_saved;
-            m.direct_writes += t.direct_writes;
-            m.vectored_writes += t.vectored_writes;
-            m.partial_writes += t.partial_writes;
-            m.bytes_read += t.bytes_read;
-            m.reconnects += t.reconnects;
-        }
-        merged
     }
 
     /// Attaches a structured trace to the report: sorts the events, derives
@@ -652,129 +493,6 @@ mod tests {
         assert_eq!(report.health.len(), 2);
         assert!(report.health.iter().all(|h| h.is_quiet()));
         assert!(report.trace.is_empty());
-    }
-
-    #[test]
-    fn merged_percentiles_equal_the_combined_stream_histograms() {
-        // Two shards with very different latency distributions: averaging
-        // their per-shard percentiles would land far from the truth, and
-        // recomputing percentiles from means lands somewhere else again.
-        // The merged report must match a report built from the combined
-        // outcome stream exactly, because both paths fill the same
-        // log-bucketed histogram.
-        let fast: Vec<ClientOutcome> = (0..300).map(|n| outcome(n * 3, n % 4 + 1, n)).collect();
-        let slow: Vec<ClientOutcome> = (0..100)
-            .map(|n| outcome(n * 9, 40 + n % 30, 1000 + n))
-            .collect();
-        let window = |o: &[ClientOutcome]| {
-            RunReport::from_outcomes(
-                o,
-                Instant::ZERO,
-                Instant::from_nanos(1_000 * 1_000_000),
-                Duration::from_millis(100),
-            )
-        };
-        let merged = RunReport::merged(vec![
-            ShardReport {
-                group: GroupId(0),
-                report: window(&fast),
-            },
-            ShardReport {
-                group: GroupId(1),
-                report: window(&slow),
-            },
-        ]);
-        let mut combined_stream = fast.clone();
-        combined_stream.extend(slow.iter().cloned());
-        let combined = window(&combined_stream);
-
-        assert_eq!(merged.completed, combined.completed);
-        assert_eq!(merged.p50_latency_ms, combined.p50_latency_ms);
-        assert_eq!(merged.p95_latency_ms, combined.p95_latency_ms);
-        assert_eq!(merged.p99_latency_ms, combined.p99_latency_ms);
-        assert_eq!(merged.reads.p50_latency_ms, combined.reads.p50_latency_ms);
-        assert_eq!(merged.reads.p999_latency_ms, combined.reads.p999_latency_ms);
-        assert_eq!(merged.writes.p95_latency_ms, combined.writes.p95_latency_ms);
-        assert!((merged.avg_latency_ms - combined.avg_latency_ms).abs() < 1e-12);
-        assert!((merged.throughput_kreqs - combined.throughput_kreqs).abs() < 1e-12);
-        assert_eq!(merged.timeline.len(), combined.timeline.len());
-        for (m, c) in merged.timeline.iter().zip(&combined.timeline) {
-            assert_eq!(m.completed, c.completed);
-        }
-        // And the merged percentiles are *not* what naive per-shard
-        // averaging would produce (guard against a future "simplification").
-        let naive_p99 = (window(&fast).p99_latency_ms + window(&slow).p99_latency_ms) / 2.0;
-        assert!((merged.p99_latency_ms - naive_p99).abs() > 1.0);
-        // Sub-reports ride along keyed by group.
-        assert_eq!(merged.shards.len(), 2);
-        assert_eq!(merged.shards[0].group, GroupId(0));
-        assert_eq!(merged.shards[1].group, GroupId(1));
-    }
-
-    #[test]
-    fn merging_sums_counters_and_batching_telemetry() {
-        let mut a = RunReport::from_outcomes(
-            &(0..10).map(|n| outcome(n * 10, 2, n)).collect::<Vec<_>>(),
-            Instant::ZERO,
-            Instant::from_nanos(500 * 1_000_000),
-            Duration::from_millis(100),
-        );
-        a.messages_delivered = 100;
-        a.retransmissions = 3;
-        a.view_changes = 1;
-        a.batching = BatchReport {
-            batches: 10,
-            mean_size: 4.0,
-            p50_size: 4,
-            max_size: 9,
-            cut_by_size: 6,
-            cut_by_timer: 4,
-            ..BatchReport::default()
-        };
-        a.transport = Some(TransportReport {
-            messages_sent: 50,
-            write_syscalls: 20,
-            ..TransportReport::default()
-        });
-        let mut b = a.clone();
-        b.messages_delivered = 40;
-        b.batching.batches = 30;
-        b.batching.mean_size = 8.0;
-        b.batching.p50_size = 8;
-
-        let merged = RunReport::merged(vec![
-            ShardReport {
-                group: GroupId(0),
-                report: a,
-            },
-            ShardReport {
-                group: GroupId(1),
-                report: b,
-            },
-        ]);
-        assert_eq!(merged.completed, 20);
-        assert_eq!(merged.messages_delivered, 140);
-        assert_eq!(merged.retransmissions, 6);
-        assert_eq!(merged.view_changes, 2);
-        assert_eq!(merged.batching.batches, 40);
-        // Batch-count weighted mean: (10*4 + 30*8) / 40.
-        assert!((merged.batching.mean_size - 7.0).abs() < 1e-12);
-        // Weighted median of medians: the shard with median 4 covers only
-        // 10 of 40 batches, so the midpoint lands in the median-8 shard.
-        assert_eq!(merged.batching.p50_size, 8);
-        assert_eq!(merged.batching.cut_by_size, 12);
-        let transport = merged.transport.expect("one shard had transport stats");
-        assert_eq!(transport.messages_sent, 100);
-        assert_eq!(transport.write_syscalls, 40);
-    }
-
-    #[test]
-    fn merging_nothing_yields_an_empty_report() {
-        let merged = RunReport::merged(Vec::new());
-        assert_eq!(merged.completed, 0);
-        assert_eq!(merged.throughput_kreqs, 0.0);
-        assert!(merged.transport.is_none());
-        assert!(merged.shards.is_empty());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::driver::to_instant;
 use crate::report::RunReport;
-use crate::shard::ShardOverride;
 use crate::sim::{SimConfig, Simulation};
 use crate::socket::SocketCluster;
 use crate::threaded::ThreadedCluster;
@@ -260,21 +259,6 @@ pub struct Scenario {
     /// and the raw event trace; with it off, cores run the provably
     /// zero-cost [`seemore_telemetry::NullRecorder`].
     pub tracing: bool,
-    /// Number of independent agreement groups (shards) fronted by the shard
-    /// router. `1` (the default) runs the classic single-group deployment
-    /// through code paths bit-identical to an unsharded build; `n > 1`
-    /// partitions the keyspace with [`seemore_types::ShardMap::uniform`] and
-    /// runs one full cluster per group (see [`crate::shard`]).
-    pub shards: u32,
-    /// Per-shard overrides of the protocol, crash schedule and mode-switch
-    /// schedule, addressed by group (sharded runs only).
-    pub shard_overrides: Vec<ShardOverride>,
-    /// Test knob for the redirect path (sharded concurrent runs only): seed
-    /// every client's shard router with a stale single-group map, so each
-    /// client's first operation is misrouted, refused with a signed
-    /// redirect, re-routed with the adopted authoritative map and
-    /// resubmitted to the owner group.
-    pub stale_client_map: bool,
 }
 
 impl Scenario {
@@ -310,38 +294,7 @@ impl Scenario {
             byzantine_behavior: ByzantineBehavior::Honest,
             runtime: RuntimeKind::Simulated,
             tracing: false,
-            shards: 1,
-            shard_overrides: Vec::new(),
-            stale_client_map: false,
         }
-    }
-
-    /// Fronts `shards` independent agreement groups with the shard router
-    /// (1, the default, is the classic single-group deployment). Each group
-    /// runs its own full cluster — replicas, primary, view changes and
-    /// checkpoints are all group-local — over its slice of the keyspace.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Adds a per-shard override (protocol, crash schedule, mode switch) for
-    /// one group of a sharded run.
-    pub fn with_shard_override(mut self, shard_override: ShardOverride) -> Self {
-        self.shard_overrides.push(shard_override);
-        self
-    }
-
-    /// Crashes the view-0 primary of `group` at `at` (sharded runs; the
-    /// other groups are untouched).
-    pub fn with_shard_crash(self, group: seemore_types::GroupId, at: Instant) -> Self {
-        self.with_shard_override(ShardOverride::for_group(group).crash_primary_at(at))
-    }
-
-    /// Enables the stale-client-map knob (see [`Scenario::stale_client_map`]).
-    pub fn with_stale_client_map(mut self, enabled: bool) -> Self {
-        self.stale_client_map = enabled;
-        self
     }
 
     /// Enables or disables structured protocol tracing (disabled by
@@ -456,14 +409,9 @@ impl Scenario {
     /// The application instance every replica runs: the replicated KV store
     /// under a KV workload, the paper's no-op micro-benchmark app otherwise.
     fn make_app(&self) -> Box<dyn StateMachine> {
-        let mut workload = self.workload();
-        while let Workload::Sharded { inner, .. } = workload {
-            workload = *inner;
-        }
-        match workload {
+        match self.workload() {
             Workload::Kv { .. } => Box::new(KvStore::new()),
             Workload::Micro { .. } => Box::new(NoopApp::new(self.reply_size)),
-            Workload::Sharded { .. } => unreachable!("unwrapped above"),
         }
     }
 
@@ -471,17 +419,12 @@ impl Scenario {
     /// recover factory can keep: every restart needs a fresh application
     /// instance for the recovered snapshot to land in.
     fn app_factory(&self) -> Arc<dyn Fn() -> Box<dyn StateMachine> + Send + Sync> {
-        let mut workload = self.workload();
-        while let Workload::Sharded { inner, .. } = workload {
-            workload = *inner;
-        }
-        match workload {
+        match self.workload() {
             Workload::Kv { .. } => Arc::new(|| Box::new(KvStore::new())),
             Workload::Micro { .. } => {
                 let reply_size = self.reply_size;
                 Arc::new(move || Box::new(NoopApp::new(reply_size)))
             }
-            Workload::Sharded { .. } => unreachable!("unwrapped above"),
         }
     }
 
@@ -570,9 +513,6 @@ impl Scenario {
     /// Builds the cluster, runs it on the selected runtime and returns the
     /// report.
     pub fn run(&self) -> RunReport {
-        if self.shards > 1 {
-            return crate::shard::run_sharded(self);
-        }
         match self.runtime {
             RuntimeKind::Simulated => {
                 let (mut sim, primary, trace) = self.build_traced();
@@ -755,7 +695,6 @@ impl Scenario {
                         .expect("view-0 primary"),
                     mode_switch_announcer,
                     trace,
-                    keystore,
                     recover_factories,
                 }
             }
@@ -838,7 +777,6 @@ impl Scenario {
                     primary: config.primary(seemore_types::View(0)),
                     mode_switch_announcer: None,
                     trace,
-                    keystore,
                     recover_factories,
                 }
             }
@@ -1037,7 +975,6 @@ pub(crate) struct CoreSet {
     pub(crate) primary: ReplicaId,
     pub(crate) mode_switch_announcer: Option<ReplicaId>,
     pub(crate) trace: TraceHandles,
-    pub(crate) keystore: KeyStore,
     pub(crate) recover_factories: BTreeMap<ReplicaId, RecoverFactory>,
 }
 
@@ -1167,7 +1104,6 @@ impl AnyCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seemore_types::GroupId;
 
     #[test]
     fn protocol_kind_metadata() {
@@ -1484,99 +1420,5 @@ mod tests {
             assert_eq!(sim.replica(replica).mode(), Mode::Peacock);
         }
         assert!(report.completed > 0);
-    }
-
-    #[test]
-    fn with_shards_one_is_the_identity() {
-        // A single-group "sharded" run never takes the sharded path at all:
-        // no guards, no router, the historical code runs bit for bit.
-        let run = |sharded: bool| {
-            let mut scenario = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-                .with_clients(4)
-                .with_duration(Duration::from_millis(120), Duration::from_millis(20))
-                .with_workload(crate::workload::Workload::kv(64, 32, 0.5));
-            if sharded {
-                scenario = scenario.with_shards(1);
-            }
-            scenario.run()
-        };
-        let plain = run(false);
-        let sharded = run(true);
-        assert_eq!(plain.completed, sharded.completed);
-        assert_eq!(plain.messages_delivered, sharded.messages_delivered);
-        assert_eq!(plain.bytes_delivered, sharded.bytes_delivered);
-        assert_eq!(plain.reads.completed, sharded.reads.completed);
-        assert!(sharded.shards.is_empty(), "one group has no sub-reports");
-    }
-
-    #[test]
-    fn simulated_sharded_runs_merge_per_group_reports() {
-        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-            .with_clients(6)
-            .with_duration(Duration::from_millis(120), Duration::from_millis(20))
-            .with_workload(crate::workload::Workload::kv(256, 32, 0.5))
-            .with_shards(3)
-            .run();
-        assert_eq!(report.shards.len(), 3);
-        let mut total = 0;
-        for (i, shard) in report.shards.iter().enumerate() {
-            assert_eq!(shard.group, GroupId(i as u32));
-            assert!(shard.report.completed > 0, "group {i} made no progress");
-            total += shard.report.completed;
-        }
-        assert_eq!(report.completed, total, "aggregate must be the exact sum");
-        assert_eq!(
-            report.completed,
-            report.reads.completed + report.writes.completed
-        );
-        // Three separate groups also generate more aggregate traffic than
-        // any single group.
-        assert!(report.messages_delivered > report.shards[0].report.messages_delivered);
-    }
-
-    #[test]
-    fn sharded_threaded_run_commits_on_every_group() {
-        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-            .with_clients(4)
-            .with_duration(Duration::from_millis(250), Duration::from_millis(20))
-            .with_workload(crate::workload::Workload::kv(256, 32, 0.0))
-            .with_runtime(RuntimeKind::Threaded)
-            .with_shards(2)
-            .run();
-        assert_eq!(report.shards.len(), 2);
-        for shard in &report.shards {
-            assert!(
-                shard.report.completed > 0,
-                "group {} made no progress",
-                shard.group
-            );
-        }
-        let total: u64 = report.shards.iter().map(|s| s.report.completed).sum();
-        assert_eq!(report.completed, total);
-        assert!(report.messages_delivered > 0);
-    }
-
-    #[test]
-    fn stale_client_maps_are_corrected_by_signed_redirects() {
-        // Clients start on a version-1 map that routes *everything* to group
-        // 0; the authority map (version 2) hash-partitions across both
-        // groups. The only way group 1 can ever commit anything is a guard
-        // refusing a misrouted key with a signed redirect and the router
-        // adopting the newer map — so progress on group 1 proves the whole
-        // redirect loop end to end.
-        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-            .with_clients(4)
-            .with_duration(Duration::from_millis(300), Duration::from_millis(20))
-            .with_workload(crate::workload::Workload::kv(256, 32, 0.0))
-            .with_runtime(RuntimeKind::Threaded)
-            .with_shards(2)
-            .with_stale_client_map(true)
-            .run();
-        assert_eq!(report.shards.len(), 2);
-        assert!(
-            report.shards[1].report.completed > 0,
-            "group 1 is unreachable without a followed redirect"
-        );
-        assert!(report.shards[0].report.completed > 0);
     }
 }

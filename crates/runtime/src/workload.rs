@@ -4,14 +4,11 @@
 //! request payload size and `y` the reply payload size in kilobytes (0/0,
 //! 0/4 and 4/0). [`Workload::micro`] reproduces those; [`Workload::kv`]
 //! generates key-value operations for the examples and integration tests,
-//! optionally with Zipfian key skew ([`Workload::kv_skewed`]). In sharded
-//! runs [`Workload::sharded`] restricts a generator to the keys one group
-//! owns, so each group's clients stay on their own shard by construction.
+//! optionally with Zipfian key skew ([`Workload::kv_skewed`]).
 
 use rand::Rng;
 use seemore_app::KvOp;
-use seemore_core::route_operation;
-use seemore_types::{GroupId, OpClass, ShardMap};
+use seemore_types::OpClass;
 
 /// A per-client operation generator.
 #[derive(Debug, Clone)]
@@ -34,17 +31,6 @@ pub enum Workload {
         /// selects keys uniformly; larger values concentrate traffic on a
         /// hot set (YCSB's classic setting is `0.99`).
         skew: f64,
-    },
-    /// A workload restricted to the keys one shard group owns: operations
-    /// are drawn from `inner` and rejection-sampled against `map` until one
-    /// routes to `group`.
-    Sharded {
-        /// The underlying generator.
-        inner: Box<Workload>,
-        /// The shard map partitioning the keyspace.
-        map: ShardMap,
-        /// The group whose keys this generator produces.
-        group: GroupId,
     },
 }
 
@@ -74,15 +60,6 @@ impl Workload {
             value_size,
             read_fraction,
             skew,
-        }
-    }
-
-    /// Restricts `self` to the keys `group` owns under `map`.
-    pub fn sharded(self, map: ShardMap, group: GroupId) -> Self {
-        Workload::Sharded {
-            inner: Box::new(self),
-            map,
-            group,
         }
     }
 
@@ -124,21 +101,6 @@ impl Workload {
                     (op.encode(), class)
                 }
             }
-            Workload::Sharded { inner, map, group } => {
-                // Rejection-sample until the operation routes to this group.
-                // With `g` groups an attempt hits with probability ~1/g, so
-                // the cap is effectively unreachable for real maps; if it
-                // does trip (a map with an empty slice of the keyspace), the
-                // last draw passes through rather than looping forever.
-                let mut drawn = inner.next_classified(rng);
-                for _ in 0..64 {
-                    if route_operation(map, &drawn.0) == *group {
-                        break;
-                    }
-                    drawn = inner.next_classified(rng);
-                }
-                drawn
-            }
         }
     }
 
@@ -147,7 +109,6 @@ impl Workload {
         match self {
             Workload::Micro { request_size } => *request_size,
             Workload::Kv { value_size, .. } => *value_size + 16,
-            Workload::Sharded { inner, .. } => inner.request_size(),
         }
     }
 }
@@ -226,13 +187,15 @@ mod tests {
         assert!(w.request_size() > 32);
     }
 
-    /// Frequency of each key rank over `draws` operations.
+    /// Frequency of each key rank over `draws` write-only operations.
     fn key_frequencies(w: &Workload, keys: u64, draws: u64, seed: u64) -> Vec<f64> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut counts = vec![0u64; keys as usize];
         for _ in 0..draws {
             let op = w.next_op(&mut rng);
-            let key = KvOp::key_of(&op).expect("kv op");
+            let Some(KvOp::Put { key, .. }) = KvOp::decode(&op) else {
+                panic!("write-only kv workloads produce puts");
+            };
             let rank: u64 = std::str::from_utf8(&key[4..]).unwrap().parse().unwrap();
             counts[rank as usize] += 1;
         }
@@ -288,21 +251,6 @@ mod tests {
                 (*f - 0.01).abs() < 0.006,
                 "uniform rank {rank} drifted: {f:.4}"
             );
-        }
-    }
-
-    #[test]
-    fn sharded_workloads_only_produce_owned_keys() {
-        let map = ShardMap::uniform(4);
-        let mut rng = SmallRng::seed_from_u64(9);
-        for group in 0..4u32 {
-            let w = Workload::kv(256, 8, 0.5).sharded(map.clone(), GroupId(group));
-            assert_eq!(w.request_size(), Workload::kv(256, 8, 0.5).request_size());
-            for _ in 0..200 {
-                let op = w.next_op(&mut rng);
-                let key = KvOp::key_of(&op).expect("kv op");
-                assert_eq!(map.group_of(key), GroupId(group));
-            }
         }
     }
 }

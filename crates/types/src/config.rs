@@ -13,10 +13,9 @@ use crate::error::ConfigError;
 use crate::id::{ReplicaId, View};
 use crate::mode::Mode;
 use crate::quorum::QuorumSpec;
-use serde::{Deserialize, Serialize};
 
 /// Trust class of a replica, determined solely by which cloud hosts it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trust {
     /// Hosted in the private cloud: may crash but never behaves maliciously.
     Trusted,
@@ -25,7 +24,7 @@ pub enum Trust {
 }
 
 /// Role a replica plays in a particular `(mode, view)` configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplicaRole {
     /// The replica that orders requests in this view.
     Primary,
@@ -39,7 +38,7 @@ pub enum ReplicaRole {
 
 /// Failure bounds of the hybrid model: at most `c` crash failures in the
 /// private cloud and at most `m` Byzantine failures in the public cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FailureBounds {
     /// Maximum number of crashed replicas tolerated in the private cloud.
     pub crash: u32,
@@ -64,7 +63,7 @@ impl FailureBounds {
 /// `private_size` (`S`) replicas are trusted, `public_size` (`P`) replicas
 /// are untrusted, and the failure bounds `(c, m)` must be satisfiable by the
 /// respective clouds. The minimum total size is `3m + 2c + 1` (Equation 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClusterConfig {
     private_size: u32,
     public_size: u32,

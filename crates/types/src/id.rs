@@ -6,7 +6,6 @@
 //! convention but wrap the raw integers in newtypes so that a view number can
 //! never be confused with a sequence number or a replica index.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a replica inside the cluster, in `[0, N-1]`.
@@ -14,7 +13,7 @@ use std::fmt;
 /// Replicas `< S` live in the trusted private cloud; replicas `>= S` live in
 /// the untrusted public cloud (see
 /// [`ClusterConfig::trust_of`](crate::ClusterConfig::trust_of)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId(pub u32);
 
 impl ReplicaId {
@@ -42,7 +41,7 @@ impl From<u32> for ReplicaId {
 /// The paper places no restriction on clients other than that their number is
 /// finite; clients sign their requests and tag them with a monotonically
 /// increasing [`Timestamp`] to obtain exactly-once semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -58,7 +57,7 @@ impl From<u64> for ClientId {
 }
 
 /// Any addressable endpoint on the network: a replica or a client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// A replica participating in state machine replication.
     Replica(ReplicaId),
@@ -115,9 +114,7 @@ impl From<ClientId> for NodeId {
 /// Replicas move through a succession of configurations called views; within
 /// a view one replica is the primary and the others are backups (Section 5).
 /// Views are numbered consecutively starting from zero.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct View(pub u64);
 
 impl View {
@@ -144,9 +141,7 @@ impl fmt::Display for View {
 }
 
 /// Sequence number assigned by the primary to totally order requests.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNum(pub u64);
 
 impl SeqNum {
@@ -175,9 +170,7 @@ impl fmt::Display for SeqNum {
 /// exactly-once execution semantics: a replica never re-executes a request
 /// whose timestamp is not newer than the last executed timestamp it has
 /// recorded for that client.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -196,7 +189,7 @@ impl fmt::Display for Timestamp {
 
 /// Globally unique identity of a client request: the issuing client plus the
 /// client-assigned timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId {
     /// The client that issued the request.
     pub client: ClientId,

@@ -27,7 +27,6 @@ pub mod mode;
 pub mod op;
 pub mod planner;
 pub mod quorum;
-pub mod shard;
 pub mod time;
 
 pub use config::{ClusterConfig, FailureBounds, ReplicaRole, Trust};
@@ -35,7 +34,6 @@ pub use error::{ConfigError, ProtocolViolation};
 pub use id::{ClientId, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View};
 pub use mode::Mode;
 pub use op::OpClass;
-pub use planner::{PlannerInput, PlannerOutcome, ShardPlacement};
+pub use planner::{PlannerInput, PlannerOutcome};
 pub use quorum::QuorumSpec;
-pub use shard::{GroupId, GroupNodeId, Partitioning, ShardMap};
 pub use time::{Duration, Instant};

@@ -12,7 +12,6 @@
 //!   passive in agreement but supplies the *transferer* that drives view
 //!   changes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operating mode of the SeeMoRe protocol.
@@ -20,7 +19,7 @@ use std::fmt;
 /// The paper indexes modes with `pi ∈ {1, 2, 3}`; we keep the same numbering
 /// in [`Mode::index`] so that `REPLY` messages can carry it exactly as in the
 /// paper's message format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Mode {
     /// Trusted primary, all replicas participate (2 phases, `O(n)` messages).
     Lion,

@@ -9,11 +9,10 @@
 //! in Peacock). Classification is conservative: anything a layer cannot
 //! prove read-only is treated as a write.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an operation mutates the replicated state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// The operation does not mutate state and may take the read fast path.
     Read,

@@ -17,10 +17,9 @@
 
 use crate::config::{ClusterConfig, FailureBounds};
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// Inputs to the ratio-based planner (Equations 2 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(clippy::derive_partial_eq_without_eq)]
 pub struct PlannerInput {
     /// Number of trusted servers owned by the enterprise (`S`).
@@ -49,7 +48,7 @@ impl PlannerInput {
 }
 
 /// The planner's recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerOutcome {
     /// The private cloud alone satisfies `S >= 2c + 1`; run a crash
     /// fault-tolerant protocol (e.g. Paxos) without renting anything.
@@ -219,61 +218,6 @@ pub fn cluster_from_outcome(
     }
 }
 
-/// One group's placement in a sharded deployment: the planner's sizing
-/// recommendation plus, for hybrid outcomes, the concrete cluster shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[allow(clippy::derive_partial_eq_without_eq)]
-pub struct ShardPlacement {
-    /// The group this placement is for.
-    pub group: crate::shard::GroupId,
-    /// The sizing inputs the group was planned with.
-    pub input: PlannerInput,
-    /// The planner's recommendation for this group.
-    pub outcome: PlannerOutcome,
-    /// The hybrid cluster configuration, when the outcome calls for one
-    /// (`None` for private-only or public-only recommendations).
-    pub cluster: Option<ClusterConfig>,
-}
-
-/// Plans each group of a sharded deployment independently (Section 4 applied
-/// per shard): group `i` is sized from `inputs[i]`, so shards with different
-/// private capacity or different public-cloud reliability get different
-/// rental recommendations — per-group fault budgets keep quorum cost flat as
-/// the system grows instead of one global quorum spanning every shard.
-///
-/// # Errors
-///
-/// Propagates the first per-group [`ConfigError`]; an empty input slice is
-/// rejected as invalid.
-pub fn plan_shards(inputs: &[PlannerInput]) -> Result<Vec<ShardPlacement>, ConfigError> {
-    if inputs.is_empty() {
-        return Err(ConfigError::InvalidPlannerInput(
-            "a sharded deployment needs at least one group".to_string(),
-        ));
-    }
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(index, &input)| {
-            let outcome = plan_with_ratios(input)?;
-            let cluster = match outcome {
-                PlannerOutcome::RentFromPublicCloud { .. } => Some(cluster_from_outcome(
-                    input.private_size,
-                    input.private_crash_bound,
-                    outcome,
-                )?),
-                _ => None,
-            };
-            Ok(ShardPlacement {
-                group: crate::shard::GroupId(index as u32),
-                input,
-                outcome,
-                cluster,
-            })
-        })
-        .collect()
-}
-
 /// Expected number of malicious nodes among `p` rented nodes under a uniform
 /// malicious ratio `alpha` (the paper's worst-case rounding: any subset of
 /// size `p` contains at most `ceil(alpha * p)` malicious nodes).
@@ -418,51 +362,6 @@ mod tests {
         let outcome = plan_with_explicit_bounds(2, 1, 2, 0).unwrap();
         let cluster = cluster_from_outcome(2, 1, outcome).unwrap();
         assert!(cluster.quorum(crate::Mode::Lion).is_valid());
-    }
-
-    #[test]
-    fn shard_planning_places_each_group_independently() {
-        use crate::shard::GroupId;
-        // Group 0: small private cloud, reliable provider. Group 1: same
-        // private cloud, sketchier provider — it must rent more.
-        let inputs = [
-            PlannerInput::with_malicious_ratio(2, 1, 0.1),
-            PlannerInput::with_malicious_ratio(2, 1, 0.3),
-            PlannerInput::with_malicious_ratio(5, 2, 0.2),
-        ];
-        let placements = plan_shards(&inputs).unwrap();
-        assert_eq!(placements.len(), 3);
-        assert_eq!(placements[0].group, GroupId(0));
-        assert_eq!(placements[2].group, GroupId(2));
-
-        let rent_of = |p: &ShardPlacement| match p.outcome {
-            PlannerOutcome::RentFromPublicCloud { rent, .. } => rent,
-            _ => panic!("expected a rental outcome"),
-        };
-        assert!(rent_of(&placements[0]) < rent_of(&placements[1]));
-        assert!(placements[0].cluster.is_some());
-        assert!(placements[1].cluster.is_some());
-        // Group 2's private cloud is self-sufficient: no hybrid cluster.
-        assert!(matches!(
-            placements[2].outcome,
-            PlannerOutcome::PrivateCloudSufficient { .. }
-        ));
-        assert!(placements[2].cluster.is_none());
-
-        // Per-group clusters satisfy the per-group quorum bounds.
-        let cluster = placements[1].cluster.as_ref().unwrap();
-        assert!(cluster.quorum(crate::Mode::Lion).is_valid());
-    }
-
-    #[test]
-    fn shard_planning_rejects_empty_and_invalid_groups() {
-        assert!(plan_shards(&[]).is_err());
-        // An invalid group poisons the whole plan.
-        let inputs = [
-            PlannerInput::with_malicious_ratio(2, 1, 0.1),
-            PlannerInput::with_malicious_ratio(2, 3, 0.1),
-        ];
-        assert!(plan_shards(&inputs).is_err());
     }
 
     #[test]

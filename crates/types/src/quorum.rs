@@ -14,10 +14,8 @@
 //! and any two quorums must intersect in at least `m + 1` replicas (so that
 //! at least one non-faulty replica witnesses both).
 
-use serde::{Deserialize, Serialize};
-
 /// Failure model a quorum system is designed for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureModel {
     /// Only benign crash failures (Paxos-style).
     Crash,
@@ -31,7 +29,7 @@ pub enum FailureModel {
 
 /// A complete description of a quorum system: how many replicas exist, how
 /// many may fail in each class, and how large a quorum must be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuorumSpec {
     /// Failure model this spec was derived for.
     pub model: FailureModel,

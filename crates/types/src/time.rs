@@ -7,14 +7,11 @@
 //! advances a purely virtual clock). Both substrates therefore share the same
 //! time vocabulary and the cores behave identically under either.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A duration in nanoseconds of (possibly virtual) time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Duration {
@@ -117,9 +114,7 @@ impl fmt::Display for Duration {
 
 /// A point in (possibly virtual) time, measured in nanoseconds since the
 /// start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Instant(u64);
 
 impl Instant {

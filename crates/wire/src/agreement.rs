@@ -27,11 +27,10 @@ use crate::size::{
 };
 use seemore_crypto::{Digest, Signature};
 use seemore_types::{ReplicaId, SeqNum, View};
-use serde::{Deserialize, Serialize};
 
 /// `⟨⟨PREPARE, v, n, d⟩_σp, µ⟩` — the trusted primary's proposal
 /// (Lion and Dog modes), ordering one batch at sequence number `n`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prepare {
     /// View in which the batch is proposed.
     pub view: View,
@@ -74,7 +73,7 @@ impl WireSize for Prepare {
 
 /// `⟨⟨PRE-PREPARE, v, n, d⟩_σp, µ⟩` — the untrusted primary's proposal
 /// (Peacock mode, PBFT and S-UpRight baselines), ordering one batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrePrepare {
     /// View in which the batch is proposed.
     pub view: View,
@@ -118,7 +117,7 @@ impl WireSize for PrePrepare {
 /// `⟨ACCEPT, v, n, d, r⟩(_σr)` — the backup vote of the Lion mode (unsigned,
 /// sent only to the trusted primary) and the proxy vote of the Dog mode
 /// (signed, exchanged among proxies as view-change evidence).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Accept {
     /// View of the vote.
     pub view: View,
@@ -171,7 +170,7 @@ impl WireSize for Accept {
 /// PBFT-style `⟨PREPARE, v, n, d, r⟩_σr` vote — the first all-to-all phase of
 /// Peacock / PBFT / S-UpRight agreement, establishing that non-faulty
 /// replicas received matching proposals from the primary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PbftPrepare {
     /// View of the vote.
     pub view: View,
@@ -216,7 +215,7 @@ impl WireSize for PbftPrepare {
 /// `COMMIT` — either the trusted primary's commit announcement
 /// (Lion: `⟨⟨COMMIT, v, n, d⟩_σp, µ⟩`, batch attached) or a commit vote in
 /// proxy / PBFT agreement (`⟨COMMIT, v, n, d, r⟩_σr`, no batch).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Commit {
     /// View of the commit.
     pub view: View,
@@ -264,7 +263,7 @@ impl WireSize for Commit {
 /// `⟨INFORM, v, n, d, r⟩_σr` — sent by proxies to passive replicas (private
 /// cloud and non-proxy public replicas) once a batch has committed
 /// (Dog and Peacock modes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Inform {
     /// View of the committed batch.
     pub view: View,

@@ -20,10 +20,9 @@ use crate::client::ClientRequest;
 use crate::size::WireSize;
 use seemore_crypto::{Digest, FieldHasher};
 use seemore_types::RequestId;
-use serde::{Deserialize, Serialize};
 
 /// An ordered, non-empty sequence of client requests agreed on as one unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     requests: Vec<ClientRequest>,
 }

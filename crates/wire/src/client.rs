@@ -7,7 +7,6 @@ use crate::size::{
 };
 use seemore_crypto::{Digest, Signature, Signer};
 use seemore_types::{ClientId, Mode, ReplicaId, RequestId, SeqNum, Timestamp, View};
-use serde::{Deserialize, Serialize};
 
 /// `⟨REQUEST, op, ts_ς, ς⟩_σς` — a state-machine operation requested by a
 /// client (Section 5.1).
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// application layer (the `seemore-app` crate) encodes and decodes it. The
 /// client timestamp totally orders the requests of one client and provides
 /// exactly-once semantics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientRequest {
     /// The issuing client.
     pub client: ClientId,
@@ -87,7 +86,7 @@ impl WireSize for ClientRequest {
 ///
 /// The mode index `π` and view number let the client track the current
 /// primary across mode and view changes (Section 5.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientReply {
     /// Mode the replying replica is operating in.
     pub mode: Mode,
@@ -183,7 +182,7 @@ impl WireSize for ClientReply {
 /// timestamps, so a read that falls back to the ordered path re-submits the
 /// identical operation under the identical `(client, nonce)` identity and
 /// inherits the ordered path's exactly-once handling.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRequest {
     /// The issuing client.
     pub client: ClientId,
@@ -246,7 +245,7 @@ impl WireSize for ReadRequest {
 /// switch is in progress, or the application cannot prove the operation
 /// read-only. Refusals are first-class signed replies so the client falls
 /// back immediately instead of waiting out a timeout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadReply {
     /// Mode the replying replica is operating in.
     pub mode: Mode,

@@ -52,12 +52,9 @@ use crate::control::{
     StateResponse, ViewChange,
 };
 use crate::message::Message;
-use crate::redirect::Redirect;
 use crate::size::{WireSize, HEADER_LEN};
 use seemore_crypto::{Digest, Signature};
-use seemore_types::{
-    ClientId, GroupId, Mode, Partitioning, ReplicaId, RequestId, SeqNum, ShardMap, Timestamp, View,
-};
+use seemore_types::{ClientId, Mode, ReplicaId, RequestId, SeqNum, Timestamp, View};
 use std::fmt;
 use std::sync::Arc;
 
@@ -100,7 +97,7 @@ const KIND_STATE_REQUEST: u8 = 13;
 const KIND_STATE_RESPONSE: u8 = 14;
 const KIND_READ_REQUEST: u8 = 15;
 const KIND_READ_REPLY: u8 = 16;
-const KIND_REDIRECT: u8 = 17;
+// 17 was a shard redirect; it is retired and must not be reused.
 const KIND_RECOVERY: u8 = 18;
 
 /// Why a byte string failed to decode. Every variant is a graceful error —
@@ -313,16 +310,6 @@ pub fn encode_into(message: &Message, out: &mut Vec<u8>) {
             put_u64(b, m.view.0);
             put_u64(b, u64::from(m.replica.0));
             put_hash(b, m.signature.as_bytes());
-        }),
-        Message::Redirect(m) => put_block(out, KIND_REDIRECT, 0, |b| {
-            put_u64(b, m.request.client.0);
-            put_u64(b, m.request.timestamp.0);
-            put_u64(b, u64::from(m.replica.0));
-            put_u64(b, u64::from(m.group.0));
-            put_u64(b, u64::from(m.target.0));
-            put_u64(b, m.map.version);
-            put_hash(b, m.signature.as_bytes());
-            put_partitioning(b, &m.map.partitioning);
         }),
         Message::StateResponse(m) => put_block(out, KIND_STATE_RESPONSE, 0, |b| {
             put_u64(b, u64::from(m.replica.0));
@@ -647,26 +634,6 @@ fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
     });
 }
 
-/// Writes a partitioning scheme: a 1-byte kind tag, then the scheme's data
-/// (the layout `Redirect::wire_size` models via `partitioning_wire_size`).
-fn put_partitioning(out: &mut Vec<u8>, partitioning: &Partitioning) {
-    let Partitioning::Hash { groups } = partitioning;
-    put_u8(out, 0);
-    put_u64(out, u64::from(*groups));
-}
-
-fn read_partitioning(body: &mut Reader) -> Result<Partitioning, DecodeError> {
-    match body.u8()? {
-        0 => {
-            let raw = body.u64()?;
-            let groups = u32::try_from(raw)
-                .map_err(|_| DecodeError::Malformed("group count overflows u32"))?;
-            Ok(Partitioning::Hash { groups })
-        }
-        _ => Err(DecodeError::Malformed("unknown partitioning tag")),
-    }
-}
-
 /// Prepare and commit certificates share one wire layout; a single body
 /// writer keeps the two from ever drifting apart.
 fn put_cert_fields(
@@ -780,13 +747,6 @@ impl<'a> Reader<'a> {
         u32::try_from(raw)
             .map(ReplicaId)
             .map_err(|_| DecodeError::Malformed("replica id overflows u32"))
-    }
-
-    fn group(&mut self) -> Result<GroupId, DecodeError> {
-        let raw = self.u64()?;
-        u32::try_from(raw)
-            .map(GroupId)
-            .map_err(|_| DecodeError::Malformed("group id overflows u32"))
     }
 
     fn mode(&mut self) -> Result<Mode, DecodeError> {
@@ -1027,27 +987,6 @@ fn read_message(r: &mut Reader) -> Result<Message, DecodeError> {
                 snapshot,
                 entries,
                 replica,
-            })
-        }
-        KIND_REDIRECT => {
-            let client = ClientId(body.u64()?);
-            let timestamp = Timestamp(body.u64()?);
-            let replica = body.replica()?;
-            let group = body.group()?;
-            let target = body.group()?;
-            let version = body.u64()?;
-            let signature = body.signature()?;
-            let partitioning = read_partitioning(&mut body)?;
-            Message::Redirect(Redirect {
-                request: RequestId::new(client, timestamp),
-                replica,
-                group,
-                target,
-                map: ShardMap {
-                    version,
-                    partitioning,
-                },
-                signature,
             })
         }
         other => return Err(DecodeError::UnknownKind(other)),

@@ -7,7 +7,6 @@ use crate::size::{
 };
 use seemore_crypto::{Digest, Signature};
 use seemore_types::{Mode, ReplicaId, SeqNum, View};
-use serde::{Deserialize, Serialize};
 
 /// `⟨CHECKPOINT, n, d⟩_σ` — periodic snapshot announcement.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// a single signed message makes it stable; in the Peacock mode (and in the
 /// PBFT / S-UpRight baselines) replicas exchange checkpoints and a quorum of
 /// matching ones is required.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Sequence number of the last request folded into the snapshot.
     pub seq: SeqNum,
@@ -52,7 +51,7 @@ impl WireSize for Checkpoint {
 /// (the paper's set `P`, "without the request message µ" — the batch is
 /// attached only when the sender still has it and the new primary may need
 /// it to re-propose).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrepareCert {
     /// View the original proposal was made in.
     pub view: View,
@@ -74,7 +73,7 @@ impl WireSize for PrepareCert {
 
 /// Evidence that a batch committed (the paper's set `C` in the Lion mode):
 /// a `COMMIT` signed by the primary of `view`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitCert {
     /// View the commit happened in.
     pub view: View,
@@ -102,7 +101,7 @@ impl WireSize for CommitCert {
 /// * Dog / Peacock: sent by public-cloud replicas; carries only prepare
 ///   certificates (`C` is omitted to keep the message small, as the paper
 ///   prescribes for the Dog mode).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewChange {
     /// The proposed new view `v + 1`.
     pub new_view: View,
@@ -170,7 +169,7 @@ impl WireSize for ViewChange {
 /// `VIEW-CHANGE` messages themselves need not be embedded; the
 /// `view_change_proof` field is therefore only populated by the PBFT /
 /// S-UpRight baselines, whose new primary is untrusted.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NewView {
     /// The view being installed.
     pub view: View,
@@ -230,7 +229,7 @@ impl WireSize for NewView {
 /// `⟨MODE-CHANGE, v+1, π'⟩_σs` — announcement by a trusted replica that the
 /// protocol is switching to mode `π'` starting from view `v+1`
 /// (Section 5.4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeChange {
     /// First view of the new mode.
     pub new_view: View,
@@ -265,7 +264,7 @@ impl WireSize for ModeChange {
 
 /// Request for missing committed entries, sent by a replica that has fallen
 /// behind (state transfer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateRequest {
     /// First sequence number the requester is missing.
     pub from_seq: SeqNum,
@@ -281,7 +280,7 @@ impl WireSize for StateRequest {
 
 /// Response to a [`StateRequest`]: the committed batches starting at the
 /// requested sequence number, plus the sender's latest stable checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateResponse {
     /// Latest stable checkpoint known to the sender.
     pub checkpoint: Option<Checkpoint>,
@@ -314,7 +313,7 @@ impl WireSize for StateResponse {
 /// durable state (checkpoint + WAL suffix) and needs the committed suffix it
 /// missed while down. Peers answer with a [`StateResponse`] from
 /// `last_executed + 1`; the first valid response completes the rejoin.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovery {
     /// Last sequence number the recovering replica has executed (from its
     /// restored checkpoint plus replayed WAL).

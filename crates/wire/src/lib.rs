@@ -13,13 +13,6 @@
 //! * control traffic — [`Checkpoint`], [`ViewChange`], [`NewView`],
 //!   [`ModeChange`], and state-transfer messages.
 //!
-//! Sharded deployments add two pieces: [`Redirect`], the signed reply a
-//! replica sends for a request whose key its group does not own (it carries
-//! the authoritative, versioned `ShardMap` so the client can refresh and
-//! re-route), and [`group`], the 8-byte group-tag preamble plus streaming
-//! demultiplexer that folds N logical groups onto one physical byte stream
-//! (the reactor hub's client-tagging pattern, applied to groups).
-//!
 //! Inside the discrete-event simulator messages stay plain Rust values; on
 //! the socket runtime they serialize through [`codec`] — a versioned,
 //! length-prefixed binary encoding with a streaming [`FrameReader`] and a
@@ -38,9 +31,7 @@ pub mod batch;
 pub mod client;
 pub mod codec;
 pub mod control;
-pub mod group;
 pub mod message;
-pub mod redirect;
 pub mod size;
 
 pub use agreement::{Accept, Commit, Inform, PbftPrepare, PrePrepare, Prepare};
@@ -54,7 +45,5 @@ pub use control::{
     Checkpoint, CommitCert, ModeChange, NewView, PrepareCert, Recovery, StateRequest,
     StateResponse, ViewChange,
 };
-pub use group::{peel_tag, write_tagged, GroupDemux, GROUP_TAG_LEN};
 pub use message::{Message, MessageKind};
-pub use redirect::Redirect;
 pub use size::{SignedPayload, SigningScratch, WireSize, DIGEST_LEN, HEADER_LEN, SIGNATURE_LEN};

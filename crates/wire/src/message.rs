@@ -6,13 +6,11 @@ use crate::client::{ClientReply, ClientRequest, ReadReply, ReadRequest};
 use crate::control::{
     Checkpoint, ModeChange, NewView, Recovery, StateRequest, StateResponse, ViewChange,
 };
-use crate::redirect::Redirect;
 use crate::size::WireSize;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Every message any protocol in this workspace can put on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Message {
     /// A client's request for a state-machine operation.
@@ -47,14 +45,12 @@ pub enum Message {
     StateRequest(StateRequest),
     /// Response carrying missing state (state transfer).
     StateResponse(StateResponse),
-    /// Signed shard-routing redirect for a misrouted client request.
-    Redirect(Redirect),
     /// Announcement by a replica restarting from durable state.
     Recovery(Recovery),
 }
 
 /// Discriminant-only view of [`Message`], used as a metrics key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageKind {
     /// See [`Message::Request`].
     Request,
@@ -88,15 +84,13 @@ pub enum MessageKind {
     StateRequest,
     /// See [`Message::StateResponse`].
     StateResponse,
-    /// See [`Message::Redirect`].
-    Redirect,
     /// See [`Message::Recovery`].
     Recovery,
 }
 
 impl MessageKind {
     /// All message kinds, in declaration order.
-    pub const ALL: [MessageKind; 18] = [
+    pub const ALL: [MessageKind; 17] = [
         MessageKind::Request,
         MessageKind::Reply,
         MessageKind::ReadRequest,
@@ -113,7 +107,6 @@ impl MessageKind {
         MessageKind::ModeChange,
         MessageKind::StateRequest,
         MessageKind::StateResponse,
-        MessageKind::Redirect,
         MessageKind::Recovery,
     ];
 
@@ -151,7 +144,6 @@ impl fmt::Display for MessageKind {
             MessageKind::ModeChange => "MODE-CHANGE",
             MessageKind::StateRequest => "STATE-REQUEST",
             MessageKind::StateResponse => "STATE-RESPONSE",
-            MessageKind::Redirect => "REDIRECT",
             MessageKind::Recovery => "RECOVERY",
         };
         f.write_str(name)
@@ -178,7 +170,6 @@ impl Message {
             Message::ModeChange(_) => MessageKind::ModeChange,
             Message::StateRequest(_) => MessageKind::StateRequest,
             Message::StateResponse(_) => MessageKind::StateResponse,
-            Message::Redirect(_) => MessageKind::Redirect,
             Message::Recovery(_) => MessageKind::Recovery,
         }
     }
@@ -203,7 +194,6 @@ impl WireSize for Message {
             Message::ModeChange(m) => m.wire_size(),
             Message::StateRequest(m) => m.wire_size(),
             Message::StateResponse(m) => m.wire_size(),
-            Message::Redirect(m) => m.wire_size(),
             Message::Recovery(m) => m.wire_size(),
         }
     }
@@ -235,7 +225,6 @@ impl_from!(NewView, NewView);
 impl_from!(ModeChange, ModeChange);
 impl_from!(StateRequest, StateRequest);
 impl_from!(StateResponse, StateResponse);
-impl_from!(Redirect, Redirect);
 impl_from!(Recovery, Recovery);
 
 #[cfg(test)]
@@ -294,8 +283,7 @@ mod tests {
         assert!(!MessageKind::ReadReply.is_agreement());
         assert!(!MessageKind::ViewChange.is_agreement());
         assert!(!MessageKind::Checkpoint.is_agreement());
-        assert!(!MessageKind::Redirect.is_agreement());
-        assert_eq!(MessageKind::ALL.len(), 18);
+        assert_eq!(MessageKind::ALL.len(), 17);
     }
 
     #[test]
@@ -305,7 +293,6 @@ mod tests {
         assert_eq!(MessageKind::ReadReply.to_string(), "READ-REPLY");
         assert_eq!(MessageKind::ViewChange.to_string(), "VIEW-CHANGE");
         assert_eq!(MessageKind::ModeChange.to_string(), "MODE-CHANGE");
-        assert_eq!(MessageKind::Redirect.to_string(), "REDIRECT");
     }
 
     #[test]

@@ -14,19 +14,16 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use seemore::crypto::{Digest, KeyStore, Signature};
-use seemore::types::{
-    ClientId, GroupId, Mode, NodeId, Partitioning, ReplicaId, RequestId, SeqNum, ShardMap,
-    Timestamp, View,
-};
+use seemore::types::{ClientId, Mode, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View};
 use seemore::wire::codec::{decode, encode, DecodeError, FrameReader, MAX_FRAME};
 use seemore::wire::{
     Accept, Batch, Checkpoint, ClientReply, ClientRequest, Commit, CommitCert, Inform, Message,
     ModeChange, NewView, PbftPrepare, PrePrepare, Prepare, PrepareCert, ReadReply, ReadRequest,
-    Recovery, Redirect, StateRequest, StateResponse, ViewChange, WireSize,
+    Recovery, StateRequest, StateResponse, ViewChange, WireSize,
 };
 
 /// Number of distinct message kinds the generator can produce.
-const KINDS: usize = 18;
+const KINDS: usize = 17;
 
 fn keystore() -> KeyStore {
     KeyStore::generate(0xC0DEC, 8, 4)
@@ -262,25 +259,6 @@ fn arbitrary_message(seed: u64, index: usize) -> Message {
                 replica: ReplicaId(rng.gen_range(0u64..8) as u32),
             })
         }
-        16 => {
-            let partitioning = Partitioning::Hash {
-                groups: rng.gen_range(1u64..64) as u32,
-            };
-            Message::Redirect(Redirect {
-                request: RequestId::new(
-                    ClientId(rng.gen_range(0u64..4)),
-                    Timestamp(rng.gen_range(0u64..1_000)),
-                ),
-                replica: ReplicaId(rng.gen_range(0u64..8) as u32),
-                group: GroupId(rng.gen_range(0u64..8) as u32),
-                target: GroupId(rng.gen_range(0u64..8) as u32),
-                map: ShardMap {
-                    version: rng.gen_range(1u64..1_000),
-                    partitioning,
-                },
-                signature: signature(rng),
-            })
-        }
         _ => Message::Recovery(Recovery {
             last_executed: SeqNum(rng.gen_range(0u64..10_000)),
             view: View(rng.gen_range(0u64..64)),
@@ -427,21 +405,13 @@ fn trailing_bytes_are_rejected() {
     assert_eq!(decode(&bytes).unwrap_err(), DecodeError::TrailingBytes(4));
 }
 
-/// The partitioning tag is the first of a redirect's last nine bytes. Tag 1
-/// was a range scheme in earlier builds; it is refused like any other
-/// unknown tag.
+/// Kind tag 17 carried a shard redirect in earlier builds. It is retired:
+/// a frame of any kind relabelled 17 is refused like any unknown kind.
 #[test]
-fn unknown_partitioning_tags_are_rejected() {
-    let bytes = encode(&arbitrary_message(17, 16));
-    assert!(matches!(decode(&bytes), Ok(Message::Redirect(_))));
-    let tag = bytes.len() - 9;
-    assert_eq!(bytes[tag], 0, "hash partitioning keeps tag 0");
-    for unknown in [1u8, 2, 0xFF] {
-        let mut bad = bytes.clone();
-        bad[tag] = unknown;
-        assert_eq!(
-            decode(&bad).unwrap_err(),
-            DecodeError::Malformed("unknown partitioning tag")
-        );
+fn the_retired_kind_17_is_an_unknown_kind() {
+    for index in 0..KINDS {
+        let mut bytes = encode(&arbitrary_message(17, index));
+        bytes[5] = 17;
+        assert_eq!(decode(&bytes).unwrap_err(), DecodeError::UnknownKind(17));
     }
 }
