@@ -25,9 +25,7 @@
 //!   sockets and an `epoll` shim ([`poll`]): each node's own thread reads
 //!   its inbound connections through its endpoint's [`Inbox`], a small fixed
 //!   pool of reactor threads accepts, dials and drains congested outboxes,
-//!   senders write per-turn gather (`writev`) writes themselves, and,
-//!   optionally, many logical clients share one physical connection per
-//!   peer.
+//!   and senders write per-turn gather (`writev`) writes themselves.
 //! * [`transport`] — the [`Transport`] trait itself, [`TransportError`] and
 //!   the [`TransportStats`] counters the mesh reports into.
 //!
@@ -39,10 +37,9 @@
 //!   thousands of concurrent client connections. Delivery is FIFO per connection, at-least-once across
 //!   reconnects (lazy dialing, exponential backoff, frames queued while a
 //!   peer is down survive until it returns), and broadcasts encode once.
-//!   Clients either own a private endpoint each (a listener plus one dialed
-//!   connection per replica) or share one socket per replica through the
-//!   [`ClientHub`]; the `socket_e2e` suite drives both topologies to the
-//!   histories the threaded runtime produces.
+//!   Every node, client or replica, owns an endpoint: a listener plus one
+//!   dialed connection per peer it sends to. The `socket_e2e` suite drives
+//!   the mesh to the histories the threaded runtime produces.
 //! * **Threaded / simulated runtimes** (`seemore-runtime`) — no sockets at
 //!   all; see that crate's docs for when in-process channels or the
 //!   discrete-event simulator are the right tool.
@@ -81,7 +78,5 @@ pub use cpu::CpuModel;
 pub use faults::{LinkDecision, LinkFaults};
 pub use latency::LatencyModel;
 pub use placement::{Placement, Zone};
-pub use reactor::{
-    ClientHub, HubPort, Inbox, InboxWaker, ReactorEndpoint, ReactorHandle, ReactorMesh,
-};
+pub use reactor::{Inbox, InboxWaker, ReactorEndpoint, ReactorHandle, ReactorMesh};
 pub use transport::{Transport, TransportError, TransportStats};

@@ -25,14 +25,14 @@
 //!   thread and no channel between the socket and the protocol core.
 //! * **The sender writes.** A queued frame leaves from the sending thread's
 //!   flush (see *Hot path*).
-//! * **The pool does the rest.** Every listener is registered with one of
-//!   the pool's pollers. A listener accepts and hands each new connection to
-//!   its node's inbox, which registers it with the inbox's poller. Outbound
-//!   connections are dialed and, when congested, drained by a pool loop. The
-//!   hub's inbound connections (replies to multiplexed clients, see
-//!   [`ClientHub`]) are read by the pool, which demultiplexes them to
-//!   per-client queues. Pool thread count is **constant in the number of
-//!   connections**; an endpoint adds one poller, not a thread.
+//! * **The pool does the rest, and reads no socket.** Every listener is
+//!   registered with one of the pool's pollers. A listener accepts and hands
+//!   each new connection to its node's inbox, which registers it with the
+//!   inbox's poller. Outbound connections are dialed and, when congested,
+//!   drained by a pool loop; the only read a pool thread makes is the probe
+//!   that notices an outbound connection's EOF. Pool thread count is
+//!   **constant in the number of connections**; an endpoint adds one poller,
+//!   not a thread.
 //! * Connections are unidirectional and lazily dialed: the first send to a
 //!   peer queues a dial on the peer's event loop, which connects, writes a
 //!   16-byte identity preamble and drains whatever queued up meanwhile.
@@ -41,10 +41,12 @@
 //!   timeout (no sleeping thread per peer). Dialing itself is a bounded
 //!   blocking `connect` from the loop thread — on the loopback deployments
 //!   this transport targets, connects complete (or refuse) immediately.
-//! * The reader learns the peer's identity from the preamble, then
-//!   reassembles frames in a per-connection [`StreamBuf`] and decodes each
-//!   one, tagged with its sender. One parser serves the inbox and the hub;
-//!   only where a decoded frame goes differs. A malformed preamble or a
+//! * The preamble is the codec's 4-byte magic, its version byte, a tag byte
+//!   (0 replica, 1 client), two reserved bytes that must be zero, and the
+//!   dialer's id as 8 little-endian bytes. After it come whole codec frames
+//!   and nothing else. The reader learns the peer's identity from the
+//!   preamble, then reassembles frames in a per-connection [`StreamBuf`] and
+//!   decodes each one, tagged with its sender. A malformed preamble or a
 //!   poisoned frame stream drops that connection — never the process.
 //!
 //! # Hot path
@@ -69,8 +71,7 @@
 //!   [`TransportStats::frames_coalesced`]). A flush writes its connections
 //!   in a fixed order, replicas by id and then clients. The deliver-now
 //!   calls ([`ReactorHandle::send`], [`ReactorHandle::broadcast`],
-//!   [`ReactorHandle::send_frame`], and every client-hub send) are queue
-//!   plus flush.
+//!   [`ReactorHandle::send_frame`]) are queue plus flush.
 //! * **Backlog drains on the loop** — frames queued while a dial is in
 //!   progress or the kernel send buffer is full wait for the event loop,
 //!   which drains them the same way on connect or on `EPOLLOUT`; a flush
@@ -97,13 +98,6 @@
 //!   bytes stay in the kernel, TCP pushes back, and a fast sender shows up
 //!   as [`TransportStats::partial_writes`] and an `EPOLLOUT` drain instead
 //!   of as memory growth at the receiver.
-//! * **Client multiplexing** — a [`ClientHub`] gives *logical* clients
-//!   ([`HubPort`]s) a shared set of physical connections: one socket per
-//!   replica carries every client's requests (each frame prefixed with an
-//!   8-byte logical-client tag), and replicas send every reply for any hub
-//!   client down one socket to the hub, which demultiplexes by tag into
-//!   per-client queues. Hundreds of closed-loop clients cost sockets
-//!   proportional to the replica count, not the client count.
 //!
 //! # Delivery semantics
 //!
@@ -119,7 +113,7 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::transport::{Transport, TransportError, TransportStats, INITIAL_BACKOFF, MAX_BACKOFF};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam_channel::{RecvTimeoutError, TryRecvError};
 use seemore_types::{ClientId, NodeId, ReplicaId};
 use seemore_wire::codec::{frame_len, Frame, StreamBuf, CODEC_VERSION, MAGIC};
 use seemore_wire::Message;
@@ -133,19 +127,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Length of the per-connection identity preamble: magic, codec version, a
-/// replica/client/hub tag, a multiplexing flag byte, a reserved byte, and
-/// the 8-byte id.
+/// replica/client tag, two reserved zero bytes, and the 8-byte id.
 const PREAMBLE_LEN: usize = 16;
 
 /// Preamble tag byte: the dialer is a replica.
 const TAG_REPLICA: u8 = 0;
-/// Preamble tag byte: the dialer is a standalone client.
+/// Preamble tag byte: the dialer is a client.
 const TAG_CLIENT: u8 = 1;
-/// Preamble tag byte: the dialer is a client hub (frames carry tags).
-const TAG_HUB: u8 = 2;
-/// Preamble flag bit: every frame on this connection is prefixed with an
-/// 8-byte little-endian logical-client tag.
-const FLAG_MUX: u8 = 0x01;
 
 /// Bound on the blocking `connect` a loop performs (loopback connects
 /// complete or refuse in microseconds; this is a safety net).
@@ -154,10 +142,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
 /// Backstop tick for the event loops: the longest a loop sleeps before
 /// rechecking shutdown and redial deadlines even with no traffic.
 const TICK: Duration = Duration::from_millis(100);
-
-/// Size of the per-loop read scratch handed to `read(2)` for the hub's
-/// connections (allocated on a loop's first hub read).
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Size of each inbox's read scratch: small, because every endpoint has one.
 const INBOX_READ_CHUNK: usize = 8 * 1024;
@@ -185,93 +169,38 @@ thread_local! {
     static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The identity an outbound connection announces in its preamble.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Identity {
-    Node(NodeId),
-    Hub,
-}
-
-/// The identity decoded from an inbound connection's preamble.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InboundIdentity {
-    Node(NodeId),
-    Hub,
-}
-
-/// Who takes the connections a listener accepts: a node's inbox, or the
-/// pool on behalf of the hub's per-client queues.
-enum Owner {
-    Node(Arc<InboxShared>),
-    Hub,
-}
-
-impl std::fmt::Debug for Owner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Owner::Node(inbox) => write!(f, "Node({})", inbox.node),
-            Owner::Hub => write!(f, "Hub"),
-        }
-    }
-}
-
-fn encode_preamble(identity: Identity, mux: bool) -> [u8; PREAMBLE_LEN] {
-    let (tag, id) = match identity {
-        Identity::Node(NodeId::Replica(ReplicaId(r))) => (TAG_REPLICA, u64::from(r)),
-        Identity::Node(NodeId::Client(ClientId(c))) => (TAG_CLIENT, c),
-        Identity::Hub => (TAG_HUB, 0),
+fn encode_preamble(node: NodeId) -> [u8; PREAMBLE_LEN] {
+    let (tag, id) = match node {
+        NodeId::Replica(ReplicaId(r)) => (TAG_REPLICA, u64::from(r)),
+        NodeId::Client(ClientId(c)) => (TAG_CLIENT, c),
     };
     let mut out = [0u8; PREAMBLE_LEN];
     out[..4].copy_from_slice(&MAGIC);
     out[4] = CODEC_VERSION;
     out[5] = tag;
-    out[6] = if mux { FLAG_MUX } else { 0 };
     out[8..16].copy_from_slice(&id.to_le_bytes());
     out
 }
 
-fn decode_preamble(bytes: &[u8; PREAMBLE_LEN]) -> Option<(InboundIdentity, bool)> {
-    if bytes[..4] != MAGIC || bytes[4] != CODEC_VERSION {
+/// The dialer a preamble announces, or `None` for a malformed one: wrong
+/// magic or version, an unknown tag, or a nonzero reserved byte.
+fn decode_preamble(bytes: &[u8; PREAMBLE_LEN]) -> Option<NodeId> {
+    if bytes[..4] != MAGIC || bytes[4] != CODEC_VERSION || bytes[6..8] != [0, 0] {
         return None;
     }
-    let mux = bytes[6] & FLAG_MUX != 0;
     let id = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let identity = match bytes[5] {
-        TAG_REPLICA => InboundIdentity::Node(NodeId::Replica(ReplicaId(u32::try_from(id).ok()?))),
-        TAG_CLIENT => InboundIdentity::Node(NodeId::Client(ClientId(id))),
-        TAG_HUB => InboundIdentity::Hub,
-        _ => return None,
-    };
-    Some((identity, mux))
-}
-
-/// The identity preamble a raw (non-multiplexed) client connection must
-/// write after connecting — exposed for transport-level tests that hold
-/// many connections open without building endpoints.
-pub fn client_preamble(client: ClientId) -> [u8; PREAMBLE_LEN] {
-    encode_preamble(Identity::Node(NodeId::Client(client)), false)
-}
-
-/// Where a peer lives, plus whether frames to it travel multiplexed (the
-/// peer is a hub-attached logical client reachable via the hub's listener).
-#[derive(Debug, Clone, Copy)]
-struct Remote {
-    addr: SocketAddr,
-    mux: bool,
-}
-
-/// One queued outbound frame: an optional logical-client tag and the
-/// shared encoded frame.
-#[derive(Debug)]
-struct SendItem {
-    tag: Option<[u8; 8]>,
-    frame: Frame,
-}
-
-impl SendItem {
-    fn len(&self) -> usize {
-        self.tag.map_or(0, |t| t.len()) + self.frame.len()
+    match bytes[5] {
+        TAG_REPLICA => Some(NodeId::Replica(ReplicaId(u32::try_from(id).ok()?))),
+        TAG_CLIENT => Some(NodeId::Client(ClientId(id))),
+        _ => None,
     }
+}
+
+/// The identity preamble a raw client connection must write after
+/// connecting — exposed for transport-level tests that hold many
+/// connections open without building endpoints.
+pub fn client_preamble(client: ClientId) -> [u8; PREAMBLE_LEN] {
+    encode_preamble(NodeId::Client(client))
 }
 
 /// The mutable half of an outbound connection, shared between sender
@@ -283,9 +212,9 @@ struct OutState {
     /// The established connection (nonblocking), if any.
     stream: Option<TcpStream>,
     /// Frames awaiting the socket, oldest first.
-    queue: VecDeque<SendItem>,
-    /// Bytes of `queue[0]` (tag included) already accepted by the socket —
-    /// nonzero exactly while a partial write is outstanding.
+    queue: VecDeque<Frame>,
+    /// Bytes of `queue[0]` already accepted by the socket — nonzero exactly
+    /// while a partial write is outstanding.
     head_written: usize,
     /// Whether `EPOLLOUT` is armed for this connection.
     interest_out: bool,
@@ -297,17 +226,14 @@ struct OutState {
     backoff: Duration,
 }
 
-/// One outbound connection (keyed by destination *address*, so every
-/// logical client behind a hub shares the replica's single socket).
+/// One outbound connection from one node to one peer.
 #[derive(Debug)]
 struct Outbound {
-    identity: Identity,
-    /// The node it reaches (for a connection to the hub, the logical client
-    /// it was opened for): its place in a flush.
+    /// The node that dials: what the preamble announces.
+    local: NodeId,
+    /// The node it reaches: its place in a flush.
     peer: NodeId,
     addr: SocketAddr,
-    /// Frames on this connection carry logical-client tags.
-    mux: bool,
     /// The event loop that owns dialing and drain-on-writable.
     event_loop: Arc<LoopHandle>,
     state: Mutex<OutState>,
@@ -331,31 +257,18 @@ fn drain_locked(state: &mut OutState, stats: &TransportStats, direct: bool) -> D
         if state.queue.is_empty() {
             return DrainOutcome::Drained;
         }
-        let mut slices: Vec<IoSlice<'_>> =
-            Vec::with_capacity((2 * state.queue.len()).min(2 * MAX_SLICES));
+        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(state.queue.len().min(MAX_SLICES));
         let mut offered = 0usize;
+        // Only the head frame can be partly written.
         let mut skip = state.head_written;
-        for item in state.queue.iter() {
-            if slices.len() + 2 > 2 * MAX_SLICES || offered >= MAX_BURST {
+        for frame in state.queue.iter() {
+            if slices.len() == MAX_SLICES || offered >= MAX_BURST {
                 break;
             }
-            if let Some(tag) = item.tag.as_ref() {
-                if skip < tag.len() {
-                    slices.push(IoSlice::new(&tag[skip..]));
-                    offered += tag.len() - skip;
-                    skip = 0;
-                } else {
-                    skip -= tag.len();
-                }
-            }
-            let frame = item.frame.bytes();
-            if skip < frame.len() {
-                slices.push(IoSlice::new(&frame[skip..]));
-                offered += frame.len() - skip;
-                skip = 0;
-            } else {
-                skip -= frame.len();
-            }
+            let rest = &frame.bytes()[skip..];
+            slices.push(IoSlice::new(rest));
+            offered += rest.len();
+            skip = 0;
         }
         let slice_count = slices.len();
         let result = {
@@ -377,12 +290,11 @@ fn drain_locked(state: &mut OutState, stats: &TransportStats, direct: bool) -> D
                 }
                 let mut written = state.head_written + n;
                 let mut completed = 0u64;
-                while let Some(item) = state.queue.front() {
-                    let item_len = item.len();
-                    if written < item_len {
+                while let Some(frame) = state.queue.front() {
+                    if written < frame.len() {
                         break;
                     }
-                    written -= item_len;
+                    written -= frame.len();
                     state.queue.pop_front();
                     completed += 1;
                 }
@@ -407,11 +319,12 @@ fn drain_locked(state: &mut OutState, stats: &TransportStats, direct: bool) -> D
 }
 
 /// Commands other threads hand to an event loop (senders queue a dial, the
-/// mesh registers listeners, the hub's listener distributes fresh
-/// connections).
+/// mesh registers and stops listeners).
 enum Command {
-    AddListener { owner: Owner, listener: TcpListener },
-    AddHubInbound(TcpStream),
+    AddListener {
+        inbox: Arc<InboxShared>,
+        listener: TcpListener,
+    },
     Dial(Arc<Outbound>),
     StopNode(NodeId),
 }
@@ -427,8 +340,7 @@ struct LoopHandle {
 impl std::fmt::Debug for Command {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Command::AddListener { owner, .. } => write!(f, "AddListener({owner:?})"),
-            Command::AddHubInbound(_) => write!(f, "AddHubInbound"),
+            Command::AddListener { inbox, .. } => write!(f, "AddListener({})", inbox.node),
             Command::Dial(out) => write!(f, "Dial({:?})", out.addr),
             Command::StopNode(node) => write!(f, "StopNode({node})"),
         }
@@ -446,19 +358,16 @@ impl LoopHandle {
     }
 }
 
-/// State shared by every handle, endpoint, hub port and loop of one mesh.
+/// State shared by every handle, endpoint and loop of one mesh.
 #[derive(Debug)]
 struct ReactorShared {
-    addresses: HashMap<NodeId, Remote>,
+    addresses: HashMap<NodeId, SocketAddr>,
     stats: Arc<TransportStats>,
     shutdown: AtomicBool,
     loops: Vec<Arc<LoopHandle>>,
     next_loop: AtomicUsize,
     next_token: AtomicU64,
-    /// Per-logical-client delivery queues behind the hub.
-    hub_incoming: Mutex<HashMap<u64, Sender<(NodeId, Message)>>>,
-    /// Currently open inbound connections, mesh-wide (inbox-adopted and
-    /// hub).
+    /// Currently open inbound connections, mesh-wide.
     inbound_live: AtomicU64,
     /// Inbound connections ever accepted, mesh-wide.
     accepted_total: AtomicU64,
@@ -477,18 +386,9 @@ impl ReactorShared {
         let i = self.next_loop.fetch_add(1, Ordering::Relaxed) % self.loops.len();
         Arc::clone(&self.loops[i])
     }
-
-    fn lookup_hub(&self, client: u64) -> Option<Sender<(NodeId, Message)>> {
-        self.hub_incoming
-            .lock()
-            .expect("hub incoming lock")
-            .get(&client)
-            .cloned()
-    }
 }
 
-/// A full mesh of reactor-driven endpoints on loopback, optionally with a
-/// [`ClientHub`] multiplexing logical clients over shared sockets.
+/// A full mesh of reactor-driven endpoints on loopback.
 ///
 /// Every address is bound up front (so all of them are known before any
 /// traffic flows), endpoints are handed out once via
@@ -498,7 +398,6 @@ impl ReactorShared {
 pub struct ReactorMesh {
     shared: Arc<ReactorShared>,
     endpoints: Mutex<HashMap<NodeId, ReactorEndpoint>>,
-    hub: Option<Arc<ClientHub>>,
     /// The event-loop threads, joined by [`shutdown`](Self::shutdown).
     loop_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -506,43 +405,13 @@ pub struct ReactorMesh {
 impl ReactorMesh {
     /// Binds a loopback listener per node and starts the event-loop pool.
     pub fn new(nodes: &[NodeId]) -> io::Result<ReactorMesh> {
-        ReactorMesh::build(nodes, &[])
-    }
-
-    /// Like [`new`](Self::new), but additionally creates a [`ClientHub`]:
-    /// `hub_clients` get no listeners or endpoints of their own — they are
-    /// logical clients reachable *through the hub*, and any node sending to
-    /// one of them multiplexes the frame (tagged with the client id) over a
-    /// single shared connection to the hub's listener. Drive them with
-    /// [`hub_port`](Self::hub_port).
-    pub fn with_hub(nodes: &[NodeId], hub_clients: &[ClientId]) -> io::Result<ReactorMesh> {
-        ReactorMesh::build(nodes, hub_clients)
-    }
-
-    fn build(nodes: &[NodeId], hub_clients: &[ClientId]) -> io::Result<ReactorMesh> {
         let mut listeners = Vec::with_capacity(nodes.len());
-        let mut addresses = HashMap::with_capacity(nodes.len() + hub_clients.len());
+        let mut addresses = HashMap::with_capacity(nodes.len());
         for &node in nodes {
             let listener = TcpListener::bind("127.0.0.1:0")?;
-            addresses.insert(
-                node,
-                Remote {
-                    addr: listener.local_addr()?,
-                    mux: false,
-                },
-            );
+            addresses.insert(node, listener.local_addr()?);
             listeners.push((node, listener));
         }
-        let hub_listener = if hub_clients.is_empty() {
-            None
-        } else {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?;
-            for &client in hub_clients {
-                addresses.insert(NodeId::Client(client), Remote { addr, mux: true });
-            }
-            Some(listener)
-        };
 
         let loop_count = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -562,7 +431,6 @@ impl ReactorMesh {
             loops,
             next_loop: AtomicUsize::new(0),
             next_token: AtomicU64::new(0),
-            hub_incoming: Mutex::new(HashMap::new()),
             inbound_live: AtomicU64::new(0),
             accepted_total: AtomicU64::new(0),
         });
@@ -582,20 +450,9 @@ impl ReactorMesh {
                     .spawn(move || event_loop(shared, handle))?,
             );
         }
-        let hub = hub_listener.map(|listener| {
-            shared.pick_loop().push(Command::AddListener {
-                owner: Owner::Hub,
-                listener,
-            });
-            Arc::new(ClientHub {
-                shared: Arc::clone(&shared),
-                writers: Mutex::new(HashMap::new()),
-            })
-        });
         Ok(ReactorMesh {
             shared,
             endpoints: Mutex::new(endpoints),
-            hub,
             loop_threads: Mutex::new(loop_threads),
         })
     }
@@ -606,33 +463,10 @@ impl ReactorMesh {
         self.endpoints.lock().expect("mesh lock").remove(&node)
     }
 
-    /// A port speaking as logical client `client` through the hub. The
-    /// client must have been listed in [`with_hub`](Self::with_hub).
-    pub fn hub_port(&self, client: ClientId) -> Option<HubPort> {
-        let hub = self.hub.as_ref()?;
-        if !matches!(
-            self.shared.addresses.get(&NodeId::Client(client)),
-            Some(Remote { mux: true, .. })
-        ) {
-            return None;
-        }
-        let (tx, rx) = unbounded();
-        self.shared
-            .hub_incoming
-            .lock()
-            .expect("hub incoming lock")
-            .insert(client.0, tx);
-        Some(HubPort {
-            hub: Arc::clone(hub),
-            client,
-            incoming: rx,
-        })
-    }
-
-    /// The loopback address `node` listens on (or, for hub clients, the
-    /// hub's shared listener). Exposed for transport-level tests.
+    /// The loopback address `node` listens on. Exposed for transport-level
+    /// tests.
     pub fn address(&self, node: NodeId) -> Option<SocketAddr> {
-        self.shared.addresses.get(&node).map(|r| r.addr)
+        self.shared.addresses.get(&node).copied()
     }
 
     /// Mesh-wide traffic counters.
@@ -640,8 +474,8 @@ impl ReactorMesh {
         Arc::clone(&self.shared.stats)
     }
 
-    /// `(live, total)` inbound connections across the mesh: those adopted by
-    /// endpoint inboxes plus the hub's.
+    /// `(live, total)` inbound connections across the mesh, all of them
+    /// adopted by endpoint inboxes.
     pub fn connections(&self) -> (u64, u64) {
         (
             self.shared.inbound_live.load(Ordering::Relaxed),
@@ -717,7 +551,7 @@ fn attach_endpoint(
         state: Mutex::new(InboxState::default()),
     });
     shared.pick_loop().push(Command::AddListener {
-        owner: Owner::Node(Arc::clone(&inbox)),
+        inbox: Arc::clone(&inbox),
         listener,
     });
     Ok(ReactorEndpoint {
@@ -795,9 +629,8 @@ impl Transport for ReactorEndpoint {
 pub struct ReactorHandle {
     local: NodeId,
     shared: Arc<ReactorShared>,
-    /// Outbound connections keyed by destination *address* — every hub
-    /// client behind one hub shares one connection.
-    writers: Arc<Mutex<HashMap<SocketAddr, Arc<Outbound>>>>,
+    /// Outbound connections by destination.
+    writers: Arc<Mutex<HashMap<NodeId, Arc<Outbound>>>>,
     /// Connections that got frames since the last flush, each listed once.
     unflushed: Arc<Mutex<Vec<Arc<Outbound>>>>,
 }
@@ -873,27 +706,39 @@ impl ReactorHandle {
         if self.shared.is_shutdown() {
             return Err(TransportError::Closed);
         }
-        let remote = *self
+        let addr = *self
             .shared
             .addresses
             .get(&to)
             .ok_or(TransportError::UnknownPeer(to))?;
-        let tag = if remote.mux {
-            match to {
-                NodeId::Client(ClientId(c)) => Some(c.to_le_bytes()),
-                _ => return Err(TransportError::UnknownPeer(to)),
-            }
-        } else {
-            None
-        };
-        let outbound = outbound_for(
-            &self.shared,
-            &self.writers,
-            Identity::Node(self.local),
-            to,
-            remote,
+        let outbound = Arc::clone(
+            self.writers
+                .lock()
+                .expect("writer map lock")
+                .entry(to)
+                .or_insert_with(|| {
+                    Arc::new(Outbound {
+                        local: self.local,
+                        peer: to,
+                        addr,
+                        event_loop: self.shared.pick_loop(),
+                        state: Mutex::new(OutState {
+                            backoff: INITIAL_BACKOFF,
+                            ..OutState::default()
+                        }),
+                    })
+                }),
         );
-        send_item(&outbound, SendItem { tag, frame });
+        {
+            let mut state = outbound.state.lock().expect("outbound lock");
+            state.queue.push_back(frame);
+            if state.stream.is_none() && !state.connecting {
+                state.connecting = true;
+                outbound
+                    .event_loop
+                    .push(Command::Dial(Arc::clone(&outbound)));
+            }
+        }
         let mut unflushed = self.unflushed.lock().expect("unflushed lock");
         if !unflushed
             .iter()
@@ -923,45 +768,6 @@ impl ReactorHandle {
         for outbound in unflushed.drain(..) {
             flush_outbound(&self.shared, &outbound);
         }
-    }
-}
-
-/// The connection to `remote` in `writers`, created (not yet dialed) on
-/// first use.
-fn outbound_for(
-    shared: &ReactorShared,
-    writers: &Mutex<HashMap<SocketAddr, Arc<Outbound>>>,
-    identity: Identity,
-    peer: NodeId,
-    remote: Remote,
-) -> Arc<Outbound> {
-    let mut writers = writers.lock().expect("writer map lock");
-    Arc::clone(writers.entry(remote.addr).or_insert_with(|| {
-        Arc::new(Outbound {
-            identity,
-            peer,
-            addr: remote.addr,
-            mux: remote.mux,
-            event_loop: shared.pick_loop(),
-            state: Mutex::new(OutState {
-                backoff: INITIAL_BACKOFF,
-                ..OutState::default()
-            }),
-        })
-    }))
-}
-
-/// Appends one frame to `outbound`'s queue and, when the connection is down
-/// with no dial in flight, schedules one on the owning loop. Writes
-/// nothing: [`flush_outbound`] or the loop's dial and `EPOLLOUT` drains do.
-fn send_item(outbound: &Arc<Outbound>, item: SendItem) {
-    let mut state = outbound.state.lock().expect("outbound lock");
-    state.queue.push_back(item);
-    if state.stream.is_none() && !state.connecting {
-        state.connecting = true;
-        outbound
-            .event_loop
-            .push(Command::Dial(Arc::clone(outbound)));
     }
 }
 
@@ -1018,135 +824,23 @@ fn encode_frame(message: &Message) -> Frame {
     ENCODE_SCRATCH.with(|scratch| Frame::encode_with(&mut scratch.borrow_mut(), message))
 }
 
-/// The shared state behind every [`HubPort`] of a mesh: one writers map, so
-/// all logical clients multiplex over the same physical connections.
-#[derive(Debug)]
-pub struct ClientHub {
-    shared: Arc<ReactorShared>,
-    writers: Mutex<HashMap<SocketAddr, Arc<Outbound>>>,
-}
-
-impl ClientHub {
-    fn send_frame(&self, client: ClientId, to: NodeId, frame: Frame) -> Result<(), TransportError> {
-        if self.shared.is_shutdown() {
-            return Err(TransportError::Closed);
-        }
-        let remote = *self
-            .shared
-            .addresses
-            .get(&to)
-            .ok_or(TransportError::UnknownPeer(to))?;
-        let outbound = outbound_for(
-            &self.shared,
-            &self.writers,
-            Identity::Hub,
-            to,
-            Remote {
-                addr: remote.addr,
-                mux: true,
-            },
-        );
-        send_item(
-            &outbound,
-            SendItem {
-                tag: Some(client.0.to_le_bytes()),
-                frame,
-            },
-        );
-        flush_outbound(&self.shared, &outbound);
-        Ok(())
-    }
-}
-
-/// One logical client multiplexed through a [`ClientHub`]: sends carry the
-/// client's tag over the hub's shared per-replica connections, and replies
-/// arrive demultiplexed on this port's own queue. Implements [`Transport`],
-/// so the closed-loop client driver cannot tell it from a private endpoint
-/// — except that a thousand ports cost sockets proportional to the replica
-/// count, not a thousand listeners and meshes of connections.
-#[derive(Debug)]
-pub struct HubPort {
-    hub: Arc<ClientHub>,
-    client: ClientId,
-    incoming: Receiver<(NodeId, Message)>,
-}
-
-impl HubPort {
-    /// The logical client this port speaks as.
-    pub fn client(&self) -> ClientId {
-        self.client
-    }
-
-    /// The queue of decoded replies addressed to this client.
-    pub fn incoming(&self) -> &Receiver<(NodeId, Message)> {
-        &self.incoming
-    }
-}
-
-impl Transport for HubPort {
-    fn local(&self) -> NodeId {
-        NodeId::Client(self.client)
-    }
-
-    fn send(&self, to: NodeId, message: &Message) -> Result<(), TransportError> {
-        self.hub.send_frame(self.client, to, encode_frame(message))
-    }
-
-    fn broadcast(&self, to: &[NodeId], message: &Message) -> Result<(), TransportError> {
-        let Some((&last, rest)) = to.split_last() else {
-            return Ok(());
-        };
-        let frame = encode_frame(message);
-        self.hub
-            .shared
-            .stats
-            .encodes_saved
-            .fetch_add(rest.len() as u64, Ordering::Relaxed);
-        let mut first_error = None;
-        for &peer in rest {
-            if let Err(error) = self.hub.send_frame(self.client, peer, frame.clone()) {
-                first_error.get_or_insert(error);
-            }
-        }
-        if let Err(error) = self.hub.send_frame(self.client, last, frame) {
-            first_error.get_or_insert(error);
-        }
-        match first_error {
-            None => Ok(()),
-            Some(error) => Err(error),
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, Message), RecvTimeoutError> {
-        self.incoming.recv_timeout(timeout)
-    }
-
-    fn stats(&self) -> Arc<TransportStats> {
-        Arc::clone(&self.hub.shared.stats)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Reading inbound connections: one parser, two destinations.
+// Reading inbound connections.
 
 /// One inbound connection's read side: the nonblocking stream, its
-/// reassembly buffer and the peer identity its preamble announced.
+/// reassembly buffer and the peer its preamble announced.
 #[derive(Debug)]
 struct InboundConn {
     stream: TcpStream,
-    peer: Option<(InboundIdentity, bool)>,
+    peer: Option<NodeId>,
     buf: StreamBuf,
     /// The peer closed or the socket failed: hand out what is buffered,
     /// then drop the connection.
     ended: bool,
 }
 
-/// A decoded frame with the preamble identity and the multiplexing tag it
-/// arrived under.
-type Decoded = (InboundIdentity, Option<u64>, Message);
-
-/// A stream that lost framing (bad preamble, bad frame) or broke the
-/// layering its preamble announced; the connection is dropped.
+/// A stream that lost framing (bad preamble, bad frame); the connection is
+/// dropped.
 #[derive(Debug)]
 struct Poisoned;
 
@@ -1207,22 +901,20 @@ impl InboundConn {
     /// Whether a whole frame (or a poisoned one) is buffered, so the next
     /// [`next_frame`](Self::next_frame) needs no read.
     fn has_frame(&self) -> bool {
-        let Some((_, mux)) = self.peer else {
-            return false;
-        };
-        let bytes = self.buf.bytes();
-        let tag_len = if mux { 8 } else { 0 };
-        bytes.len() >= tag_len
-            && match frame_len(&bytes[tag_len..]) {
-                Ok(Some(len)) => bytes.len() >= tag_len + len,
+        self.peer.is_some()
+            && match frame_len(self.buf.bytes()) {
+                Ok(Some(len)) => self.buf.buffered() >= len,
                 Ok(None) => false,
                 Err(_) => true,
             }
     }
 
-    /// Decodes the next whole buffered frame; `Ok(None)` when none is
-    /// buffered.
-    fn next_frame(&mut self, stats: &TransportStats) -> Result<Option<Decoded>, Poisoned> {
+    /// Decodes the next whole buffered frame, tagged with its sender;
+    /// `Ok(None)` when none is buffered.
+    fn next_frame(
+        &mut self,
+        stats: &TransportStats,
+    ) -> Result<Option<(NodeId, Message)>, Poisoned> {
         if self.peer.is_none() {
             if self.buf.buffered() < PREAMBLE_LEN {
                 return Ok(None);
@@ -1232,86 +924,21 @@ impl InboundConn {
             self.peer = Some(decode_preamble(&preamble).ok_or(Poisoned)?);
             self.buf.consume(PREAMBLE_LEN);
         }
-        let (identity, mux) = self.peer.expect("peer decoded above");
+        let peer = self.peer.expect("peer decoded above");
         let bytes = self.buf.bytes();
-        let tag_len = if mux { 8 } else { 0 };
-        if bytes.len() < tag_len {
-            return Ok(None);
-        }
-        let Some(frame_total) = frame_len(&bytes[tag_len..]).map_err(|_| Poisoned)? else {
+        let Some(frame_total) = frame_len(bytes).map_err(|_| Poisoned)? else {
             return Ok(None);
         };
-        if bytes.len() < tag_len + frame_total {
+        if bytes.len() < frame_total {
             return Ok(None);
         }
-        let tag = mux.then(|| u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")));
-        let message = seemore_wire::codec::decode(&bytes[tag_len..tag_len + frame_total])
-            .map_err(|_| Poisoned)?;
-        self.buf.consume(tag_len + frame_total);
+        let message = seemore_wire::codec::decode(&bytes[..frame_total]).map_err(|_| Poisoned)?;
+        self.buf.consume(frame_total);
         stats.messages_received.fetch_add(1, Ordering::Relaxed);
         stats
             .bytes_received
             .fetch_add(frame_total as u64, Ordering::Relaxed);
-        Ok(Some((identity, tag, message)))
-    }
-}
-
-/// The sender of a frame that reached a node's inbox, or `None` if its
-/// layering does not fit a node.
-fn node_frame_sender(identity: InboundIdentity, tag: Option<u64>) -> Option<NodeId> {
-    match (identity, tag) {
-        // Plain connection to a node: the preamble identity is the sender.
-        (InboundIdentity::Node(sender), None) => Some(sender),
-        // Hub-to-node connection: each frame names its source client.
-        (InboundIdentity::Hub, Some(client)) => Some(NodeId::Client(ClientId(client))),
-        _ => None,
-    }
-}
-
-/// A replica-to-hub connection, with its cached per-client queues.
-struct HubConn {
-    conn: InboundConn,
-    routes: HashMap<u64, Sender<(NodeId, Message)>>,
-}
-
-impl HubConn {
-    /// Reads what the socket has and hands every frame to its client's
-    /// queue: each frame names its destination client, and the sender is the
-    /// replica from the preamble. A client without a port (not opened yet,
-    /// or dropped) just loses the frame, as a network may. Returns `false`
-    /// when the connection is finished.
-    fn pump(&mut self, shared: &ReactorShared, scratch: &mut [u8]) -> bool {
-        for _ in 0..MAX_READS_PER_EVENT {
-            let more = self.conn.read_chunk(&shared.stats, scratch) == Chunk::Full;
-            loop {
-                let (identity, tag, message) = match self.conn.next_frame(&shared.stats) {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => break,
-                    Err(Poisoned) => return false,
-                };
-                let (InboundIdentity::Node(sender @ NodeId::Replica(_)), Some(client)) =
-                    (identity, tag)
-                else {
-                    return false;
-                };
-                use std::collections::hash_map::Entry as Route;
-                let queue = match self.routes.entry(client) {
-                    Route::Occupied(route) => Some(route.into_mut()),
-                    Route::Vacant(route) => {
-                        shared.lookup_hub(client).map(|queue| route.insert(queue))
-                    }
-                };
-                if queue.is_some_and(|queue| queue.send((sender, message)).is_err()) {
-                    self.routes.remove(&client);
-                }
-            }
-            if !more {
-                break;
-            }
-        }
-        // Budget spent or socket drained; readiness stays level-set, the
-        // loop will be back for the rest.
-        !self.conn.ended
+        Ok(Some((peer, message)))
     }
 }
 
@@ -1586,12 +1213,10 @@ impl InboxShared {
                 continue;
             };
             match conn.next_frame(&self.mesh.stats) {
-                Ok(Some((identity, tag, message))) => {
-                    if let Some(sender) = node_frame_sender(identity, tag) {
-                        state.pending.push_back((sender, message));
-                        ring.push_back(token);
-                        continue;
-                    }
+                Ok(Some(frame)) => {
+                    state.pending.push_back(frame);
+                    ring.push_back(token);
+                    continue;
                 }
                 Ok(None) if unread.contains(&token) => {
                     ring.push_front(token);
@@ -1616,29 +1241,29 @@ impl InboxShared {
 
 /// What one poller token points at.
 enum Entry {
-    Listener { owner: Owner, listener: TcpListener },
-    Hub(HubConn),
+    Listener {
+        inbox: Arc<InboxShared>,
+        listener: TcpListener,
+    },
     Out(Arc<Outbound>),
 }
 
-/// A loop's private state (registry, redial deadlines, read scratch).
+/// A loop's private state (registry, redial deadlines).
 struct LoopState {
     registry: HashMap<u64, Entry>,
     redials: Vec<(Instant, Arc<Outbound>)>,
-    scratch: Vec<u8>,
 }
 
 fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
     let mut state = LoopState {
         registry: HashMap::new(),
         redials: Vec::new(),
-        scratch: Vec::new(),
     };
     let mut events: Vec<Event> = Vec::new();
     while !shared.is_shutdown() {
         for command in handle.take() {
             match command {
-                Command::AddListener { owner, listener } => {
+                Command::AddListener { inbox, listener } => {
                     if listener.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -1650,24 +1275,7 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
                     {
                         state
                             .registry
-                            .insert(token, Entry::Listener { owner, listener });
-                    }
-                }
-                Command::AddHubInbound(stream) => {
-                    let token = shared.next_token();
-                    if handle
-                        .poller
-                        .add(stream.as_raw_fd(), token, Interest::READ)
-                        .is_ok()
-                    {
-                        shared.inbound_live.fetch_add(1, Ordering::Relaxed);
-                        state.registry.insert(
-                            token,
-                            Entry::Hub(HubConn {
-                                conn: InboundConn::new(stream),
-                                routes: HashMap::new(),
-                            }),
-                        );
+                            .insert(token, Entry::Listener { inbox, listener });
                     }
                 }
                 Command::Dial(outbound) => attempt_dial(&shared, &handle, &mut state, outbound),
@@ -1676,10 +1284,7 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
                     // are refused, established peers see a reset and fall
                     // back to queue + redial.
                     state.registry.retain(|_, entry| match entry {
-                        Entry::Listener {
-                            owner: Owner::Node(inbox),
-                            ..
-                        } if inbox.node == node => {
+                        Entry::Listener { inbox, .. } if inbox.node == node => {
                             inbox.close();
                             false
                         }
@@ -1721,20 +1326,14 @@ fn event_loop(shared: Arc<ReactorShared>, handle: Arc<LoopHandle>) {
         .take()
         .into_iter()
         .filter_map(|command| match command {
-            Command::AddListener {
-                owner: Owner::Node(inbox),
-                ..
-            } => Some(inbox),
+            Command::AddListener { inbox, .. } => Some(inbox),
             _ => None,
         });
     let registered = state
         .registry
         .into_values()
         .filter_map(|entry| match entry {
-            Entry::Listener {
-                owner: Owner::Node(inbox),
-                ..
-            } => Some(inbox),
+            Entry::Listener { inbox, .. } => Some(inbox),
             _ => None,
         });
     for inbox in registered.chain(unregistered) {
@@ -1749,7 +1348,7 @@ fn handle_event(shared: &Arc<ReactorShared>, state: &mut LoopState, event: Event
         return; // stale token (connection torn down since the wait)
     };
     match entry {
-        Entry::Listener { owner, listener } => {
+        Entry::Listener { inbox, listener } => {
             for _ in 0..MAX_ACCEPTS_PER_EVENT {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -1758,13 +1357,8 @@ fn handle_event(shared: &Arc<ReactorShared>, state: &mut LoopState, event: Event
                             continue;
                         }
                         shared.accepted_total.fetch_add(1, Ordering::Relaxed);
-                        match &owner {
-                            // From here on the node's own thread reads it.
-                            Owner::Node(inbox) => inbox.adopt(stream),
-                            // Hub connections spread round-robin across the
-                            // pool; registration happens on the target loop.
-                            Owner::Hub => shared.pick_loop().push(Command::AddHubInbound(stream)),
-                        }
+                        // From here on the node's own thread reads it.
+                        inbox.adopt(stream);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     // Transient accept failures (ECONNABORTED, EMFILE) must
@@ -1775,17 +1369,7 @@ fn handle_event(shared: &Arc<ReactorShared>, state: &mut LoopState, event: Event
             }
             state
                 .registry
-                .insert(event.token, Entry::Listener { owner, listener });
-        }
-        Entry::Hub(mut hub) => {
-            if state.scratch.is_empty() {
-                state.scratch.resize(READ_CHUNK, 0);
-            }
-            if hub.pump(shared, &mut state.scratch) {
-                state.registry.insert(event.token, Entry::Hub(hub));
-            } else {
-                shared.inbound_live.fetch_sub(1, Ordering::Relaxed);
-            }
+                .insert(event.token, Entry::Listener { inbox, listener });
         }
         Entry::Out(outbound) => {
             if handle_out_event(shared, state, &outbound, event) {
@@ -1892,7 +1476,7 @@ fn attempt_dial(
     let connected =
         TcpStream::connect_timeout(&outbound.addr, CONNECT_TIMEOUT).and_then(|mut stream| {
             let _ = stream.set_nodelay(true);
-            stream.write_all(&encode_preamble(outbound.identity, outbound.mux))?;
+            stream.write_all(&encode_preamble(outbound.local))?;
             stream.set_nonblocking(true)?;
             Ok(stream)
         });
@@ -2264,8 +1848,10 @@ mod tests {
         mesh.shutdown();
     }
 
-    #[test]
-    fn flush_skips_a_dialing_peer_and_the_dial_drains_its_queue() {
+    /// Queues `k` frames for a peer that refuses connections and flushes,
+    /// then restarts the peer, whose dial drains the queue. Returns the
+    /// mesh's counters once every frame arrived once, in order.
+    fn drain_behind_a_dial(k: u64) -> Arc<TransportStats> {
         let (a, b) = (replica(0), replica(1));
         let mesh = ReactorMesh::new(&[a, b]).unwrap();
         let sender = mesh.take_endpoint(a).unwrap().handle();
@@ -2276,8 +1862,7 @@ mod tests {
         wait_until("b's listener to close", || {
             TcpStream::connect(b_addr).is_err()
         });
-        const K: u64 = 4;
-        let frames: Vec<Message> = (0..K).map(state_request).collect();
+        let frames: Vec<Message> = (0..k).map(state_request).collect();
         for message in &frames {
             sender.queue(b, message).unwrap();
         }
@@ -2291,11 +1876,30 @@ mod tests {
             late.recv_timeout(Duration::from_millis(100)).is_err(),
             "each frame delivered once"
         );
-        wait_until("the drain to be accounted", || stats.messages_sent() == K);
-        assert_eq!(stats.write_syscalls(), 2, "the preamble, then one writev");
+        wait_until("the drain to be accounted", || stats.messages_sent() == k);
+        assert_eq!(stats.partial_writes(), 0);
         assert_eq!(stats.direct_writes(), 0, "the dial drained the queue");
-        assert_eq!(stats.frames_coalesced(), K - 1);
         mesh.shutdown();
+        stats
+    }
+
+    #[test]
+    fn flush_skips_a_dialing_peer_and_the_dial_drains_its_queue() {
+        const K: u64 = 4;
+        let stats = drain_behind_a_dial(K);
+        assert_eq!(stats.write_syscalls(), 2, "the preamble, then one writev");
+        assert_eq!(stats.frames_coalesced(), K - 1);
+    }
+
+    /// A backlog drains at most [`MAX_SLICES`] frames per gather write: 150
+    /// frames queued behind a dial leave in writes of 64, 64 and 22.
+    #[test]
+    fn a_backlog_drains_at_most_max_slices_frames_per_write() {
+        const K: u64 = 150;
+        let stats = drain_behind_a_dial(K);
+        assert_eq!(stats.write_syscalls(), 4, "the preamble, then three writes");
+        assert_eq!(stats.vectored_writes(), 3);
+        assert_eq!(stats.frames_coalesced(), K - 3);
     }
 
     #[test]
@@ -2333,89 +1937,32 @@ mod tests {
         mesh.shutdown();
     }
 
+    /// Identities round-trip; the retired multiplexing layering is refused:
+    /// a nonzero reserved byte (once the multiplexing flag) and tag 2 (once
+    /// the client hub).
     #[test]
     fn preamble_round_trips_identities_and_mux_flag() {
-        for (identity, inbound) in [
-            (
-                Identity::Node(replica(3)),
-                InboundIdentity::Node(replica(3)),
-            ),
-            (
-                Identity::Node(NodeId::Client(ClientId(9))),
-                InboundIdentity::Node(NodeId::Client(ClientId(9))),
-            ),
-            (Identity::Hub, InboundIdentity::Hub),
-        ] {
-            for mux in [false, true] {
-                assert_eq!(
-                    decode_preamble(&encode_preamble(identity, mux)),
-                    Some((inbound, mux))
-                );
-            }
+        for node in [replica(3), NodeId::Client(ClientId(9))] {
+            assert_eq!(decode_preamble(&encode_preamble(node)), Some(node));
         }
-        let mut garbage = encode_preamble(Identity::Hub, true);
-        garbage[0] = b'!';
-        assert_eq!(decode_preamble(&garbage), None);
-    }
-
-    /// Many logical clients, few sockets: three hub ports talk to one
-    /// replica and the whole exchange rides on exactly two inbound
-    /// connections (hub->replica and replica->hub), not six.
-    #[test]
-    fn hub_multiplexes_logical_clients_over_shared_connections() {
-        let clients: Vec<ClientId> = (0..3).map(ClientId).collect();
-        let mesh = ReactorMesh::with_hub(&[replica(0)], &clients).unwrap();
-        let server = mesh.take_endpoint(replica(0)).unwrap();
-        let ports: Vec<HubPort> = clients.iter().map(|&c| mesh.hub_port(c).unwrap()).collect();
-
-        const PER_CLIENT: u64 = 10;
-        for seq in 0..PER_CLIENT {
-            for port in &ports {
-                port.send(replica(0), &state_request(seq)).unwrap();
-            }
+        let valid = encode_preamble(replica(0));
+        for (index, byte) in [(0, b'!'), (5, 2), (6, 0x01), (7, 0x01)] {
+            let mut refused = valid;
+            refused[index] = byte;
+            assert_eq!(decode_preamble(&refused), None, "byte {index} = {byte}");
         }
-        // The replica sees every frame, attributed to the right logical
-        // client, FIFO per client.
-        let mut next: HashMap<NodeId, u64> = HashMap::new();
-        for _ in 0..PER_CLIENT * ports.len() as u64 {
-            let (from, message) = server.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(matches!(from, NodeId::Client(c) if clients.contains(&c)));
-            let expected = next.entry(from).or_insert(0);
-            assert_eq!(message, state_request(*expected), "FIFO per client");
-            *expected += 1;
-            // Echo a tagged reply back through the shared connection.
-            server.send(from, &message).unwrap();
-        }
-        // Each port receives exactly its own replies.
-        for port in &ports {
-            for seq in 0..PER_CLIENT {
-                let (from, message) = port.recv_timeout(Duration::from_secs(5)).unwrap();
-                assert_eq!(from, replica(0));
-                assert_eq!(message, state_request(seq), "demux FIFO per client");
-            }
-            assert!(
-                port.recv_timeout(Duration::from_millis(50)).is_err(),
-                "no cross-client leakage"
-            );
-        }
-        let (live, total) = mesh.connections();
-        assert_eq!(
-            (live, total),
-            (2, 2),
-            "three logical clients must share one socket pair"
-        );
-        mesh.shutdown();
     }
 
     /// The event-loop pool is fixed-size: idle connections cost file
     /// descriptors, not threads, and do not starve the connections that
     /// carry traffic. 256 raw client connections sit idle on one replica's
-    /// listener while an echo through a hub port still completes.
+    /// listener while an echo through a client endpoint still completes.
     #[test]
-    fn idle_connections_are_held_while_the_hub_still_echoes() {
+    fn idle_connections_are_held_while_a_client_endpoint_still_echoes() {
         use std::io::Write as _;
         const IDLE: u64 = 256;
-        let mesh = ReactorMesh::with_hub(&[replica(0)], &[ClientId(0)]).unwrap();
+        let client = NodeId::Client(ClientId(0));
+        let mesh = ReactorMesh::new(&[replica(0), client]).unwrap();
         let server = mesh.take_endpoint(replica(0)).unwrap();
         let addr = mesh.address(replica(0)).unwrap();
         let idle: Vec<TcpStream> = (0..IDLE)
@@ -2437,10 +1984,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
 
-        let port = mesh.hub_port(ClientId(0)).unwrap();
+        let port = mesh.take_endpoint(client).unwrap();
         port.send(replica(0), &state_request(7)).unwrap();
         let (from, message) = server.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(from, NodeId::Client(ClientId(0)));
+        assert_eq!(from, client);
         server.send(from, &message).unwrap();
         let (from, message) = port.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((from, message), (replica(0), state_request(7)));
@@ -2494,50 +2041,38 @@ mod tests {
         stream
     }
 
-    /// A hub-to-replica connection lands in the replica's inbox like any
-    /// other, and each frame's tag names its sender.
-    #[test]
-    fn hub_tagged_frames_reach_the_inbox_from_their_client() {
-        let mesh = ReactorMesh::new(&[replica(0)]).unwrap();
-        let server = mesh.take_endpoint(replica(0)).unwrap();
-        let frame = seemore_wire::codec::encode(&state_request(3));
-        let _hub = raw_connection(
-            mesh.address(replica(0)).unwrap(),
-            &encode_preamble(Identity::Hub, true),
-            &[&77u64.to_le_bytes(), &frame, &78u64.to_le_bytes(), &frame],
-        );
-        for client in [77, 78] {
-            assert_eq!(
-                server.recv_timeout(Duration::from_secs(5)),
-                Ok((NodeId::Client(ClientId(client)), state_request(3)))
-            );
-        }
-        mesh.shutdown();
-    }
-
     /// A connection that opens with garbage is dropped; the node's other
-    /// connections keep delivering.
+    /// connections keep delivering. A preamble of the retired multiplexed
+    /// layering (a replica's, with the old multiplexing flag set) counts as
+    /// garbage.
     #[test]
     fn a_garbage_preamble_drops_only_its_own_connection() {
         let mesh = ReactorMesh::new(&[replica(0)]).unwrap();
         let server = mesh.take_endpoint(replica(0)).unwrap();
         let addr = mesh.address(replica(0)).unwrap();
-        let mut garbage = raw_connection(addr, &[b'!'; PREAMBLE_LEN], &[]);
+        let mut multiplexed = encode_preamble(replica(1));
+        multiplexed[6] = 0x01;
+        let mut garbage: Vec<TcpStream> = [[b'!'; PREAMBLE_LEN], multiplexed]
+            .iter()
+            .map(|preamble| raw_connection(addr, preamble, &[]))
+            .collect();
         let frame = seemore_wire::codec::encode(&state_request(4));
         let _good = raw_connection(addr, &client_preamble(ClientId(5)), &[&frame]);
         assert_eq!(
             server.recv_timeout(Duration::from_secs(5)),
             Ok((NodeId::Client(ClientId(5)), state_request(4)))
         );
-        wait_until("the garbage connection to be dropped", || {
+        wait_until("the garbage connections to be dropped", || {
             let _ = server.recv_timeout(Duration::from_millis(1));
             mesh.connections().0 == 1
         });
-        let mut probe = [0u8; 1];
-        assert!(
-            matches!(garbage.read(&mut probe), Ok(0) | Err(_)),
-            "the garbage connection was closed"
-        );
+        for stream in &mut garbage {
+            let mut probe = [0u8; 1];
+            assert!(
+                matches!(stream.read(&mut probe), Ok(0) | Err(_)),
+                "the garbage connection was closed"
+            );
+        }
         mesh.shutdown();
     }
 

@@ -115,11 +115,11 @@ impl std::error::Error for TransportError {}
 ///
 /// Every counter is a *monotonic event count* updated and read with
 /// [`Ordering::Relaxed`], deliberately: no control flow ever branches on a
-/// counter, no counter update is meant to publish other memory (the frames
-/// themselves travel through channels, which provide their own
-/// happens-before edges), and the only consumers are end-of-run reports and
-/// test assertions that read after the relevant threads have been joined or
-/// the channel traffic has quiesced. `SeqCst` would buy nothing here except
+/// counter, no counter update is meant to publish other memory (a decoded
+/// frame reaches the thread that receives it under its inbox's lock, which
+/// provides its own happens-before edge), and the only consumers are
+/// end-of-run reports and test assertions that read after the relevant
+/// threads have been joined or the traffic has quiesced. `SeqCst` would buy nothing here except
 /// a full fence on every byte counted on the hot path. A point-in-time read
 /// across counters may be mutually inconsistent (e.g. `messages_sent` can
 /// momentarily lag `bytes_sent` mid-write); consumers that compare counters
@@ -157,15 +157,15 @@ impl TransportStats {
     }
 
     /// Bytes of successfully decoded frames — the payload traffic, net of
-    /// preambles, multiplexing tags and partially received frames. By the
+    /// preambles and partially received frames. By the
     /// codec's size contract this equals the sum of `wire_size()` over every
     /// message counted in [`messages_received`](Self::messages_received).
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received.load(Ordering::Relaxed)
     }
 
-    /// Raw bytes pulled off `read(2)` (preambles and multiplexing tags
-    /// included — they are on the wire too). `bytes_read - bytes_received`
+    /// Raw bytes pulled off `read(2)` (preambles included — they are on
+    /// the wire too). `bytes_read - bytes_received`
     /// is the framing overhead plus whatever is still sitting undecoded in
     /// reassembly buffers.
     pub fn bytes_read(&self) -> u64 {

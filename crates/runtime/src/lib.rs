@@ -28,27 +28,16 @@
 //!
 //! # The socket transport, and how clients attach
 //!
-//! There is one: `seemore-net`'s reactor mesh. Each replica (and each
-//! client with a private endpoint) reads its own inbound connections on its
-//! own thread; a fixed pool of epoll event loops accepts, dials and drains
-//! congested connections, so thread count stays flat as connections grow.
-//! The one deployment choice left is how clients attach
-//! ([`SocketOptions::client_mux`], or [`Scenario::with_client_mux`] through
-//! scenarios):
-//!
-//! * **Private endpoints** (the default) — each client owns a listener and
-//!   dials one connection per replica; replicas dial it back for replies.
-//!   The shape of independent client machines, and what `BENCHMARK.json`
-//!   measures.
-//! * **Hub-multiplexed** — all clients share one connection per replica in
-//!   each direction, frames tagged with the logical client id. Use it for
-//!   client-scaling questions (hundreds to thousands of concurrent clients
-//!   in one process), where a listener and a mesh of sockets per client is
-//!   the cost that dominates.
-//!
-//! Both are driven to the threaded runtime's per-slot histories by the
-//! loopback end-to-end suite (`tests/socket_e2e.rs`), so the choice is a
-//! topology decision, not a correctness one.
+//! There is one: `seemore-net`'s reactor mesh. Each replica and each client
+//! reads its own inbound connections on its own thread; a fixed pool of
+//! epoll event loops accepts, dials and drains congested connections, so
+//! thread count stays flat as connections grow. Clients attach the way the
+//! paper's clients do: each owns an endpoint with a listener, dials one
+//! connection per replica it sends to, and replicas dial it back for
+//! replies. That is the shape of independent client machines and what
+//! `BENCHMARK.json` measures. The loopback end-to-end suite
+//! (`tests/socket_e2e.rs`) drives it to the threaded runtime's per-slot
+//! histories.
 //!
 //! Supporting modules:
 //!
@@ -143,6 +132,6 @@ pub mod workload;
 pub use report::{BatchReport, ClassStats, RunReport, TimelineBucket, TransportReport};
 pub use scenario::{CrashRecover, DurabilityKind, ProtocolKind, RuntimeKind, Scenario};
 pub use sim::{SimConfig, Simulation};
-pub use socket::{SocketCluster, SocketOptions};
+pub use socket::SocketCluster;
 pub use threaded::ThreadedCluster;
 pub use workload::Workload;

@@ -90,7 +90,7 @@ pub struct TransportReport {
     /// Writes the kernel accepted only partially (socket-buffer pressure;
     /// the remainder stayed queued).
     pub partial_writes: u64,
-    /// Raw bytes read from sockets, preambles and mux tags included.
+    /// Raw bytes read from sockets, preambles included.
     pub bytes_read: u64,
     /// Outbound connections established across the mesh (initial dials
     /// included): `peers` on a clean run, anything above that is a rebuild

@@ -164,11 +164,10 @@ pub enum RuntimeKind {
     /// serialization).
     Threaded,
     /// Thread-per-replica over real loopback TCP through the wire codec
-    /// (wall-clock time; reported bytes really crossed sockets): each
-    /// replica and client thread reads its own inbound connections, a fixed
-    /// pool of epoll event loops accepts, dials and drains, and (with
-    /// [`Scenario::with_client_mux`]) clients multiplex over shared
-    /// per-replica connections instead of private listeners.
+    /// (wall-clock time; reported bytes really crossed sockets): every
+    /// replica and client owns an endpoint with its own listener, each
+    /// replica and client thread reads its own inbound connections, and a
+    /// fixed pool of epoll event loops accepts, dials and drains.
     Socket,
 }
 
@@ -242,10 +241,6 @@ pub struct Scenario {
     /// (true, the default) or are downgraded to the ordered path (the
     /// ordered-everything arm of `seemore-bench` ablation 9).
     pub read_fast_path: bool,
-    /// On the socket runtime, multiplex every client over the hub's shared
-    /// per-replica connections instead of one listener per client (false,
-    /// the default). No effect on the other runtimes.
-    pub client_mux: bool,
     /// Number of public-cloud replicas wrapped with this Byzantine
     /// behaviour (must stay ≤ `m` for guarantees to hold).
     pub byzantine_replicas: u32,
@@ -289,7 +284,6 @@ impl Scenario {
             mode_switch: None,
             workload: None,
             read_fast_path: true,
-            client_mux: false,
             byzantine_replicas: 0,
             byzantine_behavior: ByzantineBehavior::Honest,
             runtime: RuntimeKind::Simulated,
@@ -387,15 +381,6 @@ impl Scenario {
     /// two arms differ only in how reads travel.
     pub fn with_read_fast_path(mut self, enabled: bool) -> Self {
         self.read_fast_path = enabled;
-        self
-    }
-
-    /// Enables or disables client multiplexing on the socket runtime
-    /// (disabled by default): with it, every client shares the hub's one
-    /// connection per replica instead of owning a listener and a mesh of
-    /// private sockets.
-    pub fn with_client_mux(mut self, enabled: bool) -> Self {
-        self.client_mux = enabled;
         self
     }
 
@@ -797,14 +782,8 @@ impl Scenario {
                 AnyCluster::Threaded(ThreadedCluster::spawn(cores.replicas, &client_ids))
             }
             RuntimeKind::Socket => AnyCluster::Socket(
-                SocketCluster::spawn_with(
-                    cores.replicas,
-                    &client_ids,
-                    crate::socket::SocketOptions {
-                        client_mux: self.client_mux,
-                    },
-                )
-                .expect("bind loopback TCP sockets"),
+                SocketCluster::spawn(cores.replicas, &client_ids)
+                    .expect("bind loopback TCP sockets"),
             ),
             RuntimeKind::Simulated => unreachable!("handled by Scenario::run"),
         };
@@ -1184,24 +1163,16 @@ mod tests {
 
     #[test]
     fn concurrent_runtimes_produce_reports_with_traffic() {
-        for (kind, mux) in [
-            (RuntimeKind::Threaded, false),
-            (RuntimeKind::Socket, false),
-            (RuntimeKind::Socket, true),
-        ] {
+        for kind in [RuntimeKind::Threaded, RuntimeKind::Socket] {
             let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
                 .with_clients(2)
                 .with_duration(Duration::from_millis(150), Duration::from_millis(10))
                 .with_runtime(kind)
-                .with_client_mux(mux)
                 .run();
             let name = kind.name();
-            assert!(report.completed > 0, "{name} (mux {mux}): no progress");
-            assert!(report.messages_delivered > 0, "{name} (mux {mux})");
-            assert!(
-                report.bytes_delivered > 0,
-                "{name} (mux {mux}): no bytes on the wire"
-            );
+            assert!(report.completed > 0, "{name}: no progress");
+            assert!(report.messages_delivered > 0, "{name}");
+            assert!(report.bytes_delivered > 0, "{name}: no bytes on the wire");
         }
     }
 

@@ -11,21 +11,21 @@
 //!
 //! The replica event loop and the closed-loop client driver are shared with
 //! the threaded runtime through `crate::driver`; this module only adds the
-//! TCP endpoints. Each replica thread — and each client thread with a
-//! private endpoint — reads and decodes its own inbound connections through
-//! its endpoint's [`Inbox`]: it blocks in that inbox's `epoll_wait`, so a
-//! delivered message crosses no other thread and no channel. Control
-//! commands ride a separate channel; queueing one wakes the replica's inbox,
-//! and the replica handles it before the traffic that wake-up read. See the
-//! crate docs for guidance on choosing between the simulator, the threaded
-//! runtime and this one.
+//! TCP endpoints. Every replica and every client owns one: a listener, the
+//! connections it dials, and an [`Inbox`]. Each replica or client thread
+//! reads and decodes its own inbound connections through that inbox: it
+//! blocks in the inbox's `epoll_wait`, so a delivered message crosses no
+//! other thread and no channel. Control commands ride a separate channel;
+//! queueing one wakes the replica's inbox, and the replica handles it before
+//! the traffic that wake-up read. See the crate docs for guidance on
+//! choosing between the simulator, the threaded runtime and this one.
 
 use crate::driver::{self, ReplicaCommand};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_net::{
-    HubPort, Inbox, InboxWaker, ReactorHandle, ReactorMesh, Transport, TransportStats,
+    Inbox, InboxWaker, ReactorEndpoint, ReactorHandle, ReactorMesh, Transport, TransportStats,
 };
 use seemore_types::{ClientId, Duration, Mode, NodeId, OpClass, ReplicaId};
 use seemore_wire::Message;
@@ -34,34 +34,6 @@ use std::io;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
-
-/// A client's attachment to the mesh: either a private endpoint (its own
-/// listener plus dialed connections, read by the client's thread through
-/// the endpoint's inbox) or a multiplexed port through the mesh's client
-/// hub (shared connections, demuxed replies).
-enum ClientPort {
-    Endpoint { handle: ReactorHandle, inbox: Inbox },
-    Hub(HubPort),
-}
-
-impl ClientPort {
-    fn send(&self, to: NodeId, message: &Message) {
-        let _ = match self {
-            ClientPort::Endpoint { handle, .. } => handle.send(to, message),
-            ClientPort::Hub(port) => port.send(to, message),
-        };
-    }
-
-    fn recv_timeout(
-        &self,
-        wait: std::time::Duration,
-    ) -> Result<(NodeId, Message), RecvTimeoutError> {
-        match self {
-            ClientPort::Endpoint { inbox, .. } => inbox.recv_timeout(wait),
-            ClientPort::Hub(port) => port.incoming().recv_timeout(wait),
-        }
-    }
-}
 
 /// A socket replica's [`driver::ReplicaInbox`]: control commands first,
 /// then the frames the replica's own thread reads off its connections.
@@ -106,15 +78,6 @@ impl ReplicaControl {
     }
 }
 
-/// The one deployment choice of the socket substrate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SocketOptions {
-    /// Multiplex every client over the hub's shared per-replica connections
-    /// instead of giving each client its own listener and mesh of sockets
-    /// (the default).
-    pub client_mux: bool,
-}
-
 /// The socket runtime's [`driver::ReplicaSink`]: it queues a turn's frames
 /// and writes them at the loop's end-of-turn [`flush`](driver::ReplicaSink::flush),
 /// one write per peer. Single sends encode through the transport's
@@ -152,7 +115,8 @@ pub struct SocketCluster {
     mesh: ReactorMesh,
     replica_controls: HashMap<ReplicaId, ReplicaControl>,
     replicas: Vec<JoinHandle<Box<dyn ReplicaProtocol>>>,
-    clients: HashMap<ClientId, ClientPort>,
+    /// Each client's endpoint, read by the thread that runs the client.
+    clients: HashMap<ClientId, ReactorEndpoint>,
     stats: Arc<TransportStats>,
     start: StdInstant,
 }
@@ -169,44 +133,27 @@ impl SocketCluster {
         replicas: Vec<Box<dyn ReplicaProtocol>>,
         client_ids: &[ClientId],
     ) -> io::Result<Self> {
-        Self::spawn_with(replicas, client_ids, SocketOptions::default())
-    }
-
-    /// [`spawn`](Self::spawn) with explicit [`SocketOptions`].
-    pub fn spawn_with(
-        replicas: Vec<Box<dyn ReplicaProtocol>>,
-        client_ids: &[ClientId],
-        options: SocketOptions,
-    ) -> io::Result<Self> {
-        let replica_nodes: Vec<NodeId> = replicas.iter().map(|r| NodeId::Replica(r.id())).collect();
-        let mesh = if options.client_mux {
-            // Clients get no listeners of their own: they are logical
-            // clients behind the hub, sharing one connection per replica.
-            ReactorMesh::with_hub(&replica_nodes, client_ids)?
-        } else {
-            let nodes: Vec<NodeId> = replica_nodes
-                .iter()
-                .copied()
-                .chain(client_ids.iter().map(|c| NodeId::Client(*c)))
-                .collect();
-            ReactorMesh::new(&nodes)?
-        };
+        let nodes: Vec<NodeId> = replicas
+            .iter()
+            .map(|r| NodeId::Replica(r.id()))
+            .chain(client_ids.iter().map(|c| NodeId::Client(*c)))
+            .collect();
+        let mesh = ReactorMesh::new(&nodes)?;
         let stats = mesh.stats();
         // The clock epoch starts after the mesh is bound, so listener setup
         // is not charged to the protocol's timers or measurement windows.
         let start = StdInstant::now();
 
-        let take = |node: NodeId| -> (ReactorHandle, Inbox) {
+        let take = |node: NodeId| -> ReactorEndpoint {
             mesh.take_endpoint(node)
                 .expect("endpoint exists for every spawned node")
-                .into_parts()
         };
 
         let mut replica_controls = HashMap::new();
         let mut replica_handles = Vec::new();
         for replica in replicas {
             let id = replica.id();
-            let (handle, frames) = take(NodeId::Replica(id));
+            let (handle, frames) = take(NodeId::Replica(id)).into_parts();
             let (commands, rx) = unbounded::<ReplicaCommand>();
             let waker = frames.waker();
             replica_controls.insert(id, ReplicaControl { commands, waker });
@@ -224,19 +171,10 @@ impl SocketCluster {
             replica_handles.push(thread);
         }
 
-        let mut clients = HashMap::new();
-        for client in client_ids {
-            let port = if options.client_mux {
-                ClientPort::Hub(
-                    mesh.hub_port(*client)
-                        .expect("hub port exists for every registered client"),
-                )
-            } else {
-                let (handle, inbox) = take(NodeId::Client(*client));
-                ClientPort::Endpoint { handle, inbox }
-            };
-            clients.insert(*client, port);
-        }
+        let clients = client_ids
+            .iter()
+            .map(|&client| (client, take(NodeId::Client(client))))
+            .collect();
 
         Ok(SocketCluster {
             mesh,
@@ -337,14 +275,17 @@ impl SocketCluster {
                 abandon_at,
             },
             |wait| port.recv_timeout(wait),
-            |to, message| port.send(to, &message),
+            |to, message| {
+                let _ = port.send(to, &message);
+            },
             make_op,
         );
         (client, outcomes)
     }
 
     /// Messages and bytes that actually crossed the TCP mesh so far
-    /// (received side; bytes include the per-connection preambles).
+    /// (received side: decoded frames only, so the bytes exclude the
+    /// per-connection preambles).
     pub fn traffic(&self) -> (u64, u64) {
         (self.stats.messages_received(), self.stats.bytes_received())
     }
@@ -537,7 +478,7 @@ mod tests {
             replica: ReplicaId(0),
         });
         // A live replica answers with three copies.
-        port.send(looped, &ping);
+        port.send(looped, &ping).unwrap();
         for _ in 0..3 {
             let answer = port.recv_timeout(std::time::Duration::from_secs(5));
             assert_eq!(
@@ -549,7 +490,7 @@ mod tests {
         // send at once.
         std::thread::sleep(std::time::Duration::from_millis(10));
         sockets.crash(ReplicaId(0));
-        port.send(looped, &ping);
+        port.send(looped, &ping).unwrap();
         let answer = port.recv_timeout(std::time::Duration::from_millis(100));
         assert!(answer.is_err(), "a crashed replica answered: {answer:?}");
         let cores = sockets.shutdown();

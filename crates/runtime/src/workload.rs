@@ -3,8 +3,8 @@
 //! The paper's evaluation uses micro-benchmarks named `x/y` where `x` is the
 //! request payload size and `y` the reply payload size in kilobytes (0/0,
 //! 0/4 and 4/0). [`Workload::micro`] reproduces those; [`Workload::kv`]
-//! generates key-value operations for the examples and integration tests,
-//! optionally with Zipfian key skew ([`Workload::kv_skewed`]).
+//! generates key-value operations over uniformly drawn keys for the
+//! examples and integration tests.
 
 use rand::Rng;
 use seemore_app::KvOp;
@@ -27,10 +27,6 @@ pub enum Workload {
         value_size: usize,
         /// Fraction of operations that are reads (0.0 – 1.0).
         read_fraction: f64,
-        /// Zipfian skew exponent for key popularity. `0.0` (the default)
-        /// selects keys uniformly; larger values concentrate traffic on a
-        /// hot set (YCSB's classic setting is `0.99`).
-        skew: f64,
     },
 }
 
@@ -48,18 +44,10 @@ impl Workload {
 
     /// A key-value workload with uniform key popularity.
     pub fn kv(keys: u64, value_size: usize, read_fraction: f64) -> Self {
-        Workload::kv_skewed(keys, value_size, read_fraction, 0.0)
-    }
-
-    /// A key-value workload with Zipfian key popularity: key rank `i`
-    /// (1-based) is drawn with probability proportional to `1 / i^skew`.
-    /// `skew = 0.0` degenerates to the uniform workload.
-    pub fn kv_skewed(keys: u64, value_size: usize, read_fraction: f64, skew: f64) -> Self {
         Workload::Kv {
             keys,
             value_size,
             read_fraction,
-            skew,
         }
     }
 
@@ -82,13 +70,8 @@ impl Workload {
                 keys,
                 value_size,
                 read_fraction,
-                skew,
             } => {
-                let rank = if *skew > 0.0 {
-                    zipf_rank(rng, *keys, *skew)
-                } else {
-                    rng.gen_range(0..*keys)
-                };
+                let rank = rng.gen_range(0..*keys);
                 let key = format!("key-{rank}").into_bytes();
                 if rng.gen_bool(read_fraction.clamp(0.0, 1.0)) {
                     let op = KvOp::Get { key };
@@ -111,26 +94,6 @@ impl Workload {
             Workload::Kv { value_size, .. } => *value_size + 16,
         }
     }
-}
-
-/// Draws a 0-based key rank from the Zipfian distribution over `keys` ranks
-/// with exponent `skew`, by an inverse-CDF walk over the unnormalised
-/// weights `1 / (rank + 1)^skew`.
-///
-/// The walk is `O(keys)` per draw, which is deliberate: workloads in this
-/// repository use key counts in the hundreds, the generator is cloneable
-/// state-free, and an exact walk keeps the distribution honest (no
-/// approximation constant to validate).
-fn zipf_rank<R: Rng + ?Sized>(rng: &mut R, keys: u64, skew: f64) -> u64 {
-    let total: f64 = (1..=keys).map(|rank| (rank as f64).powf(-skew)).sum();
-    let mut remaining = rng.gen::<f64>() * total;
-    for rank in 1..=keys {
-        remaining -= (rank as f64).powf(-skew);
-        if remaining <= 0.0 {
-            return rank - 1;
-        }
-    }
-    keys - 1
 }
 
 #[cfg(test)]
@@ -185,72 +148,5 @@ mod tests {
         }
         assert!(reads > 50 && writes > 50, "reads={reads} writes={writes}");
         assert!(w.request_size() > 32);
-    }
-
-    /// Frequency of each key rank over `draws` write-only operations.
-    fn key_frequencies(w: &Workload, keys: u64, draws: u64, seed: u64) -> Vec<f64> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut counts = vec![0u64; keys as usize];
-        for _ in 0..draws {
-            let op = w.next_op(&mut rng);
-            let Some(KvOp::Put { key, .. }) = KvOp::decode(&op) else {
-                panic!("write-only kv workloads produce puts");
-            };
-            let rank: u64 = std::str::from_utf8(&key[4..]).unwrap().parse().unwrap();
-            counts[rank as usize] += 1;
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / draws as f64)
-            .collect()
-    }
-
-    #[test]
-    fn zero_skew_takes_the_uniform_path_bit_identically() {
-        // `kv` and an explicit skew of 0.0 must consume the RNG identically
-        // to the historical uniform generator (same draws, same order), so
-        // adding the skew knob cannot perturb any existing seeded run.
-        let uniform = Workload::kv(64, 16, 0.3);
-        let skewed_zero = Workload::kv_skewed(64, 16, 0.3, 0.0);
-        let mut a = SmallRng::seed_from_u64(42);
-        let mut b = SmallRng::seed_from_u64(42);
-        for _ in 0..500 {
-            assert_eq!(
-                uniform.next_classified(&mut a),
-                skewed_zero.next_classified(&mut b)
-            );
-        }
-    }
-
-    #[test]
-    fn zipfian_skew_concentrates_traffic_within_theoretical_bounds() {
-        let keys = 100u64;
-        let skew = 0.99f64;
-        let draws = 40_000u64;
-        let freq = key_frequencies(&Workload::kv_skewed(keys, 8, 0.0, skew), keys, draws, 7);
-
-        // Theoretical mass of rank i (1-based) is (1/i^s) / H where
-        // H = sum over ranks of 1/i^s.
-        let h: f64 = (1..=keys).map(|i| (i as f64).powf(-skew)).sum();
-        for (idx, expected_rank) in [(0usize, 1u64), (1, 2), (9, 10)] {
-            let expected = (expected_rank as f64).powf(-skew) / h;
-            let observed = freq[idx];
-            assert!(
-                (observed - expected).abs() < 0.15 * expected + 0.002,
-                "rank {expected_rank}: observed {observed:.4}, expected {expected:.4}"
-            );
-        }
-        // The hot key dominates: far above the uniform share and above
-        // rank 10 by roughly 10^0.99.
-        assert!(freq[0] > 4.0 / keys as f64);
-        assert!(freq[0] > 5.0 * freq[9]);
-        // Uniform, by contrast, stays near 1/keys everywhere.
-        let uniform = key_frequencies(&Workload::kv(keys, 8, 0.0), keys, draws, 7);
-        for (rank, f) in uniform.iter().enumerate() {
-            assert!(
-                (*f - 0.01).abs() < 0.006,
-                "uniform rank {rank} drifted: {f:.4}"
-            );
-        }
     }
 }

@@ -336,7 +336,7 @@ pub fn encode_into(message: &Message, out: &mut Vec<u8>) {
 /// available yet.
 ///
 /// This is the one place stream reassemblers (the [`FrameReader`] here, the
-/// reactor transport's multiplexed reader in `seemore-net`) learn how many
+/// reactor transport's inbox reader in `seemore-net`) learn how many
 /// bytes the next frame occupies: magic, version and the [`MAX_FRAME`] bound
 /// are checked eagerly, so a poisoned stream fails as soon as its header
 /// arrives instead of buffering an announced multi-gigabyte body.
@@ -438,7 +438,7 @@ impl FrameReader {
 /// parsed records from the head, amortized O(1) on both ends.
 ///
 /// This is the buffer discipline shared by [`FrameReader`] and the reactor
-/// transport's multiplexed stream reader in `seemore-net`. Compaction policy:
+/// transport's inbox reader in `seemore-net`. Compaction policy:
 ///
 /// * Consumed bytes are dropped (shifting the live suffix down) only once
 ///   they dominate the buffer, so `push` does not memmove on every frame.
@@ -1578,8 +1578,8 @@ mod tests {
         assert!(reader.buffer_capacity() <= StreamBuf::MAX_RETAINED_CAPACITY);
     }
 
-    /// The `frame_len` helper (shared with the reactor transport's
-    /// multiplexed reader) agrees with the encoder and rejects poisoned
+    /// The `frame_len` helper (shared with the reactor transport's inbox
+    /// reader) agrees with the encoder and rejects poisoned
     /// headers eagerly.
     #[test]
     fn frame_len_matches_encoded_frames_and_rejects_bad_headers() {

@@ -182,23 +182,23 @@ fn simulated_crash_recover_matches_a_no_crash_control() {
 
 #[test]
 fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
-    // Lion on every concurrent runtime shape, and — over real TCP — every
+    // Lion on both concurrent runtimes, and — over real TCP — every
     // protocol, so the shared rejoin code is driven through all three
     // state-adoption rules: the first response (CFT), the trusted tier only
     // (SeeMoRe), `f + 1` matching responses (BFT, S-UpRight).
-    let lion_shapes = [(RuntimeKind::Threaded, false), (RuntimeKind::Socket, true)]
-        .map(|(kind, mux)| (ProtocolKind::SeeMoReLion, kind, mux));
     let socket_protocols = CASES
         .into_iter()
         .chain([ProtocolKind::SUpright])
-        .map(|protocol| (protocol, RuntimeKind::Socket, false));
-    for (protocol, kind, mux) in lion_shapes.into_iter().chain(socket_protocols) {
+        .map(|protocol| (protocol, RuntimeKind::Socket));
+    for (protocol, kind) in [(ProtocolKind::SeeMoReLion, RuntimeKind::Threaded)]
+        .into_iter()
+        .chain(socket_protocols)
+    {
         let victim = ReplicaId(protocol.network_size(1, 1) - 1);
         let report = Scenario::new(protocol, 1, 1)
             .with_clients(2)
             .with_duration(Duration::from_millis(500), Duration::from_millis(10))
             .with_runtime(kind)
-            .with_client_mux(mux)
             .with_tracing(true)
             .with_crash_recover(CrashRecover::replica(
                 victim,
@@ -206,7 +206,7 @@ fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
                 Instant::from_nanos(200_000_000),
             ))
             .run();
-        let label = format!("{} on {} (mux {mux})", protocol.name(), kind.name());
+        let label = format!("{} on {}", protocol.name(), kind.name());
         assert!(report.completed > 0, "{label}: no progress");
         let health = report
             .health

@@ -23,7 +23,7 @@ use seemore::core::exec::ExecutedEntry;
 use seemore::core::protocol::ReplicaProtocol;
 use seemore::core::replica::SeeMoReReplica;
 use seemore::crypto::{Digest, KeyStore};
-use seemore::runtime::{SocketCluster, SocketOptions, ThreadedCluster};
+use seemore::runtime::{SocketCluster, ThreadedCluster};
 use seemore::types::OpClass;
 use seemore::types::{ClientId, ClusterConfig, Duration, Mode, ReplicaId, SeqNum, View};
 use std::collections::BTreeMap;
@@ -167,15 +167,13 @@ fn deploy(case: Case, client_count: u64) -> Deployment {
     }
 }
 
-/// The concurrent runtime flavors under comparison: in-memory channels,
-/// sockets with a private endpoint per client (the configuration
-/// `BENCHMARK.json` runs), and sockets with every client
-/// multiplexed through the hub.
+/// The concurrent runtime flavors under comparison: in-memory channels, and
+/// sockets with an endpoint per client (the configuration `BENCHMARK.json`
+/// runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flavor {
     Threaded,
     Socket,
-    SocketMux,
 }
 
 impl Flavor {
@@ -183,13 +181,6 @@ impl Flavor {
         match self {
             Flavor::Threaded => "threaded",
             Flavor::Socket => "socket",
-            Flavor::SocketMux => "socket-mux",
-        }
-    }
-
-    fn options(self) -> SocketOptions {
-        SocketOptions {
-            client_mux: self == Flavor::SocketMux,
         }
     }
 }
@@ -208,10 +199,9 @@ impl Harness {
     ) -> Self {
         match flavor {
             Flavor::Threaded => Harness::Threaded(ThreadedCluster::spawn(replicas, clients)),
-            _ => Harness::Socket(
-                SocketCluster::spawn_with(replicas, clients, flavor.options())
-                    .expect("bind loopback"),
-            ),
+            Flavor::Socket => {
+                Harness::Socket(SocketCluster::spawn(replicas, clients).expect("bind loopback"))
+            }
         }
     }
 
@@ -333,9 +323,8 @@ fn canonical(histories: &[(ReplicaId, Vec<ExecutedEntry>)]) -> Vec<ExecutedEntry
 }
 
 /// Acceptance: all three SeeMoRe modes plus both baselines complete the
-/// loopback e2e over real TCP sockets — with private client endpoints *and*
-/// with clients multiplexed through the hub — and their per-slot histories
-/// match the threaded runtime's.
+/// loopback e2e over real TCP sockets, and their per-slot histories match
+/// the threaded runtime's.
 #[test]
 fn socket_histories_match_threaded_histories() {
     for case in ALL_CASES {
@@ -343,26 +332,22 @@ fn socket_histories_match_threaded_histories() {
         assert_internal_agreement(case, &threaded);
         let threaded_canon = canonical(&threaded);
 
-        for flavor in [Flavor::Socket, Flavor::SocketMux] {
-            let histories = run_deterministic(case, flavor);
-            assert_internal_agreement(case, &histories);
-            let canon = canonical(&histories);
+        let histories = run_deterministic(case, Flavor::Socket);
+        assert_internal_agreement(case, &histories);
+        let canon = canonical(&histories);
+        assert_eq!(
+            canon.len(),
+            threaded_canon.len(),
+            "{}: history lengths differ",
+            case.name()
+        );
+        for (s, t) in canon.iter().zip(threaded_canon.iter()) {
             assert_eq!(
-                canon.len(),
-                threaded_canon.len(),
-                "{} ({}): history lengths differ",
-                case.name(),
-                flavor.name()
+                (s.seq, s.offset, s.request, s.digest),
+                (t.seq, t.offset, t.request, t.digest),
+                "{}: runtimes ordered requests differently",
+                case.name()
             );
-            for (s, t) in canon.iter().zip(threaded_canon.iter()) {
-                assert_eq!(
-                    (s.seq, s.offset, s.request, s.digest),
-                    (t.seq, t.offset, t.request, t.digest),
-                    "{} ({}): runtimes ordered requests differently",
-                    case.name(),
-                    flavor.name()
-                );
-            }
         }
     }
 }
@@ -373,15 +358,12 @@ fn socket_histories_match_threaded_histories() {
 /// every live replica, and real bytes on the wire.
 #[test]
 fn concurrent_clients_over_sockets_stay_safe_under_a_crash() {
-    for (case, flavor, primary_too) in [
-        (Case::Lion, Flavor::Socket, false),
-        (Case::Dog, Flavor::Socket, false),
-        (Case::Bft, Flavor::Socket, false),
-        (Case::Lion, Flavor::SocketMux, false),
-        (Case::Dog, Flavor::SocketMux, false),
-        (Case::Bft, Flavor::SocketMux, false),
-        (Case::Lion, Flavor::Socket, true),
-        (Case::Dog, Flavor::Socket, true),
+    for (case, primary_too) in [
+        (Case::Lion, false),
+        (Case::Dog, false),
+        (Case::Bft, false),
+        (Case::Lion, true),
+        (Case::Dog, true),
     ] {
         const CLIENTS: u64 = 4;
         const PER_CLIENT: usize = 4;
@@ -394,8 +376,8 @@ fn concurrent_clients_over_sockets_stay_safe_under_a_crash() {
             victims.push(deployment.primary);
         }
         let client_ids: Vec<ClientId> = deployment.clients.iter().map(|c| c.id()).collect();
-        let cluster = SocketCluster::spawn_with(deployment.replicas, &client_ids, flavor.options())
-            .expect("bind loopback");
+        let cluster =
+            SocketCluster::spawn(deployment.replicas, &client_ids).expect("bind loopback");
 
         let issued = AtomicUsize::new(0);
         let completed: usize = std::thread::scope(|scope| {
