@@ -97,8 +97,9 @@
 //!
 //! Every protocol core is *sans-IO*: it consumes [`Message`]s and timer
 //! expirations and produces [`Action`]s, never touching sockets, clocks or
-//! threads. The `seemore-runtime` crate drives cores over either a threaded
-//! in-memory network or a deterministic discrete-event simulator.
+//! threads. The `seemore-runtime` crate drives cores over either real
+//! loopback TCP sockets or a deterministic discrete-event simulator, and
+//! [`testkit::SyncCluster`] drives them synchronously for tests.
 //!
 //! [`Message`]: seemore_wire::Message
 //! [`Batch`]: seemore_wire::Batch

@@ -9,7 +9,7 @@ use seemore_wire::Message;
 
 /// A replica-side protocol state machine.
 ///
-/// Implementations never perform IO: the driving substrate (threaded runtime
+/// Implementations never perform IO: the driving substrate (socket runtime
 /// or discrete-event simulator) feeds messages and timer expirations in and
 /// carries the returned [`Action`]s out. This keeps every protocol
 /// deterministic and directly testable.

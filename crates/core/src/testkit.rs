@@ -2,12 +2,14 @@
 //! tests.
 //!
 //! The real execution substrates live in the `seemore-runtime` crate (a
-//! threaded runtime and a discrete-event simulator with a latency model).
+//! socket runtime and a discrete-event simulator with a latency model).
 //! [`SyncCluster`] is deliberately simpler: it delivers every outstanding
 //! message immediately and in FIFO order, tracks armed timers without a
 //! clock, and lets tests fire timers explicitly. That makes protocol
 //! behaviour — quorum formation, commits, view changes, mode switches —
-//! fully deterministic and easy to assert on.
+//! fully deterministic and easy to assert on. It is also the reference the
+//! socket runtime's loopback tests (`tests/socket_e2e.rs`) compare their
+//! per-slot histories against.
 
 use crate::actions::{Action, Timer};
 use crate::client::ClientProtocol;

@@ -39,10 +39,11 @@
 //!   peer is down survive until it returns), and broadcasts encode once.
 //!   Every node, client or replica, owns an endpoint: a listener plus one
 //!   dialed connection per peer it sends to. The `socket_e2e` suite drives
-//!   the mesh to the histories the threaded runtime produces.
-//! * **Threaded / simulated runtimes** (`seemore-runtime`) — no sockets at
-//!   all; see that crate's docs for when in-process channels or the
-//!   discrete-event simulator are the right tool.
+//!   the mesh to the histories the deterministic `SyncCluster` test
+//!   harness produces.
+//! * **The simulator** (`seemore-runtime`) — no sockets at all; see that
+//!   crate's docs for when the discrete-event simulator is the right
+//!   tool.
 //!
 //! # Hot path
 //!

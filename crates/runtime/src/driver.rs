@@ -1,19 +1,16 @@
-//! Plumbing shared by the concurrent cluster runtimes.
+//! The replica thread's event loop and the closed-loop client driver of
+//! [`SocketCluster`](crate::socket::SocketCluster).
 //!
-//! [`ThreadedCluster`](crate::threaded::ThreadedCluster) (in-memory
-//! channels) and [`SocketCluster`](crate::socket::SocketCluster) (loopback
-//! TCP) differ only in how bytes move between nodes. Everything else — the
-//! replica thread's event loop with its timer wheel, the
-//! [`ReplicaCommand`] control protocol (deliver / crash / shutdown), and the
-//! closed-loop client driver with its retransmission fallback — lives here
-//! once, parameterized over the [`ReplicaInbox`] and [`ReplicaSink`] seams
-//! and `send`/`recv` closures, so the two runtimes cannot drift apart
-//! behaviourally.
+//! The replica loop with its timer wheel, the [`ReplicaCommand`] control
+//! protocol (deliver / crash / recover / mode switch / shutdown) and the
+//! client driver with its retransmission fallback live here; `socket.rs`
+//! binds the mesh, spawns the threads and routes commands to them.
 
 use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
 use seemore_core::actions::{Action, Timer};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
+use seemore_net::{Inbox, ReactorEndpoint, ReactorHandle, Transport};
 use seemore_types::{Duration, Instant, Mode, NodeId, OpClass};
 use seemore_wire::Message;
 use std::collections::{BTreeMap, HashMap};
@@ -38,8 +35,8 @@ pub(crate) enum ReplicaCommand {
     Recover(Box<dyn ReplicaProtocol>),
     /// Ask the replica to initiate a dynamic mode switch (SeeMoRe only;
     /// other cores ignore it). This is how `Scenario::with_mode_switch`
-    /// reaches the concurrent runtimes, which have no simulator event queue
-    /// to schedule the announcement through.
+    /// reaches the socket runtime, which has no simulator event queue to
+    /// schedule the announcement through.
     ModeSwitch {
         /// The mode to switch to.
         mode: Mode,
@@ -58,89 +55,66 @@ pub(crate) fn to_instant(start: StdInstant) -> Instant {
     Instant::from_nanos(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
-/// How a replica thread moves its outgoing messages: the seam between the
-/// shared event loop and the two byte-moving substrates.
-///
-/// `broadcast` receives the whole destination set of an
-/// [`Action::Broadcast`] in one call, which is what lets the socket runtime
-/// serialize the message once and fan the shared frame out
-/// (`Transport::broadcast`); the default implementation delivers one clone
-/// per destination for substrates without a shared-bytes fast path.
-///
-/// A sink may hold `send` and `broadcast` back until [`flush`](Self::flush),
-/// which the loop calls once after each pass over a turn's actions.
-pub(crate) trait ReplicaSink {
-    /// Delivers `message` to a single destination.
-    fn send(&mut self, to: NodeId, message: Message);
-
-    /// Delivers one `message` to every node in `to`.
-    fn broadcast(&mut self, to: Vec<NodeId>, message: Message) {
-        seemore_core::actions::fan_out(to, message, |peer, message| self.send(peer, message));
-    }
-
-    /// Releases everything `send` and `broadcast` held back since the last
-    /// call. Sinks that deliver at once keep this no-op.
-    fn flush(&mut self) {}
+/// Where a replica thread's work comes from: control commands first, then
+/// the frames the replica's own thread reads off its connections. Whoever
+/// queues a command wakes `frames` (see `ReplicaControl` in `socket.rs`), so
+/// a command never waits out an idle wait, and one queued before a wake-up
+/// is handled before anything that wake-up read.
+pub(crate) struct NodeInbox {
+    pub(crate) commands: Receiver<ReplicaCommand>,
+    pub(crate) frames: Inbox,
 }
 
-/// Where a replica thread's control commands and traffic come from: the
-/// seam between the shared event loop and the two runtimes' receive paths.
-///
-/// Both yield one stream of [`ReplicaCommand`]s, traffic as
-/// [`ReplicaCommand::Deliver`]. The threaded runtime's is its command
-/// channel, which the router feeds traffic into. The socket runtime's pairs
-/// a command channel with the replica's own transport inbox and yields
-/// commands first.
-pub(crate) trait ReplicaInbox {
+impl NodeInbox {
     /// The next command or message already at hand, without blocking.
-    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError>;
+    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError> {
+        if let Ok(command) = self.commands.try_recv() {
+            return Ok(command);
+        }
+        self.frames
+            .try_recv()
+            .map(|(from, message)| ReplicaCommand::Deliver { from, message })
+    }
 
     /// Waits up to `timeout` for the next command or message.
     fn recv_timeout(
         &self,
         timeout: std::time::Duration,
-    ) -> Result<ReplicaCommand, RecvTimeoutError>;
-}
-
-impl ReplicaInbox for Receiver<ReplicaCommand> {
-    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError> {
-        Receiver::try_recv(self)
-    }
-
-    fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
     ) -> Result<ReplicaCommand, RecvTimeoutError> {
-        Receiver::recv_timeout(self, timeout)
+        self.frames.wait_for(timeout, || self.try_recv())
     }
 }
 
 /// The replica thread body: waits on `inbox` with a deadline derived from
 /// the earliest armed timer, handles what arrives, fires due timers, and
-/// carries protocol actions out through `sink`. Returns the core on
+/// sends the protocol's messages through `handle`. Returns the core on
 /// shutdown (or once the inbox disconnects) so callers can inspect
 /// execution histories and metrics.
 ///
 /// Each wake-up handles a bounded batch: the command or message that ended
-/// the wait, then up to `DRAIN_BATCH - 1` more that are already at hand
-/// ([`ReplicaInbox::try_recv`]), so the per-wake-up bookkeeping (clock
-/// reads, timer scans) is amortized across messages without starving
-/// timers. On the socket runtime the wait is the replica's own
+/// the wait, then up to `DRAIN_BATCH - 1` more that are already at hand, so
+/// the per-wake-up bookkeeping (clock reads, timer scans) is amortized
+/// across messages without starving timers. The wait is the replica's own
 /// `epoll_wait`: the thread reads and decodes its sockets itself, so a
 /// delivered message crosses no other thread. A control command queued
 /// before a wake-up is handled before the messages that wake-up read, so a
 /// replica told to crash while idle answers nothing after.
 ///
 /// A *turn* is the batch of actions produced since the last pass: one
-/// wake-up's batch and its due timers. The loop carries out a turn's
-/// actions and then calls [`ReplicaSink::flush`] once, before it blocks, so
-/// a queueing sink writes each peer once per turn. Invariant: no frame stays
-/// queued across a blocking wait.
+/// wake-up's batch and its due timers. The loop queues a turn's frames
+/// ([`ReactorHandle::queue`], and [`ReactorHandle::queue_broadcast`], which
+/// encodes a broadcast once for every peer) and then calls
+/// [`ReactorHandle::flush`] once, before it blocks, so each peer gets one
+/// write per turn. Invariant: no frame stays queued across a blocking wait.
+///
+/// Connection failures surface as reconnect attempts inside the transport;
+/// a send can only fail on shutdown, which the loop is about to observe
+/// anyway, so send errors are dropped.
 pub(crate) fn run_replica_loop(
     mut replica: Box<dyn ReplicaProtocol>,
-    inbox: &impl ReplicaInbox,
+    inbox: &NodeInbox,
     start: StdInstant,
-    mut sink: impl ReplicaSink,
+    handle: &ReactorHandle,
 ) -> Box<dyn ReplicaProtocol> {
     let mut timers: BTreeMap<Instant, Vec<Timer>> = BTreeMap::new();
     let mut armed: HashMap<Timer, Instant> = HashMap::new();
@@ -149,8 +123,12 @@ pub(crate) fn run_replica_loop(
         // Carry out the actions accumulated so far.
         for action in actions.drain(..) {
             match action {
-                Action::Send { to, message } => sink.send(to, message),
-                Action::Broadcast { to, message } => sink.broadcast(to, message),
+                Action::Send { to, message } => {
+                    let _ = handle.queue(to, &message);
+                }
+                Action::Broadcast { to, message } => {
+                    let _ = handle.queue_broadcast(&to, &message);
+                }
                 Action::SetTimer { timer, after } => {
                     let deadline = to_instant(start) + after;
                     armed.insert(timer, deadline);
@@ -162,7 +140,7 @@ pub(crate) fn run_replica_loop(
                 Action::Executed { .. } | Action::Violation(_) => {}
             }
         }
-        sink.flush();
+        handle.flush();
         // Wait until the next timer deadline (or a command, or traffic).
         let now = to_instant(start);
         let wait = match timers.keys().next().copied() {
@@ -237,16 +215,14 @@ pub(crate) struct DrivePlan {
 /// deadline) when the cluster goes quiet — protocols with a crashed primary
 /// need the client's broadcast path.
 ///
-/// `recv` waits up to the given duration for the next `(sender, message)`
-/// pair addressed to this client; `send` carries the client's outgoing
-/// messages; `make_op` is called with the request index to produce each
-/// operation payload together with its read/write classification (reads
-/// route through the client's fast path).
+/// `port` is the client's own endpoint: the client's thread reads its
+/// replies off it and sends through it. `make_op` is called with the request
+/// index to produce each operation payload together with its read/write
+/// classification (reads route through the client's fast path).
 pub(crate) fn drive_client<C: ClientProtocol>(
     client: &mut C,
     plan: DrivePlan,
-    mut recv: impl FnMut(std::time::Duration) -> Result<(NodeId, Message), RecvTimeoutError>,
-    mut send: impl FnMut(NodeId, Message),
+    port: &ReactorEndpoint,
     mut make_op: impl FnMut(usize) -> (Vec<u8>, OpClass),
 ) -> Vec<ClientOutcome> {
     let start = plan.start;
@@ -255,7 +231,7 @@ pub(crate) fn drive_client<C: ClientProtocol>(
         let now = to_instant(start);
         let (operation, class) = make_op(index);
         let actions = client.submit_op(operation, class, now);
-        perform_client_actions(actions, &mut send);
+        perform_client_actions(actions, port);
         let mut deadline = StdInstant::now() + plan.timeout.to_std();
         while client.has_pending() {
             if plan.abandon_at.is_some_and(|at| StdInstant::now() >= at) {
@@ -269,24 +245,24 @@ pub(crate) fn drive_client<C: ClientProtocol>(
                 // with a crashed primary need the broadcast path, and the
                 // replies it eventually produces must still be read.
                 let actions = client.on_retransmit_timer(to_instant(start));
-                perform_client_actions(actions, &mut send);
+                perform_client_actions(actions, port);
                 deadline = StdInstant::now() + plan.timeout.to_std();
                 continue;
             }
-            match recv(remaining.min(std::time::Duration::from_millis(20))) {
+            match port.recv_timeout(remaining.min(std::time::Duration::from_millis(20))) {
                 Ok((from, message)) => {
                     let now = to_instant(start);
                     let actions = client.on_message(from, message, now);
-                    perform_client_actions(actions, &mut send);
+                    perform_client_actions(actions, port);
                     // A quorum protocol's replies arrive as a burst (every
                     // replica answers); drain what is already queued in the
                     // same wakeup instead of paying one park/unpark cycle
                     // per reply.
                     for _ in 0..16 {
-                        match recv(std::time::Duration::ZERO) {
+                        match port.recv_timeout(std::time::Duration::ZERO) {
                             Ok((from, message)) => {
                                 let actions = client.on_message(from, message, now);
-                                perform_client_actions(actions, &mut send);
+                                perform_client_actions(actions, port);
                             }
                             Err(RecvTimeoutError::Timeout) => break,
                             Err(RecvTimeoutError::Disconnected) => {
@@ -305,12 +281,18 @@ pub(crate) fn drive_client<C: ClientProtocol>(
     outcomes
 }
 
-fn perform_client_actions(actions: Vec<Action>, send: &mut impl FnMut(NodeId, Message)) {
+/// Sends a client's actions, one frame per destination (a client's
+/// broadcast goes to each replica in turn).
+fn perform_client_actions(actions: Vec<Action>, port: &ReactorEndpoint) {
     for action in actions {
         match action {
-            Action::Send { to, message } => send(to, message),
+            Action::Send { to, message } => {
+                let _ = port.send(to, &message);
+            }
             Action::Broadcast { to, message } => {
-                seemore_core::actions::fan_out(to, message, &mut *send);
+                for peer in to {
+                    let _ = port.send(peer, &message);
+                }
             }
             _ => {}
         }

@@ -1,9 +1,9 @@
 //! Execution substrates and measurement harness for the SeeMoRe
 //! reproduction.
 //!
-//! # The three runtimes
+//! # The two runtimes
 //!
-//! The same sans-IO protocol cores run on three substrates; pick by what you
+//! The same sans-IO protocol cores run on two substrates; pick by what you
 //! want to learn:
 //!
 //! * [`sim`] — a **deterministic discrete-event simulator** driving the
@@ -12,19 +12,12 @@
 //!   simulated seconds per wall second. Use it to regenerate the paper's
 //!   figures, sweep parameters, and shake out protocol bugs with the
 //!   property tests.
-//! * [`threaded`] — a **thread-per-replica runtime over in-memory
-//!   channels**. Real OS concurrency and real clocks, but messages stay
-//!   Rust values routed between crossbeam channels. Use it to exercise the
-//!   public API under true parallelism without paying for serialization —
-//!   and as the reference the socket runtime is differentially tested
-//!   against.
-//! * [`socket`] — a **socket-backed runtime over loopback TCP**. Same
-//!   thread model as `threaded` (the event loop is literally shared, see
-//!   `driver`), but every message is encoded by the real wire codec,
-//!   crosses a `std::net` TCP connection, and is reassembled by a streaming
-//!   frame reader. Use it when the question involves real IO: codec cost,
-//!   framing, socket back-pressure, bytes-on-wire — this is the deployable
-//!   shape of the system.
+//! * [`socket`] — a **thread-per-replica runtime over loopback TCP**. Real
+//!   OS concurrency and real clocks: every message is encoded by the real
+//!   wire codec, crosses a `std::net` TCP connection, and is reassembled by
+//!   a streaming frame reader. Use it when the question involves real
+//!   concurrency or real IO: codec cost, framing, socket back-pressure,
+//!   bytes-on-wire — this is the deployable shape of the system.
 //!
 //! # The socket transport, and how clients attach
 //!
@@ -36,8 +29,8 @@
 //! connection per replica it sends to, and replicas dial it back for
 //! replies. That is the shape of independent client machines and what
 //! `BENCHMARK.json` measures. The loopback end-to-end suite
-//! (`tests/socket_e2e.rs`) drives it to the threaded runtime's per-slot
-//! histories.
+//! (`tests/socket_e2e.rs`) drives it to the per-slot histories of the
+//! deterministic `SyncCluster` from `seemore_core::testkit`.
 //!
 //! Supporting modules:
 //!
@@ -47,8 +40,8 @@
 //!   a run.
 //! * [`scenario`] — one-call builders that assemble a cluster (SeeMoRe in
 //!   any mode, or one of the baselines), attach clients and failure
-//!   schedules, run it on any of the three runtimes
-//!   ([`Scenario::with_runtime`]) and return a [`report::RunReport`].
+//!   schedules, run it on either runtime ([`Scenario::with_runtime`]) and
+//!   return a [`report::RunReport`].
 //!
 //! # Telemetry
 //!
@@ -104,9 +97,9 @@
 //! [`Scenario::with_crash_recover`] turns that durable state into a full
 //! crash-recover-rejoin schedule, honoured on every runtime: the simulator
 //! restarts the core deterministically at the scheduled virtual instant,
-//! while the threaded and socket runtimes really tear the core down and
-//! swap in one rebuilt from the store on the replica's own thread
-//! ([`ThreadedCluster::recover`] / [`SocketCluster::recover`]). The
+//! while the socket runtime really tears the core down and swaps in one
+//! rebuilt from the store on the replica's own thread
+//! ([`SocketCluster::recover`]). The
 //! restarted replica replays its WAL suffix onto the recovered checkpoint,
 //! broadcasts a `RECOVERY` announcement, fetches the committed suffix it
 //! missed via the existing state-transfer messages (requiring `f + 1`
@@ -126,12 +119,10 @@ pub mod report;
 pub mod scenario;
 pub mod sim;
 pub mod socket;
-pub mod threaded;
 pub mod workload;
 
 pub use report::{BatchReport, ClassStats, RunReport, TimelineBucket, TransportReport};
 pub use scenario::{CrashRecover, DurabilityKind, ProtocolKind, RuntimeKind, Scenario};
 pub use sim::{SimConfig, Simulation};
 pub use socket::SocketCluster;
-pub use threaded::ThreadedCluster;
 pub use workload::Workload;

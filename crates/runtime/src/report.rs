@@ -200,7 +200,7 @@ pub struct RunReport {
     /// over the whole run.
     pub batching: BatchReport,
     /// Socket-transport hot-path counters (syscalls, coalesced frames,
-    /// encodes saved); `None` for the simulator and the threaded runtime.
+    /// encodes saved); `None` for the simulator.
     pub transport: Option<TransportReport>,
     /// Throughput timeline over the whole run (not only the measurement
     /// window), for the view-change experiment.

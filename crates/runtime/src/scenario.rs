@@ -7,26 +7,25 @@
 //! scenarios to regenerate every figure.
 //!
 //! By default scenarios run on the deterministic discrete-event simulator;
-//! [`Scenario::with_runtime`] selects one of the concurrent substrates
-//! instead — [`ThreadedCluster`] (in-memory channels) or [`SocketCluster`]
-//! (real loopback TCP through the wire codec). On the concurrent runtimes
-//! `duration`/`warmup` are wall-clock, closed-loop clients run on their own
-//! threads, and the simulator-only knobs (latency, CPU and link-fault
-//! models, Byzantine payload corruption timing, mode-switch schedules) are
-//! ignored; primary crashes are honoured on every runtime.
+//! [`Scenario::with_runtime`] selects [`SocketCluster`] (real threads, real
+//! loopback TCP through the wire codec) instead. There `duration`/`warmup`
+//! are wall-clock, closed-loop clients run on their own threads, and the
+//! simulator-only knobs (latency, CPU and link-fault models, Byzantine
+//! payload corruption timing) are ignored. Primary crashes, crash-recover
+//! schedules and mode switches are honoured on both runtimes; on sockets a
+//! mode switch reaches its announcing replica as a driver command.
 
 use crate::driver::to_instant;
 use crate::report::RunReport;
 use crate::sim::{SimConfig, Simulation};
 use crate::socket::SocketCluster;
-use crate::threaded::ThreadedCluster;
 use crate::workload::Workload;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use seemore_app::{KvStore, NoopApp, StateMachine};
 use seemore_baselines::{s_upright, BaselineClient, BaselineConfig, BftReplica, CftReplica};
 use seemore_core::byzantine::{ByzantineBehavior, ByzantineReplica};
-use seemore_core::client::{ClientCore, ClientOutcome, ClientProtocol};
+use seemore_core::client::{ClientCore, ClientProtocol};
 use seemore_core::config::{BatchPolicy, ProtocolConfig};
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::replica::SeeMoReReplica;
@@ -38,7 +37,6 @@ use seemore_types::{ClientId, ClusterConfig, Duration, Instant, Mode, OpClass, R
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant as StdInstant;
 
 /// Which protocol a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,9 +158,6 @@ pub enum RuntimeKind {
     /// default, and what regenerates the paper's figures).
     #[default]
     Simulated,
-    /// Thread-per-replica over in-memory channels (wall-clock time, no
-    /// serialization).
-    Threaded,
     /// Thread-per-replica over real loopback TCP through the wire codec
     /// (wall-clock time; reported bytes really crossed sockets): every
     /// replica and client owns an endpoint with its own listener, each
@@ -176,7 +171,6 @@ impl RuntimeKind {
     pub fn name(self) -> &'static str {
         match self {
             RuntimeKind::Simulated => "simulated",
-            RuntimeKind::Threaded => "threaded",
             RuntimeKind::Socket => "socket",
         }
     }
@@ -298,7 +292,7 @@ impl Scenario {
         self
     }
 
-    /// Selects the execution substrate (simulator, threaded, or sockets).
+    /// Selects the execution substrate (the simulator or sockets).
     pub fn with_runtime(mut self, runtime: RuntimeKind) -> Self {
         self.runtime = runtime;
         self
@@ -350,7 +344,7 @@ impl Scenario {
     /// durable store (last persisted checkpoint plus the WAL suffix), after
     /// which it announces the restart and rejoins via state transfer.
     /// Honoured on every runtime — a deterministic restart on the
-    /// simulator, a real core teardown and reload on the concurrent ones.
+    /// simulator, a real core teardown and reload on sockets.
     /// Enables [`DurabilityKind::Memory`] if no store was selected yet.
     pub fn with_crash_recover(mut self, schedule: CrashRecover) -> Self {
         if self.durability == DurabilityKind::None {
@@ -509,7 +503,7 @@ impl Scenario {
                 trace.attach(&mut report, self.timeline_bucket);
                 report
             }
-            kind => self.run_concurrent(kind),
+            RuntimeKind::Socket => self.run_concurrent(),
         }
     }
 
@@ -768,25 +762,17 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario on a concurrent runtime (threaded or sockets):
-    /// closed-loop clients on their own OS threads against real replica
-    /// threads, for `duration` of wall-clock time.
-    pub(crate) fn run_concurrent(&self, kind: RuntimeKind) -> RunReport {
+    /// Runs the scenario on [`SocketCluster`]: closed-loop clients on their
+    /// own OS threads against real replica threads, for `duration` of
+    /// wall-clock time.
+    pub(crate) fn run_concurrent(&self) -> RunReport {
         let mut cores = self.build_cores();
         let recover_factories = std::mem::take(&mut cores.recover_factories);
         let client_ids: Vec<ClientId> = cores.clients.iter().map(|c| c.id()).collect();
         let primary = cores.primary;
         let patience = self.protocol_config().client_timeout;
-        let cluster = match kind {
-            RuntimeKind::Threaded => {
-                AnyCluster::Threaded(ThreadedCluster::spawn(cores.replicas, &client_ids))
-            }
-            RuntimeKind::Socket => AnyCluster::Socket(
-                SocketCluster::spawn(cores.replicas, &client_ids)
-                    .expect("bind loopback TCP sockets"),
-            ),
-            RuntimeKind::Simulated => unreachable!("handled by Scenario::run"),
-        };
+        let cluster =
+            SocketCluster::spawn(cores.replicas, &client_ids).expect("bind loopback TCP sockets");
         // Measure against the cluster's own clock epoch — the one outcome
         // timestamps, timers and the crash schedule are all stamped with —
         // so socket-mesh setup time is not charged to the measurement
@@ -878,15 +864,20 @@ impl Scenario {
                         let mut client = client;
                         let mut outcomes = Vec::new();
                         while start.elapsed() < run_for {
-                            let (back, completed) =
-                                cluster.run_client(client, 1, patience, abandon_at, |_| {
+                            let (back, completed) = cluster.run_client_until(
+                                client,
+                                1,
+                                patience,
+                                Some(abandon_at),
+                                |_| {
                                     let (op, class) = workload.next_classified(&mut rng);
                                     if read_fast_path {
                                         (op, class)
                                     } else {
                                         (op, OpClass::Write)
                                     }
-                                });
+                                },
+                            );
                             client = back;
                             outcomes.extend(completed);
                         }
@@ -906,12 +897,7 @@ impl Scenario {
 
         let run_end = to_instant(start);
         let (messages, bytes) = cluster.traffic();
-        let transport = match &cluster {
-            AnyCluster::Socket(sockets) => {
-                Some(crate::report::TransportReport::from_stats(&sockets.stats()))
-            }
-            AnyCluster::Threaded(_) => None,
-        };
+        let transport = crate::report::TransportReport::from_stats(&cluster.stats());
         let replicas = cluster.shutdown();
         let mut metrics = seemore_core::metrics::ReplicaMetrics::default();
         for replica in &replicas {
@@ -929,7 +915,7 @@ impl Scenario {
         report.mode_switches = metrics.mode_switches;
         report.retransmissions = clients.iter().map(|c| c.retransmissions()).sum();
         report.batching = crate::report::BatchReport::from_telemetry(&metrics.batch);
-        report.transport = transport;
+        report.transport = Some(transport);
         // Replica threads are joined by `shutdown` and client threads by the
         // scope above, so the rings hold every event the run produced.
         cores.trace.attach(&mut report, self.timeline_bucket);
@@ -941,7 +927,7 @@ impl Scenario {
 type Attach<C, T> = fn(&mut C, Arc<T>);
 
 /// Builds a replacement core for a crashed replica from its durable store
-/// (shared by the simulator's restart events and the concurrent runtimes'
+/// (shared by the simulator's restart events and the socket runtime's
 /// recover commands, so one schedule entry can fire more than once).
 pub(crate) type RecoverFactory = Arc<dyn Fn() -> Box<dyn ReplicaProtocol> + Send + Sync>;
 
@@ -1008,75 +994,6 @@ impl TraceHandles {
             events.extend(recorder.drain());
         }
         report.attach_trace(events, &self.replicas, health_bucket);
-    }
-}
-
-/// The two concurrent cluster runtimes behind one face, so the scenario
-/// runner is written once.
-pub(crate) enum AnyCluster {
-    Threaded(ThreadedCluster),
-    Socket(SocketCluster),
-}
-
-impl AnyCluster {
-    pub(crate) fn crash(&self, replica: ReplicaId) {
-        match self {
-            AnyCluster::Threaded(c) => c.crash(replica),
-            AnyCluster::Socket(c) => c.crash(replica),
-        }
-    }
-
-    pub(crate) fn recover(&self, replica: ReplicaId, core: Box<dyn ReplicaProtocol>) {
-        match self {
-            AnyCluster::Threaded(c) => c.recover(replica, core),
-            AnyCluster::Socket(c) => c.recover(replica, core),
-        }
-    }
-
-    pub(crate) fn request_mode_switch(&self, replica: ReplicaId, mode: Mode) {
-        match self {
-            AnyCluster::Threaded(c) => c.request_mode_switch(replica, mode),
-            AnyCluster::Socket(c) => c.request_mode_switch(replica, mode),
-        }
-    }
-
-    pub(crate) fn epoch(&self) -> StdInstant {
-        match self {
-            AnyCluster::Threaded(c) => c.epoch(),
-            AnyCluster::Socket(c) => c.epoch(),
-        }
-    }
-
-    pub(crate) fn run_client<C: ClientProtocol>(
-        &self,
-        client: C,
-        requests: usize,
-        timeout: Duration,
-        abandon_at: StdInstant,
-        make_op: impl FnMut(usize) -> (Vec<u8>, OpClass),
-    ) -> (C, Vec<ClientOutcome>) {
-        match self {
-            AnyCluster::Threaded(c) => {
-                c.run_client_until(client, requests, timeout, Some(abandon_at), make_op)
-            }
-            AnyCluster::Socket(c) => {
-                c.run_client_until(client, requests, timeout, Some(abandon_at), make_op)
-            }
-        }
-    }
-
-    pub(crate) fn traffic(&self) -> (u64, u64) {
-        match self {
-            AnyCluster::Threaded(c) => c.traffic(),
-            AnyCluster::Socket(c) => c.traffic(),
-        }
-    }
-
-    pub(crate) fn shutdown(self) -> Vec<Box<dyn ReplicaProtocol>> {
-        match self {
-            AnyCluster::Threaded(c) => c.shutdown(),
-            AnyCluster::Socket(c) => c.shutdown(),
-        }
     }
 }
 
@@ -1163,17 +1080,14 @@ mod tests {
 
     #[test]
     fn concurrent_runtimes_produce_reports_with_traffic() {
-        for kind in [RuntimeKind::Threaded, RuntimeKind::Socket] {
-            let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
-                .with_clients(2)
-                .with_duration(Duration::from_millis(150), Duration::from_millis(10))
-                .with_runtime(kind)
-                .run();
-            let name = kind.name();
-            assert!(report.completed > 0, "{name}: no progress");
-            assert!(report.messages_delivered > 0, "{name}");
-            assert!(report.bytes_delivered > 0, "{name}: no bytes on the wire");
-        }
+        let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
+            .with_clients(2)
+            .with_duration(Duration::from_millis(150), Duration::from_millis(10))
+            .with_runtime(RuntimeKind::Socket)
+            .run();
+        assert!(report.completed > 0, "no progress");
+        assert!(report.messages_delivered > 0);
+        assert!(report.bytes_delivered > 0, "no bytes on the wire");
     }
 
     #[test]
@@ -1185,7 +1099,7 @@ mod tests {
             .with_clients(2)
             .with_duration(Duration::from_millis(400), Duration::from_millis(10))
             .with_primary_crash(Instant::from_nanos(80_000_000))
-            .with_runtime(RuntimeKind::Threaded)
+            .with_runtime(RuntimeKind::Socket)
             .run();
         assert!(report.completed > 0);
         assert!(
@@ -1203,7 +1117,7 @@ mod tests {
             .with_clients(1)
             .with_duration(Duration::from_millis(200), Duration::from_millis(10))
             .with_primary_crash(Instant::from_nanos(20_000_000))
-            .with_runtime(RuntimeKind::Threaded)
+            .with_runtime(RuntimeKind::Socket)
             .run();
         // Returning at all is the regression being tested; the report is a
         // bonus sanity check.
@@ -1211,19 +1125,19 @@ mod tests {
     }
 
     #[test]
-    fn mode_switch_completes_on_the_threaded_runtime() {
+    fn mode_switch_completes_over_sockets() {
         // Regression: `with_mode_switch` used to be wired only through the
-        // simulator's event queue, so the concurrent runtimes silently
-        // ignored it; it is now delivered as a driver command.
+        // simulator's event queue, so wall-clock runs silently ignored it;
+        // it is now delivered as a driver command.
         let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
             .with_clients(2)
             .with_duration(Duration::from_millis(400), Duration::from_millis(10))
             .with_mode_switch(Instant::from_nanos(100_000_000), Mode::Peacock)
-            .with_runtime(RuntimeKind::Threaded)
+            .with_runtime(RuntimeKind::Socket)
             .run();
         assert!(
             report.mode_switches > 0,
-            "the scheduled mode switch must be delivered on the threaded runtime"
+            "the scheduled mode switch must be delivered over sockets"
         );
         assert!(report.completed > 0);
     }
@@ -1298,11 +1212,7 @@ mod tests {
 
     #[test]
     fn tracing_fills_phases_health_and_trace_on_every_runtime() {
-        for kind in [
-            RuntimeKind::Simulated,
-            RuntimeKind::Threaded,
-            RuntimeKind::Socket,
-        ] {
+        for kind in [RuntimeKind::Simulated, RuntimeKind::Socket] {
             let report = Scenario::new(ProtocolKind::SeeMoReLion, 1, 1)
                 .with_clients(2)
                 .with_duration(Duration::from_millis(100), Duration::from_millis(10))

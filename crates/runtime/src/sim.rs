@@ -12,11 +12,10 @@
 //! broken by insertion order, so a given seed always reproduces the same
 //! run.
 //!
-//! This is one of three execution substrates (see the crate docs): use the
+//! This is one of two execution substrates (see the crate docs): use the
 //! simulator for reproducible figures and parameter sweeps in virtual time,
-//! [`crate::threaded`] for real concurrency without IO, and
-//! [`crate::socket`] when real codec and socket costs should be part of the
-//! measurement.
+//! and [`crate::socket`] when real concurrency, codec and socket costs
+//! should be part of the measurement.
 //!
 //! # Batching
 //!

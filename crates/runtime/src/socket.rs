@@ -1,67 +1,36 @@
 //! A thread-per-replica runtime over real loopback TCP sockets.
 //!
-//! [`SocketCluster`] mirrors [`ThreadedCluster`](crate::threaded::ThreadedCluster)'s
-//! API — same spawn / crash / `run_client` / shutdown surface, same sans-IO
-//! [`ReplicaProtocol`] and [`ClientProtocol`] cores — but every message is
-//! encoded through the wire codec (`seemore_wire::codec`), crosses an actual
-//! `std::net` TCP connection of a [`ReactorMesh`], and is decoded by a
-//! streaming frame reader on the receiving side. It is the closest this
+//! [`SocketCluster`] runs the sans-IO [`ReplicaProtocol`] and
+//! [`ClientProtocol`] cores on real threads and real clocks: every message
+//! is encoded through the wire codec (`seemore_wire::codec`), crosses an
+//! actual `std::net` TCP connection of a [`ReactorMesh`], and is decoded by
+//! a streaming frame reader on the receiving side. It is the closest this
 //! workspace gets to the paper's deployed system: the bytes it reports
 //! really were written to and read from sockets.
 //!
-//! The replica event loop and the closed-loop client driver are shared with
-//! the threaded runtime through `crate::driver`; this module only adds the
-//! TCP endpoints. Every replica and every client owns one: a listener, the
-//! connections it dials, and an [`Inbox`]. Each replica or client thread
-//! reads and decodes its own inbound connections through that inbox: it
-//! blocks in the inbox's `epoll_wait`, so a delivered message crosses no
-//! other thread and no channel. Control commands ride a separate channel;
-//! queueing one wakes the replica's inbox, and the replica handles it before
-//! the traffic that wake-up read. See the crate docs for guidance on
-//! choosing between the simulator, the threaded runtime and this one.
+//! The replica event loop and the closed-loop client driver live in
+//! `crate::driver`; this module binds the TCP endpoints, spawns the threads
+//! and routes control commands. Every replica and every client owns an
+//! endpoint: a listener, the connections it dials, and an
+//! [`Inbox`](seemore_net::Inbox). Each replica or client thread reads and
+//! decodes its own inbound connections through that inbox: it blocks in the
+//! inbox's `epoll_wait`, so a delivered message crosses no other thread and
+//! no channel. Control commands ride a separate channel; queueing one wakes
+//! the replica's inbox, and the replica handles it before the traffic that
+//! wake-up read. See the crate docs for guidance on choosing between the
+//! simulator and this runtime.
 
-use crate::driver::{self, ReplicaCommand};
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::driver::{self, NodeInbox, ReplicaCommand};
+use crossbeam_channel::{unbounded, Sender};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
-use seemore_net::{
-    Inbox, InboxWaker, ReactorEndpoint, ReactorHandle, ReactorMesh, Transport, TransportStats,
-};
+use seemore_net::{InboxWaker, ReactorEndpoint, ReactorMesh, TransportStats};
 use seemore_types::{ClientId, Duration, Mode, NodeId, OpClass, ReplicaId};
-use seemore_wire::Message;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
-
-/// A socket replica's [`driver::ReplicaInbox`]: control commands first,
-/// then the frames the replica's own thread reads off its connections.
-/// Whoever queues a command wakes `frames` (see [`ReplicaControl`]), so a
-/// command never waits out an idle wait, and one queued before a wake-up is
-/// handled before anything that wake-up read.
-struct NodeInbox {
-    commands: Receiver<ReplicaCommand>,
-    frames: Inbox,
-}
-
-impl driver::ReplicaInbox for NodeInbox {
-    fn try_recv(&self) -> Result<ReplicaCommand, TryRecvError> {
-        if let Ok(command) = self.commands.try_recv() {
-            return Ok(command);
-        }
-        self.frames
-            .try_recv()
-            .map(|(from, message)| ReplicaCommand::Deliver { from, message })
-    }
-
-    fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<ReplicaCommand, RecvTimeoutError> {
-        self.frames.wait_for(timeout, || self.try_recv())
-    }
-}
 
 /// How the cluster reaches a replica thread: its command channel, plus the
 /// waker of its inbox, which [`send`](Self::send) rings after every command
@@ -75,35 +44,6 @@ impl ReplicaControl {
     fn send(&self, command: ReplicaCommand) {
         let _ = self.commands.send(command);
         self.waker.wake();
-    }
-}
-
-/// The socket runtime's [`driver::ReplicaSink`]: it queues a turn's frames
-/// and writes them at the loop's end-of-turn [`flush`](driver::ReplicaSink::flush),
-/// one write per peer. Single sends encode through the transport's
-/// thread-local scratch; broadcasts hand the whole destination set to the
-/// transport's `queue_broadcast`, which encodes once and queues the same
-/// shared frame on every peer's outbox. Since the loop flushes before it
-/// blocks, no frame stays queued across a blocking wait.
-///
-/// Connection failures surface as reconnect attempts inside the transport;
-/// a send can only fail here on shutdown, which the replica loop is about
-/// to observe anyway, so errors are dropped.
-struct TcpSink {
-    handle: ReactorHandle,
-}
-
-impl driver::ReplicaSink for TcpSink {
-    fn send(&mut self, to: NodeId, message: Message) {
-        let _ = self.handle.queue(to, &message);
-    }
-
-    fn broadcast(&mut self, to: Vec<NodeId>, message: Message) {
-        let _ = self.handle.queue_broadcast(&to, &message);
-    }
-
-    fn flush(&mut self) {
-        self.handle.flush();
     }
 }
 
@@ -166,7 +106,7 @@ impl SocketCluster {
             };
             let thread = std::thread::Builder::new()
                 .name(format!("replica-{id}"))
-                .spawn(move || driver::run_replica_loop(replica, &inbox, start, TcpSink { handle }))
+                .spawn(move || driver::run_replica_loop(replica, &inbox, start, &handle))
                 .expect("spawn replica thread");
             replica_handles.push(thread);
         }
@@ -187,9 +127,8 @@ impl SocketCluster {
     }
 
     /// Crashes a replica (fail-stop). Its sockets stay up but the core
-    /// produces no further actions, exactly like the threaded runtime. The
-    /// command wakes an idle replica, so nothing that arrives after this
-    /// call gets an answer.
+    /// produces no further actions. The command wakes an idle replica, so
+    /// nothing that arrives after this call gets an answer.
     pub fn crash(&self, replica: ReplicaId) {
         self.command(replica, ReplicaCommand::Crash);
     }
@@ -212,7 +151,7 @@ impl SocketCluster {
 
     /// Asks `replica` to announce a dynamic mode switch (SeeMoRe only; other
     /// cores ignore the request). This is how `Scenario::with_mode_switch`
-    /// is delivered on the concurrent runtimes.
+    /// is delivered on this runtime.
     pub fn request_mode_switch(&self, replica: ReplicaId, mode: Mode) {
         self.command(replica, ReplicaCommand::ModeSwitch { mode });
     }
@@ -274,10 +213,7 @@ impl SocketCluster {
                 start: self.start,
                 abandon_at,
             },
-            |wait| port.recv_timeout(wait),
-            |to, message| {
-                let _ = port.send(to, &message);
-            },
+            port,
             make_op,
         );
         (client, outcomes)
@@ -298,19 +234,23 @@ impl SocketCluster {
     /// Shuts the cluster down — replicas first, then the TCP mesh — and
     /// returns the replica cores for inspection. The shutdown command wakes
     /// every idle replica thread at once, like any other command.
+    ///
+    /// # Panics
+    ///
+    /// If a replica thread panicked, this re-raises the first such panic
+    /// once every thread is joined and the mesh is down, rather than return
+    /// fewer cores than the cluster had.
     pub fn shutdown(mut self) -> Vec<Box<dyn ReplicaProtocol>> {
         for control in self.replica_controls.values() {
             control.send(ReplicaCommand::Shutdown);
         }
-        let mut cores = Vec::new();
-        for handle in self.replicas.drain(..) {
-            if let Ok(core) = handle.join() {
-                cores.push(core);
-            }
-        }
+        let joined: Vec<_> = self.replicas.drain(..).map(JoinHandle::join).collect();
         self.replica_controls.clear();
         self.mesh.shutdown();
-        cores
+        joined
+            .into_iter()
+            .map(|core| core.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     }
 }
 
@@ -325,15 +265,19 @@ mod tests {
     use seemore_core::metrics::ReplicaMetrics;
     use seemore_core::replica::SeeMoReReplica;
     use seemore_crypto::KeyStore;
+    use seemore_net::Transport;
     use seemore_types::{ClusterConfig, Instant, Mode, SeqNum, View};
-    use seemore_wire::StateRequest;
+    use seemore_wire::{Message, StateRequest};
 
     /// A scripted core with no timers: it answers every message with three
-    /// copies of it, sent back to the sender, until it is crashed.
+    /// copies of it, sent back to the sender, until it is crashed. A
+    /// [`panicking`](Triple::panicking) one panics on its first message
+    /// instead.
     struct Triple {
         id: ReplicaId,
         metrics: ReplicaMetrics,
         crashed: bool,
+        panics: bool,
     }
 
     impl Triple {
@@ -342,6 +286,14 @@ mod tests {
                 id: ReplicaId(id),
                 metrics: ReplicaMetrics::default(),
                 crashed: false,
+                panics: false,
+            }
+        }
+
+        fn panicking(id: u32) -> Triple {
+            Triple {
+                panics: true,
+                ..Triple::new(id)
             }
         }
     }
@@ -351,6 +303,7 @@ mod tests {
             self.id
         }
         fn on_message(&mut self, from: NodeId, message: Message, _now: Instant) -> Vec<Action> {
+            assert!(!self.panics, "scripted replica panic");
             if self.crashed {
                 return Vec::new();
             }
@@ -411,12 +364,7 @@ mod tests {
                 commands: rx,
                 frames,
             };
-            driver::run_replica_loop(
-                Box::new(Triple::new(0)),
-                &inbox,
-                StdInstant::now(),
-                TcpSink { handle },
-            )
+            driver::run_replica_loop(Box::new(Triple::new(0)), &inbox, StdInstant::now(), &handle)
         });
         let ping = |seq: u64| {
             Message::StateRequest(StateRequest {
@@ -495,6 +443,28 @@ mod tests {
         assert!(answer.is_err(), "a crashed replica answered: {answer:?}");
         let cores = sockets.shutdown();
         assert!(cores[0].is_crashed());
+    }
+
+    /// A replica thread that panicked must not vanish from the returned
+    /// cores: `shutdown` joins every thread, stops the mesh, and then
+    /// re-raises the panic.
+    #[test]
+    #[should_panic(expected = "scripted replica panic")]
+    fn shutdown_re_raises_a_replica_panic() {
+        let client = ClientId(0);
+        let cores: Vec<Box<dyn ReplicaProtocol>> =
+            vec![Box::new(Triple::new(0)), Box::new(Triple::panicking(1))];
+        let sockets = SocketCluster::spawn(cores, &[client]).unwrap();
+        let ping = Message::StateRequest(StateRequest {
+            from_seq: SeqNum(1),
+            replica: ReplicaId(1),
+        });
+        sockets.clients[&client]
+            .send(NodeId::Replica(ReplicaId(1)), &ping)
+            .unwrap();
+        let panicked = &sockets.replicas[1];
+        wait_until("the replica thread to panic", || panicked.is_finished());
+        sockets.shutdown();
     }
 
     /// Shutdown must not wait out the replica loop's 50 ms idle wait: the

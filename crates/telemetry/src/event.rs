@@ -142,7 +142,7 @@ pub struct TraceEvent {
     /// ties.
     pub seq: u64,
     /// Monotonic timestamp. Virtual time on the simulator; wall-clock nanos
-    /// since the shared run origin on the concurrent runtimes, so events
+    /// since the shared run origin on the socket runtime, so events
     /// from different nodes are directly comparable.
     pub at: Instant,
     /// The emitting node.

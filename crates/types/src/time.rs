@@ -2,7 +2,7 @@
 //!
 //! Protocol cores are written "sans-IO": they never read a wall clock.
 //! Instead every entry point receives the current [`Instant`] from the
-//! substrate driving the core (either the threaded runtime, which maps wall
+//! substrate driving the core (either the socket runtime, which maps wall
 //! clock time onto these instants, or the discrete-event simulator, which
 //! advances a purely virtual clock). Both substrates therefore share the same
 //! time vocabulary and the cores behave identically under either.
@@ -74,7 +74,7 @@ impl Duration {
         Duration(self.0 * factor)
     }
 
-    /// Converts to a standard library duration (for the threaded runtime).
+    /// Converts to a standard library duration (for the socket runtime).
     pub fn to_std(self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.0)
     }

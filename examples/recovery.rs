@@ -1,7 +1,7 @@
 //! Crash, recover, rejoin: durable replica state end to end.
 //!
 //! Runs the smallest hybrid deployment (c = 1, m = 1, Lion mode) on the
-//! threaded runtime with an in-memory durable store attached to every
+//! socket runtime with an in-memory durable store attached to every
 //! replica, then kills the highest-numbered replica mid-run and restarts it
 //! from that store a tenth of a second later. The restarted core replays its
 //! write-ahead-log suffix onto the recovered checkpoint, announces the
@@ -36,7 +36,7 @@ fn main() {
     let report = Scenario::new(protocol, 1, 1)
         .with_clients(4)
         .with_duration(Duration::from_millis(500), Duration::from_millis(20))
-        .with_runtime(RuntimeKind::Threaded)
+        .with_runtime(RuntimeKind::Socket)
         .with_durability(DurabilityKind::Memory)
         .with_crash_recover(CrashRecover::replica(victim, crash_at, recover_at))
         .with_tracing(true)

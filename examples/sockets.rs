@@ -1,10 +1,10 @@
 //! A replicated key-value store over real loopback TCP sockets.
 //!
-//! The same hybrid-cloud deployment as `quickstart` (c = 1, m = 1, six
-//! replicas, Lion mode), but on the socket runtime: every protocol message
-//! is serialized by the versioned wire codec, crosses a real `std::net` TCP
-//! connection, and is reassembled by a streaming frame reader on the far
-//! side. At the end, the cluster reports the bytes that actually crossed
+//! The smallest hybrid-cloud deployment of the paper's evaluation (c = 1,
+//! m = 1, six replicas, Lion mode) on the socket runtime: every protocol
+//! message is serialized by the versioned wire codec, crosses a real
+//! `std::net` TCP connection, and is reassembled by a streaming frame
+//! reader on the far side. At the end, the cluster reports the bytes that actually crossed
 //! the wire — by the codec's size contract, the same number the simulator's
 //! `WireSize` model charges for.
 //!

@@ -25,10 +25,10 @@
 //!   batching.
 //! * [`baselines`] — CFT (Multi-Paxos-like), BFT (PBFT) and S-UpRight
 //!   baselines used by the paper's evaluation.
-//! * [`runtime`] — the three execution substrates (discrete-event
-//!   simulator, threaded runtime, socket-backed runtime — see the
-//!   `seemore_runtime` crate docs for when to use each), workload
-//!   generation, failure schedules and metrics.
+//! * [`runtime`] — the two execution substrates (discrete-event
+//!   simulator and socket-backed runtime — see the `seemore_runtime` crate
+//!   docs for when to use each), workload generation, failure schedules and
+//!   metrics.
 //!
 //! # Batched agreement
 //!

@@ -7,9 +7,9 @@
 //! * on the deterministic simulator, for SeeMoRe in all three modes plus
 //!   the CFT and BFT baselines, the run with a crash-recover schedule
 //!   produces **per-slot histories identical to a no-crash control**;
-//! * on the threaded, socket and reactor runtimes the restarted replica
-//!   really is torn down and rebuilt from the store on its own thread, and
-//!   the telemetry rollup shows the completed recovery;
+//! * on the socket runtime the restarted replica really is torn down and
+//!   rebuilt from the store on its own thread, and the telemetry rollup
+//!   shows the completed recovery;
 //! * a kill-9 torn WAL tail (the store's fault-injection hook) is repaired
 //!   at recovery and the replica still rejoins without a safety violation.
 
@@ -182,23 +182,16 @@ fn simulated_crash_recover_matches_a_no_crash_control() {
 
 #[test]
 fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
-    // Lion on both concurrent runtimes, and — over real TCP — every
-    // protocol, so the shared rejoin code is driven through all three
-    // state-adoption rules: the first response (CFT), the trusted tier only
-    // (SeeMoRe), `f + 1` matching responses (BFT, S-UpRight).
-    let socket_protocols = CASES
-        .into_iter()
-        .chain([ProtocolKind::SUpright])
-        .map(|protocol| (protocol, RuntimeKind::Socket));
-    for (protocol, kind) in [(ProtocolKind::SeeMoReLion, RuntimeKind::Threaded)]
-        .into_iter()
-        .chain(socket_protocols)
-    {
+    // Every protocol over real TCP, so the shared rejoin code is driven
+    // through all three state-adoption rules: the first response (CFT), the
+    // trusted tier only (SeeMoRe), `f + 1` matching responses (BFT,
+    // S-UpRight).
+    for protocol in CASES.into_iter().chain([ProtocolKind::SUpright]) {
         let victim = ReplicaId(protocol.network_size(1, 1) - 1);
         let report = Scenario::new(protocol, 1, 1)
             .with_clients(2)
             .with_duration(Duration::from_millis(500), Duration::from_millis(10))
-            .with_runtime(kind)
+            .with_runtime(RuntimeKind::Socket)
             .with_tracing(true)
             .with_crash_recover(CrashRecover::replica(
                 victim,
@@ -206,7 +199,7 @@ fn concurrent_runtimes_tear_down_and_rejoin_a_crashed_replica() {
                 Instant::from_nanos(200_000_000),
             ))
             .run();
-        let label = format!("{} on {}", protocol.name(), kind.name());
+        let label = protocol.name();
         assert!(report.completed > 0, "{label}: no progress");
         let health = report
             .health

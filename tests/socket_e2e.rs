@@ -1,14 +1,15 @@
 //! Loopback end-to-end: the socket runtime runs the real protocol over real
-//! TCP connections and produces the same per-slot histories as the threaded
-//! runtime.
+//! TCP connections and produces the same per-slot histories as the
+//! deterministic, sans-IO `SyncCluster` reference.
 //!
 //! For SeeMoRe in all three modes plus the CFT and BFT baselines, with
 //! request batching enabled (`max_batch > 1`, so every proposal goes through
 //! the batch-flush machinery) and a non-primary replica crashed mid-run:
 //!
 //! * a deterministic interleaved workload produces **identical per-slot
-//!   histories** on the socket runtime and the threaded runtime (same
-//!   sequence numbers, same batch offsets, same request digests);
+//!   histories** on the socket runtime and on `SyncCluster`, which delivers
+//!   every message at once in FIFO order (same sequence numbers, same batch
+//!   offsets, same request digests);
 //! * a concurrent multi-client workload on the socket runtime keeps every
 //!   live replica in per-slot agreement and completes every request, with
 //!   nonzero bytes crossing real sockets — also when the view-0 primary
@@ -16,14 +17,16 @@
 
 use seemore::app::NoopApp;
 use seemore::baselines::{BaselineClient, BaselineConfig, BftReplica, CftReplica};
+use seemore::core::actions::Timer;
 use seemore::core::batching::BatchConfig;
 use seemore::core::client::{ClientCore, ClientProtocol};
 use seemore::core::config::ProtocolConfig;
 use seemore::core::exec::ExecutedEntry;
 use seemore::core::protocol::ReplicaProtocol;
 use seemore::core::replica::SeeMoReReplica;
+use seemore::core::testkit::SyncCluster;
 use seemore::crypto::{Digest, KeyStore};
-use seemore::runtime::{SocketCluster, ThreadedCluster};
+use seemore::runtime::SocketCluster;
 use seemore::types::OpClass;
 use seemore::types::{ClientId, ClusterConfig, Duration, Mode, ReplicaId, SeqNum, View};
 use std::collections::BTreeMap;
@@ -167,98 +170,32 @@ fn deploy(case: Case, client_count: u64) -> Deployment {
     }
 }
 
-/// The concurrent runtime flavors under comparison: in-memory channels, and
-/// sockets with an endpoint per client (the configuration `BENCHMARK.json`
-/// runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flavor {
-    Threaded,
-    Socket,
-}
+/// Rounds of the deterministic workload: each client submits once per round.
+const ROUNDS: usize = 6;
 
-impl Flavor {
-    fn name(self) -> &'static str {
-        match self {
-            Flavor::Threaded => "threaded",
-            Flavor::Socket => "socket",
-        }
-    }
-}
-
-/// The concurrent runtimes behind one driving interface.
-enum Harness {
-    Threaded(ThreadedCluster),
-    Socket(SocketCluster),
-}
-
-impl Harness {
-    fn spawn(
-        flavor: Flavor,
-        replicas: Vec<Box<dyn ReplicaProtocol>>,
-        clients: &[ClientId],
-    ) -> Self {
-        match flavor {
-            Flavor::Threaded => Harness::Threaded(ThreadedCluster::spawn(replicas, clients)),
-            Flavor::Socket => {
-                Harness::Socket(SocketCluster::spawn(replicas, clients).expect("bind loopback"))
-            }
-        }
-    }
-
-    fn crash(&self, replica: ReplicaId) {
-        match self {
-            Harness::Threaded(c) => c.crash(replica),
-            Harness::Socket(c) => c.crash(replica),
-        }
-    }
-
-    fn run_one(
-        &self,
-        client: Box<dyn ClientProtocol>,
-        op: Vec<u8>,
-    ) -> (Box<dyn ClientProtocol>, usize) {
-        let timeout = Duration::from_secs(10);
-        let (client, outcomes) = match self {
-            Harness::Threaded(c) => {
-                c.run_client(client, 1, timeout, |_| (op.clone(), OpClass::Write))
-            }
-            Harness::Socket(c) => {
-                c.run_client(client, 1, timeout, |_| (op.clone(), OpClass::Write))
-            }
-        };
-        (client, outcomes.len())
-    }
-
-    fn shutdown(self) -> Vec<Box<dyn ReplicaProtocol>> {
-        match self {
-            Harness::Threaded(c) => c.shutdown(),
-            Harness::Socket(c) => c.shutdown(),
-        }
-    }
-}
-
-/// Runs the deterministic interleaved workload: two clients submit
-/// alternately (one outstanding request in the whole system at a time), the
-/// crash victim fail-stops a third of the way in, and the surviving
-/// replicas' histories come back for comparison.
-fn run_deterministic(case: Case, flavor: Flavor) -> Vec<(ReplicaId, Vec<ExecutedEntry>)> {
-    const ROUNDS: usize = 6;
+/// Runs the deterministic interleaved workload over sockets: two clients
+/// submit alternately (one outstanding request in the whole system at a
+/// time), the crash victim fail-stops a third of the way in, and the
+/// surviving replicas' histories come back for comparison.
+fn run_deterministic(case: Case) -> Vec<(ReplicaId, Vec<ExecutedEntry>)> {
     let deployment = deploy(case, 2);
     let crash_victim = deployment.crash_victim;
     let client_ids: Vec<ClientId> = deployment.clients.iter().map(|c| c.id()).collect();
-    let harness = Harness::spawn(flavor, deployment.replicas, &client_ids);
+    let cluster = SocketCluster::spawn(deployment.replicas, &client_ids).expect("bind loopback");
 
     let mut clients = deployment.clients;
     let mut completed = 0usize;
     for round in 0..ROUNDS {
         if round == ROUNDS / 3 {
-            harness.crash(crash_victim);
+            cluster.crash(crash_victim);
         }
         let mut next = Vec::with_capacity(clients.len());
         for client in clients {
-            let id = client.id();
-            let (client, done) = harness.run_one(client, format!("op-{id}-{round}").into_bytes());
-            completed += done;
+            let op = format!("op-{}-{round}", client.id()).into_bytes();
+            let (client, outcomes) = cluster.run_client(client, 1, Duration::from_secs(10), |_| {
+                (op.clone(), OpClass::Write)
+            });
+            completed += outcomes.len();
             next.push(client);
         }
         clients = next;
@@ -266,16 +203,77 @@ fn run_deterministic(case: Case, flavor: Flavor) -> Vec<(ReplicaId, Vec<Executed
     assert_eq!(
         completed,
         ROUNDS * 2,
-        "{} ({}): every request must complete despite the crash",
+        "{} (socket): every request must complete despite the crash",
         case.name(),
-        flavor.name(),
     );
 
-    harness
+    cluster
         .shutdown()
         .into_iter()
         .filter(|core| core.id() != crash_victim)
         .map(|core| (core.id(), core.executed().to_vec()))
+        .collect()
+}
+
+/// The same workload on the same cores, on the deterministic, sans-IO
+/// `SyncCluster`: every message is delivered at once in FIFO order, and the
+/// only timer fired is a primary's armed batch flush, which is what a
+/// partial batch waits for on sockets too. No protocol timer (progress,
+/// view change, client retransmission) ever fires, so this is the history a
+/// fault-free network with no timeouts produces.
+fn run_reference(case: Case) -> Vec<(ReplicaId, Vec<ExecutedEntry>)> {
+    const LIMIT: u64 = 100_000;
+    let deployment = deploy(case, 2);
+    let crash_victim = deployment.crash_victim;
+    let mut cluster = SyncCluster::new();
+    for replica in deployment.replicas {
+        cluster.add_replica(replica);
+    }
+    let client_ids: Vec<ClientId> = deployment.clients.iter().map(|c| c.id()).collect();
+    for client in deployment.clients {
+        cluster.add_client(client);
+    }
+
+    let mut completed = 0usize;
+    for round in 0..ROUNDS {
+        if round == ROUNDS / 3 {
+            cluster.replica_mut(crash_victim).crash();
+        }
+        for &id in &client_ids {
+            cluster.submit(id, format!("op-{id}-{round}").into_bytes());
+            cluster.run_to_quiescence(LIMIT);
+            while cluster.client(id).has_pending() {
+                let flushes: Vec<(ReplicaId, Timer)> = cluster
+                    .replica_ids()
+                    .into_iter()
+                    .flat_map(|r| cluster.armed_timers(r).into_iter().map(move |t| (r, t)))
+                    .filter(|(_, timer)| matches!(timer, Timer::BatchFlush { .. }))
+                    .collect();
+                assert!(
+                    !flushes.is_empty(),
+                    "{} (reference): a request is stuck with no batch to flush",
+                    case.name()
+                );
+                for (replica, timer) in flushes {
+                    cluster.fire_timer(replica, timer);
+                }
+                cluster.run_to_quiescence(LIMIT);
+            }
+            completed += cluster.client_mut(id).take_completed().len();
+        }
+    }
+    assert_eq!(
+        completed,
+        ROUNDS * 2,
+        "{} (reference): every request must complete despite the crash",
+        case.name(),
+    );
+
+    cluster
+        .replica_ids()
+        .into_iter()
+        .filter(|&id| id != crash_victim)
+        .map(|id| (id, cluster.replica(id).executed().to_vec()))
         .collect()
 }
 
@@ -324,28 +322,28 @@ fn canonical(histories: &[(ReplicaId, Vec<ExecutedEntry>)]) -> Vec<ExecutedEntry
 
 /// Acceptance: all three SeeMoRe modes plus both baselines complete the
 /// loopback e2e over real TCP sockets, and their per-slot histories match
-/// the threaded runtime's.
+/// the deterministic `SyncCluster` reference's.
 #[test]
-fn socket_histories_match_threaded_histories() {
+fn socket_histories_match_the_sync_reference() {
     for case in ALL_CASES {
-        let threaded = run_deterministic(case, Flavor::Threaded);
-        assert_internal_agreement(case, &threaded);
-        let threaded_canon = canonical(&threaded);
+        let reference = run_reference(case);
+        assert_internal_agreement(case, &reference);
+        let reference_canon = canonical(&reference);
 
-        let histories = run_deterministic(case, Flavor::Socket);
+        let histories = run_deterministic(case);
         assert_internal_agreement(case, &histories);
         let canon = canonical(&histories);
         assert_eq!(
             canon.len(),
-            threaded_canon.len(),
+            reference_canon.len(),
             "{}: history lengths differ",
             case.name()
         );
-        for (s, t) in canon.iter().zip(threaded_canon.iter()) {
+        for (s, r) in canon.iter().zip(reference_canon.iter()) {
             assert_eq!(
                 (s.seq, s.offset, s.request, s.digest),
-                (t.seq, t.offset, t.request, t.digest),
-                "{}: runtimes ordered requests differently",
+                (r.seq, r.offset, r.request, r.digest),
+                "{}: sockets and the reference ordered requests differently",
                 case.name()
             );
         }
