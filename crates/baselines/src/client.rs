@@ -1,58 +1,79 @@
-//! The client used with the baseline protocols.
+//! The baselines' client rules.
 //!
-//! Identical in spirit to SeeMoRe's client, but without the notion of
-//! trusted/untrusted replicas: it sends requests to the current primary,
-//! collects `reply_quorum` matching replies, and broadcasts to everyone
-//! after a timeout. Read-only operations take the same classification seam
-//! as SeeMoRe's: CFT reads go to the leader (served under its commit-index
-//! lease), BFT reads are quorum reads needing `2f + 1` matching replies.
+//! A baseline client is [`ClientCore`] under [`BaselineConfig`]'s
+//! [`ReplyPolicy`]: no replica is trusted under BFT / S-UpRight and every
+//! replica is under CFT. Requests go to the primary of the view, complete
+//! on `reply_quorum` matching replies and are broadcast to the whole group
+//! after a timeout. CFT reads go to the leader (served under its
+//! commit-index lease); BFT reads go to every replica and need `2f + 1`
+//! matching replies.
 
 use crate::config::BaselineConfig;
-use seemore_core::actions::{Action, Timer};
-use seemore_core::client::{ClientOutcome, ClientProtocol};
-use seemore_core::reads::ReadTally;
-use seemore_crypto::{Digest, KeyStore, Signer};
-use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
-use seemore_types::{
-    ClientId, Duration, Instant, Mode, NodeId, OpClass, ReplicaId, RequestId, Timestamp, View,
-};
-use seemore_wire::{ClientReply, ClientRequest, Message, ReadReply, ReadRequest, SignedPayload};
-use std::collections::{BTreeSet, HashMap};
+use seemore_core::actions::Action;
+use seemore_core::client::{ClientCore, ClientOutcome, ClientProtocol, ReplyPolicy};
+use seemore_crypto::KeyStore;
+use seemore_telemetry::Recorder;
+use seemore_types::{ClientId, Duration, Instant, Mode, NodeId, OpClass, ReplicaId, View};
+use seemore_wire::Message;
 use std::sync::Arc;
 
-struct Pending {
-    /// The request identity `(client, timestamp)`, shared by the fast path
-    /// and the ordered fallback.
-    id: RequestId,
-    /// The signed ordered-path request — built eagerly for writes, lazily on
-    /// fallback for reads.
-    ordered: Option<ClientRequest>,
-    /// Operation bytes kept for the lazy fallback (reads only).
-    fallback_op: Option<Vec<u8>>,
-    sent_at: Instant,
-    class: OpClass,
-    /// `Some` while a read is on the fast path.
-    read: Option<ReadTally>,
-    votes: HashMap<Digest, BTreeSet<ReplicaId>>,
-    results: HashMap<Digest, Vec<u8>>,
+impl BaselineConfig {
+    /// The SeeMoRe mode the baseline's replies and trace events carry: Lion
+    /// for the crash-only line, Peacock for the Byzantine ones.
+    pub fn mode(&self) -> Mode {
+        if self.signed {
+            Mode::Peacock
+        } else {
+            Mode::Lion
+        }
+    }
 }
 
-/// A closed-loop client for the CFT / BFT / S-UpRight baselines.
-pub struct BaselineClient {
-    id: ClientId,
-    config: BaselineConfig,
-    keystore: KeyStore,
-    signer: Signer,
-    view: View,
-    timeout: Duration,
-    next_timestamp: Timestamp,
-    pending: Option<Pending>,
-    completed: Vec<ClientOutcome>,
-    retransmissions: u64,
-    /// Structured-event sink (a no-op [`NullRecorder`] unless the runtime
-    /// attaches a real one).
-    recorder: Arc<dyn Recorder>,
+impl ReplyPolicy for BaselineConfig {
+    fn primary(&self, _mode: Mode, view: View) -> ReplicaId {
+        BaselineConfig::primary(self, view)
+    }
+
+    /// A crash-only replica never lies; a Byzantine one may.
+    fn is_trusted(&self, _replica: ReplicaId) -> bool {
+        !self.signed
+    }
+
+    fn signed_replies(&self) -> bool {
+        self.signed
+    }
+
+    fn reply_threshold(&self, _mode: Mode, _retransmitted: bool) -> u32 {
+        self.reply_quorum
+    }
+
+    fn byzantine_bound(&self) -> u32 {
+        self.fault_bound
+    }
+
+    fn read_targets(&self, _mode: Mode, view: View) -> Vec<ReplicaId> {
+        if self.signed {
+            self.replicas().collect()
+        } else {
+            vec![BaselineConfig::primary(self, view)]
+        }
+    }
+
+    fn retransmit_targets(&self, _mode: Mode, _view: View) -> Vec<ReplicaId> {
+        self.replicas().collect()
+    }
+
+    /// The leader alone in the crash model; a full `2f + 1` agreement
+    /// quorum in the Byzantine models (`reply_quorum` would only prove the
+    /// result correct, not fresh).
+    fn read_quorum(&self, _mode: Mode) -> Option<u32> {
+        self.signed.then_some(self.quorum)
+    }
 }
+
+/// A [`ClientCore`] built from a [`BaselineConfig`].
+#[derive(Debug)]
+pub struct BaselineClient(ClientCore);
 
 impl BaselineClient {
     /// Creates a baseline client.
@@ -66,368 +87,53 @@ impl BaselineClient {
         keystore: KeyStore,
         timeout: Duration,
     ) -> Self {
-        let signer = keystore
-            .signer_for(NodeId::Client(id))
-            .expect("key store must contain a signer for this client");
-        BaselineClient {
+        BaselineClient(ClientCore::with_policy(
             id,
-            config,
+            Box::new(config),
             keystore,
-            signer,
-            view: View::ZERO,
+            config.mode(),
             timeout,
-            next_timestamp: Timestamp(0),
-            pending: None,
-            completed: Vec::new(),
-            retransmissions: 0,
-            recorder: Arc::new(NullRecorder),
-        }
+        ))
     }
 
     /// Attaches a structured-event recorder (replacing the no-op default).
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// Records one client-side protocol event at time `at`.
-    #[inline]
-    fn trace(&self, kind: EventKind, request: RequestId, detail: u64, at: Instant) {
-        if self.recorder.enabled() {
-            let mode = if self.config.signed {
-                Mode::Peacock
-            } else {
-                Mode::Lion
-            };
-            self.recorder.record(TraceEvent {
-                seq: 0,
-                at,
-                node: NodeId::Client(self.id),
-                view: self.view,
-                mode,
-                slot: None,
-                request: Some(request),
-                kind,
-                detail,
-            });
-        }
+        self.0.set_recorder(recorder);
     }
 
     /// The view the client currently believes the group is in.
     pub fn view(&self) -> View {
-        self.view
-    }
-
-    fn on_reply(&mut self, reply: ClientReply, now: Instant) -> Vec<Action> {
-        // Byzantine baselines sign replies; the crash-only baseline does not.
-        if self.config.signed
-            && !self.keystore.verify(
-                NodeId::Replica(reply.replica),
-                &reply.signing_bytes(),
-                &reply.signature,
-            )
-        {
-            return Vec::new();
-        }
-        let Some(pending) = &mut self.pending else {
-            return Vec::new();
-        };
-        if reply.request != pending.id || pending.read.is_some() {
-            return Vec::new();
-        }
-        let digest = Digest::of_fields(&[b"reply-result", &reply.result]);
-        pending
-            .votes
-            .entry(digest)
-            .or_default()
-            .insert(reply.replica);
-        pending
-            .results
-            .entry(digest)
-            .or_insert_with(|| reply.result.clone());
-        let votes = pending.votes.get(&digest).map(|v| v.len()).unwrap_or(0);
-        if votes < self.config.reply_quorum as usize {
-            return Vec::new();
-        }
-        let pending = self.pending.take().expect("checked above");
-        let result = pending.results.get(&digest).cloned().unwrap_or_default();
-        self.view = self.view.max(reply.view);
-        self.trace(
-            EventKind::ClientDone,
-            pending.id,
-            u64::from(!pending.class.is_read()),
-            now,
-        );
-        self.completed.push(ClientOutcome {
-            request: pending.id,
-            class: pending.class,
-            result,
-            latency: now - pending.sent_at,
-            completed_at: now,
-        });
-        vec![Action::CancelTimer {
-            timer: Timer::ClientRetransmit {
-                timestamp: pending.id.timestamp,
-            },
-        }]
-    }
-
-    /// Submits a read through the baseline fast path: to the leader alone in
-    /// the crash model (one reply suffices), broadcast to everyone in the
-    /// Byzantine models (`quorum` matching replies needed). Falls back to
-    /// the ordered path on refusal, mismatch or timeout under the same
-    /// `(client, timestamp)` identity.
-    fn submit_read(&mut self, operation: Vec<u8>, now: Instant) -> Vec<Action> {
-        assert!(
-            self.pending.is_none(),
-            "client {} already has a pending request",
-            self.id
-        );
-        self.next_timestamp = self.next_timestamp.next();
-        let nonce = self.next_timestamp;
-        let read = ReadRequest::new(self.id, nonce, operation.clone(), &self.signer);
-        let targets: Vec<ReplicaId> = if self.config.signed {
-            self.config.replicas().collect()
-        } else {
-            vec![self.config.primary(self.view)]
-        };
-        let mut actions: Vec<Action> = targets
-            .into_iter()
-            .map(|to| Action::Send {
-                to: NodeId::Replica(to),
-                message: Message::ReadRequest(read.clone()),
-            })
-            .collect();
-        actions.push(Action::SetTimer {
-            timer: Timer::ClientRetransmit { timestamp: nonce },
-            after: self.timeout,
-        });
-        self.trace(EventKind::ClientSubmit, read.id(), 0, now);
-        self.pending = Some(Pending {
-            id: read.id(),
-            ordered: None,
-            fallback_op: Some(operation),
-            sent_at: now,
-            class: OpClass::Read,
-            read: Some(ReadTally::new()),
-            votes: HashMap::new(),
-            results: HashMap::new(),
-        });
-        actions
-    }
-
-    fn on_read_reply(&mut self, reply: ReadReply, now: Instant) -> Vec<Action> {
-        if self.config.signed
-            && !self.keystore.verify(
-                NodeId::Replica(reply.replica),
-                &reply.signing_bytes(),
-                &reply.signature,
-            )
-        {
-            return Vec::new();
-        }
-        let Some(pending) = &mut self.pending else {
-            return Vec::new();
-        };
-        if pending.read.is_none() || reply.request != pending.id {
-            return Vec::new();
-        }
-        self.view = self.view.max(reply.view);
-
-        let read = pending.read.as_mut().expect("checked above");
-        if reply.refused {
-            let refusals = read.record_refusal(reply.replica);
-            // Crash model: the leader's refusal is authoritative. Byzantine
-            // models: `f + 1` refusals contain an honest one.
-            let fallback = if self.config.signed {
-                refusals > self.config.fault_bound as usize
-            } else {
-                true
-            };
-            if fallback {
-                return self.fall_back_to_ordered();
-            }
-            return Vec::new();
-        }
-
-        let (_, digest) = reply.matching_key();
-        let votes = read.record(digest, reply.replica, &reply.result);
-        // One leader reply in the crash model; a full `2f + 1` agreement
-        // quorum in the Byzantine models (reply_quorum would only prove the
-        // result correct, not fresh).
-        let needed = if self.config.signed {
-            self.config.quorum as usize
-        } else {
-            1
-        };
-        if votes < needed {
-            return Vec::new();
-        }
-
-        let pending = self.pending.take().expect("checked above");
-        let result = pending
-            .read
-            .as_ref()
-            .and_then(|read| read.result_for(&digest))
-            .unwrap_or_default();
-        self.trace(EventKind::ClientDone, pending.id, 0, now);
-        self.completed.push(ClientOutcome {
-            request: pending.id,
-            class: OpClass::Read,
-            result,
-            latency: now - pending.sent_at,
-            completed_at: now,
-        });
-        vec![Action::CancelTimer {
-            timer: Timer::ClientRetransmit {
-                timestamp: pending.id.timestamp,
-            },
-        }]
-    }
-
-    /// Abandons the fast path and re-submits through the ordered path; the
-    /// ordered request is built (and signed) only here, so the common
-    /// all-fast-path case pays one signature per read.
-    fn fall_back_to_ordered(&mut self) -> Vec<Action> {
-        let signer = self.signer.clone();
-        let primary = self.config.primary(self.view);
-        let Some(pending) = &mut self.pending else {
-            return Vec::new();
-        };
-        if pending.read.take().is_none() {
-            return Vec::new();
-        }
-        pending.votes.clear();
-        pending.results.clear();
-        let operation = pending.fallback_op.take().unwrap_or_default();
-        let request =
-            ClientRequest::new(pending.id.client, pending.id.timestamp, operation, &signer);
-        pending.ordered = Some(request.clone());
-        vec![
-            Action::Send {
-                to: NodeId::Replica(primary),
-                message: Message::Request(request),
-            },
-            Action::SetTimer {
-                timer: Timer::ClientRetransmit {
-                    timestamp: pending.id.timestamp,
-                },
-                after: self.timeout,
-            },
-        ]
-    }
-}
-
-impl std::fmt::Debug for BaselineClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineClient")
-            .field("id", &self.id)
-            .field("view", &self.view)
-            .field("completed", &self.completed.len())
-            .finish_non_exhaustive()
+        self.0.view()
     }
 }
 
 impl ClientProtocol for BaselineClient {
     fn id(&self) -> ClientId {
-        self.id
+        self.0.id()
     }
-
     fn submit(&mut self, operation: Vec<u8>, now: Instant) -> Vec<Action> {
-        assert!(
-            self.pending.is_none(),
-            "client {} already has a pending request",
-            self.id
-        );
-        self.next_timestamp = self.next_timestamp.next();
-        let request = ClientRequest::new(self.id, self.next_timestamp, operation, &self.signer);
-        let primary = self.config.primary(self.view);
-        let actions = vec![
-            Action::Send {
-                to: NodeId::Replica(primary),
-                message: Message::Request(request.clone()),
-            },
-            Action::SetTimer {
-                timer: Timer::ClientRetransmit {
-                    timestamp: request.timestamp,
-                },
-                after: self.timeout,
-            },
-        ];
-        self.trace(EventKind::ClientSubmit, request.id(), 1, now);
-        self.pending = Some(Pending {
-            id: request.id(),
-            ordered: Some(request),
-            fallback_op: None,
-            sent_at: now,
-            class: OpClass::Write,
-            read: None,
-            votes: HashMap::new(),
-            results: HashMap::new(),
-        });
-        actions
+        self.0.submit(operation, now)
     }
-
     fn submit_op(&mut self, operation: Vec<u8>, class: OpClass, now: Instant) -> Vec<Action> {
-        match class {
-            OpClass::Read => self.submit_read(operation, now),
-            OpClass::Write => self.submit(operation, now),
-        }
+        ClientProtocol::submit_op(&mut self.0, operation, class, now)
     }
-
-    fn on_message(&mut self, _from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        match message {
-            Message::Reply(reply) => self.on_reply(reply, now),
-            Message::ReadReply(reply) => self.on_read_reply(reply, now),
-            _ => Vec::new(),
-        }
+    fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
+        self.0.on_message(from, message, now)
     }
-
-    fn on_retransmit_timer(&mut self, _now: Instant) -> Vec<Action> {
-        if self
-            .pending
-            .as_ref()
-            .is_some_and(|pending| pending.read.is_some())
-        {
-            return self.fall_back_to_ordered();
-        }
-        let Some(pending) = &self.pending else {
-            return Vec::new();
-        };
-        let Some(request) = pending.ordered.clone() else {
-            return Vec::new();
-        };
-        self.retransmissions += 1;
-        let mut actions: Vec<Action> = self
-            .config
-            .replicas()
-            .map(|to| Action::Send {
-                to: NodeId::Replica(to),
-                message: Message::Request(request.clone()),
-            })
-            .collect();
-        actions.push(Action::SetTimer {
-            timer: Timer::ClientRetransmit {
-                timestamp: request.timestamp,
-            },
-            after: self.timeout,
-        });
-        actions
+    fn on_retransmit_timer(&mut self, now: Instant) -> Vec<Action> {
+        self.0.on_retransmit_timer(now)
     }
-
     fn completed(&self) -> &[ClientOutcome] {
-        &self.completed
+        self.0.completed()
     }
-
     fn take_completed(&mut self) -> Vec<ClientOutcome> {
-        std::mem::take(&mut self.completed)
+        self.0.take_completed()
     }
-
     fn has_pending(&self) -> bool {
-        self.pending.is_some()
+        self.0.has_pending()
     }
-
     fn retransmissions(&self) -> u64 {
-        self.retransmissions
+        self.0.retransmissions()
     }
 }
 
@@ -436,7 +142,8 @@ mod tests {
     use super::*;
     use crate::config::s_upright;
     use seemore_crypto::Signature;
-    use seemore_types::{Mode, RequestId};
+    use seemore_types::{RequestId, SeqNum, Timestamp};
+    use seemore_wire::{ClientReply, ReadReply};
 
     fn keystore() -> KeyStore {
         KeyStore::generate(3, 10, 2)
@@ -573,5 +280,37 @@ mod tests {
             Duration::from_millis(50),
         );
         assert!(idle.on_retransmit_timer(Instant::ZERO).is_empty());
+    }
+
+    #[test]
+    fn one_byzantine_read_reply_cannot_move_a_bft_clients_view() {
+        let ks = keystore();
+        let mut client = BaselineClient::new(
+            ClientId(0),
+            BaselineConfig::bft(1),
+            ks.clone(),
+            Duration::from_millis(50),
+        );
+        client.submit_op(b"get".to_vec(), OpClass::Read, Instant::ZERO);
+        let id = RequestId::new(ClientId(0), Timestamp(1));
+        // Replica 3 is the primary of view 7 at n = 4: a lone liar claiming
+        // that view would make itself the client's primary.
+        let signer = ks.signer_for(NodeId::Replica(ReplicaId(3))).unwrap();
+        let lie = ReadReply::new(
+            Mode::Peacock,
+            View(7),
+            id,
+            ReplicaId(3),
+            SeqNum(0),
+            b"v".to_vec(),
+            &signer,
+        );
+        client.on_message(
+            NodeId::Replica(ReplicaId(3)),
+            Message::ReadReply(lie),
+            Instant::ZERO,
+        );
+        assert!(client.has_pending());
+        assert_eq!(client.view(), View(0));
     }
 }

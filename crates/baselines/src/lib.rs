@@ -14,6 +14,10 @@
 //!
 //! All three implement [`ReplicaProtocol`](seemore_core::ReplicaProtocol)
 //! and are driven by the same runtimes, workloads and benchmarks as SeeMoRe.
+//! Their clients are SeeMoRe's [`ClientCore`](seemore_core::ClientCore)
+//! under [`BaselineConfig`]'s
+//! [`ReplyPolicy`](seemore_core::client::ReplyPolicy); [`BaselineClient`]
+//! builds one.
 //!
 //! Both replica structs own a
 //! [`ReplicaChassis`](seemore_core::chassis::ReplicaChassis) — the same one

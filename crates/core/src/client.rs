@@ -1,10 +1,16 @@
-//! The client side of SeeMoRe: request submission, per-mode reply quorums,
+//! The client side of every protocol: request submission, reply quorums,
 //! retransmission, and the mode-aware read-only fast path (Section 5 plus
 //! the PBFT read optimization lineage).
+//!
+//! There is one client, [`ClientCore`]. What differs between SeeMoRe and
+//! the baselines — who the primary is, which repliers are trusted, how many
+//! matching replies complete a request and where a read or a retransmission
+//! goes (Table 1's reply column, the retransmission rules of Sections
+//! 5.1–5.3) — is a [`ReplyPolicy`]. [`ClusterConfig`] is SeeMoRe's policy;
+//! the baselines' `BaselineConfig` is theirs.
 
 use crate::actions::{Action, Timer};
-use crate::reads::ReadTally;
-use seemore_crypto::{Digest, KeyStore, Signer};
+use seemore_crypto::{Digest, KeyStore, Signature, Signer};
 use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
 use seemore_types::{
     ClientId, ClusterConfig, Duration, Instant, Mode, NodeId, OpClass, ReplicaId, RequestId,
@@ -14,24 +20,21 @@ use seemore_wire::{ClientReply, ClientRequest, Message, ReadReply, ReadRequest, 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// The sans-IO contract for protocol clients (SeeMoRe's [`ClientCore`] and
-/// the baseline clients), so that runtimes and the test kit can drive any of
-/// them interchangeably.
+/// The sans-IO contract runtimes and the test kit drive clients through.
+///
+/// [`ClientCore`] is the one client implementation (the baselines'
+/// `BaselineClient` is a newtype that forwards to it); the trait stays for
+/// callers that hold a `Box<dyn ClientProtocol>`.
 pub trait ClientProtocol: Send {
     /// The client's identity.
     fn id(&self) -> ClientId;
-    /// Submits a new operation, returning send/timer actions.
+    /// Submits a new operation on the ordered path, returning send/timer
+    /// actions.
     fn submit(&mut self, operation: Vec<u8>, now: Instant) -> Vec<Action>;
-    /// Submits an operation with an explicit read/write classification.
-    ///
-    /// Writes always take the ordered path; clients that implement a read
-    /// fast path route [`OpClass::Read`] operations through it. The default
-    /// implementation ignores the classification and orders everything,
-    /// which is always safe.
-    fn submit_op(&mut self, operation: Vec<u8>, class: OpClass, now: Instant) -> Vec<Action> {
-        let _ = class;
-        self.submit(operation, now)
-    }
+    /// Submits an operation with an explicit read/write classification:
+    /// writes take the ordered path, [`OpClass::Read`] operations the read
+    /// fast path.
+    fn submit_op(&mut self, operation: Vec<u8>, class: OpClass, now: Instant) -> Vec<Action>;
     /// Handles a message addressed to the client.
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action>;
     /// Handles the retransmission timer.
@@ -92,13 +95,150 @@ pub struct ClientOutcome {
     pub completed_at: Instant,
 }
 
-/// Reply votes collected for the outstanding request.
+/// The rules a protocol's client follows, asked of the protocol's static
+/// configuration. Everything else about a client is the same for every
+/// protocol and lives in [`ClientCore`].
+pub trait ReplyPolicy: Send {
+    /// The primary of `view` in `mode`.
+    fn primary(&self, mode: Mode, view: View) -> ReplicaId;
+    /// Whether one reply from `replica` is believed on its own, and teaches
+    /// the client the replier's mode and view at once.
+    fn is_trusted(&self, replica: ReplicaId) -> bool;
+    /// Whether replies are signed and must be verified before they count.
+    fn signed_replies(&self) -> bool;
+    /// Matching replies from untrusted replicas that complete an ordered
+    /// request, on the first transmission or after a retransmission.
+    fn reply_threshold(&self, mode: Mode, retransmitted: bool) -> u32;
+    /// The most faulty repliers a fast read must allow for: one refusal
+    /// more than this contains an honest one and ends the fast path.
+    fn byzantine_bound(&self) -> u32;
+    /// The replicas a fast-path read is sent to.
+    fn read_targets(&self, mode: Mode, view: View) -> Vec<ReplicaId>;
+    /// The replicas a timed-out ordered request is broadcast to.
+    fn retransmit_targets(&self, mode: Mode, view: View) -> Vec<ReplicaId>;
+    /// How a served read is accepted in `mode`: `None` means the trusted
+    /// primary of the view the reply claims serves alone; `Some(q)` means
+    /// `q` matching replies from untrusted replicas.
+    fn read_quorum(&self, mode: Mode) -> Option<u32>;
+}
+
+/// SeeMoRe's client rules: the private cloud is trusted, and quorums follow
+/// the mode (Table 1 plus the retransmission rules of Sections 5.1–5.3).
+impl ReplyPolicy for ClusterConfig {
+    fn primary(&self, mode: Mode, view: View) -> ReplicaId {
+        ClusterConfig::primary(self, mode, view)
+            .expect("client cluster config validated at construction")
+    }
+
+    fn is_trusted(&self, replica: ReplicaId) -> bool {
+        ClusterConfig::is_trusted(self, replica)
+    }
+
+    fn signed_replies(&self) -> bool {
+        true
+    }
+
+    fn reply_threshold(&self, mode: Mode, retransmitted: bool) -> u32 {
+        if retransmitted {
+            return self.retransmit_reply_threshold(mode);
+        }
+        match mode {
+            // On the first transmission in Lion mode only the primary
+            // replies, and the primary is trusted; untrusted replies
+            // require m+1 agreement.
+            Mode::Lion => ClusterConfig::byzantine_bound(self) + 1,
+            Mode::Dog | Mode::Peacock => ClusterConfig::reply_threshold(self, mode),
+        }
+    }
+
+    fn byzantine_bound(&self) -> u32 {
+        ClusterConfig::byzantine_bound(self)
+    }
+
+    /// The trusted primary in Lion/Dog, the `3m + 1` proxies in Peacock.
+    fn read_targets(&self, mode: Mode, view: View) -> Vec<ReplicaId> {
+        match mode {
+            Mode::Lion | Mode::Dog => vec![ReplyPolicy::primary(self, mode, view)],
+            Mode::Peacock => self.proxies(view),
+        }
+    }
+
+    /// Lion: every replica (any replica that executed will answer). Dog /
+    /// Peacock: the proxies of the view (they executed the request and hold
+    /// the reply), plus the primary so an undelivered request gets ordered.
+    fn retransmit_targets(&self, mode: Mode, view: View) -> Vec<ReplicaId> {
+        match mode {
+            Mode::Lion => self.replicas().collect(),
+            Mode::Dog | Mode::Peacock => {
+                let mut proxies = self.proxies(view);
+                if let Ok(primary) = ClusterConfig::primary(self, mode, view) {
+                    if !proxies.contains(&primary) {
+                        proxies.push(primary);
+                    }
+                }
+                proxies
+            }
+        }
+    }
+
+    /// Lion/Dog: the lease-holding trusted primary alone — a trusted
+    /// *backup*'s state may lag the acknowledged prefix, and it refuses
+    /// reads anyway. Peacock: `2m + 1` matching proxies, which intersect
+    /// every committed write's quorum in an honest replica that had already
+    /// executed the write.
+    fn read_quorum(&self, mode: Mode) -> Option<u32> {
+        match mode {
+            Mode::Lion | Mode::Dog => None,
+            Mode::Peacock => Some(self.proxy_quorum()),
+        }
+    }
+}
+
+/// Reply votes collected for the outstanding request: served replies per
+/// matching digest, and refusals of the read fast path.
 #[derive(Debug, Default)]
 struct ReplyTally {
-    /// Voting replicas per result digest.
+    /// Voting replicas per matching digest.
     votes: HashMap<Digest, BTreeSet<ReplicaId>>,
     /// The actual result bytes per digest.
     results: HashMap<Digest, Vec<u8>>,
+    /// Replicas that refused the fast path.
+    refusals: BTreeSet<ReplicaId>,
+}
+
+impl ReplyTally {
+    /// Records a refusal; returns how many distinct replicas have refused.
+    fn record_refusal(&mut self, replica: ReplicaId) -> usize {
+        self.refusals.insert(replica);
+        self.refusals.len()
+    }
+
+    /// Records a served reply under its matching digest; returns how many
+    /// distinct replicas now match it.
+    fn record(&mut self, digest: Digest, replica: ReplicaId, result: &[u8]) -> usize {
+        self.results
+            .entry(digest)
+            .or_insert_with(|| result.to_vec());
+        let voters = self.votes.entry(digest).or_default();
+        voters.insert(replica);
+        voters.len()
+    }
+
+    /// Removes and returns the result bytes recorded for `digest`.
+    fn take_result(&mut self, digest: &Digest) -> Vec<u8> {
+        self.results.remove(digest).unwrap_or_default()
+    }
+}
+
+/// Where the outstanding request is.
+#[derive(Debug)]
+enum Path {
+    /// A read on the fast path, with its operation bytes kept for the
+    /// ordered fallback — built (and signed) only if a fallback happens, so
+    /// the common all-fast-path case pays one signature, not two.
+    FastRead(Vec<u8>),
+    /// On the ordered path: writes always, reads after falling back.
+    Ordered(ClientRequest),
 }
 
 /// The outstanding request, if any.
@@ -107,32 +247,22 @@ struct Pending {
     /// The request identity `(client, timestamp)`, shared by the fast path
     /// and the ordered fallback.
     id: RequestId,
-    /// The signed ordered-path request — built eagerly for writes, lazily on
-    /// fallback for reads (so the common all-fast-path case pays one
-    /// signature, not two).
-    ordered: Option<ClientRequest>,
-    /// The operation bytes kept for the lazy fallback (reads only; taken
-    /// when the fallback request is built).
-    fallback_op: Option<Vec<u8>>,
-    sent_at: Instant,
     /// Read/write classification recorded in the outcome.
     class: OpClass,
-    /// `Some` while a read is on the fast path; `None` on the ordered path
-    /// (writes always, reads after falling back).
-    read: Option<ReadTally>,
+    path: Path,
+    sent_at: Instant,
     tally: ReplyTally,
     retransmitted: bool,
 }
 
-/// A sans-IO SeeMoRe client.
+/// A sans-IO client for every protocol.
 ///
-/// Clients know the cluster layout (which replicas are trusted), track the
-/// current mode and view from validated replies, send each request to the
-/// current primary, and fall back to broadcasting after a timeout exactly as
-/// the paper prescribes.
+/// It tracks the current mode and view from validated replies, sends each
+/// request to the current primary, and falls back to broadcasting after a
+/// timeout, as its [`ReplyPolicy`] prescribes.
 pub struct ClientCore {
     id: ClientId,
-    cluster: ClusterConfig,
+    policy: Box<dyn ReplyPolicy>,
     keystore: KeyStore,
     signer: Signer,
     mode: Mode,
@@ -142,7 +272,6 @@ pub struct ClientCore {
     pending: Option<Pending>,
     completed: Vec<ClientOutcome>,
     retransmissions: u64,
-    read_fallbacks: u64,
     /// Structured event sink ([`NullRecorder`] unless tracing is on).
     recorder: Arc<dyn Recorder>,
 }
@@ -159,7 +288,8 @@ impl std::fmt::Debug for ClientCore {
 }
 
 impl ClientCore {
-    /// Creates a client that believes the protocol is in `mode`, view 0.
+    /// Creates a SeeMoRe client that believes the protocol is in `mode`,
+    /// view 0.
     ///
     /// # Panics
     ///
@@ -171,12 +301,28 @@ impl ClientCore {
         mode: Mode,
         timeout: Duration,
     ) -> Self {
+        Self::with_policy(id, Box::new(cluster), keystore, mode, timeout)
+    }
+
+    /// Creates a client that follows `policy` and believes the protocol is
+    /// in `mode`, view 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key store has no signer for this client.
+    pub fn with_policy(
+        id: ClientId,
+        policy: Box<dyn ReplyPolicy>,
+        keystore: KeyStore,
+        mode: Mode,
+        timeout: Duration,
+    ) -> Self {
         let signer = keystore
             .signer_for(NodeId::Client(id))
             .expect("key store must contain a signer for this client");
         ClientCore {
             id,
-            cluster,
+            policy,
             keystore,
             signer,
             mode,
@@ -186,7 +332,6 @@ impl ClientCore {
             pending: None,
             completed: Vec::new(),
             retransmissions: 0,
-            read_fallbacks: 0,
             recorder: Arc::new(NullRecorder),
         }
     }
@@ -198,9 +343,9 @@ impl ClientCore {
     }
 
     /// Records one client-side protocol event; a single branch when tracing
-    /// is disabled. `detail` carries the op class (0 read, 1 write).
+    /// is disabled. The event's `detail` is `class` (0 read, 1 write).
     #[inline]
-    fn trace(&self, kind: EventKind, request: RequestId, detail: u64, at: Instant) {
+    fn trace(&self, kind: EventKind, request: RequestId, class: OpClass, at: Instant) {
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent {
                 seq: 0,
@@ -211,7 +356,7 @@ impl ClientCore {
                 slot: None,
                 request: Some(request),
                 kind,
-                detail,
+                detail: u64::from(!class.is_read()),
             });
         }
     }
@@ -251,109 +396,94 @@ impl ClientCore {
         self.retransmissions
     }
 
-    /// Number of reads that abandoned the fast path and fell back to the
-    /// ordered path (refusals, quorum mismatches or timeouts).
-    pub fn read_fallbacks(&self) -> u64 {
-        self.read_fallbacks
-    }
-
     /// The primary this client would currently address.
-    pub fn current_primary(&self) -> ReplicaId {
-        self.cluster
-            .primary(self.mode, self.view)
-            .expect("client cluster config validated at construction")
+    fn current_primary(&self) -> ReplicaId {
+        self.policy.primary(self.mode, self.view)
     }
 
     /// Submits a new operation. Returns the send and timer actions; panics
-    /// if a request is already outstanding (SeeMoRe clients are closed-loop:
-    /// one outstanding request each, as in the paper's evaluation).
+    /// if a request is already outstanding (clients are closed-loop: one
+    /// outstanding request each, as in the paper's evaluation).
     pub fn submit(&mut self, operation: Vec<u8>, now: Instant) -> Vec<Action> {
-        assert!(
-            self.pending.is_none(),
-            "client {} already has a pending request",
-            self.id
+        let id = self.next_request();
+        let request = ClientRequest::new(self.id, id.timestamp, operation, &self.signer);
+        let actions = self.transmit(
+            &[self.current_primary()],
+            Message::Request(request.clone()),
+            id.timestamp,
         );
-        self.next_timestamp = self.next_timestamp.next();
-        let request = ClientRequest::new(self.id, self.next_timestamp, operation, &self.signer);
-        let mut actions = Vec::new();
-        let primary = self.current_primary();
-        actions.push(Action::Send {
-            to: NodeId::Replica(primary),
-            message: Message::Request(request.clone()),
-        });
-        actions.push(Action::SetTimer {
-            timer: Timer::ClientRetransmit {
-                timestamp: request.timestamp,
-            },
-            after: self.timeout,
-        });
-        self.trace(EventKind::ClientSubmit, request.id(), 1, now);
-        self.pending = Some(Pending {
-            id: request.id(),
-            ordered: Some(request),
-            fallback_op: None,
-            sent_at: now,
-            class: OpClass::Write,
-            read: None,
-            tally: ReplyTally::default(),
-            retransmitted: false,
-        });
+        self.start(id, OpClass::Write, Path::Ordered(request), now);
         actions
     }
 
-    /// Submits a read-only operation through the mode-aware fast path:
-    /// to the trusted primary in Lion/Dog (served under its commit-index
-    /// lease), to the proxies in Peacock (accepted on `2m + 1` matching
-    /// replies). Falls back to the ordered path on refusal, quorum mismatch
-    /// or timeout; the fallback reuses the same `(client, timestamp)`
-    /// identity so it inherits the ordered path's exactly-once handling.
+    /// Submits a read-only operation through the fast path, to the
+    /// policy's read targets (the trusted primary in Lion/Dog and CFT, the
+    /// proxies in Peacock, every replica in BFT). Falls back to the ordered
+    /// path on refusal, quorum mismatch or timeout; the fallback reuses the
+    /// same `(client, timestamp)` identity so it inherits the ordered path's
+    /// exactly-once handling.
     ///
     /// # Panics
     ///
     /// Panics if a request is already outstanding (closed-loop clients).
     pub fn submit_read(&mut self, operation: Vec<u8>, now: Instant) -> Vec<Action> {
+        let id = self.next_request();
+        let read = ReadRequest::new(self.id, id.timestamp, operation.clone(), &self.signer);
+        let actions = self.transmit(
+            &self.policy.read_targets(self.mode, self.view),
+            Message::ReadRequest(read),
+            id.timestamp,
+        );
+        self.start(id, OpClass::Read, Path::FastRead(operation), now);
+        actions
+    }
+
+    /// The identity of a new request.
+    fn next_request(&mut self) -> RequestId {
         assert!(
             self.pending.is_none(),
             "client {} already has a pending request",
             self.id
         );
         self.next_timestamp = self.next_timestamp.next();
-        let nonce = self.next_timestamp;
-        let read = ReadRequest::new(self.id, nonce, operation.clone(), &self.signer);
-        let mut actions = Vec::new();
-        for to in self.read_targets() {
-            actions.push(Action::Send {
-                to: NodeId::Replica(to),
-                message: Message::ReadRequest(read.clone()),
-            });
-        }
-        actions.push(Action::SetTimer {
-            timer: Timer::ClientRetransmit { timestamp: nonce },
-            after: self.timeout,
-        });
-        self.trace(EventKind::ClientSubmit, read.id(), 0, now);
+        RequestId::new(self.id, self.next_timestamp)
+    }
+
+    /// Makes `id` the outstanding request.
+    fn start(&mut self, id: RequestId, class: OpClass, path: Path, now: Instant) {
+        self.trace(EventKind::ClientSubmit, id, class, now);
         self.pending = Some(Pending {
-            id: read.id(),
-            // The ordered-path fallback shares this identity but is only
-            // built (and signed) if a fallback actually happens.
-            ordered: None,
-            fallback_op: Some(operation),
+            id,
+            class,
+            path,
             sent_at: now,
-            class: OpClass::Read,
-            read: Some(ReadTally::new()),
             tally: ReplyTally::default(),
             retransmitted: false,
         });
-        actions
     }
 
-    /// The replicas a read is issued to in the client's current mode/view:
-    /// the trusted primary in Lion/Dog, the `3m + 1` proxies in Peacock.
-    fn read_targets(&self) -> Vec<ReplicaId> {
-        match self.mode {
-            Mode::Lion | Mode::Dog => vec![self.current_primary()],
-            Mode::Peacock => self.cluster.proxies(self.view),
+    /// Sends `message` to each of `targets` and (re)arms the retransmission
+    /// timer of the request stamped `timestamp`.
+    fn transmit(
+        &self,
+        targets: &[ReplicaId],
+        message: Message,
+        timestamp: Timestamp,
+    ) -> Vec<Action> {
+        let send = |to: ReplicaId, message| Action::Send {
+            to: NodeId::Replica(to),
+            message,
+        };
+        let mut actions = Vec::with_capacity(targets.len() + 1);
+        if let Some((&last, rest)) = targets.split_last() {
+            actions.extend(rest.iter().map(|&to| send(to, message.clone())));
+            actions.push(send(last, message));
         }
+        actions.push(Action::SetTimer {
+            timer: Timer::ClientRetransmit { timestamp },
+            after: self.timeout,
+        });
+        actions
     }
 
     /// Handles any message addressed to the client (`REPLY` and
@@ -366,177 +496,119 @@ impl ClientCore {
         }
     }
 
+    /// Whether a reply to `request` answers the outstanding request on the
+    /// path it is on (`fast_read`).
+    fn expects(&self, request: RequestId, fast_read: bool) -> bool {
+        self.pending.as_ref().is_some_and(|pending| {
+            pending.id == request && matches!(pending.path, Path::FastRead(_)) == fast_read
+        })
+    }
+
+    /// Whether `reply` from `replica` carries a valid signature, where the
+    /// policy signs replies.
+    fn authentic(
+        &self,
+        replica: ReplicaId,
+        reply: &impl SignedPayload,
+        signature: &Signature,
+    ) -> bool {
+        !self.policy.signed_replies()
+            || self
+                .keystore
+                .verify(NodeId::Replica(replica), &reply.signing_bytes(), signature)
+    }
+
+    /// Adopts the mode and view a believed reply reports.
+    fn learn(&mut self, mode: Mode, view: View) {
+        self.mode = mode;
+        self.view = self.view.max(view);
+    }
+
     /// Handles a `REPLY` from a replica.
     pub fn on_reply(&mut self, reply: ClientReply, now: Instant) -> Vec<Action> {
-        // Validate the signature before anything else.
-        if !self.keystore.verify(
-            NodeId::Replica(reply.replica),
-            &reply.signing_bytes(),
-            &reply.signature,
-        ) {
+        if !self.expects(reply.request, false)
+            || !self.authentic(reply.replica, &reply, &reply.signature)
+        {
             return Vec::new();
         }
-        let Some(pending_ref) = &self.pending else {
-            return Vec::new();
-        };
-        if reply.request != pending_ref.id {
-            return Vec::new();
-        }
-        if pending_ref.read.is_some() {
-            // Ordered replies cannot complete a read that is still on the
-            // fast path (they can only arrive for the identity after a
-            // fallback, which clears the read phase first).
-            return Vec::new();
-        }
-        let retransmitted = pending_ref.retransmitted;
-
-        let replier_trusted = self.cluster.is_trusted(reply.replica);
+        let trusted = self.policy.is_trusted(reply.replica);
         // Trusted replicas never lie: adopt their mode/view immediately so the
         // next request goes to the right primary even across view changes.
-        if replier_trusted {
-            self.mode = reply.mode;
-            self.view = self.view.max(reply.view);
+        if trusted {
+            self.learn(reply.mode, reply.view);
         }
-        let threshold = self.acceptance_threshold(retransmitted);
-
-        let result_digest = Digest::of_fields(&[b"reply-result", &reply.result]);
         let pending = self.pending.as_mut().expect("checked above");
-        pending
-            .tally
-            .votes
-            .entry(result_digest)
-            .or_default()
-            .insert(reply.replica);
-        pending
-            .tally
-            .results
-            .entry(result_digest)
-            .or_insert_with(|| reply.result.clone());
-
-        let votes = pending
-            .tally
-            .votes
-            .get(&result_digest)
-            .map(|s| s.len())
-            .unwrap_or(0);
-        let accepted = if replier_trusted {
-            // A single reply from the trusted private cloud is always
-            // sufficient (Lion primary reply, or a private replica answering
-            // a retransmission).
-            true
-        } else {
-            votes >= threshold as usize
-        };
-        if !accepted {
+        let threshold = self
+            .policy
+            .reply_threshold(self.mode, pending.retransmitted);
+        let (_, digest) = reply.matching_key();
+        let votes = pending.tally.record(digest, reply.replica, &reply.result);
+        // A single trusted reply is always sufficient (Lion primary reply,
+        // a private replica answering a retransmission, any CFT replica).
+        if !trusted && votes < threshold as usize {
             return Vec::new();
         }
-
-        // Accept the result.
-        let pending = self.pending.take().expect("checked above");
-        let result = pending
-            .tally
-            .results
-            .get(&result_digest)
-            .cloned()
-            .unwrap_or_default();
-        // Untrusted quorums can also teach us the current mode/view.
-        if !replier_trusted {
-            self.mode = reply.mode;
-            self.view = self.view.max(reply.view);
-        }
-        let class_detail = u64::from(!pending.class.is_read());
-        self.trace(EventKind::ClientDone, pending.id, class_detail, now);
-        self.completed.push(ClientOutcome {
-            request: pending.id,
-            class: pending.class,
-            result,
-            latency: now - pending.sent_at,
-            completed_at: now,
-        });
-        vec![Action::CancelTimer {
-            timer: Timer::ClientRetransmit {
-                timestamp: pending.id.timestamp,
-            },
-        }]
+        self.complete(digest, trusted, reply.mode, reply.view, now)
     }
 
     /// Handles a `READ-REPLY` from a replica.
-    pub fn on_read_reply(&mut self, reply: ReadReply, now: Instant) -> Vec<Action> {
-        if !self.keystore.verify(
-            NodeId::Replica(reply.replica),
-            &reply.signing_bytes(),
-            &reply.signature,
-        ) {
+    fn on_read_reply(&mut self, reply: ReadReply, now: Instant) -> Vec<Action> {
+        if !self.expects(reply.request, true)
+            || !self.authentic(reply.replica, &reply, &reply.signature)
+        {
             return Vec::new();
         }
-        let Some(pending) = &mut self.pending else {
-            return Vec::new();
-        };
-        if pending.read.is_none() || reply.request != pending.id {
-            return Vec::new();
+        let trusted = self.policy.is_trusted(reply.replica);
+        if trusted {
+            self.learn(reply.mode, reply.view);
         }
-
-        let replier_trusted = self.cluster.is_trusted(reply.replica);
-        // Trusted replicas never lie: adopt their mode/view immediately, as
-        // on the write path.
-        if replier_trusted {
-            self.mode = reply.mode;
-            self.view = self.view.max(reply.view);
-        }
-
+        let pending = self.pending.as_mut().expect("checked above");
         if reply.refused {
-            let read = pending.read.as_mut().expect("checked above");
-            let refusals = read.record_refusal(reply.replica);
+            let refusals = pending.tally.record_refusal(reply.replica);
             // The decision is keyed on the *replier*, not on the mode the
             // reply claims (the cluster may have switched modes under the
             // client's feet): a trusted replica's refusal is authoritative,
-            // while untrusted refusals fall back once more than `m` have
-            // accumulated — at least one of them is then honest, telling us
-            // the fast path is unavailable (view change, mode switch).
-            if replier_trusted || refusals > self.cluster.byzantine_bound() as usize {
+            // while untrusted refusals fall back once more than the
+            // Byzantine bound have accumulated — at least one of them is
+            // then honest, telling us the fast path is unavailable (view
+            // change, mode switch).
+            if trusted || refusals > self.policy.byzantine_bound() as usize {
                 return self.fall_back_to_ordered();
             }
             return Vec::new();
         }
-
-        // Tally the served reply.
         let (_, digest) = reply.matching_key();
-        let read = pending.read.as_mut().expect("checked above");
-        let votes = read.record(digest, reply.replica, &reply.result);
-
-        let accepted = match reply.mode {
-            // In Lion/Dog a single reply suffices, but only from the
-            // lease-holding trusted primary of the view it claims — a
-            // trusted *backup*'s state may lag the acknowledged prefix, and
-            // it refuses reads anyway.
-            Mode::Lion | Mode::Dog => {
-                replier_trusted && self.cluster.primary(reply.mode, reply.view) == Ok(reply.replica)
-            }
-            // Peacock: `2m + 1` matching replies guarantee intersection with
-            // every committed write's quorum in at least one honest replica
-            // that had already executed the write.
-            Mode::Peacock => !replier_trusted && votes >= self.cluster.proxy_quorum() as usize,
+        let votes = pending.tally.record(digest, reply.replica, &reply.result);
+        let accepted = match self.policy.read_quorum(reply.mode) {
+            None => trusted && self.policy.primary(reply.mode, reply.view) == reply.replica,
+            Some(quorum) => !trusted && votes >= quorum as usize,
         };
         if !accepted {
             return Vec::new();
         }
+        self.complete(digest, trusted, reply.mode, reply.view, now)
+    }
 
-        let pending = self.pending.take().expect("checked above");
-        let result = pending
-            .read
-            .as_ref()
-            .and_then(|read| read.result_for(&digest))
-            .unwrap_or_default();
-        // An untrusted quorum also teaches us the current mode/view.
-        if !replier_trusted {
-            self.mode = reply.mode;
-            self.view = self.view.max(reply.view);
+    /// Accepts the result recorded under `digest` for the outstanding
+    /// request. An untrusted quorum also teaches the client the `mode` and
+    /// `view` of the reply that completed it.
+    fn complete(
+        &mut self,
+        digest: Digest,
+        trusted: bool,
+        mode: Mode,
+        view: View,
+        now: Instant,
+    ) -> Vec<Action> {
+        if !trusted {
+            self.learn(mode, view);
         }
-        self.trace(EventKind::ClientDone, pending.id, 0, now);
+        let mut pending = self.pending.take().expect("checked by the caller");
+        self.trace(EventKind::ClientDone, pending.id, pending.class, now);
         self.completed.push(ClientOutcome {
             request: pending.id,
-            class: OpClass::Read,
-            result,
+            class: pending.class,
+            result: pending.tally.take_result(&digest),
             latency: now - pending.sent_at,
             completed_at: now,
         });
@@ -549,107 +621,48 @@ impl ClientCore {
 
     /// Abandons the read fast path for the outstanding read and re-submits
     /// the identical operation through the ordered path under the identical
-    /// `(client, timestamp)` identity.
+    /// `(client, timestamp)` identity, so exactly-once carries over.
     fn fall_back_to_ordered(&mut self) -> Vec<Action> {
-        let signer = self.signer.clone();
         let primary = self.current_primary();
         let Some(pending) = &mut self.pending else {
             return Vec::new();
         };
-        if pending.read.take().is_none() {
+        let Path::FastRead(operation) = &mut pending.path else {
             return Vec::new();
-        }
-        self.read_fallbacks += 1;
+        };
+        let request = ClientRequest::new(
+            pending.id.client,
+            pending.id.timestamp,
+            std::mem::take(operation),
+            &self.signer,
+        );
+        pending.path = Path::Ordered(request.clone());
         pending.tally = ReplyTally::default();
         pending.retransmitted = false;
-        // Build (and sign) the ordered-path request only now that a
-        // fallback is actually happening — the identity is the read's
-        // `(client, nonce)`, so exactly-once carries over.
-        let operation = pending.fallback_op.take().unwrap_or_default();
-        let request =
-            ClientRequest::new(pending.id.client, pending.id.timestamp, operation, &signer);
-        pending.ordered = Some(request.clone());
-        vec![
-            Action::Send {
-                to: NodeId::Replica(primary),
-                message: Message::Request(request),
-            },
-            Action::SetTimer {
-                timer: Timer::ClientRetransmit {
-                    timestamp: pending.id.timestamp,
-                },
-                after: self.timeout,
-            },
-        ]
-    }
-
-    /// Matching-reply threshold for untrusted repliers, per mode and
-    /// transmission attempt (Table 1 plus the retransmission rules of
-    /// Sections 5.1–5.3).
-    fn acceptance_threshold(&self, retransmitted: bool) -> u32 {
-        if retransmitted {
-            self.cluster.retransmit_reply_threshold(self.mode)
-        } else {
-            match self.mode {
-                // On the first transmission in Lion mode only the primary
-                // replies, and the primary is trusted; untrusted replies
-                // require m+1 agreement.
-                Mode::Lion => self.cluster.byzantine_bound() + 1,
-                Mode::Dog | Mode::Peacock => self.cluster.reply_threshold(self.mode),
-            }
-        }
+        let timestamp = pending.id.timestamp;
+        self.transmit(&[primary], Message::Request(request), timestamp)
     }
 
     /// The client's retransmission timer fired: a read still on the fast
     /// path falls back to the ordered path (quorum mismatch, lost replies or
-    /// an unreachable primary); an ordered request is broadcast.
+    /// an unreachable primary); an ordered request is broadcast to the
+    /// policy's retransmission targets.
     pub fn on_retransmit_timer(&mut self, _now: Instant) -> Vec<Action> {
-        if self
-            .pending
-            .as_ref()
-            .is_some_and(|pending| pending.read.is_some())
-        {
-            return self.fall_back_to_ordered();
-        }
         let Some(pending) = &mut self.pending else {
             return Vec::new();
         };
+        let request = match &pending.path {
+            Path::FastRead(_) => return self.fall_back_to_ordered(),
+            Path::Ordered(request) => request.clone(),
+        };
         pending.retransmitted = true;
+        let timestamp = pending.id.timestamp;
         self.retransmissions += 1;
-        let Some(request) = pending.ordered.clone() else {
-            return Vec::new();
-        };
-        let mut actions = Vec::new();
-        // Lion: broadcast to every replica (any replica that executed will
-        // answer). Dog / Peacock: broadcast to the proxies of the current
-        // view (they executed the request and hold the reply).
-        let recipients: Vec<ReplicaId> = match self.mode {
-            Mode::Lion => self.cluster.replicas().collect(),
-            Mode::Dog | Mode::Peacock => {
-                let mut proxies = self.cluster.proxies(self.view);
-                // Also nudge the trusted primary (Dog) so an undelivered
-                // request gets ordered.
-                if let Ok(primary) = self.cluster.primary(self.mode, self.view) {
-                    if !proxies.contains(&primary) {
-                        proxies.push(primary);
-                    }
-                }
-                proxies
-            }
-        };
-        for to in recipients {
-            actions.push(Action::Send {
-                to: NodeId::Replica(to),
-                message: Message::Request(request.clone()),
-            });
-        }
-        actions.push(Action::SetTimer {
-            timer: Timer::ClientRetransmit {
-                timestamp: request.timestamp,
-            },
-            after: self.timeout,
-        });
-        actions
+        self.transmit(
+            &self.policy.retransmit_targets(self.mode, self.view),
+            Message::Request(request),
+            timestamp,
+        )
     }
 }
 
@@ -919,5 +932,18 @@ mod tests {
             }),
             Instant::ZERO,
         );
+    }
+
+    #[test]
+    fn tally_counts_distinct_replicas_only() {
+        let mut tally = ReplyTally::default();
+        let digest = Digest::of_bytes(b"v");
+        assert_eq!(tally.record(digest, ReplicaId(1), b"v"), 1);
+        assert_eq!(tally.record(digest, ReplicaId(1), b"v"), 1);
+        assert_eq!(tally.record(digest, ReplicaId(2), b"v"), 2);
+        assert_eq!(tally.take_result(&digest), b"v".to_vec());
+        assert_eq!(tally.record_refusal(ReplicaId(3)), 1);
+        assert_eq!(tally.record_refusal(ReplicaId(3)), 1);
+        assert_eq!(tally.record_refusal(ReplicaId(4)), 2);
     }
 }

@@ -15,8 +15,13 @@
 //!   [`chassis::SigningContext`] for the replicas that sign. What the paper
 //!   says differs between the protocols (phases, quorums, view change,
 //!   reads, whose state is trusted) stays in the replica structs.
-//! * [`client::ClientCore`] — the client side of the protocol: request
-//!   submission, per-mode reply quorums and retransmission.
+//! * [`client::ClientCore`] — the one client, for SeeMoRe and the
+//!   baselines alike: request submission, reply quorums, retransmission
+//!   and the read fast path. What differs between the protocols' clients
+//!   (who is primary, which repliers are trusted, how many matching replies
+//!   complete a request) is a [`client::ReplyPolicy`], implemented by
+//!   [`ClusterConfig`](seemore_types::ClusterConfig) here and by the
+//!   baselines' configuration there.
 //! * [`batching`] — the request-batching controller: primaries order
 //!   [`Batch`]es of requests (one sequence number, one quorum round per
 //!   batch) under a [`config::BatchPolicy`] — either the
@@ -129,11 +134,11 @@ pub use batching::{
 };
 pub use byzantine::{ByzantineBehavior, ByzantineReplica};
 pub use chassis::{Inbound, ReplicaChassis, SigningContext};
-pub use client::{ClientCore, ClientOutcome, ClientProtocol};
+pub use client::{ClientCore, ClientOutcome, ClientProtocol, ReplyPolicy};
 pub use config::{BatchPolicy, ProtocolConfig};
 pub use exec::ExecutedEntry;
 pub use metrics::{BatchTelemetry, ReplicaMetrics};
 pub use profile::ProtocolProfile;
 pub use protocol::ReplicaProtocol;
-pub use reads::{ParkedReads, ReadTally};
+pub use reads::ParkedReads;
 pub use replica::SeeMoReReplica;

@@ -1,19 +1,15 @@
-//! Shared bookkeeping for the read-only fast path.
+//! Replica-side bookkeeping for the read-only fast path.
 //!
-//! Replica side: [`ParkedReads`] holds fast-path reads waiting behind a
-//! commit-index fence until the local execution frontier covers it — used
-//! identically by the SeeMoRe replica (Lion/Dog proposal-frontier fence,
-//! Peacock prepared-frontier fence) and by the CFT / BFT baselines, so the
-//! fence logic cannot drift between protocols.
-//!
-//! Client side: [`ReadTally`] collects served/refused `READ-REPLY` votes for
-//! the one outstanding read, shared by the SeeMoRe client and the baseline
-//! client.
+//! [`ParkedReads`] holds fast-path reads waiting behind a commit-index fence
+//! until the local execution frontier covers it — used identically by the
+//! SeeMoRe replica (Lion/Dog proposal-frontier fence, Peacock
+//! prepared-frontier fence) and by the CFT / BFT baselines, so the fence
+//! logic cannot drift between protocols. The client's side of a read lives
+//! in [`ClientCore`](crate::client::ClientCore).
 
-use seemore_crypto::Digest;
-use seemore_types::{ReplicaId, RequestId, SeqNum};
+use seemore_types::{RequestId, SeqNum};
 use seemore_wire::ReadRequest;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Fast-path reads parked behind a commit-index fence, keyed by their
 /// `(client, nonce)` identity. Re-parking a retransmitted read replaces its
@@ -72,46 +68,6 @@ impl ParkedReads {
     }
 }
 
-/// Served / refused votes collected by a client for its one outstanding
-/// fast-path read.
-#[derive(Debug, Default)]
-pub struct ReadTally {
-    /// Voting replicas per matching-key digest.
-    votes: HashMap<Digest, BTreeSet<ReplicaId>>,
-    /// The actual result bytes per digest.
-    results: HashMap<Digest, Vec<u8>>,
-    /// Replicas that refused the fast path.
-    refusals: BTreeSet<ReplicaId>,
-}
-
-impl ReadTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a refusal; returns how many distinct replicas have refused.
-    pub fn record_refusal(&mut self, replica: ReplicaId) -> usize {
-        self.refusals.insert(replica);
-        self.refusals.len()
-    }
-
-    /// Records a served reply under its matching digest; returns how many
-    /// distinct replicas now match it.
-    pub fn record(&mut self, digest: Digest, replica: ReplicaId, result: &[u8]) -> usize {
-        self.votes.entry(digest).or_default().insert(replica);
-        self.results
-            .entry(digest)
-            .or_insert_with(|| result.to_vec());
-        self.votes.get(&digest).map(|s| s.len()).unwrap_or(0)
-    }
-
-    /// The result bytes recorded for `digest`, if any.
-    pub fn result_for(&self, digest: &Digest) -> Option<Vec<u8>> {
-        self.results.get(digest).cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,18 +113,5 @@ mod tests {
         parked.park(SeqNum(7), read(0, 1)); // retransmission, later fence
         assert!(parked.take_ready(SeqNum(5)).is_empty());
         assert_eq!(parked.take_ready(SeqNum(7)).len(), 1);
-    }
-
-    #[test]
-    fn tally_counts_distinct_replicas_only() {
-        let mut tally = ReadTally::new();
-        let digest = Digest::of_bytes(b"v");
-        assert_eq!(tally.record(digest, ReplicaId(1), b"v"), 1);
-        assert_eq!(tally.record(digest, ReplicaId(1), b"v"), 1);
-        assert_eq!(tally.record(digest, ReplicaId(2), b"v"), 2);
-        assert_eq!(tally.result_for(&digest), Some(b"v".to_vec()));
-        assert_eq!(tally.record_refusal(ReplicaId(3)), 1);
-        assert_eq!(tally.record_refusal(ReplicaId(3)), 1);
-        assert_eq!(tally.record_refusal(ReplicaId(4)), 2);
     }
 }

@@ -113,7 +113,6 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::transport::{Transport, TransportError, TransportStats, INITIAL_BACKOFF, MAX_BACKOFF};
-use crossbeam_channel::{RecvTimeoutError, TryRecvError};
 use seemore_types::{ClientId, NodeId, ReplicaId};
 use seemore_wire::codec::{frame_len, Frame, StreamBuf, CODEC_VERSION, MAGIC};
 use seemore_wire::Message;
@@ -123,6 +122,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 

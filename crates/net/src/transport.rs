@@ -22,11 +22,11 @@
 //! Loopback test clusters are the intended deployment here; an authenticated
 //! handshake belongs to the same future substrate as TLS.
 
-use crossbeam_channel::RecvTimeoutError;
 use seemore_types::NodeId;
 use seemore_wire::Message;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 

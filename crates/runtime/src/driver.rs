@@ -6,7 +6,6 @@
 //! client driver with its retransmission fallback live here; `socket.rs`
 //! binds the mesh, spawns the threads and routes commands to them.
 
-use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
 use seemore_core::actions::{Action, Timer};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
@@ -14,6 +13,7 @@ use seemore_net::{Inbox, ReactorEndpoint, ReactorHandle, Transport};
 use seemore_types::{Duration, Instant, Mode, NodeId, OpClass};
 use seemore_wire::Message;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::Instant as StdInstant;
 
 /// Control commands sent to a replica thread.

@@ -23,9 +23,9 @@ use crate::workload::Workload;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use seemore_app::{KvStore, NoopApp, StateMachine};
-use seemore_baselines::{s_upright, BaselineClient, BaselineConfig, BftReplica, CftReplica};
+use seemore_baselines::{s_upright, BaselineConfig, BftReplica, CftReplica};
 use seemore_core::byzantine::{ByzantineBehavior, ByzantineReplica};
-use seemore_core::client::{ClientCore, ClientProtocol};
+use seemore_core::client::{ClientCore, ClientProtocol, ReplyPolicy};
 use seemore_core::config::{BatchPolicy, ProtocolConfig};
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::replica::SeeMoReReplica;
@@ -464,12 +464,6 @@ impl Scenario {
         self
     }
 
-    /// Sets an arbitrary batching policy.
-    pub fn with_batch_policy(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Wraps `count` public-cloud replicas with the given Byzantine
     /// behaviour (SeeMoRe and BFT-style baselines).
     pub fn with_byzantine(mut self, count: u32, behavior: ByzantineBehavior) -> Self {
@@ -591,13 +585,40 @@ impl Scenario {
         core
     }
 
+    /// The scenario's clients, every protocol's alike: a [`ClientCore`]
+    /// under the protocol's reply `policy`, starting in `mode`, with a trace
+    /// ring each when tracing is on.
+    fn build_clients<P: ReplyPolicy + Copy + 'static>(
+        &self,
+        policy: P,
+        keystore: &KeyStore,
+        mode: Mode,
+        trace: &mut TraceHandles,
+    ) -> Vec<Box<dyn ClientProtocol>> {
+        let timeout = self.protocol_config().client_timeout;
+        (0..u64::from(self.clients))
+            .map(|client| {
+                let mut core = ClientCore::with_policy(
+                    ClientId(client),
+                    Box::new(policy),
+                    keystore.clone(),
+                    mode,
+                    timeout,
+                );
+                if let Some(recorder) = trace.for_client(self.tracing) {
+                    core.set_recorder(recorder);
+                }
+                Box::new(core) as Box<dyn ClientProtocol>
+            })
+            .collect()
+    }
+
     /// Assembles the replica and client cores for this scenario,
     /// independently of the runtime that will drive them.
     pub(crate) fn build_cores(&self) -> CoreSet {
         let c = self.crash_faults;
         let m = self.byzantine_faults;
         let pconfig = self.protocol_config();
-        let client_timeout = pconfig.client_timeout;
         let mut trace = TraceHandles::default();
         let mut recover_factories: BTreeMap<ReplicaId, RecoverFactory> = BTreeMap::new();
 
@@ -643,21 +664,7 @@ impl Scenario {
                         replicas.push(Box::new(core));
                     }
                 }
-                let clients = (0..u64::from(self.clients))
-                    .map(|client| {
-                        let mut core = ClientCore::new(
-                            ClientId(client),
-                            cluster,
-                            keystore.clone(),
-                            mode,
-                            client_timeout,
-                        );
-                        if let Some(recorder) = trace.for_client(self.tracing) {
-                            core.set_recorder(recorder);
-                        }
-                        Box::new(core) as Box<dyn ClientProtocol>
-                    })
-                    .collect();
+                let clients = self.build_clients(cluster, &keystore, mode, &mut trace);
                 let mode_switch_announcer = self.mode_switch.and_then(|(_, target_mode)| {
                     seemore_core::replica::mode_switch_announcer(
                         &cluster,
@@ -735,20 +742,7 @@ impl Scenario {
                         }
                     }
                 }
-                let clients = (0..u64::from(self.clients))
-                    .map(|client| {
-                        let mut core = BaselineClient::new(
-                            ClientId(client),
-                            config,
-                            keystore.clone(),
-                            client_timeout,
-                        );
-                        if let Some(recorder) = trace.for_client(self.tracing) {
-                            core.set_recorder(recorder);
-                        }
-                        Box::new(core) as Box<dyn ClientProtocol>
-                    })
-                    .collect();
+                let clients = self.build_clients(config, &keystore, config.mode(), &mut trace);
                 CoreSet {
                     replicas,
                     clients,

@@ -21,13 +21,13 @@
 //! simulator and this runtime.
 
 use crate::driver::{self, NodeInbox, ReplicaCommand};
-use crossbeam_channel::{unbounded, Sender};
 use seemore_core::client::{ClientOutcome, ClientProtocol};
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_net::{InboxWaker, ReactorEndpoint, ReactorMesh, TransportStats};
 use seemore_types::{ClientId, Duration, Mode, NodeId, OpClass, ReplicaId};
 use std::collections::HashMap;
 use std::io;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant as StdInstant;
@@ -94,7 +94,7 @@ impl SocketCluster {
         for replica in replicas {
             let id = replica.id();
             let (handle, frames) = take(NodeId::Replica(id)).into_parts();
-            let (commands, rx) = unbounded::<ReplicaCommand>();
+            let (commands, rx) = channel::<ReplicaCommand>();
             let waker = frames.waker();
             replica_controls.insert(id, ReplicaControl { commands, waker });
             // The replica thread reads and decodes its own connections (no
@@ -354,7 +354,7 @@ mod tests {
         let mesh = ReactorMesh::new(&[looped, peer]).unwrap();
         let (handle, frames) = mesh.take_endpoint(looped).unwrap().into_parts();
         let remote = mesh.take_endpoint(peer).unwrap();
-        let (commands, rx) = unbounded();
+        let (commands, rx) = channel();
         let control = ReplicaControl {
             commands,
             waker: frames.waker(),
