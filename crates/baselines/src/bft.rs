@@ -1293,6 +1293,7 @@ mod tests {
     use crate::config::s_upright;
     use seemore_app::KvStore;
     use seemore_core::byzantine::{ByzantineBehavior, ByzantineReplica};
+    use seemore_core::check::{self, History};
     use seemore_core::testkit::SyncCluster;
     use seemore_types::Duration;
 
@@ -1454,15 +1455,13 @@ mod tests {
             }
         }
         assert_eq!(cluster.client(ClientId(0)).completed().len(), 3);
-        // Histories of honest replicas agree.
-        let honest: Vec<ReplicaId> = config.replicas().filter(|r| *r != byz).collect();
-        for window in honest.windows(2) {
-            let a = cluster.replica(window[0]).executed();
-            let b = cluster.replica(window[1]).executed();
-            for i in 0..a.len().min(b.len()) {
-                assert_eq!(a[i].digest, b[i].digest);
-            }
-        }
+        let honest: Vec<History> = config
+            .replicas()
+            .filter(|r| *r != byz)
+            .map(|r| (r, cluster.replica(r).executed()))
+            .collect();
+        let outcomes = cluster.client(ClientId(0)).completed();
+        check::safety(&honest, outcomes).unwrap();
     }
 
     #[test]

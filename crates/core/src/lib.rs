@@ -104,7 +104,10 @@
 //! expirations and produces [`Action`]s, never touching sockets, clocks or
 //! threads. The `seemore-runtime` crate drives cores over either real
 //! loopback TCP sockets or a deterministic discrete-event simulator, and
-//! [`testkit::SyncCluster`] drives them synchronously for tests.
+//! [`testkit::SyncCluster`] drives them synchronously for tests. Beside it,
+//! [`check`] is the one oracle every test judges its histories with: pure
+//! functions over executed histories and client outcomes, each returning a
+//! typed [`check::Violation`] instead of panicking.
 //!
 //! [`Message`]: seemore_wire::Message
 //! [`Batch`]: seemore_wire::Batch
@@ -116,6 +119,7 @@ pub mod actions;
 pub mod batching;
 pub mod byzantine;
 pub mod chassis;
+pub mod check;
 pub mod checkpoint;
 pub mod client;
 pub mod config;

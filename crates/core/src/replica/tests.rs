@@ -4,6 +4,7 @@
 use crate::actions::Timer;
 use crate::batching::BatchConfig;
 use crate::byzantine::{ByzantineBehavior, ByzantineReplica};
+use crate::check::{self, History};
 use crate::client::ClientCore;
 use crate::config::{BatchPolicy, ProtocolConfig};
 use crate::replica::SeeMoReReplica;
@@ -50,23 +51,15 @@ fn build_cluster(
     (cluster, cluster_config, keystore)
 }
 
-/// Asserts the SMR safety property: the executed histories of all listed
-/// replicas are prefix-consistent (one is a prefix of the other) and agree on
-/// request digests position by position.
-fn assert_histories_consistent(cluster: &SyncCluster, replicas: &[ReplicaId]) {
-    for window in replicas.windows(2) {
-        let a = cluster.replica(window[0]).executed();
-        let b = cluster.replica(window[1]).executed();
-        let common = a.len().min(b.len());
-        for i in 0..common {
-            assert_eq!(
-                a[i].digest, b[i].digest,
-                "history divergence between {} and {} at position {i}",
-                window[0], window[1]
-            );
-            assert_eq!(a[i].seq, b[i].seq);
-        }
-    }
+/// The executed histories of `replicas`, as the oracle takes them.
+fn histories(
+    cluster: &SyncCluster,
+    replicas: impl IntoIterator<Item = ReplicaId>,
+) -> Vec<History<'_>> {
+    replicas
+        .into_iter()
+        .map(|r| (r, cluster.replica(r).executed()))
+        .collect()
 }
 
 /// The batch-flush timer currently armed on `id` (timers are
@@ -121,7 +114,7 @@ fn lion_mode_commits_and_replies() {
             "{replica} lagging"
         );
     }
-    assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+    check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
 }
 
 #[test]
@@ -140,7 +133,7 @@ fn dog_mode_commits_and_replies() {
             "{replica} did not execute (passive replicas learn via INFORM)"
         );
     }
-    assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+    check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
 }
 
 #[test]
@@ -159,7 +152,7 @@ fn peacock_mode_commits_and_replies() {
             "{replica} lagging"
         );
     }
-    assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+    check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
 }
 
 #[test]
@@ -190,7 +183,7 @@ fn sequential_requests_are_totally_ordered_across_clients() {
                 "{mode}: {replica}"
             );
         }
-        assert_histories_consistent(&cluster, &replicas);
+        check::safety(&histories(&cluster, replicas.iter().copied()), &[]).unwrap();
     }
 }
 
@@ -229,7 +222,7 @@ fn lion_tolerates_backup_crash_in_private_cloud() {
     for replica in &alive {
         assert_eq!(cluster.replica(*replica).executed().len(), 3);
     }
-    assert_histories_consistent(&cluster, &alive);
+    check::safety(&histories(&cluster, alive.iter().copied()), &[]).unwrap();
 }
 
 #[test]
@@ -271,7 +264,7 @@ fn lion_primary_crash_triggers_view_change_and_recovers() {
             "{replica} should have moved past view 0"
         );
     }
-    assert_histories_consistent(&cluster, &alive);
+    check::safety(&histories(&cluster, alive.iter().copied()), &[]).unwrap();
 }
 
 #[test]
@@ -301,7 +294,7 @@ fn peacock_primary_crash_recovers_via_transferer() {
 
     assert_eq!(cluster.client(ClientId(0)).completed().len(), 2);
     let alive: Vec<ReplicaId> = config.replicas().filter(|r| *r != primary).collect();
-    assert_histories_consistent(&cluster, &alive);
+    check::safety(&histories(&cluster, alive.iter().copied()), &[]).unwrap();
 }
 
 // ----------------------------------------------------------------------
@@ -362,7 +355,7 @@ fn byzantine_public_replicas_cannot_break_safety() {
                 .replicas()
                 .filter(|r| *r != byzantine_id)
                 .collect();
-            assert_histories_consistent(&cluster, &honest);
+            check::safety(&histories(&cluster, honest.iter().copied()), &[]).unwrap();
         }
     }
 }
@@ -388,6 +381,9 @@ fn checkpoints_become_stable_and_garbage_collect() {
             metrics.stable_checkpoints
         );
     }
+    // Every replica executed past the second checkpoint, slot 8.
+    let histories = histories(&cluster, config.replicas());
+    check::progress_past(&histories, SeqNum(8)).unwrap();
 }
 
 #[test]
@@ -404,6 +400,9 @@ fn dog_mode_checkpoints_are_driven_by_the_trusted_primary() {
             "{replica}"
         );
     }
+    // The passive replicas too executed up to the last checkpoint, slot 6.
+    let histories = histories(&cluster, config.replicas());
+    check::progress_past(&histories, SeqNum(6)).unwrap();
 }
 
 // ----------------------------------------------------------------------
@@ -491,7 +490,7 @@ fn mode_switch_lion_to_peacock_and_back() {
         cluster.run_to_quiescence(LIMIT);
     }
     assert_eq!(cluster.client(ClientId(0)).completed().len(), 3);
-    assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+    check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
 }
 
 // ----------------------------------------------------------------------
@@ -514,7 +513,7 @@ fn figure2_configurations_all_commit() {
                 1,
                 "c={c} m={m} {mode}: request did not complete"
             );
-            assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+            check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
         }
     }
 }
@@ -558,7 +557,7 @@ fn full_batches_commit_atomically_in_every_mode() {
             let offsets: Vec<usize> = history.iter().map(|e| e.offset).collect();
             assert_eq!(offsets, vec![0, 1, 2], "{mode}: {replica}");
         }
-        assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+        check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
     }
 }
 
@@ -664,7 +663,7 @@ fn view_change_preserves_prepared_but_uncommitted_batches() {
             "{replica} lost or reordered the batch"
         );
     }
-    assert_histories_consistent(&cluster, &alive);
+    check::safety(&histories(&cluster, alive.iter().copied()), &[]).unwrap();
     for client in 0..3u64 {
         assert_eq!(
             cluster.client(ClientId(client)).completed().len(),
@@ -706,7 +705,7 @@ fn deposed_primary_reroutes_its_batch_buffer() {
         );
     }
     let alive: Vec<ReplicaId> = config.replicas().filter(|r| *r != primary).collect();
-    assert_histories_consistent(&cluster, &alive);
+    check::safety(&histories(&cluster, alive.iter().copied()), &[]).unwrap();
 }
 
 /// Regression for the stale flush-timer bug: a size-trigger cut used to
@@ -794,7 +793,7 @@ fn stale_flush_timer_cannot_truncate_the_next_batch() {
             1,
             "{mode}: second batch lost"
         );
-        assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+        check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
     }
 }
 
@@ -888,7 +887,7 @@ fn adaptive_policy_grows_batches_under_load_in_every_mode() {
                 "{mode}: client {client} starved"
             );
         }
-        assert_histories_consistent(&cluster, &config.replicas().collect::<Vec<_>>());
+        check::safety(&histories(&cluster, config.replicas()), &[]).unwrap();
     }
 }
 

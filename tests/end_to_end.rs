@@ -4,6 +4,7 @@
 
 use seemore::app::{KvOp, KvResult, KvStore};
 use seemore::core::byzantine::ByzantineBehavior;
+use seemore::core::check::{self, History};
 use seemore::core::client::ClientCore;
 use seemore::core::config::ProtocolConfig;
 use seemore::core::replica::SeeMoReReplica;
@@ -12,7 +13,7 @@ use seemore::crypto::KeyStore;
 use seemore::net::LatencyModel;
 use seemore::runtime::{ProtocolKind, Scenario, Workload};
 use seemore::types::planner::{cluster_from_outcome, plan_with_ratios};
-use seemore::types::{ClientId, ClusterConfig, Duration, Instant, Mode, PlannerInput, ReplicaId};
+use seemore::types::{ClientId, ClusterConfig, Duration, Instant, Mode, PlannerInput};
 
 const LIMIT: u64 = 500_000;
 
@@ -221,15 +222,11 @@ fn mode_switch_preserves_consistency() {
             "{replica} did not switch"
         );
     }
-    // Histories agree pairwise on the common prefix.
-    for pair in ids.windows(2) {
-        let a = sim.replica(pair[0]).executed();
-        let b = sim.replica(pair[1]).executed();
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.digest, y.digest);
-            assert_eq!(x.seq, y.seq);
-        }
-    }
+    let histories: Vec<History> = ids
+        .iter()
+        .map(|r| (*r, sim.replica(*r).executed()))
+        .collect();
+    check::safety(&histories, sim.completions()).unwrap();
     let report = sim.report(Instant::ZERO + scenario.warmup, Duration::from_millis(10));
     assert!(report.mode_switches > 0);
     assert!(report.completed > 0);
@@ -265,14 +262,18 @@ fn byzantine_bound_is_tolerated_in_simulation() {
             // Honest replicas (all but the wrapped last public one) agree.
             let ids = sim.replica_ids();
             let byzantine = *ids.last().unwrap();
-            let honest: Vec<ReplicaId> = ids.into_iter().filter(|r| *r != byzantine).collect();
-            for pair in honest.windows(2) {
-                let a = sim.replica(pair[0]).executed();
-                let b = sim.replica(pair[1]).executed();
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.digest, y.digest, "{}: divergence", protocol.name());
-                }
-            }
+            let honest: Vec<History> = ids
+                .into_iter()
+                .filter(|r| *r != byzantine)
+                .map(|r| (r, sim.replica(r).executed()))
+                .collect();
+            assert_eq!(
+                check::safety(&honest, sim.completions()),
+                Ok(()),
+                "{} with {:?}",
+                protocol.name(),
+                behavior
+            );
         }
     }
 }

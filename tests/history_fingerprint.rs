@@ -7,7 +7,10 @@
 //! checkpoints and WAL compactions, and (SeeMoRe only) a dynamic mode
 //! switch — and this file asserts one SHA-256 per (protocol, schedule) over
 //! every replica's executed history plus the run's completion, traffic and
-//! view-change totals.
+//! view-change totals. Each cell's histories and completions must also pass
+//! `seemore_core::check::safety` (all-pairs agreement on request and result
+//! digests, order and batch atomicity, exactly-once, no completed write
+//! lost).
 //!
 //! The constants were recorded at the commit *before* the replica chassis
 //! was lifted out of the three replica structs; a refactor that claims
@@ -15,6 +18,7 @@
 //! regenerated only by a PR whose stated purpose is a behaviour change: run
 //! the test, and paste the table it prints on a mismatch over `EXPECTED`.
 
+use seemore::core::check::{self, History};
 use seemore::crypto::sha256;
 use seemore::runtime::{CrashRecover, DurabilityKind, ProtocolKind, Scenario, Workload};
 use seemore::types::{Duration, Instant, Mode, ReplicaId};
@@ -100,6 +104,18 @@ fn fingerprint(protocol: ProtocolKind, schedule: Schedule, scenario: &Scenario) 
     let report = sim.report(Instant::ZERO + scenario.warmup, scenario.timeline_bucket);
     let label = format!("{} / {}", protocol.name(), schedule.name());
     assert!(report.completed > 0, "{label}: no progress");
+    // Every replica, the crashed and the restarted ones included, is
+    // non-faulty here, so the whole cluster must pass the safety oracle.
+    let histories: Vec<History> = sim
+        .replica_ids()
+        .into_iter()
+        .map(|id| (id, sim.replica(id).executed()))
+        .collect();
+    assert_eq!(
+        check::safety(&histories, sim.completions()),
+        Ok(()),
+        "{label}"
+    );
 
     let mut bytes = Vec::new();
     let mut put = |value: u64| bytes.extend_from_slice(&value.to_le_bytes());

@@ -14,25 +14,32 @@
 //! timer fires, primary crashes and dynamic mode switches are shuffled by a
 //! seeded RNG, so reads race proposals, commits, view changes and mode
 //! switches in every way the schedule space allows. Every write carries a
-//! globally unique value, and the checker then verifies each read outcome
-//! against the commit order recorded in the replicas' execution histories:
+//! globally unique value, and `seemore_core::check::reads_linearizable`
+//! then judges each read outcome against the commit order, which it takes
+//! from the longest listed history once every pair of listed replicas has
+//! been found in per-slot agreement (request and result digests):
 //!
 //! * a read returning value `v` identifies the write `W` that produced it;
 //!   if any other write to the same key is ordered *after* `W` but
 //!   *completed before the read was invoked*, the read was stale — FAIL;
 //! * a read returning `NotFound` fails if any write to its key completed
-//!   before the read was invoked.
+//!   before the read was invoked;
+//! * a read returning a value never written to its key, or written by a
+//!   write no listed replica executed, fails, and so does a completed write
+//!   that no listed replica executed.
 //!
 //! Interval endpoints come from the harness' virtual clock (invocation =
 //! submission instant, response = completion instant), so only genuinely
 //! non-overlapping operations are constrained — the check is sound for
-//! concurrent operations by construction.
+//! concurrent operations by construction. That the checker has teeth (a
+//! fabricated stale read is rejected) is a unit test of `check` itself.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use seemore::app::{KvOp, KvResult, KvStore};
+use seemore::app::{KvOp, KvStore};
 use seemore::baselines::{BaselineClient, BaselineConfig, BftReplica, CftReplica};
+use seemore::core::check::{self, History, Invocation};
 use seemore::core::client::{ClientCore, ClientOutcome};
 use seemore::core::config::ProtocolConfig;
 use seemore::core::replica::SeeMoReReplica;
@@ -46,23 +53,12 @@ use std::collections::HashMap;
 const LIMIT: u64 = 400_000;
 const KEYS: [&str; 2] = ["alpha", "beta"];
 
-/// What a client submitted as its `n`-th operation.
-#[derive(Debug, Clone)]
-enum Desc {
-    Put { key: &'static str, value: Vec<u8> },
-    Get { key: &'static str },
-}
-
 /// Everything the checker needs about one run.
 #[derive(Default)]
 struct OpLog {
-    /// `(client, timestamp)` → what was submitted (timestamps are assigned
-    /// 1, 2, 3, … per client in submission order by the client cores).
-    submitted: HashMap<RequestId, Desc>,
-    /// Unique write value → the write's identity.
-    value_owner: HashMap<Vec<u8>, RequestId>,
-    /// Submission instants (invocation times).
-    invoked_at: HashMap<RequestId, Instant>,
+    /// Every submission, in order. Timestamps are assigned 1, 2, 3, … per
+    /// client in submission order by the client cores.
+    invocations: Vec<Invocation>,
     /// Per-client submission counters.
     counters: HashMap<ClientId, u64>,
     /// Monotonic counter making every written value globally unique.
@@ -70,35 +66,22 @@ struct OpLog {
 }
 
 impl OpLog {
-    /// Records a submission for `client` and returns the operation bytes
-    /// plus classification to hand to the client core.
-    fn record(&mut self, client: ClientId, desc: Desc, now: Instant) -> (Vec<u8>, OpClass) {
+    /// Records a submission of `op` by `client` and returns the operation
+    /// bytes plus classification to hand to the client core.
+    fn record(&mut self, client: ClientId, op: KvOp, now: Instant) -> (Vec<u8>, OpClass) {
         let counter = self.counters.entry(client).or_insert(0);
         *counter += 1;
-        let id = RequestId::new(client, Timestamp(*counter));
-        self.invoked_at.insert(id, now);
-        let op = match &desc {
-            Desc::Put { key, value } => (
-                KvOp::Put {
-                    key: key.as_bytes().to_vec(),
-                    value: value.clone(),
-                }
-                .encode(),
-                OpClass::Write,
-            ),
-            Desc::Get { key } => (
-                KvOp::Get {
-                    key: key.as_bytes().to_vec(),
-                }
-                .encode(),
-                OpClass::Read,
-            ),
+        let class = match op {
+            KvOp::Get { .. } => OpClass::Read,
+            _ => OpClass::Write,
         };
-        if let Desc::Put { value, .. } = &desc {
-            self.value_owner.insert(value.clone(), id);
-        }
-        self.submitted.insert(id, desc);
-        op
+        let bytes = op.encode();
+        self.invocations.push(Invocation {
+            request: RequestId::new(client, Timestamp(*counter)),
+            op,
+            at: now,
+        });
+        (bytes, class)
     }
 
     /// Draws a fresh unique value.
@@ -123,15 +106,15 @@ fn random_step(
             if cluster.client(client).has_pending() {
                 return;
             }
-            let key = KEYS[rng.gen_range(0usize..KEYS.len())];
-            let desc = if rng.gen_bool(0.5) {
-                Desc::Get { key }
+            let key = KEYS[rng.gen_range(0usize..KEYS.len())].as_bytes().to_vec();
+            let op = if rng.gen_bool(0.5) {
+                KvOp::Get { key }
             } else {
                 let value = log.fresh_value();
-                Desc::Put { key, value }
+                KvOp::Put { key, value }
             };
             let now = cluster.now();
-            let (op, class) = log.record(client, desc, now);
+            let (op, class) = log.record(client, op, now);
             cluster.submit_op(client, op, class);
         }
         // Deliver a few queued messages (partial progress — this is what
@@ -193,111 +176,12 @@ fn outcomes(cluster: &SyncCluster, clients: &[ClientId]) -> Vec<ClientOutcome> {
         .collect()
 }
 
-/// The reference commit order: request → position in the longest execution
-/// history among `replicas` (histories are per-slot consistent across
-/// replicas, so the longest is a superset ordering of the others).
-fn history_positions(cluster: &SyncCluster, replicas: &[ReplicaId]) -> HashMap<RequestId, usize> {
-    let longest = replicas
+/// The executed histories of `replicas`, as the oracle takes them.
+fn histories<'a>(cluster: &'a SyncCluster, replicas: &[ReplicaId]) -> Vec<History<'a>> {
+    replicas
         .iter()
-        .map(|r| cluster.replica(*r).executed())
-        .max_by_key(|h| h.len())
-        .unwrap_or(&[]);
-    let mut positions = HashMap::new();
-    for (position, entry) in longest.iter().enumerate() {
-        // First execution wins: re-proposals are cache-served and must not
-        // move the effect point.
-        positions.entry(entry.request).or_insert(position);
-    }
-    positions
-}
-
-/// The linearizability check described in the module docs.
-fn assert_reads_linearizable(
-    label: &str,
-    log: &OpLog,
-    outcomes: &[ClientOutcome],
-    positions: &HashMap<RequestId, usize>,
-) {
-    // Completed writes per key, with their commit positions and responses.
-    let mut completed_writes: HashMap<&'static str, Vec<(RequestId, usize, Instant)>> =
-        HashMap::new();
-    for outcome in outcomes {
-        if let Some(Desc::Put { key, .. }) = log.submitted.get(&outcome.request) {
-            let Some(position) = positions.get(&outcome.request) else {
-                panic!(
-                    "{label}: completed write {} absent from every execution history",
-                    outcome.request
-                );
-            };
-            completed_writes.entry(key).or_default().push((
-                outcome.request,
-                *position,
-                outcome.completed_at,
-            ));
-        }
-    }
-
-    for outcome in outcomes {
-        let Some(Desc::Get { key }) = log.submitted.get(&outcome.request) else {
-            continue;
-        };
-        let invoked = log.invoked_at[&outcome.request];
-        let empty = Vec::new();
-        let writes = completed_writes.get(key).unwrap_or(&empty);
-        match KvResult::decode(&outcome.result) {
-            Some(KvResult::Value(value)) => {
-                let Some(writer) = log.value_owner.get(&value) else {
-                    panic!(
-                        "{label}: read {} returned a value no client ever wrote",
-                        outcome.request
-                    );
-                };
-                match log.submitted.get(writer) {
-                    Some(Desc::Put { key: wkey, .. }) => assert_eq!(
-                        wkey, key,
-                        "{label}: read {} returned a value written to another key",
-                        outcome.request
-                    ),
-                    _ => panic!("{label}: value owner is not a write"),
-                }
-                // The serving replica executed the write, so it must appear
-                // in the (longest) reference history.
-                let Some(&writer_position) = positions.get(writer) else {
-                    panic!(
-                        "{label}: read {} observed write {writer} that no replica executed",
-                        outcome.request
-                    );
-                };
-                for (other, position, response) in writes {
-                    assert!(
-                        !(*position > writer_position && *response < invoked),
-                        "{label}: STALE READ — {} (invoked {invoked}) returned the value of \
-                         {writer} (commit position {writer_position}) but {other} committed \
-                         later (position {position}) and completed at {response}, before the \
-                         read began",
-                        outcome.request,
-                    );
-                }
-            }
-            Some(KvResult::NotFound) => {
-                for (other, _, response) in writes {
-                    assert!(
-                        *response >= invoked,
-                        "{label}: STALE READ — {} returned NotFound but write {other} to \
-                         {key:?} had already completed at {response}, before the read began \
-                         (invoked {invoked})",
-                        outcome.request,
-                    );
-                }
-            }
-            Some(KvResult::Ok) | Some(KvResult::MalformedOperation) | None => {
-                panic!(
-                    "{label}: read {} completed with a non-read result",
-                    outcome.request
-                );
-            }
-        }
-    }
+        .map(|r| (*r, cluster.replica(*r).executed()))
+        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -363,8 +247,9 @@ proptest! {
 
         let outcomes = outcomes(&h.cluster, &h.clients);
         let replicas: Vec<ReplicaId> = h.config.replicas().collect();
-        let positions = history_positions(&h.cluster, &replicas);
-        assert_reads_linearizable(&format!("{mode} seed={seed}"), &log, &outcomes, &positions);
+        let histories = histories(&h.cluster, &replicas);
+        let verdict = check::reads_linearizable(&histories, &log.invocations, &outcomes);
+        prop_assert_eq!(verdict, Ok(()), "{mode} seed={seed}");
         prop_assert!(!outcomes.is_empty(), "{mode} seed={seed}: no operation completed");
     }
 
@@ -394,13 +279,9 @@ proptest! {
 
         let outcomes = outcomes(&h.cluster, &h.clients);
         let alive: Vec<ReplicaId> = h.config.replicas().filter(|r| *r != primary).collect();
-        let positions = history_positions(&h.cluster, &alive);
-        assert_reads_linearizable(
-            &format!("{mode} seed={seed} crash_at={crash_at}"),
-            &log,
-            &outcomes,
-            &positions,
-        );
+        let histories = histories(&h.cluster, &alive);
+        let verdict = check::reads_linearizable(&histories, &log.invocations, &outcomes);
+        prop_assert_eq!(verdict, Ok(()), "{mode} seed={seed} crash_at={crash_at}");
     }
 
     /// Same property across a dynamic mode switch announced mid-schedule:
@@ -437,13 +318,9 @@ proptest! {
 
         let outcomes = outcomes(&h.cluster, &h.clients);
         let replicas: Vec<ReplicaId> = h.config.replicas().collect();
-        let positions = history_positions(&h.cluster, &replicas);
-        assert_reads_linearizable(
-            &format!("{from}->{to} seed={seed} switch_at={switch_at}"),
-            &log,
-            &outcomes,
-            &positions,
-        );
+        let histories = histories(&h.cluster, &replicas);
+        let verdict = check::reads_linearizable(&histories, &log.invocations, &outcomes);
+        prop_assert_eq!(verdict, Ok(()), "{from}->{to} seed={seed} switch_at={switch_at}");
     }
 
     /// The same classification seam through the baselines: CFT leader reads
@@ -508,65 +385,9 @@ proptest! {
             .replicas()
             .filter(|r| !(crash_leader && *r == leader))
             .collect();
-        let positions = history_positions(&cluster, &reference);
-        assert_reads_linearizable(
-            &format!(
-                "{} seed={seed} crash_leader={crash_leader}",
-                if bft { "BFT" } else { "CFT" }
-            ),
-            &log,
-            &outcomes,
-            &positions,
-        );
+        let histories = histories(&cluster, &reference);
+        let verdict = check::reads_linearizable(&histories, &log.invocations, &outcomes);
+        let name = if bft { "BFT" } else { "CFT" };
+        prop_assert_eq!(verdict, Ok(()), "{name} seed={seed} crash_leader={crash_leader}");
     }
-}
-
-/// Deterministic witness that the checker has teeth: a hand-built stale
-/// read (value of an over-written key, returned after the newer write
-/// completed) is flagged.
-#[test]
-#[should_panic(expected = "STALE READ")]
-fn the_checker_rejects_a_fabricated_stale_read() {
-    let mut log = OpLog::default();
-    let client = ClientId(0);
-    let (_, _) = log.record(
-        client,
-        Desc::Put {
-            key: "alpha",
-            value: b"w1".to_vec(),
-        },
-        Instant::ZERO,
-    );
-    let (_, _) = log.record(
-        client,
-        Desc::Put {
-            key: "alpha",
-            value: b"w2".to_vec(),
-        },
-        Instant::from_nanos(10),
-    );
-    let (_, _) = log.record(client, Desc::Get { key: "alpha" }, Instant::from_nanos(100));
-
-    let w1 = RequestId::new(client, Timestamp(1));
-    let w2 = RequestId::new(client, Timestamp(2));
-    let read = RequestId::new(client, Timestamp(3));
-    let mut positions = HashMap::new();
-    positions.insert(w1, 0usize);
-    positions.insert(w2, 1usize);
-
-    let outcome = |request, result: Vec<u8>, at: u64| ClientOutcome {
-        request,
-        class: OpClass::Write,
-        result,
-        latency: Duration::from_nanos(1),
-        completed_at: Instant::from_nanos(at),
-    };
-    let outcomes = vec![
-        outcome(w1, KvResult::Ok.encode(), 5),
-        outcome(w2, KvResult::Ok.encode(), 20),
-        // The read began at t=100, after w2 completed at t=20, yet returns
-        // w1's value: stale.
-        outcome(read, KvResult::Value(b"w1".to_vec()).encode(), 120),
-    ];
-    assert_reads_linearizable("fabricated", &log, &outcomes, &positions);
 }

@@ -15,13 +15,14 @@
 
 use seemore::app::{KvOp, KvStore, NoopApp};
 use seemore::core::actions::{Action, Timer};
+use seemore::core::check::{self, History};
 use seemore::core::client::ClientCore;
 use seemore::core::config::ProtocolConfig;
 use seemore::core::exec::ExecutedEntry;
 use seemore::core::replica::SeeMoReReplica;
 use seemore::core::testkit::SyncCluster;
 use seemore::core::{ReplicaMetrics, ReplicaProtocol};
-use seemore::crypto::{Digest, KeyStore};
+use seemore::crypto::KeyStore;
 use seemore::net::{CpuModel, LatencyModel};
 use seemore::runtime::scenario::{CrashRecover, DurabilityKind};
 use seemore::runtime::{ProtocolKind, RuntimeKind, Scenario};
@@ -32,35 +33,6 @@ use seemore::types::{
 use seemore::wire::{Checkpoint, Message};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-
-/// Per-slot view of a history: sequence number → ordered request digests.
-fn slot_map(history: &[ExecutedEntry]) -> BTreeMap<SeqNum, Vec<Digest>> {
-    let mut slots: BTreeMap<SeqNum, Vec<Digest>> = BTreeMap::new();
-    for entry in history {
-        slots.entry(entry.seq).or_default().push(entry.digest);
-    }
-    slots
-}
-
-/// Every pair of histories agrees on every slot both executed.
-fn assert_agreement(label: &str, histories: &[(ReplicaId, Vec<ExecutedEntry>)]) {
-    let maps: Vec<(ReplicaId, BTreeMap<SeqNum, Vec<Digest>>)> = histories
-        .iter()
-        .map(|(id, history)| (*id, slot_map(history)))
-        .collect();
-    for (i, (id_a, a)) in maps.iter().enumerate() {
-        for (id_b, b) in maps.iter().skip(i + 1) {
-            for (seq, digests) in a {
-                if let Some(other) = b.get(seq) {
-                    assert_eq!(
-                        digests, other,
-                        "{label}: {id_a} and {id_b} diverge at {seq}"
-                    );
-                }
-            }
-        }
-    }
-}
 
 /// The protocols the acceptance criteria name: SeeMoRe in all three modes
 /// plus both baselines.
@@ -112,33 +84,33 @@ fn simulated_crash_recover_matches_a_no_crash_control() {
             protocol.name()
         );
 
-        let histories: Vec<(ReplicaId, Vec<ExecutedEntry>)> = sim
+        let histories: Vec<History> = sim
             .replica_ids()
             .into_iter()
-            .map(|id| (id, sim.replica(id).executed().to_vec()))
+            .map(|id| (id, sim.replica(id).executed()))
             .collect();
-        assert_agreement(protocol.name(), &histories);
+        assert_eq!(
+            check::safety(&histories, sim.completions()),
+            Ok(()),
+            "{}",
+            protocol.name()
+        );
 
         // The no-crash control, durability included so the runs differ only
-        // in the schedule, executes the same digests at the same slots.
+        // in the schedule, executes the same requests with the same results
+        // at the same slots.
         let control_scenario = base();
         let (mut control, _) = control_scenario.build();
         control.run_until(Instant::ZERO + control_scenario.duration);
-        let control_canonical = control
+        let control_histories: Vec<History> = control
             .replica_ids()
             .into_iter()
-            .map(|id| control.replica(id).executed().to_vec())
-            .max_by_key(Vec::len)
-            .expect("control replicas");
-        let control_slots = slot_map(&control_canonical);
-        let canonical = histories
-            .iter()
-            .map(|(_, h)| h.clone())
-            .max_by_key(Vec::len)
-            .expect("crashed-run replicas");
-        for (seq, digests) in slot_map(&canonical) {
+            .map(|id| (id, control.replica(id).executed()))
+            .collect();
+        let control_slots = check::slots(check::canonical(&control_histories));
+        for (seq, slot) in check::slots(check::canonical(&histories)) {
             assert_eq!(
-                Some(&digests),
+                Some(&slot),
                 control_slots.get(&seq),
                 "{}: slot {seq} differs from the no-crash control",
                 protocol.name()
@@ -152,7 +124,7 @@ fn simulated_crash_recover_matches_a_no_crash_control() {
         let victim_history = histories
             .iter()
             .find(|(id, _)| *id == victim)
-            .map(|(_, h)| h.clone())
+            .map(|&(_, h)| h)
             .expect("victim history");
         assert!(
             !victim_history.is_empty(),
@@ -313,16 +285,17 @@ fn torn_wal_tail_is_repaired_and_the_replica_still_rejoins() {
         cluster.run_to_quiescence(100_000);
     }
 
-    let histories: Vec<(ReplicaId, Vec<ExecutedEntry>)> = cluster
+    let histories: Vec<History> = cluster
         .replica_ids()
         .into_iter()
-        .map(|id| (id, cluster.replica(id).executed().to_vec()))
+        .map(|id| (id, cluster.replica(id).executed()))
         .collect();
-    assert_agreement("torn-tail", &histories);
+    let outcomes = cluster.client(ClientId(0)).completed();
+    assert_eq!(check::safety(&histories, outcomes), Ok(()), "torn-tail");
     let victim_history = histories
         .iter()
         .find(|(id, _)| *id == victim)
-        .map(|(_, h)| h.clone())
+        .map(|&(_, h)| h)
         .expect("victim history");
     let max_slot = histories
         .iter()

@@ -11,24 +11,26 @@
 //! are checked across random batching policies (`max_batch` sizes and flush
 //! delays, plus the adaptive AIMD controller) in all three SeeMoRe modes.
 //!
-//! The history comparison is keyed by sequence number rather than by
-//! position so that a replica that legitimately skipped old slots via
-//! checkpoint state transfer is still comparable: for every slot two
-//! replicas both executed, they must have executed the identical batch.
+//! The judge is `seemore_core::check::safety`: every pair of listed
+//! replicas agrees, slot by slot, on request *and* result digests (keyed by
+//! sequence number, so a replica that skipped old slots via checkpoint
+//! state transfer is still compared with every other); each history runs
+//! slots in order, batches contiguously and each client's requests in
+//! timestamp order; a re-executed request keeps its first result; and
+//! every write a client saw complete was executed by a listed replica.
 
 use proptest::prelude::*;
 use seemore::app::NoopApp;
 use seemore::core::byzantine::{ByzantineBehavior, ByzantineReplica};
+use seemore::core::check::{self, History};
 use seemore::core::client::ClientCore;
 use seemore::core::config::{BatchPolicy, ProtocolConfig};
 use seemore::core::replica::SeeMoReReplica;
 use seemore::crypto::KeyStore;
 use seemore::net::{CpuModel, LatencyModel, LinkFaults, Placement};
 use seemore::runtime::{ProtocolKind, Scenario, SimConfig, Simulation, Workload};
-use seemore::types::{
-    ClientId, ClusterConfig, Duration, Instant, Mode, ReplicaId, SeqNum, Timestamp,
-};
-use std::collections::{BTreeMap, HashMap};
+use seemore::types::{ClientId, ClusterConfig, Duration, Instant, Mode, ReplicaId, SeqNum};
+use std::collections::BTreeMap;
 
 /// Builds a simulation with optional link faults, a Byzantine public replica,
 /// an optional crash of a private replica, and a batching policy.
@@ -95,108 +97,12 @@ fn build(
     (sim, cluster, byzantine_id)
 }
 
-/// Per-slot executed batch content: the ordered request digests of the slot.
-fn slot_map(
-    sim: &Simulation,
-    replica: ReplicaId,
-) -> BTreeMap<SeqNum, Vec<seemore::crypto::Digest>> {
-    let mut slots: BTreeMap<SeqNum, Vec<seemore::crypto::Digest>> = BTreeMap::new();
-    for entry in sim.replica(replica).executed() {
-        slots.entry(entry.seq).or_default().push(entry.digest);
-    }
-    slots
-}
-
-/// Asserts the SMR safety property plus batch atomicity across `replicas`:
-///
-/// * agreement — for every slot two replicas both executed, they executed
-///   the identical batch (same requests, same within-batch order);
-/// * batch atomicity — each replica's history executes slots in
-///   non-decreasing order and the requests of one slot contiguously, with
-///   within-batch offsets `0, 1, 2, …`;
-/// * exactly-once effects — duplicate executions of a request id (possible
-///   only via cache-served re-proposals) return the identical result, and a
-///   client's requests take effect in timestamp order.
-fn assert_safety(sim: &Simulation, replicas: &[ReplicaId]) {
-    for replica in replicas {
-        let history = sim.replica(*replica).executed();
-        let mut last_seq = SeqNum(0);
-        let mut expected_offset = 0usize;
-        let mut result_by_id: HashMap<_, _> = HashMap::new();
-        let mut last_client_ts: HashMap<ClientId, Timestamp> = HashMap::new();
-        for entry in history {
-            if entry.seq == last_seq {
-                assert_eq!(
-                    entry.offset, expected_offset,
-                    "{replica}: batch at {} executed non-contiguously",
-                    entry.seq
-                );
-            } else {
-                assert!(
-                    entry.seq > last_seq,
-                    "{replica}: slot order violated ({} after {})",
-                    entry.seq,
-                    last_seq
-                );
-                assert_eq!(
-                    entry.offset, 0,
-                    "{replica}: batch at {} started mid-way",
-                    entry.seq
-                );
-                last_seq = entry.seq;
-                expected_offset = 0;
-            }
-            expected_offset += 1;
-
-            if let Some(previous) = result_by_id.insert(entry.request, entry.result_digest) {
-                assert_eq!(
-                    previous, entry.result_digest,
-                    "{replica}: request {} re-executed with a different result",
-                    entry.request
-                );
-            }
-            if let Some(previous_ts) =
-                last_client_ts.insert(entry.request.client, entry.request.timestamp)
-            {
-                assert!(
-                    entry.request.timestamp >= previous_ts,
-                    "{replica}: client {} order inverted",
-                    entry.request.client
-                );
-            }
-        }
-    }
-    for pair in replicas.windows(2) {
-        let a = slot_map(sim, pair[0]);
-        let b = slot_map(sim, pair[1]);
-        for (seq, batch_a) in &a {
-            if let Some(batch_b) = b.get(seq) {
-                assert_eq!(
-                    batch_a, batch_b,
-                    "batch divergence between {} and {} at {seq}",
-                    pair[0], pair[1]
-                );
-            }
-        }
-    }
-}
-
-/// Asserts that every request a client observed as completed was actually
-/// executed by at least one honest replica (no request lost).
-fn assert_no_completion_lost(sim: &Simulation, honest: &[ReplicaId]) {
-    let mut executed = std::collections::HashSet::new();
-    for replica in honest {
-        for entry in sim.replica(*replica).executed() {
-            executed.insert(entry.request);
-        }
-    }
-    for outcome in sim.completions() {
-        assert!(
-            executed.contains(&outcome.request),
-            "completed request {} executed by no honest replica",
-            outcome.request
-        );
-    }
+/// The executed histories of `replicas`, as the oracle takes them.
+fn histories<'a>(sim: &'a Simulation, replicas: &[ReplicaId]) -> Vec<History<'a>> {
+    replicas
+        .iter()
+        .map(|r| (*r, sim.replica(*r).executed()))
+        .collect()
 }
 
 proptest! {
@@ -238,8 +144,7 @@ proptest! {
             .replicas()
             .filter(|r| Some(*r) != byzantine_id && !(crash_backup && *r == ReplicaId(1)))
             .collect();
-        assert_safety(&sim, &honest);
-        assert_no_completion_lost(&sim, &honest);
+        prop_assert_eq!(check::safety(&histories(&sim, &honest), sim.completions()), Ok(()));
         prop_assert!(
             !sim.completions().is_empty(),
             "{mode} seed={seed} drop={drop:.2} dup={duplicate:.2} byz={behavior:?} \
@@ -266,8 +171,7 @@ proptest! {
         let primary = cluster.primary(mode, seemore::types::View(0)).unwrap();
         let alive: Vec<ReplicaId> =
             cluster.replicas().filter(|r| *r != primary).collect();
-        assert_safety(&sim, &alive);
-        assert_no_completion_lost(&sim, &alive);
+        prop_assert_eq!(check::safety(&histories(&sim, &alive), sim.completions()), Ok(()));
 
         // Progress resumed after the crash.
         let after_crash = sim
@@ -299,8 +203,7 @@ proptest! {
         sim.run_until(Instant::from_nanos(150_000_000));
 
         let replicas: Vec<ReplicaId> = cluster.replicas().collect();
-        assert_safety(&sim, &replicas);
-        assert_no_completion_lost(&sim, &replicas);
+        prop_assert_eq!(check::safety(&histories(&sim, &replicas), sim.completions()), Ok(()));
         prop_assert!(
             !sim.completions().is_empty(),
             "{mode} seed={seed} ceiling={ceiling}: no progress under the adaptive policy"

@@ -9,7 +9,7 @@
 //! * a deterministic interleaved workload produces **identical per-slot
 //!   histories** on the socket runtime and on `SyncCluster`, which delivers
 //!   every message at once in FIFO order (same sequence numbers, same batch
-//!   offsets, same request digests);
+//!   offsets, same request and result digests);
 //! * a concurrent multi-client workload on the socket runtime keeps every
 //!   live replica in per-slot agreement and completes every request, with
 //!   nonzero bytes crossing real sockets — also when the view-0 primary
@@ -19,17 +19,17 @@ use seemore::app::NoopApp;
 use seemore::baselines::{BaselineClient, BaselineConfig, BftReplica, CftReplica};
 use seemore::core::actions::Timer;
 use seemore::core::batching::BatchConfig;
-use seemore::core::client::{ClientCore, ClientProtocol};
+use seemore::core::check::{self, History};
+use seemore::core::client::{ClientCore, ClientOutcome, ClientProtocol};
 use seemore::core::config::ProtocolConfig;
 use seemore::core::exec::ExecutedEntry;
 use seemore::core::protocol::ReplicaProtocol;
 use seemore::core::replica::SeeMoReReplica;
 use seemore::core::testkit::SyncCluster;
-use seemore::crypto::{Digest, KeyStore};
+use seemore::crypto::KeyStore;
 use seemore::runtime::SocketCluster;
 use seemore::types::OpClass;
-use seemore::types::{ClientId, ClusterConfig, Duration, Mode, ReplicaId, SeqNum, View};
-use std::collections::BTreeMap;
+use seemore::types::{ClientId, ClusterConfig, Duration, Mode, ReplicaId, View};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The five protocol deployments the acceptance criteria name.
@@ -277,47 +277,12 @@ fn run_reference(case: Case) -> Vec<(ReplicaId, Vec<ExecutedEntry>)> {
         .collect()
 }
 
-/// Per-slot view of a history: sequence number → ordered request digests.
-fn slot_map(history: &[ExecutedEntry]) -> BTreeMap<SeqNum, Vec<Digest>> {
-    let mut slots: BTreeMap<SeqNum, Vec<Digest>> = BTreeMap::new();
-    for entry in history {
-        slots.entry(entry.seq).or_default().push(entry.digest);
-    }
-    slots
-}
-
-/// Within one runtime's histories: every pair of live replicas (all pairs,
-/// not just adjacent ones — a replica missing a slot must not mask
-/// divergence between its neighbours) agrees on every slot both executed.
-fn assert_internal_agreement(case: Case, histories: &[(ReplicaId, Vec<ExecutedEntry>)]) {
-    let maps: Vec<(ReplicaId, BTreeMap<SeqNum, Vec<Digest>>)> = histories
-        .iter()
-        .map(|(id, history)| (*id, slot_map(history)))
-        .collect();
-    for (i, (id_a, a)) in maps.iter().enumerate() {
-        for (id_b, b) in maps.iter().skip(i + 1) {
-            for (seq, digests) in a {
-                if let Some(other) = b.get(seq) {
-                    assert_eq!(
-                        digests,
-                        other,
-                        "{}: {id_a} and {id_b} diverge at {seq}",
-                        case.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The longest (most complete) history of a run, as the run's canonical
-/// execution order.
-fn canonical(histories: &[(ReplicaId, Vec<ExecutedEntry>)]) -> Vec<ExecutedEntry> {
+/// Borrows owned histories in the form the oracle takes.
+fn view(histories: &[(ReplicaId, Vec<ExecutedEntry>)]) -> Vec<History<'_>> {
     histories
         .iter()
-        .map(|(_, h)| h.clone())
-        .max_by_key(|h| h.len())
-        .expect("at least one live replica")
+        .map(|(id, h)| (*id, h.as_slice()))
+        .collect()
 }
 
 /// Acceptance: all three SeeMoRe modes plus both baselines complete the
@@ -327,26 +292,18 @@ fn canonical(histories: &[(ReplicaId, Vec<ExecutedEntry>)]) -> Vec<ExecutedEntry
 fn socket_histories_match_the_sync_reference() {
     for case in ALL_CASES {
         let reference = run_reference(case);
-        assert_internal_agreement(case, &reference);
-        let reference_canon = canonical(&reference);
+        let reference = view(&reference);
+        assert_eq!(check::safety(&reference, &[]), Ok(()), "{}", case.name());
 
         let histories = run_deterministic(case);
-        assert_internal_agreement(case, &histories);
-        let canon = canonical(&histories);
+        let histories = view(&histories);
+        assert_eq!(check::safety(&histories, &[]), Ok(()), "{}", case.name());
         assert_eq!(
-            canon.len(),
-            reference_canon.len(),
-            "{}: history lengths differ",
+            check::slots(check::canonical(&histories)),
+            check::slots(check::canonical(&reference)),
+            "{}: sockets and the reference executed different slots",
             case.name()
         );
-        for (s, r) in canon.iter().zip(reference_canon.iter()) {
-            assert_eq!(
-                (s.seq, s.offset, s.request, s.digest),
-                (r.seq, r.offset, r.request, r.digest),
-                "{}: sockets and the reference ordered requests differently",
-                case.name()
-            );
-        }
     }
 }
 
@@ -378,7 +335,7 @@ fn concurrent_clients_over_sockets_stay_safe_under_a_crash() {
             SocketCluster::spawn(deployment.replicas, &client_ids).expect("bind loopback");
 
         let issued = AtomicUsize::new(0);
-        let completed: usize = std::thread::scope(|scope| {
+        let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
             let (cluster, victims, issued) = (&cluster, &victims, &issued);
             let handles: Vec<_> = deployment
                 .clients
@@ -397,14 +354,17 @@ fn concurrent_clients_over_sockets_stay_safe_under_a_crash() {
                             }
                             (format!("op-{id}-{i}").into_bytes(), OpClass::Write)
                         });
-                        outcomes.len()
+                        outcomes
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         });
         assert_eq!(
-            completed,
+            outcomes.len(),
             (CLIENTS as usize) * PER_CLIENT,
             "{}: every concurrent request must complete despite the crash",
             case.name()
@@ -426,14 +386,19 @@ fn concurrent_clients_over_sockets_stay_safe_under_a_crash() {
                 case.name()
             );
         }
-        let histories: Vec<(ReplicaId, Vec<ExecutedEntry>)> = survivors
+        let histories: Vec<History> = survivors
             .iter()
-            .map(|core| (core.id(), core.executed().to_vec()))
+            .map(|core| (core.id(), core.executed()))
             .collect();
-        assert_internal_agreement(case, &histories);
+        assert_eq!(
+            check::safety(&histories, &outcomes),
+            Ok(()),
+            "{}",
+            case.name()
+        );
         // The canonical history must contain every submitted request exactly
         // once (batch atomicity: nothing lost, nothing duplicated).
-        let canon = canonical(&histories);
+        let canon = check::canonical(&histories);
         let mut ids: Vec<_> = canon.iter().map(|e| e.request).collect();
         let total = ids.len();
         ids.sort();
