@@ -1261,6 +1261,14 @@ impl ReplicaProtocol for BftReplica {
         }
     }
 
+    fn begin_turn(&mut self) {
+        self.chassis.begin_turn();
+    }
+
+    fn end_turn(&mut self) {
+        self.chassis.end_turn();
+    }
+
     fn view(&self) -> View {
         self.chassis.view
     }

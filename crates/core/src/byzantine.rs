@@ -239,6 +239,14 @@ impl<P: ReplicaProtocol> ReplicaProtocol for ByzantineReplica<P> {
         self.corrupt(actions)
     }
 
+    fn begin_turn(&mut self) {
+        self.inner.begin_turn();
+    }
+
+    fn end_turn(&mut self) {
+        self.inner.end_turn();
+    }
+
     fn view(&self) -> View {
         self.inner.view()
     }

@@ -168,6 +168,11 @@ pub struct ReplicaChassis {
     /// default; every persistence site is guarded by `store.enabled()` so
     /// the default configuration does no snapshot or encode work.
     store: Arc<dyn Durability>,
+    /// Whether a driver turn is open (see [`begin_turn`](Self::begin_turn)):
+    /// WAL appends then wait for the turn's one sync.
+    turn_open: bool,
+    /// Whether the open turn appended anything its end must sync.
+    turn_appended: bool,
     /// Whether this replica restarted from durable state and has not yet
     /// received the committed suffix it missed while down.
     recovering: bool,
@@ -219,6 +224,8 @@ impl ReplicaChassis {
             metrics: ReplicaMetrics::default(),
             crashed: false,
             store: Arc::new(NullStore),
+            turn_open: false,
+            turn_appended: false,
             recovering: false,
             wal_replayed: 0,
             recovery_buffer: VecDeque::new(),
@@ -272,7 +279,7 @@ impl ReplicaChassis {
     /// (the *no-un-vote* rule: a claim must be durable before any peer can
     /// observe it). One cold branch when durability is disabled.
     #[inline]
-    fn persist_outgoing(&self, message: &Message) {
+    fn persist_outgoing(&mut self, message: &Message) {
         if self.store.enabled()
             && matches!(
                 message.kind(),
@@ -285,7 +292,39 @@ impl ReplicaChassis {
                     | MessageKind::Checkpoint
             )
         {
-            self.store.append(&WalRecord::Vote(message.clone()));
+            self.wal_append(&WalRecord::Vote(message.clone()));
+        }
+    }
+
+    /// Appends `record` to the WAL: unsynced while a turn is open, whose
+    /// [`end_turn`](Self::end_turn) syncs it before any of the turn's
+    /// messages is sent, and synced on its own otherwise.
+    fn wal_append(&mut self, record: &WalRecord) {
+        self.metrics.wal_appends += 1;
+        if self.turn_open {
+            self.store.append_unsynced(record);
+            self.turn_appended = true;
+        } else {
+            self.store.append(record);
+            self.metrics.wal_syncs += 1;
+        }
+    }
+
+    /// Opens a driver turn: until [`end_turn`](Self::end_turn), WAL appends
+    /// are not synced one by one. The driver must not hand any action the
+    /// turn produces to the transport before `end_turn` returns.
+    pub fn begin_turn(&mut self) {
+        self.turn_open = true;
+    }
+
+    /// Closes the turn, syncing the WAL once if the turn appended anything:
+    /// group commit. Every vote the turn produced is durable when this
+    /// returns, so its messages may be sent.
+    pub fn end_turn(&mut self) {
+        self.turn_open = false;
+        if std::mem::take(&mut self.turn_appended) {
+            self.store.sync();
+            self.metrics.wal_syncs += 1;
         }
     }
 
@@ -425,7 +464,7 @@ impl ReplicaChassis {
         self.view = view;
         self.mode = mode;
         if self.store.enabled() {
-            self.store.append(&WalRecord::ViewEntered { view, mode });
+            self.wal_append(&WalRecord::ViewEntered { view, mode });
         }
     }
 

@@ -132,6 +132,12 @@ pub struct ReplicaMetrics {
     /// (oldest first) instead of re-delivering them after the rejoin; their
     /// senders retransmit, but the loss is never silent.
     pub recovery_buffer_dropped: u64,
+    /// Records this replica appended to its write-ahead log.
+    pub wal_appends: u64,
+    /// Syncs this replica asked its write-ahead log for: one per append
+    /// made outside a turn, one per turn that appended anything (group
+    /// commit). `wal_syncs / wal_appends` below 1 means turns shared syncs.
+    pub wal_syncs: u64,
 }
 
 impl ReplicaMetrics {
@@ -210,6 +216,8 @@ impl ReplicaMetrics {
         self.batch.merge(&other.batch);
         self.peak_log_instances = self.peak_log_instances.max(other.peak_log_instances);
         self.recovery_buffer_dropped += other.recovery_buffer_dropped;
+        self.wal_appends += other.wal_appends;
+        self.wal_syncs += other.wal_syncs;
     }
 }
 
@@ -257,6 +265,10 @@ mod tests {
         b.committed = 2;
         b.rejected_messages = 4;
         b.recovery_buffer_dropped = 3;
+        a.wal_appends = 7;
+        a.wal_syncs = 2;
+        b.wal_appends = 5;
+        b.wal_syncs = 1;
 
         a.merge(&b);
         assert_eq!(a.sent(MessageKind::Commit), 2);
@@ -264,6 +276,7 @@ mod tests {
         assert_eq!(a.committed, 5);
         assert_eq!(a.rejected_messages, 4);
         assert_eq!(a.recovery_buffer_dropped, 3);
+        assert_eq!((a.wal_appends, a.wal_syncs), (12, 3));
         assert_eq!(a.view_changes_completed, 1);
         assert_eq!(a.total_sent_bytes(), 100);
     }

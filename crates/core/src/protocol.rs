@@ -29,6 +29,20 @@ pub trait ReplicaProtocol: Send {
     /// Handles the expiry of a previously armed timer.
     fn on_timer(&mut self, timer: Timer, now: Instant) -> Vec<Action>;
 
+    /// Opens a *turn*: the inputs a driver hands the core between two
+    /// waits. Until [`end_turn`](Self::end_turn) the core may leave its WAL
+    /// appends unsynced, so the driver must not carry out any action the
+    /// turn produced before `end_turn` returns. The default does nothing,
+    /// which keeps every append synced on its own: drivers that never open
+    /// a turn (the simulator, `SyncCluster`) and wrappers that do not
+    /// forward it lose nothing but the shared sync.
+    fn begin_turn(&mut self) {}
+
+    /// Closes the turn [`begin_turn`](Self::begin_turn) opened, making every
+    /// vote it appended durable with one sync (group commit). The default
+    /// does nothing.
+    fn end_turn(&mut self) {}
+
     /// The view this replica currently operates in (diagnostics).
     fn view(&self) -> View;
 
@@ -119,6 +133,8 @@ mod tests {
             .request_mode_switch(Mode::Dog, Instant::ZERO)
             .is_empty());
         assert!(!echo.is_crashed());
+        echo.begin_turn(); // no-ops by default
+        echo.end_turn();
         echo.crash(); // no-op by default
         assert!(!echo.is_crashed());
         assert_eq!(echo.executed().len(), 1);

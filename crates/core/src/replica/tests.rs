@@ -11,7 +11,10 @@ use crate::replica::SeeMoReReplica;
 use crate::testkit::SyncCluster;
 use seemore_app::{KvOp, KvResult, KvStore};
 use seemore_crypto::KeyStore;
+use seemore_store::{Durability, DurableCheckpoint, RecoveredState, WalRecord};
 use seemore_types::{ClientId, ClusterConfig, Duration, Mode, ReplicaId, SeqNum};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Builds a cluster of SeeMoRe replicas plus `clients` clients, all in
 /// `mode`.
@@ -1203,4 +1206,123 @@ fn peacock_reads_park_behind_prepared_but_uncommitted_slots() {
         1,
         "parked read must be served"
     );
+}
+
+// ----------------------------------------------------------------------
+// Group commit: one WAL sync per driver turn
+// ----------------------------------------------------------------------
+
+/// A store that only counts: appends (synced or not) and syncs, where a
+/// plain `append` is one of each.
+#[derive(Default)]
+struct CountingStore {
+    appends: AtomicU64,
+    syncs: AtomicU64,
+}
+
+impl CountingStore {
+    fn counts(&self) -> (u64, u64) {
+        (
+            self.appends.load(Ordering::SeqCst),
+            self.syncs.load(Ordering::SeqCst),
+        )
+    }
+}
+
+impl Durability for CountingStore {
+    fn enabled(&self) -> bool {
+        true
+    }
+    fn append(&self, record: &WalRecord) {
+        self.append_unsynced(record);
+        self.sync();
+    }
+    fn append_unsynced(&self, _record: &WalRecord) {
+        self.appends.fetch_add(1, Ordering::SeqCst);
+    }
+    fn sync(&self) {
+        self.syncs.fetch_add(1, Ordering::SeqCst);
+    }
+    fn persist_checkpoint(&self, _checkpoint: &DurableCheckpoint) {}
+    fn compact_below(&self, _seq: SeqNum) {}
+    fn recover(&self) -> Option<RecoveredState> {
+        None
+    }
+}
+
+/// The view-0 Lion primary of a minimal deployment on a counting store,
+/// and a function that makes the `n`-th signed client request for it.
+fn counted_lion_primary() -> (
+    SeeMoReReplica,
+    Arc<CountingStore>,
+    impl Fn(u64) -> seemore_wire::Message,
+) {
+    use seemore_types::{NodeId, Timestamp, View};
+    let config = ClusterConfig::minimal(1, 1).unwrap();
+    let keystore = KeyStore::generate(0x6C0, config.total_size(), 1);
+    let primary = config.primary(Mode::Lion, View(0)).unwrap();
+    let mut replica = SeeMoReReplica::new(
+        primary,
+        config,
+        ProtocolConfig::default(),
+        keystore.clone(),
+        Mode::Lion,
+        Box::new(KvStore::new()),
+    );
+    let store = Arc::new(CountingStore::default());
+    replica.set_store(store.clone());
+    let signer = keystore.signer_for(NodeId::Client(ClientId(0))).unwrap();
+    let request = move |n: u64| {
+        seemore_wire::Message::Request(seemore_wire::ClientRequest::new(
+            ClientId(0),
+            Timestamp(n),
+            put_op("k", &n.to_string()),
+            &signer,
+        ))
+    };
+    (replica, store, request)
+}
+
+#[test]
+fn a_turn_shares_one_wal_sync_among_its_votes() {
+    use crate::protocol::ReplicaProtocol;
+    use seemore_types::{Instant, NodeId};
+    let client = NodeId::Client(ClientId(0));
+
+    // Two requests in one turn: two proposals appended, one sync.
+    let (mut primary, store, request) = counted_lion_primary();
+    primary.begin_turn();
+    for n in 1..=2 {
+        primary.on_message(client, request(n), Instant::ZERO);
+    }
+    assert_eq!(store.counts(), (2, 0), "nothing is synced inside the turn");
+    primary.end_turn();
+    assert_eq!(store.counts(), (2, 1));
+    let metrics = primary.metrics();
+    assert_eq!((metrics.wal_appends, metrics.wal_syncs), (2, 1));
+
+    // The same two requests outside a turn: each proposal syncs itself.
+    let (mut primary, store, request) = counted_lion_primary();
+    for n in 1..=2 {
+        primary.on_message(client, request(n), Instant::ZERO);
+    }
+    assert_eq!(store.counts(), (2, 2));
+    let metrics = primary.metrics();
+    assert_eq!((metrics.wal_appends, metrics.wal_syncs), (2, 2));
+
+    // A turn that appends nothing syncs nothing, even when it sends.
+    let (mut primary, store, _) = counted_lion_primary();
+    primary.begin_turn();
+    let actions = primary.on_message(
+        NodeId::Replica(ReplicaId(1)),
+        seemore_wire::Message::StateRequest(seemore_wire::StateRequest {
+            from_seq: SeqNum(0),
+            replica: ReplicaId(1),
+        }),
+        Instant::ZERO,
+    );
+    assert!(actions.iter().any(|a| a.is_send()), "the state is served");
+    primary.end_turn();
+    assert_eq!(store.counts(), (0, 0));
+    assert_eq!(primary.metrics().wal_syncs, 0);
 }

@@ -100,12 +100,22 @@ impl NodeInbox {
 /// before a wake-up is handled before the messages that wake-up read, so a
 /// replica told to crash while idle answers nothing after.
 ///
-/// A *turn* is the batch of actions produced since the last pass: one
-/// wake-up's batch and its due timers. The loop queues a turn's frames
-/// ([`ReactorHandle::queue`], and [`ReactorHandle::queue_broadcast`], which
-/// encodes a broadcast once for every peer) and then calls
-/// [`ReactorHandle::flush`] once, before it blocks, so each peer gets one
-/// write per turn. Invariant: no frame stays queued across a blocking wait.
+/// A *turn* is one wake-up's batch and its due timers, in four steps:
+///
+/// 1. **handle** — [`ReplicaProtocol::begin_turn`], then the batch and the
+///    due timers, whose actions accumulate;
+/// 2. **sync** — [`ReplicaProtocol::end_turn`], one WAL sync for every vote
+///    the turn appended (group commit);
+/// 3. **queue** — the turn's frames ([`ReactorHandle::queue`], and
+///    [`ReactorHandle::queue_broadcast`], which encodes a broadcast once for
+///    every peer);
+/// 4. **flush** — [`ReactorHandle::flush`] once, before the loop blocks, so
+///    each peer gets one write per turn.
+///
+/// The sync comes before the queueing, not merely before the flush: a
+/// queued frame can leave early, through a dial or an armed `EPOLLOUT`.
+/// Invariants: no frame is queued before the sync that covers its vote, and
+/// no frame stays queued across a blocking wait.
 ///
 /// Connection failures surface as reconnect attempts inside the transport;
 /// a send can only fail on shutdown, which the loop is about to observe
@@ -154,6 +164,7 @@ pub(crate) fn run_replica_loop(
             Err(RecvTimeoutError::Disconnected) => return replica,
         };
         let now = to_instant(start);
+        replica.begin_turn();
         let mut handled = 0;
         while let Some(command) = next {
             match command {
@@ -162,7 +173,11 @@ pub(crate) fn run_replica_loop(
                 }
                 ReplicaCommand::Crash => replica.crash(),
                 ReplicaCommand::Recover(core) => {
+                    // The old core's votes already in `actions` are synced
+                    // by its own store before the new core takes the turn.
+                    replica.end_turn();
                     replica = core;
+                    replica.begin_turn();
                     timers.clear();
                     armed.clear();
                     actions.extend(replica.on_start(now));
@@ -170,7 +185,10 @@ pub(crate) fn run_replica_loop(
                 ReplicaCommand::ModeSwitch { mode } => {
                     actions.extend(replica.request_mode_switch(mode, now));
                 }
-                ReplicaCommand::Shutdown => return replica,
+                ReplicaCommand::Shutdown => {
+                    replica.end_turn();
+                    return replica;
+                }
             }
             handled += 1;
             next = if handled < DRAIN_BATCH {
@@ -190,6 +208,7 @@ pub(crate) fn run_replica_loop(
                 }
             }
         }
+        replica.end_turn();
     }
 }
 

@@ -89,8 +89,10 @@
 //! in-memory WAL (what tests and the simulator use) or
 //! [`scenario::DurabilityKind::File`] for real files with real `fsync`. With
 //! a store attached every core appends each safety-critical vote to a
-//! CRC-framed write-ahead log *before* the message leaves the replica (a
-//! restarted replica can never contradict its earlier self — no un-voting),
+//! CRC-framed write-ahead log and syncs it *before* the message leaves the
+//! replica (a restarted replica can never contradict its earlier self — no
+//! un-voting). On the socket runtime one sync covers every vote of a replica
+//! loop turn (group commit, see `ReplicaProtocol::begin_turn`). Each core also
 //! persists a snapshot at each stable checkpoint, and compacts the WAL
 //! below it, so recovery work stays proportional to one checkpoint period.
 //!

@@ -113,7 +113,8 @@ pub enum DurabilityKind {
     /// in-process restarts recover from.
     Memory,
     /// Real files under `<dir>/replica-<id>/` with real `fsync` (the
-    /// store's default batched policy).
+    /// store's default policy, `FsyncPolicy::Always`): one sync per replica
+    /// turn on the socket runtime, one per vote on the simulator.
     File(PathBuf),
 }
 

@@ -268,6 +268,7 @@ mod tests {
     use seemore_net::Transport;
     use seemore_types::{ClusterConfig, Instant, Mode, SeqNum, View};
     use seemore_wire::{Message, StateRequest};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A scripted core with no timers: it answers every message with three
     /// copies of it, sent back to the sender, until it is crashed. A
@@ -405,6 +406,116 @@ mod tests {
         );
         assert_eq!(stats.vectored_writes() - vectored, TURNS);
         assert_eq!(stats.frames_coalesced() - coalesced, 2 * TURNS);
+
+        control.send(ReplicaCommand::Shutdown);
+        thread.join().expect("replica loop exits");
+        mesh.shutdown();
+    }
+
+    /// A core that stands in for a durable one: it numbers its turns,
+    /// answers every message with three frames stamped with the number of
+    /// the turn that produced them, and publishes a turn's number as synced
+    /// at its `end_turn`, after a pause a sync could take.
+    struct TurnStamper {
+        id: ReplicaId,
+        metrics: ReplicaMetrics,
+        turn: u64,
+        turn_open: bool,
+        synced: Arc<AtomicU64>,
+    }
+
+    impl ReplicaProtocol for TurnStamper {
+        fn id(&self) -> ReplicaId {
+            self.id
+        }
+        fn on_message(&mut self, from: NodeId, _message: Message, _now: Instant) -> Vec<Action> {
+            assert!(self.turn_open, "a message handled outside a turn");
+            (0..3)
+                .map(|_| Action::Send {
+                    to: from,
+                    message: Message::StateRequest(StateRequest {
+                        from_seq: SeqNum(self.turn),
+                        replica: self.id,
+                    }),
+                })
+                .collect()
+        }
+        fn begin_turn(&mut self) {
+            self.turn += 1;
+            self.turn_open = true;
+        }
+        fn end_turn(&mut self) {
+            self.turn_open = false;
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            self.synced.store(self.turn, Ordering::SeqCst);
+        }
+        fn on_timer(&mut self, _timer: Timer, _now: Instant) -> Vec<Action> {
+            Vec::new()
+        }
+        fn view(&self) -> View {
+            View::ZERO
+        }
+        fn mode(&self) -> Mode {
+            Mode::Lion
+        }
+        fn executed(&self) -> &[ExecutedEntry] {
+            &[]
+        }
+        fn metrics(&self) -> &ReplicaMetrics {
+            &self.metrics
+        }
+    }
+
+    /// Vote-before-send on the replica loop: no frame of a turn reaches a
+    /// peer before that turn's `end_turn` (the WAL sync) has returned.
+    #[test]
+    fn replica_loop_syncs_a_turn_before_any_of_its_frames_leaves() {
+        let (looped, peer) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
+        let mesh = ReactorMesh::new(&[looped, peer]).unwrap();
+        let (handle, frames) = mesh.take_endpoint(looped).unwrap().into_parts();
+        let remote = mesh.take_endpoint(peer).unwrap();
+        let (commands, rx) = channel();
+        let control = ReplicaControl {
+            commands,
+            waker: frames.waker(),
+        };
+        let synced = Arc::new(AtomicU64::new(0));
+        let core = TurnStamper {
+            id: ReplicaId(0),
+            metrics: ReplicaMetrics::default(),
+            turn: 0,
+            turn_open: false,
+            synced: Arc::clone(&synced),
+        };
+        let thread = std::thread::spawn(move || {
+            let inbox = NodeInbox {
+                commands: rx,
+                frames,
+            };
+            driver::run_replica_loop(Box::new(core), &inbox, StdInstant::now(), &handle)
+        });
+        for seq in 0..10 {
+            let ping = Message::StateRequest(StateRequest {
+                from_seq: SeqNum(seq),
+                replica: ReplicaId(1),
+            });
+            remote.send(looped, &ping).unwrap();
+            for _ in 0..3 {
+                let (from, message) = remote
+                    .recv_timeout(std::time::Duration::from_secs(5))
+                    .expect("the turn's frames arrive");
+                assert_eq!(from, looped);
+                let Message::StateRequest(StateRequest { from_seq, .. }) = message else {
+                    panic!("unexpected {message:?}");
+                };
+                let synced = synced.load(Ordering::SeqCst);
+                assert!(
+                    from_seq.0 <= synced,
+                    "a frame of turn {} arrived before its sync (last synced: {synced})",
+                    from_seq.0
+                );
+            }
+        }
 
         control.send(ReplicaCommand::Shutdown);
         thread.join().expect("replica loop exits");

@@ -8,13 +8,20 @@
 //! to its peers: the proposals it issued, the votes it cast for slots
 //! (`ACCEPT`, PBFT `PREPARE`, `COMMIT`, `INFORM`), the checkpoints it signed,
 //! and the view it has installed. Each of those is appended to the WAL as a
-//! [`WalRecord`] **before** the corresponding message is handed to the
-//! transport — the *no-un-vote* rule. A replica that crashes and recovers
+//! [`WalRecord`] and synced **before** the corresponding message is handed to
+//! the transport — the *no-un-vote* rule. A replica that crashes and recovers
 //! therefore replays every claim it may have made, re-arms the same log
 //! guards (accepted proposal, `commit_sent`, `inform_sent`, installed view),
 //! and can never cast a conflicting vote for a slot or regress to an earlier
 //! view: to an observer, recovery is indistinguishable from a long network
 //! delay.
+//!
+//! The sync is shared by a *turn*: everything a replica thread handles
+//! between two waits. Inside a turn a core appends with
+//! [`Durability::append_unsynced`], and once the turn's handlers have run
+//! the driver has the core call [`Durability::sync`] once, before it queues
+//! any of the turn's messages (group commit). Outside a turn every
+//! [`Durability::append`] syncs on its own.
 //!
 //! What is *not* persisted: peer votes (re-collected or re-fetched via state
 //! transfer), application state between checkpoints (re-executed from the
@@ -40,21 +47,21 @@
 //!
 //! # Fsync policy
 //!
-//! [`FsyncPolicy`] trades durability for append latency:
+//! [`FsyncPolicy`] says whether a sync reaches the disk:
 //!
-//! * [`Always`](FsyncPolicy::Always) — `fsync` after every record. A vote is
-//!   on disk before it is on the wire; survives power loss.
-//! * [`Batch(n)`](FsyncPolicy::Batch) — group commit: `fsync` every `n`
-//!   records. Survives process crashes (kill-9) unconditionally — the page
-//!   cache survives the process — and power loss up to the last sync.
+//! * [`Always`](FsyncPolicy::Always) (the default) — every
+//!   [`sync`](Durability::sync), and so every synced append, is an
+//!   `fdatasync`. A vote is on disk before it is on the wire; survives power
+//!   loss.
 //! * [`Never`](FsyncPolicy::Never) — leave syncing to the OS. Still survives
-//!   process crashes; an unsynced tail may be lost on power failure.
+//!   process crashes (kill-9: the page cache outlives the process); an
+//!   unsynced tail may be lost on power failure, votes it held included.
 //!
 //! A torn append (power cut mid-write) leaves a partial final frame whose
 //! length or CRC check fails; recovery discards the torn tail and keeps the
-//! longest cleanly-framed prefix. Losing a *suffix* of the WAL is safe for
-//! the same reason losing the whole process is: the un-replayed votes were
-//! simply never sent, or are re-learned from peers.
+//! longest cleanly-framed prefix. Under `Always`, losing a *suffix* of the
+//! WAL is safe for the same reason losing the whole process is: the votes in
+//! it were never synced, so they were never sent either.
 //!
 //! Two interchangeable stores implement the seam: [`FileStore`] (real files,
 //! real `fsync`) and [`MemStore`] (the same byte-level framing in memory,
@@ -74,17 +81,12 @@ use seemore_crypto::Digest;
 use seemore_types::{Mode, SeqNum, View};
 use seemore_wire::{Checkpoint, Message};
 
-/// When the write-ahead log calls `fsync` (see the crate docs for the
-/// trade-offs).
+/// Whether the write-ahead log's syncs call `fdatasync` (see the crate docs
+/// for the trade-offs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Sync after every appended record.
+    /// Every sync reaches the disk.
     Always,
-    /// Group commit: sync after every `n` appended records.
-    Batch(
-        /// Records per sync group (clamped to at least 1).
-        u32,
-    ),
     /// Never sync explicitly; the OS writes back on its own schedule.
     Never,
 }
@@ -177,10 +179,22 @@ pub trait Durability: Send + Sync {
     /// other method is a no-op, letting cores skip snapshot/encode work.
     fn enabled(&self) -> bool;
 
-    /// Appends one record to the WAL, honouring the fsync policy. Must be
-    /// called **before** the corresponding message is handed to the
-    /// transport.
+    /// Appends one record to the WAL and syncs it, honouring the fsync
+    /// policy. Must be called **before** the corresponding message is
+    /// handed to the transport.
     fn append(&self, record: &WalRecord);
+
+    /// Appends one record without syncing it. The caller must call
+    /// [`sync`](Durability::sync) before the corresponding message is
+    /// handed to the transport. Defaults to [`append`](Durability::append).
+    fn append_unsynced(&self, record: &WalRecord) {
+        self.append(record);
+    }
+
+    /// Makes every record appended so far durable, honouring the fsync
+    /// policy; a no-op when nothing is unsynced. Defaults to a no-op, which
+    /// is right for a store whose `append_unsynced` syncs.
+    fn sync(&self) {}
 
     /// Durably replaces the checkpoint snapshot (atomic: a crash mid-write
     /// leaves the previous checkpoint intact).

@@ -12,7 +12,8 @@ use std::sync::Mutex;
 /// Tuning knobs shared by both store backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// When the WAL calls `fsync` (see the crate docs for the trade-offs).
+    /// Whether the WAL's syncs call `fdatasync` (see the crate docs for the
+    /// trade-offs).
     pub fsync: FsyncPolicy,
     /// Rotate to a fresh WAL segment once the active one reaches this many
     /// bytes (clamped to at least one frame's worth).
@@ -22,21 +23,13 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            fsync: FsyncPolicy::Batch(8),
+            fsync: FsyncPolicy::Always,
             segment_bytes: 1 << 20,
         }
     }
 }
 
 impl StoreConfig {
-    fn sync_every(&self) -> u32 {
-        match self.fsync {
-            FsyncPolicy::Always => 1,
-            FsyncPolicy::Batch(n) => n.max(1),
-            FsyncPolicy::Never => u32::MAX,
-        }
-    }
-
     fn segment_limit(&self) -> usize {
         self.segment_bytes.max(64)
     }
@@ -198,7 +191,8 @@ struct FileInner {
     active: File,
     active_index: u64,
     active_len: usize,
-    unsynced: u32,
+    /// Whether the active segment holds appends no sync has covered yet.
+    unsynced: bool,
     /// Segment files on disk, the active one included.
     segments: usize,
 }
@@ -234,7 +228,7 @@ impl FileStore {
                 active,
                 active_index: next,
                 active_len: 0,
-                unsynced: 0,
+                unsynced: false,
                 segments: existing.len() + 1,
             }),
         })
@@ -313,28 +307,38 @@ impl Durability for FileStore {
     }
 
     fn append(&self, record: &WalRecord) {
+        self.append_unsynced(record);
+        self.sync();
+    }
+
+    fn append_unsynced(&self, record: &WalRecord) {
         let mut bytes = Vec::new();
         frame::encode_record(record, &mut bytes);
         let mut inner = self.inner.lock().expect("store lock");
         if inner.active_len >= self.config.segment_limit() {
-            if self.config.fsync != FsyncPolicy::Never {
+            // The full segment's unsynced tail is synced here, so a later
+            // `sync` only has the new segment to cover.
+            if self.config.fsync == FsyncPolicy::Always {
                 inner.active.sync_data().expect("wal segment sync");
             }
             inner.active_index += 1;
             inner.active =
                 Self::create_segment(&self.dir, inner.active_index).expect("wal segment create");
             inner.active_len = 0;
-            inner.unsynced = 0;
             inner.segments += 1;
             self.sync_dir();
         }
         inner.active.write_all(&bytes).expect("wal append");
         inner.active_len += bytes.len();
-        inner.unsynced += 1;
-        if inner.unsynced >= self.config.sync_every() {
+        inner.unsynced = true;
+    }
+
+    fn sync(&self) {
+        let mut inner = self.inner.lock().expect("store lock");
+        if inner.unsynced && self.config.fsync == FsyncPolicy::Always {
             inner.active.sync_data().expect("wal sync");
-            inner.unsynced = 0;
         }
+        inner.unsynced = false;
     }
 
     fn persist_checkpoint(&self, checkpoint: &DurableCheckpoint) {
@@ -381,13 +385,15 @@ impl Durability for FileStore {
         }
         out.flush().expect("wal rewrite");
         drop(out);
-        if self.config.fsync != FsyncPolicy::Never {
+        // The rewrite read the unsynced appends back from the page cache and
+        // this sync covers them, along with everything else it kept.
+        if self.config.fsync == FsyncPolicy::Always {
             file.sync_data().expect("wal rewrite sync");
         }
         inner.active = file;
         inner.active_index = new_index;
         inner.active_len = kept;
-        inner.unsynced = 0;
+        inner.unsynced = false;
         inner.segments = 1;
         self.sync_dir();
         for index in old_indices {
@@ -649,6 +655,72 @@ mod tests {
         assert!(segments.len() > 1, "expected rotation, got {segments:?}");
         let state = store.recover().expect("recovers");
         assert_eq!(state.wal, (1..=30).map(vote).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn unsynced(store: &FileStore) -> bool {
+        store.inner.lock().expect("store lock").unsynced
+    }
+
+    #[test]
+    fn file_store_unsynced_appends_survive_a_reopen_once_synced() {
+        let dir = temp_dir("group");
+        {
+            let store = FileStore::open(&dir, StoreConfig::default()).expect("open");
+            store.append(&vote(1));
+            assert!(!unsynced(&store), "a plain append syncs");
+            for seq in 2..=6 {
+                store.append_unsynced(&vote(seq));
+            }
+            assert!(unsynced(&store));
+            store.sync();
+            assert!(!unsynced(&store));
+            store.append(&vote(7));
+        }
+        let store = FileStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(!state.torn_tail);
+        assert_eq!(state.wal, (1..=7).map(vote).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_loses_no_unsynced_record_across_rotation_or_compaction() {
+        let dir = temp_dir("group-rewrite");
+        let frame_len = {
+            let mut bytes = Vec::new();
+            frame::encode_record(&vote(1), &mut bytes);
+            bytes.len()
+        };
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Always,
+            segment_bytes: 4 * frame_len,
+        };
+        {
+            let store = FileStore::open(&dir, config).expect("open");
+            // One turn's appends spill over two rotations before its sync.
+            for seq in 1..=10 {
+                store.append_unsynced(&vote(seq));
+            }
+            assert_eq!(
+                FileStore::segment_indices(&dir).expect("list"),
+                vec![1, 2, 3]
+            );
+            store.sync();
+            // The next turn rewrites the WAL between its appends and its sync.
+            store.append_unsynced(&vote(11));
+            store.persist_checkpoint(&checkpoint(4));
+            store.compact_below(SeqNum(4));
+            assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![4]);
+            assert!(!unsynced(&store), "the rewrite's sync covered vote 11");
+            store.append_unsynced(&vote(12));
+            store.sync();
+        }
+        let store = FileStore::open(&dir, config).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(!state.torn_tail);
+        assert_eq!(state.checkpoint, Some(checkpoint(4)));
+        assert_eq!(state.wal, (5..=12).map(vote).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -11,7 +11,10 @@
 //!   rebuilt from the store on its own thread, and the telemetry rollup
 //!   shows the completed recovery;
 //! * a kill-9 torn WAL tail (the store's fault-injection hook) is repaired
-//!   at recovery and the replica still rejoins without a safety violation.
+//!   at recovery and the replica still rejoins without a safety violation;
+//! * a Lion cluster on the socket runtime with a file store per replica
+//!   (group commit: one sync per replica loop turn) restarts a replica from
+//!   its files, and the histories pass the safety oracle.
 
 use seemore::app::{KvOp, KvStore, NoopApp};
 use seemore::core::actions::{Action, Timer};
@@ -25,10 +28,11 @@ use seemore::core::{ReplicaMetrics, ReplicaProtocol};
 use seemore::crypto::KeyStore;
 use seemore::net::{CpuModel, LatencyModel};
 use seemore::runtime::scenario::{CrashRecover, DurabilityKind};
-use seemore::runtime::{ProtocolKind, RuntimeKind, Scenario};
-use seemore::store::{MemStore, StoreConfig};
+use seemore::runtime::{ProtocolKind, RuntimeKind, Scenario, SocketCluster};
+use seemore::store::{FileStore, MemStore, StoreConfig};
+use seemore::telemetry::{EventKind, RingRecorder, TraceEvent};
 use seemore::types::{
-    ClientId, ClusterConfig, Duration, Instant, Mode, NodeId, ReplicaId, SeqNum, View,
+    ClientId, ClusterConfig, Duration, Instant, Mode, NodeId, OpClass, ReplicaId, SeqNum, View,
 };
 use seemore::wire::{Checkpoint, Message};
 use std::collections::BTreeMap;
@@ -307,6 +311,112 @@ fn torn_wal_tail_is_repaired_and_the_replica_still_rejoins() {
         Some(max_slot),
         "the recovered replica must execute the post-recovery slots"
     );
+}
+
+#[test]
+fn socket_lion_on_file_stores_restarts_a_replica_from_its_files() {
+    // The replica loop's group commit on real files: every replica of a
+    // Lion cluster syncs its `FileStore` once per turn, one of them is
+    // crashed and rebuilt from what its files hold, and it must rejoin
+    // without contradicting anything it voted before the crash.
+    let dir = std::env::temp_dir().join(format!("seemore-recovery-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_of = |replica: ReplicaId| {
+        let path = dir.join(format!("replica-{}", replica.0));
+        Arc::new(FileStore::open(path, StoreConfig::default()).expect("open store dir"))
+    };
+    let cluster_config = ClusterConfig::minimal(1, 1).expect("valid cluster");
+    let keystore = KeyStore::generate(0xF11E, cluster_config.total_size(), 1);
+    let pconfig = ProtocolConfig::with_checkpoint_period(8);
+    let replica = |id: ReplicaId| {
+        SeeMoReReplica::new(
+            id,
+            cluster_config,
+            pconfig,
+            keystore.clone(),
+            Mode::Lion,
+            Box::new(KvStore::new()),
+        )
+    };
+    let cores: Vec<Box<dyn ReplicaProtocol>> = cluster_config
+        .replicas()
+        .map(|id| {
+            let mut core = replica(id);
+            core.set_store(store_of(id));
+            Box::new(core) as Box<dyn ReplicaProtocol>
+        })
+        .collect();
+    let victim = ReplicaId(cluster_config.total_size() - 1);
+    let client_id = ClientId(0);
+    let sockets = SocketCluster::spawn(cores, &[client_id]).expect("bind loopback");
+    let mut client = ClientCore::new(
+        client_id,
+        cluster_config,
+        keystore.clone(),
+        Mode::Lion,
+        Duration::from_millis(500),
+    );
+    let mut outcomes = Vec::new();
+    let mut phase = |client: ClientCore, tag: &str, count: usize| {
+        let (client, completed) =
+            sockets.run_client(client, count, Duration::from_millis(500), |i| {
+                let op = KvOp::Put {
+                    key: format!("key-{}", i % 5).into_bytes(),
+                    value: format!("{tag}-{i}").into_bytes(),
+                };
+                (op.encode(), OpClass::Write)
+            });
+        assert_eq!(completed.len(), count, "{tag}: every request completes");
+        outcomes.extend(completed);
+        client
+    };
+
+    client = phase(client, "pre", 20);
+    sockets.crash(victim);
+    client = phase(client, "missed", 20);
+    // The crashed core made no appends since the crash, so opening its
+    // directory again sees everything it ever synced.
+    let ring = Arc::new(RingRecorder::new(1 << 12));
+    let mut recovered = SeeMoReReplica::recover(
+        victim,
+        cluster_config,
+        pconfig,
+        keystore.clone(),
+        Mode::Lion,
+        Box::new(KvStore::new()),
+        store_of(victim),
+    );
+    recovered.set_recorder(ring.clone());
+    sockets.recover(victim, Box::new(recovered));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut events: Vec<TraceEvent> = Vec::new();
+    while !events
+        .iter()
+        .any(|e| e.kind == EventKind::RecoveryCompleted)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the restarted replica never completed its rejoin"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        events.extend(ring.drain());
+    }
+    phase(client, "post", 20);
+    // Let the last commit notifications land before the histories are read.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    let cores = sockets.shutdown();
+    let histories: Vec<History> = cores.iter().map(|c| (c.id(), c.executed())).collect();
+    assert_eq!(check::safety(&histories, &outcomes), Ok(()), "lion-file");
+    let victim_max = cores
+        .iter()
+        .find(|core| core.id() == victim)
+        .and_then(|core| core.executed().iter().map(|e| e.seq).max());
+    assert!(
+        victim_max > Some(SeqNum(40)),
+        "the restarted replica executed nothing after its rejoin: {victim_max:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A replica core whose outgoing `CHECKPOINT` announcements are copied into a
