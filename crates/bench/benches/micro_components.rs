@@ -125,9 +125,12 @@ fn main() {
         println!("batch_digest/{batch_size:>3} reqs     : {ns:>9.0} ns/op");
     }
 
-    let ns = time_op("kvstore/put_get_1k_keys", || {
+    // One op: a new store takes `keys` puts of 64 B values, then a get of
+    // each key. At 40 000 keys the buckets hold ~2.4 keys each, the load of
+    // the benchmark's `kv_large_state` prefill.
+    let put_get = |keys: u32| {
         let mut store = KvStore::new();
-        for i in 0..1_000u32 {
+        for i in 0..keys {
             store.execute(
                 &KvOp::Put {
                     key: format!("key-{i}").into_bytes(),
@@ -136,7 +139,7 @@ fn main() {
                 .encode(),
             );
         }
-        for i in 0..1_000u32 {
+        for i in 0..keys {
             store.execute(
                 &KvOp::Get {
                     key: format!("key-{i}").into_bytes(),
@@ -144,8 +147,11 @@ fn main() {
                 .encode(),
             );
         }
-    });
+    };
+    let ns = time_op("kvstore/put_get_1k_keys", || put_get(1_000));
     println!("kvstore/put_get_1k_keys   : {ns:>9.0} ns/op");
+    let ns = time_op("kvstore/put_get_40k_keys", || put_get(40_000));
+    println!("kvstore/put_get_40k_keys  : {ns:>9.0} ns/op");
 
     let mut store = KvStore::new();
     for i in 0..1_000u32 {
