@@ -19,30 +19,26 @@
 use crate::config::BaselineConfig;
 use seemore_app::StateMachine;
 use seemore_core::actions::{Action, Timer};
-use seemore_core::chassis::{Inbound, ReplicaChassis, SigningContext};
+use seemore_core::chassis::{
+    noop_request, Duties, Inbound, ReplicaChassis, SigningContext, NOOP_CLIENT,
+};
 use seemore_core::checkpoint::StabilityRule;
 use seemore_core::config::ProtocolConfig;
 use seemore_core::exec::ExecutedEntry;
 use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
-use seemore_core::reads::ParkedReads;
+use seemore_core::reads::ReadRule;
 use seemore_crypto::{Digest, KeyStore, Signature};
 use seemore_store::{Durability, WalRecord};
 use seemore_telemetry::{EventKind, Recorder};
-use seemore_types::{
-    ClientId, Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View,
-};
+use seemore_types::{Instant, Mode, NodeId, ReplicaId, SeqNum, View};
 use seemore_wire::{
-    Batch, Checkpoint, ClientReply, ClientRequest, Commit, Message, NewView, PbftPrepare,
-    PrePrepare, PrepareCert, ReadReply, ReadRequest, Recovery, StateRequest, StateResponse,
-    ViewChange,
+    Batch, Checkpoint, ClientRequest, Commit, Message, NewView, PbftPrepare, PrePrepare,
+    PrepareCert, Recovery, StateRequest, StateResponse, ViewChange,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// The pseudo-client used for no-op gap fillers during view changes.
-const NOOP_CLIENT: ClientId = ClientId(u64::MAX);
 
 /// A PBFT-style replica, parameterized by a [`BaselineConfig`].
 pub struct BftReplica {
@@ -57,20 +53,6 @@ pub struct BftReplica {
     target_view: View,
     view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
     new_view_sent: Vec<View>,
-    /// View in which each progress timer was armed (stale timers re-arm
-    /// instead of deposing a freshly installed primary).
-    progress_armed: HashMap<SeqNum, View>,
-    /// View in which each forwarded-request timer was armed.
-    forwarded_armed: HashMap<RequestId, View>,
-    /// Highest slot this replica has *prepared* (2f+1 matching prepare
-    /// votes). Reads are fenced at this frontier: an acknowledged write's
-    /// commit quorum contains at least f+1 honest prepared replicas, so
-    /// once every prepared slot is executed locally at most f honest
-    /// replicas can still answer with the pre-write value — not enough,
-    /// with f Byzantine ones, for a 2f+1 matching stale quorum.
-    highest_prepared: SeqNum,
-    /// Fast-path reads parked until the prepared frontier is executed.
-    parked_reads: ParkedReads,
     /// `STATE-RESPONSE`s collected while rejoining or catching up; the
     /// snapshot is adopted only once `f + 1` distinct replicas vouch for the
     /// same checkpoint digest, so at least one honest replica stands behind
@@ -111,10 +93,6 @@ impl BftReplica {
             target_view: View::ZERO,
             view_changes: BTreeMap::new(),
             new_view_sent: Vec::new(),
-            progress_armed: HashMap::new(),
-            forwarded_armed: HashMap::new(),
-            highest_prepared: SeqNum(0),
-            parked_reads: ParkedReads::new(),
             recovery_responses: Vec::new(),
             catching_up: false,
         }
@@ -181,7 +159,7 @@ impl BftReplica {
                 let instance = self.chassis.log.instance_mut(c.seq);
                 instance.prepared = true;
                 instance.record_commit(c.replica, c.digest);
-                self.highest_prepared = self.highest_prepared.max(c.seq);
+                self.chassis.reads.note_prepared(c.seq);
             }
             WalRecord::Vote(Message::Checkpoint(cp)) => {
                 if self.chassis.checkpoints.record(cp, false) {
@@ -208,182 +186,27 @@ impl BftReplica {
         self.primary() == self.chassis.id
     }
 
+    /// Executes what is ready. In PBFT every replica replies (the client
+    /// waits for `f + 1` matching replies) and announces checkpoints.
     fn execute_ready(&mut self, actions: &mut Vec<Action>) {
-        let executions = self.chassis.exec.execute_ready();
-        for execution in executions {
-            self.chassis.metrics.executed += 1;
-            self.chassis.trace(
-                EventKind::Executed,
-                Some(execution.seq),
-                Some(execution.request.id()),
-                0,
-            );
-            actions.push(Action::Executed {
-                seq: execution.seq,
-                request: execution.request.id(),
-            });
-            actions.push(Action::CancelTimer {
-                timer: Timer::RequestProgress { seq: execution.seq },
-            });
-            actions.push(Action::CancelTimer {
-                timer: Timer::ForwardedRequest {
-                    request: execution.request.id(),
-                },
-            });
-            self.forwarded_armed.remove(&execution.request.id());
-            if execution.request.client != NOOP_CLIENT {
-                self.chassis.trace(
-                    EventKind::Replied,
-                    Some(execution.seq),
-                    Some(execution.request.id()),
-                    0,
-                );
-                // In PBFT every replica replies; the client waits for f+1
-                // matching replies.
-                let reply = ClientReply::new_with(
-                    &mut self.signing.scratch,
-                    &self.signing.signer,
-                    Mode::Peacock,
-                    self.chassis.view,
-                    execution.request.id(),
-                    self.chassis.id,
-                    execution.result,
-                );
-                self.chassis.send(
-                    actions,
-                    NodeId::Client(execution.request.client),
-                    Message::Reply(reply),
-                );
-            }
-        }
-        self.maybe_checkpoint(actions);
-        self.serve_parked_reads(actions);
-    }
-
-    fn maybe_checkpoint(&mut self, actions: &mut Vec<Action>) {
-        let executed = self.chassis.exec.last_executed();
-        if !self.chassis.checkpoints.should_checkpoint(executed) {
-            return;
-        }
-        let mut checkpoint = Checkpoint {
-            seq: executed,
-            state_digest: self.chassis.exec.state_digest(),
-            replica: self.chassis.id,
-            signature: Signature::INVALID,
+        let duties = Duties {
+            reply: true,
+            announce: true,
+            reads: self.read_rule(),
+            settle_when_idle: true,
         };
-        checkpoint.signature = self.signing.sign(&checkpoint);
-        if self.chassis.checkpoints.record(checkpoint.clone(), false) {
-            self.chassis.metrics.stable_checkpoints += 1;
-            self.after_stable_checkpoint();
-        }
         self.chassis
-            .broadcast(actions, Message::Checkpoint(checkpoint));
+            .execute_ready(actions, duties, Some(&mut self.signing));
     }
 
-    /// Stable-checkpoint housekeeping: the chassis truncates the log,
-    /// snapshots and compacts; the progress-timer map is this protocol's
-    /// own.
-    fn after_stable_checkpoint(&mut self) {
-        let stable = self.chassis.after_stable_checkpoint();
-        self.progress_armed.retain(|seq, _| *seq > stable);
-    }
-
-    // --------------------------------------------------------------
-    // Read-only fast path (PBFT quorum reads)
-    // --------------------------------------------------------------
-
-    /// Handles a `READ-REQUEST`: every replica answers from its executed
-    /// state (the classic PBFT read-only optimization); the client accepts
-    /// only `2f + 1` matching replies, whose intersection with every
-    /// committed write's quorum contains an honest replica that had already
-    /// executed the write. A view change refuses instead, redirecting the
-    /// client to the ordered path.
-    fn on_read_request(&mut self, read: ReadRequest, _now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if !self
-            .signing
-            .verify(NodeId::Client(read.client), &read, &read.signature)
-        {
-            self.chassis.metrics.rejected_messages += 1;
-            return actions;
-        }
+    /// PBFT's read-only optimization: every replica answers from its
+    /// executed state behind its prepared fence, and the client needs
+    /// `2f + 1` matching replies. A view change refuses instead.
+    fn read_rule(&self) -> ReadRule {
         if self.in_view_change {
-            self.refuse_read(&mut actions, &read);
-            return actions;
-        }
-        // Prepared fence (see the field docs): answer only once every slot
-        // this replica has prepared is executed, otherwise honest laggards
-        // could complete a matching-but-stale 2f+1 read quorum against a
-        // write that was acknowledged with only f+1 replies.
-        let fence = self.highest_prepared;
-        if self.chassis.exec.last_executed() >= fence {
-            self.serve_read(&mut actions, &read);
+            ReadRule::Refuse
         } else {
-            self.parked_reads.park(fence, read);
-        }
-        actions
-    }
-
-    fn serve_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        match self.chassis.exec.read(&read.operation) {
-            Some(result) => {
-                self.chassis.metrics.reads_served += 1;
-                self.chassis
-                    .trace(EventKind::Executed, None, Some(read.id()), 0);
-                self.chassis
-                    .trace(EventKind::Replied, None, Some(read.id()), 0);
-                let reply = ReadReply::new_with(
-                    &mut self.signing.scratch,
-                    &self.signing.signer,
-                    Mode::Peacock,
-                    self.chassis.view,
-                    read.id(),
-                    self.chassis.id,
-                    self.chassis.exec.last_executed(),
-                    result,
-                );
-                self.chassis.send(
-                    actions,
-                    NodeId::Client(read.client),
-                    Message::ReadReply(reply),
-                );
-            }
-            None => self.refuse_read(actions, read),
-        }
-    }
-
-    fn refuse_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        self.chassis.metrics.reads_refused += 1;
-        self.chassis
-            .trace(EventKind::ReadRefused, None, Some(read.id()), 0);
-        let reply = ReadReply::refusal_with(
-            &mut self.signing.scratch,
-            &self.signing.signer,
-            Mode::Peacock,
-            self.chassis.view,
-            read.id(),
-            self.chassis.id,
-            self.chassis.exec.last_executed(),
-        );
-        self.chassis.send(
-            actions,
-            NodeId::Client(read.client),
-            Message::ReadReply(reply),
-        );
-    }
-
-    fn serve_parked_reads(&mut self, actions: &mut Vec<Action>) {
-        for read in self
-            .parked_reads
-            .take_ready(self.chassis.exec.last_executed())
-        {
-            self.serve_read(actions, &read);
-        }
-    }
-
-    fn refuse_parked_reads(&mut self, actions: &mut Vec<Action>) {
-        for read in self.parked_reads.drain() {
-            self.refuse_read(actions, &read);
+            ReadRule::Prepared
         }
     }
 
@@ -400,50 +223,19 @@ impl BftReplica {
             self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
-        if let Some(result) = self
+        if self
             .chassis
-            .exec
-            .cached_reply(request.client, request.timestamp)
-            .cloned()
+            .reply_from_cache(&mut actions, &request, Some(&mut self.signing))
+            || self.in_view_change
         {
-            let reply = ClientReply::new_with(
-                &mut self.signing.scratch,
-                &self.signing.signer,
-                Mode::Peacock,
-                self.chassis.view,
-                request.id(),
-                self.chassis.id,
-                result,
-            );
-            self.chassis.send(
-                &mut actions,
-                NodeId::Client(request.client),
-                Message::Reply(reply),
-            );
-            return actions;
-        }
-        if self.in_view_change {
             return actions;
         }
         if self.is_primary() {
             self.buffer_or_propose(&mut actions, request, now);
         } else {
             let primary = self.primary();
-            let id = request.id();
-            self.chassis.send(
-                &mut actions,
-                NodeId::Replica(primary),
-                Message::Request(request),
-            );
-            // Only the first forwarding of a request arms the suspicion
-            // timer; client retransmissions must not keep resetting it.
-            if !self.forwarded_armed.contains_key(&id) {
-                self.forwarded_armed.insert(id, self.chassis.view);
-                actions.push(Action::SetTimer {
-                    timer: Timer::ForwardedRequest { request: id },
-                    after: self.chassis.pconfig.request_timeout,
-                });
-            }
+            self.chassis
+                .forward_request(&mut actions, primary, request, true);
         }
         actions
     }
@@ -545,7 +337,7 @@ impl BftReplica {
         vote.signature = self.signing.sign(&vote);
         self.chassis
             .broadcast(&mut actions, Message::PbftPrepare(vote));
-        self.progress_armed.insert(seq, self.chassis.view);
+        self.chassis.progress_armed.insert(seq, self.chassis.view);
         actions.push(Action::SetTimer {
             timer: Timer::RequestProgress { seq },
             after: self.chassis.pconfig.request_timeout,
@@ -594,7 +386,7 @@ impl BftReplica {
         instance.prepared = true;
         instance.record_commit(self.chassis.id, digest);
         // Advance the prepared frontier fencing this replica's reads.
-        self.highest_prepared = self.highest_prepared.max(seq);
+        self.chassis.reads.note_prepared(seq);
         let mut commit = Commit {
             view: self.chassis.view,
             seq,
@@ -675,7 +467,7 @@ impl BftReplica {
         let seq = checkpoint.seq;
         if self.chassis.checkpoints.record(checkpoint, false) {
             self.chassis.metrics.stable_checkpoints += 1;
-            self.after_stable_checkpoint();
+            self.chassis.after_stable_checkpoint();
             // Fallen behind the stable checkpoint (e.g. an instance proposed
             // while this replica was down can never be re-learned from the
             // vote traffic): ask the whole group for state and adopt the
@@ -784,7 +576,7 @@ impl BftReplica {
             .expect("agreement group is non-empty");
         if let (Some(snapshot), Some(cp)) = (&best.snapshot, &best.checkpoint) {
             if self.chassis.adopt_snapshot(snapshot, Some(cp)) {
-                self.after_stable_checkpoint();
+                self.chassis.after_stable_checkpoint();
             }
         }
         for response in &agreed {
@@ -838,7 +630,8 @@ impl BftReplica {
         self.chassis.metrics.view_changes_started += 1;
         self.chassis
             .trace(EventKind::ViewChangeStart, None, None, target.0);
-        self.refuse_parked_reads(&mut actions);
+        self.chassis
+            .refuse_parked_reads(&mut actions, Some(&mut self.signing));
 
         let stable = self.chassis.checkpoints.stable_seq();
         let mut prepares = Vec::new();
@@ -979,12 +772,7 @@ impl BftReplica {
             if let Some(cert) = prepared {
                 prepares_out.push(cert.clone());
             } else {
-                let batch = Batch::single(ClientRequest {
-                    client: NOOP_CLIENT,
-                    timestamp: Timestamp(seq.0),
-                    operation: Vec::new(),
-                    signature: Signature::INVALID,
-                });
+                let batch = Batch::single(noop_request(seq));
                 prepares_out.push(PrepareCert {
                     view: self.chassis.view,
                     seq,
@@ -1042,7 +830,8 @@ impl BftReplica {
         self.chassis.metrics.view_changes_completed += 1;
         self.chassis
             .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
-        self.refuse_parked_reads(actions);
+        self.chassis
+            .refuse_parked_reads(actions, Some(&mut self.signing));
         self.chassis.assigned.clear();
         self.view_changes.retain(|view, _| *view > new_view.view);
         self.chassis.log.reset_votes_for_new_view();
@@ -1052,7 +841,7 @@ impl BftReplica {
                 self.chassis
                     .checkpoints
                     .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                self.after_stable_checkpoint();
+                self.chassis.after_stable_checkpoint();
             }
         }
         let mut highest = self
@@ -1179,7 +968,11 @@ impl ReplicaProtocol for BftReplica {
         };
         let actions = match message {
             Message::Request(request) => self.on_request(request, now),
-            Message::ReadRequest(read) => self.on_read_request(read, now),
+            Message::ReadRequest(read) => {
+                let rule = self.read_rule();
+                self.chassis
+                    .on_read_request(read, rule, Some(&mut self.signing))
+            }
             Message::PrePrepare(preprepare) => self.on_pre_prepare(from, preprepare),
             Message::PbftPrepare(vote) => self.on_pbft_prepare(from, vote),
             Message::Commit(commit) => self.on_commit(from, commit),
@@ -1212,11 +1005,16 @@ impl ReplicaProtocol for BftReplica {
                 if committed || self.in_view_change {
                     return Vec::new();
                 }
-                let armed = self.progress_armed.get(&seq).copied().unwrap_or(View::ZERO);
+                let armed = self
+                    .chassis
+                    .progress_armed
+                    .get(&seq)
+                    .copied()
+                    .unwrap_or(View::ZERO);
                 if armed < self.chassis.view {
                     // A newer view was installed since this timer was armed;
                     // give the new primary a full timeout first.
-                    self.progress_armed.insert(seq, self.chassis.view);
+                    self.chassis.progress_armed.insert(seq, self.chassis.view);
                     return vec![Action::SetTimer {
                         timer: Timer::RequestProgress { seq },
                         after: self.chassis.pconfig.request_timeout,
@@ -1235,12 +1033,15 @@ impl ReplicaProtocol for BftReplica {
                     return Vec::new();
                 }
                 let armed = self
+                    .chassis
                     .forwarded_armed
                     .get(&request)
                     .copied()
                     .unwrap_or(View::ZERO);
                 if armed < self.chassis.view {
-                    self.forwarded_armed.insert(request, self.chassis.view);
+                    self.chassis
+                        .forwarded_armed
+                        .insert(request, self.chassis.view);
                     return vec![Action::SetTimer {
                         timer: Timer::ForwardedRequest { request },
                         after: self.chassis.pconfig.request_timeout,
@@ -1303,7 +1104,7 @@ mod tests {
     use seemore_core::byzantine::{ByzantineBehavior, ByzantineReplica};
     use seemore_core::check::{self, History};
     use seemore_core::testkit::SyncCluster;
-    use seemore_types::Duration;
+    use seemore_types::{ClientId, Duration};
 
     const LIMIT: u64 = 200_000;
 
@@ -1379,6 +1180,130 @@ mod tests {
         for replica in config.replicas() {
             assert_eq!(cluster.replica(replica).executed().len(), 1);
         }
+    }
+
+    /// PBFT's read-only optimization is fenced at the prepared frontier: a
+    /// replica must not answer while a slot it has prepared is unexecuted,
+    /// because the write may already be acknowledged (`f + 1` matching
+    /// replies) and its stale answer could complete a matching-but-stale
+    /// `2f + 1` read quorum with `f` Byzantine replicas. The same schedule
+    /// as the SeeMoRe core's Peacock test.
+    #[test]
+    fn bft_reads_park_behind_prepared_but_uncommitted_slots() {
+        use seemore_app::{KvOp, KvResult};
+        use seemore_types::Timestamp;
+        use seemore_wire::{ReadRequest, SignedPayload};
+
+        let config = BaselineConfig::bft(1);
+        let keystore = KeyStore::generate(24, config.network_size, 1);
+        // r0 is the view-0 primary; r1 is the backup under test.
+        let mut replica = BftReplica::new(
+            ReplicaId(1),
+            config,
+            ProtocolConfig::default(),
+            keystore.clone(),
+            Box::new(KvStore::new()),
+        );
+        let now = Instant::ZERO;
+        let signer = |node| keystore.signer_for(node).unwrap();
+        let client = signer(NodeId::Client(ClientId(0)));
+
+        // The primary's PRE-PREPARE for slot 1 counts as its prepare vote,
+        // and the backup adds its own.
+        let put = KvOp::Put {
+            key: b"x".to_vec(),
+            value: b"new".to_vec(),
+        };
+        let batch = Batch::single(ClientRequest::new(
+            ClientId(0),
+            Timestamp(1),
+            put.encode(),
+            &client,
+        ));
+        let digest = batch.digest();
+        let mut preprepare = PrePrepare {
+            view: View::ZERO,
+            seq: SeqNum(1),
+            digest,
+            batch,
+            signature: Signature::INVALID,
+        };
+        preprepare.signature =
+            signer(NodeId::Replica(ReplicaId(0))).sign(&preprepare.signing_bytes());
+        replica.on_message(
+            NodeId::Replica(ReplicaId(0)),
+            Message::PrePrepare(preprepare),
+            now,
+        );
+
+        // A third prepare vote reaches 2f + 1: the slot is *prepared*, and
+        // the backup's own commit vote is in, but the slot has not committed.
+        let mut vote = PbftPrepare {
+            view: View::ZERO,
+            seq: SeqNum(1),
+            digest,
+            replica: ReplicaId(2),
+            signature: Signature::INVALID,
+        };
+        vote.signature = signer(NodeId::Replica(ReplicaId(2))).sign(&vote.signing_bytes());
+        replica.on_message(
+            NodeId::Replica(ReplicaId(2)),
+            Message::PbftPrepare(vote),
+            now,
+        );
+        assert!(replica.executed().is_empty(), "slot 1 must not execute yet");
+
+        // A read arriving now parks instead of answering.
+        let get = KvOp::Get { key: b"x".to_vec() }.encode();
+        let read = ReadRequest::new(ClientId(0), Timestamp(2), get, &client);
+        let actions =
+            replica.on_message(NodeId::Client(ClientId(0)), Message::ReadRequest(read), now);
+        assert!(
+            actions.iter().all(|a| !a.is_send()),
+            "a read behind the prepared frontier must park, got {actions:?}"
+        );
+        assert_eq!(replica.metrics().reads_served, 0);
+        assert_eq!(replica.metrics().reads_refused, 0);
+
+        // Two more commit votes reach 2f + 1: slot 1 executes and the parked
+        // read is served, with the committed value.
+        let mut served = None;
+        for voter in [2, 3] {
+            let mut commit = Commit {
+                view: View::ZERO,
+                seq: SeqNum(1),
+                digest,
+                replica: ReplicaId(voter),
+                batch: None,
+                signature: Signature::INVALID,
+            };
+            commit.signature =
+                signer(NodeId::Replica(ReplicaId(voter))).sign(&commit.signing_bytes());
+            let actions = replica.on_message(
+                NodeId::Replica(ReplicaId(voter)),
+                Message::Commit(commit),
+                now,
+            );
+            served = served.or(actions.into_iter().find_map(|a| match a {
+                Action::Send {
+                    message: Message::ReadReply(reply),
+                    ..
+                } => Some(reply),
+                _ => None,
+            }));
+        }
+        assert_eq!(replica.executed().len(), 1);
+        assert_eq!(
+            replica.metrics().reads_served,
+            1,
+            "the parked read is served"
+        );
+        let reply = served.expect("the served read's reply");
+        assert!(!reply.refused);
+        assert_eq!(
+            KvResult::decode(&reply.result),
+            Some(KvResult::Value(b"new".to_vec()))
+        );
     }
 
     #[test]

@@ -18,28 +18,24 @@
 use crate::config::BaselineConfig;
 use seemore_app::StateMachine;
 use seemore_core::actions::{Action, Timer};
-use seemore_core::chassis::{Inbound, ReplicaChassis};
+use seemore_core::chassis::{noop_request, Duties, Inbound, ReplicaChassis};
 use seemore_core::checkpoint::StabilityRule;
 use seemore_core::config::ProtocolConfig;
 use seemore_core::exec::ExecutedEntry;
 use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
-use seemore_core::reads::ParkedReads;
+use seemore_core::reads::ReadRule;
 use seemore_crypto::{Digest, Signature};
 use seemore_store::{Durability, WalRecord};
 use seemore_telemetry::{EventKind, Recorder};
-use seemore_types::{Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, Timestamp, View};
+use seemore_types::{Instant, Mode, NodeId, ReplicaId, SeqNum, View};
 use seemore_wire::{
-    Accept, Batch, Checkpoint, ClientReply, ClientRequest, Commit, CommitCert, Message, NewView,
-    Prepare, PrepareCert, ReadReply, ReadRequest, Recovery, StateRequest, StateResponse,
-    ViewChange,
+    Accept, Batch, Checkpoint, ClientRequest, Commit, CommitCert, Message, NewView, Prepare,
+    PrepareCert, Recovery, StateRequest, StateResponse, ViewChange,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// The pseudo-client used for no-op gap fillers during view changes.
-const NOOP_CLIENT: seemore_types::ClientId = seemore_types::ClientId(u64::MAX);
 
 /// A crash fault-tolerant (Paxos-style) replica.
 pub struct CftReplica {
@@ -53,19 +49,6 @@ pub struct CftReplica {
     target_view: View,
     view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
     new_view_sent: Vec<View>,
-    /// Requests whose suspicion timer is already armed (re-forwarded client
-    /// retransmissions must not reset it).
-    forwarded_watch: std::collections::HashSet<RequestId>,
-    /// Until when this leader may serve reads locally: extended to
-    /// `propose_time + τ` whenever an accept quorum commits a slot — the
-    /// same propose-time-anchored commit-index lease rule as SeeMoRe's
-    /// trusted-primary modes (anchoring at evidence *arrival* would let a
-    /// delayed ACCEPT revive a deposed leader's lease).
-    read_lease_until: Instant,
-    /// When each in-flight slot was proposed (the lease anchors).
-    proposed_at: HashMap<SeqNum, Instant>,
-    /// Reads waiting for the commit index to reach their fence.
-    parked_reads: ParkedReads,
 }
 
 impl CftReplica {
@@ -91,10 +74,6 @@ impl CftReplica {
             target_view: View::ZERO,
             view_changes: BTreeMap::new(),
             new_view_sent: Vec::new(),
-            forwarded_watch: std::collections::HashSet::new(),
-            read_lease_until: Instant::ZERO + pconfig.request_timeout,
-            proposed_at: HashMap::new(),
-            parked_reads: ParkedReads::new(),
         }
     }
 
@@ -179,188 +158,28 @@ impl CftReplica {
         self.primary() == self.chassis.id
     }
 
-    fn make_reply(&self, request: &ClientRequest, result: Vec<u8>) -> ClientReply {
-        // Crash-only deployments do not sign replies (the paper's CFT line
-        // pays no cryptography cost).
-        ClientReply {
-            mode: Mode::Lion,
-            view: self.chassis.view,
-            request: request.id(),
-            replica: self.chassis.id,
-            result,
-            signature: Signature::INVALID,
-        }
-    }
-
-    // --------------------------------------------------------------
-    // Read-only fast path (leader reads)
-    // --------------------------------------------------------------
-
-    /// Handles a `READ-REQUEST`: the lease-holding leader serves it from
-    /// executed state behind the commit-index fence; everyone else refuses
-    /// so the client falls back to the ordered path. Crash-only deployments
-    /// neither sign nor verify read traffic, mirroring the write path.
-    fn on_read_request(&mut self, read: ReadRequest, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if !self.is_primary() || self.in_view_change || now >= self.read_lease_until {
-            self.refuse_read(&mut actions, &read);
-            return actions;
-        }
-        let fence = SeqNum(
-            self.chassis
-                .next_seq
-                .0
-                .max(self.chassis.exec.last_executed().0),
-        );
-        if self.chassis.exec.last_executed() >= fence {
-            self.serve_read(&mut actions, &read);
+    /// The leader serves reads under the same propose-time-anchored lease as
+    /// SeeMoRe's trusted primary, fenced at its proposal frontier; everyone
+    /// else, and everyone during a view change, refuses.
+    fn read_rule(&self, now: Instant) -> ReadRule {
+        if self.is_primary() && !self.in_view_change {
+            ReadRule::Leased(now)
         } else {
-            self.parked_reads.park(fence, read);
-        }
-        actions
-    }
-
-    fn serve_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        match self.chassis.exec.read(&read.operation) {
-            Some(result) => {
-                self.chassis.metrics.reads_served += 1;
-                self.chassis
-                    .trace(EventKind::Executed, None, Some(read.id()), 0);
-                self.chassis
-                    .trace(EventKind::Replied, None, Some(read.id()), 0);
-                let reply = ReadReply {
-                    mode: Mode::Lion,
-                    view: self.chassis.view,
-                    request: read.id(),
-                    replica: self.chassis.id,
-                    last_executed: self.chassis.exec.last_executed(),
-                    refused: false,
-                    result,
-                    signature: Signature::INVALID,
-                };
-                self.chassis.send(
-                    actions,
-                    NodeId::Client(read.client),
-                    Message::ReadReply(reply),
-                );
-            }
-            None => self.refuse_read(actions, read),
+            ReadRule::Refuse
         }
     }
 
-    fn refuse_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        self.chassis.metrics.reads_refused += 1;
-        self.chassis
-            .trace(EventKind::ReadRefused, None, Some(read.id()), 0);
-        let reply = ReadReply {
-            mode: Mode::Lion,
-            view: self.chassis.view,
-            request: read.id(),
-            replica: self.chassis.id,
-            last_executed: self.chassis.exec.last_executed(),
-            refused: true,
-            result: Vec::new(),
-            signature: Signature::INVALID,
-        };
-        self.chassis.send(
-            actions,
-            NodeId::Client(read.client),
-            Message::ReadReply(reply),
-        );
-    }
-
-    /// The admission-time lease check is re-validated at serve time: the
-    /// commit evidence that advanced execution may have been delayed past
-    /// the lease the read was parked under.
-    fn serve_parked_reads(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        if self.parked_reads.is_empty() {
-            return;
-        }
-        if !self.is_primary() || self.in_view_change || now >= self.read_lease_until {
-            self.refuse_parked_reads(actions);
-            return;
-        }
-        for read in self
-            .parked_reads
-            .take_ready(self.chassis.exec.last_executed())
-        {
-            self.serve_read(actions, &read);
-        }
-    }
-
-    fn refuse_parked_reads(&mut self, actions: &mut Vec<Action>) {
-        for read in self.parked_reads.drain() {
-            self.refuse_read(actions, &read);
-        }
-    }
-
+    /// Executes what is ready. The leader replies and announces checkpoints;
+    /// crash-only deployments sign neither (the paper's CFT line pays no
+    /// cryptography cost).
     fn execute_ready(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        let should_reply = self.is_primary();
-        let executions = self.chassis.exec.execute_ready();
-        for execution in executions {
-            self.chassis.metrics.executed += 1;
-            self.chassis.trace(
-                EventKind::Executed,
-                Some(execution.seq),
-                Some(execution.request.id()),
-                0,
-            );
-            actions.push(Action::Executed {
-                seq: execution.seq,
-                request: execution.request.id(),
-            });
-            actions.push(Action::CancelTimer {
-                timer: Timer::RequestProgress { seq: execution.seq },
-            });
-            actions.push(Action::CancelTimer {
-                timer: Timer::ForwardedRequest {
-                    request: execution.request.id(),
-                },
-            });
-            self.forwarded_watch.remove(&execution.request.id());
-            if should_reply && execution.request.client != NOOP_CLIENT {
-                self.chassis.trace(
-                    EventKind::Replied,
-                    Some(execution.seq),
-                    Some(execution.request.id()),
-                    0,
-                );
-                let reply = self.make_reply(&execution.request, execution.result);
-                self.chassis.send(
-                    actions,
-                    NodeId::Client(execution.request.client),
-                    Message::Reply(reply),
-                );
-            }
-        }
-        self.maybe_checkpoint(actions);
-        self.serve_parked_reads(actions, now);
-    }
-
-    fn maybe_checkpoint(&mut self, actions: &mut Vec<Action>) {
-        let executed = self.chassis.exec.last_executed();
-        if !self.chassis.checkpoints.should_checkpoint(executed) || !self.is_primary() {
-            return;
-        }
-        let checkpoint = Checkpoint {
-            seq: executed,
-            state_digest: self.chassis.exec.state_digest(),
-            replica: self.chassis.id,
-            signature: Signature::INVALID,
+        let duties = Duties {
+            reply: self.is_primary(),
+            announce: self.is_primary(),
+            reads: self.read_rule(now),
+            settle_when_idle: true,
         };
-        if self.chassis.checkpoints.record(checkpoint.clone(), true) {
-            self.chassis.metrics.stable_checkpoints += 1;
-            self.after_stable_checkpoint();
-        }
-        self.chassis
-            .broadcast(actions, Message::Checkpoint(checkpoint));
-    }
-
-    /// Stable-checkpoint housekeeping: the chassis truncates the log,
-    /// snapshots and compacts; the lease anchors are this protocol's own.
-    fn after_stable_checkpoint(&mut self) {
-        let stable = self.chassis.after_stable_checkpoint();
-        self.proposed_at.retain(|seq, _| *seq > stable);
+        self.chassis.execute_ready(actions, duties, None);
     }
 
     // --------------------------------------------------------------
@@ -369,39 +188,15 @@ impl CftReplica {
 
     fn on_request(&mut self, request: ClientRequest, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if let Some(result) = self
-            .chassis
-            .exec
-            .cached_reply(request.client, request.timestamp)
-            .cloned()
-        {
-            let reply = self.make_reply(&request, result);
-            self.chassis.send(
-                &mut actions,
-                NodeId::Client(request.client),
-                Message::Reply(reply),
-            );
-            return actions;
-        }
-        if self.in_view_change {
+        if self.chassis.reply_from_cache(&mut actions, &request, None) || self.in_view_change {
             return actions;
         }
         if self.is_primary() {
             self.buffer_or_propose(&mut actions, request, now);
         } else {
             let primary = self.primary();
-            let id = request.id();
-            self.chassis.send(
-                &mut actions,
-                NodeId::Replica(primary),
-                Message::Request(request),
-            );
-            if self.forwarded_watch.insert(id) {
-                actions.push(Action::SetTimer {
-                    timer: Timer::ForwardedRequest { request: id },
-                    after: self.chassis.pconfig.request_timeout,
-                });
-            }
+            self.chassis
+                .forward_request(&mut actions, primary, request, true);
         }
         actions
     }
@@ -425,13 +220,7 @@ impl CftReplica {
         let Some(seq) = self.chassis.assign_slot(&batch) else {
             return;
         };
-        // Anchor discounted by the batching delay bound, as in the SeeMoRe
-        // core: a member request may have armed a backup's suspicion timer
-        // up to `max_delay` before this proposal went out.
-        self.proposed_at.insert(
-            seq,
-            now.saturating_sub(self.chassis.pconfig.batch.max_delay()),
-        );
+        self.chassis.anchor_read_lease(seq, now);
         let digest = batch.digest();
         let prepare = Prepare {
             view: self.chassis.view,
@@ -535,11 +324,7 @@ impl CftReplica {
         self.chassis.trace(EventKind::Committed, Some(seq), None, 0);
         // An accept quorum just followed this leader: extend the read
         // lease, anchored at the slot's propose time.
-        if let Some(anchor) = self.proposed_at.remove(&seq) {
-            self.read_lease_until = self
-                .read_lease_until
-                .max(anchor + self.chassis.pconfig.request_timeout);
-        }
+        self.chassis.extend_read_lease(seq);
         let commit = Commit {
             view: self.chassis.view,
             seq,
@@ -589,7 +374,7 @@ impl CftReplica {
         let announcer = checkpoint.replica;
         if self.chassis.checkpoints.record(checkpoint, true) {
             self.chassis.metrics.stable_checkpoints += 1;
-            self.after_stable_checkpoint();
+            self.chassis.after_stable_checkpoint();
             // Fallen behind the stable checkpoint (an instance this replica
             // missed for good, e.g. one proposed while it was down, would
             // otherwise stall in-order execution forever): fetch state from
@@ -624,7 +409,7 @@ impl CftReplica {
                 .chassis
                 .adopt_snapshot(snapshot, response.checkpoint.as_ref())
             {
-                self.after_stable_checkpoint();
+                self.chassis.after_stable_checkpoint();
             }
         }
         self.chassis.adopt_entries(response.entries);
@@ -656,7 +441,7 @@ impl CftReplica {
         self.chassis.metrics.view_changes_started += 1;
         self.chassis
             .trace(EventKind::ViewChangeStart, None, None, target.0);
-        self.refuse_parked_reads(&mut actions);
+        self.chassis.refuse_parked_reads(&mut actions, None);
 
         let stable = self.chassis.checkpoints.stable_seq();
         let mut prepares = Vec::new();
@@ -788,12 +573,7 @@ impl CftReplica {
             } else if let Some(cert) = prepared {
                 prepares_out.push(cert.clone());
             } else {
-                let batch = Batch::single(ClientRequest {
-                    client: NOOP_CLIENT,
-                    timestamp: Timestamp(seq.0),
-                    operation: Vec::new(),
-                    signature: Signature::INVALID,
-                });
+                let batch = Batch::single(noop_request(seq));
                 prepares_out.push(PrepareCert {
                     view: self.chassis.view,
                     seq,
@@ -843,10 +623,7 @@ impl CftReplica {
         self.chassis.metrics.view_changes_completed += 1;
         self.chassis
             .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
-        self.refuse_parked_reads(actions);
-        // The dead view's lease anchors are gone; a new leader earns its
-        // lease from its first committed slot.
-        self.proposed_at.clear();
+        self.chassis.refuse_parked_reads(actions, None);
         self.chassis.assigned.clear();
         self.view_changes.retain(|view, _| *view > new_view.view);
         self.chassis.log.reset_votes_for_new_view();
@@ -856,7 +633,7 @@ impl CftReplica {
                 self.chassis
                     .checkpoints
                     .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                self.after_stable_checkpoint();
+                self.chassis.after_stable_checkpoint();
             }
         }
         let mut highest = self
@@ -985,7 +762,10 @@ impl ReplicaProtocol for CftReplica {
         };
         let actions = match message {
             Message::Request(request) => self.on_request(request, now),
-            Message::ReadRequest(read) => self.on_read_request(read, now),
+            Message::ReadRequest(read) => {
+                let rule = self.read_rule(now);
+                self.chassis.on_read_request(read, rule, None)
+            }
             Message::Prepare(prepare) => self.on_prepare(from, prepare),
             Message::Accept(accept) => self.on_accept(from, accept, now),
             Message::Commit(commit) => self.on_commit(from, commit, now),
@@ -1279,6 +1059,92 @@ mod tests {
         for replica in config.replicas() {
             assert_eq!(cluster.replica(replica).executed().len(), 1);
         }
+
+        // Once the lease (one request timeout past the last commit's
+        // proposal) has lapsed with no new quorum contact, the leader
+        // refuses, and the client falls back to the ordered path — which
+        // renews the lease as a side effect.
+        cluster.advance_time(Duration::from_millis(500));
+        cluster.submit_op(
+            ClientId(1),
+            KvOp::Get { key: b"x".to_vec() }.encode(),
+            OpClass::Read,
+        );
+        cluster.run_to_quiescence(100_000);
+        let client = cluster.client(ClientId(1));
+        assert_eq!(client.completed().len(), 2);
+        assert_eq!(
+            KvResult::decode(&client.completed()[1].result),
+            Some(KvResult::Value(b"9".to_vec()))
+        );
+        assert_eq!(cluster.replica(leader).metrics().reads_refused, 1);
+        assert_eq!(cluster.replica(leader).metrics().reads_served, 1);
+        assert_eq!(cluster.replica(leader).executed().len(), 2, "ordered");
+
+        // With the lease fresh again, the next read takes the fast path.
+        cluster.submit_op(
+            ClientId(1),
+            KvOp::Get { key: b"x".to_vec() }.encode(),
+            OpClass::Read,
+        );
+        cluster.run_to_quiescence(100_000);
+        assert_eq!(cluster.replica(leader).metrics().reads_served, 2);
+        assert_eq!(cluster.client(ClientId(1)).completed().len(), 3);
+    }
+
+    #[test]
+    fn cft_view_change_refuses_a_read_parked_behind_the_fence() {
+        use seemore_app::KvOp;
+        use seemore_types::OpClass;
+
+        // The backups are cut off, so the leader's proposal never commits
+        // and a read arriving behind it parks at the fence.
+        let (mut cluster, config) = build(1);
+        let leader = config.primary(View::ZERO);
+        for backup in config.replicas().filter(|r| *r != leader) {
+            cluster.isolate(backup);
+        }
+        cluster.submit(
+            ClientId(0),
+            KvOp::Put {
+                key: b"x".to_vec(),
+                value: b"stuck".to_vec(),
+            }
+            .encode(),
+        );
+        cluster.submit_op(
+            ClientId(1),
+            KvOp::Get { key: b"x".to_vec() }.encode(),
+            OpClass::Read,
+        );
+        cluster.run_to_quiescence(100_000);
+        assert_eq!(cluster.replica(leader).metrics().reads_served, 0);
+        assert_eq!(cluster.replica(leader).metrics().reads_refused, 0);
+
+        // A backup's vote for view 1 makes the leader join the view change,
+        // which refuses the parked read so its client is not stranded.
+        let view_change = ViewChange {
+            new_view: View(1),
+            mode: Mode::Lion,
+            stable_seq: SeqNum(0),
+            checkpoint_proof: Vec::new(),
+            prepares: Vec::new(),
+            commits: Vec::new(),
+            replica: ReplicaId(1),
+            signature: Signature::INVALID,
+        };
+        cluster.inject(
+            NodeId::Replica(ReplicaId(1)),
+            NodeId::Replica(leader),
+            Message::ViewChange(view_change),
+        );
+        cluster.run_to_quiescence(100_000);
+        assert_eq!(
+            cluster.replica(leader).metrics().reads_refused,
+            1,
+            "the parked read must be refused when the view change starts"
+        );
+        assert_eq!(cluster.replica(leader).metrics().reads_served, 0);
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //! Both replica structs own a
 //! [`ReplicaChassis`](seemore_core::chassis::ReplicaChassis) — the same one
 //! the SeeMoRe replica owns — for everything around agreement: the outgoing
-//! path and its WAL rule, batch admission, checkpoint persistence, restart
-//! and rejoin. What is written here is what the paper says differs: phases
-//! and quorums, view change, the read rule, and whose state response a
-//! rejoining replica believes (the first under CFT, `f + 1` matching under
-//! BFT / S-UpRight). [`CftReplica`] has no
+//! path and its WAL rule, batch admission, execution with its replies,
+//! checkpoint announcement and persistence, the read fast path, restart and
+//! rejoin. What is written here is what the paper says differs: phases and
+//! quorums, view change, who replies and who may serve reads (a
+//! [`Duties`](seemore_core::chassis::Duties) and a
+//! [`ReadRule`](seemore_core::reads::ReadRule) value), and whose state
+//! response a rejoining replica believes (the first under CFT, `f + 1`
+//! matching under BFT / S-UpRight). [`CftReplica`] has no
 //! [`SigningContext`](seemore_core::chassis::SigningContext): the crash-only
 //! line pays no cryptography.
 

@@ -11,14 +11,25 @@
 //! [`SigningContext`] is the signing half, owned by the replicas that sign
 //! (SeeMoRe, BFT, S-UpRight) and simply absent from the crash-only baseline.
 //!
+//! It also runs the parts of the normal case every protocol performs the
+//! same way once agreement is reached: draining executed batches (the
+//! `Executed` / `CancelTimer` actions and the client replies), announcing
+//! checkpoints, answering an executed request from the reply cache, and the
+//! read-only fast path — the read lease with its propose-time anchors, the
+//! read-index and prepared fences, and parking, serving and refusing reads
+//! (in [`crate::reads`]). The suspicion-timer bookkeeping those paths prune
+//! (which view armed each progress and forwarded-request timer) lives here
+//! too.
+//!
 //! Each replica struct owns a chassis as a plain field and calls into it.
 //! What the paper says differs stays with the caller and reaches the shared
 //! code as a value: the agreement handlers and which replayed votes re-arm
-//! which flags, view change, the read admission rule, who replies, whether a
-//! message is signed, the mode label on trace events, which per-slot maps a
-//! stable checkpoint truncates, and whose state response is trusted. The
-//! chassis has no callback, no type parameter and no branch on which
-//! protocol is calling it.
+//! which flags, view change, the read admission verdict
+//! ([`ReadRule`]), who replies and who announces checkpoints ([`Duties`]),
+//! whether a message is signed (`Option<&mut SigningContext>`), the mode
+//! label on trace events, and whose state response is trusted. The chassis
+//! has no callback, no type parameter and no branch on which protocol is
+//! calling it.
 
 use crate::actions::{broadcast, Action, Timer};
 use crate::batching::AdaptiveBatcher;
@@ -27,13 +38,17 @@ use crate::config::ProtocolConfig;
 use crate::exec::ExecutionEngine;
 use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
+use crate::reads::{ReadPath, ReadRule};
 use seemore_app::StateMachine;
 use seemore_crypto::{KeyStore, Signature, Signer, VerifyCache};
 use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
 use seemore_telemetry::{EventKind, NullRecorder, Recorder, TraceEvent};
-use seemore_types::{Instant, Mode, NodeId, ReplicaId, RequestId, SeqNum, View};
+use seemore_types::{
+    ClientId, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum, Timestamp,
+    View,
+};
 use seemore_wire::{
-    Batch, Checkpoint, ClientRequest, Message, MessageKind, Recovery, SignedPayload,
+    Batch, Checkpoint, ClientReply, ClientRequest, Message, MessageKind, Recovery, SignedPayload,
     SigningScratch, StateResponse, WireSize,
 };
 use std::collections::{HashMap, VecDeque};
@@ -44,14 +59,48 @@ use std::sync::Arc;
 /// eviction is counted in [`ReplicaMetrics::recovery_buffer_dropped`]).
 pub const RECOVERY_BUFFER_CAP: usize = 1024;
 
+/// The pseudo-client of the no-op requests a new primary proposes to fill
+/// the ordering gaps a view change leaves (the paper's `µ∅`). Nobody replies
+/// to it.
+pub const NOOP_CLIENT: ClientId = ClientId(u64::MAX);
+
+/// The no-op request that fills slot `seq`.
+pub fn noop_request(seq: SeqNum) -> ClientRequest {
+    ClientRequest {
+        client: NOOP_CLIENT,
+        timestamp: Timestamp(seq.0),
+        operation: Vec::new(),
+        signature: Signature::INVALID,
+    }
+}
+
+/// What a replica owes when committed batches execute: the values in which
+/// the protocols differ, computed by the caller for each
+/// [`ReplicaChassis::execute_ready`].
+#[derive(Debug, Clone, Copy)]
+pub struct Duties {
+    /// Reply to the client of each executed request (the Lion primary, Dog
+    /// and Peacock proxies, the CFT leader, every BFT replica).
+    pub reply: bool,
+    /// Announce a checkpoint when execution reaches one (the Lion and Dog
+    /// primary, Peacock proxies, the CFT leader, every BFT replica).
+    pub announce: bool,
+    /// The rule parked reads are served under once execution moved.
+    pub reads: ReadRule,
+    /// Whether a drain that executed nothing still announces a due
+    /// checkpoint and serves or refuses parked reads (the baselines do; the
+    /// SeeMoRe replica stops there).
+    pub settle_when_idle: bool,
+}
+
 /// A replica's signing identity and its allocation-free sign/verify path.
 pub struct SigningContext {
     keystore: KeyStore,
-    /// This replica's signer (borrowed by the signed-reply constructors).
-    pub signer: Signer,
+    /// This replica's signer.
+    signer: Signer,
     /// Reusable buffer for canonical signing bytes, so the sign/verify hot
     /// path performs no per-message allocation.
-    pub scratch: SigningScratch,
+    scratch: SigningScratch,
     /// Bounded memo of already-verified signatures: duplicate deliveries
     /// and certificate re-checks skip the second HMAC. Semantically
     /// invisible (memoized verify ≡ plain verify, property-tested in
@@ -162,6 +211,15 @@ pub struct ReplicaChassis {
     pub batcher: AdaptiveBatcher,
     /// Protocol counters.
     pub metrics: ReplicaMetrics,
+    /// The read lease, the prepared frontier and the parked fast-path reads.
+    pub reads: ReadPath,
+    /// View in which each outstanding progress timer was armed; a timer that
+    /// fires after a newer view was installed is re-armed instead of
+    /// suspecting the (new) primary immediately.
+    pub progress_armed: HashMap<SeqNum, View>,
+    /// View in which each forwarded-request timer was armed (see
+    /// [`forward_request`](Self::forward_request)).
+    pub forwarded_armed: HashMap<RequestId, View>,
     /// Whether the replica was fail-stopped by its driver.
     pub crashed: bool,
     /// Durable store for safety-critical state. [`NullStore`] (disabled) by
@@ -222,6 +280,9 @@ impl ReplicaChassis {
             assigned: HashMap::new(),
             batcher: AdaptiveBatcher::new(pconfig.batch),
             metrics: ReplicaMetrics::default(),
+            reads: ReadPath::new(Instant::ZERO + pconfig.request_timeout),
+            progress_armed: HashMap::new(),
+            forwarded_armed: HashMap::new(),
             crashed: false,
             store: Arc::new(NullStore),
             turn_open: false,
@@ -269,6 +330,16 @@ impl ReplicaChassis {
                 detail,
             });
         }
+    }
+
+    /// Records a protocol violation (an invalid message) and returns the
+    /// corresponding action.
+    pub fn violation(&mut self, violation: ProtocolViolation) -> Action {
+        self.metrics.rejected_messages += 1;
+        if matches!(violation, ProtocolViolation::BadSignature { .. }) {
+            self.trace(EventKind::SigVerifyFail, None, None, 0);
+        }
+        Action::Violation(violation)
     }
 
     // ------------------------------------------------------------------
@@ -445,6 +516,153 @@ impl ReplicaChassis {
     }
 
     // ------------------------------------------------------------------
+    // Client requests, execution and checkpoint announcement
+    // ------------------------------------------------------------------
+
+    /// Forwards `request` to `primary`. With `watch`, the first forwarding
+    /// of a request also arms its suspicion timer, noting the view that
+    /// armed it; client retransmissions must not keep resetting it, or a
+    /// dead primary is never suspected.
+    pub fn forward_request(
+        &mut self,
+        actions: &mut Vec<Action>,
+        primary: ReplicaId,
+        request: ClientRequest,
+        watch: bool,
+    ) {
+        let id = request.id();
+        self.send(actions, NodeId::Replica(primary), Message::Request(request));
+        if watch && !self.forwarded_armed.contains_key(&id) {
+            self.forwarded_armed.insert(id, self.view);
+            actions.push(Action::SetTimer {
+                timer: Timer::ForwardedRequest { request: id },
+                after: self.pconfig.request_timeout,
+            });
+        }
+    }
+
+    /// Exactly-once: answers a request this replica already executed from
+    /// the reply cache. Returns whether it did.
+    pub fn reply_from_cache(
+        &mut self,
+        actions: &mut Vec<Action>,
+        request: &ClientRequest,
+        signing: Option<&mut SigningContext>,
+    ) -> bool {
+        let Some(result) = self
+            .exec
+            .cached_reply(request.client, request.timestamp)
+            .cloned()
+        else {
+            return false;
+        };
+        let reply = self.client_reply(request.id(), result, signing);
+        self.send(
+            actions,
+            NodeId::Client(request.client),
+            Message::Reply(reply),
+        );
+        true
+    }
+
+    /// A reply in the current mode and view, signed when the deployment
+    /// signs.
+    fn client_reply(
+        &self,
+        request: RequestId,
+        result: Vec<u8>,
+        signing: Option<&mut SigningContext>,
+    ) -> ClientReply {
+        let mut reply = ClientReply {
+            mode: self.mode,
+            view: self.view,
+            request,
+            replica: self.id,
+            result,
+            signature: Signature::INVALID,
+        };
+        if let Some(signing) = signing {
+            reply.signature = signing.sign(&reply);
+        }
+        reply
+    }
+
+    /// Drains the execution queue (whole batches, atomically): one
+    /// `Executed` action per request, its progress and forwarded-request
+    /// timers cancelled, and a reply where `duties` say so. Then, unless
+    /// nothing executed and `duties` stop there, announces a due checkpoint
+    /// and serves the parked reads the new frontier covers.
+    pub fn execute_ready(
+        &mut self,
+        actions: &mut Vec<Action>,
+        duties: Duties,
+        mut signing: Option<&mut SigningContext>,
+    ) {
+        let executions = self.exec.execute_ready();
+        if executions.is_empty() && !duties.settle_when_idle {
+            return;
+        }
+        for execution in executions {
+            let (seq, id) = (execution.seq, execution.request.id());
+            self.metrics.executed += 1;
+            self.trace(EventKind::Executed, Some(seq), Some(id), 0);
+            actions.push(Action::Executed { seq, request: id });
+            actions.push(Action::CancelTimer {
+                timer: Timer::RequestProgress { seq },
+            });
+            actions.push(Action::CancelTimer {
+                timer: Timer::ForwardedRequest { request: id },
+            });
+            self.forwarded_armed.remove(&id);
+            if duties.reply && execution.request.client != NOOP_CLIENT {
+                self.trace(EventKind::Replied, Some(seq), Some(id), 0);
+                let reply = self.client_reply(id, execution.result, signing.as_deref_mut());
+                self.send(
+                    actions,
+                    NodeId::Client(execution.request.client),
+                    Message::Reply(reply),
+                );
+            }
+        }
+        if duties.announce {
+            self.maybe_checkpoint(actions, signing.as_deref_mut());
+        }
+        // Executions moved the commit index forward; parked reads whose
+        // fence is now covered can be served.
+        self.serve_parked_reads(actions, duties.reads, signing);
+    }
+
+    /// Announces a checkpoint when the executed sequence number sits on a
+    /// checkpoint boundary above the stable one, recording the replica's own
+    /// vote first. That vote counts as trusted: under the trusted-signer
+    /// rule only a trusted primary announces, and a quorum rule ignores
+    /// trust.
+    fn maybe_checkpoint(
+        &mut self,
+        actions: &mut Vec<Action>,
+        signing: Option<&mut SigningContext>,
+    ) {
+        let executed = self.exec.last_executed();
+        if !self.checkpoints.should_checkpoint(executed) {
+            return;
+        }
+        let mut checkpoint = Checkpoint {
+            seq: executed,
+            state_digest: self.exec.state_digest(),
+            replica: self.id,
+            signature: Signature::INVALID,
+        };
+        if let Some(signing) = signing {
+            checkpoint.signature = signing.sign(&checkpoint);
+        }
+        if self.checkpoints.record(checkpoint.clone(), true) {
+            self.metrics.stable_checkpoints += 1;
+            self.after_stable_checkpoint();
+        }
+        self.broadcast(actions, Message::Checkpoint(checkpoint));
+    }
+
+    // ------------------------------------------------------------------
     // Durability: views, checkpoints, restart
     // ------------------------------------------------------------------
 
@@ -459,25 +677,29 @@ impl ReplicaChassis {
     /// Installs `view` (and the mode it runs in). No-un-vote across views:
     /// the installed view is durable before any vote sent *in* it, otherwise
     /// a restart could re-vote in an older view and contradict this view's
-    /// certificates.
+    /// certificates. The read lease anchors of the dead view are dropped: a
+    /// freshly installed primary earns its lease from its own first
+    /// committed slot.
     pub fn enter_view(&mut self, view: View, mode: Mode) {
         self.view = view;
         self.mode = mode;
+        self.reads.forget_anchors();
         if self.store.enabled() {
             self.wal_append(&WalRecord::ViewEntered { view, mode });
         }
     }
 
-    /// The shared half of the housekeeping after the stable checkpoint
-    /// advanced: truncates the in-memory log and the assigned-request map
-    /// below it and (when durability is enabled) snapshots the checkpoint to
-    /// the store and compacts the WAL below it. Returns the stable sequence
-    /// number, below which the caller truncates its own per-slot maps.
+    /// Housekeeping after the stable checkpoint advanced: truncates the
+    /// in-memory log, the assigned-request map, the progress timers' views
+    /// and the read lease anchors below it and (when durability is enabled)
+    /// snapshots the checkpoint to the store and compacts the WAL below it.
     /// Keeping the resident log bounded does not depend on durability.
-    pub fn after_stable_checkpoint(&mut self) -> SeqNum {
+    pub fn after_stable_checkpoint(&mut self) {
         let stable = self.checkpoints.stable_seq();
         self.log.garbage_collect(stable);
         self.assigned.retain(|_, seq| *seq > stable);
+        self.progress_armed.retain(|seq, _| *seq > stable);
+        self.reads.forget_anchors_below(stable);
         if self.store.enabled() && stable > self.persisted_checkpoint {
             let checkpoint = DurableCheckpoint {
                 seq: stable,
@@ -490,7 +712,6 @@ impl ReplicaChassis {
             self.persisted_checkpoint = stable;
             self.trace(EventKind::CheckpointPersisted, Some(stable), None, 0);
         }
-        stable
     }
 
     /// Restarts from the durable state in `store`: restores its last

@@ -377,6 +377,40 @@ mod tests {
         assert_eq!(offsets, vec![0, 1, 2]);
     }
 
+    /// A stale duplicate — a request re-proposed after a newer request of
+    /// its client executed, as a view change can do — must record the
+    /// result of its own first execution, not the reply cached for the
+    /// newer request.
+    #[test]
+    #[ignore = "not fixed yet, execute_one answers a stale duplicate with its client's latest \
+                cached reply: slot 3 records the Put with result digest 24e01fa9 (the Get's) where \
+                its first execution at slot 1 recorded 6c9a5cd5 (ResultChanged)"]
+    fn a_stale_duplicate_records_its_own_result() {
+        let (mut exec, ks) = engine();
+        let put = request(
+            &ks,
+            0,
+            1,
+            KvOp::Put {
+                key: b"a".to_vec(),
+                value: b"1".to_vec(),
+            }
+            .encode(),
+        );
+        let get = request(&ks, 0, 2, KvOp::Get { key: b"a".to_vec() }.encode());
+        assert!(exec.add_committed(SeqNum(1), Batch::single(put.clone())));
+        assert!(exec.add_committed(SeqNum(2), Batch::single(get)));
+        assert!(exec.add_committed(SeqNum(3), Batch::single(put)));
+        assert_eq!(exec.execute_ready().len(), 3);
+
+        let results: Vec<Digest> = exec.history().iter().map(|e| e.result_digest).collect();
+        assert_eq!(
+            crate::check::exactly_once(&[(seemore_types::ReplicaId(0), exec.history())]),
+            Ok(()),
+            "result digests of slots 1, 2, 3: {results:?}"
+        );
+    }
+
     #[test]
     fn conflicting_commit_is_rejected() {
         let (mut exec, ks) = engine();

@@ -11,10 +11,13 @@
 //!   replica, owned as a plain field by `SeeMoReReplica` and by the CFT and
 //!   BFT baselines alike: identity and tracing, the log / execution /
 //!   checkpoint state, the outgoing path with its vote-before-send WAL
-//!   rule, batch admission, durable restart and the rejoin exchange — plus
-//!   [`chassis::SigningContext`] for the replicas that sign. What the paper
-//!   says differs between the protocols (phases, quorums, view change,
-//!   reads, whose state is trusted) stays in the replica structs.
+//!   rule, batch admission, execution with its replies and checkpoint
+//!   announcements, the read fast path ([`reads`]), durable restart and the
+//!   rejoin exchange — plus [`chassis::SigningContext`] for the replicas
+//!   that sign. What the paper says differs between the protocols (phases,
+//!   quorums, view change, who replies and who may serve reads, whose state
+//!   is trusted) stays in the replica structs and reaches the chassis as
+//!   values ([`chassis::Duties`], [`reads::ReadRule`]).
 //! * [`client::ClientCore`] — the one client, for SeeMoRe and the
 //!   baselines alike: request submission, reply quorums, retransmission
 //!   and the read fast path. What differs between the protocols' clients
@@ -86,6 +89,14 @@
 //! assumption can disable the fast path and order every read
 //! (`Scenario::with_read_fast_path(false)` — always linearizable, never
 //! fast). Agreement safety itself never depends on the lease.
+//!
+//! The lease, both fences and the serve-time re-check are written once, in
+//! [`reads`]: [`ReplicaChassis::extend_read_lease`](chassis::ReplicaChassis::extend_read_lease)
+//! is the lease rule above and
+//! [`ReplicaChassis::on_read_request`](chassis::ReplicaChassis::on_read_request)
+//! admits every read. The CFT baseline's leader reads run the same code
+//! under [`reads::ReadRule::Leased`], the BFT baseline's quorum reads under
+//! [`reads::ReadRule::Prepared`], so this argument covers them too.
 //!
 //! A read **falls back to the ordered path** whenever the fast path cannot
 //! answer: the contacted replica refuses (not the lease-holding primary,

@@ -86,10 +86,7 @@ impl SeeMoReReplica {
             return;
         };
         if self.chassis.mode.has_trusted_primary() {
-            self.proposed_at.insert(
-                seq,
-                now.saturating_sub(self.chassis.pconfig.batch.max_delay()),
-            );
+            self.chassis.anchor_read_lease(seq, now);
         }
         let digest = batch.digest();
 
@@ -134,7 +131,7 @@ impl SeeMoReReplica {
                     .broadcast(actions, Message::PrePrepare(preprepare));
                 // Arm a progress timer on the primary too, so a stalled
                 // quorum is detected even if backups are slow.
-                self.progress_armed.insert(seq, self.chassis.view);
+                self.chassis.progress_armed.insert(seq, self.chassis.view);
                 actions.push(Action::SetTimer {
                     timer: Timer::RequestProgress { seq },
                     after: self.chassis.pconfig.request_timeout,
@@ -166,7 +163,7 @@ impl SeeMoReReplica {
         payload: &impl SignedPayload,
     ) -> bool {
         let Some(sender) = from.as_replica() else {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender: ReplicaId(u32::MAX),
                 expected_role: "primary replica",
             }));
@@ -176,14 +173,14 @@ impl SeeMoReReplica {
             return false;
         }
         if view != self.chassis.view {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: view,
                 expected: self.chassis.view,
             }));
             return false;
         }
         if sender != self.current_primary() {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender,
                 expected_role: "current primary",
             }));
@@ -193,7 +190,7 @@ impl SeeMoReReplica {
             .signing
             .verify_once(NodeId::Replica(sender), payload, &signature)
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
             return false;
@@ -202,7 +199,10 @@ impl SeeMoReReplica {
         // *and* order), so a Byzantine primary cannot smuggle different
         // request orders past the quorum-matching digest.
         if digest != batch.digest() {
-            actions.push(self.violation(ProtocolViolation::DigestMismatch { seq: Some(seq) }));
+            actions.push(
+                self.chassis
+                    .violation(ProtocolViolation::DigestMismatch { seq: Some(seq) }),
+            );
             return false;
         }
         if !self
@@ -210,7 +210,7 @@ impl SeeMoReReplica {
             .log
             .in_window(seq, self.chassis.pconfig.high_water_mark)
         {
-            actions.push(self.violation(ProtocolViolation::OutsideWindow {
+            actions.push(self.chassis.violation(ProtocolViolation::OutsideWindow {
                 seq,
                 low: self.chassis.log.low_mark(),
                 high: SeqNum(self.chassis.log.low_mark().0 + self.chassis.pconfig.high_water_mark),
@@ -223,7 +223,10 @@ impl SeeMoReReplica {
                 // The primary proposed two different batches for the same
                 // sequence number. A trusted primary never does this; an
                 // untrusted (Peacock) primary doing it is Byzantine.
-                actions.push(self.violation(ProtocolViolation::Equivocation { seq, view }));
+                actions.push(
+                    self.chassis
+                        .violation(ProtocolViolation::Equivocation { seq, view }),
+                );
                 return false;
             }
             if existing.view == view && existing.digest == digest {
@@ -253,7 +256,7 @@ impl SeeMoReReplica {
     ) -> Vec<Action> {
         let mut actions = Vec::new();
         if self.chassis.mode == Mode::Peacock {
-            actions.push(self.violation(ProtocolViolation::WrongMode {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongMode {
                 current: self.chassis.mode,
             }));
             return actions;
@@ -290,7 +293,7 @@ impl SeeMoReReplica {
                     NodeId::Replica(primary),
                     Message::Accept(accept),
                 );
-                self.progress_armed.insert(seq, self.chassis.view);
+                self.chassis.progress_armed.insert(seq, self.chassis.view);
                 actions.push(Action::SetTimer {
                     timer: Timer::RequestProgress { seq },
                     after: self.chassis.pconfig.request_timeout,
@@ -316,7 +319,7 @@ impl SeeMoReReplica {
                     let proxies = self.current_proxies();
                     self.chassis
                         .broadcast_to(&mut actions, proxies, Message::Accept(accept));
-                    self.progress_armed.insert(seq, self.chassis.view);
+                    self.chassis.progress_armed.insert(seq, self.chassis.view);
                     actions.push(Action::SetTimer {
                         timer: Timer::RequestProgress { seq },
                         after: self.chassis.pconfig.request_timeout,
@@ -345,7 +348,7 @@ impl SeeMoReReplica {
     ) -> Vec<Action> {
         let mut actions = Vec::new();
         if self.chassis.mode != Mode::Peacock {
-            actions.push(self.violation(ProtocolViolation::WrongMode {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongMode {
                 current: self.chassis.mode,
             }));
             return actions;
@@ -381,7 +384,7 @@ impl SeeMoReReplica {
             let proxies = self.current_proxies();
             self.chassis
                 .broadcast_to(&mut actions, proxies, Message::PbftPrepare(vote));
-            self.progress_armed.insert(seq, self.chassis.view);
+            self.chassis.progress_armed.insert(seq, self.chassis.view);
             actions.push(Action::SetTimer {
                 timer: Timer::RequestProgress { seq },
                 after: self.chassis.pconfig.request_timeout,
@@ -404,14 +407,14 @@ impl SeeMoReReplica {
             return actions;
         };
         if sender != accept.replica {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender,
                 expected_role: "the replica named in the vote",
             }));
             return actions;
         }
         if accept.view != self.chassis.view || self.vc.in_view_change {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: accept.view,
                 expected: self.chassis.view,
             }));
@@ -437,7 +440,7 @@ impl SeeMoReReplica {
                 }
                 // Dog accepts must be signed by the voting proxy.
                 let Some(signature) = accept.signature else {
-                    actions.push(self.violation(ProtocolViolation::BadSignature {
+                    actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                         claimed_signer: NodeId::Replica(sender),
                     }));
                     return actions;
@@ -447,7 +450,7 @@ impl SeeMoReReplica {
                         .signing
                         .verify_once(NodeId::Replica(sender), &accept, &signature)
                 {
-                    actions.push(self.violation(ProtocolViolation::BadSignature {
+                    actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                         claimed_signer: NodeId::Replica(sender),
                     }));
                     return actions;
@@ -460,7 +463,7 @@ impl SeeMoReReplica {
                 self.try_commit_dog(&mut actions, accept.seq, accept.digest, now);
             }
             Mode::Peacock => {
-                actions.push(self.violation(ProtocolViolation::WrongMode {
+                actions.push(self.chassis.violation(ProtocolViolation::WrongMode {
                     current: self.chassis.mode,
                 }));
             }
@@ -494,7 +497,7 @@ impl SeeMoReReplica {
         // An accept quorum of the current view followed this primary:
         // extend the read lease, anchored at the slot's *propose* time (not
         // at evidence arrival, which a delayed network could abuse).
-        self.extend_read_lease_from_slot(seq);
+        self.chassis.extend_read_lease(seq);
 
         let mut commit = Commit {
             view: self.chassis.view,
@@ -558,7 +561,7 @@ impl SeeMoReReplica {
             return actions;
         };
         if vote.view != self.chassis.view || self.vc.in_view_change {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: vote.view,
                 expected: self.chassis.view,
             }));
@@ -570,7 +573,7 @@ impl SeeMoReReplica {
                 .signing
                 .verify_once(NodeId::Replica(sender), &vote, &vote.signature)
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(vote.replica),
             }));
             return actions;
@@ -609,8 +612,8 @@ impl SeeMoReReplica {
         instance.prepared = true;
         instance.record_commit(self.chassis.id, digest);
         // Advance the prepared frontier that fences this proxy's fast-path
-        // reads (see `on_read_request`).
-        self.highest_prepared = self.highest_prepared.max(seq);
+        // reads (see `ReadRule::Prepared`).
+        self.chassis.reads.note_prepared(seq);
         self.broadcast_commit_vote(actions, seq, digest);
         self.try_commit_peacock(actions, seq, digest, now);
     }
@@ -648,14 +651,14 @@ impl SeeMoReReplica {
             return actions;
         };
         if sender != commit.replica {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender,
                 expected_role: "the replica named in the commit",
             }));
             return actions;
         }
         if commit.view != self.chassis.view || self.vc.in_view_change {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: commit.view,
                 expected: self.chassis.view,
             }));
@@ -665,7 +668,7 @@ impl SeeMoReReplica {
             .signing
             .verify_once(NodeId::Replica(sender), &commit, &commit.signature)
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
             return actions;
@@ -675,7 +678,7 @@ impl SeeMoReReplica {
             Mode::Lion => {
                 // Only the trusted primary's commit counts.
                 if sender != self.current_primary() {
-                    actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+                    actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                         sender,
                         expected_role: "current primary",
                     }));
@@ -816,7 +819,7 @@ impl SeeMoReReplica {
     pub(crate) fn on_inform(&mut self, from: NodeId, inform: Inform, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         if self.chassis.mode == Mode::Lion {
-            actions.push(self.violation(ProtocolViolation::WrongMode {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongMode {
                 current: self.chassis.mode,
             }));
             return actions;
@@ -825,7 +828,7 @@ impl SeeMoReReplica {
             return actions;
         };
         if inform.view != self.chassis.view {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: inform.view,
                 expected: self.chassis.view,
             }));
@@ -837,7 +840,7 @@ impl SeeMoReReplica {
                 .signing
                 .verify_once(NodeId::Replica(sender), &inform, &inform.signature)
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(inform.replica),
             }));
             return actions;
@@ -891,7 +894,7 @@ impl SeeMoReReplica {
         // proxies) that the current view is still committing its proposals:
         // extend the read lease, anchored at the slot's propose time.
         if self.chassis.mode == Mode::Dog && self.is_primary() {
-            self.extend_read_lease_from_slot(seq);
+            self.chassis.extend_read_lease(seq);
         }
         self.chassis.exec.add_committed(seq, proposal.batch);
         self.execute_ready(actions, now);

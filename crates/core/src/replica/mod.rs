@@ -3,12 +3,13 @@
 //! switching.
 //!
 //! [`SeeMoReReplica`] owns a [`ReplicaChassis`] — the message log, the
-//! execution engine, the checkpoint manager, the outgoing path, batch
-//! admission, durability and the rejoin exchange, all shared with the CFT
-//! and BFT baselines — plus a [`SigningContext`], and keeps what is
-//! SeeMoRe's own: the three modes' agreement, the read rules, view change,
-//! mode switching, and the rule that state is only adopted from the trusted
-//! tier.
+//! execution engine with its replies and checkpoint announcements, the
+//! checkpoint manager, the outgoing path, batch admission, the read fast
+//! path, durability and the rejoin exchange, all shared with the CFT and
+//! BFT baselines — plus a [`SigningContext`], and keeps what is SeeMoRe's
+//! own: the three modes' agreement, who may serve reads and who replies and
+//! announces in each mode, view change, mode switching, and the rule that
+//! state is only adopted from the trusted tier.
 //!
 //! Message handlers live in the `agreement` submodule (normal case) and
 //! the `view_change` submodule (view change, new view and mode switch).
@@ -22,24 +23,23 @@ pub use view_change::mode_switch_announcer;
 mod tests;
 
 use crate::actions::{Action, Timer};
-use crate::chassis::{Inbound, ReplicaChassis, SigningContext};
+use crate::chassis::{Duties, Inbound, ReplicaChassis, SigningContext};
 use crate::checkpoint::StabilityRule;
 use crate::config::ProtocolConfig;
 use crate::exec::ExecutedEntry;
 use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
 use crate::protocol::ReplicaProtocol;
-use crate::reads::ParkedReads;
+use crate::reads::ReadRule;
 use seemore_app::StateMachine;
 use seemore_crypto::KeyStore;
 use seemore_store::{Durability, WalRecord};
-use seemore_telemetry::{EventKind, Recorder};
+use seemore_telemetry::Recorder;
 use seemore_types::{
     ClusterConfig, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum, View,
 };
 use seemore_wire::{
-    Checkpoint, ClientReply, ClientRequest, Message, ReadReply, ReadRequest, Recovery,
-    StateRequest, StateResponse, ViewChange,
+    Checkpoint, ClientRequest, Message, Recovery, StateRequest, StateResponse, ViewChange,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -62,19 +62,14 @@ pub(crate) struct ViewChangeState {
 pub struct SeeMoReReplica {
     /// Everything around agreement that the baselines share: identity and
     /// tracing, log / execution / checkpoints, the outgoing path, batch
-    /// admission, durability and the rejoin exchange. The live mode is
-    /// `chassis.mode`, the installed view `chassis.view`.
+    /// admission, durability, the rejoin exchange, execution with its
+    /// replies and checkpoint announcements, and the read fast path. The
+    /// live mode is `chassis.mode`, the installed view `chassis.view`.
     pub(crate) chassis: ReplicaChassis,
     /// This replica's signing identity and allocation-free verify path.
     pub(crate) signing: SigningContext,
     pub(crate) cluster: ClusterConfig,
     pub(crate) vc: ViewChangeState,
-    /// View in which each outstanding progress timer was armed; a timer that
-    /// fires after a newer view was installed is re-armed instead of
-    /// suspecting the (new) primary immediately.
-    pub(crate) progress_armed: HashMap<SeqNum, View>,
-    /// View in which each forwarded-request timer was armed.
-    pub(crate) forwarded_armed: HashMap<RequestId, View>,
     /// Requests this replica forwarded to a primary and is still watching;
     /// a newly installed primary proposes these immediately so that view
     /// changes recover without waiting for client retransmission.
@@ -83,34 +78,6 @@ pub struct SeeMoReReplica {
     pub(crate) pending_mode: Option<Mode>,
     /// Whether a state-transfer request is already outstanding.
     pub(crate) state_transfer_pending: bool,
-    /// Until when this replica, as a trusted primary (Lion/Dog), may serve
-    /// linearizable reads from its executed state without ordering them.
-    /// Extended to `propose_time + τ` (one suspicion timeout) every time a
-    /// slot this primary proposed commits with quorum evidence (a Lion
-    /// accept quorum, a Dog inform quorum). The anchor is the *proposal
-    /// send time*, not the evidence arrival time: replicas arm their
-    /// suspicion timers no earlier than the proposal's send, and wait out
-    /// `τ` of silence before deposing a primary, so for any slot the lease
-    /// derived from it expires before a successor elected behind this
-    /// primary's back can commit a conflicting write — even if the quorum
-    /// evidence itself was delayed arbitrarily in the network.
-    pub(crate) read_lease_until: Instant,
-    /// When each in-flight slot was proposed by this primary — the lease
-    /// anchors above. Entries are consumed on commit and cleared on view
-    /// change.
-    pub(crate) proposed_at: HashMap<SeqNum, Instant>,
-    /// Highest slot this replica has *prepared* as a Peacock proxy (seen a
-    /// pre-prepare plus `2m` matching prepare votes). Peacock reads are
-    /// fenced at this frontier: an acknowledged write's commit quorum
-    /// contains at least `m + 1` honest prepared proxies, so once every
-    /// prepared slot is executed locally, at most `m` honest proxies can
-    /// still answer with the pre-write value — not enough, together with
-    /// `m` Byzantine ones, to assemble a `2m + 1` matching stale quorum.
-    pub(crate) highest_prepared: SeqNum,
-    /// Fast-path reads waiting for the commit index to reach their fence
-    /// (the proposal frontier at read arrival in Lion/Dog, the prepared
-    /// frontier in Peacock).
-    pub(crate) parked_reads: ParkedReads,
     /// Last time this replica observed commit progress (a valid COMMIT,
     /// INFORM or NEW-VIEW). Suspicion timers re-arm instead of deposing the
     /// primary while progress is being made — the PBFT practice of
@@ -151,18 +118,9 @@ impl SeeMoReReplica {
             signing: SigningContext::new(id, keystore),
             cluster,
             vc: ViewChangeState::default(),
-            progress_armed: HashMap::new(),
-            forwarded_armed: HashMap::new(),
             forwarded_requests: HashMap::new(),
             pending_mode: None,
             state_transfer_pending: false,
-            // All replicas boot together into view 0, which counts as the
-            // initial quorum contact (the same convention `last_progress`
-            // uses for suspicion damping).
-            read_lease_until: Instant::ZERO + pconfig.request_timeout,
-            proposed_at: HashMap::new(),
-            highest_prepared: SeqNum(0),
-            parked_reads: ParkedReads::new(),
             last_progress: Instant::ZERO,
         }
     }
@@ -367,16 +325,6 @@ impl SeeMoReReplica {
             .collect()
     }
 
-    /// Records a protocol violation (invalid message) and returns the
-    /// corresponding action.
-    pub(crate) fn violation(&mut self, violation: ProtocolViolation) -> Action {
-        self.chassis.metrics.rejected_messages += 1;
-        if matches!(violation, ProtocolViolation::BadSignature { .. }) {
-            self.chassis.trace(EventKind::SigVerifyFail, None, None, 0);
-        }
-        Action::Violation(violation)
-    }
-
     // ------------------------------------------------------------------
     // Client requests
     // ------------------------------------------------------------------
@@ -391,28 +339,17 @@ impl SeeMoReReplica {
             .signing
             .verify(NodeId::Client(request.client), &request, &request.signature)
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Client(request.client),
             }));
             return actions;
         }
-
-        // Exactly-once: answer already-executed requests from the reply cache.
-        if let Some(result) = self
+        if self
             .chassis
-            .exec
-            .cached_reply(request.client, request.timestamp)
-            .cloned()
+            .reply_from_cache(&mut actions, &request, Some(&mut self.signing))
         {
-            let reply = self.make_reply(&request, result);
-            self.chassis.send(
-                &mut actions,
-                NodeId::Client(request.client),
-                Message::Reply(reply),
-            );
             return actions;
         }
-
         if self.vc.in_view_change {
             // Requests received during a view change are deferred; the client
             // will retransmit.
@@ -432,233 +369,61 @@ impl SeeMoReReplica {
     /// client broadcast trigger a view change).
     pub(crate) fn forward_to_primary(&mut self, actions: &mut Vec<Action>, request: ClientRequest) {
         let primary = self.current_primary();
-        let id = request.id();
         if self.chassis.exec.last_timestamp(request.client) < Some(request.timestamp)
             || self.chassis.exec.last_timestamp(request.client).is_none()
         {
-            self.forwarded_requests.insert(id, request.clone());
+            self.forwarded_requests
+                .insert(request.id(), request.clone());
+            let watch = self.is_view_change_voter(self.chassis.mode);
             self.chassis
-                .send(actions, NodeId::Replica(primary), Message::Request(request));
-            // Arm the suspicion timer only for the first time we see this
-            // request: client retransmissions must not keep resetting it,
-            // otherwise a dead primary is never suspected.
-            if self.is_view_change_voter(self.chassis.mode)
-                && !self.forwarded_armed.contains_key(&id)
-            {
-                self.forwarded_armed.insert(id, self.chassis.view);
-                actions.push(Action::SetTimer {
-                    timer: Timer::ForwardedRequest { request: id },
-                    after: self.chassis.pconfig.request_timeout,
-                });
-            }
+                .forward_request(actions, primary, request, watch);
         }
-    }
-
-    /// Builds a signed reply for `request` in the current mode and view
-    /// (signing through the reusable scratch buffer).
-    pub(crate) fn make_reply(&mut self, request: &ClientRequest, result: Vec<u8>) -> ClientReply {
-        ClientReply::new_with(
-            &mut self.signing.scratch,
-            &self.signing.signer,
-            self.chassis.mode,
-            self.chassis.view,
-            request.id(),
-            self.chassis.id,
-            result,
-        )
     }
 
     // ------------------------------------------------------------------
-    // Read-only fast path
+    // Read-only fast path and execution: the values the chassis runs on
     // ------------------------------------------------------------------
 
-    /// Extends the trusted-primary read lease to `anchor + τ`. `anchor`
-    /// must be the *send time of the proposal* whose quorum evidence just
-    /// arrived — never the arrival time of the evidence itself (see the
-    /// field docs for why receipt-time anchoring is unsafe under message
-    /// delay).
-    pub(crate) fn extend_read_lease(&mut self, anchor: Instant) {
-        let extended = anchor + self.chassis.pconfig.request_timeout;
-        if extended > self.read_lease_until {
-            self.read_lease_until = extended;
-            self.chassis
-                .trace(EventKind::LeaseGrant, None, None, extended.as_nanos());
-        }
-    }
-
-    /// Consumes the recorded propose time of `seq` (if this primary
-    /// proposed it) and extends the lease from that anchor.
-    pub(crate) fn extend_read_lease_from_slot(&mut self, seq: SeqNum) {
-        if let Some(anchor) = self.proposed_at.remove(&seq) {
-            self.extend_read_lease(anchor);
-        }
-    }
-
-    /// Whether the trusted-primary read lease is still valid.
-    pub(crate) fn read_lease_valid(&self, now: Instant) -> bool {
-        now < self.read_lease_until
-    }
-
-    /// Handles a `READ-REQUEST`: serve it from executed state when this
-    /// replica is allowed to (mode-dependent), park it behind the
-    /// commit-index fence, or refuse it so the client falls back to the
-    /// ordered path.
-    fn on_read_request(&mut self, read: ReadRequest, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        // Reads are signed by their client, exactly like ordered requests.
-        if !self
-            .signing
-            .verify(NodeId::Client(read.client), &read, &read.signature)
-        {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
-                claimed_signer: NodeId::Client(read.client),
-            }));
-            return actions;
+    /// Whether, and behind which fence, this replica may serve fast-path
+    /// reads now. Lion / Dog: only the lease-holding trusted primary serves,
+    /// fenced at its proposal frontier — the fence is what makes Dog reads
+    /// linearizable, since proxies may acknowledge a write to its client
+    /// before the primary's INFORM-driven execution catches up. Peacock:
+    /// every proxy answers behind its prepared fence and the client needs
+    /// `2m + 1` matching replies; passive replicas refuse, their state lags
+    /// the proxies' acknowledged prefix. Nobody serves during a view change.
+    fn read_rule(&self, now: Instant) -> ReadRule {
+        if self.vc.in_view_change {
+            return ReadRule::Refuse;
         }
         match self.chassis.mode {
-            // Lion / Dog: only the lease-holding trusted primary serves, and
-            // only after its executed state covers everything it had already
-            // proposed when the read arrived (the read-index fence). The
-            // fence is what makes Dog reads linearizable: proxies may have
-            // acknowledged a write to its client before the primary's
-            // INFORM-driven execution catches up.
-            Mode::Lion | Mode::Dog => {
-                if !self.is_primary() || self.vc.in_view_change || !self.read_lease_valid(now) {
-                    if self.is_primary() && !self.vc.in_view_change {
-                        // The primary would have served this read, but its
-                        // lease lapsed — the signal that commit evidence (and
-                        // thus lease extension) stopped flowing.
-                        self.chassis
-                            .trace(EventKind::LeaseExpiry, None, Some(read.id()), 0);
-                    }
-                    self.refuse_read(&mut actions, &read);
-                    return actions;
-                }
-                self.chassis
-                    .trace(EventKind::RequestAdmitted, None, Some(read.id()), 0);
-                let fence = SeqNum(
-                    self.chassis
-                        .next_seq
-                        .0
-                        .max(self.chassis.exec.last_executed().0),
-                );
-                if self.chassis.exec.last_executed() >= fence {
-                    self.serve_read(&mut actions, &read);
-                } else {
-                    self.parked_reads.park(fence, read);
-                }
-            }
-            // Peacock: every proxy answers from local executed state and
-            // the client needs 2m+1 matching replies — but matching alone is
-            // not freshness, because the write path acknowledges on m+1
-            // matching replies: m Byzantine proxies plus honest laggards
-            // could still assemble a matching stale quorum. The *prepared
-            // fence* closes that hole: a proxy answers only once every slot
-            // it has prepared is executed, so at most m honest proxies
-            // (those outside the write's prepare quorum) can ever answer
-            // with the pre-write value. Passive replicas refuse outright
-            // (their state lags the proxies' acknowledged prefix).
-            Mode::Peacock => {
-                if !self.is_proxy() || self.vc.in_view_change {
-                    self.refuse_read(&mut actions, &read);
-                    return actions;
-                }
-                self.chassis
-                    .trace(EventKind::RequestAdmitted, None, Some(read.id()), 0);
-                let fence = self.highest_prepared;
-                if self.chassis.exec.last_executed() >= fence {
-                    self.serve_read(&mut actions, &read);
-                } else {
-                    self.parked_reads.park(fence, read);
-                }
-            }
-        }
-        actions
-    }
-
-    /// Evaluates `read` against executed state and replies; refuses when the
-    /// application cannot prove the operation read-only (which also stops a
-    /// Byzantine client from sneaking a mutation past ordering).
-    fn serve_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        match self.chassis.exec.read(&read.operation) {
-            Some(result) => {
-                self.chassis.metrics.reads_served += 1;
-                self.chassis
-                    .trace(EventKind::Executed, None, Some(read.id()), 0);
-                self.chassis
-                    .trace(EventKind::Replied, None, Some(read.id()), 0);
-                let reply = ReadReply::new_with(
-                    &mut self.signing.scratch,
-                    &self.signing.signer,
-                    self.chassis.mode,
-                    self.chassis.view,
-                    read.id(),
-                    self.chassis.id,
-                    self.chassis.exec.last_executed(),
-                    result,
-                );
-                self.chassis.send(
-                    actions,
-                    NodeId::Client(read.client),
-                    Message::ReadReply(reply),
-                );
-            }
-            None => self.refuse_read(actions, read),
+            Mode::Lion | Mode::Dog if self.is_primary() => ReadRule::Leased(now),
+            Mode::Peacock if self.is_proxy() => ReadRule::Prepared,
+            _ => ReadRule::Refuse,
         }
     }
 
-    /// Sends a signed refusal redirecting the client to the ordered path.
-    fn refuse_read(&mut self, actions: &mut Vec<Action>, read: &ReadRequest) {
-        self.chassis.metrics.reads_refused += 1;
+    /// Executes what is ready. Only the Lion primary replies in the Lion
+    /// mode, proxies in Dog and Peacock; the trusted primary announces
+    /// checkpoints in Lion and Dog, every proxy in Peacock (stability needs
+    /// `m + 1` matching). A drain that executed nothing does nothing more.
+    pub(crate) fn execute_ready(&mut self, actions: &mut Vec<Action>, now: Instant) {
+        let (reply, announce) = match self.chassis.mode {
+            Mode::Lion => (self.is_primary(), self.is_primary()),
+            Mode::Dog => (self.is_proxy(), self.is_primary()),
+            Mode::Peacock => (self.is_proxy(), self.is_proxy()),
+        };
+        let duties = Duties {
+            reply,
+            announce,
+            reads: self.read_rule(now),
+            settle_when_idle: false,
+        };
+        let first = self.chassis.exec.history().len();
         self.chassis
-            .trace(EventKind::ReadRefused, None, Some(read.id()), 0);
-        let reply = ReadReply::refusal_with(
-            &mut self.signing.scratch,
-            &self.signing.signer,
-            self.chassis.mode,
-            self.chassis.view,
-            read.id(),
-            self.chassis.id,
-            self.chassis.exec.last_executed(),
-        );
-        self.chassis.send(
-            actions,
-            NodeId::Client(read.client),
-            Message::ReadReply(reply),
-        );
-    }
-
-    /// Serves every parked read whose fence has been reached (called after
-    /// executions advance `last_executed`).
-    ///
-    /// In the trusted-primary modes the admission-time lease check is
-    /// re-validated at *serve* time: the very commit evidence that advanced
-    /// execution may have been delayed past the lease this read was parked
-    /// under (a deposed primary's successor could have committed in the
-    /// meantime), in which case every parked read is refused instead.
-    pub(crate) fn serve_parked_reads(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        if self.parked_reads.is_empty() {
-            return;
-        }
-        if self.chassis.mode.has_trusted_primary()
-            && (!self.is_primary() || self.vc.in_view_change || !self.read_lease_valid(now))
-        {
-            self.refuse_parked_reads(actions);
-            return;
-        }
-        for read in self
-            .parked_reads
-            .take_ready(self.chassis.exec.last_executed())
-        {
-            self.serve_read(actions, &read);
-        }
-    }
-
-    /// Refuses every parked read (view change or mode switch started: the
-    /// fence no longer means anything, so the clients must fall back).
-    pub(crate) fn refuse_parked_reads(&mut self, actions: &mut Vec<Action>) {
-        for read in self.parked_reads.drain() {
-            self.refuse_read(actions, &read);
+            .execute_ready(actions, duties, Some(&mut self.signing));
+        for entry in &self.chassis.exec.history()[first..] {
+            self.forwarded_requests.remove(&entry.request);
         }
     }
 
@@ -666,55 +431,11 @@ impl SeeMoReReplica {
     // Checkpointing and state transfer
     // ------------------------------------------------------------------
 
-    /// Housekeeping after the stable checkpoint advanced: the chassis
-    /// truncates the log, snapshots the checkpoint and compacts the WAL; the
-    /// per-slot timer and lease maps below the stable sequence number are
-    /// this protocol's own.
-    pub(crate) fn after_stable_checkpoint(&mut self) {
-        let stable = self.chassis.after_stable_checkpoint();
-        self.progress_armed.retain(|seq, _| *seq > stable);
-        self.proposed_at.retain(|seq, _| *seq > stable);
-    }
-
-    /// Called after executions; produces checkpoint messages when the
-    /// executed sequence number crosses a checkpoint boundary.
-    pub(crate) fn maybe_checkpoint(&mut self, actions: &mut Vec<Action>) {
-        let executed = self.chassis.exec.last_executed();
-        if !self.chassis.checkpoints.should_checkpoint(executed) {
-            return;
-        }
-        let announcer = match self.chassis.mode {
-            // Only the trusted primary announces checkpoints.
-            Mode::Lion | Mode::Dog => self.is_primary(),
-            // Every proxy announces; stability needs m+1 matching.
-            Mode::Peacock => self.is_proxy(),
-        };
-        if !announcer {
-            return;
-        }
-        let mut checkpoint = Checkpoint {
-            seq: executed,
-            state_digest: self.chassis.exec.state_digest(),
-            replica: self.chassis.id,
-            signature: seemore_crypto::Signature::INVALID,
-        };
-        checkpoint.signature = self.signing.sign(&checkpoint);
-        // Record our own message (a trusted primary's own checkpoint is
-        // immediately stable; a proxy's own vote counts toward the quorum).
-        let trusted = self.cluster.is_trusted(self.chassis.id);
-        if self.chassis.checkpoints.record(checkpoint.clone(), trusted) {
-            self.chassis.metrics.stable_checkpoints += 1;
-            self.after_stable_checkpoint();
-        }
-        self.chassis
-            .broadcast(actions, Message::Checkpoint(checkpoint));
-    }
-
     /// Handles an incoming `CHECKPOINT` message.
     fn on_checkpoint(&mut self, from: NodeId, checkpoint: Checkpoint) -> Vec<Action> {
         let mut actions = Vec::new();
         let Some(sender) = from.as_replica() else {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender: ReplicaId(u32::MAX),
                 expected_role: "replica",
             }));
@@ -727,7 +448,7 @@ impl SeeMoReReplica {
                 &checkpoint.signature,
             )
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(checkpoint.replica),
             }));
             return actions;
@@ -736,7 +457,7 @@ impl SeeMoReReplica {
         let seq = checkpoint.seq;
         if self.chassis.checkpoints.record(checkpoint, trusted) {
             self.chassis.metrics.stable_checkpoints += 1;
-            self.after_stable_checkpoint();
+            self.chassis.after_stable_checkpoint();
             // If we have fallen behind the stable checkpoint, ask for
             // state. The announcer has the freshest committed suffix, but in
             // Peacock mode announcers are untrusted proxies and a snapshot
@@ -793,7 +514,7 @@ impl SeeMoReReplica {
                 .chassis
                 .adopt_snapshot(snapshot, response.checkpoint.as_ref())
             {
-                self.after_stable_checkpoint();
+                self.chassis.after_stable_checkpoint();
             }
         }
         self.chassis.adopt_entries(response.entries);
@@ -806,7 +527,7 @@ impl SeeMoReReplica {
     /// `STATE-REQUEST` from that sequence number would get.
     fn on_recovery(&mut self, from: NodeId, recovery: Recovery) -> Vec<Action> {
         let Some(sender) = from.as_replica() else {
-            return vec![self.violation(ProtocolViolation::UnexpectedSender {
+            return vec![self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender: ReplicaId(u32::MAX),
                 expected_role: "replica",
             })];
@@ -818,7 +539,7 @@ impl SeeMoReReplica {
                 &recovery.signature,
             )
         {
-            return vec![self.violation(ProtocolViolation::BadSignature {
+            return vec![self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(recovery.replica),
             })];
         }
@@ -841,68 +562,7 @@ impl SeeMoReReplica {
         }
         actions
     }
-
-    /// Drains the execution queue (whole batches, atomically), emitting one
-    /// reply per executed request where the current mode requires them, and
-    /// triggering checkpoints.
-    pub(crate) fn execute_ready(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        let executions = self.chassis.exec.execute_ready();
-        if executions.is_empty() {
-            return;
-        }
-        let should_reply = match self.chassis.mode {
-            // Only the trusted primary replies in the Lion mode.
-            Mode::Lion => self.is_primary(),
-            // Proxies reply in the Dog and Peacock modes.
-            Mode::Dog | Mode::Peacock => self.is_proxy(),
-        };
-        for execution in executions {
-            self.chassis.metrics.executed += 1;
-            self.chassis.trace(
-                EventKind::Executed,
-                Some(execution.seq),
-                Some(execution.request.id()),
-                0,
-            );
-            actions.push(Action::Executed {
-                seq: execution.seq,
-                request: execution.request.id(),
-            });
-            actions.push(Action::CancelTimer {
-                timer: Timer::RequestProgress { seq: execution.seq },
-            });
-            actions.push(Action::CancelTimer {
-                timer: Timer::ForwardedRequest {
-                    request: execution.request.id(),
-                },
-            });
-            self.forwarded_requests.remove(&execution.request.id());
-            self.forwarded_armed.remove(&execution.request.id());
-            if should_reply && execution.request.client != NOOP_CLIENT {
-                self.chassis.trace(
-                    EventKind::Replied,
-                    Some(execution.seq),
-                    Some(execution.request.id()),
-                    0,
-                );
-                let reply = self.make_reply(&execution.request, execution.result);
-                self.chassis.send(
-                    actions,
-                    NodeId::Client(execution.request.client),
-                    Message::Reply(reply),
-                );
-            }
-        }
-        self.maybe_checkpoint(actions);
-        // Executions moved the commit index forward; parked reads whose
-        // fence is now covered can be served.
-        self.serve_parked_reads(actions, now);
-    }
 }
-
-/// The pseudo-client used for no-op requests issued during view changes
-/// (the paper's `µ∅`). Replies are never sent to it.
-pub(crate) const NOOP_CLIENT: seemore_types::ClientId = seemore_types::ClientId(u64::MAX);
 
 impl ReplicaProtocol for SeeMoReReplica {
     fn id(&self) -> ReplicaId {
@@ -933,7 +593,11 @@ impl ReplicaProtocol for SeeMoReReplica {
         }
         let actions = match message {
             Message::Request(request) => self.on_request(request, now),
-            Message::ReadRequest(read) => self.on_read_request(read, now),
+            Message::ReadRequest(read) => {
+                let rule = self.read_rule(now);
+                self.chassis
+                    .on_read_request(read, rule, Some(&mut self.signing))
+            }
             Message::Prepare(prepare) => self.on_prepare(from, prepare, now),
             Message::PrePrepare(preprepare) => self.on_pre_prepare(from, preprepare, now),
             Message::Accept(accept) => self.on_accept(from, accept, now),

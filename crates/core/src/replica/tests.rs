@@ -657,7 +657,7 @@ fn view_change_preserves_prepared_but_uncommitted_batches() {
         // preserved, nothing duplicated.
         let executed: Vec<u64> = history
             .iter()
-            .filter(|e| e.request.client != super::NOOP_CLIENT)
+            .filter(|e| e.request.client != crate::chassis::NOOP_CLIENT)
             .map(|e| e.request.client.0)
             .collect();
         assert_eq!(
@@ -1205,6 +1205,93 @@ fn peacock_reads_park_behind_prepared_but_uncommitted_slots() {
         proxy.metrics().reads_served,
         1,
         "parked read must be served"
+    );
+}
+
+// ----------------------------------------------------------------------
+// State transfer
+// ----------------------------------------------------------------------
+
+/// ROADMAP item 13. In Peacock the private replicas are passive: they
+/// execute what the proxies commit but do not vote, and `m + 1` matching
+/// proxy `CHECKPOINT`s make a checkpoint stable. If both take the
+/// checkpoint of slot `k` before `k`'s `PRE-PREPARE`, they garbage-collect
+/// the log below `k` with `k` unexecuted and drop the proposal as outside
+/// their window. They then ask for state at every later checkpoint, but
+/// adopt a snapshot only from the trusted tier, and neither trusted replica
+/// holds `k`. Both must still execute past `k`, and no `STATE-RESPONSE` may
+/// carry an unbounded backlog.
+#[test]
+#[ignore = "ROADMAP item 13, not fixed yet: both private replicas stay at slot 1 \
+            (NoProgress { replica: r0, reached: 1, checkpoint: 3 }), and a STATE-RESPONSE \
+            carries 4485 B, the backlog of every committed-but-unexecuted batch"]
+fn private_replicas_execute_past_a_checkpoint_that_outran_its_proposal() {
+    use seemore_types::NodeId;
+    use seemore_wire::{Message, WireSize};
+
+    /// The checkpoint whose `PRE-PREPARE` the private replicas see last.
+    const K: SeqNum = SeqNum(2);
+    /// Deliveries allowed after each submitted write.
+    const STEP_BOUND: u64 = 20_000;
+    /// Writes in the run; all but the first `K` after the held proposals.
+    const WRITES: u64 = 48;
+    /// Largest `STATE-RESPONSE` allowed. A snapshot of `WRITES` small keys
+    /// (~1 KiB) plus one window of single-request batches (16 slots of
+    /// ~90 B) fits; the backlog of every committed-but-unexecuted batch
+    /// (~90 B per write) does not.
+    const MAX_STATE_RESPONSE: usize = 4 * 1024;
+
+    let pconfig = ProtocolConfig::with_checkpoint_period(K.0);
+    let (mut cluster, config, _) = build_cluster(1, 1, Mode::Peacock, 1, pconfig);
+    let privates: Vec<ReplicaId> = config.private_replicas().collect();
+    let held = |envelope: &crate::testkit::Envelope| {
+        matches!(&envelope.message, Message::PrePrepare(p) if p.seq == K)
+            && matches!(envelope.to, NodeId::Replica(r) if privates.contains(&r))
+    };
+    let mut largest_state_response = 0;
+    let mut drive = |cluster: &mut SyncCluster, hold: bool| {
+        let mut steps = 0;
+        while steps < STEP_BOUND
+            && cluster.step_matching(|envelope| {
+                if let Message::StateResponse(_) = &envelope.message {
+                    largest_state_response =
+                        largest_state_response.max(envelope.message.wire_size());
+                }
+                !(hold && held(envelope))
+            })
+        {
+            steps += 1;
+        }
+    };
+
+    for i in 1..=K.0 {
+        cluster.submit(ClientId(0), put_op(&format!("k{i}"), "v"));
+        // Everything but the held proposals flows, the proxies' checkpoint
+        // announcements for `K` included.
+        drive(&mut cluster, true);
+    }
+    assert_eq!(
+        cluster.pending(),
+        privates.len(),
+        "only the held proposals remain"
+    );
+    drive(&mut cluster, false);
+    for i in K.0 + 1..=WRITES {
+        cluster.submit(ClientId(0), put_op(&format!("k{i}"), "v"));
+        drive(&mut cluster, false);
+    }
+
+    assert_eq!(
+        cluster.client(ClientId(0)).completed().len(),
+        WRITES as usize
+    );
+    assert_eq!(
+        check::progress_past(&histories(&cluster, privates.iter().copied()), K.next()),
+        Ok(())
+    );
+    assert!(
+        largest_state_response <= MAX_STATE_RESPONSE,
+        "a STATE-RESPONSE of {largest_state_response} B"
     );
 }
 

@@ -1,15 +1,15 @@
 //! View changes, new-view installation and dynamic mode switching
 //! (Sections 5.1–5.4 of the paper).
 
-use super::{SeeMoReReplica, NOOP_CLIENT};
+use super::SeeMoReReplica;
 use crate::actions::{Action, Timer};
+use crate::chassis::{noop_request, NOOP_CLIENT};
 use crate::log::Proposal;
 use crate::protocol::ReplicaProtocol;
 use seemore_crypto::Signature;
 use seemore_telemetry::EventKind;
 use seemore_types::{
-    ClusterConfig, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum,
-    Timestamp, View,
+    ClusterConfig, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum, View,
 };
 use seemore_wire::{
     Accept, Batch, ClientRequest, CommitCert, Message, ModeChange, NewView, PbftPrepare,
@@ -27,17 +27,6 @@ pub fn mode_switch_announcer(
     match mode {
         Mode::Lion | Mode::Dog => cluster.primary(mode, new_view).ok(),
         Mode::Peacock => cluster.transferer(new_view).ok(),
-    }
-}
-
-/// The paper's `µ∅`: the internal no-op request used to fill ordering gaps
-/// left by a view change.
-fn noop_request(seq: SeqNum) -> ClientRequest {
-    ClientRequest {
-        client: NOOP_CLIENT,
-        timestamp: Timestamp(seq.0),
-        operation: Vec::new(),
-        signature: Signature::INVALID,
     }
 }
 
@@ -76,9 +65,14 @@ impl SeeMoReReplica {
         // If a newer view was installed after this timer was armed, or the
         // system is visibly making progress, give the primary another full
         // timeout before suspecting it.
-        let armed_view = self.progress_armed.get(&seq).copied().unwrap_or(View::ZERO);
+        let armed_view = self
+            .chassis
+            .progress_armed
+            .get(&seq)
+            .copied()
+            .unwrap_or(View::ZERO);
         if armed_view < self.chassis.view || self.recent_progress(now) {
-            self.progress_armed.insert(seq, self.chassis.view);
+            self.chassis.progress_armed.insert(seq, self.chassis.view);
             return vec![Action::SetTimer {
                 timer: Timer::RequestProgress { seq },
                 after: self.chassis.pconfig.request_timeout,
@@ -109,12 +103,15 @@ impl SeeMoReReplica {
         // gets a full timeout (and the request is re-forwarded to it), and a
         // primary that is visibly committing other requests is not deposed.
         let armed_view = self
+            .chassis
             .forwarded_armed
             .get(&request)
             .copied()
             .unwrap_or(View::ZERO);
         if armed_view < self.chassis.view || self.recent_progress(now) {
-            self.forwarded_armed.insert(request, self.chassis.view);
+            self.chassis
+                .forwarded_armed
+                .insert(request, self.chassis.view);
             let mut actions = Vec::new();
             // Re-forward the buffered request to the *current* primary so it
             // does not depend on the client noticing the view change.
@@ -190,7 +187,8 @@ impl SeeMoReReplica {
         // Normal-case processing stops: parked fast-path reads can no longer
         // be served under this view's fence, so their clients must fall back
         // to the ordered path.
-        self.refuse_parked_reads(&mut actions);
+        self.chassis
+            .refuse_parked_reads(&mut actions, Some(&mut self.signing));
 
         let stable_seq = self.chassis.checkpoints.stable_seq();
         let mut prepares = Vec::new();
@@ -288,13 +286,13 @@ impl SeeMoReReplica {
                 &view_change.signature,
             )
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(view_change.replica),
             }));
             return actions;
         }
         if view_change.new_view <= self.chassis.view {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: view_change.new_view,
                 expected: self.chassis.view.next(),
             }));
@@ -497,7 +495,7 @@ impl SeeMoReReplica {
             return actions;
         };
         if new_view.view <= self.chassis.view {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: new_view.view,
                 expected: self.chassis.view.next(),
             }));
@@ -505,7 +503,7 @@ impl SeeMoReReplica {
         }
         let expected = self.new_view_collector(new_view.view, new_view.mode);
         if Some(sender) != expected || sender != new_view.replica {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender,
                 expected_role: "new-view collector (new primary or transferer)",
             }));
@@ -515,7 +513,7 @@ impl SeeMoReReplica {
             .signing
             .verify_once(NodeId::Replica(sender), &new_view, &new_view.signature)
         {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
             return actions;
@@ -557,15 +555,15 @@ impl SeeMoReReplica {
             .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
         self.chassis.assigned.clear();
         self.chassis.log.reset_votes_for_new_view();
-        // Any read still parked from the previous view is refused, and the
-        // lease anchors of the dead view are discarded: a freshly installed
-        // trusted primary starts with no lease and earns one from its first
-        // committed slot (its propose time is the anchor), so reads arriving
-        // before that fall back to the ordered path — conservative, but it
-        // avoids granting a lease from evidence whose send times we cannot
-        // bound.
-        self.refuse_parked_reads(actions);
-        self.proposed_at.clear();
+        // Any read still parked from the previous view is refused. The
+        // lease anchors of the dead view went with `enter_view`: a freshly
+        // installed trusted primary starts with no lease and earns one from
+        // its first committed slot (its propose time is the anchor), so
+        // reads arriving before that fall back to the ordered path —
+        // conservative, but it avoids granting a lease from evidence whose
+        // send times we cannot bound.
+        self.chassis
+            .refuse_parked_reads(actions, Some(&mut self.signing));
 
         // Adopt the carried checkpoint if it is ahead of ours.
         if let Some(cp) = &new_view.checkpoint {
@@ -573,7 +571,7 @@ impl SeeMoReReplica {
                 self.chassis
                     .checkpoints
                     .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                self.after_stable_checkpoint();
+                self.chassis.after_stable_checkpoint();
                 if self.chassis.exec.last_executed() < cp.seq
                     && self.cluster.is_trusted(new_view.replica)
                 {
@@ -788,7 +786,7 @@ impl SeeMoReReplica {
             return actions;
         };
         if mode_change.new_view <= self.chassis.view {
-            actions.push(self.violation(ProtocolViolation::WrongView {
+            actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: mode_change.new_view,
                 expected: self.chassis.view.next(),
             }));
@@ -800,7 +798,7 @@ impl SeeMoReReplica {
             || announcer != Some(sender)
             || !self.cluster.is_trusted(sender)
         {
-            actions.push(self.violation(ProtocolViolation::UnexpectedSender {
+            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender,
                 expected_role: "trusted mode-switch announcer",
             }));
@@ -811,7 +809,7 @@ impl SeeMoReReplica {
             &mode_change,
             &mode_change.signature,
         ) {
-            actions.push(self.violation(ProtocolViolation::BadSignature {
+            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
             }));
             return actions;
@@ -838,7 +836,8 @@ impl SeeMoReReplica {
             // normal-case processing and wait for the NEW-VIEW.
             self.vc.in_view_change = true;
             self.vc.target_view = mode_change.new_view;
-            self.refuse_parked_reads(&mut actions);
+            self.chassis
+                .refuse_parked_reads(&mut actions, Some(&mut self.signing));
             actions.push(Action::SetTimer {
                 timer: Timer::ViewChange {
                     view: mode_change.new_view,

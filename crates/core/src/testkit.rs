@@ -243,6 +243,20 @@ impl SyncCluster {
         true
     }
 
+    /// Delivers the first queued message, in queue order, that `select`
+    /// picks, and leaves the rest queued: a test that must hold one message
+    /// back (a proposal to one replica, say) while everything else flows.
+    /// `select` also sees each message it passes over, so it can observe
+    /// the traffic. Returns `false` when it picks none.
+    pub fn step_matching(&mut self, select: impl FnMut(&Envelope) -> bool) -> bool {
+        let Some(index) = self.queue.iter().position(select) else {
+            return false;
+        };
+        let envelope = self.queue.remove(index).expect("position is in bounds");
+        self.deliver(envelope);
+        true
+    }
+
     /// Number of messages currently queued.
     pub fn pending(&self) -> usize {
         self.queue.len()

@@ -2,8 +2,7 @@
 //! `READ-REQUEST` / `READ-REPLY` for the read-only fast path.
 
 use crate::size::{
-    canonical_bytes_into, SignedPayload, SigningScratch, WireSize, HEADER_LEN, INT_LEN,
-    SIGNATURE_LEN,
+    canonical_bytes_into, SignedPayload, WireSize, HEADER_LEN, INT_LEN, SIGNATURE_LEN,
 };
 use seemore_crypto::{Digest, Signature, Signer};
 use seemore_types::{ClientId, Mode, ReplicaId, RequestId, SeqNum, Timestamp, View};
@@ -112,21 +111,6 @@ impl ClientReply {
         result: Vec<u8>,
         signer: &Signer,
     ) -> Self {
-        let mut scratch = SigningScratch::new();
-        Self::new_with(&mut scratch, signer, mode, view, request, replica, result)
-    }
-
-    /// [`new`](Self::new) through a reusable scratch buffer — the hot-path
-    /// constructor replicas use so reply signing allocates nothing.
-    pub fn new_with(
-        scratch: &mut SigningScratch,
-        signer: &Signer,
-        mode: Mode,
-        view: View,
-        request: RequestId,
-        replica: ReplicaId,
-        result: Vec<u8>,
-    ) -> Self {
         let mut reply = ClientReply {
             mode,
             view,
@@ -135,7 +119,7 @@ impl ClientReply {
             result,
             signature: Signature::INVALID,
         };
-        reply.signature = signer.sign(scratch.bytes_of(&reply));
+        reply.signature = signer.sign(&reply.signing_bytes());
         reply
     }
 
@@ -279,32 +263,6 @@ impl ReadReply {
         result: Vec<u8>,
         signer: &Signer,
     ) -> Self {
-        let mut scratch = SigningScratch::new();
-        Self::new_with(
-            &mut scratch,
-            signer,
-            mode,
-            view,
-            request,
-            replica,
-            last_executed,
-            result,
-        )
-    }
-
-    /// [`new`](Self::new) through a reusable scratch buffer — the hot-path
-    /// constructor replicas use so read-reply signing allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with(
-        scratch: &mut SigningScratch,
-        signer: &Signer,
-        mode: Mode,
-        view: View,
-        request: RequestId,
-        replica: ReplicaId,
-        last_executed: SeqNum,
-        result: Vec<u8>,
-    ) -> Self {
         let mut reply = ReadReply {
             mode,
             view,
@@ -315,7 +273,7 @@ impl ReadReply {
             result,
             signature: Signature::INVALID,
         };
-        reply.signature = signer.sign(scratch.bytes_of(&reply));
+        reply.signature = signer.sign(&reply.signing_bytes());
         reply
     }
 
@@ -328,28 +286,6 @@ impl ReadReply {
         last_executed: SeqNum,
         signer: &Signer,
     ) -> Self {
-        let mut scratch = SigningScratch::new();
-        Self::refusal_with(
-            &mut scratch,
-            signer,
-            mode,
-            view,
-            request,
-            replica,
-            last_executed,
-        )
-    }
-
-    /// [`refusal`](Self::refusal) through a reusable scratch buffer.
-    pub fn refusal_with(
-        scratch: &mut SigningScratch,
-        signer: &Signer,
-        mode: Mode,
-        view: View,
-        request: RequestId,
-        replica: ReplicaId,
-        last_executed: SeqNum,
-    ) -> Self {
         let mut reply = ReadReply {
             mode,
             view,
@@ -360,7 +296,7 @@ impl ReadReply {
             result: Vec::new(),
             signature: Signature::INVALID,
         };
-        reply.signature = signer.sign(scratch.bytes_of(&reply));
+        reply.signature = signer.sign(&reply.signing_bytes());
         reply
     }
 
