@@ -1494,6 +1494,215 @@ mod tests {
         assert_eq!(cluster.client(ClientId(3)).completed().len(), 1);
     }
 
+    /// The BFT twin of the SeeMoRe core's
+    /// `view_change_preserves_prepared_but_uncommitted_batches`: r1 and r2
+    /// prepare the batch (with the primary's implicit vote), r3 never sees
+    /// it, so it commits nowhere; the view change carries it and the new
+    /// primary re-proposes it whole, in batch order, exactly once.
+    #[test]
+    fn bft_view_change_preserves_prepared_but_uncommitted_batches() {
+        use seemore_core::batching::BatchConfig;
+
+        let config = BaselineConfig::bft(1);
+        let keystore = KeyStore::generate(26, config.network_size, 3);
+        let pconfig =
+            ProtocolConfig::default().with_batching(BatchConfig::new(3, Duration::from_millis(1)));
+        let mut cluster = SyncCluster::new();
+        for replica in config.replicas() {
+            cluster.add_replica(Box::new(BftReplica::new(
+                replica,
+                config,
+                pconfig,
+                keystore.clone(),
+                Box::new(KvStore::new()),
+            )));
+        }
+        for client in 0..3u64 {
+            cluster.add_client(BaselineClient::new(
+                ClientId(client),
+                config,
+                keystore.clone(),
+                Duration::from_millis(100),
+            ));
+        }
+        let primary = config.primary(View::ZERO);
+        let late = ReplicaId(3);
+
+        for client in 0..3u64 {
+            cluster.submit(ClientId(client), format!("k{client}").into_bytes());
+        }
+        for _ in 0..3 {
+            assert!(cluster.step(), "request delivery");
+        }
+        cluster.isolate(primary);
+        cluster.isolate(late);
+        cluster.run_to_quiescence(LIMIT);
+        cluster.reconnect(late);
+        let alive: Vec<ReplicaId> = config.replicas().filter(|r| *r != primary).collect();
+        for replica in &alive {
+            assert!(
+                cluster.replica(*replica).executed().is_empty(),
+                "{replica} committed early"
+            );
+        }
+
+        cluster.fire_all_timers(LIMIT);
+        cluster.run_to_quiescence(LIMIT);
+        cluster.fire_client_timers(LIMIT);
+        cluster.run_to_quiescence(LIMIT);
+
+        for replica in &alive {
+            assert!(cluster.replica(*replica).view() > View::ZERO, "{replica}");
+            let executed: Vec<u64> = cluster
+                .replica(*replica)
+                .executed()
+                .iter()
+                .filter(|e| e.request.client != NOOP_CLIENT)
+                .map(|e| e.request.client.0)
+                .collect();
+            assert_eq!(executed, vec![0, 1, 2], "{replica} lost or reordered it");
+        }
+        let histories: Vec<History> = alive
+            .iter()
+            .map(|r| (*r, cluster.replica(*r).executed()))
+            .collect();
+        check::safety(&histories, &[]).unwrap();
+        for client in 0..3u64 {
+            assert_eq!(cluster.client(ClientId(client)).completed().len(), 1);
+        }
+    }
+
+    /// A signed VIEW-CHANGE `vote` from `voter` for view 1.
+    fn signed_vote(keystore: &KeyStore, voter: ReplicaId, prepares: Vec<PrepareCert>) -> Message {
+        use seemore_wire::SignedPayload;
+        let mut vote = ViewChange {
+            new_view: View(1),
+            mode: Mode::Peacock,
+            stable_seq: SeqNum(0),
+            checkpoint_proof: Vec::new(),
+            prepares,
+            commits: Vec::new(),
+            replica: voter,
+            signature: Signature::INVALID,
+        };
+        vote.signature = keystore
+            .signer_for(NodeId::Replica(voter))
+            .unwrap()
+            .sign(&vote.signing_bytes());
+        Message::ViewChange(vote)
+    }
+
+    /// Certificate re-validation at the collector: a carried batch that does
+    /// not hash to its certificate's digest, or that holds a member request
+    /// whose client signature does not verify, is not re-proposed; its slot
+    /// becomes a no-op in the NEW-VIEW.
+    #[test]
+    fn bft_new_view_fills_invalid_certificates_with_no_ops() {
+        use seemore_types::Timestamp;
+
+        let config = BaselineConfig::bft(1);
+        let keystore = KeyStore::generate(27, config.network_size, 1);
+        let collector = config.primary(View(1));
+        let mut replica = BftReplica::new(
+            collector,
+            config,
+            ProtocolConfig::default(),
+            keystore.clone(),
+            Box::new(KvStore::new()),
+        );
+        let client = keystore.signer_for(NodeId::Client(ClientId(0))).unwrap();
+        let request = |ts: u64| {
+            ClientRequest::new(
+                ClientId(0),
+                Timestamp(ts),
+                format!("op{ts}").into_bytes(),
+                &client,
+            )
+        };
+        let cert = |seq: u64, batch: Batch| PrepareCert {
+            view: View::ZERO,
+            seq: SeqNum(seq),
+            digest: batch.digest(),
+            primary_signature: Signature::INVALID,
+            batch: Some(batch),
+        };
+        let mut wrong_digest = cert(1, Batch::single(request(1)));
+        wrong_digest.digest = Digest::of_bytes(b"some other batch");
+        let mut forged = request(2);
+        forged.operation = b"forged".to_vec();
+        let valid = cert(3, Batch::single(request(3)));
+        let prepares = vec![wrong_digest, cert(2, Batch::single(forged)), valid.clone()];
+
+        let mut new_view = None;
+        for voter in [ReplicaId(2), ReplicaId(3)] {
+            let vote = signed_vote(&keystore, voter, prepares.clone());
+            let actions = replica.on_message(NodeId::Replica(voter), vote, Instant::ZERO);
+            new_view =
+                new_view.or(actions
+                    .iter()
+                    .flat_map(Action::sends)
+                    .find_map(|(_, message)| match message {
+                        Message::NewView(new_view) => Some(new_view.clone()),
+                        _ => None,
+                    }));
+        }
+        let new_view = new_view.expect("two votes from others complete the NEW-VIEW");
+        assert_eq!(replica.view(), View(1));
+        let slots: Vec<(u64, bool)> = new_view
+            .prepares
+            .iter()
+            .map(|cert| {
+                let noop = cert
+                    .batch
+                    .as_ref()
+                    .is_some_and(|batch| batch.iter().all(|r| r.client == NOOP_CLIENT));
+                (cert.seq.0, noop)
+            })
+            .collect();
+        assert_eq!(slots, vec![(1, true), (2, true), (3, false)]);
+        assert_eq!(new_view.prepares[2].digest, valid.digest);
+    }
+
+    /// Only the primary of the view being installed may send its NEW-VIEW;
+    /// a correctly signed one from anybody else is refused and counted.
+    #[test]
+    fn bft_refuses_a_new_view_from_a_replica_that_is_not_its_primary() {
+        use seemore_wire::SignedPayload;
+
+        let config = BaselineConfig::bft(1);
+        let keystore = KeyStore::generate(28, config.network_size, 1);
+        let mut replica = BftReplica::new(
+            ReplicaId(2),
+            config,
+            ProtocolConfig::default(),
+            keystore.clone(),
+            Box::new(KvStore::new()),
+        );
+        let impostor = ReplicaId(3);
+        assert_ne!(config.primary(View(1)), impostor);
+        let mut new_view = NewView {
+            view: View(1),
+            mode: Mode::Peacock,
+            prepares: Vec::new(),
+            commits: Vec::new(),
+            checkpoint: None,
+            view_change_proof: Vec::new(),
+            replica: impostor,
+            signature: Signature::INVALID,
+        };
+        new_view.signature = keystore
+            .signer_for(NodeId::Replica(impostor))
+            .unwrap()
+            .sign(&new_view.signing_bytes());
+        replica.on_message(
+            NodeId::Replica(impostor),
+            Message::NewView(new_view),
+            Instant::ZERO,
+        );
+        assert_eq!(replica.view(), View::ZERO);
+        assert_eq!(replica.metrics().rejected_messages, 1);
+    }
+
     #[test]
     fn bft_checkpoints_reach_stability_via_quorum() {
         let config = BaselineConfig::bft(1);

@@ -1147,6 +1147,112 @@ mod tests {
         assert_eq!(cluster.replica(leader).metrics().reads_served, 0);
     }
 
+    /// The CFT twin of the SeeMoRe core's
+    /// `view_change_preserves_prepared_but_uncommitted_batches`: a batch the
+    /// backups accepted but the crashed leader never committed is carried by
+    /// the view change and re-proposed whole, in batch order, exactly once.
+    #[test]
+    fn cft_view_change_preserves_prepared_but_uncommitted_batches() {
+        use seemore_core::batching::BatchConfig;
+        use seemore_core::chassis::NOOP_CLIENT;
+        use seemore_core::check::{self, History};
+
+        let config = BaselineConfig::cft(1);
+        let keystore = KeyStore::generate(9, config.network_size, 3);
+        let pconfig =
+            ProtocolConfig::default().with_batching(BatchConfig::new(3, Duration::from_millis(1)));
+        let mut cluster = SyncCluster::new();
+        for replica in config.replicas() {
+            cluster.add_replica(Box::new(CftReplica::new(
+                replica,
+                config,
+                pconfig,
+                Box::new(KvStore::new()),
+            )));
+        }
+        for client in 0..3u64 {
+            cluster.add_client(BaselineClient::new(
+                ClientId(client),
+                config,
+                keystore.clone(),
+                Duration::from_millis(100),
+            ));
+        }
+        let leader = config.primary(View::ZERO);
+
+        // The third request fills the batch and queues the PREPAREs; the
+        // leader is cut off before any ACCEPT reaches it.
+        for client in 0..3u64 {
+            cluster.submit(ClientId(client), format!("k{client}").into_bytes());
+        }
+        for _ in 0..3 {
+            assert!(cluster.step(), "request delivery");
+        }
+        cluster.isolate(leader);
+        cluster.run_to_quiescence(100_000);
+        let alive: Vec<ReplicaId> = config.replicas().filter(|r| *r != leader).collect();
+        for replica in &alive {
+            assert!(cluster.replica(*replica).executed().is_empty());
+        }
+
+        cluster.fire_all_timers(100_000);
+        cluster.run_to_quiescence(100_000);
+        cluster.fire_client_timers(100_000);
+        cluster.run_to_quiescence(100_000);
+
+        for replica in &alive {
+            assert!(cluster.replica(*replica).view() > View::ZERO, "{replica}");
+            let executed: Vec<u64> = cluster
+                .replica(*replica)
+                .executed()
+                .iter()
+                .filter(|e| e.request.client != NOOP_CLIENT)
+                .map(|e| e.request.client.0)
+                .collect();
+            assert_eq!(executed, vec![0, 1, 2], "{replica} lost or reordered it");
+        }
+        let histories: Vec<History> = alive
+            .iter()
+            .map(|r| (*r, cluster.replica(*r).executed()))
+            .collect();
+        check::safety(&histories, &[]).unwrap();
+        for client in 0..3u64 {
+            assert_eq!(cluster.client(ClientId(client)).completed().len(), 1);
+        }
+    }
+
+    /// Only the leader of the view being installed may send its NEW-VIEW;
+    /// one from anybody else is refused and counted.
+    #[test]
+    fn cft_refuses_a_new_view_from_a_replica_that_is_not_its_leader() {
+        let config = BaselineConfig::cft(1);
+        let mut replica = CftReplica::new(
+            ReplicaId(2),
+            config,
+            ProtocolConfig::default(),
+            Box::new(KvStore::new()),
+        );
+        let impostor = ReplicaId(0);
+        assert_ne!(config.primary(View(1)), impostor);
+        let new_view = NewView {
+            view: View(1),
+            mode: Mode::Lion,
+            prepares: Vec::new(),
+            commits: Vec::new(),
+            checkpoint: None,
+            view_change_proof: Vec::new(),
+            replica: impostor,
+            signature: Signature::INVALID,
+        };
+        replica.on_message(
+            NodeId::Replica(impostor),
+            Message::NewView(new_view),
+            Instant::ZERO,
+        );
+        assert_eq!(replica.view(), View::ZERO);
+        assert_eq!(replica.metrics().rejected_messages, 1);
+    }
+
     #[test]
     fn cft_checkpoints_and_garbage_collects() {
         let config = BaselineConfig::cft(1);

@@ -676,6 +676,152 @@ fn view_change_preserves_prepared_but_uncommitted_batches() {
     }
 }
 
+/// A signed `VIEW-CHANGE` from `voter` for `(view, mode)` carrying
+/// `prepares`.
+fn signed_view_change(
+    keystore: &KeyStore,
+    voter: ReplicaId,
+    view: seemore_types::View,
+    mode: Mode,
+    prepares: Vec<seemore_wire::PrepareCert>,
+) -> seemore_wire::Message {
+    use seemore_crypto::Signature;
+    use seemore_types::NodeId;
+    use seemore_wire::{SignedPayload, ViewChange};
+
+    let mut vote = ViewChange {
+        new_view: view,
+        mode,
+        stable_seq: SeqNum(0),
+        checkpoint_proof: Vec::new(),
+        prepares,
+        commits: Vec::new(),
+        replica: voter,
+        signature: Signature::INVALID,
+    };
+    vote.signature = keystore
+        .signer_for(NodeId::Replica(voter))
+        .unwrap()
+        .sign(&vote.signing_bytes());
+    seemore_wire::Message::ViewChange(vote)
+}
+
+/// Certificate re-validation at the Peacock transferer: a carried batch that
+/// does not hash to its certificate's digest, or that holds a member request
+/// whose client signature does not verify, is not re-proposed; its slot
+/// becomes a no-op in the NEW-VIEW.
+#[test]
+fn peacock_new_view_fills_invalid_certificates_with_no_ops() {
+    use crate::protocol::ReplicaProtocol;
+    use seemore_crypto::{Digest, Signature};
+    use seemore_types::{NodeId, Timestamp, View};
+    use seemore_wire::{Batch, ClientRequest, Message, PrepareCert};
+
+    let config = ClusterConfig::minimal(1, 1).unwrap();
+    let keystore = KeyStore::generate(0xCE27, config.total_size(), 1);
+    let transferer = config.transferer(View(1)).unwrap();
+    let mut replica = SeeMoReReplica::new(
+        transferer,
+        config,
+        ProtocolConfig::default(),
+        keystore.clone(),
+        Mode::Peacock,
+        Box::new(KvStore::new()),
+    );
+    let client = keystore.signer_for(NodeId::Client(ClientId(0))).unwrap();
+    let request =
+        |ts: u64| ClientRequest::new(ClientId(0), Timestamp(ts), put_op("k", "v"), &client);
+    let cert = |seq: u64, batch: Batch| PrepareCert {
+        view: View(0),
+        seq: SeqNum(seq),
+        digest: batch.digest(),
+        primary_signature: Signature::INVALID,
+        batch: Some(batch),
+    };
+    let mut wrong_digest = cert(1, Batch::single(request(1)));
+    wrong_digest.digest = Digest::of_bytes(b"some other batch");
+    let mut forged = request(2);
+    forged.operation = put_op("k", "forged");
+    let valid = cert(3, Batch::single(request(3)));
+    let prepares = vec![wrong_digest, cert(2, Batch::single(forged)), valid.clone()];
+
+    // The 2m + 1 = 3 public voters all carry the same certificates.
+    let mut new_view = None;
+    for voter in config.public_replicas().take(3) {
+        let vote = signed_view_change(&keystore, voter, View(1), Mode::Peacock, prepares.clone());
+        let actions =
+            replica.on_message(NodeId::Replica(voter), vote, seemore_types::Instant::ZERO);
+        new_view = new_view.or(actions
+            .iter()
+            .flat_map(crate::actions::Action::sends)
+            .find_map(|(_, message)| match message {
+                Message::NewView(new_view) => Some(new_view.clone()),
+                _ => None,
+            }));
+    }
+    let new_view = new_view.expect("three votes complete the NEW-VIEW");
+    assert_eq!(replica.view(), View(1));
+    let slots: Vec<(u64, bool)> = new_view
+        .prepares
+        .iter()
+        .map(|cert| {
+            let noop = cert.batch.as_ref().is_some_and(|batch| {
+                batch
+                    .iter()
+                    .all(|r| r.client == crate::chassis::NOOP_CLIENT)
+            });
+            (cert.seq.0, noop)
+        })
+        .collect();
+    assert_eq!(slots, vec![(1, true), (2, true), (3, false)]);
+    assert_eq!(new_view.prepares[2].digest, valid.digest);
+}
+
+/// Only the collector of the view being installed (the Lion primary of that
+/// view) may send its NEW-VIEW; a correctly signed one from anybody else is
+/// refused and counted.
+#[test]
+fn lion_refuses_a_new_view_from_a_replica_that_is_not_its_collector() {
+    use crate::protocol::ReplicaProtocol;
+    use seemore_crypto::Signature;
+    use seemore_types::{NodeId, View};
+    use seemore_wire::{Message, NewView, SignedPayload};
+
+    let config = ClusterConfig::minimal(1, 1).unwrap();
+    let keystore = KeyStore::generate(0xC011, config.total_size(), 1);
+    let mut replica = SeeMoReReplica::new(
+        ReplicaId(2),
+        config,
+        ProtocolConfig::default(),
+        keystore.clone(),
+        Mode::Lion,
+        Box::new(KvStore::new()),
+    );
+    let impostor = ReplicaId(3);
+    assert_ne!(config.primary(Mode::Lion, View(1)).unwrap(), impostor);
+    let mut new_view = NewView {
+        view: View(1),
+        mode: Mode::Lion,
+        prepares: Vec::new(),
+        commits: Vec::new(),
+        checkpoint: None,
+        view_change_proof: Vec::new(),
+        replica: impostor,
+        signature: Signature::INVALID,
+    };
+    new_view.signature = keystore
+        .signer_for(NodeId::Replica(impostor))
+        .unwrap()
+        .sign(&new_view.signing_bytes());
+    replica.on_message(
+        NodeId::Replica(impostor),
+        Message::NewView(new_view),
+        seemore_types::Instant::ZERO,
+    );
+    assert_eq!(replica.view(), View(0));
+    assert_eq!(replica.metrics().rejected_messages, 1);
+}
+
 /// A replica that buffered requests and was then deposed re-routes its
 /// buffer to the new primary instead of stranding the requests.
 #[test]
