@@ -12,16 +12,15 @@
 //!
 //! Normal case: `PRE-PREPARE` from the primary to everyone, all-to-all
 //! `PREPARE` votes, all-to-all `COMMIT` votes, execution and a reply from
-//! every replica. View change: replicas send `VIEW-CHANGE` evidence to
+//! every replica. View change (the shared one of
+//! [`seemore_core::view_change`]): replicas send `VIEW-CHANGE` evidence to
 //! everyone and the new primary emits a `NEW-VIEW` re-proposing undecided
 //! requests.
 
 use crate::config::BaselineConfig;
 use seemore_app::StateMachine;
 use seemore_core::actions::{Action, Timer};
-use seemore_core::chassis::{
-    noop_request, Duties, Inbound, ReplicaChassis, SigningContext, NOOP_CLIENT,
-};
+use seemore_core::chassis::{Duties, Inbound, ReplicaChassis, SigningContext};
 use seemore_core::checkpoint::StabilityRule;
 use seemore_core::config::ProtocolConfig;
 use seemore_core::exec::ExecutedEntry;
@@ -29,15 +28,17 @@ use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ReadRule;
+use seemore_core::view_change::{
+    Carried, Expiry, Grace, Suspicion, ViewChangeInput, ViewChangeRules,
+};
 use seemore_crypto::{Digest, KeyStore, Signature};
 use seemore_store::{Durability, WalRecord};
 use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{Instant, Mode, NodeId, ReplicaId, SeqNum, View};
 use seemore_wire::{
-    Batch, Checkpoint, ClientRequest, Commit, Message, NewView, PbftPrepare, PrePrepare,
-    PrepareCert, Recovery, StateRequest, StateResponse, ViewChange,
+    Batch, Checkpoint, ClientRequest, Commit, Message, PbftPrepare, PrePrepare, Recovery,
+    StateRequest, StateResponse,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A PBFT-style replica, parameterized by a [`BaselineConfig`].
@@ -49,10 +50,6 @@ pub struct BftReplica {
     /// This replica's signing identity and allocation-free verify path.
     signing: SigningContext,
     config: BaselineConfig,
-    in_view_change: bool,
-    target_view: View,
-    view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
-    new_view_sent: Vec<View>,
     /// `STATE-RESPONSE`s collected while rejoining or catching up; the
     /// snapshot is adopted only once `f + 1` distinct replicas vouch for the
     /// same checkpoint digest, so at least one honest replica stands behind
@@ -89,10 +86,6 @@ impl BftReplica {
             ),
             signing: SigningContext::new(id, keystore),
             config,
-            in_view_change: false,
-            target_view: View::ZERO,
-            view_changes: BTreeMap::new(),
-            new_view_sent: Vec::new(),
             recovery_responses: Vec::new(),
             catching_up: false,
         }
@@ -203,7 +196,7 @@ impl BftReplica {
     /// executed state behind its prepared fence, and the client needs
     /// `2f + 1` matching replies. A view change refuses instead.
     fn read_rule(&self) -> ReadRule {
-        if self.in_view_change {
+        if self.chassis.in_view_change() {
             ReadRule::Refuse
         } else {
             ReadRule::Prepared
@@ -226,7 +219,7 @@ impl BftReplica {
         if self
             .chassis
             .reply_from_cache(&mut actions, &request, Some(&mut self.signing))
-            || self.in_view_change
+            || self.chassis.in_view_change()
         {
             return actions;
         }
@@ -286,7 +279,7 @@ impl BftReplica {
 
     fn on_pre_prepare(&mut self, from: NodeId, preprepare: PrePrepare) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.in_view_change
+        if self.chassis.in_view_change()
             || preprepare.view != self.chassis.view
             || from.as_replica() != Some(self.primary())
             || preprepare.digest != preprepare.batch.digest()
@@ -352,7 +345,7 @@ impl BftReplica {
             return actions;
         };
         if vote.view != self.chassis.view
-            || self.in_view_change
+            || self.chassis.in_view_change()
             || sender != vote.replica
             || !self
                 .signing
@@ -406,7 +399,7 @@ impl BftReplica {
             return actions;
         };
         if commit.view != self.chassis.view
-            || self.in_view_change
+            || self.chassis.in_view_change()
             || sender != commit.replica
             || !self
                 .signing
@@ -620,309 +613,76 @@ impl BftReplica {
     // View change
     // --------------------------------------------------------------
 
-    fn start_view_change(&mut self, target: View, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if self.in_view_change && self.target_view >= target {
-            return actions;
-        }
-        self.in_view_change = true;
-        self.target_view = target;
-        self.chassis.metrics.view_changes_started += 1;
-        self.chassis
-            .trace(EventKind::ViewChangeStart, None, None, target.0);
-        self.chassis
-            .refuse_parked_reads(&mut actions, Some(&mut self.signing));
-
-        let stable = self.chassis.checkpoints.stable_seq();
-        let mut prepares = Vec::new();
-        for (seq, instance) in self.chassis.log.instances_after(stable) {
-            // PBFT carries certificates for *prepared* requests; committed
-            // ones are re-proposed too so lagging replicas catch up.
-            if !(instance.prepared || instance.committed) {
-                continue;
-            }
-            let Some(proposal) = &instance.proposal else {
-                continue;
-            };
-            prepares.push(PrepareCert {
-                view: proposal.view,
-                seq: *seq,
-                digest: proposal.digest,
-                primary_signature: proposal.primary_signature,
-                batch: Some(proposal.batch.clone()),
-            });
-        }
-        let mut view_change = ViewChange {
-            new_view: target,
+    /// PBFT's values for the view change to `view`: the primary of that
+    /// view collects from `2f` others, more than `f` votes for a newer view
+    /// make a replica join, a vote carries its prepared slots (PBFT has no
+    /// commit certificates), and the `NEW-VIEW` embeds the votes.
+    fn view_change_rules(&self, view: View) -> ViewChangeRules {
+        ViewChangeRules {
+            view,
             mode: Mode::Peacock,
-            stable_seq: stable,
-            checkpoint_proof: self.chassis.checkpoints.stable_proof().to_vec(),
-            prepares,
-            commits: Vec::new(),
-            replica: self.chassis.id,
-            signature: Signature::INVALID,
-        };
-        view_change.signature = self.signing.sign(&view_change);
-        self.view_changes
-            .entry(target)
-            .or_default()
-            .insert(self.chassis.id, view_change.clone());
-        self.chassis
-            .broadcast(&mut actions, Message::ViewChange(view_change));
-        actions.push(Action::SetTimer {
-            timer: Timer::ViewChange { view: target },
-            after: self.chassis.pconfig.view_change_timeout,
-        });
-        self.try_assemble(&mut actions, target, now);
-        actions
+            collector: Some(self.config.primary(view)),
+            threshold: self.config.view_change_threshold() as usize,
+            join_after: self.config.fault_bound as usize,
+            voter: true,
+            carried: Carried::Prepared,
+            promote_prepared: None,
+            embed_votes: true,
+            recipients: self.config.replicas().collect(),
+        }
     }
 
-    fn on_view_change(
-        &mut self,
-        from: NodeId,
-        view_change: ViewChange,
-        now: Instant,
-    ) -> Vec<Action> {
+    /// Runs one view-change step (see [`seemore_core::view_change`]). Once
+    /// a `NEW-VIEW` is installed, every replica counts the new primary's
+    /// implicit prepare and its own for each re-proposed slot and a backup
+    /// broadcasts its signed prepare; requests stranded in the batch buffer
+    /// are proposed by the new primary and forwarded by everyone else.
+    fn view_change(&mut self, input: ViewChangeInput, now: Instant) -> Vec<Action> {
+        let rules = self.view_change_rules(input.target().0);
         let mut actions = Vec::new();
-        let Some(sender) = from.as_replica() else {
+        let signing = Some(&mut self.signing);
+        let Some(installed) = self
+            .chassis
+            .view_change(&mut actions, input, &rules, signing)
+        else {
             return actions;
         };
-        if view_change.new_view <= self.chassis.view
-            || sender != view_change.replica
-            || !self.signing.verify_once(
-                NodeId::Replica(sender),
-                &view_change,
-                &view_change.signature,
-            )
-        {
-            self.chassis.metrics.rejected_messages += 1;
-            return actions;
-        }
-        let target = view_change.new_view;
-        self.view_changes
-            .entry(target)
-            .or_default()
-            .insert(sender, view_change);
-        // PBFT liveness rule: join once more than `f` replicas voted for a
-        // newer view.
-        let votes = self.view_changes.get(&target).map(|v| v.len()).unwrap_or(0);
-        if !self.in_view_change && votes > self.config.fault_bound as usize {
-            actions.extend(self.start_view_change(target, now));
-        }
-        self.try_assemble(&mut actions, target, now);
-        actions
-    }
-
-    fn try_assemble(&mut self, actions: &mut Vec<Action>, target: View, now: Instant) {
-        if self.config.primary(target) != self.chassis.id
-            || self.new_view_sent.contains(&target)
-            || target <= self.chassis.view
-        {
-            return;
-        }
-        let threshold = self.config.view_change_threshold() as usize;
-        let Some(votes) = self.view_changes.get(&target) else {
-            return;
-        };
-        let others = votes.keys().filter(|r| **r != self.chassis.id).count();
-        if others < threshold {
-            return;
-        }
-        self.new_view_sent.push(target);
-        let votes: Vec<ViewChange> = votes.values().cloned().collect();
-
-        let mut low = self.chassis.checkpoints.stable_seq();
-        let mut best_checkpoint = self.chassis.checkpoints.stable_proof().first().cloned();
-        for vote in &votes {
-            if vote.stable_seq > low {
-                low = vote.stable_seq;
-                best_checkpoint = vote.checkpoint_proof.first().cloned();
-            }
-        }
-        let mut high = low;
-        for vote in &votes {
-            for cert in &vote.prepares {
-                high = high.max(cert.seq);
-            }
-        }
-
-        let mut prepares_out = Vec::new();
-        let mut seq = low.next();
-        while seq <= high {
-            // Certificate re-validation: every member request's signature
-            // was already verified on first arrival, so the memo (when
-            // enabled) turns these re-checks into digest lookups.
-            let prepared = votes.iter().flat_map(|v| v.prepares.iter()).find(|p| {
-                p.seq == seq
-                    && p.batch
-                        .as_ref()
-                        .map(|batch| {
-                            batch.digest() == p.digest
-                                && batch.iter().all(|r| {
-                                    r.client == NOOP_CLIENT
-                                        || self.signing.verify(
-                                            NodeId::Client(r.client),
-                                            r,
-                                            &r.signature,
-                                        )
-                                })
-                        })
-                        .unwrap_or(false)
-            });
-            if let Some(cert) = prepared {
-                prepares_out.push(cert.clone());
-            } else {
-                let batch = Batch::single(noop_request(seq));
-                prepares_out.push(PrepareCert {
+        let (primary, id) = (self.primary(), self.chassis.id);
+        for (seq, digest) in installed.reproposed {
+            let instance = self.chassis.log.instance_mut(seq);
+            instance.record_pbft_prepare(primary, digest);
+            instance.record_pbft_prepare(id, digest);
+            if primary != id {
+                let mut vote = PbftPrepare {
                     view: self.chassis.view,
                     seq,
-                    digest: batch.digest(),
-                    primary_signature: Signature::INVALID,
-                    batch: Some(batch),
-                });
-            }
-            seq = seq.next();
-        }
-
-        let mut new_view = NewView {
-            view: target,
-            mode: Mode::Peacock,
-            prepares: prepares_out,
-            commits: Vec::new(),
-            checkpoint: best_checkpoint,
-            view_change_proof: votes,
-            replica: self.chassis.id,
-            signature: Signature::INVALID,
-        };
-        new_view.signature = self.signing.sign(&new_view);
-        self.chassis
-            .broadcast(actions, Message::NewView(new_view.clone()));
-        self.install_new_view(actions, new_view, now);
-    }
-
-    fn on_new_view(&mut self, from: NodeId, new_view: NewView, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let Some(sender) = from.as_replica() else {
-            return actions;
-        };
-        if new_view.view <= self.chassis.view
-            || sender != self.config.primary(new_view.view)
-            || sender != new_view.replica
-            || !self
-                .signing
-                .verify_once(NodeId::Replica(sender), &new_view, &new_view.signature)
-        {
-            self.chassis.metrics.rejected_messages += 1;
-            return actions;
-        }
-        self.install_new_view(&mut actions, new_view, now);
-        actions
-    }
-
-    fn install_new_view(&mut self, actions: &mut Vec<Action>, new_view: NewView, now: Instant) {
-        actions.push(Action::CancelTimer {
-            timer: Timer::ViewChange {
-                view: new_view.view,
-            },
-        });
-        self.chassis.enter_view(new_view.view, Mode::Peacock);
-        self.in_view_change = false;
-        self.chassis.metrics.view_changes_completed += 1;
-        self.chassis
-            .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
-        self.chassis
-            .refuse_parked_reads(actions, Some(&mut self.signing));
-        self.chassis.assigned.clear();
-        self.view_changes.retain(|view, _| *view > new_view.view);
-        self.chassis.log.reset_votes_for_new_view();
-
-        if let Some(cp) = &new_view.checkpoint {
-            if cp.seq > self.chassis.checkpoints.stable_seq() {
-                self.chassis
-                    .checkpoints
-                    .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                self.chassis.after_stable_checkpoint();
-            }
-        }
-        let mut highest = self
-            .chassis
-            .checkpoints
-            .stable_seq()
-            .max(self.chassis.exec.last_executed());
-        let i_am_primary = self.config.primary(new_view.view) == self.chassis.id;
-        for cert in &new_view.prepares {
-            highest = highest.max(cert.seq);
-            let Some(batch) = cert.batch.clone() else {
-                continue;
-            };
-            let digest = cert.digest;
-            let seq = cert.seq;
-            {
-                let instance = self.chassis.log.instance_mut(seq);
-                if instance.committed {
-                    continue;
-                }
-                instance.proposal = Some(Proposal {
-                    view: new_view.view,
                     digest,
-                    batch,
-                    primary_signature: cert.primary_signature,
-                });
-                instance.record_pbft_prepare(self.config.primary(new_view.view), digest);
-                instance.record_pbft_prepare(self.chassis.id, digest);
-            }
-            if !i_am_primary {
-                let mut vote = PbftPrepare {
-                    view: new_view.view,
-                    seq,
-                    digest,
-                    replica: self.chassis.id,
+                    replica: id,
                     signature: Signature::INVALID,
                 };
                 vote.signature = self.signing.sign(&vote);
-                self.chassis.broadcast(actions, Message::PbftPrepare(vote));
+                self.chassis
+                    .broadcast(&mut actions, Message::PbftPrepare(vote));
             }
         }
-        self.chassis.next_seq = highest;
-        self.execute_ready(actions);
-
-        // Requests buffered for batching under the old view are re-routed:
-        // the new primary proposes them, everyone else forwards them (and
-        // the armed flush timer, if any, is cancelled with the buffer).
-        let buffered = self.chassis.batcher.drain(actions);
-        if i_am_primary {
-            for request in buffered {
-                if self
-                    .chassis
-                    .exec
-                    .cached_reply(request.client, request.timestamp)
-                    .is_none()
-                {
-                    self.buffer_or_propose(actions, request, now);
-                }
+        self.execute_ready(&mut actions);
+        let stranded = self.chassis.take_stranded(&mut actions);
+        if primary == id {
+            for request in stranded {
+                self.buffer_or_propose(&mut actions, request, now);
             }
-            self.flush_buffered(actions);
+            // Recovery must not wait out the flush delay.
+            if let Some(batch) = self.chassis.flush_batch(&mut actions) {
+                self.propose_batch(&mut actions, batch);
+            }
         } else {
-            let primary = self.config.primary(new_view.view);
-            for request in buffered {
-                if self
-                    .chassis
-                    .exec
-                    .cached_reply(request.client, request.timestamp)
-                    .is_none()
-                {
-                    self.chassis
-                        .send(actions, NodeId::Replica(primary), Message::Request(request));
-                }
+            let to = NodeId::Replica(primary);
+            for request in stranded {
+                self.chassis
+                    .send(&mut actions, to, Message::Request(request));
             }
         }
-    }
-
-    /// Forces out any partially accumulated batch.
-    fn flush_buffered(&mut self, actions: &mut Vec<Action>) {
-        if let Some(batch) = self.chassis.flush_batch(actions) {
-            self.propose_batch(actions, batch);
-        }
+        actions
     }
 
     /// The batch flush timer of `generation` fired: propose the buffer
@@ -930,7 +690,7 @@ impl BftReplica {
     /// while buffering).
     fn on_batch_flush(&mut self, generation: u64) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.chassis.flush_timer_is_current(generation) || self.in_view_change {
+        if !self.chassis.flush_timer_is_current(generation) || self.chassis.in_view_change() {
             return actions;
         }
         if self.is_primary() {
@@ -977,8 +737,10 @@ impl ReplicaProtocol for BftReplica {
             Message::PbftPrepare(vote) => self.on_pbft_prepare(from, vote),
             Message::Commit(commit) => self.on_commit(from, commit),
             Message::Checkpoint(checkpoint) => self.on_checkpoint(from, checkpoint),
-            Message::ViewChange(view_change) => self.on_view_change(from, view_change, now),
-            Message::NewView(new_view) => self.on_new_view(from, new_view, now),
+            Message::ViewChange(vote) => self.view_change(ViewChangeInput::Vote(from, vote), now),
+            Message::NewView(new_view) => {
+                self.view_change(ViewChangeInput::NewView(from, new_view), now)
+            }
             Message::Recovery(recovery) => self.on_recovery(from, recovery),
             Message::StateRequest(request) => {
                 self.chassis.serve_state(request.from_seq, request.replica)
@@ -995,65 +757,23 @@ impl ReplicaProtocol for BftReplica {
             return actions;
         }
         match timer {
-            Timer::RequestProgress { seq } => {
-                let committed = self
+            Timer::RequestProgress { .. }
+            | Timer::ForwardedRequest { .. }
+            | Timer::ViewChange { .. } => {
+                let suspicion = Suspicion {
+                    primary: self.primary(),
+                    voter: true,
+                    grace: Grace::NewerView,
+                };
+                let mut actions = Vec::new();
+                match self
                     .chassis
-                    .log
-                    .instance(seq)
-                    .map(|i| i.committed)
-                    .unwrap_or(seq <= self.chassis.exec.last_executed());
-                if committed || self.in_view_change {
-                    return Vec::new();
-                }
-                let armed = self
-                    .chassis
-                    .progress_armed
-                    .get(&seq)
-                    .copied()
-                    .unwrap_or(View::ZERO);
-                if armed < self.chassis.view {
-                    // A newer view was installed since this timer was armed;
-                    // give the new primary a full timeout first.
-                    self.chassis.progress_armed.insert(seq, self.chassis.view);
-                    return vec![Action::SetTimer {
-                        timer: Timer::RequestProgress { seq },
-                        after: self.chassis.pconfig.request_timeout,
-                    }];
-                }
-                self.start_view_change(self.chassis.view.next(), now)
-            }
-            Timer::ForwardedRequest { request } => {
-                if self
-                    .chassis
-                    .exec
-                    .cached_reply(request.client, request.timestamp)
-                    .is_some()
-                    || self.in_view_change
+                    .on_suspicion_timer(&mut actions, timer, suspicion)
                 {
-                    return Vec::new();
-                }
-                let armed = self
-                    .chassis
-                    .forwarded_armed
-                    .get(&request)
-                    .copied()
-                    .unwrap_or(View::ZERO);
-                if armed < self.chassis.view {
-                    self.chassis
-                        .forwarded_armed
-                        .insert(request, self.chassis.view);
-                    return vec![Action::SetTimer {
-                        timer: Timer::ForwardedRequest { request },
-                        after: self.chassis.pconfig.request_timeout,
-                    }];
-                }
-                self.start_view_change(self.chassis.view.next(), now)
-            }
-            Timer::ViewChange { view } => {
-                if self.in_view_change && self.chassis.view < view {
-                    self.start_view_change(view.next(), now)
-                } else {
-                    Vec::new()
+                    Expiry::Suspect(view) => {
+                        self.view_change(ViewChangeInput::Start(view, Mode::Peacock), now)
+                    }
+                    Expiry::Quiet | Expiry::Regranted => actions,
                 }
             }
             Timer::BatchFlush { generation } => self.on_batch_flush(generation),
@@ -1102,9 +822,11 @@ mod tests {
     use crate::config::s_upright;
     use seemore_app::KvStore;
     use seemore_core::byzantine::{ByzantineBehavior, ByzantineReplica};
+    use seemore_core::chassis::NOOP_CLIENT;
     use seemore_core::check::{self, History};
     use seemore_core::testkit::SyncCluster;
     use seemore_types::{ClientId, Duration};
+    use seemore_wire::{NewView, PrepareCert, ViewChange};
 
     const LIMIT: u64 = 200_000;
 
@@ -1701,6 +1423,60 @@ mod tests {
         );
         assert_eq!(replica.view(), View::ZERO);
         assert_eq!(replica.metrics().rejected_messages, 1);
+    }
+
+    /// PBFT's view change has no commit certificates: one in a `NEW-VIEW`
+    /// would let the new primary order a batch on its word alone, so an
+    /// installing backup ignores it and executes nothing it carries.
+    #[test]
+    fn bft_backups_ignore_commit_certificates_in_a_new_view() {
+        use seemore_types::Timestamp;
+        use seemore_wire::{CommitCert, SignedPayload};
+
+        let config = BaselineConfig::bft(1);
+        let keystore = KeyStore::generate(29, config.network_size, 1);
+        let mut replica = BftReplica::new(
+            ReplicaId(2),
+            config,
+            ProtocolConfig::default(),
+            keystore.clone(),
+            Box::new(KvStore::new()),
+        );
+        let client = keystore.signer_for(NodeId::Client(ClientId(0))).unwrap();
+        let batch = Batch::single(ClientRequest::new(
+            ClientId(0),
+            Timestamp(1),
+            b"op".to_vec(),
+            &client,
+        ));
+        let collector = config.primary(View(1));
+        let mut new_view = NewView {
+            view: View(1),
+            mode: Mode::Peacock,
+            prepares: Vec::new(),
+            commits: vec![CommitCert {
+                view: View::ZERO,
+                seq: SeqNum(1),
+                digest: batch.digest(),
+                primary_signature: Signature::INVALID,
+                batch: Some(batch),
+            }],
+            checkpoint: None,
+            view_change_proof: Vec::new(),
+            replica: collector,
+            signature: Signature::INVALID,
+        };
+        new_view.signature = keystore
+            .signer_for(NodeId::Replica(collector))
+            .unwrap()
+            .sign(&new_view.signing_bytes());
+        replica.on_message(
+            NodeId::Replica(collector),
+            Message::NewView(new_view),
+            Instant::ZERO,
+        );
+        assert_eq!(replica.view(), View(1));
+        assert!(replica.executed().is_empty());
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! 4. after `f` accepts (plus its own) the leader broadcasts a `COMMIT`,
 //!    executes and replies to each client in the batch.
 //!
-//! View changes follow the same pattern as SeeMoRe's Lion mode but without
-//! any cryptographic evidence (crash faults cannot forge messages).
+//! View changes run the shared view change of [`seemore_core::view_change`]
+//! like SeeMoRe's Lion mode, but without any cryptographic evidence (crash
+//! faults cannot forge messages).
 
 use crate::config::BaselineConfig;
 use seemore_app::StateMachine;
 use seemore_core::actions::{Action, Timer};
-use seemore_core::chassis::{noop_request, Duties, Inbound, ReplicaChassis};
+use seemore_core::chassis::{Duties, Inbound, ReplicaChassis};
 use seemore_core::checkpoint::StabilityRule;
 use seemore_core::config::ProtocolConfig;
 use seemore_core::exec::ExecutedEntry;
@@ -26,15 +27,17 @@ use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ReadRule;
+use seemore_core::view_change::{
+    Carried, Expiry, Grace, Suspicion, ViewChangeInput, ViewChangeRules,
+};
 use seemore_crypto::{Digest, Signature};
 use seemore_store::{Durability, WalRecord};
 use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{Instant, Mode, NodeId, ReplicaId, SeqNum, View};
 use seemore_wire::{
-    Accept, Batch, Checkpoint, ClientRequest, Commit, CommitCert, Message, NewView, Prepare,
-    PrepareCert, Recovery, StateRequest, StateResponse, ViewChange,
+    Accept, Batch, Checkpoint, ClientRequest, Commit, Message, Prepare, Recovery, StateRequest,
+    StateResponse,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A crash fault-tolerant (Paxos-style) replica.
@@ -45,10 +48,6 @@ pub struct CftReplica {
     /// trace events carry [`Mode::Lion`], the closest SeeMoRe analogue.
     chassis: ReplicaChassis,
     config: BaselineConfig,
-    in_view_change: bool,
-    target_view: View,
-    view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
-    new_view_sent: Vec<View>,
 }
 
 impl CftReplica {
@@ -70,10 +69,6 @@ impl CftReplica {
                 app,
             ),
             config,
-            in_view_change: false,
-            target_view: View::ZERO,
-            view_changes: BTreeMap::new(),
-            new_view_sent: Vec::new(),
         }
     }
 
@@ -162,7 +157,7 @@ impl CftReplica {
     /// SeeMoRe's trusted primary, fenced at its proposal frontier; everyone
     /// else, and everyone during a view change, refuses.
     fn read_rule(&self, now: Instant) -> ReadRule {
-        if self.is_primary() && !self.in_view_change {
+        if self.is_primary() && !self.chassis.in_view_change() {
             ReadRule::Leased(now)
         } else {
             ReadRule::Refuse
@@ -188,7 +183,9 @@ impl CftReplica {
 
     fn on_request(&mut self, request: ClientRequest, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.chassis.reply_from_cache(&mut actions, &request, None) || self.in_view_change {
+        if self.chassis.reply_from_cache(&mut actions, &request, None)
+            || self.chassis.in_view_change()
+        {
             return actions;
         }
         if self.is_primary() {
@@ -243,7 +240,7 @@ impl CftReplica {
 
     fn on_prepare(&mut self, from: NodeId, prepare: Prepare) -> Vec<Action> {
         let mut actions = Vec::new();
-        if self.in_view_change
+        if self.chassis.in_view_change()
             || prepare.view != self.chassis.view
             || from.as_replica() != Some(self.primary())
             || prepare.digest != prepare.batch.digest()
@@ -288,7 +285,7 @@ impl CftReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if !self.is_primary() || accept.view != self.chassis.view || self.in_view_change {
+        if !self.is_primary() || accept.view != self.chassis.view || self.chassis.in_view_change() {
             return actions;
         }
         let instance = self.chassis.log.instance_mut(accept.seq);
@@ -345,7 +342,7 @@ impl CftReplica {
         let mut actions = Vec::new();
         if from.as_replica() != Some(self.primary())
             || commit.view != self.chassis.view
-            || self.in_view_change
+            || self.chassis.in_view_change()
         {
             self.chassis.metrics.rejected_messages += 1;
             return actions;
@@ -431,292 +428,67 @@ impl CftReplica {
     // View change
     // --------------------------------------------------------------
 
-    fn start_view_change(&mut self, target: View, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if self.in_view_change && self.target_view >= target {
-            return actions;
-        }
-        self.in_view_change = true;
-        self.target_view = target;
-        self.chassis.metrics.view_changes_started += 1;
-        self.chassis
-            .trace(EventKind::ViewChangeStart, None, None, target.0);
-        self.chassis.refuse_parked_reads(&mut actions, None);
-
-        let stable = self.chassis.checkpoints.stable_seq();
-        let mut prepares = Vec::new();
-        let mut commits = Vec::new();
-        for (seq, instance) in self.chassis.log.instances_after(stable) {
-            let Some(proposal) = &instance.proposal else {
-                continue;
-            };
-            let cert = PrepareCert {
-                view: proposal.view,
-                seq: *seq,
-                digest: proposal.digest,
-                primary_signature: Signature::INVALID,
-                batch: Some(proposal.batch.clone()),
-            };
-            if instance.committed {
-                commits.push(CommitCert {
-                    view: proposal.view,
-                    seq: *seq,
-                    digest: proposal.digest,
-                    primary_signature: Signature::INVALID,
-                    batch: Some(proposal.batch.clone()),
-                });
-            } else {
-                prepares.push(cert);
-            }
-        }
-        let view_change = ViewChange {
-            new_view: target,
+    /// Multi-Paxos's values for the view change to `view`: the leader of
+    /// that view collects from `f` others, one vote for a newer view is
+    /// enough to join (crash faults cannot lie), and a vote carries every
+    /// proposal, committed ones as commit certificates.
+    fn view_change_rules(&self, view: View) -> ViewChangeRules {
+        ViewChangeRules {
+            view,
             mode: Mode::Lion,
-            stable_seq: stable,
-            checkpoint_proof: self.chassis.checkpoints.stable_proof().to_vec(),
-            prepares,
-            commits,
-            replica: self.chassis.id,
-            signature: Signature::INVALID,
-        };
-        self.view_changes
-            .entry(target)
-            .or_default()
-            .insert(self.chassis.id, view_change.clone());
-        self.chassis
-            .broadcast(&mut actions, Message::ViewChange(view_change));
-        actions.push(Action::SetTimer {
-            timer: Timer::ViewChange { view: target },
-            after: self.chassis.pconfig.view_change_timeout,
-        });
-        self.try_assemble(&mut actions, target, now);
-        actions
+            collector: Some(self.config.primary(view)),
+            threshold: self.config.view_change_threshold() as usize,
+            join_after: 0,
+            voter: true,
+            carried: Carried::CommitsAndProposals,
+            promote_prepared: None,
+            embed_votes: false,
+            recipients: self.config.replicas().collect(),
+        }
     }
 
-    fn on_view_change(
-        &mut self,
-        from: NodeId,
-        view_change: ViewChange,
-        now: Instant,
-    ) -> Vec<Action> {
+    /// Runs one view-change step (see [`seemore_core::view_change`]). Once
+    /// a `NEW-VIEW` is installed, a backup accepts each re-proposed slot to
+    /// the new leader, and requests stranded in the batch buffer are
+    /// proposed by the new leader and forwarded by everyone else.
+    fn view_change(&mut self, input: ViewChangeInput, now: Instant) -> Vec<Action> {
+        let rules = self.view_change_rules(input.target().0);
         let mut actions = Vec::new();
-        let Some(sender) = from.as_replica() else {
+        let Some(installed) = self.chassis.view_change(&mut actions, input, &rules, None) else {
             return actions;
         };
-        if view_change.new_view <= self.chassis.view {
-            return actions;
-        }
-        let target = view_change.new_view;
-        self.view_changes
-            .entry(target)
-            .or_default()
-            .insert(sender, view_change);
-        // Join once anyone else asked for a newer view (crash faults cannot
-        // lie, so a single vote is trustworthy).
-        if !self.in_view_change {
-            actions.extend(self.start_view_change(target, now));
-        }
-        self.try_assemble(&mut actions, target, now);
-        actions
-    }
-
-    fn try_assemble(&mut self, actions: &mut Vec<Action>, target: View, now: Instant) {
-        if self.config.primary(target) != self.chassis.id
-            || self.new_view_sent.contains(&target)
-            || target <= self.chassis.view
-        {
-            return;
-        }
-        let threshold = self.config.view_change_threshold() as usize;
-        let Some(votes) = self.view_changes.get(&target) else {
-            return;
-        };
-        let others = votes.keys().filter(|r| **r != self.chassis.id).count();
-        if others < threshold {
-            return;
-        }
-        self.new_view_sent.push(target);
-        let votes: Vec<ViewChange> = votes.values().cloned().collect();
-
-        let mut low = self.chassis.checkpoints.stable_seq();
-        let mut best_checkpoint = self.chassis.checkpoints.stable_proof().first().cloned();
-        for vote in &votes {
-            if vote.stable_seq > low {
-                low = vote.stable_seq;
-                best_checkpoint = vote.checkpoint_proof.first().cloned();
-            }
-        }
-        let mut high = low;
-        for vote in &votes {
-            for cert in &vote.prepares {
-                high = high.max(cert.seq);
-            }
-            for cert in &vote.commits {
-                high = high.max(cert.seq);
-            }
-        }
-
-        let mut prepares_out = Vec::new();
-        let mut commits_out = Vec::new();
-        let mut seq = low.next();
-        while seq <= high {
-            let committed = votes
-                .iter()
-                .flat_map(|v| v.commits.iter())
-                .find(|c| c.seq == seq);
-            let prepared = votes
-                .iter()
-                .flat_map(|v| v.prepares.iter())
-                .find(|p| p.seq == seq);
-            if let Some(cert) = committed {
-                commits_out.push(cert.clone());
-            } else if let Some(cert) = prepared {
-                prepares_out.push(cert.clone());
-            } else {
-                let batch = Batch::single(noop_request(seq));
-                prepares_out.push(PrepareCert {
+        let primary = self.primary();
+        for (seq, digest) in installed.reproposed {
+            if primary != self.chassis.id {
+                let accept = Accept {
                     view: self.chassis.view,
                     seq,
-                    digest: batch.digest(),
-                    primary_signature: Signature::INVALID,
-                    batch: Some(batch),
-                });
-            }
-            seq = seq.next();
-        }
-
-        let new_view = NewView {
-            view: target,
-            mode: Mode::Lion,
-            prepares: prepares_out,
-            commits: commits_out,
-            checkpoint: best_checkpoint,
-            view_change_proof: Vec::new(),
-            replica: self.chassis.id,
-            signature: Signature::INVALID,
-        };
-        self.chassis
-            .broadcast(actions, Message::NewView(new_view.clone()));
-        self.install_new_view(actions, new_view, now);
-    }
-
-    fn on_new_view(&mut self, from: NodeId, new_view: NewView, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if new_view.view <= self.chassis.view
-            || from.as_replica() != Some(self.config.primary(new_view.view))
-        {
-            self.chassis.metrics.rejected_messages += 1;
-            return actions;
-        }
-        self.install_new_view(&mut actions, new_view, now);
-        actions
-    }
-
-    fn install_new_view(&mut self, actions: &mut Vec<Action>, new_view: NewView, now: Instant) {
-        actions.push(Action::CancelTimer {
-            timer: Timer::ViewChange {
-                view: new_view.view,
-            },
-        });
-        self.chassis.enter_view(new_view.view, Mode::Lion);
-        self.in_view_change = false;
-        self.chassis.metrics.view_changes_completed += 1;
-        self.chassis
-            .trace(EventKind::ViewChangeInstall, None, None, new_view.view.0);
-        self.chassis.refuse_parked_reads(actions, None);
-        self.chassis.assigned.clear();
-        self.view_changes.retain(|view, _| *view > new_view.view);
-        self.chassis.log.reset_votes_for_new_view();
-
-        if let Some(cp) = &new_view.checkpoint {
-            if cp.seq > self.chassis.checkpoints.stable_seq() {
-                self.chassis
-                    .checkpoints
-                    .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-                self.chassis.after_stable_checkpoint();
-            }
-        }
-        let mut highest = self
-            .chassis
-            .checkpoints
-            .stable_seq()
-            .max(self.chassis.exec.last_executed());
-        for cert in &new_view.commits {
-            highest = highest.max(cert.seq);
-            self.chassis.log.instance_mut(cert.seq).committed = true;
-            if let Some(batch) = cert.batch.clone() {
-                self.chassis.exec.add_committed(cert.seq, batch);
-            }
-        }
-        let i_am_primary = self.config.primary(new_view.view) == self.chassis.id;
-        for cert in &new_view.prepares {
-            highest = highest.max(cert.seq);
-            let Some(batch) = cert.batch.clone() else {
-                continue;
-            };
-            let instance = self.chassis.log.instance_mut(cert.seq);
-            if instance.committed {
-                continue;
-            }
-            instance.proposal = Some(Proposal {
-                view: new_view.view,
-                digest: cert.digest,
-                batch,
-                primary_signature: Signature::INVALID,
-            });
-            if !i_am_primary {
-                let accept = Accept {
-                    view: new_view.view,
-                    seq: cert.seq,
-                    digest: cert.digest,
+                    digest,
                     replica: self.chassis.id,
                     signature: None,
                 };
-                let primary = self.config.primary(new_view.view);
-                self.chassis
-                    .send(actions, NodeId::Replica(primary), Message::Accept(accept));
+                let to = NodeId::Replica(primary);
+                self.chassis.send(&mut actions, to, Message::Accept(accept));
             }
         }
-        self.chassis.next_seq = highest;
-        self.execute_ready(actions, now);
-
-        // Requests buffered for batching under the old view are re-routed:
-        // the new leader proposes them, everyone else forwards them (and the
-        // armed flush timer, if any, is cancelled with the buffer).
-        let buffered = self.chassis.batcher.drain(actions);
-        if i_am_primary {
-            for request in buffered {
-                if self
-                    .chassis
-                    .exec
-                    .cached_reply(request.client, request.timestamp)
-                    .is_none()
-                {
-                    self.buffer_or_propose(actions, request, now);
-                }
+        self.execute_ready(&mut actions, now);
+        let stranded = self.chassis.take_stranded(&mut actions);
+        if primary == self.chassis.id {
+            for request in stranded {
+                self.buffer_or_propose(&mut actions, request, now);
             }
-            self.flush_buffered(actions, now);
+            // Recovery must not wait out the flush delay.
+            if let Some(batch) = self.chassis.flush_batch(&mut actions) {
+                self.propose_batch(&mut actions, batch, now);
+            }
         } else {
-            let primary = self.config.primary(new_view.view);
-            for request in buffered {
-                if self
-                    .chassis
-                    .exec
-                    .cached_reply(request.client, request.timestamp)
-                    .is_none()
-                {
-                    self.chassis
-                        .send(actions, NodeId::Replica(primary), Message::Request(request));
-                }
+            let to = NodeId::Replica(primary);
+            for request in stranded {
+                self.chassis
+                    .send(&mut actions, to, Message::Request(request));
             }
         }
-    }
-
-    /// Forces out any partially accumulated batch.
-    fn flush_buffered(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        if let Some(batch) = self.chassis.flush_batch(actions) {
-            self.propose_batch(actions, batch, now);
-        }
+        actions
     }
 
     /// The batch flush timer of `generation` fired: propose the buffer
@@ -724,7 +496,7 @@ impl CftReplica {
     /// while buffering).
     fn on_batch_flush(&mut self, generation: u64, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self.chassis.flush_timer_is_current(generation) || self.in_view_change {
+        if !self.chassis.flush_timer_is_current(generation) || self.chassis.in_view_change() {
             return actions;
         }
         if self.is_primary() {
@@ -770,8 +542,10 @@ impl ReplicaProtocol for CftReplica {
             Message::Accept(accept) => self.on_accept(from, accept, now),
             Message::Commit(commit) => self.on_commit(from, commit, now),
             Message::Checkpoint(checkpoint) => self.on_checkpoint(checkpoint),
-            Message::ViewChange(view_change) => self.on_view_change(from, view_change, now),
-            Message::NewView(new_view) => self.on_new_view(from, new_view, now),
+            Message::ViewChange(vote) => self.view_change(ViewChangeInput::Vote(from, vote), now),
+            Message::NewView(new_view) => {
+                self.view_change(ViewChangeInput::NewView(from, new_view), now)
+            }
             // A restarted peer's announcement and a lagging peer's request
             // get the same answer (crash faults cannot lie, so neither is
             // verified): the committed suffix above where the peer stands.
@@ -800,37 +574,23 @@ impl ReplicaProtocol for CftReplica {
             return actions;
         }
         match timer {
-            Timer::RequestProgress { seq } => {
-                let committed = self
+            Timer::RequestProgress { .. }
+            | Timer::ForwardedRequest { .. }
+            | Timer::ViewChange { .. } => {
+                let suspicion = Suspicion {
+                    primary: self.primary(),
+                    voter: true,
+                    grace: Grace::None,
+                };
+                let mut actions = Vec::new();
+                match self
                     .chassis
-                    .log
-                    .instance(seq)
-                    .map(|i| i.committed)
-                    .unwrap_or(seq <= self.chassis.exec.last_executed());
-                if committed || self.in_view_change {
-                    Vec::new()
-                } else {
-                    self.start_view_change(self.chassis.view.next(), now)
-                }
-            }
-            Timer::ForwardedRequest { request } => {
-                if self
-                    .chassis
-                    .exec
-                    .cached_reply(request.client, request.timestamp)
-                    .is_some()
-                    || self.in_view_change
+                    .on_suspicion_timer(&mut actions, timer, suspicion)
                 {
-                    Vec::new()
-                } else {
-                    self.start_view_change(self.chassis.view.next(), now)
-                }
-            }
-            Timer::ViewChange { view } => {
-                if self.in_view_change && self.chassis.view < view {
-                    self.start_view_change(view.next(), now)
-                } else {
-                    Vec::new()
+                    Expiry::Suspect(view) => {
+                        self.view_change(ViewChangeInput::Start(view, Mode::Lion), now)
+                    }
+                    Expiry::Quiet | Expiry::Regranted => actions,
                 }
             }
             Timer::BatchFlush { generation } => self.on_batch_flush(generation, now),
@@ -880,6 +640,7 @@ mod tests {
     use seemore_core::testkit::SyncCluster;
     use seemore_crypto::KeyStore;
     use seemore_types::{ClientId, Duration};
+    use seemore_wire::{NewView, ViewChange};
 
     fn build(f: u32) -> (SyncCluster, BaselineConfig) {
         let config = BaselineConfig::cft(f);

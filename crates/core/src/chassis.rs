@@ -17,15 +17,16 @@
 //! checkpoints, answering an executed request from the reply cache, and the
 //! read-only fast path — the read lease with its propose-time anchors, the
 //! read-index and prepared fences, and parking, serving and refusing reads
-//! (in [`crate::reads`]). The suspicion-timer bookkeeping those paths prune
-//! (which view armed each progress and forwarded-request timer) lives here
-//! too.
+//! (in [`crate::reads`]). The view change, its suspicion timers and the
+//! bookkeeping of which view armed each of them are chassis code too (in
+//! [`crate::view_change`]).
 //!
 //! Each replica struct owns a chassis as a plain field and calls into it.
 //! What the paper says differs stays with the caller and reaches the shared
 //! code as a value: the agreement handlers and which replayed votes re-arm
-//! which flags, view change, the read admission verdict
-//! ([`ReadRule`]), who replies and who announces checkpoints ([`Duties`]),
+//! which flags, the view change's rules
+//! ([`ViewChangeRules`](crate::view_change::ViewChangeRules)), the read
+//! admission verdict ([`ReadRule`]), who replies and who announces checkpoints ([`Duties`]),
 //! whether a message is signed (`Option<&mut SigningContext>`), the mode
 //! label on trace events, and whose state response is trusted. The chassis
 //! has no callback, no type parameter and no branch on which protocol is
@@ -39,6 +40,7 @@ use crate::exec::ExecutionEngine;
 use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
 use crate::reads::{ReadPath, ReadRule};
+use crate::view_change::ViewChangeState;
 use seemore_app::StateMachine;
 use seemore_crypto::{KeyStore, Signature, Signer, VerifyCache};
 use seemore_store::{Durability, DurableCheckpoint, NullStore, WalRecord};
@@ -220,6 +222,8 @@ pub struct ReplicaChassis {
     /// View in which each forwarded-request timer was armed (see
     /// [`forward_request`](Self::forward_request)).
     pub forwarded_armed: HashMap<RequestId, View>,
+    /// The view change in progress, if any (see [`crate::view_change`]).
+    pub(crate) vc: ViewChangeState,
     /// Whether the replica was fail-stopped by its driver.
     pub crashed: bool,
     /// Durable store for safety-critical state. [`NullStore`] (disabled) by
@@ -283,6 +287,7 @@ impl ReplicaChassis {
             reads: ReadPath::new(Instant::ZERO + pconfig.request_timeout),
             progress_armed: HashMap::new(),
             forwarded_armed: HashMap::new(),
+            vc: ViewChangeState::default(),
             crashed: false,
             store: Arc::new(NullStore),
             turn_open: false,

@@ -12,12 +12,14 @@
 //!   BFT baselines alike: identity and tracing, the log / execution /
 //!   checkpoint state, the outgoing path with its vote-before-send WAL
 //!   rule, batch admission, execution with its replies and checkpoint
-//!   announcements, the read fast path ([`reads`]), durable restart and the
-//!   rejoin exchange — plus [`chassis::SigningContext`] for the replicas
-//!   that sign. What the paper says differs between the protocols (phases,
-//!   quorums, view change, who replies and who may serve reads, whose state
-//!   is trusted) stays in the replica structs and reaches the chassis as
-//!   values ([`chassis::Duties`], [`reads::ReadRule`]).
+//!   announcements, the read fast path ([`reads`]), the view change
+//!   ([`view_change`]), durable restart and the rejoin exchange — plus
+//!   [`chassis::SigningContext`] for the replicas that sign. What the paper
+//!   says differs between the protocols (phases, quorums, who collects a
+//!   view change, who replies and who may serve reads, whose state is
+//!   trusted) stays in the replica structs and reaches the chassis as
+//!   values ([`chassis::Duties`], [`reads::ReadRule`],
+//!   [`view_change::ViewChangeRules`]).
 //! * [`client::ClientCore`] — the one client, for SeeMoRe and the
 //!   baselines alike: request submission, reply quorums, retransmission
 //!   and the read fast path. What differs between the protocols' clients
@@ -111,6 +113,19 @@
 //! slower — so the fast path is strictly an optimization, never a safety
 //! dependency.
 //!
+//! # The view change
+//!
+//! One view change serves every protocol ([`view_change`]): the paper's
+//! rules (a commit certificate wins, a prepared batch is re-proposed, a gap
+//! gets a no-op) written once in the chassis. The protocols differ only in
+//! values: a [`view_change::ViewChangeRules`] per target view (collector
+//! and threshold, `join_after`, `voter`, what a vote carries, Lion's
+//! `promote_prepared`, `embed_votes`, the recipients), a
+//! [`view_change::Suspicion`] per timer expiry with its
+//! [`view_change::Grace`] (none for CFT, a newer view for BFT, a newer view
+//! or recent progress for SeeMoRe), and `Option<&mut SigningContext>`,
+//! which decides signing and the re-validation of carried batches.
+//!
 //! Every protocol core is *sans-IO*: it consumes [`Message`]s and timer
 //! expirations and produces [`Action`]s, never touching sockets, clocks or
 //! threads. The `seemore-runtime` crate drives cores over either real
@@ -142,6 +157,7 @@ pub mod protocol;
 pub mod reads;
 pub mod replica;
 pub mod testkit;
+pub mod view_change;
 
 pub use actions::{Action, Timer};
 pub use batching::{

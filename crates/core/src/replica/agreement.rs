@@ -49,9 +49,9 @@ impl SeeMoReReplica {
         if !self.chassis.flush_timer_is_current(generation) {
             return actions;
         }
-        if self.vc.in_view_change {
+        if self.chassis.in_view_change() {
             // Keep buffering: the buffer is re-routed when the new view is
-            // installed (see `install_new_view`).
+            // installed (see `on_installed`).
             return actions;
         }
         if self.is_primary() {
@@ -64,14 +64,6 @@ impl SeeMoReReplica {
             }
         }
         actions
-    }
-
-    /// Forces out any partially accumulated batch (used when a new view is
-    /// installed, where recovery should not wait out the flush delay).
-    pub(crate) fn flush_pending_batch(&mut self, actions: &mut Vec<Action>, now: Instant) {
-        if let Some(batch) = self.chassis.flush_batch(actions) {
-            self.propose_batch(actions, batch, now);
-        }
     }
 
     /// Assigns a sequence number to `batch` and broadcasts the proposal
@@ -169,7 +161,7 @@ impl SeeMoReReplica {
             }));
             return false;
         };
-        if self.vc.in_view_change {
+        if self.chassis.in_view_change() {
             return false;
         }
         if view != self.chassis.view {
@@ -413,7 +405,7 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if accept.view != self.chassis.view || self.vc.in_view_change {
+        if accept.view != self.chassis.view || self.chassis.in_view_change() {
             actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: accept.view,
                 expected: self.chassis.view,
@@ -560,7 +552,7 @@ impl SeeMoReReplica {
         let Some(sender) = from.as_replica() else {
             return actions;
         };
-        if vote.view != self.chassis.view || self.vc.in_view_change {
+        if vote.view != self.chassis.view || self.chassis.in_view_change() {
             actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: vote.view,
                 expected: self.chassis.view,
@@ -657,7 +649,7 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if commit.view != self.chassis.view || self.vc.in_view_change {
+        if commit.view != self.chassis.view || self.chassis.in_view_change() {
             actions.push(self.chassis.violation(ProtocolViolation::WrongView {
                 got: commit.view,
                 expected: self.chassis.view,

@@ -5,14 +5,16 @@
 //! [`SeeMoReReplica`] owns a [`ReplicaChassis`] — the message log, the
 //! execution engine with its replies and checkpoint announcements, the
 //! checkpoint manager, the outgoing path, batch admission, the read fast
-//! path, durability and the rejoin exchange, all shared with the CFT and
-//! BFT baselines — plus a [`SigningContext`], and keeps what is SeeMoRe's
-//! own: the three modes' agreement, who may serve reads and who replies and
-//! announces in each mode, view change, mode switching, and the rule that
-//! state is only adopted from the trusted tier.
+//! path, durability, the rejoin exchange and the view change, all shared
+//! with the CFT and BFT baselines — plus a [`SigningContext`], and keeps
+//! what is SeeMoRe's own: the three modes' agreement, who may serve reads
+//! and who replies and announces in each mode, the values each mode's view
+//! change runs under, mode switching, and the rule that state is only
+//! adopted from the trusted tier.
 //!
 //! Message handlers live in the `agreement` submodule (normal case) and
-//! the `view_change` submodule (view change, new view and mode switch).
+//! the `view_change` submodule (view-change values, the vote for a
+//! re-proposed slot, and mode switch).
 
 mod agreement;
 mod view_change;
@@ -31,6 +33,7 @@ use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
 use crate::protocol::ReplicaProtocol;
 use crate::reads::ReadRule;
+use crate::view_change::ViewChangeInput;
 use seemore_app::StateMachine;
 use seemore_crypto::KeyStore;
 use seemore_store::{Durability, WalRecord};
@@ -38,25 +41,9 @@ use seemore_telemetry::Recorder;
 use seemore_types::{
     ClusterConfig, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum, View,
 };
-use seemore_wire::{
-    Checkpoint, ClientRequest, Message, Recovery, StateRequest, StateResponse, ViewChange,
-};
-use std::collections::{BTreeMap, HashMap};
+use seemore_wire::{Checkpoint, ClientRequest, Message, Recovery, StateRequest, StateResponse};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Bookkeeping for an in-progress view change.
-#[derive(Debug, Default)]
-pub(crate) struct ViewChangeState {
-    /// Whether this replica has stopped normal-case processing and is waiting
-    /// for a `NEW-VIEW`.
-    pub in_view_change: bool,
-    /// The view this replica is trying to install.
-    pub target_view: View,
-    /// `VIEW-CHANGE` messages received, grouped by proposed view.
-    pub received: BTreeMap<View, BTreeMap<ReplicaId, ViewChange>>,
-    /// Views for which this replica has already emitted a `NEW-VIEW`.
-    pub new_view_sent: Vec<View>,
-}
 
 /// A replica running the SeeMoRe protocol.
 pub struct SeeMoReReplica {
@@ -69,7 +56,6 @@ pub struct SeeMoReReplica {
     /// This replica's signing identity and allocation-free verify path.
     pub(crate) signing: SigningContext,
     pub(crate) cluster: ClusterConfig,
-    pub(crate) vc: ViewChangeState,
     /// Requests this replica forwarded to a primary and is still watching;
     /// a newly installed primary proposes these immediately so that view
     /// changes recover without waiting for client retransmission.
@@ -117,7 +103,6 @@ impl SeeMoReReplica {
             chassis: ReplicaChassis::new(id, cluster.total_size(), pconfig, mode, rule, app),
             signing: SigningContext::new(id, keystore),
             cluster,
-            vc: ViewChangeState::default(),
             forwarded_requests: HashMap::new(),
             pending_mode: None,
             state_transfer_pending: false,
@@ -287,15 +272,6 @@ impl SeeMoReReplica {
         }
     }
 
-    /// Whether this replica is eligible to *vote* for a view change in
-    /// `mode` (Lion: everyone; Dog / Peacock: public-cloud replicas).
-    pub(crate) fn is_view_change_voter(&self, mode: Mode) -> bool {
-        match mode {
-            Mode::Lion => true,
-            Mode::Dog | Mode::Peacock => !self.cluster.is_trusted(self.chassis.id),
-        }
-    }
-
     /// The sequence number of the last request this replica executed.
     pub fn last_executed(&self) -> SeqNum {
         self.chassis.exec.last_executed()
@@ -350,7 +326,7 @@ impl SeeMoReReplica {
         {
             return actions;
         }
-        if self.vc.in_view_change {
+        if self.chassis.in_view_change() {
             // Requests received during a view change are deferred; the client
             // will retransmit.
             return actions;
@@ -393,7 +369,7 @@ impl SeeMoReReplica {
     /// `2m + 1` matching replies; passive replicas refuse, their state lags
     /// the proxies' acknowledged prefix. Nobody serves during a view change.
     fn read_rule(&self, now: Instant) -> ReadRule {
-        if self.vc.in_view_change {
+        if self.chassis.in_view_change() {
             return ReadRule::Refuse;
         }
         match self.chassis.mode {
@@ -605,8 +581,10 @@ impl ReplicaProtocol for SeeMoReReplica {
             Message::Commit(commit) => self.on_commit(from, commit, now),
             Message::Inform(inform) => self.on_inform(from, inform, now),
             Message::Checkpoint(checkpoint) => self.on_checkpoint(from, checkpoint),
-            Message::ViewChange(view_change) => self.on_view_change(from, view_change, now),
-            Message::NewView(new_view) => self.on_new_view(from, new_view, now),
+            Message::ViewChange(vote) => self.view_change(ViewChangeInput::Vote(from, vote), now),
+            Message::NewView(new_view) => {
+                self.view_change(ViewChangeInput::NewView(from, new_view), now)
+            }
             Message::ModeChange(mode_change) => self.on_mode_change(from, mode_change, now),
             Message::StateRequest(request) => {
                 self.chassis.serve_state(request.from_seq, request.replica)
@@ -625,9 +603,9 @@ impl ReplicaProtocol for SeeMoReReplica {
             return actions;
         }
         match timer {
-            Timer::RequestProgress { seq } => self.on_progress_timeout(seq, now),
-            Timer::ForwardedRequest { request } => self.on_forwarded_timeout(request, now),
-            Timer::ViewChange { view } => self.on_view_change_timeout(view, now),
+            Timer::RequestProgress { .. }
+            | Timer::ForwardedRequest { .. }
+            | Timer::ViewChange { .. } => self.on_suspicion_timer(timer, now),
             Timer::BatchFlush { generation } => self.on_batch_flush(generation, now),
             Timer::Recovery => Vec::new(),
             Timer::ClientRetransmit { .. } => Vec::new(),

@@ -47,7 +47,9 @@ pub enum EventKind {
     /// A fast-path read was refused. `detail` is `0` when the lease was
     /// missing/expired and `1` when a fence blocked it.
     ReadRefused,
-    /// This replica started suspecting the primary of `view`.
+    /// This replica started suspecting the primary of `view` (`detail`).
+    /// `slot` names the slot of an expired progress timer, `request` the
+    /// request of an expired forwarded-request timer.
     SuspicionFired,
     /// A message signature failed verification.
     SigVerifyFail,

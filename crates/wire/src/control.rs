@@ -168,7 +168,10 @@ impl WireSize for ViewChange {
 /// Because the sender is trusted in SeeMoRe, the paper notes that the
 /// `VIEW-CHANGE` messages themselves need not be embedded; the
 /// `view_change_proof` field is therefore only populated by the PBFT /
-/// S-UpRight baselines, whose new primary is untrusted.
+/// S-UpRight baselines, whose new primary is untrusted. No receiver
+/// verifies the embedded votes, though: a BFT or S-UpRight `NEW-VIEW` is
+/// installed on its sender's identity and signature alone, so its
+/// certificates are only as good as the primary that chose them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NewView {
     /// The view being installed.
@@ -181,7 +184,8 @@ pub struct NewView {
     pub commits: Vec<CommitCert>,
     /// Latest stable checkpoint carried over into the new view.
     pub checkpoint: Option<Checkpoint>,
-    /// Embedded view-change evidence (baselines only).
+    /// Embedded view-change evidence (baselines only; carried and counted
+    /// on the wire, never checked by a receiver).
     pub view_change_proof: Vec<ViewChange>,
     /// The sender (new primary or transferer).
     pub replica: ReplicaId,
