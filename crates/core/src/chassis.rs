@@ -26,11 +26,11 @@
 //! code as a value: the agreement handlers and which replayed votes re-arm
 //! which flags, the view change's rules
 //! ([`ViewChangeRules`](crate::view_change::ViewChangeRules)), the read
-//! admission verdict ([`ReadRule`]), who replies and who announces checkpoints ([`Duties`]),
-//! whether a message is signed (`Option<&mut SigningContext>`), the mode
-//! label on trace events, and whose state response is trusted. The chassis
-//! has no callback, no type parameter and no branch on which protocol is
-//! calling it.
+//! admission verdict ([`ReadRule`]), who replies and who announces
+//! checkpoints ([`Duties`]), whether a message is signed
+//! (`Option<&mut SigningContext>`), the mode label on trace events, and
+//! whose state response is trusted. The chassis has no callback, no type
+//! parameter and no branch on which protocol is calling it.
 
 use crate::actions::{broadcast, Action, Timer};
 use crate::batching::AdaptiveBatcher;

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 /// A replica's view change in progress.
 #[derive(Debug, Default)]
-pub struct ViewChangeState {
+pub(crate) struct ViewChangeState {
     /// Whether normal-case processing stopped to wait for a `NEW-VIEW`.
     active: bool,
     /// The view being installed.
@@ -196,8 +196,9 @@ impl ReplicaChassis {
         }
     }
 
-    /// Stops normal-case processing to wait for `view`'s `NEW-VIEW` without
-    /// voting (a SeeMoRe non-voter after a mode switch was announced).
+    /// Stops normal-case processing and arms the timer that escalates if
+    /// `view`'s `NEW-VIEW` never comes. A voter goes on to vote; a SeeMoRe
+    /// non-voter after a mode-switch announcement stops here.
     pub fn await_new_view(
         &mut self,
         actions: &mut Vec<Action>,
@@ -206,6 +207,8 @@ impl ReplicaChassis {
     ) {
         self.vc.active = true;
         self.vc.target = view;
+        // Parked fast-path reads can no longer be served under this view's
+        // fence, so their clients fall back to the ordered path.
         self.refuse_parked_reads(actions, signing);
         actions.push(Action::SetTimer {
             timer: Timer::ViewChange { view },
@@ -224,13 +227,9 @@ impl ReplicaChassis {
         if self.vc.active && self.vc.target >= rules.view {
             return None;
         }
-        self.vc.active = true;
-        self.vc.target = rules.view;
         self.metrics.view_changes_started += 1;
         self.trace(EventKind::ViewChangeStart, None, None, rules.view.0);
-        // Parked fast-path reads can no longer be served under this view's
-        // fence, so their clients fall back to the ordered path.
-        self.refuse_parked_reads(actions, signing.as_deref_mut());
+        self.await_new_view(actions, rules.view, signing.as_deref_mut());
         let mut vote = self.vote(rules);
         if let Some(signing) = signing.as_deref_mut() {
             vote.signature = signing.sign(&vote);
@@ -246,10 +245,6 @@ impl ReplicaChassis {
             rules.recipients.iter().copied(),
             Message::ViewChange(vote),
         );
-        actions.push(Action::SetTimer {
-            timer: Timer::ViewChange { view: rules.view },
-            after: self.pconfig.view_change_timeout,
-        });
         self.try_assemble(actions, rules, signing)
     }
 
