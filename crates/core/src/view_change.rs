@@ -171,6 +171,7 @@ pub enum Expiry {
 
 impl ReplicaChassis {
     /// Whether normal-case processing is stopped for a view change.
+    #[inline]
     pub fn in_view_change(&self) -> bool {
         self.vc.active
     }
@@ -297,10 +298,10 @@ impl ReplicaChassis {
         mut signing: Option<&mut SigningContext>,
     ) -> Option<Installed> {
         let sender = from.as_replica()?;
-        let forged = signing.as_deref_mut().is_some_and(|signing| {
+        let forged = |signing: &mut SigningContext| {
             !signing.verify_once(NodeId::Replica(sender), &vote, &vote.signature)
-        });
-        if sender != vote.replica || forged {
+        };
+        if sender != vote.replica || signing.as_deref_mut().is_some_and(forged) {
             actions.push(self.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(vote.replica),
             }));
