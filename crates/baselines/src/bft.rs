@@ -28,6 +28,7 @@ use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ReadRule;
+use seemore_core::state_transfer::{Adoption, TransferRules};
 use seemore_core::view_change::{
     Carried, Expiry, Grace, Suspicion, ViewChangeInput, ViewChangeRules,
 };
@@ -35,10 +36,7 @@ use seemore_crypto::{Digest, KeyStore, Signature};
 use seemore_store::{Durability, WalRecord};
 use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{Instant, Mode, NodeId, ReplicaId, SeqNum, View};
-use seemore_wire::{
-    Batch, Checkpoint, ClientRequest, Commit, Message, PbftPrepare, PrePrepare, Recovery,
-    StateRequest, StateResponse,
-};
+use seemore_wire::{Batch, ClientRequest, Commit, Message, PbftPrepare, PrePrepare};
 use std::sync::Arc;
 
 /// A PBFT-style replica, parameterized by a [`BaselineConfig`].
@@ -50,14 +48,6 @@ pub struct BftReplica {
     /// This replica's signing identity and allocation-free verify path.
     signing: SigningContext,
     config: BaselineConfig,
-    /// `STATE-RESPONSE`s collected while rejoining or catching up; the
-    /// snapshot is adopted only once `f + 1` distinct replicas vouch for the
-    /// same checkpoint digest, so at least one honest replica stands behind
-    /// it.
-    recovery_responses: Vec<(ReplicaId, StateResponse)>,
-    /// True while a checkpoint-triggered catch-up (outside recovery) awaits
-    /// its `f + 1` matching `STATE-RESPONSE`s.
-    catching_up: bool,
 }
 
 impl BftReplica {
@@ -75,6 +65,14 @@ impl BftReplica {
         app: Box<dyn StateMachine>,
     ) -> Self {
         assert!(config.contains(id), "replica {id} outside the BFT group");
+        // No replica is trusted alone: a catch-up asks everyone, and `f + 1`
+        // matching responses include an honest one.
+        let transfer = TransferRules {
+            trusted: 0,
+            ask: config.network_size,
+            guarded: true,
+            adoption: Adoption::Matching(config.fault_bound as usize + 1),
+        };
         BftReplica {
             chassis: ReplicaChassis::new(
                 id,
@@ -82,12 +80,11 @@ impl BftReplica {
                 pconfig,
                 Mode::Peacock,
                 StabilityRule::Quorum(config.reply_quorum as usize),
+                transfer,
                 app,
             ),
             signing: SigningContext::new(id, keystore),
             config,
-            recovery_responses: Vec::new(),
-            catching_up: false,
         }
     }
 
@@ -109,60 +106,28 @@ impl BftReplica {
         store: Arc<dyn Durability>,
     ) -> Self {
         let mut replica = Self::new(id, config, pconfig, keystore, app);
+        let id = replica.chassis.id;
         for record in replica.chassis.restore(store) {
-            replica.replay_record(record);
+            match &record {
+                // Its own PRE-PREPARE was this (primary) replica's prepare
+                // vote, and a COMMIT says the slot was prepared.
+                WalRecord::Vote(Message::PrePrepare(p)) => {
+                    if let Some(instance) = replica.chassis.replayed(p.seq) {
+                        instance.record_pbft_prepare(id, p.digest);
+                    }
+                }
+                WalRecord::Vote(Message::Commit(c)) => {
+                    if let Some(instance) = replica.chassis.replayed(c.seq) {
+                        instance.prepared = true;
+                        instance.record_commit(c.replica, c.digest);
+                        replica.chassis.reads.note_prepared(c.seq);
+                    }
+                }
+                _ => {}
+            }
+            replica.chassis.replay(record);
         }
         replica
-    }
-
-    /// Replays one WAL record. Replay only re-arms local vote state — the
-    /// `prepared`/`committed` flags and recorded votes keep the replica from
-    /// ever contradicting a persisted vote (no-un-vote), and the vote paths'
-    /// existing idempotency guards make double-replay harmless.
-    fn replay_record(&mut self, record: WalRecord) {
-        let low_mark = self.chassis.log.low_mark();
-        let my_id = self.chassis.id;
-        match record {
-            WalRecord::ViewEntered { view, .. } => {
-                if view >= self.chassis.view {
-                    self.chassis.view = view;
-                }
-            }
-            WalRecord::Vote(Message::PrePrepare(p)) if p.seq > low_mark => {
-                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
-                let digest = p.digest;
-                let instance = self.chassis.log.instance_mut(p.seq);
-                if instance.proposal.is_none() {
-                    instance.proposal = Some(Proposal {
-                        view: p.view,
-                        digest,
-                        batch: p.batch,
-                        primary_signature: p.signature,
-                    });
-                }
-                instance.record_pbft_prepare(my_id, digest);
-            }
-            WalRecord::Vote(Message::PbftPrepare(v)) if v.seq > low_mark => {
-                self.chassis
-                    .log
-                    .instance_mut(v.seq)
-                    .record_pbft_prepare(v.replica, v.digest);
-            }
-            WalRecord::Vote(Message::Commit(c)) if c.seq > low_mark => {
-                let instance = self.chassis.log.instance_mut(c.seq);
-                instance.prepared = true;
-                instance.record_commit(c.replica, c.digest);
-                self.chassis.reads.note_prepared(c.seq);
-            }
-            WalRecord::Vote(Message::Checkpoint(cp)) => {
-                if self.chassis.checkpoints.record(cp, false) {
-                    self.chassis
-                        .log
-                        .garbage_collect(self.chassis.checkpoints.stable_seq());
-                }
-            }
-            WalRecord::Vote(_) => {}
-        }
     }
 
     /// Replaces the structured-event sink (see
@@ -442,173 +407,6 @@ impl BftReplica {
         });
     }
 
-    fn on_checkpoint(&mut self, from: NodeId, checkpoint: Checkpoint) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let Some(sender) = from.as_replica() else {
-            return actions;
-        };
-        if sender != checkpoint.replica
-            || !self.signing.verify_once(
-                NodeId::Replica(sender),
-                &checkpoint,
-                &checkpoint.signature,
-            )
-        {
-            self.chassis.metrics.rejected_messages += 1;
-            return actions;
-        }
-        let seq = checkpoint.seq;
-        if self.chassis.checkpoints.record(checkpoint, false) {
-            self.chassis.metrics.stable_checkpoints += 1;
-            self.chassis.after_stable_checkpoint();
-            // Fallen behind the stable checkpoint (e.g. an instance proposed
-            // while this replica was down can never be re-learned from the
-            // vote traffic): ask the whole group for state and adopt the
-            // snapshot once `f + 1` responses agree, exactly as a rejoin
-            // does. Without this a permanently missed slot stalls in-order
-            // execution forever.
-            if self.chassis.exec.last_executed() < seq && !self.catching_up {
-                self.catching_up = true;
-                self.recovery_responses.clear();
-                let request = StateRequest {
-                    from_seq: self.chassis.exec.last_executed(),
-                    replica: self.chassis.id,
-                };
-                self.chassis
-                    .broadcast(&mut actions, Message::StateRequest(request));
-            }
-        }
-        actions
-    }
-
-    // --------------------------------------------------------------
-    // State transfer and crash recovery
-    // --------------------------------------------------------------
-
-    /// Answers a verified restart announcement with this replica's
-    /// committed suffix above the announcer's durable state.
-    fn on_recovery(&mut self, from: NodeId, recovery: Recovery) -> Vec<Action> {
-        if from.as_replica() != Some(recovery.replica)
-            || !self.signing.verify_once(
-                NodeId::Replica(recovery.replica),
-                &recovery,
-                &recovery.signature,
-            )
-        {
-            self.chassis.metrics.rejected_messages += 1;
-            return Vec::new();
-        }
-        self.chassis
-            .serve_state(recovery.last_executed, recovery.replica)
-    }
-
-    /// Collects a peer's `STATE-RESPONSE` toward the `f + 1` matching
-    /// quorum — with at most `f` Byzantine replicas, at least one voucher
-    /// is honest, so a fabricated snapshot can never gather the quorum
-    /// alone. Once the quorum forms, the agreed snapshot is adopted and the
-    /// committed entries re-enter the normal execution path. Returns whether
-    /// adoption happened (shared by the rejoin and the checkpoint-triggered
-    /// catch-up).
-    fn record_state_response(
-        &mut self,
-        from: NodeId,
-        response: StateResponse,
-        actions: &mut Vec<Action>,
-    ) -> bool {
-        let Some(sender) = from.as_replica() else {
-            return false;
-        };
-        if sender != response.replica {
-            self.chassis.metrics.rejected_messages += 1;
-            return false;
-        }
-        if let Some(cp) = &response.checkpoint {
-            let (replica, signature) = (cp.replica, cp.signature);
-            if !self
-                .signing
-                .verify_once(NodeId::Replica(replica), cp, &signature)
-            {
-                self.chassis.metrics.rejected_messages += 1;
-                return false;
-            }
-        }
-        self.recovery_responses.retain(|(s, _)| *s != sender);
-        self.recovery_responses.push((sender, response));
-
-        let need = self.config.fault_bound as usize + 1;
-        let key = |r: &StateResponse| r.checkpoint.as_ref().map(|cp| (cp.seq, cp.state_digest));
-        let agreed: Vec<StateResponse> = {
-            let responses = &self.recovery_responses;
-            responses
-                .iter()
-                .map(|(_, r)| r)
-                .find(|candidate| {
-                    responses
-                        .iter()
-                        .filter(|(_, other)| key(other) == key(candidate))
-                        .count()
-                        >= need
-                })
-                .map(|candidate| {
-                    let k = key(candidate);
-                    responses
-                        .iter()
-                        .filter(|(_, r)| key(r) == k)
-                        .map(|(_, r)| r.clone())
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        if agreed.is_empty() {
-            return false;
-        }
-
-        let best = agreed
-            .iter()
-            .max_by_key(|r| r.entries.len())
-            .expect("agreement group is non-empty");
-        if let (Some(snapshot), Some(cp)) = (&best.snapshot, &best.checkpoint) {
-            if self.chassis.adopt_snapshot(snapshot, Some(cp)) {
-                self.chassis.after_stable_checkpoint();
-            }
-        }
-        for response in &agreed {
-            self.chassis.adopt_entries(response.entries.iter().cloned());
-        }
-        self.execute_ready(actions);
-        self.recovery_responses.clear();
-        true
-    }
-
-    /// Finishes the rejoin once the state-response quorum forms: adopts the
-    /// agreed state, leaves the recovering state and re-delivers everything
-    /// buffered while down.
-    fn complete_recovery(
-        &mut self,
-        from: NodeId,
-        response: StateResponse,
-        now: Instant,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if !self.record_state_response(from, response, &mut actions) {
-            return actions;
-        }
-        for (from, message) in self.chassis.finish_recovery(&mut actions) {
-            actions.extend(self.on_message(from, message, now));
-        }
-        actions
-    }
-
-    /// A `STATE-RESPONSE` outside recovery only matters while a
-    /// checkpoint-triggered catch-up is in flight.
-    fn on_state_response(&mut self, from: NodeId, response: StateResponse) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if self.catching_up && self.record_state_response(from, response, &mut actions) {
-            self.catching_up = false;
-        }
-        actions
-    }
-
     // --------------------------------------------------------------
     // View change
     // --------------------------------------------------------------
@@ -721,9 +519,21 @@ impl ReplicaProtocol for BftReplica {
     }
 
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        let message = match self.chassis.receive(from, message, now) {
+        let message = match self
+            .chassis
+            .receive(from, message, now, Some(&mut self.signing))
+        {
             Inbound::Deliver(message) => message,
-            Inbound::Rejoin(response) => return self.complete_recovery(from, response, now),
+            // Execute what adopted state made ready and, if that ended the
+            // rejoin, re-deliver what arrived meanwhile.
+            Inbound::Adopted => {
+                let mut actions = Vec::new();
+                self.execute_ready(&mut actions);
+                for (from, message) in self.chassis.finish_recovery(&mut actions) {
+                    actions.extend(self.on_message(from, message, now));
+                }
+                return actions;
+            }
             Inbound::Handled(actions) => return actions,
         };
         let actions = match message {
@@ -736,16 +546,10 @@ impl ReplicaProtocol for BftReplica {
             Message::PrePrepare(preprepare) => self.on_pre_prepare(from, preprepare),
             Message::PbftPrepare(vote) => self.on_pbft_prepare(from, vote),
             Message::Commit(commit) => self.on_commit(from, commit),
-            Message::Checkpoint(checkpoint) => self.on_checkpoint(from, checkpoint),
             Message::ViewChange(vote) => self.view_change(ViewChangeInput::Vote(from, vote), now),
             Message::NewView(new_view) => {
                 self.view_change(ViewChangeInput::NewView(from, new_view), now)
             }
-            Message::Recovery(recovery) => self.on_recovery(from, recovery),
-            Message::StateRequest(request) => {
-                self.chassis.serve_state(request.from_seq, request.replica)
-            }
-            Message::StateResponse(response) => self.on_state_response(from, response),
             _ => Vec::new(),
         };
         self.chassis.metrics.note_log_size(self.chassis.log.len());
@@ -777,8 +581,7 @@ impl ReplicaProtocol for BftReplica {
                 }
             }
             Timer::BatchFlush { generation } => self.on_batch_flush(generation),
-            Timer::Recovery => Vec::new(),
-            Timer::ClientRetransmit { .. } => Vec::new(),
+            Timer::Recovery | Timer::ClientRetransmit { .. } => Vec::new(),
         }
     }
 

@@ -27,6 +27,7 @@ use seemore_core::log::Proposal;
 use seemore_core::metrics::ReplicaMetrics;
 use seemore_core::protocol::ReplicaProtocol;
 use seemore_core::reads::ReadRule;
+use seemore_core::state_transfer::{Adoption, TransferRules};
 use seemore_core::view_change::{
     Carried, Expiry, Grace, Suspicion, ViewChangeInput, ViewChangeRules,
 };
@@ -34,10 +35,7 @@ use seemore_crypto::{Digest, Signature};
 use seemore_store::{Durability, WalRecord};
 use seemore_telemetry::{EventKind, Recorder};
 use seemore_types::{Instant, Mode, NodeId, ReplicaId, SeqNum, View};
-use seemore_wire::{
-    Accept, Batch, Checkpoint, ClientRequest, Commit, Message, Prepare, Recovery, StateRequest,
-    StateResponse,
-};
+use seemore_wire::{Accept, Batch, ClientRequest, Commit, Message, Prepare};
 use std::sync::Arc;
 
 /// A crash fault-tolerant (Paxos-style) replica.
@@ -59,6 +57,14 @@ impl CftReplica {
         app: Box<dyn StateMachine>,
     ) -> Self {
         assert!(config.contains(id), "replica {id} outside the CFT group");
+        // Crash faults cannot lie: every replica is believed, and a catch-up
+        // asks the announcer at every stable checkpoint.
+        let transfer = TransferRules {
+            trusted: config.network_size,
+            ask: 0,
+            guarded: false,
+            adoption: Adoption::Trusted,
+        };
         CftReplica {
             chassis: ReplicaChassis::new(
                 id,
@@ -66,6 +72,7 @@ impl CftReplica {
                 pconfig,
                 Mode::Lion,
                 StabilityRule::TrustedSigner,
+                transfer,
                 app,
             ),
             config,
@@ -90,53 +97,16 @@ impl CftReplica {
     ) -> Self {
         let mut replica = Self::new(id, config, pconfig, app);
         for record in replica.chassis.restore(store) {
-            replica.replay_record(record);
+            // A COMMIT is the leader's decision, so the slot is committed.
+            if let WalRecord::Vote(Message::Commit(c)) = &record {
+                if let Some(instance) = replica.chassis.replayed(c.seq) {
+                    instance.commit_sent = true;
+                    instance.committed = true;
+                }
+            }
+            replica.chassis.replay(record);
         }
         replica
-    }
-
-    /// Replays one WAL record (idempotent; see the core's no-un-vote
-    /// argument — the same guards exist in this baseline's vote paths).
-    fn replay_record(&mut self, record: WalRecord) {
-        let low_mark = self.chassis.log.low_mark();
-        match record {
-            WalRecord::ViewEntered { view, .. } => {
-                if view >= self.chassis.view {
-                    self.chassis.view = view;
-                }
-            }
-            WalRecord::Vote(Message::Prepare(p)) if p.seq > low_mark => {
-                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
-                let instance = self.chassis.log.instance_mut(p.seq);
-                if instance.proposal.is_none() {
-                    instance.proposal = Some(Proposal {
-                        view: p.view,
-                        digest: p.digest,
-                        batch: p.batch,
-                        primary_signature: p.signature,
-                    });
-                }
-            }
-            WalRecord::Vote(Message::Accept(a)) if a.seq > low_mark => {
-                self.chassis
-                    .log
-                    .instance_mut(a.seq)
-                    .record_accept(a.replica, a.digest);
-            }
-            WalRecord::Vote(Message::Commit(c)) if c.seq > low_mark => {
-                let instance = self.chassis.log.instance_mut(c.seq);
-                instance.commit_sent = true;
-                instance.committed = true;
-            }
-            WalRecord::Vote(Message::Checkpoint(cp)) => {
-                if self.chassis.checkpoints.record(cp, true) {
-                    self.chassis
-                        .log
-                        .garbage_collect(self.chassis.checkpoints.stable_seq());
-                }
-            }
-            WalRecord::Vote(_) => {}
-        }
     }
 
     /// Replaces the structured-event sink (see
@@ -365,65 +335,6 @@ impl CftReplica {
         actions
     }
 
-    fn on_checkpoint(&mut self, checkpoint: Checkpoint) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let seq = checkpoint.seq;
-        let announcer = checkpoint.replica;
-        if self.chassis.checkpoints.record(checkpoint, true) {
-            self.chassis.metrics.stable_checkpoints += 1;
-            self.chassis.after_stable_checkpoint();
-            // Fallen behind the stable checkpoint (an instance this replica
-            // missed for good, e.g. one proposed while it was down, would
-            // otherwise stall in-order execution forever): fetch state from
-            // the announcer. Crash faults cannot lie, so one response is
-            // enough and a stale snapshot is ignored by `restore`.
-            if self.chassis.exec.last_executed() < seq && announcer != self.chassis.id {
-                let request = StateRequest {
-                    from_seq: self.chassis.exec.last_executed(),
-                    replica: self.chassis.id,
-                };
-                self.chassis.send(
-                    &mut actions,
-                    NodeId::Replica(announcer),
-                    Message::StateRequest(request),
-                );
-            }
-        }
-        actions
-    }
-
-    // --------------------------------------------------------------
-    // State transfer and crash recovery
-    // --------------------------------------------------------------
-
-    /// Adopts a peer's state response: fast-forwards over the snapshot if it
-    /// is ahead of local state and re-enters the carried committed suffix
-    /// into the normal execution path. Crash faults cannot lie, so the first
-    /// response is believed, whoever sent it.
-    fn adopt_state(&mut self, response: StateResponse, now: Instant, actions: &mut Vec<Action>) {
-        if let Some(snapshot) = &response.snapshot {
-            if self
-                .chassis
-                .adopt_snapshot(snapshot, response.checkpoint.as_ref())
-            {
-                self.chassis.after_stable_checkpoint();
-            }
-        }
-        self.chassis.adopt_entries(response.entries);
-        self.execute_ready(actions, now);
-    }
-
-    /// Adopts a peer's state response and leaves the recovering state,
-    /// re-delivering everything buffered while rejoining.
-    fn complete_recovery(&mut self, response: StateResponse, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.adopt_state(response, now, &mut actions);
-        for (from, message) in self.chassis.finish_recovery(&mut actions) {
-            actions.extend(self.on_message(from, message, now));
-        }
-        actions
-    }
-
     // --------------------------------------------------------------
     // View change
     // --------------------------------------------------------------
@@ -527,9 +438,18 @@ impl ReplicaProtocol for CftReplica {
     }
 
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        let message = match self.chassis.receive(from, message, now) {
+        let message = match self.chassis.receive(from, message, now, None) {
             Inbound::Deliver(message) => message,
-            Inbound::Rejoin(response) => return self.complete_recovery(response, now),
+            // Execute what adopted state made ready and, if that ended the
+            // rejoin, re-deliver what arrived meanwhile.
+            Inbound::Adopted => {
+                let mut actions = Vec::new();
+                self.execute_ready(&mut actions, now);
+                for (from, message) in self.chassis.finish_recovery(&mut actions) {
+                    actions.extend(self.on_message(from, message, now));
+                }
+                return actions;
+            }
             Inbound::Handled(actions) => return actions,
         };
         let actions = match message {
@@ -541,27 +461,9 @@ impl ReplicaProtocol for CftReplica {
             Message::Prepare(prepare) => self.on_prepare(from, prepare),
             Message::Accept(accept) => self.on_accept(from, accept, now),
             Message::Commit(commit) => self.on_commit(from, commit, now),
-            Message::Checkpoint(checkpoint) => self.on_checkpoint(checkpoint),
             Message::ViewChange(vote) => self.view_change(ViewChangeInput::Vote(from, vote), now),
             Message::NewView(new_view) => {
                 self.view_change(ViewChangeInput::NewView(from, new_view), now)
-            }
-            // A restarted peer's announcement and a lagging peer's request
-            // get the same answer (crash faults cannot lie, so neither is
-            // verified): the committed suffix above where the peer stands.
-            Message::Recovery(Recovery {
-                last_executed: from_seq,
-                replica,
-                ..
-            })
-            | Message::StateRequest(StateRequest { from_seq, replica }) => {
-                self.chassis.serve_state(from_seq, replica)
-            }
-            // Answer to the checkpoint-triggered catch-up above.
-            Message::StateResponse(response) => {
-                let mut actions = Vec::new();
-                self.adopt_state(response, now, &mut actions);
-                actions
             }
             _ => Vec::new(),
         };
@@ -594,8 +496,7 @@ impl ReplicaProtocol for CftReplica {
                 }
             }
             Timer::BatchFlush { generation } => self.on_batch_flush(generation, now),
-            Timer::Recovery => Vec::new(),
-            Timer::ClientRetransmit { .. } => Vec::new(),
+            Timer::Recovery | Timer::ClientRetransmit { .. } => Vec::new(),
         }
     }
 

@@ -6,8 +6,8 @@
 //! [`ReplicaChassis`] is the part of a replica that does not depend on any
 //! of those: its identity and telemetry stamp, the message log, execution
 //! engine and checkpoint manager, the outgoing path with its vote-before-send
-//! WAL rule, batch admission, durable restart, and the rejoin exchange
-//! (announce, serve state, buffer live traffic, adopt, re-deliver).
+//! WAL rule, batch admission, and the input gates that stop a crashed
+//! replica and buffer a rejoining one's live traffic.
 //! [`SigningContext`] is the signing half, owned by the replicas that sign
 //! (SeeMoRe, BFT, S-UpRight) and simply absent from the crash-only baseline.
 //!
@@ -19,7 +19,9 @@
 //! read-index and prepared fences, and parking, serving and refusing reads
 //! (in [`crate::reads`]). The view change, its suspicion timers and the
 //! bookkeeping of which view armed each of them are chassis code too (in
-//! [`crate::view_change`]).
+//! [`crate::view_change`]), and so is recovery: checkpoints, catch-up,
+//! serving and adopting state, the rejoin after a restart and WAL replay
+//! (in [`crate::state_transfer`]).
 //!
 //! Each replica struct owns a chassis as a plain field and calls into it.
 //! What the paper says differs stays with the caller and reaches the shared
@@ -29,8 +31,9 @@
 //! admission verdict ([`ReadRule`]), who replies and who announces
 //! checkpoints ([`Duties`]), whether a message is signed
 //! (`Option<&mut SigningContext>`), the mode label on trace events, and
-//! whose state response is trusted. The chassis has no callback, no type
-//! parameter and no branch on which protocol is calling it.
+//! whose checkpoints and state are trusted ([`TransferRules`]). The chassis
+//! has no callback, no type parameter and no branch on which protocol is
+//! calling it.
 
 use crate::actions::{broadcast, Action, Timer};
 use crate::batching::AdaptiveBatcher;
@@ -40,6 +43,7 @@ use crate::exec::ExecutionEngine;
 use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
 use crate::reads::{ReadPath, ReadRule};
+use crate::state_transfer::{TransferRules, TransferState};
 use crate::view_change::ViewChangeState;
 use seemore_app::StateMachine;
 use seemore_crypto::{KeyStore, Signature, Signer, VerifyCache};
@@ -50,8 +54,8 @@ use seemore_types::{
     View,
 };
 use seemore_wire::{
-    Batch, Checkpoint, ClientReply, ClientRequest, Message, MessageKind, Recovery, SignedPayload,
-    SigningScratch, StateResponse, WireSize,
+    Batch, Checkpoint, ClientReply, ClientRequest, Message, MessageKind, SignedPayload,
+    SigningScratch, WireSize,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -172,13 +176,16 @@ impl SigningContext {
 
 /// What [`ReplicaChassis::receive`] did with an incoming message.
 pub enum Inbound {
-    /// Nothing left for the protocol: the replica is crashed, or it is
-    /// rejoining and the chassis served or buffered the message itself.
+    /// Nothing left for the protocol: the replica is crashed, the chassis
+    /// handled a recovery message itself (a `CHECKPOINT`, a `STATE-REQUEST`,
+    /// a `RECOVERY`, a refused or not yet conclusive `STATE-RESPONSE`), or
+    /// it buffered the message of a rejoining replica.
     Handled(Vec<Action>),
-    /// A peer's `STATE-RESPONSE` while rejoining. Whether it is trusted —
-    /// any one, only the private cloud's, `f + 1` matching — is the
-    /// protocol's call; [`ReplicaChassis::finish_recovery`] ends the rejoin.
-    Rejoin(StateResponse),
+    /// A peer's state was adopted under the replica's
+    /// [`TransferRules`], fixed when it was built. The protocol runs its
+    /// `execute_ready`, then re-delivers what
+    /// [`ReplicaChassis::finish_recovery`] hands back if this ended a rejoin.
+    Adopted,
     /// A message for the protocol's own handlers.
     Deliver(Message),
 }
@@ -224,12 +231,15 @@ pub struct ReplicaChassis {
     pub forwarded_armed: HashMap<RequestId, View>,
     /// The view change in progress, if any (see [`crate::view_change`]).
     pub(crate) vc: ViewChangeState,
+    /// Whose state is believed, and the state transfer in flight (see
+    /// [`crate::state_transfer`]).
+    pub(crate) transfer: TransferState,
     /// Whether the replica was fail-stopped by its driver.
     pub crashed: bool,
     /// Durable store for safety-critical state. [`NullStore`] (disabled) by
     /// default; every persistence site is guarded by `store.enabled()` so
     /// the default configuration does no snapshot or encode work.
-    store: Arc<dyn Durability>,
+    pub(crate) store: Arc<dyn Durability>,
     /// Whether a driver turn is open (see [`begin_turn`](Self::begin_turn)):
     /// WAL appends then wait for the turn's one sync.
     turn_open: bool,
@@ -237,17 +247,17 @@ pub struct ReplicaChassis {
     turn_appended: bool,
     /// Whether this replica restarted from durable state and has not yet
     /// received the committed suffix it missed while down.
-    recovering: bool,
+    pub(crate) recovering: bool,
     /// WAL records replayed at recovery (telemetry detail).
-    wal_replayed: u64,
+    pub(crate) wal_replayed: u64,
     /// Messages received while recovering, re-delivered once the rejoin
     /// completes so no view change or vote is lost. Bounded by
     /// [`RECOVERY_BUFFER_CAP`]; the oldest message is evicted (and counted)
     /// on overflow.
-    recovery_buffer: VecDeque<(NodeId, Message)>,
+    pub(crate) recovery_buffer: VecDeque<(NodeId, Message)>,
     /// Stable sequence number of the last checkpoint written to the store,
     /// so re-stabilization paths do not rewrite an identical snapshot.
-    persisted_checkpoint: SeqNum,
+    pub(crate) persisted_checkpoint: SeqNum,
     /// Structured event sink. [`NullRecorder`] by default, in which case
     /// every trace site reduces to one cold branch (see
     /// `seemore-telemetry`'s zero-allocation contract).
@@ -262,13 +272,15 @@ pub struct ReplicaChassis {
 
 impl ReplicaChassis {
     /// A chassis for replica `id` of a `group_size`-replica group, in view
-    /// 0, tracing as `mode`, with checkpoints stabilizing under `rule`.
+    /// 0, tracing as `mode`, with checkpoints stabilizing under `rule` and
+    /// state believed and fetched under `transfer`.
     pub fn new(
         id: ReplicaId,
         group_size: u32,
         pconfig: ProtocolConfig,
         mode: Mode,
         rule: StabilityRule,
+        transfer: TransferRules,
         app: Box<dyn StateMachine>,
     ) -> Self {
         ReplicaChassis {
@@ -288,6 +300,7 @@ impl ReplicaChassis {
             progress_armed: HashMap::new(),
             forwarded_armed: HashMap::new(),
             vc: ViewChangeState::default(),
+            transfer: TransferState::new(transfer),
             crashed: false,
             store: Arc::new(NullStore),
             turn_open: false,
@@ -668,7 +681,7 @@ impl ReplicaChassis {
     }
 
     // ------------------------------------------------------------------
-    // Durability: views, checkpoints, restart
+    // Durability: views and checkpoints
     // ------------------------------------------------------------------
 
     /// Attaches a durability store. Call before the replica starts
@@ -719,65 +732,9 @@ impl ReplicaChassis {
         }
     }
 
-    /// Restarts from the durable state in `store`: restores its last
-    /// checkpoint and enters the *recovering* state. Returns the WAL suffix
-    /// for the caller to replay — which votes re-arm which log guards is the
-    /// protocol's knowledge.
-    pub fn restore(&mut self, store: Arc<dyn Durability>) -> Vec<WalRecord> {
-        let state = store.recover().unwrap_or_default();
-        self.store = store;
-        if let Some(cp) = &state.checkpoint {
-            self.exec.restore(&cp.snapshot);
-            self.checkpoints
-                .make_stable(cp.seq, cp.state_digest, cp.proof.clone());
-            self.log.garbage_collect(cp.seq);
-            self.persisted_checkpoint = cp.seq;
-        }
-        self.wal_replayed = state.wal.len() as u64;
-        self.recovering = true;
-        state.wal
-    }
-
     // ------------------------------------------------------------------
-    // Rejoin after a restart, and serving state to peers that rejoin
+    // Input gates
     // ------------------------------------------------------------------
-
-    /// `on_start`: a restarted replica announces itself; a fresh (or
-    /// crashed) one has nothing to do.
-    pub fn on_start(&mut self, now: Instant, signing: Option<&mut SigningContext>) -> Vec<Action> {
-        let mut actions = Vec::new();
-        if self.crashed || !self.recovering {
-            return actions;
-        }
-        self.trace_at = now;
-        self.trace(EventKind::RecoveryStarted, None, None, self.wal_replayed);
-        self.announce_recovery(&mut actions, signing);
-        actions
-    }
-
-    /// Broadcasts the `RECOVERY` announcement — signed when the deployment
-    /// signs, carrying [`Signature::INVALID`] in a crash-only one — and arms
-    /// the re-announce timer.
-    fn announce_recovery(
-        &mut self,
-        actions: &mut Vec<Action>,
-        signing: Option<&mut SigningContext>,
-    ) {
-        let mut recovery = Recovery {
-            last_executed: self.exec.last_executed(),
-            view: self.view,
-            replica: self.id,
-            signature: Signature::INVALID,
-        };
-        if let Some(signing) = signing {
-            recovery.signature = signing.sign(&recovery);
-        }
-        self.broadcast(actions, Message::Recovery(recovery));
-        actions.push(Action::SetTimer {
-            timer: Timer::Recovery,
-            after: self.pconfig.request_timeout,
-        });
-    }
 
     /// The gate every `on_timer` passes first. `Some` means the chassis
     /// consumed the expiry: the replica is crashed, or it is rejoining, when
@@ -802,102 +759,62 @@ impl ReplicaChassis {
         Some(actions)
     }
 
-    /// The gate every `on_message` passes first. While rejoining, peers'
-    /// state requests are answered (that only reads restored state), state
-    /// responses and other replicas' restart announcements go to the
-    /// protocol, and everything else is buffered for re-delivery after the
-    /// rejoin, so no vote or view-change message is lost.
-    pub fn receive(&mut self, from: NodeId, message: Message, now: Instant) -> Inbound {
+    /// The gate every `on_message` passes first. The chassis handles
+    /// checkpoints and state transfer itself (see [`crate::state_transfer`]);
+    /// while rejoining it serves peers and adopts state, and buffers
+    /// everything else for re-delivery after the rejoin, so no vote or
+    /// view-change message is lost.
+    pub fn receive(
+        &mut self,
+        from: NodeId,
+        message: Message,
+        now: Instant,
+        signing: Option<&mut SigningContext>,
+    ) -> Inbound {
         if self.crashed {
             return Inbound::Handled(Vec::new());
         }
         self.trace_at = now;
         self.metrics.record_received(message.kind());
-        if !self.recovering {
-            return Inbound::Deliver(message);
-        }
-        match message {
-            Message::StateResponse(response) => Inbound::Rejoin(response),
-            Message::Recovery(_) => Inbound::Deliver(message),
+        let handled = match message {
             Message::StateRequest(request) => {
-                Inbound::Handled(self.serve_state(request.from_seq, request.replica))
+                Ok(self.serve_state(request.from_seq, request.replica))
             }
-            other => {
+            Message::Recovery(recovery) => self.on_recovery(from, recovery, signing),
+            Message::StateResponse(response) => {
+                match self.on_state_response(from, response, signing) {
+                    Ok(true) => return Inbound::Adopted,
+                    Ok(false) => Ok(Vec::new()),
+                    Err(refusal) => Err(refusal),
+                }
+            }
+            Message::Checkpoint(checkpoint) if !self.recovering => {
+                self.on_checkpoint(from, checkpoint, signing)
+            }
+            message if !self.recovering => return Inbound::Deliver(message),
+            message => {
                 if self.recovery_buffer.len() >= RECOVERY_BUFFER_CAP {
                     self.recovery_buffer.pop_front();
                     self.metrics.recovery_buffer_dropped += 1;
                 }
-                self.recovery_buffer.push_back((from, other));
-                Inbound::Handled(Vec::new())
+                self.recovery_buffer.push_back((from, message));
+                return Inbound::Handled(Vec::new());
             }
-        }
-    }
-
-    /// Answers a `STATE-REQUEST` (or a restarted peer's announcement) with
-    /// the snapshot and the committed suffix above `from_seq`.
-    pub fn serve_state(&mut self, from_seq: SeqNum, to: ReplicaId) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let response = StateResponse {
-            checkpoint: self.checkpoints.stable_proof().first().cloned(),
-            snapshot: Some(self.exec.snapshot()),
-            entries: self.exec.committed_after(from_seq),
-            replica: self.id,
         };
-        self.send(
-            &mut actions,
-            NodeId::Replica(to),
-            Message::StateResponse(response),
-        );
-        actions
-    }
-
-    /// Fast-forwards over a peer's snapshot if it is ahead of local state (a
-    /// stale one is ignored by `restore`), making the checkpoint it was
-    /// taken at stable. Returns whether execution moved, in which case the
-    /// caller runs its stable-checkpoint housekeeping. The caller has
-    /// already decided that the sender is to be believed.
-    pub fn adopt_snapshot(&mut self, snapshot: &[u8], checkpoint: Option<&Checkpoint>) -> bool {
-        let before = self.exec.last_executed();
-        self.exec.restore(snapshot);
-        let advanced = self.exec.last_executed() > before;
-        if advanced {
-            if let Some(cp) = checkpoint {
-                self.checkpoints
-                    .make_stable(cp.seq, cp.state_digest, vec![cp.clone()]);
-            }
+        if !self.recovering {
+            self.metrics.note_log_size(self.log.len());
         }
-        advanced
-    }
-
-    /// Re-enters a peer's committed suffix into the normal execution path
-    /// (harmless from anyone: each entry still executes in order, once).
-    pub fn adopt_entries(&mut self, entries: impl IntoIterator<Item = (SeqNum, Batch)>) {
-        let low_mark = self.log.low_mark();
-        for (seq, batch) in entries {
-            if self.exec.add_committed(seq, batch) && seq > low_mark {
-                self.log.instance_mut(seq).committed = true;
-            }
-        }
-    }
-
-    /// Leaves the recovering state and hands back everything buffered while
-    /// rejoining, oldest first, for the caller to re-deliver to itself.
-    pub fn finish_recovery(&mut self, actions: &mut Vec<Action>) -> VecDeque<(NodeId, Message)> {
-        self.recovering = false;
-        actions.push(Action::CancelTimer {
-            timer: Timer::Recovery,
-        });
-        self.trace(EventKind::RecoveryCompleted, None, None, self.wal_replayed);
-        std::mem::take(&mut self.recovery_buffer)
+        Inbound::Handled(handled.unwrap_or_else(|refusal| vec![self.violation(refusal)]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state_transfer::Adoption;
     use seemore_app::NoopApp;
     use seemore_store::{MemStore, StoreConfig};
-    use seemore_wire::StateRequest;
+    use seemore_wire::{StateRequest, StateResponse};
 
     fn restarted() -> ReplicaChassis {
         let mut chassis = ReplicaChassis::new(
@@ -906,6 +823,12 @@ mod tests {
             ProtocolConfig::default(),
             Mode::Lion,
             StabilityRule::TrustedSigner,
+            TransferRules {
+                trusted: 3,
+                ask: 0,
+                guarded: false,
+                adoption: Adoption::Trusted,
+            },
             Box::new(NoopApp::new(0)),
         );
         let wal = chassis.restore(Arc::new(MemStore::new(StoreConfig::default())));
@@ -926,7 +849,8 @@ mod tests {
                 replica: ReplicaId(0),
                 signature: Signature::INVALID,
             });
-            let inbound = chassis.receive(NodeId::Replica(ReplicaId(0)), message, Instant::ZERO);
+            let peer = NodeId::Replica(ReplicaId(0));
+            let inbound = chassis.receive(peer, message, Instant::ZERO, None);
             assert!(matches!(inbound, Inbound::Handled(actions) if actions.is_empty()));
         }
         assert_eq!(chassis.metrics.recovery_buffer_dropped, 3);
@@ -953,7 +877,7 @@ mod tests {
             from_seq: SeqNum(0),
             replica: ReplicaId(0),
         });
-        match chassis.receive(peer, request, Instant::ZERO) {
+        match chassis.receive(peer, request, Instant::ZERO, None) {
             Inbound::Handled(actions) => assert!(matches!(
                 actions.as_slice(),
                 [Action::Send {
@@ -970,8 +894,8 @@ mod tests {
             replica: ReplicaId(0),
         };
         assert!(matches!(
-            chassis.receive(peer, Message::StateResponse(response), Instant::ZERO),
-            Inbound::Rejoin(_)
+            chassis.receive(peer, Message::StateResponse(response), Instant::ZERO, None),
+            Inbound::Adopted
         ));
         assert_eq!(chassis.metrics.recovery_buffer_dropped, 0);
     }

@@ -13,13 +13,15 @@
 //!   checkpoint state, the outgoing path with its vote-before-send WAL
 //!   rule, batch admission, execution with its replies and checkpoint
 //!   announcements, the read fast path ([`reads`]), the view change
-//!   ([`view_change`]), durable restart and the rejoin exchange — plus
-//!   [`chassis::SigningContext`] for the replicas that sign. What the paper
-//!   says differs between the protocols (phases, quorums, who collects a
-//!   view change, who replies and who may serve reads, whose state is
-//!   trusted) stays in the replica structs and reaches the chassis as
-//!   values ([`chassis::Duties`], [`reads::ReadRule`],
-//!   [`view_change::ViewChangeRules`]).
+//!   ([`view_change`]), and recovery: checkpoints, catch-up, state
+//!   transfer, durable restart and the rejoin exchange
+//!   ([`state_transfer`]) — plus [`chassis::SigningContext`] for the
+//!   replicas that sign. What the paper says differs between the protocols
+//!   (phases, quorums, who collects a view change, who replies and who may
+//!   serve reads, whose state is trusted) stays in the replica structs and
+//!   reaches the chassis as values ([`chassis::Duties`],
+//!   [`reads::ReadRule`], [`view_change::ViewChangeRules`],
+//!   [`state_transfer::TransferRules`]).
 //! * [`client::ClientCore`] — the one client, for SeeMoRe and the
 //!   baselines alike: request submission, reply quorums, retransmission
 //!   and the read fast path. What differs between the protocols' clients
@@ -156,6 +158,7 @@ pub mod profile;
 pub mod protocol;
 pub mod reads;
 pub mod replica;
+pub mod state_transfer;
 pub mod testkit;
 pub mod view_change;
 

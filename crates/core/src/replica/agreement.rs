@@ -696,7 +696,7 @@ impl SeeMoReReplica {
                     self.execute_ready(&mut actions, now);
                 } else {
                     // We cannot execute without the batch; fetch state.
-                    self.request_state_transfer(&mut actions, sender);
+                    self.chassis.request_state(&mut actions, [sender]);
                 }
             }
             Mode::Dog | Mode::Peacock => {
@@ -866,7 +866,7 @@ impl SeeMoReReplica {
             // proxy that informed us for the state.
             if instance.informs.len() >= threshold {
                 if let Some(&proxy) = instance.informs.keys().next() {
-                    self.request_state_transfer(actions, proxy);
+                    self.chassis.request_state(actions, [proxy]);
                 }
             }
             return;
@@ -915,23 +915,5 @@ impl SeeMoReReplica {
             self.chassis
                 .trace(EventKind::VoteMismatch, Some(seq), None, 0);
         }
-    }
-
-    /// Issues a state-transfer request to `target` unless one is already in
-    /// flight.
-    pub(crate) fn request_state_transfer(&mut self, actions: &mut Vec<Action>, target: ReplicaId) {
-        if self.state_transfer_pending {
-            return;
-        }
-        self.state_transfer_pending = true;
-        let request = seemore_wire::StateRequest {
-            from_seq: self.chassis.exec.last_executed(),
-            replica: self.chassis.id,
-        };
-        self.chassis.send(
-            actions,
-            NodeId::Replica(target),
-            Message::StateRequest(request),
-        );
     }
 }

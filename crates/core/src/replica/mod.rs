@@ -5,12 +5,12 @@
 //! [`SeeMoReReplica`] owns a [`ReplicaChassis`] — the message log, the
 //! execution engine with its replies and checkpoint announcements, the
 //! checkpoint manager, the outgoing path, batch admission, the read fast
-//! path, durability, the rejoin exchange and the view change, all shared
-//! with the CFT and BFT baselines — plus a [`SigningContext`], and keeps
-//! what is SeeMoRe's own: the three modes' agreement, who may serve reads
-//! and who replies and announces in each mode, the values each mode's view
-//! change runs under, mode switching, and the rule that state is only
-//! adopted from the trusted tier.
+//! path, durability, checkpoints and state transfer, the rejoin exchange
+//! and the view change, all shared with the CFT and BFT baselines — plus a
+//! [`SigningContext`], and keeps what is SeeMoRe's own: the three modes'
+//! agreement, who may serve reads and who replies and announces in each
+//! mode, the values each mode's view change runs under, mode switching, and
+//! the trust it gives the private cloud ([`TransferRules`]).
 //!
 //! Message handlers live in the `agreement` submodule (normal case) and
 //! the `view_change` submodule (view-change values, the vote for a
@@ -29,10 +29,10 @@ use crate::chassis::{Duties, Inbound, ReplicaChassis, SigningContext};
 use crate::checkpoint::StabilityRule;
 use crate::config::ProtocolConfig;
 use crate::exec::ExecutedEntry;
-use crate::log::MessageLog;
 use crate::metrics::ReplicaMetrics;
 use crate::protocol::ReplicaProtocol;
 use crate::reads::ReadRule;
+use crate::state_transfer::{Adoption, TransferRules};
 use crate::view_change::ViewChangeInput;
 use seemore_app::StateMachine;
 use seemore_crypto::KeyStore;
@@ -41,7 +41,7 @@ use seemore_telemetry::Recorder;
 use seemore_types::{
     ClusterConfig, Instant, Mode, NodeId, ProtocolViolation, ReplicaId, RequestId, SeqNum, View,
 };
-use seemore_wire::{Checkpoint, ClientRequest, Message, Recovery, StateRequest, StateResponse};
+use seemore_wire::{ClientRequest, Message};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -62,8 +62,6 @@ pub struct SeeMoReReplica {
     pub(crate) forwarded_requests: HashMap<RequestId, ClientRequest>,
     /// Mode the protocol will switch to at the next view change, if any.
     pub(crate) pending_mode: Option<Mode>,
-    /// Whether a state-transfer request is already outstanding.
-    pub(crate) state_transfer_pending: bool,
     /// Last time this replica observed commit progress (a valid COMMIT,
     /// INFORM or NEW-VIEW). Suspicion timers re-arm instead of deposing the
     /// primary while progress is being made — the PBFT practice of
@@ -99,13 +97,20 @@ impl SeeMoReReplica {
     ) -> Self {
         assert!(cluster.contains(id), "replica {id} not in cluster");
         let rule = Self::stability_rule_for(mode, &cluster);
+        // The private cloud is trusted, and a catch-up asks it too.
+        let transfer = TransferRules {
+            trusted: cluster.private_size(),
+            ask: cluster.private_size(),
+            guarded: true,
+            adoption: Adoption::Trusted,
+        };
+        let size = cluster.total_size();
         SeeMoReReplica {
-            chassis: ReplicaChassis::new(id, cluster.total_size(), pconfig, mode, rule, app),
+            chassis: ReplicaChassis::new(id, size, pconfig, mode, rule, transfer, app),
             signing: SigningContext::new(id, keystore),
             cluster,
             forwarded_requests: HashMap::new(),
             pending_mode: None,
-            state_transfer_pending: false,
             last_progress: Instant::ZERO,
         }
     }
@@ -118,11 +123,8 @@ impl SeeMoReReplica {
     /// Rebuilds a replica from the durable state in `store` (its last
     /// checkpoint plus the WAL suffix), leaving it in the *recovering*
     /// state: [`on_start`](ReplicaProtocol::on_start) announces the
-    /// recovery, peers answer with a [`StateResponse`], and the first one
-    /// completes the rejoin. Replayed votes re-arm the same log guards the
-    /// live replica had (accepted proposals, `commit_sent`, `inform_sent`,
-    /// installed view), so the restarted replica can never contradict a
-    /// claim it made before the crash.
+    /// recovery, and the first `STATE-RESPONSE` from a replica completes the
+    /// rejoin (see [`crate::state_transfer`]).
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         id: ReplicaId,
@@ -135,95 +137,23 @@ impl SeeMoReReplica {
     ) -> Self {
         let mut replica = Self::new(id, cluster, pconfig, keystore, initial_mode, app);
         for record in replica.chassis.restore(store) {
-            replica.replay_record(record);
+            let view_entered = matches!(record, WalRecord::ViewEntered { .. });
+            if let WalRecord::Vote(Message::Commit(c)) = &record {
+                // The guards in `try_commit_*` key off these flags, so the
+                // restarted replica cannot emit a conflicting commit.
+                if let Some(instance) = replica.chassis.replayed(c.seq) {
+                    instance.record_commit(c.replica, c.digest);
+                    instance.commit_sent = true;
+                    instance.prepared = true;
+                }
+            }
+            replica.chassis.replay(record);
+            if view_entered {
+                let rule = Self::stability_rule_for(replica.chassis.mode, &replica.cluster);
+                replica.chassis.checkpoints.set_rule(rule);
+            }
         }
         replica
-    }
-
-    /// Replays one WAL record into in-memory state (see
-    /// [`recover`](Self::recover)). Replay is idempotent: votes are
-    /// first-vote-wins and flags are merely re-set, so duplicated records
-    /// (a crash between compaction's rewrite and delete) are harmless.
-    fn replay_record(&mut self, record: WalRecord) {
-        match record {
-            WalRecord::ViewEntered { view, mode } => {
-                if view >= self.chassis.view {
-                    self.chassis.view = view;
-                    self.chassis.mode = mode;
-                    self.chassis
-                        .checkpoints
-                        .set_rule(Self::stability_rule_for(mode, &self.cluster));
-                }
-            }
-            WalRecord::Vote(message) => self.replay_vote(message),
-        }
-    }
-
-    fn replay_vote(&mut self, message: Message) {
-        use crate::log::Proposal;
-        let in_window = |log: &MessageLog, seq: SeqNum| seq > log.low_mark();
-        match message {
-            Message::Prepare(p) if in_window(&self.chassis.log, p.seq) => {
-                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
-                let instance = self.chassis.log.instance_mut(p.seq);
-                if instance.proposal.is_none() {
-                    instance.proposal = Some(Proposal {
-                        view: p.view,
-                        digest: p.digest,
-                        batch: p.batch,
-                        primary_signature: p.signature,
-                    });
-                }
-            }
-            Message::PrePrepare(p) if in_window(&self.chassis.log, p.seq) => {
-                self.chassis.next_seq = self.chassis.next_seq.max(p.seq);
-                let instance = self.chassis.log.instance_mut(p.seq);
-                if instance.proposal.is_none() {
-                    instance.proposal = Some(Proposal {
-                        view: p.view,
-                        digest: p.digest,
-                        batch: p.batch,
-                        primary_signature: p.signature,
-                    });
-                }
-            }
-            Message::Accept(a) if in_window(&self.chassis.log, a.seq) => {
-                self.chassis
-                    .log
-                    .instance_mut(a.seq)
-                    .record_accept(a.replica, a.digest);
-            }
-            Message::PbftPrepare(v) if in_window(&self.chassis.log, v.seq) => {
-                self.chassis
-                    .log
-                    .instance_mut(v.seq)
-                    .record_pbft_prepare(v.replica, v.digest);
-            }
-            Message::Commit(c) if in_window(&self.chassis.log, c.seq) => {
-                let instance = self.chassis.log.instance_mut(c.seq);
-                instance.record_commit(c.replica, c.digest);
-                // Having sent a commit-phase message is the claim that
-                // must survive the crash: the guards in `try_commit_*`
-                // key off these flags, so the restarted replica cannot
-                // emit a conflicting commit for the slot.
-                instance.commit_sent = true;
-                instance.prepared = true;
-            }
-            Message::Inform(i) if in_window(&self.chassis.log, i.seq) => {
-                let instance = self.chassis.log.instance_mut(i.seq);
-                instance.record_inform(i.replica, i.digest);
-                instance.inform_sent = true;
-            }
-            Message::Checkpoint(cp) => {
-                let trusted = self.cluster.is_trusted(cp.replica);
-                if self.chassis.checkpoints.record(cp, trusted) {
-                    self.chassis
-                        .log
-                        .garbage_collect(self.chassis.checkpoints.stable_seq());
-                }
-            }
-            _ => {}
-        }
     }
 
     /// Replaces the structured-event sink (see
@@ -402,142 +332,6 @@ impl SeeMoReReplica {
             self.forwarded_requests.remove(&entry.request);
         }
     }
-
-    // ------------------------------------------------------------------
-    // Checkpointing and state transfer
-    // ------------------------------------------------------------------
-
-    /// Handles an incoming `CHECKPOINT` message.
-    fn on_checkpoint(&mut self, from: NodeId, checkpoint: Checkpoint) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let Some(sender) = from.as_replica() else {
-            actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
-                sender: ReplicaId(u32::MAX),
-                expected_role: "replica",
-            }));
-            return actions;
-        };
-        if sender != checkpoint.replica
-            || !self.signing.verify_once(
-                NodeId::Replica(checkpoint.replica),
-                &checkpoint,
-                &checkpoint.signature,
-            )
-        {
-            actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
-                claimed_signer: NodeId::Replica(checkpoint.replica),
-            }));
-            return actions;
-        }
-        let trusted = self.cluster.is_trusted(checkpoint.replica);
-        let seq = checkpoint.seq;
-        if self.chassis.checkpoints.record(checkpoint, trusted) {
-            self.chassis.metrics.stable_checkpoints += 1;
-            self.chassis.after_stable_checkpoint();
-            // If we have fallen behind the stable checkpoint, ask for
-            // state. The announcer has the freshest committed suffix, but in
-            // Peacock mode announcers are untrusted proxies and a snapshot
-            // is only ever adopted from the trusted tier — so also ask every
-            // private-cloud replica (at most `c` of them can be down, and a
-            // stale or duplicate response is ignored by `restore`).
-            // Without the trusted copies a replica that lost an instance
-            // permanently (e.g. one proposed while it was crashed) could
-            // never execute past the gap.
-            if self.chassis.exec.last_executed() < seq && !self.state_transfer_pending {
-                self.state_transfer_pending = true;
-                let request = StateRequest {
-                    from_seq: self.chassis.exec.last_executed(),
-                    replica: self.chassis.id,
-                };
-                let mut recipients: Vec<ReplicaId> = self.cluster.private_replicas().collect();
-                if !recipients.contains(&sender) {
-                    recipients.push(sender);
-                }
-                for recipient in recipients {
-                    if recipient == self.chassis.id {
-                        continue;
-                    }
-                    self.chassis.send(
-                        &mut actions,
-                        NodeId::Replica(recipient),
-                        Message::StateRequest(request.clone()),
-                    );
-                }
-            }
-        }
-        actions
-    }
-
-    /// Handles a `STATE-RESPONSE`.
-    ///
-    /// Snapshots are only adopted from trusted (private cloud) replicas: a
-    /// Byzantine public replica could otherwise install a fabricated state.
-    /// Pending committed entries are harmless to accept from anyone because
-    /// they re-enter the normal commit path.
-    fn on_state_response(
-        &mut self,
-        from: NodeId,
-        response: StateResponse,
-        now: Instant,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.state_transfer_pending = false;
-        let Some(sender) = from.as_replica() else {
-            return actions;
-        };
-        if let (Some(snapshot), true) = (&response.snapshot, self.cluster.is_trusted(sender)) {
-            if self
-                .chassis
-                .adopt_snapshot(snapshot, response.checkpoint.as_ref())
-            {
-                self.chassis.after_stable_checkpoint();
-            }
-        }
-        self.chassis.adopt_entries(response.entries);
-        self.execute_ready(&mut actions, now);
-        actions
-    }
-
-    /// Handles a `RECOVERY` announcement from a restarted peer by sending
-    /// it the committed suffix above its durable state — the same answer a
-    /// `STATE-REQUEST` from that sequence number would get.
-    fn on_recovery(&mut self, from: NodeId, recovery: Recovery) -> Vec<Action> {
-        let Some(sender) = from.as_replica() else {
-            return vec![self.chassis.violation(ProtocolViolation::UnexpectedSender {
-                sender: ReplicaId(u32::MAX),
-                expected_role: "replica",
-            })];
-        };
-        if sender != recovery.replica
-            || !self.signing.verify_once(
-                NodeId::Replica(recovery.replica),
-                &recovery,
-                &recovery.signature,
-            )
-        {
-            return vec![self.chassis.violation(ProtocolViolation::BadSignature {
-                claimed_signer: NodeId::Replica(recovery.replica),
-            })];
-        }
-        self.chassis
-            .serve_state(recovery.last_executed, recovery.replica)
-    }
-
-    /// Finishes the rejoin on the first `STATE-RESPONSE`: adopts it under
-    /// the trust rule above, leaves the recovering state and re-delivers
-    /// everything buffered while rejoining.
-    fn complete_recovery(
-        &mut self,
-        from: NodeId,
-        response: StateResponse,
-        now: Instant,
-    ) -> Vec<Action> {
-        let mut actions = self.on_state_response(from, response, now);
-        for (from, message) in self.chassis.finish_recovery(&mut actions) {
-            actions.extend(self.on_message(from, message, now));
-        }
-        actions
-    }
 }
 
 impl ReplicaProtocol for SeeMoReReplica {
@@ -550,9 +344,21 @@ impl ReplicaProtocol for SeeMoReReplica {
     }
 
     fn on_message(&mut self, from: NodeId, message: Message, now: Instant) -> Vec<Action> {
-        let message = match self.chassis.receive(from, message, now) {
+        let message = match self
+            .chassis
+            .receive(from, message, now, Some(&mut self.signing))
+        {
             Inbound::Deliver(message) => message,
-            Inbound::Rejoin(response) => return self.complete_recovery(from, response, now),
+            // Execute what adopted state made ready and, if that ended the
+            // rejoin, re-deliver what arrived meanwhile.
+            Inbound::Adopted => {
+                let mut actions = Vec::new();
+                self.execute_ready(&mut actions, now);
+                for (from, message) in self.chassis.finish_recovery(&mut actions) {
+                    actions.extend(self.on_message(from, message, now));
+                }
+                return actions;
+            }
             Inbound::Handled(actions) => return actions,
         };
         // Observing commit-carrying traffic counts as progress for the
@@ -580,19 +386,14 @@ impl ReplicaProtocol for SeeMoReReplica {
             Message::PbftPrepare(vote) => self.on_pbft_prepare(from, vote, now),
             Message::Commit(commit) => self.on_commit(from, commit, now),
             Message::Inform(inform) => self.on_inform(from, inform, now),
-            Message::Checkpoint(checkpoint) => self.on_checkpoint(from, checkpoint),
             Message::ViewChange(vote) => self.view_change(ViewChangeInput::Vote(from, vote), now),
             Message::NewView(new_view) => {
                 self.view_change(ViewChangeInput::NewView(from, new_view), now)
             }
             Message::ModeChange(mode_change) => self.on_mode_change(from, mode_change, now),
-            Message::StateRequest(request) => {
-                self.chassis.serve_state(request.from_seq, request.replica)
-            }
-            Message::StateResponse(response) => self.on_state_response(from, response, now),
-            Message::Recovery(recovery) => self.on_recovery(from, recovery),
-            // Replicas never receive replies.
-            Message::Reply(_) | Message::ReadReply(_) => Vec::new(),
+            // Replicas never receive replies, and the chassis handles
+            // checkpoints and state transfer itself.
+            _ => Vec::new(),
         };
         self.chassis.metrics.note_log_size(self.chassis.log.len());
         actions
@@ -607,8 +408,7 @@ impl ReplicaProtocol for SeeMoReReplica {
             | Timer::ForwardedRequest { .. }
             | Timer::ViewChange { .. } => self.on_suspicion_timer(timer, now),
             Timer::BatchFlush { generation } => self.on_batch_flush(generation, now),
-            Timer::Recovery => Vec::new(),
-            Timer::ClientRetransmit { .. } => Vec::new(),
+            Timer::Recovery | Timer::ClientRetransmit { .. } => Vec::new(),
         }
     }
 

@@ -165,7 +165,7 @@ impl SeeMoReReplica {
             );
         }
         if installed.behind && self.cluster.is_trusted(installed.collector) {
-            self.request_state_transfer(actions, installed.collector);
+            self.chassis.request_state(actions, [installed.collector]);
         }
         for (seq, digest) in installed.reproposed {
             self.vote_reproposed(actions, seq, digest);
