@@ -801,6 +801,7 @@ impl ReplicaChassis {
                 return Inbound::Handled(Vec::new());
             }
         };
+        // As a protocol does after each message it handles.
         if !self.recovering {
             self.metrics.note_log_size(self.log.len());
         }
