@@ -174,10 +174,11 @@ impl BftReplica {
 
     fn on_request(&mut self, request: ClientRequest, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
-        if !self
-            .signing
-            .verify(NodeId::Client(request.client), &request, &request.signature)
-        {
+        if !self.signing.verify(
+            NodeId::Client(request.client()),
+            &request,
+            &request.signature,
+        ) {
             self.chassis.metrics.rejected_messages += 1;
             return actions;
         }
@@ -242,6 +243,10 @@ impl BftReplica {
         self.try_prepare(actions, seq, digest);
     }
 
+    /// A backup takes its primary's `PRE-PREPARE` only if it is signed by
+    /// the primary of the current view, binds its batch by digest, lies in
+    /// the window and holds no forged request
+    /// ([`SigningContext::forged_request`]); then it votes.
     fn on_pre_prepare(&mut self, from: NodeId, preprepare: PrePrepare) -> Vec<Action> {
         let mut actions = Vec::new();
         if self.chassis.in_view_change()
@@ -257,6 +262,7 @@ impl BftReplica {
                 .chassis
                 .log
                 .in_window(preprepare.seq, self.chassis.pconfig.high_water_mark)
+            || self.signing.forged_request(&preprepare.batch).is_some()
         {
             self.chassis.metrics.rejected_messages += 1;
             return actions;
@@ -633,11 +639,16 @@ mod tests {
 
     const LIMIT: u64 = 200_000;
 
+    /// The key store [`build`] gives its replicas and two clients.
+    fn keys(config: BaselineConfig) -> KeyStore {
+        KeyStore::generate(21, config.network_size, 2)
+    }
+
     fn build(
         config: BaselineConfig,
         byzantine: Option<(ReplicaId, ByzantineBehavior)>,
     ) -> SyncCluster {
-        let keystore = KeyStore::generate(21, config.network_size, 2);
+        let keystore = keys(config);
         let mut cluster = SyncCluster::new();
         for replica in config.replicas() {
             let core = BftReplica::new(
@@ -944,6 +955,86 @@ mod tests {
         assert!(cluster.replica(ReplicaId(1)).view() > View(0));
     }
 
+    /// ROADMAP item 23, the BFT twin of the Peacock test
+    /// `peacock_replicas_refuse_a_proposal_holding_a_request_no_client_signed`:
+    /// a `PRE-PREPARE` for slot 2, signed by the primary, carries a `Put`
+    /// that claims client 0, ts 99, under an invalid client signature, and
+    /// then the primary crashes. No backup votes for or executes it, and
+    /// client 0's next write (ts 2) is ordered by the next view's primary.
+    #[test]
+    fn bft_backups_refuse_a_pre_prepare_holding_a_request_no_client_signed() {
+        use seemore_app::KvOp;
+        use seemore_types::{RequestId, Timestamp};
+        use seemore_wire::SignedPayload;
+
+        let put = |value: &str| {
+            KvOp::Put {
+                key: b"k".to_vec(),
+                value: value.as_bytes().to_vec(),
+            }
+            .encode()
+        };
+        let config = BaselineConfig::bft(1);
+        let mut cluster = build(config, None);
+        cluster.submit(ClientId(0), put("v1"));
+        cluster.run_to_quiescence(LIMIT);
+
+        let primary = config.primary(View(0));
+        let forged = ClientRequest::from_parts(
+            ClientId(0),
+            Timestamp(99),
+            put("forged"),
+            Signature::INVALID,
+        );
+        let batch = Batch::single(forged);
+        let mut preprepare = PrePrepare {
+            view: View(0),
+            seq: SeqNum(2),
+            digest: batch.digest(),
+            batch,
+            signature: Signature::INVALID,
+        };
+        preprepare.signature = keys(config)
+            .signer_for(NodeId::Replica(primary))
+            .unwrap()
+            .sign(&preprepare.signing_bytes());
+        for replica in config.replicas().filter(|r| *r != primary) {
+            let message = Message::PrePrepare(preprepare.clone());
+            cluster.inject(NodeId::Replica(primary), NodeId::Replica(replica), message);
+        }
+        cluster.run_to_quiescence(LIMIT);
+        cluster.replica_mut(primary).crash();
+
+        cluster.submit(ClientId(0), put("v2"));
+        for _ in 0..3 {
+            cluster.run_to_quiescence(LIMIT);
+            cluster.fire_client_timers(LIMIT);
+            cluster.fire_all_timers(LIMIT);
+        }
+        cluster.run_to_quiescence(LIMIT);
+
+        let alive: Vec<ReplicaId> = config.replicas().filter(|r| *r != primary).collect();
+        let histories: Vec<History<'_>> = alive
+            .iter()
+            .map(|&r| (r, cluster.replica(r).executed()))
+            .collect();
+        let write = |ts| RequestId::new(ClientId(0), Timestamp(ts));
+        let outcomes = cluster.client(ClientId(0)).completed();
+        assert_eq!(
+            outcomes.iter().map(|o| o.request).collect::<Vec<_>>(),
+            vec![write(1), write(2)]
+        );
+        assert_eq!(check::safety(&histories, outcomes), Ok(()));
+        assert_eq!(check::validity(&histories, &[write(1), write(2)]), Ok(()));
+        for replica in &alive {
+            let executed = cluster.replica(*replica).executed();
+            assert!(
+                executed.iter().any(|entry| entry.request == write(2)),
+                "{replica} did not execute client 0's write at ts 2"
+            );
+        }
+    }
+
     /// Regression (same bug as the SeeMoRe core): a size-trigger cut used to
     /// leave the armed flush timer live, so its stale expiry cut the next
     /// buffer prematurely. Generation-tagged timers make the stale expiry a
@@ -1153,8 +1244,12 @@ mod tests {
         };
         let mut wrong_digest = cert(1, Batch::single(request(1)));
         wrong_digest.digest = Digest::of_bytes(b"some other batch");
-        let mut forged = request(2);
-        forged.operation = b"forged".to_vec();
+        let forged = ClientRequest::from_parts(
+            ClientId(0),
+            Timestamp(2),
+            b"forged".to_vec(),
+            request(2).signature,
+        );
         let valid = cert(3, Batch::single(request(3)));
         let prepares = vec![wrong_digest, cert(2, Batch::single(forged)), valid.clone()];
 
@@ -1180,7 +1275,7 @@ mod tests {
                 let noop = cert
                     .batch
                     .as_ref()
-                    .is_some_and(|batch| batch.iter().all(|r| r.client == NOOP_CLIENT));
+                    .is_some_and(|batch| batch.iter().all(|r| r.client() == NOOP_CLIENT));
                 (cert.seq.0, noop)
             })
             .collect();

@@ -570,7 +570,7 @@ mod tests {
                 &mut metrics,
             )
             .expect("size trigger");
-        let clients: Vec<u64> = batch.requests().iter().map(|r| r.client.0).collect();
+        let clients: Vec<u64> = batch.requests().iter().map(|r| r.client().0).collect();
         assert_eq!(clients, vec![0, 1, 2], "arrival order preserved");
         assert!(batcher.is_empty());
         // The size cut cancelled the armed timer and invalidated its

@@ -72,12 +72,19 @@ pub const NOOP_CLIENT: ClientId = ClientId(u64::MAX);
 
 /// The no-op request that fills slot `seq`.
 pub fn noop_request(seq: SeqNum) -> ClientRequest {
-    ClientRequest {
-        client: NOOP_CLIENT,
-        timestamp: Timestamp(seq.0),
-        operation: Vec::new(),
-        signature: Signature::INVALID,
-    }
+    ClientRequest::from_parts(
+        NOOP_CLIENT,
+        Timestamp(seq.0),
+        Vec::new(),
+        Signature::INVALID,
+    )
+}
+
+/// Whether `request` is an internal no-op: the no-op client with nothing
+/// to execute. No key signs for [`NOOP_CLIENT`], so this shape is the only
+/// unsigned request a replica accepts.
+pub fn is_noop(request: &ClientRequest) -> bool {
+    request.client() == NOOP_CLIENT && request.operation().is_empty()
 }
 
 /// What a replica owes when committed batches execute: the values in which
@@ -107,8 +114,8 @@ pub struct SigningContext {
     /// Reusable buffer for canonical signing bytes, so the sign/verify hot
     /// path performs no per-message allocation.
     scratch: SigningScratch,
-    /// Bounded memo of already-verified signatures: duplicate deliveries
-    /// and certificate re-checks skip the second HMAC. Semantically
+    /// Bounded memo of already-verified signatures: a retransmitted client
+    /// request or read skips the second HMAC. Semantically
     /// invisible (memoized verify ≡ plain verify, property-tested in
     /// `seemore-crypto`).
     verify_memo: VerifyCache,
@@ -140,15 +147,17 @@ impl SigningContext {
     }
 
     /// Verifies `signature` as `node`'s signature over `payload`, through
-    /// the scratch buffer and the verified-signature memo,
-    /// so a redelivery skips the second HMAC.
+    /// the scratch buffer and the verified-signature memo, so a redelivery
+    /// skips the second HMAC.
     ///
     /// Use this only on paths where the protocol actually re-verifies
-    /// identical bytes — client requests (retransmitted, and re-checked
-    /// inside view-change certificates) and reads. Quorum votes are
-    /// verified exactly once per message in healthy runs, so for them the
-    /// memo's digest-keyed lookup is pure overhead: they go through
-    /// [`verify_once`](Self::verify_once) instead.
+    /// identical bytes — a client request or read reaching the replica
+    /// directly, which clients retransmit. A request's signed bytes are its
+    /// header and stored digest (about 80 B), so the memo key and the HMAC
+    /// each hash that much, not the operation. Quorum votes and the member
+    /// requests of a proposal or certificate are mostly seen once, so for
+    /// them the memo's digest-keyed lookup is pure overhead: they go
+    /// through [`verify_once`](Self::verify_once) instead.
     pub fn verify(
         &mut self,
         node: NodeId,
@@ -158,6 +167,30 @@ impl SigningContext {
         let bytes = self.scratch.bytes_of(payload);
         self.verify_memo
             .verify(&self.keystore, node, bytes, signature)
+    }
+
+    /// Validity: the first member request of `batch` that is neither an
+    /// internal no-op ([`is_noop`]) nor signed by its client, or `None`
+    /// when every member is one of the two.
+    ///
+    /// A replica that takes a batch from an untrusted node applies this
+    /// before it votes or re-proposes: a Peacock replica on its primary's
+    /// `PRE-PREPARE`, a BFT backup on its primary's, and every signing
+    /// protocol on the certificates of a view change. Each check is one
+    /// plain verification over the request's header and stored digest
+    /// (about 80 B), not its operation. It bypasses the memo: a proposal's
+    /// receivers have mostly never seen its requests, so a probe would
+    /// miss, and the entries it left behind would hold memory on every
+    /// replica for nothing.
+    pub fn forged_request<'a>(&mut self, batch: &'a Batch) -> Option<&'a ClientRequest> {
+        batch.iter().find(|request| {
+            !is_noop(request)
+                && !self.verify_once(
+                    NodeId::Client(request.client()),
+                    *request,
+                    &request.signature,
+                )
+        })
     }
 
     /// Plain (memo-free) verification through the scratch buffer — the
@@ -569,7 +602,7 @@ impl ReplicaChassis {
     ) -> bool {
         let Some(result) = self
             .exec
-            .cached_reply(request.client, request.timestamp)
+            .cached_reply(request.client(), request.timestamp())
             .cloned()
         else {
             return false;
@@ -577,7 +610,7 @@ impl ReplicaChassis {
         let reply = self.client_reply(request.id(), result, signing);
         self.send(
             actions,
-            NodeId::Client(request.client),
+            NodeId::Client(request.client()),
             Message::Reply(reply),
         );
         true
@@ -632,12 +665,12 @@ impl ReplicaChassis {
                 timer: Timer::ForwardedRequest { request: id },
             });
             self.forwarded_armed.remove(&id);
-            if duties.reply && execution.request.client != NOOP_CLIENT {
+            if duties.reply && execution.request.client() != NOOP_CLIENT {
                 self.trace(EventKind::Replied, Some(seq), Some(id), 0);
                 let reply = self.client_reply(id, execution.result, signing.as_deref_mut());
                 self.send(
                     actions,
-                    NodeId::Client(execution.request.client),
+                    NodeId::Client(execution.request.client()),
                     Message::Reply(reply),
                 );
             }

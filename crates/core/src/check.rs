@@ -16,6 +16,7 @@
 //! only replicas the run treats as correct; a crashed replica's history is
 //! a prefix and passes the safety checks, a Byzantine one's proves nothing.
 
+use crate::chassis::{noop_request, NOOP_CLIENT};
 use crate::client::ClientOutcome;
 use crate::exec::ExecutedEntry;
 use seemore_app::{KvOp, KvResult};
@@ -98,6 +99,13 @@ pub enum Violation {
         replica: ReplicaId,
         reached: SeqNum,
         checkpoint: SeqNum,
+    },
+    /// `replica` executed `request` at slot `seq`, yet no client submitted
+    /// it and it is not the no-op that fills `seq`.
+    Unsubmitted {
+        replica: ReplicaId,
+        seq: SeqNum,
+        request: RequestId,
     },
 }
 
@@ -219,6 +227,29 @@ pub fn no_completion_lost(
         Some(request) => Err(Violation::CompletionLost { request }),
         None => Ok(()),
     }
+}
+
+/// Validity: every request a listed replica executed is one that a client
+/// submitted (`submitted` lists them all), or the internal no-op of a view
+/// change's gap.
+pub fn validity(histories: &[History<'_>], submitted: &[RequestId]) -> Result<(), Violation> {
+    let submitted: HashSet<RequestId> = submitted.iter().copied().collect();
+    for &(replica, history) in histories {
+        for entry in history {
+            let request = entry.request;
+            let noop = request.client == NOOP_CLIENT
+                && entry.digest == noop_request(SeqNum(request.timestamp.0)).digest();
+            if !noop && !submitted.contains(&request) {
+                let seq = entry.seq;
+                return Err(Violation::Unsubmitted {
+                    replica,
+                    seq,
+                    request,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The four safety checks in turn: [`agreement`], [`order_and_atomicity`],
@@ -481,6 +512,43 @@ mod tests {
             checkpoint: SeqNum(3),
         };
         assert_eq!(progress_past(&histories, SeqNum(3)), Err(behind));
+    }
+
+    #[test]
+    fn validity_rejects_an_executed_request_nobody_submitted() {
+        let mut history = good();
+        let submitted = [id(0, 1), id(1, 1), id(0, 2), id(1, 2)];
+        assert_eq!(validity(&[(R0, &history)], &submitted), Ok(()));
+        // A view change's no-op fills slot 4; it needs no submitter.
+        let noop = noop_request(SeqNum(4));
+        history.push(ExecutedEntry {
+            seq: SeqNum(4),
+            offset: 0,
+            request: noop.id(),
+            digest: noop.digest(),
+            result_digest: Digest::of_fields(&[b"noop"]),
+        });
+        assert_eq!(validity(&[(R0, &history)], &submitted), Ok(()));
+        // A forged request in a submitter's name, at the forger's timestamp.
+        history.push(entry(5, 0, (0, 99), "forged"));
+        let forged = Violation::Unsubmitted {
+            replica: R0,
+            seq: SeqNum(5),
+            request: id(0, 99),
+        };
+        assert_eq!(validity(&[(R0, &history)], &submitted), Err(forged));
+        // The no-op client's id alone does not make a request the no-op.
+        let mut posing = good();
+        posing.push(ExecutedEntry {
+            request: noop.id(),
+            ..entry(4, 0, (0, 0), "posing")
+        });
+        let posing_as_noop = Violation::Unsubmitted {
+            replica: R1,
+            seq: SeqNum(4),
+            request: noop.id(),
+        };
+        assert_eq!(validity(&[(R1, &posing)], &submitted), Err(posing_as_noop));
     }
 
     /// Two writes to `alpha` by client 0, then its read at t = 100 that

@@ -129,15 +129,15 @@ impl ExecutionEngine {
     }
 
     fn execute_one(&mut self, seq: SeqNum, offset: usize, request: &ClientRequest) -> Vec<u8> {
-        let cached = self.reply_cache.get(&request.client);
+        let cached = self.reply_cache.get(&request.client());
         let result = match cached {
             // Exactly-once: a stale or duplicate timestamp is answered from
             // the cache without touching the state machine.
-            Some((last_ts, reply)) if request.timestamp <= *last_ts => reply.clone(),
+            Some((last_ts, reply)) if request.timestamp() <= *last_ts => reply.clone(),
             _ => {
-                let reply = self.app.execute(&request.operation);
+                let reply = self.app.execute(request.operation());
                 self.reply_cache
-                    .insert(request.client, (request.timestamp, reply.clone()));
+                    .insert(request.client(), (request.timestamp(), reply.clone()));
                 reply
             }
         };

@@ -14,7 +14,7 @@
 use super::SeeMoReReplica;
 use crate::actions::{Action, Timer};
 use crate::log::Proposal;
-use seemore_crypto::Signature;
+use seemore_crypto::{Digest, Signature};
 use seemore_telemetry::EventKind;
 use seemore_types::{Instant, Mode, NodeId, ProtocolViolation, ReplicaId, SeqNum, View};
 use seemore_wire::{
@@ -137,23 +137,22 @@ impl SeeMoReReplica {
     // ------------------------------------------------------------------
 
     /// Validates a batch proposal received from the network. On success the
-    /// proposal is stored in the log and `true` is returned.
+    /// proposal's batch is moved into the log and `true` is returned.
     ///
-    /// `payload` is the proposal message itself; its canonical signing
-    /// bytes are built through the replica's scratch buffer at the point of
-    /// verification (allocation-free, memo-assisted on redelivery).
-    #[allow(clippy::too_many_arguments)]
+    /// The primary's signature is checked over `proposal`'s canonical
+    /// signing bytes, built through the replica's scratch buffer. In
+    /// Peacock, whose primary is untrusted, every member request must also
+    /// pass the validity rule ([`SigningContext::forged_request`]) before
+    /// this replica votes for or executes the batch.
+    ///
+    /// [`SigningContext::forged_request`]: crate::chassis::SigningContext::forged_request
     fn accept_proposal(
         &mut self,
         actions: &mut Vec<Action>,
         from: NodeId,
-        view: seemore_types::View,
-        seq: SeqNum,
-        digest: seemore_crypto::Digest,
-        batch: Batch,
-        signature: Signature,
-        payload: &impl SignedPayload,
+        proposal: impl Proposed,
     ) -> bool {
+        let (view, seq, digest, signature) = proposal.header();
         let Some(sender) = from.as_replica() else {
             actions.push(self.chassis.violation(ProtocolViolation::UnexpectedSender {
                 sender: ReplicaId(u32::MAX),
@@ -180,7 +179,7 @@ impl SeeMoReReplica {
         }
         if !self
             .signing
-            .verify_once(NodeId::Replica(sender), payload, &signature)
+            .verify_once(NodeId::Replica(sender), &proposal, &signature)
         {
             actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
                 claimed_signer: NodeId::Replica(sender),
@@ -190,12 +189,22 @@ impl SeeMoReReplica {
         // The advertised digest must bind exactly the carried batch (content
         // *and* order), so a Byzantine primary cannot smuggle different
         // request orders past the quorum-matching digest.
-        if digest != batch.digest() {
+        if digest != proposal.batch().digest() {
             actions.push(
                 self.chassis
                     .violation(ProtocolViolation::DigestMismatch { seq: Some(seq) }),
             );
             return false;
+        }
+        if self.chassis.mode == Mode::Peacock {
+            if let Some(forged) = self.signing.forged_request(proposal.batch()) {
+                let claimed_signer = NodeId::Client(forged.client());
+                actions.push(
+                    self.chassis
+                        .violation(ProtocolViolation::BadSignature { claimed_signer }),
+                );
+                return false;
+            }
         }
         if !self
             .chassis
@@ -229,7 +238,7 @@ impl SeeMoReReplica {
         instance.proposal = Some(Proposal {
             view,
             digest,
-            batch,
+            batch: proposal.into_batch(),
             primary_signature: signature,
         });
         true
@@ -253,20 +262,10 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if !self.accept_proposal(
-            &mut actions,
-            from,
-            prepare.view,
-            prepare.seq,
-            prepare.digest,
-            prepare.batch.clone(),
-            prepare.signature,
-            &prepare,
-        ) {
+        let (seq, digest) = (prepare.seq, prepare.digest);
+        if !self.accept_proposal(&mut actions, from, prepare) {
             return actions;
         }
-        let seq = prepare.seq;
-        let digest = prepare.digest;
 
         match self.chassis.mode {
             Mode::Lion => {
@@ -345,20 +344,10 @@ impl SeeMoReReplica {
             }));
             return actions;
         }
-        if !self.accept_proposal(
-            &mut actions,
-            from,
-            preprepare.view,
-            preprepare.seq,
-            preprepare.digest,
-            preprepare.batch.clone(),
-            preprepare.signature,
-            &preprepare,
-        ) {
+        let (seq, digest) = (preprepare.seq, preprepare.digest);
+        if !self.accept_proposal(&mut actions, from, preprepare) {
             return actions;
         }
-        let seq = preprepare.seq;
-        let digest = preprepare.digest;
 
         if self.is_proxy() && !self.is_primary() {
             let mut vote = PbftPrepare {
@@ -915,5 +904,41 @@ impl SeeMoReReplica {
             self.chassis
                 .trace(EventKind::VoteMismatch, Some(seq), None, 0);
         }
+    }
+}
+
+/// A batch proposal as it arrives: the trusted primary's `PREPARE` or the
+/// untrusted primary's `PRE-PREPARE`, handed to `accept_proposal` by value
+/// so the batch it logs is the one whose request digests its checks filled.
+trait Proposed: SignedPayload {
+    /// The signed `(view, seq, digest)` and the primary's signature.
+    fn header(&self) -> (View, SeqNum, Digest, Signature);
+    /// The proposed batch.
+    fn batch(&self) -> &Batch;
+    /// The proposed batch, moved out.
+    fn into_batch(self) -> Batch;
+}
+
+impl Proposed for Prepare {
+    fn header(&self) -> (View, SeqNum, Digest, Signature) {
+        (self.view, self.seq, self.digest, self.signature)
+    }
+    fn batch(&self) -> &Batch {
+        &self.batch
+    }
+    fn into_batch(self) -> Batch {
+        self.batch
+    }
+}
+
+impl Proposed for PrePrepare {
+    fn header(&self) -> (View, SeqNum, Digest, Signature) {
+        (self.view, self.seq, self.digest, self.signature)
+    }
+    fn batch(&self) -> &Batch {
+        &self.batch
+    }
+    fn into_batch(self) -> Batch {
+        self.batch
     }
 }

@@ -241,12 +241,13 @@ impl SeeMoReReplica {
         let mut actions = Vec::new();
 
         // Signature check: requests are signed by their client.
-        if !self
-            .signing
-            .verify(NodeId::Client(request.client), &request, &request.signature)
-        {
+        if !self.signing.verify(
+            NodeId::Client(request.client()),
+            &request,
+            &request.signature,
+        ) {
             actions.push(self.chassis.violation(ProtocolViolation::BadSignature {
-                claimed_signer: NodeId::Client(request.client),
+                claimed_signer: NodeId::Client(request.client()),
             }));
             return actions;
         }
@@ -275,8 +276,8 @@ impl SeeMoReReplica {
     /// client broadcast trigger a view change).
     pub(crate) fn forward_to_primary(&mut self, actions: &mut Vec<Action>, request: ClientRequest) {
         let primary = self.current_primary();
-        if self.chassis.exec.last_timestamp(request.client) < Some(request.timestamp)
-            || self.chassis.exec.last_timestamp(request.client).is_none()
+        if self.chassis.exec.last_timestamp(request.client()) < Some(request.timestamp())
+            || self.chassis.exec.last_timestamp(request.client()).is_none()
         {
             self.forwarded_requests
                 .insert(request.id(), request.clone());

@@ -740,8 +740,12 @@ fn peacock_new_view_fills_invalid_certificates_with_no_ops() {
     };
     let mut wrong_digest = cert(1, Batch::single(request(1)));
     wrong_digest.digest = Digest::of_bytes(b"some other batch");
-    let mut forged = request(2);
-    forged.operation = put_op("k", "forged");
+    let forged = ClientRequest::from_parts(
+        ClientId(0),
+        Timestamp(2),
+        put_op("k", "forged"),
+        request(2).signature,
+    );
     let valid = cert(3, Batch::single(request(3)));
     let prepares = vec![wrong_digest, cert(2, Batch::single(forged)), valid.clone()];
 
@@ -768,7 +772,7 @@ fn peacock_new_view_fills_invalid_certificates_with_no_ops() {
             let noop = cert.batch.as_ref().is_some_and(|batch| {
                 batch
                     .iter()
-                    .all(|r| r.client == crate::chassis::NOOP_CLIENT)
+                    .all(|r| r.client() == crate::chassis::NOOP_CLIENT)
             });
             (cert.seq.0, noop)
         })
@@ -1352,6 +1356,83 @@ fn peacock_reads_park_behind_prepared_but_uncommitted_slots() {
         1,
         "parked read must be served"
     );
+}
+
+// ----------------------------------------------------------------------
+// Validity
+// ----------------------------------------------------------------------
+
+/// ROADMAP item 23. The Peacock primary is a public-cloud node the model
+/// lets be Byzantine. After client 0's first write, it sends every replica
+/// a correctly signed `PRE-PREPARE` for slot 2 whose batch is a `Put` that
+/// claims client 0, ts 99, under an invalid client signature, and then
+/// crashes. Before the validity rule, all five other replicas executed it,
+/// and the proxies answered client 0's next write (ts 2) from the reply
+/// cache without ordering it (`CompletionLost { client 0, ts 2 }`). Now no
+/// replica votes for or executes the forgery, and the write at ts 2 is
+/// ordered by the next view's primary.
+#[test]
+fn peacock_replicas_refuse_a_proposal_holding_a_request_no_client_signed() {
+    use seemore_crypto::Signature;
+    use seemore_types::{NodeId, RequestId, Timestamp, View};
+    use seemore_wire::{Batch, ClientRequest, Message, PrePrepare, SignedPayload};
+
+    let (mut cluster, config, keystore) =
+        build_cluster(1, 1, Mode::Peacock, 1, ProtocolConfig::default());
+    cluster.submit(ClientId(0), put_op("k", "v1"));
+    cluster.run_to_quiescence(LIMIT);
+
+    let primary = config.primary(Mode::Peacock, View(0)).unwrap();
+    let forged = ClientRequest::from_parts(
+        ClientId(0),
+        Timestamp(99),
+        put_op("k", "forged"),
+        Signature::INVALID,
+    );
+    let batch = Batch::single(forged);
+    let mut preprepare = PrePrepare {
+        view: View(0),
+        seq: SeqNum(2),
+        digest: batch.digest(),
+        batch,
+        signature: Signature::INVALID,
+    };
+    preprepare.signature = keystore
+        .signer_for(NodeId::Replica(primary))
+        .unwrap()
+        .sign(&preprepare.signing_bytes());
+    for replica in config.replicas().filter(|r| *r != primary) {
+        let message = Message::PrePrepare(preprepare.clone());
+        cluster.inject(NodeId::Replica(primary), NodeId::Replica(replica), message);
+    }
+    cluster.run_to_quiescence(LIMIT);
+    cluster.replica_mut(primary).crash();
+
+    cluster.submit(ClientId(0), put_op("k", "v2"));
+    for _ in 0..3 {
+        cluster.run_to_quiescence(LIMIT);
+        cluster.fire_client_timers(LIMIT);
+        cluster.fire_all_timers(LIMIT);
+    }
+    cluster.run_to_quiescence(LIMIT);
+
+    let alive: Vec<ReplicaId> = config.replicas().filter(|r| *r != primary).collect();
+    let histories = histories(&cluster, alive.iter().copied());
+    let write = |ts| RequestId::new(ClientId(0), Timestamp(ts));
+    let outcomes = cluster.client(ClientId(0)).completed();
+    assert_eq!(
+        outcomes.iter().map(|o| o.request).collect::<Vec<_>>(),
+        vec![write(1), write(2)]
+    );
+    assert_eq!(check::safety(&histories, outcomes), Ok(()));
+    assert_eq!(check::validity(&histories, &[write(1), write(2)]), Ok(()));
+    for replica in &alive {
+        let executed = cluster.replica(*replica).executed();
+        assert!(
+            executed.iter().any(|entry| entry.request == write(2)),
+            "{replica} did not execute client 0's write at ts 2"
+        );
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -184,7 +184,7 @@ impl SeeMoReReplica {
                 .forwarded_requests
                 .values()
                 .filter(|r| {
-                    let executed = self.chassis.exec.cached_reply(r.client, r.timestamp);
+                    let executed = self.chassis.exec.cached_reply(r.client(), r.timestamp());
                     executed.is_none()
                 })
                 .cloned()

@@ -59,7 +59,8 @@ pub struct TransferRules {
     pub trusted: u32,
     /// A catch-up asks replicas `0..ask` and the checkpoint's announcer.
     pub ask: u32,
-    /// Whether a request in flight suppresses the next one.
+    /// Whether a request in flight for the stable checkpoint suppresses
+    /// the next one until a newer checkpoint is stable.
     pub guarded: bool,
     /// How responses are adopted.
     pub adoption: Adoption,
@@ -69,8 +70,11 @@ pub struct TransferRules {
 #[derive(Debug)]
 pub(crate) struct TransferState {
     rules: TransferRules,
-    /// Whether a `STATE-REQUEST` awaits its answer.
-    in_flight: bool,
+    /// The stable checkpoint a `STATE-REQUEST` awaiting its answer was
+    /// sent at. A request is in flight for that checkpoint only: one sent
+    /// to a replica that crashed or lost it must not block the catch-up at
+    /// every later one.
+    in_flight: Option<SeqNum>,
     /// Responses collected toward [`Adoption::Matching`], one per replica.
     responses: Vec<StateResponse>,
 }
@@ -79,7 +83,7 @@ impl TransferState {
     pub(crate) fn new(rules: TransferRules) -> Self {
         TransferState {
             rules,
-            in_flight: false,
+            in_flight: None,
             responses: Vec::new(),
         }
     }
@@ -147,13 +151,15 @@ impl ReplicaChassis {
     }
 
     /// Asks `recipients` (never this replica) for the state above its
-    /// execution, unless the rules are guarded and a request is in flight.
+    /// execution, unless the rules are guarded and a request sent at the
+    /// current stable checkpoint is in flight.
     pub fn request_state(
         &mut self,
         actions: &mut Vec<Action>,
         recipients: impl IntoIterator<Item = ReplicaId>,
     ) {
-        if self.transfer.rules.guarded && self.transfer.in_flight {
+        let stable = self.checkpoints.stable_seq();
+        if self.transfer.rules.guarded && self.transfer.in_flight >= Some(stable) {
             return;
         }
         let request = StateRequest {
@@ -162,7 +168,9 @@ impl ReplicaChassis {
         };
         let queued = actions.len();
         self.broadcast_to(actions, recipients, Message::StateRequest(request));
-        self.transfer.in_flight |= actions.len() > queued;
+        if actions.len() > queued {
+            self.transfer.in_flight = Some(stable);
+        }
     }
 
     /// Answers a `STATE-REQUEST` (or a restarted peer's announcement) with
@@ -209,10 +217,12 @@ impl ReplicaChassis {
                     self.adopt_snapshot(snapshot, response.checkpoint.as_ref());
                 }
                 self.adopt_entries(response);
-                self.transfer.in_flight = false;
+                self.transfer.in_flight = None;
                 return Ok(true);
             }
-            Adoption::Matching(need) if self.recovering || self.transfer.in_flight => need,
+            Adoption::Matching(need) if self.recovering || self.transfer.in_flight.is_some() => {
+                need
+            }
             Adoption::Matching(_) => return Ok(false),
         };
         let sender = sender(from, response.replica)?;
@@ -245,7 +255,7 @@ impl ReplicaChassis {
         for response in agreed {
             self.adopt_entries(response);
         }
-        self.transfer.in_flight = false;
+        self.transfer.in_flight = None;
         Ok(true)
     }
 

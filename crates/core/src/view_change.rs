@@ -27,7 +27,7 @@
 //! stranded in the batch buffer ([`ReplicaChassis::take_stranded`]).
 
 use crate::actions::{Action, Timer};
-use crate::chassis::{noop_request, ReplicaChassis, SigningContext, NOOP_CLIENT};
+use crate::chassis::{noop_request, ReplicaChassis, SigningContext};
 use crate::log::Proposal;
 use seemore_crypto::{Digest, Signature};
 use seemore_telemetry::EventKind;
@@ -566,7 +566,7 @@ impl ReplicaChassis {
     /// proposes them, every other replica forwards them.
     pub fn take_stranded(&mut self, actions: &mut Vec<Action>) -> Vec<ClientRequest> {
         let mut stranded = self.batcher.drain(actions);
-        stranded.retain(|r| self.exec.cached_reply(r.client, r.timestamp).is_none());
+        stranded.retain(|r| self.exec.cached_reply(r.client(), r.timestamp()).is_none());
         stranded
     }
 
@@ -641,11 +641,13 @@ impl ReplicaChassis {
 
 /// A certificate's batch counts only if it hashes to the certificate's
 /// digest (binding membership, content and order) and, where the deployment
-/// signs, every member request carries a valid client signature or is the
-/// internal no-op. This is what keeps a Byzantine replica from smuggling a
-/// fabricated or reordered operation through a view change. Each member
-/// request was verified when it first arrived, so the memo makes these
-/// re-checks lookups.
+/// signs, it holds no forged request
+/// ([`SigningContext::forged_request`]). This is what keeps a Byzantine
+/// replica from smuggling a fabricated or reordered operation through a
+/// view change. Every member request is verified here, whatever this
+/// replica checked before: a request may reach it only inside a
+/// certificate, and one that arrived in a Lion or Dog proposal was never
+/// checked, since a trusted primary's proposals are taken as they are.
 fn valid_batch(
     digest: Digest,
     batch: Option<&Batch>,
@@ -657,13 +659,7 @@ fn valid_batch(
     if batch.digest() != digest {
         return false;
     }
-    let Some(signing) = signing else {
-        return true;
-    };
-    batch.iter().all(|request| {
-        request.client == NOOP_CLIENT
-            || signing.verify(NodeId::Client(request.client), request, &request.signature)
-    })
+    signing.is_none_or(|signing| signing.forged_request(batch).is_none())
 }
 
 /// `cert` carried as a commit certificate.

@@ -70,9 +70,11 @@
 //!   already-verified signatures keyed by `(sender, message digest)`.
 //!   Duplicate deliveries (client retransmissions, votes arriving through
 //!   multiple paths) and quorum-certificate re-checks skip the keyed hash.
-//!   A hit still hashes the whole message to form its key, so with the key
-//!   schedule cached it saves only the outer hash's two compressions, and
-//!   a miss pays that digest on top of the full verification.
+//!   A hit still hashes the whole signed message to form its key, so with
+//!   the key schedule cached it saves only the outer hash's two
+//!   compressions, and a miss pays that digest on top of the full
+//!   verification. Every signed message is short: a client request is
+//!   signed over its header and its digest, not its operation.
 //!   The memo is accept-side only and never disagrees with plain
 //!   [`KeyStore::verify`] — inserts happen only after a successful plain
 //!   verification, hits additionally require a byte-identical signature,

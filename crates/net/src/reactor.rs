@@ -1684,12 +1684,12 @@ mod tests {
         let sender = mesh.take_endpoint(client).unwrap();
         let receiver = mesh.take_endpoint(replica(0)).unwrap();
 
-        let message = Message::Request(ClientRequest {
-            client: ClientId(7),
-            timestamp: Timestamp(1),
-            operation: vec![0xEE; 500],
-            signature: seemore_crypto::Signature::INVALID,
-        });
+        let message = Message::Request(ClientRequest::from_parts(
+            ClientId(7),
+            Timestamp(1),
+            vec![0xEE; 500],
+            seemore_crypto::Signature::INVALID,
+        ));
         sender.send(replica(0), &message).unwrap();
         let (from, received) = receiver.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(from, client);
@@ -2107,12 +2107,12 @@ mod tests {
         let sender = mesh.take_endpoint(a).unwrap().handle();
         let receiver = mesh.take_endpoint(b).unwrap();
         let frame = |seq: u64| {
-            Message::Request(ClientRequest {
-                client: ClientId(seq),
-                timestamp: Timestamp(seq),
-                operation: vec![0xAB; 1024],
-                signature: seemore_crypto::Signature::INVALID,
-            })
+            Message::Request(ClientRequest::from_parts(
+                ClientId(seq),
+                Timestamp(seq),
+                vec![0xAB; 1024],
+                seemore_crypto::Signature::INVALID,
+            ))
         };
         const FRAMES: u64 = 10_000;
         for seq in 0..FRAMES {

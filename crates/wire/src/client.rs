@@ -6,6 +6,8 @@ use crate::size::{
 };
 use seemore_crypto::{Digest, Signature, Signer};
 use seemore_types::{ClientId, Mode, ReplicaId, RequestId, SeqNum, Timestamp, View};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// `⟨REQUEST, op, ts_ς, ς⟩_σς` — a state-machine operation requested by a
 /// client (Section 5.1).
@@ -14,16 +16,22 @@ use seemore_types::{ClientId, Mode, ReplicaId, RequestId, SeqNum, Timestamp, Vie
 /// application layer (the `seemore-app` crate) encodes and decodes it. The
 /// client timestamp totally orders the requests of one client and provides
 /// exactly-once semantics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The request's digest `D(µ)` covers the client, the timestamp and the
+/// operation, and the client's signature covers
+/// `(client, timestamp, D(µ))`, so every check of the request reads the
+/// operation once. The digest is computed by the first
+/// [`digest`](Self::digest) call and kept with the request (clones carry
+/// it); the fields it covers are private, so no stored digest can outlive
+/// the bytes it was computed from.
+#[derive(Clone)]
 pub struct ClientRequest {
-    /// The issuing client.
-    pub client: ClientId,
-    /// Client-local, monotonically increasing timestamp.
-    pub timestamp: Timestamp,
-    /// Opaque, application-defined operation bytes.
-    pub operation: Vec<u8>,
-    /// The client's signature over `(client, timestamp, operation)`.
+    client: ClientId,
+    timestamp: Timestamp,
+    operation: Vec<u8>,
+    /// The client's signature over `(client, timestamp, D(µ))`.
     pub signature: Signature,
+    digest: OnceLock<Digest>,
 }
 
 impl ClientRequest {
@@ -34,14 +42,42 @@ impl ClientRequest {
         operation: Vec<u8>,
         signer: &Signer,
     ) -> Self {
-        let mut request = ClientRequest {
+        let mut request =
+            ClientRequest::from_parts(client, timestamp, operation, Signature::INVALID);
+        request.signature = signer.sign(&request.signing_bytes());
+        request
+    }
+
+    /// A request with the given fields and signature, as received or
+    /// forged: nothing is checked and the digest is computed on first use.
+    pub fn from_parts(
+        client: ClientId,
+        timestamp: Timestamp,
+        operation: Vec<u8>,
+        signature: Signature,
+    ) -> Self {
+        ClientRequest {
             client,
             timestamp,
             operation,
-            signature: Signature::INVALID,
-        };
-        request.signature = signer.sign(&request.signing_bytes());
-        request
+            signature,
+            digest: OnceLock::new(),
+        }
+    }
+
+    /// The issuing client.
+    pub fn client(&self) -> ClientId {
+        self.client
+    }
+
+    /// Client-local, monotonically increasing timestamp.
+    pub fn timestamp(&self) -> Timestamp {
+        self.timestamp
+    }
+
+    /// Opaque, application-defined operation bytes.
+    pub fn operation(&self) -> &[u8] {
+        &self.operation
     }
 
     /// The request's identity `(client, timestamp)`.
@@ -49,14 +85,41 @@ impl ClientRequest {
         RequestId::new(self.client, self.timestamp)
     }
 
-    /// The digest `D(µ)` embedded in agreement messages.
+    /// The digest `D(µ)` embedded in agreement messages, computed once per
+    /// request (see the type's docs).
     pub fn digest(&self) -> Digest {
-        Digest::of_fields(&[
-            b"client-request",
-            &self.client.0.to_le_bytes(),
-            &self.timestamp.0.to_le_bytes(),
-            &self.operation,
-        ])
+        *self.digest.get_or_init(|| {
+            Digest::of_fields(&[
+                b"client-request",
+                &self.client.0.to_le_bytes(),
+                &self.timestamp.0.to_le_bytes(),
+                &self.operation,
+            ])
+        })
+    }
+}
+
+/// Equality is over the fields on the wire; the stored digest follows from
+/// them.
+impl PartialEq for ClientRequest {
+    fn eq(&self, other: &Self) -> bool {
+        self.client == other.client
+            && self.timestamp == other.timestamp
+            && self.operation == other.operation
+            && self.signature == other.signature
+    }
+}
+
+impl Eq for ClientRequest {}
+
+impl fmt::Debug for ClientRequest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClientRequest")
+            .field("client", &self.client)
+            .field("timestamp", &self.timestamp)
+            .field("operation", &self.operation)
+            .field("signature", &self.signature)
+            .finish()
     }
 }
 
@@ -68,7 +131,7 @@ impl SignedPayload for ClientRequest {
             &[
                 &self.client.0.to_le_bytes(),
                 &self.timestamp.0.to_le_bytes(),
-                &self.operation,
+                self.digest().as_bytes(),
             ],
         )
     }
@@ -361,15 +424,15 @@ mod tests {
         assert!(ks.verify(NodeId::Client(client), &req.signing_bytes(), &req.signature));
 
         // Any mutation invalidates the signature.
-        let mut tampered = req.clone();
-        tampered.operation = b"put k evil".to_vec();
+        let tampered =
+            ClientRequest::from_parts(client, Timestamp(1), b"put k evil".to_vec(), req.signature);
         assert!(!ks.verify(
             NodeId::Client(client),
             &tampered.signing_bytes(),
             &tampered.signature
         ));
-        let mut tampered = req.clone();
-        tampered.timestamp = Timestamp(2);
+        let tampered =
+            ClientRequest::from_parts(client, Timestamp(2), b"put k v".to_vec(), req.signature);
         assert!(!ks.verify(
             NodeId::Client(client),
             &tampered.signing_bytes(),
@@ -387,6 +450,50 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
         assert_eq!(a.id(), RequestId::new(ClientId(0), Timestamp(1)));
+    }
+
+    #[test]
+    fn a_flipped_operation_byte_changes_the_digest_and_fails_the_signature() {
+        let ks = keystore();
+        let client = ClientId(0);
+        let signer = ks.signer_for(NodeId::Client(client)).unwrap();
+        let req = ClientRequest::new(client, Timestamp(1), vec![0x5a; 4096], &signer);
+        for at in [0, 2048, 4095] {
+            let mut operation = req.operation().to_vec();
+            operation[at] ^= 0x01;
+            let flipped = ClientRequest::from_parts(client, Timestamp(1), operation, req.signature);
+            assert_ne!(flipped.digest(), req.digest(), "byte {at}");
+            assert!(!ks.verify(
+                NodeId::Client(client),
+                &flipped.signing_bytes(),
+                &flipped.signature
+            ));
+        }
+    }
+
+    #[test]
+    fn the_stored_digest_is_carried_by_clones_and_ignored_by_equality() {
+        let ks = keystore();
+        let signer = ks.signer_for(NodeId::Client(ClientId(0))).unwrap();
+        let req = ClientRequest::new(ClientId(0), Timestamp(1), b"op".to_vec(), &signer);
+        let fresh = ClientRequest::from_parts(
+            req.client(),
+            req.timestamp(),
+            req.operation().to_vec(),
+            req.signature,
+        );
+        // `req` filled its digest when it was signed; `fresh` has not yet.
+        assert_eq!(req.digest.get(), Some(&fresh.digest()));
+        let fresh = ClientRequest::from_parts(
+            req.client(),
+            req.timestamp(),
+            req.operation().to_vec(),
+            req.signature,
+        );
+        assert_eq!(fresh, req);
+        assert_eq!(format!("{fresh:?}"), format!("{req:?}"));
+        assert_eq!(req.clone().digest.get(), Some(&req.digest()));
+        assert!(fresh.clone().digest.get().is_none());
     }
 
     #[test]

@@ -599,10 +599,10 @@ fn put_option<T>(out: &mut Vec<u8>, value: Option<&T>, put: impl FnOnce(&mut Vec
 
 fn put_request(out: &mut Vec<u8>, request: &ClientRequest) {
     put_block(out, KIND_REQUEST, 0, |b| {
-        put_u64(b, request.client.0);
-        put_u64(b, request.timestamp.0);
+        put_u64(b, request.client().0);
+        put_u64(b, request.timestamp().0);
         put_hash(b, request.signature.as_bytes());
-        b.extend_from_slice(&request.operation);
+        b.extend_from_slice(request.operation());
     });
 }
 
@@ -1016,12 +1016,9 @@ fn read_request_body(body: &mut Reader) -> Result<ClientRequest, DecodeError> {
     let timestamp = Timestamp(body.u64()?);
     let signature = body.signature()?;
     let operation = body.take(body.remaining())?.to_vec();
-    Ok(ClientRequest {
-        client,
-        timestamp,
-        operation,
-        signature,
-    })
+    Ok(ClientRequest::from_parts(
+        client, timestamp, operation, signature,
+    ))
 }
 
 fn read_reply_body(body: &mut Reader) -> Result<ClientReply, DecodeError> {

@@ -19,7 +19,7 @@ use seemore::wire::codec::{decode, encode, DecodeError, FrameReader, MAX_FRAME};
 use seemore::wire::{
     Accept, Batch, Checkpoint, ClientReply, ClientRequest, Commit, CommitCert, Inform, Message,
     ModeChange, NewView, PbftPrepare, PrePrepare, Prepare, PrepareCert, ReadReply, ReadRequest,
-    Recovery, StateRequest, StateResponse, ViewChange, WireSize,
+    Recovery, SignedPayload, StateRequest, StateResponse, ViewChange, WireSize,
 };
 
 /// Number of distinct message kinds the generator can produce.
@@ -285,6 +285,28 @@ proptest! {
             let decoded = decode(&bytes).expect("well-formed frame decodes");
             prop_assert_eq!(decoded, message);
         }
+    }
+
+    /// A request's stored digest is recomputed from the decoded bytes: a
+    /// decoded request equals the original, has its digest (computed
+    /// afresh, since the original's is not on the wire) and its client
+    /// signature, which covers that digest, still verifies.
+    #[test]
+    fn a_decoded_request_keeps_its_digest_and_signature(seed in 0u64..u64::MAX) {
+        let ks = keystore();
+        let request = request(&mut SmallRng::seed_from_u64(seed), &ks);
+        let Message::Request(decoded) = decode(&encode(&Message::Request(request.clone())))
+            .expect("well-formed frame decodes")
+        else {
+            panic!("a request decodes as a request");
+        };
+        prop_assert_eq!(&decoded, &request);
+        prop_assert_eq!(decoded.digest(), request.digest());
+        prop_assert!(ks.verify(
+            NodeId::Client(decoded.client()),
+            &decoded.signing_bytes(),
+            &decoded.signature
+        ));
     }
 
     /// Adversarial: every proper prefix of every frame is `Truncated`.

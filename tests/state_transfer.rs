@@ -13,12 +13,13 @@
 //!
 //! When a stable checkpoint is ahead of execution, SeeMoRe asks the private
 //! cloud and the checkpoint's announcer, PBFT asks everyone and CFT asks the
-//! announcer; SeeMoRe and PBFT send nothing more while a request is in
-//! flight, CFT asks again.
+//! announcer. SeeMoRe and PBFT send nothing more while a request sent at
+//! that checkpoint is in flight, and ask again at the next one; CFT asks at
+//! every one.
 //!
-//! The last case reproduces an in-flight request that never clears
-//! (ROADMAP item 13): a Dog passive replica that asked a proxy which never
-//! answers stays behind every later stable checkpoint.
+//! The last case is ROADMAP item 13's lost request: a Dog passive replica
+//! that asked a proxy which never answers catches up at the next stable
+//! checkpoint.
 
 use seemore::app::{KvOp, KvStore};
 use seemore::baselines::{BaselineConfig, BftReplica, CftReplica};
@@ -28,9 +29,11 @@ use seemore::core::testkit::{Envelope, SyncCluster};
 use seemore::core::{Action, ClientCore, ProtocolConfig, ReplicaProtocol, SeeMoReReplica};
 use seemore::crypto::{Digest, KeyStore, Signature};
 use seemore::types::{
-    ClientId, ClusterConfig, Duration, Instant, Mode, NodeId, ReplicaId, SeqNum, Timestamp,
+    ClientId, ClusterConfig, Duration, Instant, Mode, NodeId, ReplicaId, SeqNum, Timestamp, View,
 };
-use seemore::wire::{Batch, Checkpoint, ClientRequest, Message, SignedPayload, StateResponse};
+use seemore::wire::{
+    Batch, Checkpoint, ClientRequest, Inform, Message, SignedPayload, StateResponse,
+};
 
 const NOW: Instant = Instant::ZERO;
 
@@ -265,10 +268,12 @@ fn cft_adopts_the_first_response() {
 // ----------------------------------------------------------------------
 
 /// Peacock: replica 1 (private) asks the other private replica and the
-/// proxy whose checkpoint made slot 2 stable, never itself, once each; the
-/// next stable checkpoint, with that request unanswered, asks nobody.
+/// proxy whose checkpoint made slot 2 stable, never itself, once each.
+/// While that request is unanswered, an inform quorum for a slot whose
+/// proposal it never saw asks nobody; the next stable checkpoint asks both
+/// again, since the first request may have gone to a replica that crashed.
 #[test]
-fn seemore_catch_up_asks_the_private_cloud_and_the_announcer_once() {
+fn seemore_catch_up_asks_the_private_cloud_and_the_announcer_once_per_checkpoint() {
     let config = ClusterConfig::minimal(1, 1).unwrap();
     let keystore = KeyStore::generate(34, config.total_size(), 1);
     let mut replica = seemore_replica(&keystore, 1, Mode::Peacock);
@@ -277,19 +282,37 @@ fn seemore_catch_up_asks_the_private_cloud_and_the_announcer_once() {
     assert_eq!(asked, vec![ReplicaId(0), ReplicaId(4)]);
     assert_eq!(replica.stable_checkpoint(), SeqNum(2));
 
-    assert_eq!(announce(&mut replica, &keystore, &[3, 4], 4), vec![]);
+    // m + 1 = 2 informs commit slot 3 for a passive replica.
+    let mut asked = Vec::new();
+    for proxy in [3, 4] {
+        let mut inform = Inform {
+            view: View(0),
+            seq: SeqNum(3),
+            digest: Digest::of_bytes(b"slot 3"),
+            replica: ReplicaId(proxy),
+            signature: Signature::INVALID,
+        };
+        let signer = keystore.signer_for(from(proxy)).unwrap();
+        inform.signature = signer.sign(&inform.signing_bytes());
+        let actions = replica.on_message(from(proxy), Message::Inform(inform), NOW);
+        asked.extend(state_requests(&actions));
+    }
+    assert_eq!(asked, vec![]);
+
+    let asked = announce(&mut replica, &keystore, &[3, 4], 4);
+    assert_eq!(asked, vec![ReplicaId(0), ReplicaId(4)]);
     assert_eq!(replica.stable_checkpoint(), SeqNum(4));
 }
 
-/// PBFT: a catch-up asks every other replica once; the next one, with that
-/// request unanswered, asks nobody.
+/// PBFT: a catch-up asks every other replica once; the next stable
+/// checkpoint, with that request unanswered, asks them again.
 #[test]
-fn bft_catch_up_asks_every_other_replica_once() {
+fn bft_catch_up_asks_every_other_replica_once_per_checkpoint() {
     let keystore = KeyStore::generate(35, 4, 1);
     let mut replica = bft_replica(&keystore, 3);
-    let asked = announce(&mut replica, &keystore, &[1, 2], 2);
-    assert_eq!(asked, vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
-    assert_eq!(announce(&mut replica, &keystore, &[1, 2], 4), vec![]);
+    let everyone = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
+    assert_eq!(announce(&mut replica, &keystore, &[1, 2], 2), everyone);
+    assert_eq!(announce(&mut replica, &keystore, &[1, 2], 4), everyone);
 }
 
 /// CFT: a catch-up asks the announcer alone, and asks again at the next
@@ -309,20 +332,19 @@ fn cft_catch_up_asks_the_announcer_at_every_stable_checkpoint() {
 }
 
 // ----------------------------------------------------------------------
-// An in-flight request that never clears
+// A state request that is never answered
 // ----------------------------------------------------------------------
 
 /// ROADMAP item 13's family, caused by a crash alone. In Dog, passive
 /// replica 1 (trusted) misses slot 1's `PREPARE` but collects the inform
 /// quorum for it, so it asks the first informing proxy for state. That
 /// proxy never answers (it crashed; here the request is held). The request
-/// stays in flight, so every later stable checkpoint, each ahead of
-/// replica 1's execution, sends no request, and replica 1 never executes
-/// past slot 0.
+/// is in flight for the stable checkpoint it was sent at only, so the next
+/// stable checkpoint, ahead of replica 1's execution, asks again, and
+/// replica 1 executes past it. (While the request stayed in flight until
+/// answered, replica 1 never executed past slot 0:
+/// `NoProgress { replica: r1, reached: 0, checkpoint: 3 }`.)
 #[test]
-#[ignore = "ROADMAP item 13, not fixed yet: the passive replica stays at slot 0 \
-            (NoProgress { replica: r1, reached: 0, checkpoint: 3 }): a state \
-            request that is never answered blocks every later catch-up"]
 fn a_passive_replica_whose_state_request_was_lost_catches_up_at_the_next_checkpoint() {
     /// Checkpoint period: the later checkpoints the replica must catch up at.
     const PERIOD: u64 = 2;
