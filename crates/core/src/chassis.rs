@@ -83,7 +83,7 @@ pub fn noop_request(seq: SeqNum) -> ClientRequest {
 /// Whether `request` is an internal no-op: the no-op client with nothing
 /// to execute. No key signs for [`NOOP_CLIENT`], so this shape is the only
 /// unsigned request a replica accepts.
-pub fn is_noop(request: &ClientRequest) -> bool {
+fn is_noop(request: &ClientRequest) -> bool {
     request.client() == NOOP_CLIENT && request.operation().is_empty()
 }
 
@@ -170,8 +170,8 @@ impl SigningContext {
     }
 
     /// Validity: the first member request of `batch` that is neither an
-    /// internal no-op ([`is_noop`]) nor signed by its client, or `None`
-    /// when every member is one of the two.
+    /// internal no-op ([`NOOP_CLIENT`] with an empty operation) nor signed
+    /// by its client, or `None` when every member is one of the two.
     ///
     /// A replica that takes a batch from an untrusted node applies this
     /// before it votes or re-proposes: a Peacock replica on its primary's

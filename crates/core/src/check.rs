@@ -240,10 +240,9 @@ pub fn validity(histories: &[History<'_>], submitted: &[RequestId]) -> Result<()
             let noop = request.client == NOOP_CLIENT
                 && entry.digest == noop_request(SeqNum(request.timestamp.0)).digest();
             if !noop && !submitted.contains(&request) {
-                let seq = entry.seq;
                 return Err(Violation::Unsubmitted {
                     replica,
-                    seq,
+                    seq: entry.seq,
                     request,
                 });
             }

@@ -908,8 +908,9 @@ impl SeeMoReReplica {
 }
 
 /// A batch proposal as it arrives: the trusted primary's `PREPARE` or the
-/// untrusted primary's `PRE-PREPARE`, handed to `accept_proposal` by value
-/// so the batch it logs is the one whose request digests its checks filled.
+/// untrusted primary's `PRE-PREPARE`, handed to `accept_proposal` by value,
+/// so the batch its checks hashed moves into the log with its request
+/// digests filled instead of being copied.
 trait Proposed: SignedPayload {
     /// The signed `(view, seq, digest)` and the primary's signature.
     fn header(&self) -> (View, SeqNum, Digest, Signature);

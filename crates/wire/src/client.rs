@@ -18,12 +18,11 @@ use std::sync::OnceLock;
 /// exactly-once semantics.
 ///
 /// The request's digest `D(µ)` covers the client, the timestamp and the
-/// operation, and the client's signature covers
-/// `(client, timestamp, D(µ))`, so every check of the request reads the
-/// operation once. The digest is computed by the first
-/// [`digest`](Self::digest) call and kept with the request (clones carry
-/// it); the fields it covers are private, so no stored digest can outlive
-/// the bytes it was computed from.
+/// operation, and the client's signature covers `(client, timestamp,
+/// D(µ))`, so a node hashes the operation once however often it checks or
+/// names the request. The first [`digest`](Self::digest) call computes the
+/// digest and the request keeps it (clones carry it); the fields it covers
+/// are private, so no stored digest can outlive the bytes it came from.
 #[derive(Clone)]
 pub struct ClientRequest {
     client: ClientId,
@@ -483,17 +482,11 @@ mod tests {
             req.signature,
         );
         // `req` filled its digest when it was signed; `fresh` has not yet.
-        assert_eq!(req.digest.get(), Some(&fresh.digest()));
-        let fresh = ClientRequest::from_parts(
-            req.client(),
-            req.timestamp(),
-            req.operation().to_vec(),
-            req.signature,
-        );
+        assert!(fresh.digest.get().is_none());
         assert_eq!(fresh, req);
         assert_eq!(format!("{fresh:?}"), format!("{req:?}"));
-        assert_eq!(req.clone().digest.get(), Some(&req.digest()));
         assert!(fresh.clone().digest.get().is_none());
+        assert_eq!(req.clone().digest.get(), Some(&fresh.digest()));
     }
 
     #[test]
