@@ -70,7 +70,6 @@ impl BftReplica {
         let transfer = TransferRules {
             trusted: 0,
             ask: config.network_size,
-            guarded: true,
             adoption: Adoption::Matching(config.fault_bound as usize + 1),
         };
         BftReplica {

@@ -62,7 +62,6 @@ impl CftReplica {
         let transfer = TransferRules {
             trusted: config.network_size,
             ask: 0,
-            guarded: false,
             adoption: Adoption::Trusted,
         };
         CftReplica {

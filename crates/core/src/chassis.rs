@@ -860,7 +860,6 @@ mod tests {
             TransferRules {
                 trusted: 3,
                 ask: 0,
-                guarded: false,
                 adoption: Adoption::Trusted,
             },
             Box::new(NoopApp::new(0)),

@@ -101,7 +101,6 @@ impl SeeMoReReplica {
         let transfer = TransferRules {
             trusted: cluster.private_size(),
             ask: cluster.private_size(),
-            guarded: true,
             adoption: Adoption::Trusted,
         };
         let size = cluster.total_size();

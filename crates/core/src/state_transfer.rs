@@ -10,11 +10,11 @@
 //! protocol's constructor fixes, and `Option<&mut SigningContext>`, which
 //! decides whether checkpoints and restart announcements are verified.
 //!
-//! | | trusted | a catch-up asks | in-flight guard | adoption |
-//! |---|---|---|---|---|
-//! | CFT | every replica | the announcer | no | [`Adoption::Trusted`] |
-//! | SeeMoRe | the private cloud | it and the announcer | yes | [`Adoption::Trusted`] |
-//! | PBFT | none | every replica | yes | [`Adoption::Matching`] (`f + 1`) |
+//! | | trusted | a catch-up asks | adoption |
+//! |---|---|---|---|
+//! | CFT | every replica | the announcer | [`Adoption::Trusted`] |
+//! | SeeMoRe | the private cloud | it and the announcer | [`Adoption::Trusted`] |
+//! | PBFT | none | every replica | [`Adoption::Matching`] (`f + 1`) |
 //!
 //! The protocol keeps what is its own: its `execute_ready` once state was
 //! adopted ([`Inbound::Adopted`](crate::chassis::Inbound::Adopted)),
@@ -59,9 +59,6 @@ pub struct TransferRules {
     pub trusted: u32,
     /// A catch-up asks replicas `0..ask` and the checkpoint's announcer.
     pub ask: u32,
-    /// Whether a request in flight for the stable checkpoint suppresses
-    /// the next one until a newer checkpoint is stable.
-    pub guarded: bool,
     /// How responses are adopted.
     pub adoption: Adoption,
 }
@@ -151,15 +148,16 @@ impl ReplicaChassis {
     }
 
     /// Asks `recipients` (never this replica) for the state above its
-    /// execution, unless the rules are guarded and a request sent at the
-    /// current stable checkpoint is in flight.
+    /// execution, unless a request sent at the current stable checkpoint is
+    /// in flight. A newer stable checkpoint always asks again, whether the
+    /// earlier request was lost or its answer is only slow.
     pub fn request_state(
         &mut self,
         actions: &mut Vec<Action>,
         recipients: impl IntoIterator<Item = ReplicaId>,
     ) {
         let stable = self.checkpoints.stable_seq();
-        if self.transfer.rules.guarded && self.transfer.in_flight >= Some(stable) {
+        if self.transfer.in_flight >= Some(stable) {
             return;
         }
         let request = StateRequest {

@@ -13,9 +13,10 @@
 //!
 //! When a stable checkpoint is ahead of execution, SeeMoRe asks the private
 //! cloud and the checkpoint's announcer, PBFT asks everyone and CFT asks the
-//! announcer. SeeMoRe and PBFT send nothing more while a request sent at
-//! that checkpoint is in flight, and ask again at the next one; CFT asks at
-//! every one.
+//! announcer. None sends more while a request sent at that checkpoint is in
+//! flight, and each asks again at the next one, whether the first answer
+//! was lost or is only slow (a slow one is then answered twice, and
+//! adopted once).
 //!
 //! The last case is ROADMAP item 13's lost request: a Dog passive replica
 //! that asked a proxy which never answers catches up at the next stable
@@ -313,6 +314,39 @@ fn bft_catch_up_asks_every_other_replica_once_per_checkpoint() {
     let everyone = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
     assert_eq!(announce(&mut replica, &keystore, &[1, 2], 2), everyone);
     assert_eq!(announce(&mut replica, &keystore, &[1, 2], 4), everyone);
+}
+
+/// PBFT: an answer that is only slow, not lost, is asked for again at the
+/// next stable checkpoint too, so every replica asked sends a second
+/// `STATE-RESPONSE` (n - 1 = 3 more here, each a full snapshot). They cost
+/// only their bytes: the first `f + 1` matching answers are adopted, and
+/// the rest are dropped unrefused once nothing is in flight.
+#[test]
+fn bft_a_slow_answer_asked_for_again_at_the_next_checkpoint_is_adopted_once() {
+    let keystore = KeyStore::generate(38, 4, 1);
+    let donor = Donor::new(&keystore, 4);
+    let mut replica = bft_replica(&keystore, 3);
+    let everyone = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
+    assert_eq!(announce(&mut replica, &keystore, &[1, 2], 2), everyone);
+
+    // The donor's checkpoint at slot 4 is stable before any answer arrives.
+    let mut asked = Vec::new();
+    for announcer in [1, 2] {
+        let checkpoint = Message::Checkpoint(donor.checkpoint(announcer, true));
+        let actions = replica.on_message(from(announcer), checkpoint, NOW);
+        asked.extend(state_requests(&actions));
+    }
+    assert_eq!(asked, everyone, "asked again");
+
+    // Both rounds are answered: the late first round, then the second.
+    let rejected = replica.metrics().rejected_messages;
+    for (answer, sender) in [0, 1, 2, 0, 1, 2].into_iter().enumerate() {
+        let response = Message::StateResponse(donor.response(sender, true, &[5]));
+        replica.on_message(from(sender), response, NOW);
+        let executed = if answer == 0 { vec![] } else { vec![5] };
+        assert_eq!(executed_seqs(&replica), executed, "after answer {answer}");
+    }
+    assert_eq!(replica.metrics().rejected_messages, rejected);
 }
 
 /// CFT: a catch-up asks the announcer alone, and asks again at the next
