@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the building blocks whose costs feed the simulator's
 //! CPU model: hashing, signing, verification, request/batch digests,
 //! key-value execution and quorum bookkeeping, plus the socket transport's
-//! per-frame write cost (deliver-now vs queued and flushed once) and its
-//! round trip between two inboxes.
+//! per-frame write cost (deliver-now vs queued and flushed once), its
+//! round trip between two inboxes, and a file WAL's synced vote append.
 //!
 //! Implemented with the lightweight self-timing harness from `seemore-bench`
 //! (criterion is unavailable in the offline build environment): each
@@ -13,14 +13,15 @@ use seemore_app::{KvOp, KvStore, StateMachine};
 use seemore_bench::{header, quick_mode, time_op};
 use seemore_core::log::Instance;
 use seemore_crypto::{
-    hmac_sha256, sha256, sha256_portable, Digest, HmacKey, KeyStore, VerifyCache,
+    hmac_sha256, sha256, sha256_portable, Digest, HmacKey, KeyStore, Signature, VerifyCache,
 };
 use seemore_net::ReactorMesh;
+use seemore_store::{Durability, FileStore, StoreConfig, WalRecord};
 use seemore_telemetry::{EventKind, NullRecorder, Recorder, RingRecorder, TraceEvent};
 use seemore_types::{ClientId, Instant, Mode, NodeId, ReplicaId, SeqNum, Timestamp, View};
 use seemore_wire::codec::{decode, encode, Frame};
 use seemore_wire::{
-    Batch, ClientRequest, Message, Prepare, SignedPayload, SigningScratch, WireSize,
+    Accept, Batch, ClientRequest, Message, Prepare, SignedPayload, SigningScratch, WireSize,
 };
 use std::time::Duration;
 
@@ -475,6 +476,53 @@ fn main() {
         let ns = samples[samples.len() / 2];
         println!("net/ping-pong round trip  : {ns:>9.0} ns/op");
         mesh.shutdown();
+    }
+
+    // One vote-sized frame appended to a `FileStore` and synced (an
+    // `fdatasync`), timed one append at a time in a temp dir. In steady
+    // state the frame lands inside the segment's zero fill, so the sync
+    // flushes data alone; a fresh store's first sync also grows the file
+    // (two pages of fill), so it commits the new size to the filesystem's
+    // journal too. Both depend on the disk under the temp dir.
+    {
+        // A signature's bytes do not change its size.
+        let vote = WalRecord::Vote(Message::Accept(Accept {
+            view: View(1),
+            seq: SeqNum(42),
+            digest: Digest::of_bytes(b"batch"),
+            replica: ReplicaId(0),
+            signature: Some(Signature::INVALID),
+        }));
+        let samples = if quick_mode() { 50 } else { 400 };
+        let root = std::env::temp_dir().join(format!("seemore-micro-store-{}", std::process::id()));
+        let median = |mut ns: Vec<f64>| {
+            ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            ns[ns.len() / 2]
+        };
+        let timed_append = |store: &FileStore| {
+            let start = std::time::Instant::now();
+            store.append(&vote);
+            start.elapsed().as_nanos() as f64
+        };
+
+        let store = FileStore::open(root.join("steady"), StoreConfig::default()).expect("store");
+        store.append(&vote);
+        let ns = median((0..samples).map(|_| timed_append(&store)).collect());
+        println!("filestore/vote append+sync, in fill : {ns:>9.0} ns/op");
+        drop(store);
+
+        let ns = median(
+            (0..samples / 4)
+                .map(|i| {
+                    let store =
+                        FileStore::open(root.join(format!("fresh-{i}")), StoreConfig::default())
+                            .expect("store");
+                    timed_append(&store)
+                })
+                .collect(),
+        );
+        println!("filestore/vote append+sync, 1st sync: {ns:>9.0} ns/op (grows the file)");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     // The structured tracer's per-event cost, as the cores pay it: every

@@ -257,6 +257,14 @@ impl SyncCluster {
         true
     }
 
+    /// Drops every queued message `select` picks, as a lossy link would,
+    /// and leaves the rest queued in order. Returns how many it dropped.
+    pub fn drop_matching(&mut self, mut select: impl FnMut(&Envelope) -> bool) -> usize {
+        let queued = self.queue.len();
+        self.queue.retain(|envelope| !select(envelope));
+        queued - self.queue.len()
+    }
+
     /// Number of messages currently queued.
     pub fn pending(&self) -> usize {
         self.queue.len()

@@ -14,6 +14,15 @@
 //! before the first bad frame is exactly the set of records that were
 //! durably appended.
 //!
+//! A segment holds its records followed by zero fill (a
+//! [`FileStore`](crate::FileStore) writes zeros ahead of its appends so that
+//! a sync overwrites blocks the file already has). An all-zero header ends
+//! the records: `len` counts at least the payload's tag byte, so no real
+//! frame starts with eight zero bytes. Where the bytes left are fewer than a
+//! header, all of them zero ends the records too. The tail is clean when
+//! every byte after that point is zero, and torn when a nonzero byte
+//! follows.
+//!
 //! [`WalRecord::Vote`] bodies reuse the versioned wire codec, so the store
 //! inherits its size contract and adversarial-input hardening; the small
 //! store-local records use fixed-width little-endian fields.
@@ -130,11 +139,23 @@ pub struct DecodedWal {
     pub clean_len: usize,
 }
 
-/// Decodes a WAL byte stream, keeping the longest cleanly-framed prefix.
+/// Whether `bytes`, read from a frame boundary, start with zero fill: an
+/// all-zero header, or fewer bytes than a header, all of them zero.
+fn is_fill(bytes: &[u8]) -> bool {
+    bytes.iter().take(8).all(|&byte| byte == 0)
+}
+
+/// Decodes a WAL byte stream, keeping the longest cleanly-framed prefix. The
+/// records end at zero fill; bytes after it count as a torn tail only if one
+/// of them is nonzero.
 pub fn decode_wal(bytes: &[u8]) -> DecodedWal {
     let mut out = DecodedWal::default();
     let mut at = 0;
     while at < bytes.len() {
+        if is_fill(&bytes[at..]) {
+            out.torn_tail = bytes[at..].iter().any(|&byte| byte != 0);
+            return out;
+        }
         let Some(header) = bytes.get(at..at + 8) else {
             out.torn_tail = true;
             return out;
@@ -168,11 +189,14 @@ pub fn decode_wal(bytes: &[u8]) -> DecodedWal {
 
 /// Reads the next frame of a WAL stream into `frame` (header and payload,
 /// exactly as stored) and decodes its record. `None` at the end of the
-/// stream and at the first frame [`decode_wal`] would discard, so a loop over
-/// it sees the same clean prefix in the memory of one frame.
+/// stream, at zero fill and at the first frame [`decode_wal`] would discard,
+/// so a loop over it sees the same clean prefix in the memory of one frame.
 pub fn read_record(reader: &mut impl Read, frame: &mut Vec<u8>) -> Option<WalRecord> {
     frame.resize(8, 0);
     reader.read_exact(frame).ok()?;
+    if is_fill(frame) {
+        return None;
+    }
     let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
     if len > MAX_PAYLOAD {

@@ -23,6 +23,13 @@
 //! any of the turn's messages (group commit). Outside a turn every
 //! [`Durability::append`] syncs on its own.
 //!
+//! A [`FileStore`] WAL segment holds its records followed by zero fill. A
+//! frame is written at the records' end, over zeros already in the file;
+//! before a frame that would pass the fill's end, more zeros are written
+//! past it (as much as the segment holds, one page to 256 KiB, never past
+//! [`StoreConfig::segment_bytes`]). Reading stops at the first all-zero
+//! frame header (see [`frame`]).
+//!
 //! What is *not* persisted: peer votes (re-collected or re-fetched via state
 //! transfer), application state between checkpoints (re-executed from the
 //! fetched suffix), client reply queues (clients retransmit), and timers.
@@ -52,14 +59,17 @@
 //! * [`Always`](FsyncPolicy::Always) (the default) — every
 //!   [`sync`](Durability::sync), and so every synced append, is an
 //!   `fdatasync`. A vote is on disk before it is on the wire; survives power
-//!   loss.
+//!   loss. Most syncs write only the pages the turn's frames overwrote in
+//!   the zero fill: the file keeps its size, so the filesystem commits no
+//!   metadata for it. A sync after the fill was extended also makes the new
+//!   file size durable, as every sync of a growing file would.
 //! * [`Never`](FsyncPolicy::Never) — leave syncing to the OS. Still survives
 //!   process crashes (kill-9: the page cache outlives the process); an
 //!   unsynced tail may be lost on power failure, votes it held included.
 //!
 //! A torn append (power cut mid-write) leaves a partial final frame whose
-//! length or CRC check fails; recovery discards the torn tail and keeps the
-//! longest cleanly-framed prefix. Under `Always`, losing a *suffix* of the
+//! length or CRC check fails, with zero fill or nothing after it; recovery
+//! discards the torn tail and keeps the longest cleanly-framed prefix. Under `Always`, losing a *suffix* of the
 //! WAL is safe for the same reason losing the whole process is: the votes in
 //! it were never synced, so they were never sent either.
 //!

@@ -6,6 +6,7 @@ use crate::{Durability, DurableCheckpoint, FsyncPolicy, RecoveredState, WalRecor
 use seemore_types::SeqNum;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -16,7 +17,10 @@ pub struct StoreConfig {
     /// trade-offs).
     pub fsync: FsyncPolicy,
     /// Rotate to a fresh WAL segment once the active one reaches this many
-    /// bytes (clamped to at least one frame's worth).
+    /// bytes (clamped to at least one frame's worth). The bound counts a
+    /// [`FileStore`] segment's zero fill as well as its records: the fill
+    /// stops at it, and only a frame that starts below it and ends past it
+    /// makes a file longer.
     pub segment_bytes: usize,
 }
 
@@ -186,11 +190,43 @@ fn segment_index(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// The unit zero fill is written in, from a buffer on the stack.
+const PAGE: usize = 4 << 10;
+/// The most zero fill written ahead of one frame.
+const FILL_MAX: usize = 256 << 10;
+
+/// Where a segment's zero fill should end before a frame ending at `end` is
+/// written into a segment whose file holds `filled` bytes. It runs past the
+/// frame by as much as the file already holds, clamped to one page to
+/// [`FILL_MAX`], so a fresh store's first sync writes two pages and a busy
+/// segment extends its file once per [`FILL_MAX`]; page-aligned; never past
+/// `limit` unless the frame alone ends past it.
+fn fill_end(filled: usize, end: usize, limit: usize) -> usize {
+    (end + filled.clamp(PAGE, FILL_MAX))
+        .next_multiple_of(PAGE)
+        .min(limit.max(end))
+}
+
+/// Writes zeros over `from..to` of `file`, a page at a time.
+fn write_zeros(file: &File, from: usize, to: usize) -> std::io::Result<()> {
+    let zeros = [0u8; PAGE];
+    let mut at = from;
+    while at < to {
+        let len = (to - at).min(PAGE - at % PAGE);
+        file.write_all_at(&zeros[..len], at as u64)?;
+        at += len;
+    }
+    Ok(())
+}
+
 #[derive(Debug)]
 struct FileInner {
     active: File,
     active_index: u64,
+    /// Bytes of records in the active segment: where the next frame goes.
     active_len: usize,
+    /// Bytes the active segment's file holds: its records, then zero fill.
+    filled: usize,
     /// Whether the active segment holds appends no sync has covered yet.
     unsynced: bool,
     /// Segment files on disk, the active one included.
@@ -228,6 +264,7 @@ impl FileStore {
                 active,
                 active_index: next,
                 active_len: 0,
+                filled: 0,
                 unsynced: false,
                 segments: existing.len() + 1,
             }),
@@ -274,10 +311,12 @@ impl FileStore {
         Ok(indices)
     }
 
+    /// Creates segment `index`, which must not exist yet: frames are written
+    /// at offsets from zero, so reusing a file would write over its records.
     fn create_segment(dir: &Path, index: u64) -> std::io::Result<File> {
         OpenOptions::new()
-            .create(true)
-            .append(true)
+            .create_new(true)
+            .write(true)
             .open(dir.join(segment_name(index)))
     }
 
@@ -325,11 +364,26 @@ impl Durability for FileStore {
             inner.active =
                 Self::create_segment(&self.dir, inner.active_index).expect("wal segment create");
             inner.active_len = 0;
+            inner.filled = 0;
             inner.segments += 1;
             self.sync_dir();
         }
-        inner.active.write_all(&bytes).expect("wal append");
-        inner.active_len += bytes.len();
+        // A sync that only overwrites blocks the file already has flushes
+        // data alone; one that grows the file also commits the new size to
+        // the filesystem's journal. So a frame that would pass the zero fill
+        // writes more fill first, and the next syncs land inside it.
+        let start = inner.active_len;
+        let end = start + bytes.len();
+        if end > inner.filled {
+            let fill = fill_end(inner.filled, end, self.config.segment_limit());
+            write_zeros(&inner.active, end, fill).expect("wal zero fill");
+            inner.filled = fill;
+        }
+        inner
+            .active
+            .write_all_at(&bytes, start as u64)
+            .expect("wal append");
+        inner.active_len = end;
         inner.unsynced = true;
     }
 
@@ -375,7 +429,7 @@ impl Durability for FileStore {
             let segment = File::open(self.dir.join(segment_name(index))).expect("wal read");
             let mut reader = BufReader::new(segment);
             // `open` repaired any torn tail and every append since was whole,
-            // so each segment reads clean to its end.
+            // so each segment reads clean up to its zero fill.
             while let Some(record) = frame::read_record(&mut reader, &mut frame) {
                 if record.slot().is_none_or(|slot| slot > seq) {
                     out.write_all(&frame).expect("wal rewrite");
@@ -393,6 +447,7 @@ impl Durability for FileStore {
         inner.active = file;
         inner.active_index = new_index;
         inner.active_len = kept;
+        inner.filled = kept;
         inner.unsynced = false;
         inner.segments = 1;
         self.sync_dir();
@@ -538,10 +593,12 @@ mod tests {
                 store.append(&vote(seq));
             }
         }
-        // Tear the final frame the way kill-9 mid-write would.
+        // Tear the final frame the way kill-9 mid-write would: the file ends
+        // in zero fill, so cut it 5 bytes before the last frame's end.
         let segment = dir.join(segment_name(1));
         let mut bytes = fs::read(&segment).expect("read segment");
-        bytes.truncate(bytes.len() - 5);
+        let records = frame::decode_wal(&bytes).clean_len;
+        bytes.truncate(records - 5);
         fs::write(&segment, bytes).expect("rewrite segment");
 
         let store = FileStore::open(&dir, StoreConfig::default()).expect("reopen");
@@ -588,7 +645,10 @@ mod tests {
             },
         )
         .expect("open");
-        let wal_len = |index: u64| fs::metadata(dir.join(segment_name(index))).map(|m| m.len());
+        // The records' length: a segment's file also holds zero fill.
+        let wal_len = |index: u64| {
+            fs::read(dir.join(segment_name(index))).map(|bytes| frame::decode_wal(&bytes).clean_len)
+        };
 
         // One segment: the checkpoint is persisted, nothing is rewritten, and
         // recovery hides what the checkpoint covers.
@@ -600,7 +660,7 @@ mod tests {
         store.compact_below(SeqNum(8));
         assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![1]);
         let before = wal_len(1).expect("segment 1");
-        assert!(before > 12 * frame_len as u64);
+        assert!(before > 12 * frame_len);
         let state = store.recover().expect("recovers");
         assert_eq!(state.checkpoint, Some(checkpoint(8)));
         let mut expected: Vec<WalRecord> = (9..=12).map(vote).collect();
@@ -629,10 +689,7 @@ mod tests {
         store.persist_checkpoint(&checkpoint(24));
         store.compact_below(SeqNum(24));
         assert_eq!(FileStore::segment_indices(&dir).expect("list"), vec![3]);
-        assert_eq!(
-            wal_len(3).expect("segment 3"),
-            (bytes.len() + frame_len) as u64
-        );
+        assert_eq!(wal_len(3).expect("segment 3"), bytes.len() + frame_len);
         assert_eq!(store.recover().expect("recovers").wal, vec![view, vote(25)]);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -721,6 +778,182 @@ mod tests {
         assert!(!state.torn_tail);
         assert_eq!(state.checkpoint, Some(checkpoint(4)));
         assert_eq!(state.wal, (5..=12).map(vote).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn frame_len() -> usize {
+        let mut bytes = Vec::new();
+        frame::encode_record(&vote(1), &mut bytes);
+        bytes.len()
+    }
+
+    /// The active segment's bytes and the length of its records.
+    fn segment_bytes(dir: &Path, index: u64) -> (Vec<u8>, usize) {
+        let bytes = fs::read(dir.join(segment_name(index))).expect("read segment");
+        let records = frame::decode_wal(&bytes).clean_len;
+        (bytes, records)
+    }
+
+    #[test]
+    fn file_store_zero_fill_recovers_clean_across_a_reopen() {
+        let dir = temp_dir("fill-reopen");
+        {
+            let store = FileStore::open(&dir, StoreConfig::default()).expect("open");
+            for seq in 1..=5 {
+                store.append(&vote(seq));
+            }
+        }
+        let (bytes, records) = segment_bytes(&dir, 1);
+        assert_eq!(records, 5 * frame_len());
+        assert_eq!(bytes.len(), 2 * PAGE, "a fresh segment's first fill");
+        assert!(bytes[records..].iter().all(|&byte| byte == 0));
+
+        let store = FileStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(!state.torn_tail);
+        assert_eq!(state.wal, (1..=5).map(vote).collect::<Vec<_>>());
+        assert_eq!(segment_bytes(&dir, 1).0, bytes, "no repair ran");
+        store.append(&vote(6));
+        drop(store);
+        let store = FileStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(!state.torn_tail);
+        assert_eq!(state.wal, (1..=6).map(vote).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_discards_a_frame_torn_inside_the_fill() {
+        let dir = temp_dir("fill-torn");
+        {
+            let store = FileStore::open(&dir, StoreConfig::default()).expect("open");
+            for seq in 1..=4 {
+                store.append(&vote(seq));
+            }
+        }
+        // The last frame's header and the first bytes of its payload were
+        // written, and the rest reads as the zero fill it was to land on.
+        let segment = dir.join(segment_name(1));
+        let (mut bytes, records) = segment_bytes(&dir, 1);
+        bytes[records - frame_len() + 12..records].fill(0);
+        fs::write(&segment, &bytes).expect("rewrite segment");
+
+        let store = FileStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(state.torn_tail);
+        assert_eq!(state.wal, (1..=3).map(vote).collect::<Vec<_>>());
+        assert_eq!(segment_bytes(&dir, 1).0.len(), 3 * frame_len());
+        store.append(&vote(9));
+        let state = store.recover().expect("recovers");
+        assert_eq!(state.wal.last(), Some(&vote(9)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_repairs_a_zero_header_followed_by_nonzero_bytes() {
+        let dir = temp_dir("fill-garbage");
+        {
+            let store = FileStore::open(&dir, StoreConfig::default()).expect("open");
+            for seq in 1..=3 {
+                store.append(&vote(seq));
+            }
+        }
+        // A later frame landed while the one before it did not: zeros where
+        // a header should be, then bytes that are not fill.
+        let segment = dir.join(segment_name(1));
+        let (mut bytes, records) = segment_bytes(&dir, 1);
+        bytes[records + 20] = 0x5A;
+        fs::write(&segment, &bytes).expect("rewrite segment");
+        let decoded = frame::decode_wal(&bytes);
+        assert!(decoded.torn_tail);
+        assert_eq!(decoded.clean_len, records);
+
+        let store = FileStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(state.torn_tail);
+        assert_eq!(state.wal, (1..=3).map(vote).collect::<Vec<_>>());
+        assert_eq!(segment_bytes(&dir, 1).0.len(), records, "repair truncated");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_syncs_inside_the_fill_leave_the_file_length_alone() {
+        let dir = temp_dir("fill-length");
+        let store = FileStore::open(&dir, StoreConfig::default()).expect("open");
+        let file_len = || {
+            fs::metadata(dir.join(segment_name(1)))
+                .expect("segment")
+                .len()
+        };
+        store.append(&vote(1));
+        let filled = file_len();
+        assert_eq!(filled as usize % PAGE, 0);
+        let inside = (filled as usize / frame_len()) as u64;
+        assert!(inside > 8, "the first fill holds more than a few votes");
+        for seq in 2..=inside {
+            store.append_unsynced(&vote(seq));
+            store.sync();
+            assert_eq!(file_len(), filled, "append {seq} stayed inside the fill");
+        }
+        // The first frame past the fill writes more fill ahead of itself.
+        store.append(&vote(inside + 1));
+        assert!(file_len() > filled);
+        let state = store.recover().expect("recovers");
+        assert!(!state.torn_tail);
+        assert_eq!(state.wal, (1..=inside + 1).map(vote).collect::<Vec<_>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_rotation_and_compaction_through_filled_segments_keep_every_record_above_the_checkpoint(
+    ) {
+        let dir = temp_dir("fill-rotate");
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Never,
+            segment_bytes: 5 * PAGE,
+        };
+        let mut expected = Vec::new();
+        {
+            let store = FileStore::open(&dir, config).expect("open");
+            for seq in 1..=400 {
+                store.append(&vote(seq));
+                expected.push(vote(seq));
+            }
+            let indices = FileStore::segment_indices(&dir).expect("list");
+            assert!(indices.len() > 2, "expected rotation, got {indices:?}");
+            // The fill stops at the segment bound, so a full segment's last
+            // frame overwrote the end of it; the active one still has fill.
+            let (active, full) = indices.split_last().expect("segments");
+            for &index in full {
+                let (bytes, records) = segment_bytes(&dir, index);
+                assert!(records >= config.segment_bytes);
+                assert_eq!(bytes.len(), records);
+            }
+            let (bytes, records) = segment_bytes(&dir, *active);
+            assert!(records < bytes.len() && bytes.len() <= config.segment_bytes);
+
+            store.persist_checkpoint(&checkpoint(150));
+            store.compact_below(SeqNum(150));
+            expected.retain(|record| record.slot().is_none_or(|slot| slot > SeqNum(150)));
+            assert_eq!(FileStore::segment_indices(&dir).expect("list").len(), 1);
+            assert_eq!(store.recover().expect("recovers").wal, expected);
+
+            // Appends behind the compacted survivors fill and rotate again.
+            for seq in 401..=600 {
+                store.append(&vote(seq));
+                expected.push(vote(seq));
+            }
+            store.persist_checkpoint(&checkpoint(450));
+            store.compact_below(SeqNum(450));
+            expected.retain(|record| record.slot().is_none_or(|slot| slot > SeqNum(450)));
+            store.append(&vote(601));
+            expected.push(vote(601));
+        }
+        let store = FileStore::open(&dir, config).expect("reopen");
+        let state = store.recover().expect("recovers");
+        assert!(!state.torn_tail);
+        assert_eq!(state.checkpoint, Some(checkpoint(450)));
+        assert_eq!(state.wal, expected);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,10 +1,13 @@
 //! Property tests for the store: compaction never drops a record above the
 //! stable checkpoint, and `recover(persist(state)) == state` across random
-//! crash points, including torn final WAL records (CRC-rejected tail).
+//! crash points, including torn final WAL records (CRC-rejected tail) and
+//! torn records followed by a segment's zero fill.
 
 use proptest::prelude::*;
 use seemore_crypto::{Digest, Signature};
-use seemore_store::{Durability, DurableCheckpoint, FsyncPolicy, MemStore, StoreConfig, WalRecord};
+use seemore_store::{
+    frame, Durability, DurableCheckpoint, FileStore, FsyncPolicy, MemStore, StoreConfig, WalRecord,
+};
 use seemore_types::{Mode, ReplicaId, SeqNum, View};
 use seemore_wire::{Accept, Checkpoint, Commit, Message};
 
@@ -131,6 +134,49 @@ proptest! {
         let whole = boundaries.iter().filter(|b| **b <= cut).count() - 1;
         prop_assert_eq!(&state.wal[..], &appended[..whole]);
         prop_assert_eq!(state.torn_tail, cut != boundaries[whole]);
+    }
+
+    /// The same crash in a [`FileStore`] segment that ends in zero fill: the
+    /// frame being written is cut at any byte and the rest of the file reads
+    /// as the fill it was to land on. Recovery returns the records whose
+    /// frames completed, and reports a tear exactly when a nonzero byte of
+    /// the cut frame reached the file.
+    #[test]
+    fn recovery_survives_a_crash_at_any_byte_before_zero_fill(
+        kinds in proptest::collection::vec(any::<u8>(), 1..40),
+        cut_seed in any::<u64>(),
+        fill in 0usize..600,
+    ) {
+        let mut stream = Vec::new();
+        let mut boundaries = vec![0usize];
+        let mut appended = Vec::new();
+        for (offset, &kind) in kinds.iter().enumerate() {
+            let rec = record(kind, offset as u64);
+            frame::encode_record(&rec, &mut stream);
+            boundaries.push(stream.len());
+            appended.push(rec);
+        }
+        let cut = (cut_seed % (stream.len() as u64 + 1)) as usize;
+        let mut segment = stream[..cut].to_vec();
+        segment.resize(stream.len() + fill, 0);
+        let dir = std::env::temp_dir()
+            .join(format!("seemore-store-fill-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("store dir");
+        std::fs::write(dir.join("wal-000001.log"), &segment).expect("segment");
+
+        let config = StoreConfig { fsync: FsyncPolicy::Never, ..StoreConfig::default() };
+        let state = FileStore::open(&dir, config).expect("open").recover().expect("recovers");
+        let _ = std::fs::remove_dir_all(&dir);
+        // A frame is whole once every byte of it the crash cut off is zero:
+        // the fill already holds those bytes.
+        let whole = boundaries
+            .iter()
+            .rposition(|&end| end <= cut || stream[cut..end].iter().all(|&byte| byte == 0))
+            .expect("the empty prefix is whole");
+        prop_assert_eq!(&state.wal[..], &appended[..whole]);
+        let written = &stream[boundaries[whole].min(cut)..cut];
+        prop_assert_eq!(state.torn_tail, written.iter().any(|&byte| byte != 0));
     }
 
     /// A corrupt (bit-flipped) tail is CRC-rejected rather than decoded:

@@ -18,12 +18,15 @@
 //! was lost or is only slow (a slow one is then answered twice, and
 //! adopted once).
 //!
-//! The last case is ROADMAP item 13's lost request: a Dog passive replica
-//! that asked a proxy which never answers catches up at the next stable
-//! checkpoint.
+//! ROADMAP item 13's lost request: a Dog passive replica that asked a proxy
+//! which never answers catches up at the next stable checkpoint.
+//!
+//! The last cases are ROADMAP item 22's missed `PREPARE`: a Lion or CFT
+//! backup that never received a slot's proposal still executes the slot
+//! before the next write, with no checkpoint to catch up at.
 
 use seemore::app::{KvOp, KvStore};
-use seemore::baselines::{BaselineConfig, BftReplica, CftReplica};
+use seemore::baselines::{BaselineClient, BaselineConfig, BftReplica, CftReplica};
 use seemore::core::check::{self, History};
 use seemore::core::exec::ExecutionEngine;
 use seemore::core::testkit::{Envelope, SyncCluster};
@@ -439,4 +442,97 @@ fn a_passive_replica_whose_state_request_was_lost_catches_up_at_the_next_checkpo
     // the slots after it execute in order.
     let histories: Vec<History> = vec![(PASSIVE, cluster.replica(PASSIVE).executed())];
     assert_eq!(check::progress_past(&histories, SeqNum(PERIOD + 1)), Ok(()));
+}
+
+// ----------------------------------------------------------------------
+// A backup that misses a PREPARE
+// ----------------------------------------------------------------------
+
+/// The slot whose `PREPARE` the backup never receives.
+const MISSED: u64 = 3;
+/// Writes through the run, one slot each; the checkpoint period is far
+/// beyond them, so no stable checkpoint can catch the backup up.
+const WRITES: u64 = 8;
+/// Messages one write may take to complete.
+const WRITE_STEPS: u64 = 20_000;
+
+/// Writes `WRITES` puts from client 0 while the network drops `backup`'s
+/// `PREPARE` for slot `MISSED`, then judges the run. The bound is the run
+/// itself: once the last write completes, with no timer fired, every
+/// replica, the backup included, has executed every slot, and the
+/// histories are safe.
+fn write_past_a_missed_prepare(cluster: &mut SyncCluster, backup: ReplicaId) {
+    let missed = |envelope: &Envelope| {
+        envelope.to == NodeId::Replica(backup)
+            && matches!(&envelope.message, Message::Prepare(p) if p.seq == SeqNum(MISSED))
+    };
+    let mut dropped = 0;
+    for i in 1..=WRITES {
+        cluster.submit(ClientId(0), put(&format!("k{i}")));
+        let mut steps = 0;
+        loop {
+            dropped += cluster.drop_matching(missed);
+            if steps == WRITE_STEPS || !cluster.step() {
+                break;
+            }
+            steps += 1;
+        }
+    }
+    assert_eq!(dropped, 1, "the backup's PREPARE for slot {MISSED}");
+    let outcomes = cluster.client(ClientId(0)).completed();
+    assert_eq!(outcomes.len(), WRITES as usize);
+    let histories: Vec<History> = cluster
+        .replica_ids()
+        .into_iter()
+        .map(|id| (id, cluster.replica(id).executed()))
+        .collect();
+    assert_eq!(check::progress_past(&histories, SeqNum(WRITES)), Ok(()));
+    assert_eq!(check::safety(&histories, outcomes), Ok(()));
+}
+
+#[test]
+fn a_lion_backup_that_missed_a_prepare_executes_the_slot() {
+    let config = ClusterConfig::minimal(1, 1).unwrap();
+    let keystore = KeyStore::generate(38, config.total_size(), 1);
+    let mut cluster = SyncCluster::new();
+    for replica in config.replicas() {
+        cluster.add_replica(Box::new(SeeMoReReplica::new(
+            replica,
+            config,
+            ProtocolConfig::default(),
+            keystore.clone(),
+            Mode::Lion,
+            Box::new(KvStore::new()),
+        )));
+    }
+    cluster.add_client(ClientCore::new(
+        ClientId(0),
+        config,
+        keystore,
+        Mode::Lion,
+        Duration::from_millis(100),
+    ));
+    write_past_a_missed_prepare(&mut cluster, ReplicaId(1));
+}
+
+#[test]
+fn a_cft_backup_that_missed_a_prepare_executes_the_slot() {
+    let config = BaselineConfig::cft(1);
+    let keystore = KeyStore::generate(39, config.network_size, 1);
+    let mut cluster = SyncCluster::new();
+    for replica in config.replicas() {
+        cluster.add_replica(Box::new(CftReplica::new(
+            replica,
+            config,
+            ProtocolConfig::default(),
+            Box::new(KvStore::new()),
+        )));
+    }
+    cluster.add_client(BaselineClient::new(
+        ClientId(0),
+        config,
+        keystore,
+        Duration::from_millis(100),
+    ));
+    write_past_a_missed_prepare(&mut cluster, ReplicaId(1));
 }
